@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Fuzz the saturation solver against the grammar engine and the bounded
-walk oracle on random labeled graphs.
+walk oracle on random labeled graphs, directed and undirected.  Each sample
+then replays a random mixed insert/delete script through
+``resolve_after_update`` and checks the maintained index against the
+grammar engine after every update.
 
 Usage: python3 scripts/engine_fuzz.py [--samples N] [--seed S]
                                       [--max-vertices V] [--pairs P]
@@ -14,9 +17,12 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
-from dycklab import (EnumerationBudget, brute_dyck_reach, dyck_grammar,
+from dycklab import (EnumerationBudget, apply_update, brute_dyck_reach,
+                     dyck_grammar, resolve_after_update, serialize_updates,
                      solve_cfl, solve_dyck, solve_dyck_wrap_only)
-from util import random_dyck_instance
+from util import random_dyck_instance, random_script
+
+SCRIPT_OPS = 20  # updates replayed per sample through the incremental route
 
 
 def main() -> int:
@@ -36,7 +42,8 @@ def main() -> int:
     for i in range(args.samples):
         inst = random_dyck_instance(rng, max_vertices=args.max_vertices,
                                     pairs=args.pairs,
-                                    density=rng.uniform(0.05, 0.4))
+                                    density=rng.uniform(0.05, 0.4),
+                                    directed=rng.random() < 0.5)
         full = solve_dyck(inst)
         if full.pairs != solve_cfl(inst, grammar)["S"]:
             print(f"MISMATCH sample {i}: saturation vs grammar engine")
@@ -49,9 +56,19 @@ def main() -> int:
             print(f"MISMATCH sample {i}: wrap-only exceeded the full solver")
             return 1
         gaps += full.pairs != solve_dyck_wrap_only(inst).pairs
+        index = full
+        for step, op in enumerate(random_script(rng, inst, ops=SCRIPT_OPS,
+                                                query_rate=0.0)):
+            index = resolve_after_update(index, inst, op)
+            inst = apply_update(inst, op)
+            if index.pairs != solve_cfl(inst, grammar)["S"]:
+                print(f"MISMATCH sample {i} step {step} "
+                      f"({serialize_updates([op]).strip()}): "
+                      f"maintained index vs grammar engine")
+                return 1
     dt = time.monotonic() - t0
-    print(f"{args.samples} instances, 0 mismatches, "
-          f"{gaps} wrap-only gaps, {dt:.1f}s")
+    print(f"{args.samples} instances and {args.samples * SCRIPT_OPS} "
+          f"updates, 0 mismatches, {gaps} wrap-only gaps, {dt:.1f}s")
     return 0
 
 

@@ -149,13 +149,14 @@ def run_equivalence(kind: str, inst: Instance,
                 report.failures.append(
                     f"step {step}: source={src_ans} target={tgt_ans}")
             continue
+        # applying the source update first validates it for the translator
+        inst = apply_update(inst, op)
         translated = red.translate(op)
         report.counts.append(len(translated))
         if len(translated) not in bounds:
             report.failures.append(
                 f"step {step}: translated into {len(translated)} ops, "
                 f"expected {sorted(bounds)}")
-        inst = apply_update(inst, op)
         for top in translated:
             if use_index and target_index is not None:
                 if top.op == "ins":
@@ -335,6 +336,18 @@ def cmd_suite(args, rep: Reporter) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _limit(text: str) -> int:
+    """A length, budget or sample count: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dycklab",
@@ -389,31 +402,31 @@ def build_parser() -> argparse.ArgumentParser:
     osub = sp.add_subparsers(dest="what", required=True)
     op = osub.add_parser("reach")
     op.add_argument("graph")
-    op.add_argument("--max-len", type=int, default=12)
-    op.add_argument("--max-paths", type=int, default=100_000)
+    op.add_argument("--max-len", type=_limit, default=12)
+    op.add_argument("--max-paths", type=_limit, default=100_000)
     op.set_defaults(func=cmd_oracle)
     op = osub.add_parser("paths")
     op.add_argument("graph")
     op.add_argument("source", type=int)
     op.add_argument("sink", type=int)
-    op.add_argument("--max-len", type=int, default=8)
-    op.add_argument("--max-paths", type=int, default=1000)
+    op.add_argument("--max-len", type=_limit, default=8)
+    op.add_argument("--max-paths", type=_limit, default=1000)
     op.add_argument("--balanced", action="store_true",
                     help="keep balanced-label walks only")
     op.set_defaults(func=cmd_oracle)
     op = osub.add_parser("words")
     op.add_argument("--pairs", type=int, default=2)
-    op.add_argument("--max-len", type=int, default=6)
+    op.add_argument("--max-len", type=_limit, default=6)
     op.add_argument("--predicate", choices=("dyck", "q", "qinit"), default="dyck")
     op.add_argument("--list", action="store_true")
     op.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("suite", help="bounded verification suites")
     sp.add_argument("name", choices=sorted(SUITES))
-    sp.add_argument("--max-len", type=int, default=8)
-    sp.add_argument("--budget", type=int, default=40)
-    sp.add_argument("--max-paths", type=int, default=500)
-    sp.add_argument("--samples", type=int, default=300)
+    sp.add_argument("--max-len", type=_limit, default=8)
+    sp.add_argument("--budget", type=_limit, default=40)
+    sp.add_argument("--max-paths", type=_limit, default=500)
+    sp.add_argument("--samples", type=_limit, default=300)
     sp.set_defaults(func=cmd_suite)
 
     return p

@@ -52,6 +52,15 @@ def _layout(names: list[StructuredName]):
 # ---------------------------------------------------------------------------
 # alternating -> per-vertex brackets
 
+_ARC_LABEL = Label("l", 1, False)
+
+
+def _require_arc_label(lab: Label):
+    if lab != _ARC_LABEL:
+        raise ValueError(f"alternating instances carry l1 arcs only, "
+                         f"not {lab.token()}")
+
+
 def compile_alt_to_neardyck(inst: Instance) -> CompiledReduction:
     """Alternating reachability compiled to per-vertex-bracket reachability.
 
@@ -63,10 +72,14 @@ def compile_alt_to_neardyck(inst: Instance) -> CompiledReduction:
     (a, b) -> (a, b+1) from neutral to the closing label of b.
 
     The target marks (source=t, sink=s): reachability is checked from the
-    alternating sink back to the alternating source.
+    alternating sink back to the alternating source.  Arcs are keyed by
+    their endpoints alone, so every source edge and update must carry the
+    label l1; any other label is rejected.
     """
     if inst.partition is None:
         raise ValueError("compilation needs an and/or partition")
+    for _u, lab, _v in inst.graph.edges:
+        _require_arc_label(lab)
     n = inst.graph.vertex_count
     t, s = inst.sink, inst.source
     and_vertices = [x for x in range(n) if inst.partition[x] == "and"]
@@ -101,6 +114,7 @@ def compile_alt_to_neardyck(inst: Instance) -> CompiledReduction:
     target = Instance(graph, t, s)
 
     def translate_one(op: UpdateOp) -> list[UpdateOp]:
+        _require_arc_label(op.label)
         a, b = op.u, op.v
         if inst.partition[a] == "or":
             inner = UpdateOp(op.op, b, DOT, a)

@@ -8,6 +8,23 @@ closed under two rules:
   for an opening label ``q``  =>  ``(u, v)``;
 * concatenation: ``(u, w)`` and ``(w, v)``  =>  ``(u, v)``.
 
+The set is kept a row at a time, as in Chaudhuri's subcubic closure
+("Subcubic algorithms for recursive state machines", POPL 2008): row
+``R[u]`` is a Python-int bitset of the ``v`` with ``(u, v)`` in the set and
+column ``C[v]`` the bitset of the ``u``; each label has a target bitset per
+vertex for its outgoing edges and a source bitset per vertex for its
+incoming ones.  Concatenation keeps the rows transitively closed at every
+step: when row ``a`` gains the bits ``B``, every row in ``C[a]`` gains
+``B`` and the rows of ``B``.  The wrap rule joins a row's new bits with the
+edge bitsets.  Either rule only ever adds ``bits & ~R[u]``, and only those
+new bits are processed further.
+
+``resolve_after_update`` continues the fixpoint after an insertion: it
+copies the index's rows and columns (``O(n)`` ints, no pair is copied),
+sets the new edge's bit (both directions for an undirected edge) and
+processes only what the new edge derives.  A deletion re-solves from
+scratch.
+
 ``solve_dyck_wrap_only`` omits the concatenation rule; it under-approximates
 (e.g. it misses the chain labeled l1 l1bar l2 l2bar) and is kept so the gap
 itself is observable.  ``solve_cfl`` is an independent engine driven by a
@@ -17,7 +34,9 @@ the bracket grammar.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .graphs import Alphabet, Instance, Label, UpdateOp, apply_update, DOT
 
@@ -30,123 +49,219 @@ class FingerprintMismatchError(ValueError):
     pass
 
 
+def _bits(x: int) -> Iterator[int]:
+    """Positions of the set bits of ``x``, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _slot(lab: Label) -> int:
+    """Edge-table slot of a bracket label: ``2k-2`` for the opening label
+    of pair ``k``, ``2k-1`` for its closing partner."""
+    return 2 * lab.index - 2 + lab.bar
+
+
+class PairSet(Set):
+    """Read-only set view of the pairs ``(u, v)`` held in bitset rows.  Its
+    length is a popcount sum; nothing is enumerated until iterated."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: tuple[int, ...]):
+        self._rows = rows
+
+    def __contains__(self, pair) -> bool:
+        u, v = pair
+        rows = self._rows
+        return 0 <= u < len(rows) and 0 <= v and bool(rows[u] >> v & 1)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for u, row in enumerate(self._rows):
+            for v in _bits(row):
+                yield (u, v)
+
+    def __len__(self) -> int:
+        return sum(row.bit_count() for row in self._rows)
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def __repr__(self) -> str:
+        return f"PairSet({sorted(self)})"
+
+
 @dataclass(frozen=True)
 class ReachIndex:
-    pairs: frozenset[tuple[int, int]]
+    """A closed pair set with the edge bitsets it was closed over, so that
+    an insertion can continue the fixpoint.  ``out_edges[slot][u]`` holds
+    the targets of ``u``'s edges with that label, ``in_edges[slot][v]`` the
+    sources of ``v``'s."""
+
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+    out_edges: tuple[tuple[int, ...], ...]
+    in_edges: tuple[tuple[int, ...], ...]
     fingerprint: int
+
+    @property
+    def pairs(self) -> PairSet:
+        return PairSet(self.rows)
 
     def query(self, u: int, v: int) -> bool:
         return (u, v) in self.pairs
 
 
-def _edge_indexes(inst: Instance):
-    """out_by[(u, label)] -> targets, in_by[(v, label)] -> sources,
+def _edge_bitsets(inst: Instance):
+    """Per label slot, the target and the source bitset of every vertex,
     over the directed view of the graph."""
-    out_by: dict[tuple[int, Label], list[int]] = {}
-    in_by: dict[tuple[int, Label], list[int]] = {}
+    n = inst.graph.vertex_count
+    slots = 2 * inst.graph.alphabet.size
+    out_edges = [[0] * n for _ in range(slots)]
+    in_edges = [[0] * n for _ in range(slots)]
     for u, lab, v in inst.graph.directed_edges():
-        out_by.setdefault((u, lab), []).append(v)
-        in_by.setdefault((v, lab), []).append(u)
-    return out_by, in_by
+        s = _slot(lab)
+        out_edges[s][u] |= 1 << v
+        in_edges[s][v] |= 1 << u
+    return out_edges, in_edges
 
 
 class _Saturator:
-    """Worklist closure over Dyck pairs; reusable for incremental re-solve."""
+    """Worklist closure over bitset rows.  ``pending[x]`` holds the bits
+    row ``x`` gained that the wrap rule has not yet joined; ``work`` lists
+    the rows with pending bits."""
 
-    def __init__(self, inst: Instance, concat: bool = True):
-        if inst.graph.alphabet.kind != "dyck":
-            raise AlphabetMismatchError("solver requires a dyck alphabet")
+    def __init__(self, inst: Instance, concat: bool, rows: list[int],
+                 cols: list[int], out_edges: list[Sequence[int]],
+                 in_edges: list[Sequence[int]]):
         self.inst = inst
         self.concat = concat
-        self.n = inst.graph.vertex_count
-        self.out_by, self.in_by = _edge_indexes(inst)
-        self.opens = list(inst.graph.alphabet.open_labels())
-        self.pairs: set[tuple[int, int]] = set()
-        self.succ: dict[int, set[int]] = {}
-        self.pred: dict[int, set[int]] = {}
-        self.work: list[tuple[int, int]] = []
+        self.rows, self.cols = rows, cols
+        self.out_edges, self.in_edges = out_edges, in_edges
+        self.pending = [0] * len(rows)
+        self.work: list[int] = []
 
-    def add(self, u: int, v: int):
-        if (u, v) not in self.pairs:
-            self.pairs.add((u, v))
-            self.succ.setdefault(u, set()).add(v)
-            self.pred.setdefault(v, set()).add(u)
-            self.work.append((u, v))
+    @classmethod
+    def fresh(cls, inst: Instance, concat: bool) -> "_Saturator":
+        """The identity pairs of the instance, all pending."""
+        if inst.graph.alphabet.kind != "dyck":
+            raise AlphabetMismatchError("solver requires a dyck alphabet")
+        identity = [1 << x for x in range(inst.graph.vertex_count)]
+        sat = cls(inst, concat, list(identity), list(identity),
+                  *_edge_bitsets(inst))
+        sat.pending = identity
+        sat.work = list(range(len(identity)))
+        return sat
 
-    def seed_identity(self):
-        for x in range(self.n):
-            self.add(x, x)
+    @classmethod
+    def resume(cls, index: ReachIndex, inst: Instance) -> "_Saturator":
+        """A closed index, copied row by row, with nothing pending."""
+        return cls(inst, True, list(index.rows), list(index.cols),
+                   list(index.out_edges), list(index.in_edges))
 
-    def seed_pairs(self, pairs):
-        # Pre-closed pairs: record them without queueing for re-processing.
-        for u, v in pairs:
-            self.pairs.add((u, v))
-            self.succ.setdefault(u, set()).add(v)
-            self.pred.setdefault(v, set()).add(u)
-
-    def seed_new_edge(self, u: int, lab: Label, v: int):
-        """Queue the consequences of a single new directed edge against the
-        current (closed) pair set."""
-        consequences = []
-        if lab.is_open:
-            close = lab.matched()
-            for vp in self.succ.get(v, ()):
-                for w in self.out_by.get((vp, close), ()):
-                    consequences.append((u, w))
+    def add(self, a: int, bits: int):
+        """Add the pairs ``(a, b)`` for ``b`` in ``bits``, with everything
+        concatenation derives from them."""
+        rows = self.rows
+        new = bits & ~rows[a]
+        if not new:
+            return
+        if self.concat:
+            # whatever reaches a now also reaches new and all it reaches
+            for b in _bits(new):
+                new |= rows[b]
+            sources = self.cols[a]
         else:
-            opening = lab.matched()
-            for up in self.pred.get(u, ()):
-                for w in self.in_by.get((up, opening), ()):
-                    consequences.append((w, v))
-        for u2, v2 in consequences:
-            self.add(u2, v2)
+            sources = 1 << a
+        cols, pending, work = self.cols, self.pending, self.work
+        for x in _bits(sources):
+            gained = new & ~rows[x]
+            if not gained:
+                continue
+            rows[x] |= gained
+            bit = 1 << x
+            for v in _bits(gained):
+                cols[v] |= bit
+            if not pending[x]:
+                work.append(x)
+            pending[x] |= gained
+
+    def insert_edge(self, u: int, lab: Label, v: int):
+        """Set the bit of a new directed edge and add what it derives
+        against the current pairs."""
+        s = _slot(lab)
+        out = self.out_edges[s] = list(self.out_edges[s])
+        out[u] |= 1 << v
+        inc = self.in_edges[s] = list(self.in_edges[s])
+        inc[v] |= 1 << u
+        if lab.is_open:
+            # (v, w) in the set and an edge (w, q-bar, b)  =>  (u, b)
+            closing = self.out_edges[s + 1]
+            reach = 0
+            for w in _bits(self.rows[v]):
+                reach |= closing[w]
+            self.add(u, reach)
+        else:
+            # (w, u) in the set and an edge (a, q, w)  =>  (a, v)
+            opening = self.in_edges[s - 1]
+            srcs = 0
+            for w in _bits(self.cols[u]):
+                srcs |= opening[w]
+            for a in _bits(srcs):
+                self.add(a, 1 << v)
 
     def run(self):
-        work = self.work
+        pending, work = self.pending, self.work
+        wraps = [(self.in_edges[s], self.out_edges[s + 1])
+                 for s in range(0, len(self.in_edges), 2)]
         while work:
-            u, v = work.pop()
-            # wrap rule: extend (u, v) outward by a matched bracket pair
-            for lab in self.opens:
-                close = lab.matched()
-                srcs = self.in_by.get((u, lab))
+            x = work.pop()
+            delta = pending[x]
+            pending[x] = 0
+            # wrap rule: (x, v) new, edges (a, q, x) and (v, q-bar, b)
+            targets = None
+            for opening, closing in wraps:
+                srcs = opening[x]
                 if not srcs:
                     continue
-                dsts = self.out_by.get((v, close))
-                if not dsts:
-                    continue
-                for a in srcs:
-                    for b in dsts:
-                        self.add(a, b)
-            if self.concat:
-                for w in tuple(self.succ.get(v, ())):
-                    self.add(u, w)
-                for w in tuple(self.pred.get(u, ())):
-                    self.add(w, v)
+                if targets is None:
+                    targets = list(_bits(delta))
+                reach = 0
+                for v in targets:
+                    reach |= closing[v]
+                if reach:
+                    for a in _bits(srcs):
+                        self.add(a, reach)
 
     def index(self) -> ReachIndex:
-        return ReachIndex(frozenset(self.pairs), self.inst.fingerprint())
+        # tuple() of a tuple is that tuple: only slots rebuilt here are copied
+        return ReachIndex(tuple(self.rows), tuple(self.cols),
+                          tuple(map(tuple, self.out_edges)),
+                          tuple(map(tuple, self.in_edges)),
+                          self.inst.fingerprint())
 
 
 def solve_dyck(inst: Instance) -> ReachIndex:
-    sat = _Saturator(inst, concat=True)
-    sat.seed_identity()
+    sat = _Saturator.fresh(inst, concat=True)
     sat.run()
     return sat.index()
 
 
 def solve_dyck_wrap_only(inst: Instance) -> ReachIndex:
     """The saturation loop with the wrap rule only (no concatenation)."""
-    sat = _Saturator(inst, concat=False)
-    sat.seed_identity()
+    sat = _Saturator.fresh(inst, concat=False)
     sat.run()
     return sat.index()
 
 
 def resolve_after_update(index: ReachIndex, inst: Instance,
                          op: UpdateOp) -> ReachIndex:
-    """Re-solve after one update.  Insertions continue the old fixpoint
-    (only newly derivable pairs are processed); deletions recompute from
-    scratch, which is the expected regime for this problem family."""
+    """Re-solve after one update.  An insertion continues the fixpoint of
+    ``index`` (which must come from ``solve_dyck`` or from this function)
+    on copied rows, so ``index`` itself keeps its answers; a deletion
+    recomputes from scratch."""
     if index.fingerprint != inst.fingerprint():
         raise FingerprintMismatchError("index does not match the instance")
     if op.op == "query":
@@ -154,11 +269,10 @@ def resolve_after_update(index: ReachIndex, inst: Instance,
     new_inst = apply_update(inst, op)
     if op.op == "del":
         return solve_dyck(new_inst)
-    sat = _Saturator(new_inst, concat=True)
-    sat.seed_pairs(index.pairs)
-    sat.seed_new_edge(op.u, op.label, op.v)
+    sat = _Saturator.resume(index, new_inst)
+    sat.insert_edge(op.u, op.label, op.v)
     if not new_inst.graph.directed and op.u != op.v:
-        sat.seed_new_edge(op.v, op.label, op.u)
+        sat.insert_edge(op.v, op.label, op.u)
     sat.run()
     return sat.index()
 

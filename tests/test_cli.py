@@ -90,6 +90,27 @@ def test_verify_equiv_alternating_worked_instance(capsys, tmp_path):
     assert "target_answer[0]=true" in out
 
 
+@pytest.mark.parametrize("kind, graph_text, update, message", [
+    ("alt_to_neardyck",
+     "graph directed\nvertices 3\nalphabet dyck 1\nedge 0 l1 1\n"
+     "mark 0 2\npartition and 0\n",
+     "ins 0 l1 9", "edge endpoint out of range"),
+    ("neardyck_to_dyck2",
+     "graph directed\nvertices 2\nalphabet neardyck 2\nedge 0 dot 1\n"
+     "mark 0 1\n",
+     "ins 0 v7 1", "label v7 not in alphabet"),
+])
+def test_verify_equiv_rejects_an_invalid_update(capsys, tmp_path, kind,
+                                                graph_text, update, message):
+    graph = tmp_path / "source.graph"
+    graph.write_text(graph_text)
+    script = tmp_path / "script.upd"
+    script.write_text(update + "\nquery\n")
+    code, _, err = run(capsys, "verify-equiv", kind, str(graph), str(script))
+    assert code == 2
+    assert f"error: {message}" in err
+
+
 def test_word_subcommands(capsys):
     code, out, _ = run(capsys, "word", "reduce",
                        "0", "0bar", "1", "1", "0", "0", "1", "1", "1", "1",
@@ -141,6 +162,22 @@ def test_suite_subcommand(capsys):
     code, out, _ = run(capsys, "--kv", "suite", "prop1", "--samples", "40")
     assert code == 0
     assert "verdict=pass" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("suite", "prop1", "--samples", "-5"),
+    ("suite", "lemma4", "--budget", "-1"),
+    ("suite", "lemma6", "--max-paths", "-1"),
+    ("suite", "lemma5", "--max-len", "-1"),
+    ("oracle", "reach", "g.graph", "--max-len", "-1"),
+    ("oracle", "paths", "g.graph", "0", "1", "--max-paths", "-1"),
+    ("oracle", "words", "--max-len", "-2"),
+])
+def test_negative_limits_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "expected a non-negative integer" in capsys.readouterr().err
 
 
 def test_missing_file_is_a_clean_error(capsys):

@@ -60,6 +60,19 @@ def test_alt_gadget_requires_a_partition():
         compile_alt_to_neardyck(Instance(g, 0, 1))
 
 
+def test_alt_gadget_rejects_labels_other_than_l1():
+    alph = Alphabet("dyck", 1)
+    bad = LabeledGraph.build(True, 2, alph, [(0, L1BAR, 1)])
+    with pytest.raises(ValueError, match="l1bar"):
+        compile_alt_to_neardyck(Instance(bad, 0, 1, ("and", "or")))
+    # an l1bar insertion beside an l1 arc used to share its chain edge
+    g = LabeledGraph.build(True, 2, alph, [(0, L1, 1)])
+    script = [UpdateOp.ins(0, L1BAR, 1), UpdateOp.delete(0, L1, 1)]
+    with pytest.raises(ValueError, match="l1bar"):
+        run_equivalence("alt_to_neardyck", Instance(g, 0, 1, ("and", "or")),
+                        script)
+
+
 def test_alt_translation_counts():
     inst = fig1_instance()
     red = compile_alt_to_neardyck(inst)

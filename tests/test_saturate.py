@@ -192,3 +192,24 @@ def test_incremental_on_undirected_insert():
     idx2 = resolve_after_update(idx, inst, op)
     assert idx2.pairs == solve_dyck(apply_update(inst, op)).pairs
     assert idx2.query(0, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.sampled_from((1, 2)),
+       st.booleans())
+def test_maintained_index_matches_the_grammar_engine(seed, pairs, directed):
+    rng = random.Random(seed)
+    inst = random_dyck_instance(rng, max_vertices=7, pairs=pairs,
+                                density=0.15, directed=directed)
+    grammar = dyck_grammar(pairs)
+    idx = solve_dyck(inst)
+    for op in random_script(rng, inst, ops=20, query_rate=0.1):
+        before = frozenset(idx.pairs)
+        new = resolve_after_update(idx, inst, op)
+        inst = apply_update(inst, op)
+        expected = solve_cfl(inst, grammar)["S"]
+        assert new.pairs == expected
+        assert len(new.pairs) == len(expected)
+        # an insertion continues on copied rows: the old index keeps its answers
+        assert idx.pairs == before
+        idx = new
