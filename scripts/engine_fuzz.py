@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Fuzz the saturation solver against the grammar engine and the bounded
 walk oracle on random labeled graphs, directed and undirected.  Each sample
-then replays a random mixed insert/delete script through
-``resolve_after_update`` and checks the maintained index against the
-grammar engine after every update.
+then replays a random mixed insert/delete script twice: through
+``resolve_after_update``, checked against the grammar engine after every
+update, and through ``ReachIndex.apply`` on one index, checked after every
+third update and at the end, so that insertions also land on an index that
+a deletion has left stale.
 
 Usage: python3 scripts/engine_fuzz.py [--samples N] [--seed S]
                                       [--max-vertices V] [--pairs P]
@@ -23,6 +25,7 @@ from dycklab import (EnumerationBudget, apply_update, brute_dyck_reach,
 from util import random_dyck_instance, random_script
 
 SCRIPT_OPS = 20  # updates replayed per sample through the incremental route
+LIVE_CHECK_EVERY = 3  # updates between checks of the index driven by apply
 
 
 def main() -> int:
@@ -56,16 +59,22 @@ def main() -> int:
             print(f"MISMATCH sample {i}: wrap-only exceeded the full solver")
             return 1
         gaps += full.pairs != solve_dyck_wrap_only(inst).pairs
-        index = full
+        index, live = full, solve_dyck(inst)
         for step, op in enumerate(random_script(rng, inst, ops=SCRIPT_OPS,
-                                                query_rate=0.0)):
+                                                query_rate=0.0), start=1):
             index = resolve_after_update(index, inst, op)
+            live.apply(op)
             inst = apply_update(inst, op)
-            if index.pairs != solve_cfl(inst, grammar)["S"]:
-                print(f"MISMATCH sample {i} step {step} "
-                      f"({serialize_updates([op]).strip()}): "
-                      f"maintained index vs grammar engine")
-                return 1
+            expected = solve_cfl(inst, grammar)["S"]
+            checks = [("resolve_after_update", index)]
+            if step % LIVE_CHECK_EVERY == 0 or step == SCRIPT_OPS:
+                checks.append(("apply", live))
+            for route, maintained in checks:
+                if maintained.pairs != expected:
+                    print(f"MISMATCH sample {i} step {step} "
+                          f"({serialize_updates([op]).strip()}): "
+                          f"index maintained by {route} vs grammar engine")
+                    return 1
     dt = time.monotonic() - t0
     print(f"{args.samples} instances and {args.samples * SCRIPT_OPS} "
           f"updates, 0 mismatches, {gaps} wrap-only gaps, {dt:.1f}s")

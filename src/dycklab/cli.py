@@ -20,8 +20,8 @@ from .one_letter import prop1_check
 from .oracle import (EnumerationBudget, brute_dyck_reach, enumerate_paths,
                      exhaustive_words)
 from .reductions import compile_reduction
-from .saturate import (dyck_grammar, near_dyck_grammar, resolve_after_update,
-                       solve_cfl, solve_dyck, solve_dyck_wrap_only)
+from .saturate import (dyck_grammar, near_dyck_grammar, solve_cfl, solve_dyck,
+                       solve_dyck_wrap_only)
 from .suites import SUITES
 from .words import (gamma_exponent, in_q, in_q_init, in_regular, is_dyck,
                     is_near_dyck, mu, reduce_word, theta, zo_str)
@@ -50,14 +50,13 @@ class Reporter:
 
 @dataclass
 class RunReport:
-    """Per-query answers, per-update translated-op counts, timing, and the
+    """Per-query answers, per-update translated-op counts, and the
     pass/fail verdicts of an equivalence run."""
 
     answers: list[bool] = field(default_factory=list)
     target_answers: list[bool] = field(default_factory=list)
     counts: list[int] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -94,22 +93,18 @@ def answer_query(inst: Instance, engine: str) -> bool:
 def run_replay(inst: Instance, script: list[UpdateOp],
                engine: str = "dyck") -> RunReport:
     """Apply a script, answering every query with the chosen engine.  The
-    bracket engine keeps a running index (insertions continue the old
-    fixpoint); the others re-answer from scratch."""
+    bracket engine keeps one index through the script; the others
+    re-answer from scratch."""
     report = RunReport()
-    start = time.perf_counter()
     index = solve_dyck(inst) if engine == "dyck" else None
     for op in script:
         if op.op == "query":
-            if index is not None:
-                report.answers.append(index.query(inst.source, inst.sink))
-            else:
-                report.answers.append(answer_query(inst, engine))
-            continue
-        if index is not None:
-            index = resolve_after_update(index, inst, op)
-        inst = apply_update(inst, op)
-    report.elapsed = time.perf_counter() - start
+            report.answers.append(answer_query(inst, engine) if index is None
+                                  else index.query(inst.source, inst.sink))
+        elif index is None:
+            inst = apply_update(inst, op)
+        else:
+            index.apply(op)
     return report
 
 
@@ -119,17 +114,15 @@ def run_equivalence(kind: str, inst: Instance,
     side; record both answer streams, the per-update translated-op counts,
     and any divergence."""
     report = RunReport()
-    start = time.perf_counter()
     red = compile_reduction(kind, inst)
     target = red.target
     bounds = _TRANSLATED_COUNT_BOUNDS[kind]
     source_engine = {"alt_to_neardyck": "alt",
                      "neardyck_to_dyck2": "cfl",
                      "dyck2_to_undirected": "dyck"}[kind]
-    use_index = kind != "alt_to_neardyck"
-    # insertions continue the fixpoint incrementally; a deletion drops the
-    # index, which is then rebuilt lazily at the next query
-    target_index = None
+    # the alternating lane's target has a per-vertex alphabet, which only
+    # the grammar engine reads; the other targets keep one bracket index
+    target_index = None if kind == "alt_to_neardyck" else solve_dyck(target)
 
     for step, op in enumerate(script):
         if op.op == "query":
@@ -137,12 +130,10 @@ def run_equivalence(kind: str, inst: Instance,
                 src_ans = solve_alternating(inst)[0]
             else:
                 src_ans = answer_query(inst, source_engine)
-            if use_index:
-                if target_index is None:
-                    target_index = solve_dyck(target)
-                tgt_ans = target_index.query(target.source, target.sink)
-            else:
+            if target_index is None:
                 tgt_ans = answer_query(target, "cfl")
+            else:
+                tgt_ans = target_index.query(target.source, target.sink)
             report.answers.append(src_ans)
             report.target_answers.append(tgt_ans)
             if src_ans != tgt_ans:
@@ -158,14 +149,10 @@ def run_equivalence(kind: str, inst: Instance,
                 f"step {step}: translated into {len(translated)} ops, "
                 f"expected {sorted(bounds)}")
         for top in translated:
-            if use_index and target_index is not None:
-                if top.op == "ins":
-                    target_index = resolve_after_update(target_index, target,
-                                                        top)
-                else:
-                    target_index = None
-            target = apply_update(target, top)
-    report.elapsed = time.perf_counter() - start
+            if target_index is None:
+                target = apply_update(target, top)
+            else:
+                target_index.apply(top)
     return report
 
 
@@ -329,9 +316,12 @@ def cmd_suite(args, rep: Reporter) -> int:
         rep.emit(key, value)
     for f in result.failures[:20]:
         rep.emit("counterexample", f)
+    ok = result.ok and result.checked > 0
+    if not result.checked:
+        rep.emit("failure", "checked nothing")
     rep.emit("elapsed_s", f"{elapsed:.2f}")
-    rep.emit("verdict", "pass" if result.ok else "FAIL")
-    return 0 if result.ok else 1
+    rep.emit("verdict", "pass" if ok else "FAIL")
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------

@@ -257,9 +257,10 @@ def parse_graph(text: str) -> Instance:
     """Parse the line-oriented graph format.
 
     Header: ``graph directed|undirected``, ``vertices N``,
-    ``alphabet dyck n | neardyck N``.  Body: ``edge u <label> v`` lines, one
-    ``mark s t``, and optionally ``partition and u1 u2 ...`` (the remaining
-    vertices are or-vertices).
+    ``alphabet dyck n | neardyck N``.  Body: ``edge u <label> v`` lines (no
+    edge twice; in an undirected graph ``edge v <label> u`` is the same
+    edge), one ``mark s t``, and optionally ``partition and u1 u2 ...`` (the
+    remaining vertices are or-vertices).
     """
     directed = None
     vertex_count = None
@@ -270,6 +271,12 @@ def parse_graph(text: str) -> Instance:
 
     def err(msg, no):
         raise GraphFormatError(msg, no)
+
+    def num(field, no):
+        try:
+            return int(field)
+        except ValueError:
+            err(f"expected an integer, got {field!r}", no)
 
     lines = text.splitlines()
     header = []
@@ -298,13 +305,13 @@ def parse_graph(text: str) -> Instance:
                 err("duplicate mark line", no)
             if len(fields) != 3:
                 err("expected 'mark <s> <t>'", no)
-            mark = (int(fields[1]), int(fields[2]))
+            mark = (num(fields[1], no), num(fields[2], no))
         elif kw == "partition":
             if partition_and is not None:
                 err("duplicate partition line", no)
             if len(fields) < 2 or fields[1] != "and":
                 err("expected 'partition and <u> ...'", no)
-            partition_and = (no, [int(f) for f in fields[2:]])
+            partition_and = (no, [num(f, no) for f in fields[2:]])
         else:
             err(f"unknown directive {kw!r}", no)
 
@@ -316,24 +323,31 @@ def parse_graph(text: str) -> Instance:
     directed = f1[1] == "directed"
     if f2[0] != "vertices" or len(f2) != 2:
         err("expected 'vertices <N>'", no2)
-    vertex_count = int(f2[1])
+    vertex_count = num(f2[1], no2)
     if vertex_count < 0:
         err("vertex count must be non-negative", no2)
     if f3[0] != "alphabet" or len(f3) != 3 or f3[1] not in ("dyck", "neardyck"):
         err("expected 'alphabet dyck <n>' or 'alphabet neardyck <N>'", no3)
-    alphabet = Alphabet(f3[1], int(f3[2]))
+    size = num(f3[2], no3)
+    try:
+        alphabet = Alphabet(f3[1], size)
+    except ValueError as exc:
+        err(str(exc), no3)
 
     if mark is None:
         raise GraphFormatError("missing mark line")
 
-    canon = []
+    canon = set()
     for no, e in edges:
         u, lab, v = e
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             err(f"vertex out of range in edge ({u}, {lab.token()}, {v})", no)
         if not alphabet.contains(lab):
             err(f"unknown label token {lab.token()!r} for this alphabet", no)
-        canon.append(e)
+        key = _canonical(directed, e)
+        if key in canon:
+            err(f"duplicate edge ({u}, {lab.token()}, {v})", no)
+        canon.add(key)
 
     partition = None
     if partition_and is not None:

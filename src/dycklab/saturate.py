@@ -19,11 +19,14 @@ step: when row ``a`` gains the bits ``B``, every row in ``C[a]`` gains
 edge bitsets.  Either rule only ever adds ``bits & ~R[u]``, and only those
 new bits are processed further.
 
-``resolve_after_update`` continues the fixpoint after an insertion: it
-copies the index's rows and columns (``O(n)`` ints, no pair is copied),
-sets the new edge's bit (both directions for an undirected edge) and
-processes only what the new edge derives.  A deletion re-solves from
-scratch.
+A ``ReachIndex`` owns its instance and keeps its answers current under
+``apply``.  An insertion sets the new edge's bit (both directions for an
+undirected edge) and continues the fixpoint on the index's own rows,
+processing only what the new edge derives.  A deletion only marks the
+index stale: the next query (or read of ``pairs``) re-solves it from
+scratch once, however many deletions came before.
+``resolve_after_update`` is the same step on a copy, for callers that keep
+the old index.
 
 ``solve_dyck_wrap_only`` omits the concatenation rule; it under-approximates
 (e.g. it misses the chain labeled l1 l1bar l2 l2bar) and is kept so the gap
@@ -34,9 +37,10 @@ the bracket grammar.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Set
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .graphs import Alphabet, Instance, Label, UpdateOp, apply_update, DOT
 
@@ -93,27 +97,6 @@ class PairSet(Set):
         return f"PairSet({sorted(self)})"
 
 
-@dataclass(frozen=True)
-class ReachIndex:
-    """A closed pair set with the edge bitsets it was closed over, so that
-    an insertion can continue the fixpoint.  ``out_edges[slot][u]`` holds
-    the targets of ``u``'s edges with that label, ``in_edges[slot][v]`` the
-    sources of ``v``'s."""
-
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    out_edges: tuple[tuple[int, ...], ...]
-    in_edges: tuple[tuple[int, ...], ...]
-    fingerprint: int
-
-    @property
-    def pairs(self) -> PairSet:
-        return PairSet(self.rows)
-
-    def query(self, u: int, v: int) -> bool:
-        return (u, v) in self.pairs
-
-
 def _edge_bitsets(inst: Instance):
     """Per label slot, the target and the source bitset of every vertex,
     over the directed view of the graph."""
@@ -128,40 +111,67 @@ def _edge_bitsets(inst: Instance):
     return out_edges, in_edges
 
 
-class _Saturator:
-    """Worklist closure over bitset rows.  ``pending[x]`` holds the bits
-    row ``x`` gained that the wrap rule has not yet joined; ``work`` lists
-    the rows with pending bits."""
+class ReachIndex:
+    """The closed pair set of an instance it owns, kept current under
+    ``apply``.  ``out_edges[slot][u]`` holds the targets of ``u``'s edges
+    with that label, ``in_edges[slot][v]`` the sources of ``v``'s.  During
+    a closure ``pending[x]`` holds the bits row ``x`` gained that the wrap
+    rule has not yet joined, and ``work`` lists the rows with pending bits;
+    between calls ``pending`` is all zeros and ``work`` is empty."""
 
-    def __init__(self, inst: Instance, concat: bool, rows: list[int],
-                 cols: list[int], out_edges: list[Sequence[int]],
-                 in_edges: list[Sequence[int]]):
-        self.inst = inst
-        self.concat = concat
-        self.rows, self.cols = rows, cols
-        self.out_edges, self.in_edges = out_edges, in_edges
-        self.pending = [0] * len(rows)
-        self.work: list[int] = []
-
-    @classmethod
-    def fresh(cls, inst: Instance, concat: bool) -> "_Saturator":
-        """The identity pairs of the instance, all pending."""
+    def __init__(self, inst: Instance, concat: bool = True):
         if inst.graph.alphabet.kind != "dyck":
             raise AlphabetMismatchError("solver requires a dyck alphabet")
+        self.inst = inst
+        self.concat = concat
+        self.stale = False
         identity = [1 << x for x in range(inst.graph.vertex_count)]
-        sat = cls(inst, concat, list(identity), list(identity),
-                  *_edge_bitsets(inst))
-        sat.pending = identity
-        sat.work = list(range(len(identity)))
-        return sat
+        self.rows, self.cols = list(identity), list(identity)
+        self.out_edges, self.in_edges = _edge_bitsets(inst)
+        self.pending = identity
+        self.work = list(range(len(identity)))
+        self._run()
 
-    @classmethod
-    def resume(cls, index: ReachIndex, inst: Instance) -> "_Saturator":
-        """A closed index, copied row by row, with nothing pending."""
-        return cls(inst, True, list(index.rows), list(index.cols),
-                   list(index.out_edges), list(index.in_edges))
+    def copy(self) -> "ReachIndex":
+        """An independent index with the same answers and instance."""
+        other = copy.copy(self)
+        other.rows, other.cols = list(self.rows), list(self.cols)
+        other.out_edges = [list(slot) for slot in self.out_edges]
+        other.in_edges = [list(slot) for slot in self.in_edges]
+        other.pending, other.work = [0] * len(self.rows), []
+        return other
 
-    def add(self, a: int, bits: int):
+    def apply(self, op: UpdateOp):
+        """Apply one update to the owned instance (a rejected update raises
+        and changes nothing).  An insertion continues the fixpoint on the
+        rows in place; a deletion marks the index stale, to be re-solved
+        once at the next query."""
+        self.inst = apply_update(self.inst, op)
+        if op.op == "del":
+            self.stale = True
+        elif op.op == "ins" and not self.stale:
+            self._insert_edge(op.u, op.label, op.v)
+            if not self.inst.graph.directed and op.u != op.v:
+                self._insert_edge(op.v, op.label, op.u)
+            self._run()
+
+    def _refresh(self):
+        """Re-solve a stale index from scratch, taking over the new
+        index's state."""
+        if self.stale:
+            solve = solve_dyck if self.concat else solve_dyck_wrap_only
+            vars(self).update(vars(solve(self.inst)))
+
+    @property
+    def pairs(self) -> PairSet:
+        """A snapshot of the closed pairs (a stale index re-solves first)."""
+        self._refresh()
+        return PairSet(tuple(self.rows))
+
+    def query(self, u: int, v: int) -> bool:
+        return (u, v) in self.pairs
+
+    def _add(self, a: int, bits: int):
         """Add the pairs ``(a, b)`` for ``b`` in ``bits``, with everything
         concatenation derives from them."""
         rows = self.rows
@@ -188,21 +198,19 @@ class _Saturator:
                 work.append(x)
             pending[x] |= gained
 
-    def insert_edge(self, u: int, lab: Label, v: int):
+    def _insert_edge(self, u: int, lab: Label, v: int):
         """Set the bit of a new directed edge and add what it derives
         against the current pairs."""
         s = _slot(lab)
-        out = self.out_edges[s] = list(self.out_edges[s])
-        out[u] |= 1 << v
-        inc = self.in_edges[s] = list(self.in_edges[s])
-        inc[v] |= 1 << u
+        self.out_edges[s][u] |= 1 << v
+        self.in_edges[s][v] |= 1 << u
         if lab.is_open:
             # (v, w) in the set and an edge (w, q-bar, b)  =>  (u, b)
             closing = self.out_edges[s + 1]
             reach = 0
             for w in _bits(self.rows[v]):
                 reach |= closing[w]
-            self.add(u, reach)
+            self._add(u, reach)
         else:
             # (w, u) in the set and an edge (a, q, w)  =>  (a, v)
             opening = self.in_edges[s - 1]
@@ -210,9 +218,9 @@ class _Saturator:
             for w in _bits(self.cols[u]):
                 srcs |= opening[w]
             for a in _bits(srcs):
-                self.add(a, 1 << v)
+                self._add(a, 1 << v)
 
-    def run(self):
+    def _run(self):
         pending, work = self.pending, self.work
         wraps = [(self.in_edges[s], self.out_edges[s + 1])
                  for s in range(0, len(self.in_edges), 2)]
@@ -233,48 +241,30 @@ class _Saturator:
                     reach |= closing[v]
                 if reach:
                     for a in _bits(srcs):
-                        self.add(a, reach)
-
-    def index(self) -> ReachIndex:
-        # tuple() of a tuple is that tuple: only slots rebuilt here are copied
-        return ReachIndex(tuple(self.rows), tuple(self.cols),
-                          tuple(map(tuple, self.out_edges)),
-                          tuple(map(tuple, self.in_edges)),
-                          self.inst.fingerprint())
+                        self._add(a, reach)
 
 
 def solve_dyck(inst: Instance) -> ReachIndex:
-    sat = _Saturator.fresh(inst, concat=True)
-    sat.run()
-    return sat.index()
+    return ReachIndex(inst)
 
 
 def solve_dyck_wrap_only(inst: Instance) -> ReachIndex:
     """The saturation loop with the wrap rule only (no concatenation)."""
-    sat = _Saturator.fresh(inst, concat=False)
-    sat.run()
-    return sat.index()
+    return ReachIndex(inst, concat=False)
 
 
 def resolve_after_update(index: ReachIndex, inst: Instance,
                          op: UpdateOp) -> ReachIndex:
-    """Re-solve after one update.  An insertion continues the fixpoint of
-    ``index`` (which must come from ``solve_dyck`` or from this function)
-    on copied rows, so ``index`` itself keeps its answers; a deletion
-    recomputes from scratch."""
-    if index.fingerprint != inst.fingerprint():
+    """A new index for ``inst`` after one update, leaving ``index`` as it
+    was: ``apply`` on a copy, with a deletion re-solved at once."""
+    if index.inst != inst:
         raise FingerprintMismatchError("index does not match the instance")
     if op.op == "query":
         return index
-    new_inst = apply_update(inst, op)
-    if op.op == "del":
-        return solve_dyck(new_inst)
-    sat = _Saturator.resume(index, new_inst)
-    sat.insert_edge(op.u, op.label, op.v)
-    if not new_inst.graph.directed and op.u != op.v:
-        sat.insert_edge(op.v, op.label, op.u)
-    sat.run()
-    return sat.index()
+    new = index.copy()
+    new.apply(op)
+    new._refresh()
+    return new
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import automata
-from .graphs import DOT, Alphabet, Label, parse_label_token
+from .graphs import DOT, Label, parse_label_token
 
 Word = tuple[Label, ...]
 
@@ -400,7 +400,3 @@ def nominal_decompose(path: Sequence[tuple[int, Label, int]],
 
     return NominalDecomposition(tuple(nominal_vertices), tuple(out_segments),
                                 tuple(ancestor))
-
-
-def word_alphabet_labels(alphabet: Alphabet) -> Word:
-    return tuple(alphabet.labels())

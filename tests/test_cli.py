@@ -165,6 +165,19 @@ def test_suite_subcommand(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("suite", "prop1", "--samples", "0"),
+    ("suite", "lemma4", "--budget", "0"),
+    ("suite", "lemma7", "--budget", "0"),
+])
+def test_a_suite_that_checked_nothing_fails(capsys, argv):
+    code, out, _ = run(capsys, "--kv", *argv)
+    assert code == 1
+    assert "checked=0" in out
+    assert "failure=checked nothing" in out
+    assert "verdict=FAIL" in out
+
+
+@pytest.mark.parametrize("argv", [
     ("suite", "prop1", "--samples", "-5"),
     ("suite", "lemma4", "--budget", "-1"),
     ("suite", "lemma6", "--max-paths", "-1"),
@@ -187,11 +200,21 @@ def test_missing_file_is_a_clean_error(capsys):
 
 
 def test_malformed_graph_is_a_clean_error(capsys, tmp_path):
+    header = "graph directed\nvertices 2\nalphabet dyck 1\n"
+    cases = [
+        ("graph sideways\nvertices 1\nalphabet dyck 1\nmark 0 0\n", 1),
+        ("graph directed\nvertices x\nalphabet dyck 1\nmark 0 0\n", 2),
+        ("graph directed\nvertices 1\nalphabet dyck 0\nmark 0 0\n", 3),
+        (header + "edge 0 l1 1\nmark a b\n", 5),
+        (header + "mark 0 1\npartition and x\n", 5),
+    ]
     bad = tmp_path / "bad.graph"
-    bad.write_text("graph sideways\nvertices 1\nalphabet dyck 1\nmark 0 0\n")
-    code, _, err = run(capsys, "solve", str(bad))
-    assert code == 2
-    assert "line 1" in err
+    for text, line in cases:
+        bad.write_text(text)
+        code, _, err = run(capsys, "solve", str(bad))
+        assert code == 2, text
+        assert f"error: line {line}:" in err, text
+        assert "Traceback" not in err
 
 
 def test_kv_reports_are_deterministic(capsys, gap_chain):

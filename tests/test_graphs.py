@@ -96,6 +96,24 @@ def test_parse_rejects_duplicate_mark():
         parse_graph(text)
 
 
+@pytest.mark.parametrize("kind, edges", [
+    ("directed", "edge 0 l1 1\nedge 0 l1 1\n"),
+    ("undirected", "edge 0 l1 1\nedge 1 l1 0\n"),
+])
+def test_parse_rejects_duplicate_edges(kind, edges):
+    text = f"graph {kind}\nvertices 2\nalphabet dyck 1\n{edges}mark 0 1\n"
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(text)
+    assert exc.value.line == 5
+    assert "duplicate edge" in str(exc.value)
+
+
+def test_parse_keeps_reversed_directed_edges_apart():
+    text = ("graph directed\nvertices 2\nalphabet dyck 1\n"
+            "edge 0 l1 1\nedge 1 l1 0\nmark 0 1\n")
+    assert len(parse_graph(text).graph.edges) == 2
+
+
 def test_parse_requires_mark():
     with pytest.raises(GraphFormatError):
         parse_graph("graph directed\nvertices 1\nalphabet dyck 1\n")

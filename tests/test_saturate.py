@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dycklab.cli as cli
+import dycklab.saturate as saturate
 from dycklab import (DOT, Alphabet, AlphabetMismatchError,
                      FingerprintMismatchError, Grammar, Instance, Label,
-                     LabeledGraph, UpdateOp, apply_update, brute_dyck_reach,
-                     dyck_grammar, near_dyck_grammar, resolve_after_update,
-                     solve_cfl, solve_dyck, solve_dyck_wrap_only,
-                     EnumerationBudget)
+                     LabeledGraph, UpdateError, UpdateOp, apply_update,
+                     brute_dyck_reach, dyck_grammar, near_dyck_grammar,
+                     resolve_after_update, solve_cfl, solve_dyck,
+                     solve_dyck_wrap_only, EnumerationBudget)
 
 from util import (fig2_source, gap_chain_instance, random_dyck_instance,
                   random_script)
@@ -203,13 +205,65 @@ def test_maintained_index_matches_the_grammar_engine(seed, pairs, directed):
                                 density=0.15, directed=directed)
     grammar = dyck_grammar(pairs)
     idx = solve_dyck(inst)
+    live = solve_dyck(inst)
     for op in random_script(rng, inst, ops=20, query_rate=0.1):
         before = frozenset(idx.pairs)
         new = resolve_after_update(idx, inst, op)
+        live.apply(op)
         inst = apply_update(inst, op)
         expected = solve_cfl(inst, grammar)["S"]
         assert new.pairs == expected
         assert len(new.pairs) == len(expected)
-        # an insertion continues on copied rows: the old index keeps its answers
+        assert live.pairs == expected
+        assert len(live.pairs) == len(expected)
+        # resolve_after_update works on a copy: the old index keeps its answers
         assert idx.pairs == before
         idx = new
+
+
+@pytest.mark.parametrize("op", [
+    UpdateOp.ins(0, L1, 1),       # already present
+    UpdateOp.delete(1, L1, 0),    # absent
+    UpdateOp.ins(0, L1, 7),       # endpoint out of range
+])
+def test_a_rejected_update_leaves_the_index_unchanged(op):
+    inst = chain([L1, L1BAR], pairs=1)
+    idx = solve_dyck(inst)
+    before = frozenset(idx.pairs)
+    with pytest.raises(UpdateError):
+        idx.apply(op)
+    assert idx.inst is inst
+    assert idx.pairs == before
+    idx.apply(UpdateOp.delete(1, L1BAR, 2))
+    assert not idx.query(0, 2)
+
+
+def test_deletions_before_a_query_cost_one_resolve(monkeypatch):
+    calls = []
+    original = saturate.solve_dyck
+
+    def counted(inst):
+        calls.append(inst)
+        return original(inst)
+
+    # run_replay's first solve goes through cli's name, re-solves through
+    # saturate's
+    monkeypatch.setattr(saturate, "solve_dyck", counted)
+    monkeypatch.setattr(cli, "solve_dyck", counted)
+    inst = chain([L1, L1BAR, L2, L2BAR])
+    script = [UpdateOp.delete(0, L1, 1), UpdateOp.delete(2, L2, 3),
+              UpdateOp.ins(0, L1, 1), UpdateOp.delete(3, L2BAR, 4),
+              UpdateOp.ins(2, L2, 3), UpdateOp.query(), UpdateOp.query()]
+    report = cli.run_replay(inst, script)
+    assert report.answers == [False, False]
+    assert len(calls) == 2
+
+    # the same through one index: nothing is solved until the query
+    idx = original(inst)
+    for op in script[:5]:
+        idx.apply(op)
+        inst = apply_update(inst, op)
+    assert len(calls) == 2
+    assert idx.pairs == solve_cfl(inst, dyck_grammar(2))["S"]
+    assert not idx.query(0, 4)
+    assert len(calls) == 3
