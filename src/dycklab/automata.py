@@ -72,12 +72,19 @@ def union(*parts: Regex) -> Regex:
 
 
 class Nfa:
-    """Epsilon-NFA with integer states; state 0 is initial."""
+    """Epsilon-NFA with integer states; state 0 is initial.
+
+    Subset steps are memoized per automaton (a lazy DFA, as in Thompson's
+    simulation), so the transitions must not change after the first
+    ``start`` or ``advance``.
+    """
 
     def __init__(self):
         self.eps: list[list[int]] = []
         self.step: list[list[tuple[Label, int]]] = []
         self.accepting: set[int] = set()
+        self._start: frozenset[int] | None = None
+        self._advance: dict[tuple[frozenset[int], Label], frozenset[int]] = {}
 
     def new_state(self) -> int:
         self.eps.append([])
@@ -96,11 +103,17 @@ class Nfa:
         return frozenset(seen)
 
     def advance(self, states: frozenset[int], label: Label) -> frozenset[int]:
-        nxt = {t for s in states for (lab, t) in self.step[s] if lab == label}
-        return self.closure(nxt)
+        key = (states, label)
+        out = self._advance.get(key)
+        if out is None:
+            nxt = {t for s in states for (lab, t) in self.step[s] if lab == label}
+            out = self._advance[key] = self.closure(nxt)
+        return out
 
     def start(self) -> frozenset[int]:
-        return self.closure([0])
+        if self._start is None:
+            self._start = self.closure([0])
+        return self._start
 
     def accepts_set(self, states: frozenset[int]) -> bool:
         return any(s in self.accepting for s in states)

@@ -14,7 +14,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import Instance, Label
 from .saturate import Grammar
-from .words import in_q, is_dyck_prefix
+from .words import is_dyck_prefix
 
 PathEdge = tuple[int, Label, int]
 
@@ -236,7 +236,9 @@ def enumerate_nominal_paths(red, tag: tuple, budget: EnumerationBudget,
     ``tag`` is either ``("loop", x)`` for stutter loops at x, or
     ``("edge", x, label, y)`` for chain traversals of one source edge.
     Pruned by membership of the partial label in the factor language (which
-    is factor-closed, so the pruning is sound).
+    is factor-closed, so the pruning is sound).  The reduced partial label
+    is kept as a stack that is pushed and popped with the search, so each
+    step costs O(1).
     """
     if red.kind != "dyck2_to_undirected":
         raise ValueError("nominal enumeration needs an undirected-gadget target")
@@ -263,16 +265,20 @@ def enumerate_nominal_paths(red, tag: tuple, budget: EnumerationBudget,
     results: list[tuple[Label, ...]] = []
     truncated = False
     expansions = 0
+    labels: list[Label] = []
+    # Normal form of ``labels`` under open-then-close cancellation.  Every
+    # walked prefix is a factor word, so this is closing letters followed
+    # by opening letters.
+    reduced: list[Label] = []
 
-    def walk(at: int, labels: list[Label], steps_left: int):
+    def walk(at: int, steps_left: int):
         nonlocal truncated, expansions
         if truncated:
             return
         if labels and at == finish:
             # chain traversals must touch the second pair; a pair-1-only
             # return (possible on a self-loop chain) is a stutter loop
-            crosses = tag[0] == "loop" or any(lab.index == 2 for lab in labels)
-            if crosses and in_q(tuple(labels)):
+            if tag[0] == "loop" or any(lab.index == 2 for lab in labels):
                 results.append(tuple(labels))
                 if len(results) >= budget.max_paths:
                     truncated = True
@@ -292,10 +298,23 @@ def enumerate_nominal_paths(red, tag: tuple, budget: EnumerationBudget,
             if allowed_interior is not None and nxt not in original \
                     and nxt not in allowed_interior:
                 continue
+            # A closing letter after an opening one cancels it if it is
+            # its partner and leaves the factor language otherwise.
+            cancelled = None
+            if lab.bar and reduced and not reduced[-1].bar:
+                top = reduced[-1]
+                if top.index != lab.index or top.base != lab.base:
+                    continue
+                cancelled = reduced.pop()
+            else:
+                reduced.append(lab)
             labels.append(lab)
-            if in_q(tuple(labels)):
-                walk(nxt, labels, steps_left - 1)
+            walk(nxt, steps_left - 1)
             labels.pop()
+            if cancelled is None:
+                reduced.pop()
+            else:
+                reduced.append(cancelled)
 
-    walk(start, [], budget.max_path_length)
+    walk(start, budget.max_path_length)
     return tuple(results), truncated

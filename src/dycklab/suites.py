@@ -39,8 +39,12 @@ class SuiteResult:
             self.failures.append(message)
 
     def summary(self) -> str:
-        verdict = "pass" if self.ok else "FAIL"
+        """One report line, then counterexamples.  A result that checked
+        nothing reads as a failure here, though ``ok`` stays true."""
+        verdict = "pass" if self.ok and self.checked else "FAIL"
         out = f"suite={self.name} checked={self.checked} verdict={verdict}"
+        if not self.checked:
+            out += " failure=checked nothing"
         for key, value in sorted(self.info.items()):
             out += f" {key}={value}"
         for f in self.failures[:10]:

@@ -45,14 +45,17 @@ def reduce_word(w: Sequence[Label]) -> Word:
     """Normal form under exhaustive deletion of open-then-close factors.
 
     The rewrite is length-reducing and confluent, so a single left-to-right
-    stack pass computes the unique normal form.
+    stack pass computes the unique normal form.  The partner test compares
+    fields, so no label is built per letter.
     """
     out: list[Label] = []
     for lab in w:
-        if out and lab.bar and out[-1] == lab.matched():
-            out.pop()
-        else:
-            out.append(lab)
+        if lab.bar and out:
+            top = out[-1]
+            if not top.bar and top.index == lab.index and top.base == lab.base:
+                out.pop()
+                continue
+        out.append(lab)
     return tuple(out)
 
 
@@ -265,6 +268,9 @@ def theta(w: Sequence[Label]) -> FreeProductElement:
     reduce modulo alpha^2 = beta^2 = identity."""
     out: list[str] = []
     for lab in w:
+        if lab.base != "l" or lab.index not in (1, 2):
+            raise ValueError(f"theta is defined on the two-pair letters only, "
+                             f"not {lab.token()}")
         g = "alpha" if lab.index == 1 else "beta"
         if out and out[-1] == g:
             out.pop()

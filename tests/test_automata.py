@@ -3,8 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import itertools
+
 from dycklab import automata, reduce_word, reduced_language_nfa
-from dycklab.words import ZO_ALPHABET, ZERO, ZERO_BAR, ONE, ONE_BAR, regular_nfa
+from dycklab.words import (REGULAR_EXPRS, ZO_ALPHABET, ZERO, ZERO_BAR, ONE,
+                           ONE_BAR, regular_nfa)
 
 zo_words = st.lists(st.sampled_from(ZO_ALPHABET), max_size=8).map(tuple)
 
@@ -30,6 +33,41 @@ def regexes(draw, depth=3):
 def test_nfa_matches_brute_semantics(expr, w):
     nfa = automata.compile_regex(expr)
     assert nfa.accepts(w) == automata.brute_matches(expr, w)
+
+
+def _zo_words(max_len: int):
+    for length in range(max_len + 1):
+        yield from itertools.product(ZO_ALPHABET, repeat=length)
+
+
+def test_a_warm_nfa_matches_brute_semantics():
+    """One automaton per language, reused over every short word, so most
+    subset steps come from its memo."""
+    for which in ("omega", "varpi+", "varpi"):
+        nfa = automata.compile_regex(REGULAR_EXPRS[which])
+        expected = {w: automata.brute_matches(REGULAR_EXPRS[which], w)
+                    for w in _zo_words(5)}
+        for _ in range(2):
+            for w, member in expected.items():
+                assert nfa.accepts(w) == member, (which, w)
+
+
+def test_closure_of_a_used_nfa_matches_a_fresh_one():
+    """The closure keeps no subset steps of the automaton it was built
+    from: closing a warm automaton gives the same language as closing a
+    freshly compiled one."""
+    for which in ("omega", "varpi"):
+        used = automata.compile_regex(REGULAR_EXPRS[which])
+        for w in _zo_words(6):
+            used.accepts(w)
+        warm = automata.reduction_closure(used)
+        fresh = automata.reduction_closure(
+            automata.compile_regex(REGULAR_EXPRS[which]))
+        for w in _zo_words(6):
+            assert warm.accepts(w) == fresh.accepts(w), (which, w)
+    # a descendant that is not itself a varpi word
+    assert warm.accepts((ONE, ZERO, ZERO_BAR, ONE_BAR))
+    assert not used.accepts((ONE, ZERO, ZERO_BAR, ONE_BAR))
 
 
 def test_cat_and_union_helpers():

@@ -135,6 +135,14 @@ def test_word_subcommands(capsys):
     assert "neardyck: true" in out
 
 
+@pytest.mark.parametrize("tokens", [("dot",), ("v0", "v0bar"), ("l3",)])
+def test_word_theta_rejects_letters_outside_the_two_pairs(capsys, tokens):
+    code, out, err = run(capsys, "--kv", "word", "theta", *tokens)
+    assert code == 2
+    assert "theta=" not in out
+    assert "error: theta is defined on the two-pair letters only" in err
+
+
 def test_oracle_reach(capsys, gap_chain):
     code, out, _ = run(capsys, "--kv", "oracle", "reach", gap_chain,
                        "--max-len", "4")

@@ -1,16 +1,22 @@
 """Brute-force oracles: path enumeration, word streams, CYK, factor
 oracle, and BFS distances."""
 
+import itertools
 import random
+
+import pytest
 
 from dycklab import (Alphabet, EnumerationBudget, Instance, Label,
                      LabeledGraph, bfs_distances, brute_dyck_reach,
-                     cyk_accepts, dyck_grammar, enumerate_paths,
-                     exhaustive_words, factor_of_dyck_oracle, in_q, in_q_init,
-                     is_dyck, near_dyck_grammar, solve_dyck, word)
+                     compile_dyck2_to_undirected, cyk_accepts, dyck_grammar,
+                     enumerate_paths, exhaustive_words,
+                     factor_of_dyck_oracle, in_q, in_q_init, is_dyck,
+                     near_dyck_grammar, solve_dyck, word)
+from dycklab.oracle import enumerate_nominal_paths
 from dycklab.words import ZO_ALPHABET
 
-from util import gap_chain_instance, random_dyck_instance
+from util import (gap_chain_instance, random_dyck_instance,
+                  reference_nominal_paths)
 
 
 def test_empty_graph_empty_path():
@@ -75,6 +81,39 @@ def test_brute_reach_complete_on_acyclic_instances():
         inst = Instance(LabeledGraph.build(True, n, alph, edges), 0, n - 1)
         assert brute_dyck_reach(inst, EnumerationBudget(n)) == \
             solve_dyck(inst).pairs
+
+
+# ---------------------------------------------------------------------------
+# Nominal paths in undirected gadgets
+
+def _two_vertex_gadgets():
+    """Gadgets of every one- and two-edge 2-vertex two-pair source, with
+    the source's edges."""
+    slots = [(u, Label("l", k, bar), v) for u in range(2) for v in range(2)
+             for k in (1, 2) for bar in (False, True)]
+    sources = [[e] for e in slots] + \
+        [list(p) for p in itertools.combinations(slots, 2)]
+    for edges in sources:
+        g = LabeledGraph.build(True, 2, Alphabet("dyck", 2), edges)
+        yield compile_dyck2_to_undirected(Instance(g, 0, 1)), sorted(edges)
+
+
+@pytest.mark.parametrize("budget, truncates", [
+    (EnumerationBudget(13, 10_000), False),
+    (EnumerationBudget(30, 10_000, max_expansions=300), True),
+])
+def test_nominal_paths_match_the_re_reducing_walk(budget, truncates):
+    """The reduction stack finds the same labels, in the same order, with
+    the same truncated flag, as a walk that re-reduces every prefix."""
+    flags = set()
+    for red, edges in _two_vertex_gadgets():
+        tags = [("loop", 0), ("loop", 1)] + [("edge",) + e for e in edges]
+        for tag in tags:
+            got = enumerate_nominal_paths(red, tag, budget)
+            assert got == reference_nominal_paths(red, tag, budget), tag
+            assert all(in_q(w) for w in got[0])
+            flags.add(got[1])
+    assert (True in flags) == truncates
 
 
 # ---------------------------------------------------------------------------

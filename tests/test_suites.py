@@ -1,6 +1,8 @@
 """The bounded verification suites, plus the pinned witness that the
 matched-pair consecution fact needs the reduction-closure reading."""
 
+import time
+
 from dycklab import (Alphabet, EnumerationBudget, Instance, Label,
                      LabeledGraph, PHI_UNDIRECTED, in_q, reduce_word,
                      reduced_language_nfa)
@@ -82,6 +84,16 @@ def test_prop1_suite():
     assert res.ok, res.failures
 
 
+def test_a_summary_that_checked_nothing_fails():
+    res = suite_lemma6(compile_dyck2_to_undirected(Instance(
+        LabeledGraph.build(True, 2, Alphabet("dyck", 2), []), 0, 1)))
+    assert res.ok and res.checked == 0
+    line = res.summary()
+    assert "verdict=FAIL" in line
+    assert "failure=checked nothing" in line
+    assert "verdict=pass" in suite_prop1(samples=3).summary()
+
+
 def test_suite_summary_reports_counterexamples():
     res = suite_prop1(samples=5)
     res.check(False, "synthetic failure")
@@ -117,7 +129,9 @@ def test_matched_pair_reductions_can_escape_the_literal_language():
 
 
 def test_lemma7_reports_the_literal_miss_count():
+    t0 = time.monotonic()
     res = suite_lemma7(budget=EnumerationBudget(36, 400), varpi_max_len=6,
                        sample_cap=40, seed=0)
     assert res.ok, res.failures
     assert res.info["strict_misses"] > 0
+    assert time.monotonic() - t0 < 60

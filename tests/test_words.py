@@ -18,12 +18,20 @@ from dycklab import automata
 
 zo_words = st.lists(st.sampled_from(ZO_ALPHABET), max_size=12).map(tuple)
 
+# l1-l3 and v0-v2 share indices, so a partner test must compare bases too
+MIXED_ALPHABET = word("l1 l1bar l2 l2bar l3 l3bar v0 v0bar v1 v1bar v2 v2bar dot")
+mixed_words = st.lists(st.sampled_from(MIXED_ALPHABET), max_size=16).map(tuple)
+
 
 def test_reduce_basic_cancellation():
     assert reduce_word(word("0 0bar")) == ()
     assert reduce_word(word("1 1bar")) == ()
     assert reduce_word(word("0bar 0")) == word("0bar 0")  # one-sided rule
     assert reduce_word(word("1bar 1")) == word("1bar 1")
+    assert reduce_word(word("l1 v1bar")) == word("l1 v1bar")  # bases differ
+    assert reduce_word(word("v2 l2bar")) == word("v2 l2bar")
+    assert reduce_word(word("v1 dot v1bar")) == word("v1 dot v1bar")
+    assert reduce_word(word("l3 v0 v0bar l3bar")) == ()
 
 
 def test_reduce_direct_journey_word():
@@ -31,11 +39,12 @@ def test_reduce_direct_journey_word():
     assert zo_str(reduce_word(w)) == "1 1 0 0 1 1 1 0"
 
 
-@settings(max_examples=120, deadline=None)
-@given(zo_words, st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=240, deadline=None)
+@given(st.one_of(zo_words, mixed_words), st.integers(min_value=0, max_value=10**9))
 def test_reduce_is_confluent_under_random_order(w, seed):
     """Cancelling deletable factors in any order reaches the same normal
-    form as the left-to-right stack pass."""
+    form as the left-to-right stack pass, on the two-pair letters and on a
+    mixed alphabet with three pairs, per-vertex letters and dot."""
     rng = random.Random(seed)
     cur = list(w)
     while True:
@@ -197,6 +206,13 @@ def test_theta_basics():
     assert theta(word("0 0bar")) == ()
     assert gamma_exponent(theta(word("0 0bar"))) == 0
     assert theta(word("1 0")) == GAMMA
+
+
+@pytest.mark.parametrize("tokens", ["dot", "v0 v0bar", "l3", "0 l3bar",
+                                    "v1"])
+def test_theta_rejects_letters_outside_the_two_pairs(tokens):
+    with pytest.raises(ValueError):
+        theta(word(tokens))
 
 
 def test_theta_of_the_chain_encodings():

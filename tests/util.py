@@ -116,3 +116,62 @@ def gap_chain_instance() -> Instance:
     edges = [(i, toks[i], i + 1) for i in range(4)]
     graph = LabeledGraph.build(True, 5, alph, edges)
     return Instance(graph, 0, 4)
+
+
+def reference_nominal_paths(red, tag, budget):
+    """The nominal-path search of ``dycklab.oracle.enumerate_nominal_paths``
+    with the whole partial label re-reduced by ``in_q`` on every step: a
+    slow, independent reference for the incremental reduction stack."""
+    from dycklab import in_q
+
+    inst = red.target
+    if tag[0] == "loop":
+        start = finish = tag[1]
+        allowed_interior = None
+    else:
+        _, x, lab0, y = tag
+        start, finish = x, y
+        allowed_interior = {red.vertex_id((x, lab0, y, i)) for i in range(1, 12)}
+    original = {i for i, name in enumerate(red.names) if len(name) == 1}
+    adj = {}
+    for u, lab, v in inst.graph.directed_edges():
+        adj.setdefault(u, []).append((lab, v))
+    for lst in adj.values():
+        lst.sort()
+    results = []
+    truncated = False
+    expansions = 0
+
+    def walk(at, labels, steps_left):
+        nonlocal truncated, expansions
+        if truncated:
+            return
+        if labels and at == finish:
+            crosses = tag[0] == "loop" or any(lab.index == 2 for lab in labels)
+            if crosses and in_q(tuple(labels)):
+                results.append(tuple(labels))
+                if len(results) >= budget.max_paths:
+                    truncated = True
+            return
+        if steps_left == 0:
+            return
+        for lab, nxt in adj.get(at, ()):
+            if tag[0] == "loop" and lab.index != 1:
+                continue
+            expansions += 1
+            if budget.max_expansions is not None \
+                    and expansions > budget.max_expansions:
+                truncated = True
+                return
+            if nxt in original and nxt != finish:
+                continue
+            if allowed_interior is not None and nxt not in original \
+                    and nxt not in allowed_interior:
+                continue
+            labels.append(lab)
+            if in_q(tuple(labels)):
+                walk(nxt, labels, steps_left - 1)
+            labels.pop()
+
+    walk(start, [], budget.max_path_length)
+    return tuple(results), truncated
