@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Fuzz the saturation solver against the grammar engine and the bounded
-walk oracle on random labeled graphs, directed and undirected.  Each sample
-then replays a random mixed insert/delete script twice: through
-``resolve_after_update``, checked against the grammar engine after every
-update, and through ``ReachIndex.apply`` on one index, checked after every
-third update and at the end, so that insertions also land on an index that
-a deletion has left stale.
+"""Fuzz the saturation solver against the grammar engine on random labeled
+graphs, directed and undirected, over both alphabets: every other sample
+is a per-vertex-bracket (near-Dyck) instance, checked against the
+near-Dyck grammar; the rest use ``--pairs`` bracket pairs and are also
+checked against the bounded walk oracle.  Each sample then replays a
+random mixed insert/delete script twice: through ``resolve_after_update``,
+checked against its grammar after every update, and through
+``ReachIndex.apply`` on one index, checked after every third update and at
+the end, so that insertions also land on an index that a deletion has left
+stale.
 
 Usage: python3 scripts/engine_fuzz.py [--samples N] [--seed S]
                                       [--max-vertices V] [--pairs P]
@@ -20,9 +23,10 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
 from dycklab import (EnumerationBudget, apply_update, brute_dyck_reach,
-                     dyck_grammar, resolve_after_update, serialize_updates,
-                     solve_cfl, solve_dyck, solve_dyck_wrap_only)
-from util import random_dyck_instance, random_script
+                     dyck_grammar, near_dyck_grammar, resolve_after_update,
+                     serialize_updates, solve_cfl, solve_dyck,
+                     solve_dyck_wrap_only)
+from util import random_dyck_instance, random_neardyck_instance, random_script
 
 SCRIPT_OPS = 20  # updates replayed per sample through the incremental route
 LIVE_CHECK_EVERY = 3  # updates between checks of the index driven by apply
@@ -39,22 +43,33 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    grammar = dyck_grammar(args.pairs)
     gaps = 0
     t0 = time.monotonic()
     for i in range(args.samples):
-        inst = random_dyck_instance(rng, max_vertices=args.max_vertices,
-                                    pairs=args.pairs,
-                                    density=rng.uniform(0.05, 0.4),
-                                    directed=rng.random() < 0.5)
+        if i % 2:
+            # the near-Dyck alphabet has 2|V| + 1 labels, so sparser
+            inst = random_neardyck_instance(rng,
+                                            max_vertices=args.max_vertices,
+                                            density=rng.uniform(0.01, 0.1),
+                                            directed=rng.random() < 0.5)
+            grammar = near_dyck_grammar(inst.graph.alphabet.size)
+        else:
+            inst = random_dyck_instance(rng, max_vertices=args.max_vertices,
+                                        pairs=args.pairs,
+                                        density=rng.uniform(0.05, 0.4),
+                                        directed=rng.random() < 0.5)
+            grammar = dyck_grammar(args.pairs)
         full = solve_dyck(inst)
         if full.pairs != solve_cfl(inst, grammar)["S"]:
             print(f"MISMATCH sample {i}: saturation vs grammar engine")
             return 1
-        brute = brute_dyck_reach(inst, EnumerationBudget(args.oracle_len))
-        if not brute <= full.pairs:
-            print(f"MISMATCH sample {i}: oracle found a pair the solver missed")
-            return 1
+        # the walk oracle reads bracket pairs only, not the neutral symbol
+        if grammar.alphabet.kind == "dyck":
+            brute = brute_dyck_reach(inst, EnumerationBudget(args.oracle_len))
+            if not brute <= full.pairs:
+                print(f"MISMATCH sample {i}: oracle found a pair the solver "
+                      f"missed")
+                return 1
         if not solve_dyck_wrap_only(inst).pairs <= full.pairs:
             print(f"MISMATCH sample {i}: wrap-only exceeded the full solver")
             return 1
@@ -76,8 +91,9 @@ def main() -> int:
                           f"index maintained by {route} vs grammar engine")
                     return 1
     dt = time.monotonic() - t0
-    print(f"{args.samples} instances and {args.samples * SCRIPT_OPS} "
-          f"updates, 0 mismatches, {gaps} wrap-only gaps, {dt:.1f}s")
+    print(f"{args.samples} instances ({args.samples // 2} near-Dyck) and "
+          f"{args.samples * SCRIPT_OPS} updates, 0 mismatches, "
+          f"{gaps} wrap-only gaps, {dt:.1f}s")
     return 0
 
 

@@ -112,17 +112,17 @@ def run_equivalence(kind: str, inst: Instance,
                     script: list[UpdateOp]) -> RunReport:
     """Run a script on a source instance and on its compiled target side by
     side; record both answer streams, the per-update translated-op counts,
-    and any divergence."""
+    and any divergence.  The source is answered from scratch by its own
+    engine at every query; the target keeps one bracket index, whichever
+    alphabet it has."""
     report = RunReport()
     red = compile_reduction(kind, inst)
-    target = red.target
     bounds = _TRANSLATED_COUNT_BOUNDS[kind]
     source_engine = {"alt_to_neardyck": "alt",
                      "neardyck_to_dyck2": "cfl",
                      "dyck2_to_undirected": "dyck"}[kind]
-    # the alternating lane's target has a per-vertex alphabet, which only
-    # the grammar engine reads; the other targets keep one bracket index
-    target_index = None if kind == "alt_to_neardyck" else solve_dyck(target)
+    target_index = solve_dyck(red.target)
+    s, t = red.target.source, red.target.sink
 
     for step, op in enumerate(script):
         if op.op == "query":
@@ -130,10 +130,7 @@ def run_equivalence(kind: str, inst: Instance,
                 src_ans = solve_alternating(inst)[0]
             else:
                 src_ans = answer_query(inst, source_engine)
-            if target_index is None:
-                tgt_ans = answer_query(target, "cfl")
-            else:
-                tgt_ans = target_index.query(target.source, target.sink)
+            tgt_ans = target_index.query(s, t)
             report.answers.append(src_ans)
             report.target_answers.append(tgt_ans)
             if src_ans != tgt_ans:
@@ -149,10 +146,7 @@ def run_equivalence(kind: str, inst: Instance,
                 f"step {step}: translated into {len(translated)} ops, "
                 f"expected {sorted(bounds)}")
         for top in translated:
-            if target_index is None:
-                target = apply_update(target, top)
-            else:
-                target_index.apply(top)
+            target_index.apply(top)
     return report
 
 

@@ -8,6 +8,12 @@ closed under two rules:
   for an opening label ``q``  =>  ``(u, v)``;
 * concatenation: ``(u, w)`` and ``(w, v)``  =>  ``(u, v)``.
 
+Both alphabets are read the same way: the pairs ``l_k`` / ``l_k-bar`` of a
+``dyck`` alphabet and the per-vertex pairs ``v_i`` / ``v_i-bar`` of a
+``neardyck`` one are bracket pairs alike, and a neutral ``dot`` edge
+``(u, dot, v)`` is a balanced one-edge path, so it puts ``(u, v)`` in the set
+(both ways round in an undirected graph).
+
 The set is kept a row at a time, as in Chaudhuri's subcubic closure
 ("Subcubic algorithms for recursive state machines", POPL 2008): row
 ``R[u]`` is a Python-int bitset of the ``v`` with ``(u, v)`` in the set and
@@ -21,10 +27,11 @@ new bits are processed further.
 
 A ``ReachIndex`` owns its instance and keeps its answers current under
 ``apply``.  An insertion sets the new edge's bit (both directions for an
-undirected edge) and continues the fixpoint on the index's own rows,
-processing only what the new edge derives.  A deletion only marks the
-index stale: the next query (or read of ``pairs``) re-solves it from
-scratch once, however many deletions came before.
+undirected edge), or adds the pair of a new ``dot`` edge, and continues the
+fixpoint on the index's own rows, processing only what the new edge
+derives.  A deletion, ``dot`` edges included, only marks the index
+stale: the next query (or read of ``pairs``) re-solves it from scratch
+once, however many deletions came before.
 ``resolve_after_update`` is the same step on a copy, for callers that keep
 the old index.
 
@@ -32,7 +39,7 @@ the old index.
 (e.g. it misses the chain labeled l1 l1bar l2 l2bar) and is kept so the gap
 itself is observable.  ``solve_cfl`` is an independent engine driven by a
 grammar in binary normal form and must agree with ``solve_dyck`` when given
-the bracket grammar.
+the bracket grammar of either alphabet.
 """
 
 from __future__ import annotations
@@ -61,10 +68,14 @@ def _bits(x: int) -> Iterator[int]:
         x ^= low
 
 
+_FIRST_INDEX = {"l": 1, "v": 0}
+
+
 def _slot(lab: Label) -> int:
     """Edge-table slot of a bracket label: ``2k-2`` for the opening label
-    of pair ``k``, ``2k-1`` for its closing partner."""
-    return 2 * lab.index - 2 + lab.bar
+    ``l_k`` (pairs count from 1), ``2i`` for ``v_i`` (vertices count from
+    0), and one more for the closing partner."""
+    return 2 * (lab.index - _FIRST_INDEX[lab.base]) + lab.bar
 
 
 class PairSet(Set):
@@ -99,16 +110,21 @@ class PairSet(Set):
 
 def _edge_bitsets(inst: Instance):
     """Per label slot, the target and the source bitset of every vertex,
-    over the directed view of the graph."""
+    over the directed view of the graph, and the neutral (``dot``) edges,
+    which have no slot."""
     n = inst.graph.vertex_count
     slots = 2 * inst.graph.alphabet.size
     out_edges = [[0] * n for _ in range(slots)]
     in_edges = [[0] * n for _ in range(slots)]
+    dots = []
     for u, lab, v in inst.graph.directed_edges():
+        if lab == DOT:
+            dots.append((u, v))
+            continue
         s = _slot(lab)
         out_edges[s][u] |= 1 << v
         in_edges[s][v] |= 1 << u
-    return out_edges, in_edges
+    return out_edges, in_edges, dots
 
 
 class ReachIndex:
@@ -120,16 +136,16 @@ class ReachIndex:
     between calls ``pending`` is all zeros and ``work`` is empty."""
 
     def __init__(self, inst: Instance, concat: bool = True):
-        if inst.graph.alphabet.kind != "dyck":
-            raise AlphabetMismatchError("solver requires a dyck alphabet")
         self.inst = inst
         self.concat = concat
         self.stale = False
         identity = [1 << x for x in range(inst.graph.vertex_count)]
         self.rows, self.cols = list(identity), list(identity)
-        self.out_edges, self.in_edges = _edge_bitsets(inst)
+        self.out_edges, self.in_edges, dots = _edge_bitsets(inst)
         self.pending = identity
         self.work = list(range(len(identity)))
+        for u, v in dots:
+            self._add(u, 1 << v)
         self._run()
 
     def copy(self) -> "ReachIndex":
@@ -200,7 +216,10 @@ class ReachIndex:
 
     def _insert_edge(self, u: int, lab: Label, v: int):
         """Set the bit of a new directed edge and add what it derives
-        against the current pairs."""
+        against the current pairs.  A ``dot`` edge is itself a pair."""
+        if lab == DOT:
+            self._add(u, 1 << v)
+            return
         s = _slot(lab)
         self.out_edges[s][u] |= 1 << v
         self.in_edges[s][v] |= 1 << u

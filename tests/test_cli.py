@@ -1,11 +1,30 @@
 """Command-line behavior: subcommands, report modes, exit codes."""
 
+import contextlib
+import io
+import random
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dycklab import serialize_graph
-from dycklab.cli import main
+from dycklab import serialize_graph, serialize_updates
+from dycklab.cli import ENGINES, main
 
-from util import fig1_instance, fig2_source, gap_chain_instance
+from util import (fig1_instance, fig2_source, gap_chain_instance,
+                  random_neardyck_instance, random_script)
+
+NEAR_DYCK_GRAPH = """graph directed
+vertices 4
+alphabet neardyck 4
+edge 0 v1 1
+edge 1 dot 2
+edge 2 v1bar 3
+edge 3 dot 3
+mark 0 3
+"""
 
 
 @pytest.fixture
@@ -44,6 +63,49 @@ def test_solve_cfl_engine_agrees(capsys, gap_chain):
     code, out, _ = run(capsys, "--kv", "solve", gap_chain, "--engine", "cfl")
     assert code == 0
     assert "answer=true" in out
+
+
+def test_near_dyck_file_gives_the_same_answers_under_both_engines(capsys,
+                                                                 tmp_path):
+    graph, script = tmp_path / "near.graph", tmp_path / "near.upd"
+    graph.write_text(NEAR_DYCK_GRAPH)
+    script.write_text("query\ndel 1 dot 2\nquery\nins 2 dot 1\nins 1 dot 2\n"
+                      "query\ndel 2 v1bar 3\nins 2 v1bar 2\nquery\n")
+    for engine in ("dyck", "cfl"):
+        code, out, _ = run(capsys, "--kv", "solve", str(graph),
+                           "--engine", engine)
+        assert code == 0
+        assert "answer=true" in out
+        code, out, _ = run(capsys, "--kv", "replay", str(graph), str(script),
+                           "--engine", engine)
+        assert code == 0
+        answers = [line for line in out.splitlines()
+                   if line.startswith("answer[")]
+        assert answers == ["answer[0]=true", "answer[1]=false",
+                           "answer[2]=true", "answer[3]=false"]
+
+
+def test_dyck_and_cfl_engines_agree_on_random_near_dyck_files(capsys,
+                                                              tmp_path):
+    rng = random.Random(17)
+    graph, script = tmp_path / "near.graph", tmp_path / "near.upd"
+    for _ in range(12):
+        inst = random_neardyck_instance(rng, max_vertices=5, density=0.1,
+                                        directed=rng.random() < 0.5)
+        graph.write_text(serialize_graph(inst))
+        script.write_text(serialize_updates(
+            random_script(rng, inst, ops=16, query_rate=0.3)))
+        outputs = {}
+        for engine in ("dyck", "cfl"):
+            code, solved, _ = run(capsys, "--kv", "solve", str(graph),
+                                  "--engine", engine)
+            assert code == 0
+            code, replayed, _ = run(capsys, "--kv", "replay", str(graph),
+                                    str(script), "--engine", engine)
+            assert code == 0
+            outputs[engine] = (solved + replayed).replace(
+                f"engine={engine}", "")
+        assert outputs["dyck"] == outputs["cfl"]
 
 
 def test_replay_reports_per_query_answers(capsys, tmp_path, gap_chain):
@@ -229,3 +291,85 @@ def test_kv_reports_are_deterministic(capsys, gap_chain):
     _, first, _ = run(capsys, "--kv", "solve", gap_chain)
     _, second, _ = run(capsys, "--kv", "solve", gap_chain)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed inputs: whatever the files hold, the CLI answers or exits cleanly
+
+# (graph, script, reduction) triples that run cleanly before they are
+# mutated
+_FUZZ_CASES = (
+    (serialize_graph(fig1_instance()),          # alternating, dyck 1
+     "query\nins 3 l1 0\nquery\ndel 0 l1 1\nquery\n", "alt_to_neardyck"),
+    (serialize_graph(fig2_source()),            # directed, dyck 2
+     "query\nins 0 l2 0\nquery\ndel 1 l1bar 0\nquery\nins 1 l1bar 0\n"
+     "query\n", "dyck2_to_undirected"),
+    ("graph undirected\nvertices 3\nalphabet dyck 1\nedge 0 l1 1\n"
+     "edge 1 l1bar 2\nmark 0 2\n",
+     "query\ndel 1 l1bar 2\nquery\nins 2 l1bar 1\nquery\n",
+     "dyck2_to_undirected"),
+    (NEAR_DYCK_GRAPH,
+     "query\ndel 1 dot 2\nquery\nins 2 dot 1\nquery\nins 0 v3bar 2\n"
+     "query\n", "neardyck_to_dyck2"),
+)
+_FUZZ_TOKENS = ("x", "-1", "0", "1", "3", "9", "l1", "l2bar", "l3", "v0",
+                "v1bar", "v9", "dot", "edge", "mark", "ins", "del", "query",
+                "partition", "and", "vertices", "alphabet", "dyck",
+                "neardyck", "undirected", "#", "")
+_FUZZ_COMMANDS = (
+    [("solve", "{g}", "--engine", e) for e in ENGINES]
+    + [("replay", "{g}", "{s}", "--engine", e) for e in ENGINES]
+    + [("verify-equiv", kind, "{g}", "{s}")
+       for kind in ("{k}", "alt_to_neardyck", "neardyck_to_dyck2",
+                    "dyck2_to_undirected")])
+
+# (file, edit, line index, token index, new token): file 0 is the graph,
+# file 1 the script
+_edits = st.lists(
+    st.tuples(st.integers(0, 1),
+              st.sampled_from(("drop", "dup", "garble", "drop-line",
+                               "dup-line")),
+              st.integers(0, 99), st.integers(0, 9),
+              st.sampled_from(_FUZZ_TOKENS)),
+    max_size=3)
+
+
+def _mutate(text, edits):
+    """Drop, duplicate or replace tokens or whole lines of a file."""
+    lines = [line.split() for line in text.splitlines()]
+    for kind, i, j, token in edits:
+        if not lines:
+            break
+        i %= len(lines)
+        line = lines[i]
+        if kind == "drop-line":
+            del lines[i]
+        elif kind == "dup-line":
+            lines.insert(i, list(line))
+        elif not line:
+            continue
+        elif kind == "drop":
+            del line[j % len(line)]
+        elif kind == "dup":
+            line.insert(j % len(line), line[j % len(line)])
+        else:
+            line[j % len(line)] = token
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FUZZ_CASES), _edits, st.sampled_from(_FUZZ_COMMANDS))
+def test_fuzzed_inputs_exit_cleanly(case, edits, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, script = Path(tmp) / "g.graph", Path(tmp) / "s.upd"
+        for path, text, which in ((graph, case[0], 0), (script, case[1], 1)):
+            path.write_text(_mutate(text, [e[1:] for e in edits
+                                           if e[0] == which]))
+        argv = [arg.format(g=graph, s=script, k=case[2]) for arg in command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--kv"] + argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")

@@ -16,10 +16,11 @@ from dycklab import (DOT, Alphabet, AlphabetMismatchError,
                      solve_dyck_wrap_only, EnumerationBudget)
 
 from util import (fig2_source, gap_chain_instance, random_dyck_instance,
-                  random_script)
+                  random_neardyck_instance, random_script)
 
 L1, L1BAR = Label("l", 1, False), Label("l", 1, True)
 L2, L2BAR = Label("l", 2, False), Label("l", 2, True)
+V1, V1BAR = Label("v", 1, False), Label("v", 1, True)
 
 
 def chain(labels, pairs=2):
@@ -69,11 +70,16 @@ def test_two_edge_bracket_cycle():
     assert not idx.query(0, 1)
 
 
-def test_solver_rejects_wrong_alphabet():
+def test_solver_reads_the_near_dyck_alphabet():
     alph = Alphabet("neardyck", 2)
     inst = Instance(LabeledGraph.build(True, 2, alph, []), 0, 1)
-    with pytest.raises(AlphabetMismatchError):
-        solve_dyck(inst)
+    assert solve_dyck(inst).pairs == solve_cfl(inst, near_dyck_grammar(2))["S"]
+    # 0 -v1-> 1 -dot-> 1 -v1bar-> 0 -dot-> 1: balanced once the dots go
+    edges = [(0, V1, 1), (1, DOT, 1), (1, V1BAR, 0), (0, DOT, 1)]
+    inst = Instance(LabeledGraph.build(True, 2, alph, edges), 0, 1)
+    idx = solve_dyck(inst)
+    assert idx.pairs == solve_cfl(inst, near_dyck_grammar(2))["S"]
+    assert idx.query(0, 1) and idx.query(0, 0) and not idx.query(1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +225,35 @@ def test_maintained_index_matches_the_grammar_engine(seed, pairs, directed):
         # resolve_after_update works on a copy: the old index keeps its answers
         assert idx.pairs == before
         idx = new
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.booleans())
+def test_maintained_near_dyck_index_matches_the_grammar_engine(seed,
+                                                               directed):
+    rng = random.Random(seed)
+    inst = random_neardyck_instance(rng, max_vertices=5, density=0.08,
+                                    directed=directed)
+    grammar = near_dyck_grammar(inst.graph.alphabet.size)
+    idx = solve_dyck(inst)
+    live = solve_dyck(inst)
+    # read only at the script's queries and at its end, so insertions also
+    # land on an index a deletion has left stale
+    lazy = solve_dyck(inst)
+    script = random_script(rng, inst, ops=20, query_rate=0.15)
+    for op in script:
+        new = resolve_after_update(idx, inst, op)
+        live.apply(op)
+        lazy.apply(op)
+        inst = apply_update(inst, op)
+        expected = solve_cfl(inst, grammar)["S"]
+        assert new.pairs == expected
+        assert live.pairs == expected
+        assert len(live.pairs) == len(expected)
+        if op.op == "query":
+            assert lazy.pairs == expected
+        idx = new
+    assert lazy.pairs == expected
 
 
 @pytest.mark.parametrize("op", [

@@ -24,18 +24,20 @@ def random_dyck_instance(rng: random.Random, max_vertices: int = 8,
 
 
 def random_neardyck_instance(rng: random.Random, max_vertices: int = 5,
-                             density: float = 0.25) -> Instance:
-    """Directed per-vertex-bracket instance with alphabet size = |V|."""
+                             density: float = 0.25,
+                             directed: bool = True) -> Instance:
+    """Per-vertex-bracket instance with alphabet size = |V|."""
     n = rng.randint(1, max_vertices)
     alph = Alphabet("neardyck", n)
     labels = list(alph.labels())
     edges = []
     for u in range(n):
-        for v in range(n):
+        vs = range(n) if directed else range(u, n)
+        for v in vs:
             for lab in labels:
                 if rng.random() < density:
                     edges.append((u, lab, v))
-    graph = LabeledGraph.build(True, n, alph, edges)
+    graph = LabeledGraph.build(directed, n, alph, edges)
     return Instance(graph, rng.randrange(n), rng.randrange(n))
 
 
