@@ -15,12 +15,6 @@ from .graphs import Label
 
 
 class Regex:
-    def then(self, other: "Regex") -> "Regex":
-        return Cat(self, other)
-
-    def alt(self, other: "Regex") -> "Regex":
-        return Alt(self, other)
-
     def star(self) -> "Regex":
         return Star(self)
 

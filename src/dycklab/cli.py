@@ -28,10 +28,12 @@ from .words import (gamma_exponent, in_q, in_q_init, in_regular, is_dyck,
 
 DEFAULT_SEED = 20240 | 1  # fixed default for all randomized subcommands
 
-_TRANSLATED_COUNT_BOUNDS = {
-    "alt_to_neardyck": {1, 2},
-    "neardyck_to_dyck2": {1},
-    "dyck2_to_undirected": {12},
+# reduction kind -> (engine answering the source, allowed translated-op
+# counts per source update)
+LANES = {
+    "alt_to_neardyck": ("alt", {1, 2}),
+    "neardyck_to_dyck2": ("cfl", {1}),
+    "dyck2_to_undirected": ("dyck", {12}),
 }
 
 
@@ -50,8 +52,9 @@ class Reporter:
 
 @dataclass
 class RunReport:
-    """Per-query answers, per-update translated-op counts, and the
-    pass/fail verdicts of an equivalence run."""
+    """A replay's per-query answers.  An equivalence run adds the
+    target's answers, the per-update translated-op counts and its
+    failures."""
 
     answers: list[bool] = field(default_factory=list)
     target_answers: list[bool] = field(default_factory=list)
@@ -87,6 +90,8 @@ def answer_query(inst: Instance, engine: str) -> bool:
         return (s, t) in solve_cfl(inst, grammar)[grammar.start]
     if engine == "prop1":
         return prop1_check(inst)
+    if engine == "alt":
+        return solve_alternating(inst)[0]
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -110,43 +115,34 @@ def run_replay(inst: Instance, script: list[UpdateOp],
 
 def run_equivalence(kind: str, inst: Instance,
                     script: list[UpdateOp]) -> RunReport:
-    """Run a script on a source instance and on its compiled target side by
-    side; record both answer streams, the per-update translated-op counts,
-    and any divergence.  The source is answered from scratch by its own
-    engine at every query; the target keeps one bracket index, whichever
-    alphabet it has."""
-    report = RunReport()
+    """Compile, replay, translate, replay, compare.  The source replay
+    (answered by the lane's engine) applies, and so validates, every update
+    before any is translated; the target replay keeps one bracket index,
+    whichever alphabet it has.  Records both answer streams, the
+    per-update translated-op counts, and any divergence by script step."""
     red = compile_reduction(kind, inst)
-    bounds = _TRANSLATED_COUNT_BOUNDS[kind]
-    source_engine = {"alt_to_neardyck": "alt",
-                     "neardyck_to_dyck2": "cfl",
-                     "dyck2_to_undirected": "dyck"}[kind]
-    target_index = solve_dyck(red.target)
-    s, t = red.target.source, red.target.sink
-
+    source_engine, bounds = LANES[kind]
+    report = run_replay(inst, script, source_engine)
+    translated: list[UpdateOp] = []
+    query_steps = []
     for step, op in enumerate(script):
         if op.op == "query":
-            if source_engine == "alt":
-                src_ans = solve_alternating(inst)[0]
-            else:
-                src_ans = answer_query(inst, source_engine)
-            tgt_ans = target_index.query(s, t)
-            report.answers.append(src_ans)
-            report.target_answers.append(tgt_ans)
-            if src_ans != tgt_ans:
-                report.failures.append(
-                    f"step {step}: source={src_ans} target={tgt_ans}")
+            translated.append(op)
+            query_steps.append(step)
             continue
-        # applying the source update first validates it for the translator
-        inst = apply_update(inst, op)
-        translated = red.translate(op)
-        report.counts.append(len(translated))
-        if len(translated) not in bounds:
+        ops = red.translate(op)
+        report.counts.append(len(ops))
+        if len(ops) not in bounds:
             report.failures.append(
-                f"step {step}: translated into {len(translated)} ops, "
+                f"step {step}: translated into {len(ops)} ops, "
                 f"expected {sorted(bounds)}")
-        for top in translated:
-            target_index.apply(top)
+        translated.extend(ops)
+    report.target_answers = run_replay(red.target, translated).answers
+    for step, src_ans, tgt_ans in zip(query_steps, report.answers,
+                                      report.target_answers):
+        if src_ans != tgt_ans:
+            report.failures.append(
+                f"step {step}: source={src_ans} target={tgt_ans}")
     return report
 
 
@@ -355,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_replay)
 
     sp = sub.add_parser("reduce", help="compile a gadget reduction")
-    sp.add_argument("kind", choices=("alt_to_neardyck", "neardyck_to_dyck2",
-                                     "dyck2_to_undirected"))
+    sp.add_argument("kind", choices=LANES)
     sp.add_argument("graph")
     sp.add_argument("-o", "--output", help="write the target graph here")
     sp.add_argument("--map", help="write the id -> structured-name table here")
@@ -364,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-equiv",
                         help="run a script on source and compiled target side by side")
-    sp.add_argument("kind", choices=("alt_to_neardyck", "neardyck_to_dyck2",
-                                     "dyck2_to_undirected"))
+    sp.add_argument("kind", choices=LANES)
     sp.add_argument("graph")
     sp.add_argument("script")
     sp.set_defaults(func=cmd_verify_equiv)
@@ -419,12 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        args.seed = DEFAULT_SEED
     rep = Reporter(args.kv)
     try:
         return args.func(args, rep)
-    except (GraphFormatError, UpdateError, FileNotFoundError, ValueError) as exc:
+    except (GraphFormatError, UpdateError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

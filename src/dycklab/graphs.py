@@ -305,7 +305,7 @@ def parse_graph(text: str) -> Instance:
                 err("duplicate mark line", no)
             if len(fields) != 3:
                 err("expected 'mark <s> <t>'", no)
-            mark = (num(fields[1], no), num(fields[2], no))
+            mark = (no, (num(fields[1], no), num(fields[2], no)))
         elif kw == "partition":
             if partition_and is not None:
                 err("duplicate partition line", no)
@@ -336,6 +336,9 @@ def parse_graph(text: str) -> Instance:
 
     if mark is None:
         raise GraphFormatError("missing mark line")
+    mark_no, (s, t) = mark
+    if not (0 <= s < vertex_count and 0 <= t < vertex_count):
+        err("marked vertex out of range", mark_no)
 
     canon = set()
     for no, e in edges:
@@ -360,7 +363,7 @@ def parse_graph(text: str) -> Instance:
                           for i in range(vertex_count))
 
     graph = LabeledGraph.build(directed, vertex_count, alphabet, canon)
-    return Instance(graph, mark[0], mark[1], partition)
+    return Instance(graph, s, t, partition)
 
 
 def serialize_graph(inst: Instance) -> str:

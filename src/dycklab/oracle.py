@@ -55,6 +55,9 @@ def enumerate_paths(inst: Instance, source: int, sink: int,
     satisfies the predicate, in length-lexicographic order, capped at
     max_paths.  ``prefix_ok`` prunes the search on partial labels; it must
     be prefix-closed and true on every prefix of an accepted label."""
+    vertices = range(inst.graph.vertex_count)
+    if source not in vertices or sink not in vertices:
+        raise ValueError(f"endpoint out of range: ({source}, {sink})")
     adj = _sorted_adjacency(inst)
     found: list[tuple[PathEdge, ...]] = []
     truncated = False

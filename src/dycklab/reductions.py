@@ -1,7 +1,7 @@
 """The three gadget compilers with exact update translation.
 
-Each compiler maps a source instance to a target instance plus a pure
-per-update translator.  The translated op counts are fixed per kind:
+Each compiler keeps its source instance and maps it to a target instance
+plus a pure per-update translator, with translated op counts fixed per kind:
 
 * ``alt_to_neardyck``      -- 1 op for an or-edge, 2 for an and-edge;
 * ``neardyck_to_dyck2``    -- exactly 1 op;
@@ -27,6 +27,7 @@ StructuredName = tuple
 @dataclass(frozen=True)
 class CompiledReduction:
     kind: str
+    source: Instance
     target: Instance
     names: tuple[StructuredName, ...]  # names[id] = structured name
     ids: dict[StructuredName, int] = field(repr=False)
@@ -127,7 +128,8 @@ def compile_alt_to_neardyck(inst: Instance) -> CompiledReduction:
         return [UpdateOp.delete(u_id, closing, v_id),
                 UpdateOp.ins(u_id, DOT, v_id)]
 
-    return CompiledReduction("alt_to_neardyck", target, names_t, ids, translate_one)
+    return CompiledReduction("alt_to_neardyck", inst, target, names_t, ids,
+                             translate_one)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +201,8 @@ def compile_neardyck_to_dyck2(inst: Instance) -> CompiledReduction:
         hu, hlab, hv = hook(op.u, op.label, op.v)
         return [UpdateOp(op.op, hu, hlab, hv)]
 
-    return CompiledReduction("neardyck_to_dyck2", target, names_t, ids, translate_one)
+    return CompiledReduction("neardyck_to_dyck2", inst, target, names_t, ids,
+                             translate_one)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +248,8 @@ def compile_dyck2_to_undirected(inst: Instance) -> CompiledReduction:
         return [UpdateOp(op.op, u, lab, v)
                 for u, lab, v in chain_edges(op.u, op.label, op.v)]
 
-    return CompiledReduction("dyck2_to_undirected", target, names_t, ids,
-                             translate_one)
+    return CompiledReduction("dyck2_to_undirected", inst, target, names_t,
+                             ids, translate_one)
 
 
 _COMPILERS = {

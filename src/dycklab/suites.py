@@ -158,7 +158,7 @@ def suite_lemma6(red: CompiledReduction | None = None,
         red = compile_dyck2_to_undirected(default_gadget_source())
     if budget is None:
         budget = EnumerationBudget(40, 2000)
-    source = _source_of(red)
+    source = red.source
     varpi = regular_nfa("varpi")
     for x in range(source.graph.vertex_count):
         labels, _trunc = enumerate_nominal_paths(red, ("loop", x), budget)
@@ -173,21 +173,6 @@ def suite_lemma6(red: CompiledReduction | None = None,
                       f"chain ({x},{lab.token()},{y}): reduction of "
                       f"{words.zo_str(w)} outside its language")
     return res
-
-
-def _source_of(red: CompiledReduction) -> Instance:
-    """Recover the source edge set of an undirected-gadget target from its
-    dynamic edges (each present chain spells one source edge)."""
-    inst = red.target
-    chains = set()
-    for u, lab, v in inst.graph.edges:
-        for vid in (u, v):
-            name = red.vertex_name(vid)
-            if len(name) == 4:
-                chains.add((name[0], name[1], name[2]))
-    n = sum(1 for name in red.names if len(name) == 1)
-    graph = LabeledGraph.build(True, n, Alphabet("dyck", 2), sorted(chains))
-    return Instance(graph, inst.source, inst.sink)
 
 
 def suite_lemma7(red: CompiledReduction | None = None,
@@ -215,7 +200,7 @@ def suite_lemma7(red: CompiledReduction | None = None,
     if budget is None:
         budget = EnumerationBudget(36, 400)
     rng = random.Random(seed)
-    source = _source_of(red)
+    source = red.source
     varpi = regular_nfa("varpi")
     varpi_red = reduced_language_nfa("varpi")
     res.info["strict_misses"] = 0

@@ -220,6 +220,16 @@ def test_oracle_paths(capsys, gap_chain):
     assert "path[0]=l1 l1bar l2 l2bar" in out
 
 
+@pytest.mark.parametrize("source, sink", [("99", "99"), ("0", "5")])
+def test_oracle_paths_rejects_endpoints_outside_the_graph(capsys, gap_chain,
+                                                          source, sink):
+    code, out, err = run(capsys, "--kv", "oracle", "paths", gap_chain,
+                         source, sink)
+    assert code == 2
+    assert "error: endpoint out of range" in err
+    assert "paths=" not in out
+
+
 def test_oracle_words(capsys):
     code, out, _ = run(capsys, "--kv", "oracle", "words", "--max-len", "4",
                        "--predicate", "dyck", "--list")
@@ -269,6 +279,18 @@ def test_missing_file_is_a_clean_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("replay", "{dir}", "{dir}/s.upd"),
+    ("reduce", "dyck2_to_undirected", "{g}", "-o", "{dir}"),
+])
+def test_a_directory_path_is_a_clean_error(capsys, tmp_path, fig2, argv):
+    (tmp_path / "s.upd").write_text("query\n")
+    code, _, err = run(capsys, *(a.format(dir=tmp_path, g=fig2) for a in argv))
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_malformed_graph_is_a_clean_error(capsys, tmp_path):
     header = "graph directed\nvertices 2\nalphabet dyck 1\n"
     cases = [
@@ -277,6 +299,7 @@ def test_malformed_graph_is_a_clean_error(capsys, tmp_path):
         ("graph directed\nvertices 1\nalphabet dyck 0\nmark 0 0\n", 3),
         (header + "edge 0 l1 1\nmark a b\n", 5),
         (header + "mark 0 1\npartition and x\n", 5),
+        (header + "edge 0 l1 1\nmark 0 7\n", 5),
     ]
     bad = tmp_path / "bad.graph"
     for text, line in cases:

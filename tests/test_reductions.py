@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dycklab import (DOT, Alphabet, EnumerationBudget, Instance, Label,
-                     LabeledGraph, UpdateOp, apply_update,
+from dycklab import cli, saturate
+from dycklab import (DOT, Alphabet, CompiledReduction, EnumerationBudget,
+                     Instance, Label, LabeledGraph, UpdateOp, apply_update,
                      compile_alt_to_neardyck, compile_dyck2_to_undirected,
                      compile_neardyck_to_dyck2, compile_reduction,
                      enumerate_paths, in_q_init, is_dyck, near_dyck_grammar,
                      nominal_decompose, solve_alternating, solve_cfl,
-                     solve_dyck, translate_updates)
+                     serialize_graph, serialize_updates, solve_dyck,
+                     translate_updates)
 from dycklab.cli import run_equivalence
 from dycklab.words import DecompositionError
 
@@ -314,3 +316,48 @@ def test_equivalence_fuzz_dyck2():
         report = run_equivalence("dyck2_to_undirected", inst, script)
         assert report.ok, report.failures
         assert all(c == 12 for c in report.counts)
+
+
+def test_a_translator_that_drops_every_op_fails_the_run(monkeypatch, capsys,
+                                                        tmp_path):
+    monkeypatch.setattr(CompiledReduction, "translate", lambda self, op: [])
+    g = LabeledGraph.build(True, 3, Alphabet("dyck", 2), [(0, L1, 1)])
+    inst = Instance(g, 0, 2)
+    script = [UpdateOp.query(), UpdateOp.ins(1, L1BAR, 2), UpdateOp.query()]
+    report = run_equivalence("dyck2_to_undirected", inst, script)
+    assert report.answers == [False, True]
+    assert report.target_answers == [False, False]
+    assert report.counts == [0]
+    assert report.failures == ["step 1: translated into 0 ops, expected [12]",
+                               "step 2: source=True target=False"]
+
+    graph, upd = tmp_path / "g.graph", tmp_path / "s.upd"
+    graph.write_text(serialize_graph(inst))
+    upd.write_text(serialize_updates(script))
+    code = cli.main(["--kv", "verify-equiv", "dyck2_to_undirected",
+                     str(graph), str(upd)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "failure=step 2: source=True target=False" in out
+    assert "verdict=FAIL" in out
+
+
+def test_an_insert_only_script_solves_each_side_once(monkeypatch):
+    calls = []
+    original = saturate.solve_dyck
+
+    def counted(inst):
+        calls.append(inst)
+        return original(inst)
+
+    monkeypatch.setattr(saturate, "solve_dyck", counted)
+    monkeypatch.setattr(cli, "solve_dyck", counted)
+    g = LabeledGraph.build(True, 5, Alphabet("dyck", 2), [(0, L1, 1)])
+    script = [UpdateOp.query(), UpdateOp.ins(1, L2, 2), UpdateOp.query(),
+              UpdateOp.ins(2, L2BAR, 3), UpdateOp.query(),
+              UpdateOp.ins(3, L1BAR, 4), UpdateOp.query()]
+    report = run_equivalence("dyck2_to_undirected", Instance(g, 0, 4), script)
+    assert report.ok, report.failures
+    assert report.answers == [False, False, False, True]
+    assert len(calls) == 2
+    assert [c.graph.directed for c in calls] == [True, False]
