@@ -8,7 +8,10 @@ random mixed insert/delete script twice: through ``resolve_after_update``,
 checked against its grammar after every update, and through
 ``ReachIndex.apply`` on one index, checked after every third update and at
 the end, so that insertions also land on an index that a deletion has left
-stale.
+stale.  While that index is stale, its rows must hold every pair the
+grammar derives, and it is first asked ``query`` on the marked pair and on
+random pairs, each answer checked against the grammar, so that stale
+answers are checked before any read of ``pairs`` re-solves the index.
 
 Usage: python3 scripts/engine_fuzz.py [--samples N] [--seed S]
                                       [--max-vertices V] [--pairs P]
@@ -30,6 +33,7 @@ from util import random_dyck_instance, random_neardyck_instance, random_script
 
 SCRIPT_OPS = 20  # updates replayed per sample through the incremental route
 LIVE_CHECK_EVERY = 3  # updates between checks of the index driven by apply
+STALE_QUERIES = 4  # random pairs queried on a stale index, besides the marks
 
 
 def main() -> int:
@@ -81,6 +85,22 @@ def main() -> int:
             live.apply(op)
             inst = apply_update(inst, op)
             expected = solve_cfl(inst, grammar)["S"]
+            if live.stale:
+                if not all(live.rows[u] >> v & 1 for u, v in expected):
+                    print(f"MISMATCH sample {i} step {step} "
+                          f"({serialize_updates([op]).strip()}): "
+                          f"stale rows miss a pair of the grammar engine")
+                    return 1
+                n = inst.graph.vertex_count
+                asked = [(inst.source, inst.sink)] + [
+                    (rng.randrange(n), rng.randrange(n))
+                    for _ in range(STALE_QUERIES)]
+                for u, v in asked:
+                    if live.query(u, v) != ((u, v) in expected):
+                        print(f"MISMATCH sample {i} step {step} "
+                              f"({serialize_updates([op]).strip()}): "
+                              f"stale query({u}, {v}) vs grammar engine")
+                        return 1
             checks = [("resolve_after_update", index)]
             if step % LIVE_CHECK_EVERY == 0 or step == SCRIPT_OPS:
                 checks.append(("apply", live))

@@ -130,7 +130,10 @@ def run_equivalence(kind: str, inst: Instance,
             translated.append(op)
             query_steps.append(step)
             continue
-        ops = red.translate(op)
+        try:
+            ops = red.translate(op)
+        except ValueError as exc:
+            raise ValueError(f"{exc}{op.where()}") from None
         report.counts.append(len(ops))
         if len(ops) not in bounds:
             report.failures.append(
@@ -214,8 +217,11 @@ def cmd_verify_equiv(args, rep: Reporter) -> int:
         rep.emit("translated_counts", ",".join(map(str, report.counts)))
     for f in report.failures:
         rep.emit("failure", f)
-    rep.emit("verdict", "pass" if report.ok else "FAIL")
-    return 0 if report.ok else 1
+    ok = report.ok and bool(report.answers)
+    if not report.answers:
+        rep.emit("failure", "checked nothing")
+    rep.emit("verdict", "pass" if ok else "FAIL")
+    return 0 if ok else 1
 
 
 def _parse_word(tokens: list[str]):

@@ -10,7 +10,7 @@ endpoints in canonical order, and report it in both directions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 
@@ -210,12 +210,15 @@ class Instance:
 
 @dataclass(frozen=True)
 class UpdateOp:
-    """``ins``/``del`` of one edge, or a ``query`` of the marked pair."""
+    """``ins``/``del`` of one edge, or a ``query`` of the marked pair.
+    ``line`` is the script line an op was parsed from, for error messages;
+    it takes no part in comparisons."""
 
     op: str  # "ins" | "del" | "query"
     u: int = -1
     label: Optional[Label] = None
     v: int = -1
+    line: Optional[int] = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def ins(u: int, label: Label, v: int) -> "UpdateOp":
@@ -229,6 +232,11 @@ class UpdateOp:
     def query() -> "UpdateOp":
         return UpdateOp("query")
 
+    def where(self) -> str:
+        """`` (script line N)`` for an op parsed from a script, else empty:
+        the suffix of an error message about this op."""
+        return "" if self.line is None else f" (script line {self.line})"
+
     def inverse(self) -> "UpdateOp":
         if self.op == "ins":
             return UpdateOp("del", self.u, self.label, self.v)
@@ -238,15 +246,19 @@ class UpdateOp:
 
 
 def apply_update(inst: Instance, op: UpdateOp) -> Instance:
-    """Apply one update; strict (no-op insertions/deletions are errors)."""
+    """Apply one update; strict (no-op insertions/deletions are errors).
+    The error of an op parsed from a script names its line."""
     if op.op == "query":
         return inst
-    if op.op == "ins":
-        g = inst.graph.with_edge(op.u, op.label, op.v)
-    elif op.op == "del":
-        g = inst.graph.without_edge(op.u, op.label, op.v)
-    else:
-        raise UpdateError(f"unknown update {op.op!r}")
+    try:
+        if op.op == "ins":
+            g = inst.graph.with_edge(op.u, op.label, op.v)
+        elif op.op == "del":
+            g = inst.graph.without_edge(op.u, op.label, op.v)
+        else:
+            raise UpdateError(f"unknown update {op.op!r}")
+    except UpdateError as exc:
+        raise UpdateError(f"{exc}{op.where()}") from None
     return Instance(g, inst.source, inst.sink, inst.partition)
 
 
@@ -401,7 +413,7 @@ def parse_updates(text: str) -> list[UpdateOp]:
                 lab = parse_label_token(fields[2])
             except ValueError as exc:
                 raise GraphFormatError(str(exc), no)
-            ops.append(UpdateOp(fields[0], u, lab, v))
+            ops.append(UpdateOp(fields[0], u, lab, v, line=no))
         else:
             raise GraphFormatError(f"unknown update {fields[0]!r}", no)
     return ops

@@ -29,9 +29,13 @@ A ``ReachIndex`` owns its instance and keeps its answers current under
 ``apply``.  An insertion sets the new edge's bit (both directions for an
 undirected edge), or adds the pair of a new ``dot`` edge, and continues the
 fixpoint on the index's own rows, processing only what the new edge
-derives.  A deletion, ``dot`` edges included, only marks the index
-stale: the next query (or read of ``pairs``) re-solves it from scratch
-once, however many deletions came before.
+derives.  A deletion clears the edge's bits (a ``dot`` edge has none) and
+marks the index stale, keeping its rows.  Stale rows are a superset of the
+closure: they were closed under a superset of today's edges, and the
+fixpoint is monotone in the edges, so continuing later insertions on them
+keeps a superset.  A stale index therefore answers "no" at once when the
+queried bit is absent; only a present bit (or a read of ``pairs``)
+re-solves it from scratch, once, however many deletions came before.
 ``resolve_after_update`` is the same step on a copy, for callers that keep
 the old index.
 
@@ -133,7 +137,10 @@ class ReachIndex:
     with that label, ``in_edges[slot][v]`` the sources of ``v``'s.  During
     a closure ``pending[x]`` holds the bits row ``x`` gained that the wrap
     rule has not yet joined, and ``work`` lists the rows with pending bits;
-    between calls ``pending`` is all zeros and ``work`` is empty."""
+    between calls ``pending`` is all zeros and ``work`` is empty.  The edge
+    bitsets always hold the instance's bracket edges.  A deletion sets
+    ``stale``: the rows are then closed but may hold pairs the instance no
+    longer derives, until a re-solve makes them exact again."""
 
     def __init__(self, inst: Instance, concat: bool = True):
         self.inst = inst
@@ -160,16 +167,26 @@ class ReachIndex:
     def apply(self, op: UpdateOp):
         """Apply one update to the owned instance (a rejected update raises
         and changes nothing).  An insertion continues the fixpoint on the
-        rows in place; a deletion marks the index stale, to be re-solved
-        once at the next query."""
+        rows in place, stale or not; a deletion clears the edge's bits and
+        marks the index stale, leaving rows that over-approximate the
+        closure until a query needs them exact."""
         self.inst = apply_update(self.inst, op)
-        if op.op == "del":
-            self.stale = True
-        elif op.op == "ins" and not self.stale:
-            self._insert_edge(op.u, op.label, op.v)
-            if not self.inst.graph.directed and op.u != op.v:
-                self._insert_edge(op.v, op.label, op.u)
+        if op.op == "query":
+            return
+        ends = [(op.u, op.v)]
+        if not self.inst.graph.directed and op.u != op.v:
+            ends.append((op.v, op.u))
+        if op.op == "ins":
+            for u, v in ends:
+                self._insert_edge(u, op.label, v)
             self._run()
+            return
+        self.stale = True
+        if op.label != DOT:
+            s = _slot(op.label)
+            for u, v in ends:
+                self.out_edges[s][u] &= ~(1 << v)
+                self.in_edges[s][v] &= ~(1 << u)
 
     def _refresh(self):
         """Re-solve a stale index from scratch, taking over the new
@@ -185,7 +202,16 @@ class ReachIndex:
         return PairSet(tuple(self.rows))
 
     def query(self, u: int, v: int) -> bool:
-        return (u, v) in self.pairs
+        """Whether ``(u, v)`` is in the closed set.  A stale index's rows
+        over-approximate it, so an absent bit is an exact "no"; only a
+        present one re-solves first."""
+        if not (0 <= u < len(self.rows) and 0 <= v
+                and self.rows[u] >> v & 1):
+            return False
+        if self.stale:
+            self._refresh()
+            return bool(self.rows[u] >> v & 1)
+        return True
 
     def _add(self, a: int, bits: int):
         """Add the pairs ``(a, b)`` for ``b`` in ``bits``, with everything

@@ -173,6 +173,54 @@ def test_verify_equiv_rejects_an_invalid_update(capsys, tmp_path, kind,
     assert f"error: {message}" in err
 
 
+ALT_GRAPH = ("graph directed\nvertices 3\nalphabet dyck 1\nedge 0 l1 1\n"
+             "mark 0 2\npartition and 0\n")
+
+
+@pytest.mark.parametrize("command", [
+    ("replay",), ("verify-equiv", "alt_to_neardyck")])
+@pytest.mark.parametrize("update, message", [
+    ("ins 0 l9 1", "label l9 not in alphabet"),
+    ("ins 0 l1 1", "duplicate edge (0, l1, 1)"),
+    ("del 1 l1 2", "missing edge (1, l1, 2)"),
+])
+def test_an_update_the_instance_rejects_names_its_script_line(
+        capsys, tmp_path, command, update, message):
+    graph = tmp_path / "alt.graph"
+    graph.write_text(ALT_GRAPH)
+    script = tmp_path / "script.upd"
+    # the bad update is step 1 but line 4
+    script.write_text(f"# a comment\nquery\n\n{update}\nquery\n")
+    code, _, err = run(capsys, *command, str(graph), str(script))
+    assert code == 2
+    assert f"error: {message} (script line 4)" in err
+
+
+def test_an_untranslatable_update_names_its_script_line(capsys, tmp_path):
+    graph = tmp_path / "alt.graph"
+    graph.write_text(ALT_GRAPH)
+    script = tmp_path / "script.upd"
+    script.write_text("# a comment\n\nins 0 l1bar 1\nquery\n")
+    code, _, err = run(capsys, "verify-equiv", "alt_to_neardyck", str(graph),
+                       str(script))
+    assert code == 2
+    assert "not l1bar (script line 3)" in err
+
+
+@pytest.mark.parametrize("text", ["", "# nothing\n", "ins 1 l1 2\n"])
+def test_verify_equiv_that_checked_nothing_fails(capsys, tmp_path, text):
+    graph = tmp_path / "alt.graph"
+    graph.write_text(ALT_GRAPH)
+    script = tmp_path / "script.upd"
+    script.write_text(text)
+    code, out, _ = run(capsys, "--kv", "verify-equiv", "alt_to_neardyck",
+                       str(graph), str(script))
+    assert code == 1
+    assert "queries=0" in out
+    assert "failure=checked nothing" in out
+    assert "verdict=FAIL" in out
+
+
 def test_word_subcommands(capsys):
     code, out, _ = run(capsys, "word", "reduce",
                        "0", "0bar", "1", "1", "0", "0", "1", "1", "1", "1",

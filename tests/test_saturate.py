@@ -302,3 +302,71 @@ def test_deletions_before_a_query_cost_one_resolve(monkeypatch):
     assert idx.pairs == solve_cfl(inst, dyck_grammar(2))["S"]
     assert not idx.query(0, 4)
     assert len(calls) == 3
+
+
+def _churn_op(rng, inst):
+    """A deletion of a present edge or an insertion of an absent one, as
+    likely as each other, so that stale stretches are common."""
+    g = inst.graph
+    n = g.vertex_count
+    absent = [(u, lab, v) for u in range(n) for v in range(n)
+              for lab in g.alphabet.labels() if not g.has_edge(u, lab, v)]
+    if g.edges and (not absent or rng.random() < 0.5):
+        return UpdateOp.delete(*rng.choice(sorted(g.edges)))
+    return UpdateOp.ins(*rng.choice(absent))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.booleans(),
+       st.booleans())
+def test_a_stale_index_answers_queries_exactly(seed, near, directed):
+    rng = random.Random(seed)
+    if near:
+        inst = random_neardyck_instance(rng, max_vertices=5, density=0.15,
+                                        directed=directed)
+        grammar = near_dyck_grammar(inst.graph.alphabet.size)
+    else:
+        inst = random_dyck_instance(rng, max_vertices=7, pairs=2,
+                                    density=0.2, directed=directed)
+        grammar = dyck_grammar(2)
+    n = inst.graph.vertex_count
+    live = solve_dyck(inst)
+    for _ in range(24):
+        op = _churn_op(rng, inst)
+        live.apply(op)
+        inst = apply_update(inst, op)
+        expected = solve_cfl(inst, grammar)["S"]
+        if live.stale:
+            # stale rows over-approximate: every derivable pair is present
+            assert all(live.rows[u] >> v & 1 for u, v in expected)
+        asked = [(inst.source, inst.sink)]
+        asked += [(rng.randrange(n), rng.randrange(n)) for _ in range(4)]
+        for u, v in asked:
+            assert live.query(u, v) == ((u, v) in expected), (op, u, v)
+
+
+def test_a_stale_no_costs_no_resolve(monkeypatch):
+    calls = []
+    original = saturate.solve_dyck
+
+    def counted(inst):
+        calls.append(inst)
+        return original(inst)
+
+    monkeypatch.setattr(saturate, "solve_dyck", counted)
+    # 0 -l1-> 1 -l1bar-> 2 -l2-> 3 -l2bar-> 4
+    idx = counted(chain([L1, L1BAR, L2, L2BAR]))
+    idx.apply(UpdateOp.delete(1, L1BAR, 2))
+    assert idx.stale
+    idx.apply(UpdateOp.ins(4, L2, 0))  # lands on the stale rows
+    # (2, 0) was never derivable: its bit is absent, so "no" is exact
+    assert not idx.query(2, 0)
+    assert idx.stale
+    assert len(calls) == 1
+    # (0, 2) was derivable before the deletion: its stale bit is set, and
+    # the answer needs the one re-solve
+    assert not idx.query(0, 2)
+    assert len(calls) == 2
+    assert not idx.stale
+    assert idx.query(2, 4) and not idx.query(0, 4)
+    assert len(calls) == 2
