@@ -68,17 +68,25 @@ def union(*parts: Regex) -> Regex:
 class Nfa:
     """Epsilon-NFA with integer states; state 0 is initial.
 
-    Subset steps are memoized per automaton (a lazy DFA, as in Thompson's
-    simulation), so the transitions must not change after the first
-    ``start`` or ``advance``.
+    Membership runs on a lazy DFA (Thompson's simulation with its subset
+    steps memoized per automaton).  Each reachable subset of NFA states is
+    interned once as an integer id; per id the automaton keeps a
+    label -> id dict and a ``final`` flag, and id 0 is the empty (dead)
+    subset.  ``start`` and ``advance`` return these ids.  Subsets are built
+    on first use, so the transitions and accepting states must not change
+    after the first ``start`` or ``advance``.
     """
 
     def __init__(self):
         self.eps: list[list[int]] = []
         self.step: list[list[tuple[Label, int]]] = []
         self.accepting: set[int] = set()
-        self._start: frozenset[int] | None = None
-        self._advance: dict[tuple[frozenset[int], Label], frozenset[int]] = {}
+        self._ids: dict[frozenset[int], int] = {}
+        self._subsets: list[frozenset[int]] = []
+        self.moves: list[dict[Label, int]] = []
+        self.final: list[bool] = []
+        self._start: int | None = None
+        self._intern(frozenset())
 
     def new_state(self) -> int:
         self.eps.append([])
@@ -96,29 +104,42 @@ class Nfa:
                     stack.append(t)
         return frozenset(seen)
 
-    def advance(self, states: frozenset[int], label: Label) -> frozenset[int]:
-        key = (states, label)
-        out = self._advance.get(key)
+    def _intern(self, subset: frozenset[int]) -> int:
+        sid = self._ids.get(subset)
+        if sid is None:
+            sid = self._ids[subset] = len(self._subsets)
+            self._subsets.append(subset)
+            self.moves.append({})
+            self.final.append(any(s in self.accepting for s in subset))
+        return sid
+
+    def advance(self, state: int, label: Label) -> int:
+        """The DFA step from subset id ``state`` on ``label`` (0 if no
+        NFA state survives)."""
+        moves = self.moves[state]
+        out = moves.get(label)
         if out is None:
-            nxt = {t for s in states for (lab, t) in self.step[s] if lab == label}
-            out = self._advance[key] = self.closure(nxt)
+            nxt = {t for s in self._subsets[state]
+                   for (lab, t) in self.step[s] if lab == label}
+            out = moves[label] = self._intern(self.closure(nxt))
         return out
 
-    def start(self) -> frozenset[int]:
+    def start(self) -> int:
         if self._start is None:
-            self._start = self.closure([0])
+            self._start = self._intern(self.closure([0]))
         return self._start
 
-    def accepts_set(self, states: frozenset[int]) -> bool:
-        return any(s in self.accepting for s in states)
-
     def accepts(self, word: Sequence[Label]) -> bool:
-        states = self.start()
+        state = self.start()
+        moves = self.moves
         for label in word:
-            states = self.advance(states, label)
-            if not states:
+            nxt = moves[state].get(label)
+            if nxt is None:
+                nxt = self.advance(state, label)
+            if not nxt:
                 return False
-        return self.accepts_set(states)
+            state = nxt
+        return self.final[state]
 
 
 def compile_regex(expr: Regex) -> Nfa:
@@ -192,11 +213,18 @@ def brute_matches(expr: Regex, word: Sequence[Label]) -> bool:
     only on short words, kept independent of the NFA path."""
     word = tuple(word)
     n = len(word)
+    # memo keyed by node identity: hashing a frozen node rehashes its
+    # whole subtree, which made up most of the time
+    memo: dict[tuple[int, int, int], bool] = {}
 
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
     def match(e: Regex, i: int, j: int) -> bool:
+        key = (id(e), i, j)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = split(e, i, j)
+        return hit
+
+    def split(e: Regex, i: int, j: int) -> bool:
         if isinstance(e, Eps):
             return i == j
         if isinstance(e, Lit):
@@ -220,14 +248,18 @@ def enumerate_accepted(nfa: Nfa, alphabet: Sequence[Label],
                        max_len: int) -> Iterator[tuple[Label, ...]]:
     """All accepted words of length <= max_len, shortest first, each length
     in label order."""
+    moves, final = nfa.moves, nfa.final
     frontier = [((), nfa.start())]
     for _ in range(max_len + 1):
         nxt = []
-        for word, states in frontier:
-            if nfa.accepts_set(states):
+        for word, state in frontier:
+            if final[state]:
                 yield word
+            out = moves[state]
             for label in alphabet:
-                adv = nfa.advance(states, label)
+                adv = out.get(label)
+                if adv is None:
+                    adv = nfa.advance(state, label)
                 if adv:
                     nxt.append((word + (label,), adv))
         frontier = nxt

@@ -272,8 +272,8 @@ def cmd_oracle(args, rep: Reporter) -> int:
     if args.what == "paths":
         inst = _load_graph(args.graph)
         budget = EnumerationBudget(args.max_len, args.max_paths)
-        predicate = is_dyck if args.balanced else (lambda labels: True)
-        enum = enumerate_paths(inst, args.source, args.sink, budget, predicate)
+        enum = enumerate_paths(inst, args.source, args.sink, budget,
+                               balanced=args.balanced)
         rep.emit("paths", len(enum.paths))
         rep.emit("truncated", enum.truncated)
         for i, path in enumerate(enum.paths):

@@ -9,6 +9,7 @@ them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -47,54 +48,82 @@ def _sorted_adjacency(inst: Instance) -> dict[int, list[tuple[Label, int]]]:
 
 
 def enumerate_paths(inst: Instance, source: int, sink: int,
-                    budget: EnumerationBudget,
-                    predicate: Callable[[tuple[Label, ...]], bool],
-                    prefix_ok: Optional[Callable[[tuple[Label, ...]], bool]] = None,
+                    budget: EnumerationBudget, balanced: bool = False,
                     ) -> Enumeration:
-    """All walks source -> sink of length <= max_path_length whose label
-    satisfies the predicate, in length-lexicographic order, capped at
-    max_paths.  ``prefix_ok`` prunes the search on partial labels; it must
-    be prefix-closed and true on every prefix of an accepted label."""
+    """All walks source -> sink of length <= max_path_length, in
+    length-lexicographic order, capped at max_paths.
+
+    With ``balanced``, only walks whose label is a balanced word (as
+    ``words.is_dyck``: ``dot`` never is).  The search then keeps the
+    unmatched opening letters of the partial label on its own stack,
+    pushed and popped with the walk, and does not extend a prefix that no
+    word completes to a balanced one, so each step costs O(1).  A pruned
+    step still counts as an expansion.
+    """
     vertices = range(inst.graph.vertex_count)
     if source not in vertices or sink not in vertices:
         raise ValueError(f"endpoint out of range: ({source}, {sink})")
-    adj = _sorted_adjacency(inst)
+    # Per vertex, (edge, letter, target).  The letter is +k for an opening
+    # label and -k for its partner, k numbering the (base, index) pairs;
+    # dot is 0.
+    pair_ids: dict[tuple[str, int], int] = {}
+    moves: dict[int, tuple[tuple[PathEdge, int, int], ...]] = {}
+    for u, adj in _sorted_adjacency(inst).items():
+        out = []
+        for lab, v in adj:
+            letter = 0
+            if lab.base != "dot":
+                letter = pair_ids.setdefault((lab.base, lab.index),
+                                             len(pair_ids) + 1)
+                if lab.bar:
+                    letter = -letter
+            out.append(((u, lab, v), letter, v))
+        moves[u] = tuple(out)
+    cap = math.inf if budget.max_expansions is None else budget.max_expansions
+    max_paths = budget.max_paths
     found: list[tuple[PathEdge, ...]] = []
     truncated = False
     expansions = 0
+    edges: list[PathEdge] = []
+    stack: list[int] = []  # stays empty unless balanced
+
+    def walk(at: int, left: int) -> bool:
+        nonlocal truncated, expansions
+        if left == 0:
+            if at == sink and not stack:
+                found.append(tuple(edges))
+                if len(found) >= max_paths:
+                    truncated = True
+                    return False
+            return True
+        for edge, letter, nxt in moves.get(at, ()):
+            expansions += 1
+            if expansions > cap:
+                truncated = True
+                return False
+            if balanced:
+                if letter > 0:
+                    stack.append(letter)
+                elif letter and stack and stack[-1] == -letter:
+                    stack.pop()
+                else:
+                    continue
+            edges.append(edge)
+            ok = walk(nxt, left - 1)
+            edges.pop()
+            if balanced:
+                if letter > 0:
+                    stack.pop()
+                else:
+                    stack.append(-letter)
+            if not ok:
+                return False
+        return True
 
     for length in range(budget.max_path_length + 1):
         if truncated:
             break
-
-        def walk(at: int, left: int, edges: list[PathEdge],
-                 labels: list[Label]) -> bool:
-            nonlocal truncated, expansions
-            if left == 0:
-                if at == sink and predicate(tuple(labels)):
-                    found.append(tuple(edges))
-                    if len(found) >= budget.max_paths:
-                        truncated = True
-                        return False
-                return True
-            for lab, nxt in adj.get(at, ()):
-                expansions += 1
-                if budget.max_expansions is not None \
-                        and expansions > budget.max_expansions:
-                    truncated = True
-                    return False
-                labels.append(lab)
-                if prefix_ok is None or prefix_ok(tuple(labels)):
-                    edges.append((at, lab, nxt))
-                    if not walk(nxt, left - 1, edges, labels):
-                        labels.pop()
-                        edges.pop()
-                        return False
-                    edges.pop()
-                labels.pop()
-            return True
-
-        walk(source, length, [], [])
+        walk(source, length)
     return Enumeration(tuple(found), truncated)
 
 
@@ -239,9 +268,10 @@ def enumerate_nominal_paths(red, tag: tuple, budget: EnumerationBudget,
     ``tag`` is either ``("loop", x)`` for stutter loops at x, or
     ``("edge", x, label, y)`` for chain traversals of one source edge.
     Pruned by membership of the partial label in the factor language (which
-    is factor-closed, so the pruning is sound).  The reduced partial label
-    is kept as a stack that is pushed and popped with the search, so each
-    step costs O(1).
+    is factor-closed, so the pruning is sound).  The moves of the tag are
+    compiled once per call, one tuple per vertex, and the reduced partial
+    label is kept as a stack that is pushed and popped with the search, so
+    each step costs O(1).
     """
     if red.kind != "dyck2_to_undirected":
         raise ValueError("nominal enumeration needs an undirected-gadget target")
@@ -249,30 +279,45 @@ def enumerate_nominal_paths(red, tag: tuple, budget: EnumerationBudget,
     if tag[0] == "loop":
         x = tag[1]
         start = finish = x
+        loop = True
         allowed_interior = None  # any non-original vertex works, labels 0/0bar
-
-        def edge_ok(lab: Label) -> bool:
-            return lab.index == 1
     elif tag[0] == "edge":
         _, x, lab0, y = tag
         start, finish = x, y
+        loop = False
         allowed_interior = {red.vertex_id((x, lab0, y, i)) for i in range(1, 12)}
-
-        def edge_ok(lab: Label) -> bool:
-            return True
     else:
         raise ValueError(f"unknown tag {tag!r}")
 
     original = {i for i, name in enumerate(red.names) if len(name) == 1}
-    adj = _sorted_adjacency(inst)
+    # Per vertex, the tag's moves (label, letter, target, may step).  The
+    # letter is +k for l_k and -k for l_k-bar: the target alphabet is
+    # dyck 2, so every base is "l" and the index alone decides partners.
+    # A stutter loop only reads pair 1.  A walk stops at the first original
+    # vertex, so it may step onto no original vertex but the finish, and a
+    # chain traversal onto no other chain's interior; such a move still
+    # counts as an expansion.
+    moves: dict[int, tuple[tuple[Label, int, int, bool], ...]] = {}
+    for u, adj in _sorted_adjacency(inst).items():
+        out = []
+        for lab, v in adj:
+            if loop and lab.index != 1:
+                continue
+            if v in original:
+                may_step = v == finish
+            else:
+                may_step = allowed_interior is None or v in allowed_interior
+            out.append((lab, -lab.index if lab.bar else lab.index, v, may_step))
+        moves[u] = tuple(out)
+    cap = math.inf if budget.max_expansions is None else budget.max_expansions
     results: list[tuple[Label, ...]] = []
     truncated = False
     expansions = 0
     labels: list[Label] = []
-    # Normal form of ``labels`` under open-then-close cancellation.  Every
-    # walked prefix is a factor word, so this is closing letters followed
-    # by opening letters.
-    reduced: list[Label] = []
+    # Letters of the normal form of ``labels`` under open-then-close
+    # cancellation.  Every walked prefix is a factor word, so this is
+    # closing letters followed by opening letters.
+    reduced: list[int] = []
 
     def walk(at: int, steps_left: int):
         nonlocal truncated, expansions
@@ -281,43 +326,36 @@ def enumerate_nominal_paths(red, tag: tuple, budget: EnumerationBudget,
         if labels and at == finish:
             # chain traversals must touch the second pair; a pair-1-only
             # return (possible on a self-loop chain) is a stutter loop
-            if tag[0] == "loop" or any(lab.index == 2 for lab in labels):
+            if loop or any(lab.index == 2 for lab in labels):
                 results.append(tuple(labels))
                 if len(results) >= budget.max_paths:
                     truncated = True
             return  # nominal paths stop at the first original endpoint
         if steps_left == 0:
             return
-        for lab, nxt in adj.get(at, ()):
-            if not edge_ok(lab):
-                continue
+        for lab, letter, nxt, may_step in moves.get(at, ()):
             expansions += 1
-            if budget.max_expansions is not None \
-                    and expansions > budget.max_expansions:
+            if expansions > cap:
                 truncated = True
                 return
-            if nxt in original and nxt != finish:
-                continue
-            if allowed_interior is not None and nxt not in original \
-                    and nxt not in allowed_interior:
+            if not may_step:
                 continue
             # A closing letter after an opening one cancels it if it is
             # its partner and leaves the factor language otherwise.
-            cancelled = None
-            if lab.bar and reduced and not reduced[-1].bar:
-                top = reduced[-1]
-                if top.index != lab.index or top.base != lab.base:
+            cancelled = 0
+            if letter < 0 and reduced and reduced[-1] > 0:
+                if reduced[-1] != -letter:
                     continue
                 cancelled = reduced.pop()
             else:
-                reduced.append(lab)
+                reduced.append(letter)
             labels.append(lab)
             walk(nxt, steps_left - 1)
             labels.pop()
-            if cancelled is None:
-                reduced.pop()
-            else:
+            if cancelled:
                 reduced.append(cancelled)
+            else:
+                reduced.pop()
 
     walk(start, budget.max_path_length)
     return tuple(results), truncated

@@ -17,9 +17,9 @@ from .oracle import (EnumerationBudget, enumerate_nominal_paths,
                      enumerate_paths, factor_of_dyck_oracle)
 from .reductions import CompiledReduction, compile_dyck2_to_undirected
 from .saturate import solve_dyck
-from .words import (ZO_ALPHABET, in_q, in_q_init, is_dyck, is_dyck_prefix,
-                    mu, nominal_decompose, reduce_word,
-                    reduced_language_nfa, regular_nfa)
+from .words import (ZO_ALPHABET, in_q, in_q_init, is_dyck_prefix, mu,
+                    nominal_decompose, reduce_word, reduced_in_q,
+                    reduced_in_q_init, reduced_language_nfa, regular_nfa)
 
 
 @dataclass
@@ -91,17 +91,15 @@ def suite_lemma5(max_len: int = 10) -> SuiteResult:
     plus = regular_nfa("varpi+")
     minus = regular_nfa("varpi-")
     for rho in _varpi_words(max_len):
-        w = (one, zero) + rho
-        if in_q(w):
-            r = reduce_word(w)
+        r = reduce_word((one, zero) + rho)
+        if reduced_in_q(r):
             res.check(len(r) >= 2 and r[0] == one and r[1] == zero
                       and plus.accepts(r[2:]),
                       f"reduction of 1 0 {words.zo_str(rho)} leaves 1 0 varpi+")
         else:
             res.checked += 1
-        w2 = rho + (zbar, obar)
-        if in_q(w2):
-            r = reduce_word(w2)
+        r = reduce_word(rho + (zbar, obar))
+        if reduced_in_q(r):
             res.check(len(r) >= 2 and r[-2] == zbar and r[-1] == obar
                       and minus.accepts(r[:-2]),
                       f"reduction of {words.zo_str(rho)} 0bar 1bar leaves varpi- 0bar 1bar")
@@ -218,17 +216,23 @@ def suite_lemma7(red: CompiledReduction | None = None,
     if len(rhos) > sample_cap:
         rhos = rng.sample(rhos, sample_cap)
 
+    # Reduction is a monoid congruence with unique normal forms, so each
+    # factor is reduced once and only the concatenation of the reduced
+    # factors is reduced per combination.
+    reduced_by_label = {lab: [reduce_word(w) for w in pool]
+                        for lab, pool in by_label.items()}
+    reduced_rhos = [reduce_word(rho) for rho in rhos]
+
     def pairs(open_k: int, close_k: int):
-        for w1 in by_label.get(Label("l", open_k, False), ()):
-            for w3 in by_label.get(Label("l", close_k, True), ()):
-                yield w1, w3
+        for r1 in reduced_by_label.get(Label("l", open_k, False), ()):
+            for r3 in reduced_by_label.get(Label("l", close_k, True), ()):
+                yield r1, r3
 
     for k in (1, 2):
-        for w1, w3 in pairs(k, k):
-            for rho in rhos:
-                w = w1 + rho + w3
-                if in_q(w):
-                    r = reduce_word(w)
+        for r1, r3 in pairs(k, k):
+            for rr in reduced_rhos:
+                r = reduce_word(r1 + rr + r3)
+                if reduced_in_q(r):
                     res.check(varpi_red.accepts(r),
                               f"matched pair {k}: reduction of a factor word "
                               f"escapes even the closure of varpi: {words.zo_str(r)}")
@@ -237,14 +241,14 @@ def suite_lemma7(red: CompiledReduction | None = None,
                 else:
                     res.checked += 1
     for k, other in ((1, 2), (2, 1)):
-        for w1, w3 in pairs(k, other):
-            for rho in rhos:
-                res.check(not in_q(w1 + rho + w3),
+        for r1, r3 in pairs(k, other):
+            for rr in reduced_rhos:
+                res.check(not reduced_in_q(reduce_word(r1 + rr + r3)),
                           f"mismatched pair {k}/{other}: factor word survived")
     for k in (1, 2):
-        for w3 in by_label.get(Label("l", k, True), ()):
-            for rho in rhos:
-                res.check(not in_q_init(rho + w3),
+        for r3 in reduced_by_label.get(Label("l", k, True), ()):
+            for rr in reduced_rhos:
+                res.check(not reduced_in_q_init(reduce_word(rr + r3)),
                           f"closing chain {k} started a balanced prefix")
     return res
 
@@ -259,8 +263,7 @@ def suite_lemma4(red: CompiledReduction | None = None,
     if budget is None:
         budget = EnumerationBudget(40, 500)
     inst = red.target
-    enum = enumerate_paths(inst, inst.source, inst.sink, budget,
-                           predicate=is_dyck, prefix_ok=in_q_init)
+    enum = enumerate_paths(inst, inst.source, inst.sink, budget, balanced=True)
     for path in enum.paths:
         if not path:
             continue

@@ -102,20 +102,31 @@ def in_q(w: Sequence[Label]) -> bool:
     followed by opening letters.  Validated elsewhere against the
     brute-force factor oracle.
     """
-    r = reduce_word(w)
-    seen_open = False
-    for lab in r:
-        if lab.bar and seen_open:
-            return False
-        if not lab.bar:
-            seen_open = True
-    return True
+    return reduced_in_q(reduce_word(w))
 
 
 def in_q_init(w: Sequence[Label]) -> bool:
     """Is w a prefix of some balanced two-pair word?  Equivalently, the
     reduced word has opening letters only."""
-    return all(not lab.bar for lab in reduce_word(w))
+    return reduced_in_q_init(reduce_word(w))
+
+
+def reduced_in_q(r: Sequence[Label]) -> bool:
+    """``in_q`` of a word already in normal form: closing letters, then
+    opening letters."""
+    seen_open = False
+    for lab in r:
+        if lab.bar:
+            if seen_open:
+                return False
+        else:
+            seen_open = True
+    return True
+
+
+def reduced_in_q_init(r: Sequence[Label]) -> bool:
+    """``in_q_init`` of a word already in normal form: no closing letter."""
+    return not any(lab.bar for lab in r)
 
 
 # ---------------------------------------------------------------------------

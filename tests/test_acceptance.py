@@ -56,8 +56,7 @@ def test_wrap_only_solver_misses_the_concatenation_chain():
     inst = gap_chain_instance()
     assert not solve_dyck_wrap_only(inst).query(0, 4)
     assert solve_dyck(inst).query(0, 4)
-    enum = enumerate_paths(inst, 0, 4, EnumerationBudget(4, 10),
-                           predicate=is_dyck)
+    enum = enumerate_paths(inst, 0, 4, EnumerationBudget(4, 10), balanced=True)
     labels = [tuple(lab for _, lab, _ in p) for p in enum.paths]
     assert (L1, L1BAR, L2, L2BAR) in labels
 
@@ -155,8 +154,7 @@ def test_undirected_gadget_cycles_and_their_ancestors():
     inst = red.target
     assert inst.graph.vertex_count == 178
     # short balanced cycles at the source exist and have empty ancestors
-    enum = enumerate_paths(inst, 0, 0, EnumerationBudget(4, 50),
-                           predicate=is_dyck, prefix_ok=in_q_init)
+    enum = enumerate_paths(inst, 0, 0, EnumerationBudget(4, 50), balanced=True)
     short = [p for p in enum.paths if p]
     assert short
     for path in short:

@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import functools
 import itertools
 
 from dycklab import automata, reduce_word, reduced_language_nfa
@@ -40,16 +41,49 @@ def _zo_words(max_len: int):
         yield from itertools.product(ZO_ALPHABET, repeat=length)
 
 
+@functools.cache
+def _brute_members(which: str) -> dict:
+    """Every two-pair word up to length 6 with its membership under the
+    regex's brute semantics, computed once for the tests below."""
+    return {w: automata.brute_matches(REGULAR_EXPRS[which], w)
+            for w in _zo_words(6)}
+
+
+def _subset_simulation(nfa, w) -> bool:
+    """Membership by plain subset simulation over the automaton's own
+    transition lists, with no memo and no interned states."""
+    def close(states):
+        seen = set(states)
+        stack = list(states)
+        while stack:
+            for t in nfa.eps[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return seen
+
+    states = close({0})
+    for label in w:
+        states = close({t for s in states for lab, t in nfa.step[s]
+                        if lab == label})
+    return bool(states & nfa.accepting)
+
+
 def test_a_warm_nfa_matches_brute_semantics():
-    """One automaton per language, reused over every short word, so most
-    subset steps come from its memo."""
-    for which in ("omega", "varpi+", "varpi"):
-        nfa = automata.compile_regex(REGULAR_EXPRS[which])
-        expected = {w: automata.brute_matches(REGULAR_EXPRS[which], w)
-                    for w in _zo_words(5)}
+    """One automaton per language, and one per reduction closure, reused
+    over every short word, so most subset steps come from its memo.  A
+    language automaton answers as the regex's brute semantics; a closure
+    automaton, which has no regex, as a plain subset simulation."""
+    words = list(_zo_words(5))
+    for which, expr in REGULAR_EXPRS.items():
+        nfa = automata.compile_regex(expr)
+        closure = automata.reduction_closure(automata.compile_regex(expr))
+        expected = _brute_members(which)
+        expected_closure = {w: _subset_simulation(closure, w) for w in words}
         for _ in range(2):
-            for w, member in expected.items():
-                assert nfa.accepts(w) == member, (which, w)
+            for w in words:
+                assert nfa.accepts(w) == expected[w], (which, w)
+                assert closure.accepts(w) == expected_closure[w], (which, w)
 
 
 def test_closure_of_a_used_nfa_matches_a_fresh_one():
@@ -79,6 +113,16 @@ def test_cat_and_union_helpers():
     nfa = automata.compile_regex(u)
     assert nfa.accepts((ZERO,)) and nfa.accepts((ONE,))
     assert not nfa.accepts(())
+
+
+def test_enumerate_accepted_matches_a_brute_filter_in_order():
+    """Shortest first, each length in alphabet order: the order of
+    ``itertools.product`` filtered by the regex's brute semantics."""
+    for which, expr in REGULAR_EXPRS.items():
+        want = [w for w, member in _brute_members(which).items() if member]
+        got = list(automata.enumerate_accepted(
+            automata.compile_regex(expr), ZO_ALPHABET, 6))
+        assert got == want, which
 
 
 def test_enumerate_accepted_respects_the_bound():

@@ -268,6 +268,44 @@ def test_oracle_paths(capsys, gap_chain):
     assert "path[0]=l1 l1bar l2 l2bar" in out
 
 
+NEAR_DYCK_CYCLES = """graph directed
+vertices 3
+alphabet neardyck 3
+edge 0 v0 1
+edge 1 v0bar 0
+edge 1 v1 2
+edge 2 v1bar 1
+edge 2 v0bar 0
+edge 0 dot 0
+edge 1 dot 2
+mark 0 0
+"""
+
+
+@pytest.mark.parametrize("limits, expected", [
+    (("--max-len", "6"),
+     ["paths=8", "truncated=false", "path[0]=eps", "path[1]=v0 v0bar",
+      "path[2]=v0 v0bar v0 v0bar", "path[3]=v0 v1 v1bar v0bar",
+      "path[4]=v0 v0bar v0 v0bar v0 v0bar",
+      "path[5]=v0 v0bar v0 v1 v1bar v0bar",
+      "path[6]=v0 v1 v1bar v0bar v0 v0bar",
+      "path[7]=v0 v1 v1bar v1 v1bar v0bar"]),
+    (("--max-len", "10", "--max-paths", "4"),
+     ["paths=4", "truncated=true", "path[0]=eps", "path[1]=v0 v0bar",
+      "path[2]=v0 v0bar v0 v0bar", "path[3]=v0 v1 v1bar v0bar"]),
+])
+def test_oracle_balanced_paths_on_a_fixed_near_dyck_graph(capsys, tmp_path,
+                                                          limits, expected):
+    """Pinned output: dot loops and unmatched closes never appear, and
+    the walks come in length-lexicographic order."""
+    g = tmp_path / "cycles.graph"
+    g.write_text(NEAR_DYCK_CYCLES)
+    code, out, _ = run(capsys, "--kv", "oracle", "paths", str(g), "0", "0",
+                       "--balanced", *limits)
+    assert code == 0
+    assert out.splitlines() == expected
+
+
 @pytest.mark.parametrize("source, sink", [("99", "99"), ("0", "5")])
 def test_oracle_paths_rejects_endpoints_outside_the_graph(capsys, gap_chain,
                                                           source, sink):

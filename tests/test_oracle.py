@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dycklab import (Alphabet, EnumerationBudget, Instance, Label,
                      LabeledGraph, bfs_distances, brute_dyck_reach,
@@ -16,19 +18,20 @@ from dycklab.oracle import enumerate_nominal_paths
 from dycklab.words import ZO_ALPHABET
 
 from util import (gap_chain_instance, random_dyck_instance,
+                  random_neardyck_instance, reference_balanced_paths,
                   reference_nominal_paths)
 
 
 def test_empty_graph_empty_path():
     inst = Instance(LabeledGraph.build(True, 1, Alphabet("dyck", 1), []), 0, 0)
-    enum = enumerate_paths(inst, 0, 0, EnumerationBudget(2), predicate=is_dyck)
+    enum = enumerate_paths(inst, 0, 0, EnumerationBudget(2), balanced=True)
     assert enum.paths == ((),)
     assert not enum.truncated
 
 
 def test_unique_witness_on_the_concatenation_chain():
     inst = gap_chain_instance()
-    enum = enumerate_paths(inst, 0, 4, EnumerationBudget(6), predicate=is_dyck)
+    enum = enumerate_paths(inst, 0, 4, EnumerationBudget(6), balanced=True)
     assert len(enum.paths) == 1
     assert [lab.token() for _, lab, _ in enum.paths[0]] == \
         ["l1", "l1bar", "l2", "l2bar"]
@@ -38,8 +41,7 @@ def test_truncation_flag():
     lab = Label("l", 1, False)
     g = LabeledGraph.build(True, 1, Alphabet("dyck", 1), [(0, lab, 0)])
     inst = Instance(g, 0, 0)
-    enum = enumerate_paths(inst, 0, 0, EnumerationBudget(10, max_paths=3),
-                           predicate=lambda labels: True)
+    enum = enumerate_paths(inst, 0, 0, EnumerationBudget(10, max_paths=3))
     assert len(enum.paths) == 3
     assert enum.truncated
 
@@ -48,9 +50,9 @@ def test_budget_monotonicity():
     rng = random.Random(3)
     inst = random_dyck_instance(rng, max_vertices=4, density=0.3)
     small = enumerate_paths(inst, inst.source, inst.sink,
-                            EnumerationBudget(4), predicate=is_dyck)
+                            EnumerationBudget(4), balanced=True)
     large = enumerate_paths(inst, inst.source, inst.sink,
-                            EnumerationBudget(6), predicate=is_dyck)
+                            EnumerationBudget(6), balanced=True)
     assert set(small.paths) <= set(large.paths)
 
 
@@ -58,10 +60,29 @@ def test_enumeration_is_deterministic():
     rng = random.Random(4)
     inst = random_dyck_instance(rng, max_vertices=5, density=0.3)
     a = enumerate_paths(inst, inst.source, inst.sink, EnumerationBudget(5),
-                        predicate=is_dyck)
+                        balanced=True)
     b = enumerate_paths(inst, inst.source, inst.sink, EnumerationBudget(5),
-                        predicate=is_dyck)
+                        balanced=True)
     assert a == b
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**9), st.booleans(), st.integers(0, 6),
+       st.integers(1, 40))
+def test_balanced_enumeration_matches_the_filtered_walks(seed, near, max_len,
+                                                         max_paths):
+    """The bracket stack keeps exactly the walks ``is_dyck`` accepts, in
+    the same order, with the same truncated flag, on Dyck and near-Dyck
+    instances (``v_i`` labels and ``dot``)."""
+    rng = random.Random(seed)
+    if near:
+        inst = random_neardyck_instance(rng, max_vertices=4, density=0.25)
+    else:
+        inst = random_dyck_instance(rng, max_vertices=4, density=0.35)
+    budget = EnumerationBudget(max_len, max_paths)
+    got = enumerate_paths(inst, inst.source, inst.sink, budget, balanced=True)
+    assert (got.paths, got.truncated) == \
+        reference_balanced_paths(inst, inst.source, inst.sink, budget)
 
 
 def test_brute_reach_edgeless_graph():
@@ -101,6 +122,7 @@ def _two_vertex_gadgets():
 @pytest.mark.parametrize("budget, truncates", [
     (EnumerationBudget(13, 10_000), False),
     (EnumerationBudget(30, 10_000, max_expansions=300), True),
+    (EnumerationBudget(30, 10_000, max_expansions=50), True),
 ])
 def test_nominal_paths_match_the_re_reducing_walk(budget, truncates):
     """The reduction stack finds the same labels, in the same order, with
@@ -114,6 +136,23 @@ def test_nominal_paths_match_the_re_reducing_walk(budget, truncates):
             assert all(in_q(w) for w in got[0])
             flags.add(got[1])
     assert (True in flags) == truncates
+
+
+def test_nominal_truncation_matches_the_re_reducing_walk_at_every_cap():
+    """A sweep of the expansion cap over a whole search lands it between
+    results, on blocked moves and on cancellations: the truncated search
+    must stop at exactly the walk the re-reducing search stops at."""
+    edges = [(0, Label("l", 1, False), 1), (1, Label("l", 2, True), 0)]
+    g = LabeledGraph.build(True, 2, Alphabet("dyck", 2), edges)
+    red = compile_dyck2_to_undirected(Instance(g, 0, 1))
+    flags = set()
+    for tag in [("edge",) + e for e in edges]:
+        for cap in range(0, 1600, 7):
+            budget = EnumerationBudget(13, 10_000, max_expansions=cap)
+            got = enumerate_nominal_paths(red, tag, budget)
+            assert got == reference_nominal_paths(red, tag, budget), (tag, cap)
+            flags.add((got[1], bool(got[0])))
+    assert flags == {(True, False), (True, True), (False, True)}
 
 
 # ---------------------------------------------------------------------------

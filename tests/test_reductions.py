@@ -12,7 +12,7 @@ from dycklab import (DOT, Alphabet, CompiledReduction, EnumerationBudget,
                      Instance, Label, LabeledGraph, UpdateOp, apply_update,
                      compile_alt_to_neardyck, compile_dyck2_to_undirected,
                      compile_neardyck_to_dyck2, compile_reduction,
-                     enumerate_paths, in_q_init, is_dyck, near_dyck_grammar,
+                     enumerate_paths, is_dyck, near_dyck_grammar,
                      nominal_decompose, solve_alternating, solve_cfl,
                      serialize_graph, serialize_updates, solve_dyck,
                      translate_updates)
@@ -169,8 +169,7 @@ def test_undirected_gadget_preconditions():
 def test_undirected_gadget_has_balanced_cycles_at_the_source():
     red = compile_dyck2_to_undirected(fig2_source())
     inst = red.target
-    enum = enumerate_paths(inst, 0, 0, EnumerationBudget(4, 50),
-                           predicate=is_dyck, prefix_ok=in_q_init)
+    enum = enumerate_paths(inst, 0, 0, EnumerationBudget(4, 50), balanced=True)
     short = [p for p in enum.paths if p]
     assert short  # an out-and-back cycle over the first chain edge
 
@@ -178,8 +177,7 @@ def test_undirected_gadget_has_balanced_cycles_at_the_source():
 def balanced_cycles_at_source(red, max_len, cap=400):
     inst = red.target
     enum = enumerate_paths(inst, inst.source, inst.sink,
-                           EnumerationBudget(max_len, cap),
-                           predicate=is_dyck, prefix_ok=in_q_init)
+                           EnumerationBudget(max_len, cap), balanced=True)
     return [p for p in enum.paths if p]
 
 

@@ -1,7 +1,10 @@
 """The bounded verification suites, plus the pinned witness that the
 matched-pair consecution fact needs the reduction-closure reading."""
 
+import itertools
 import time
+
+import pytest
 
 from dycklab import (Alphabet, EnumerationBudget, Instance, Label,
                      LabeledGraph, PHI_UNDIRECTED, in_q, reduce_word,
@@ -12,6 +15,9 @@ from dycklab.suites import (SUITES, default_gadget_source, suite_lemma4,
                             suite_prop1, suite_q_validate)
 from dycklab.reductions import compile_dyck2_to_undirected
 from dycklab.words import regular_nfa
+
+from util import (fig2_source, reference_suite_lemma5,
+                  reference_suite_lemma7)
 
 L2BAR = Label("l", 2, True)
 
@@ -77,6 +83,48 @@ def test_lemma7_small_budget():
     res = suite_lemma7(budget=EnumerationBudget(26, 120), varpi_max_len=4,
                        sample_cap=16, seed=1)
     assert res.ok, res.failures
+
+
+@pytest.mark.parametrize("max_len", [0, 4, 7])
+def test_lemma5_matches_the_in_q_then_reduce_loop(max_len):
+    got = suite_lemma5(max_len=max_len)
+    want = reference_suite_lemma5(max_len)
+    assert (got.checked, got.failures, got.info) == \
+        (want.checked, want.failures, want.info)
+    assert got.checked > 0
+
+
+def _lemma7_sources():
+    """The all-label default source, the worked bracket cycle, and every
+    two-edge 2-vertex source with one opening and one closing edge."""
+    yield default_gadget_source()
+    yield fig2_source()
+    opens = [(0, Label("l", k, False), 1) for k in (1, 2)]
+    closes = [(1, Label("l", k, True), 0) for k in (1, 2)]
+    for edges in itertools.product(opens, closes):
+        g = LabeledGraph.build(True, 2, Alphabet("dyck", 2), list(edges))
+        yield Instance(g, 0, 0)
+
+
+@pytest.mark.parametrize("budget, varpi_max_len, sample_cap, seed", [
+    (EnumerationBudget(24, 40, max_expansions=3000), 4, 8, 0),
+    (EnumerationBudget(16, 60, max_expansions=5000), 6, 12, 5),
+    (EnumerationBudget(14, 100), 6, 12, 1),
+])
+def test_lemma7_matches_the_in_q_then_reduce_loop(budget, varpi_max_len,
+                                                  sample_cap, seed):
+    """Reducing each factor once gives the counts, counterexamples and
+    miss counts of reducing every combined word whole."""
+    checked = 0
+    for source in _lemma7_sources():
+        red = compile_dyck2_to_undirected(source)
+        got = suite_lemma7(red, budget, varpi_max_len, sample_cap, seed)
+        want = reference_suite_lemma7(red, budget, varpi_max_len,
+                                      sample_cap, seed)
+        assert (got.checked, got.failures, got.info) == \
+            (want.checked, want.failures, want.info)
+        checked += got.checked
+    assert checked > 0
 
 
 def test_prop1_suite():

@@ -57,6 +57,16 @@ def test_reduce_is_confluent_under_random_order(w, seed):
     assert tuple(cur) == reduce_word(w)
 
 
+@settings(max_examples=200, deadline=None)
+@given(zo_words, zo_words, zo_words)
+def test_reduction_of_a_concatenation_reduces_its_reduced_factors(u, v, w):
+    """Reduction is a congruence, so a word may be reduced factor by
+    factor first: the suites reduce each factor once and then only the
+    concatenation of the reduced factors."""
+    assert reduce_word(u + v + w) == \
+        reduce_word(reduce_word(u) + reduce_word(v) + reduce_word(w))
+
+
 @settings(max_examples=100, deadline=None)
 @given(zo_words)
 def test_dyck_iff_reduction_empties(w):

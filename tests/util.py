@@ -177,3 +177,125 @@ def reference_nominal_paths(red, tag, budget):
 
     walk(start, [], budget.max_path_length)
     return tuple(results), truncated
+
+
+def reference_balanced_paths(inst, source, sink, budget):
+    """Every walk source -> sink of length <= max_path_length, in
+    length-lexicographic order, kept if ``is_dyck`` accepts its label, up
+    to max_paths: the balanced enumeration of
+    ``dycklab.oracle.enumerate_paths`` without its bracket stack or any
+    pruning.  Ignores ``max_expansions``."""
+    from dycklab import is_dyck
+
+    adj = {}
+    for u, lab, v in inst.graph.directed_edges():
+        adj.setdefault(u, []).append((lab, v))
+    for lst in adj.values():
+        lst.sort()
+
+    def walks(at, left):
+        if left == 0:
+            if at == sink:
+                yield ()
+            return
+        for lab, nxt in adj.get(at, ()):
+            for rest in walks(nxt, left - 1):
+                yield ((at, lab, nxt),) + rest
+
+    found = []
+    for length in range(budget.max_path_length + 1):
+        for path in walks(source, length):
+            if is_dyck([lab for _, lab, _ in path]):
+                found.append(path)
+                if len(found) >= budget.max_paths:
+                    return tuple(found), True
+    return tuple(found), False
+
+
+def reference_suite_lemma5(max_len):
+    """``dycklab.suites.suite_lemma5`` as a loop that tests each word with
+    ``in_q`` and then reduces it again."""
+    from dycklab import automata, in_q, reduce_word, regular_nfa, words
+    from dycklab.suites import SuiteResult
+
+    res = SuiteResult("lemma5")
+    one, zero = words.ONE, words.ZERO
+    zbar, obar = words.ZERO_BAR, words.ONE_BAR
+    plus = regular_nfa("varpi+")
+    minus = regular_nfa("varpi-")
+    for rho in automata.enumerate_accepted(regular_nfa("varpi"),
+                                           words.ZO_ALPHABET, max_len):
+        w = (one, zero) + rho
+        if in_q(w):
+            r = reduce_word(w)
+            res.check(len(r) >= 2 and r[0] == one and r[1] == zero
+                      and plus.accepts(r[2:]),
+                      f"reduction of 1 0 {words.zo_str(rho)} leaves 1 0 varpi+")
+        else:
+            res.checked += 1
+        w2 = rho + (zbar, obar)
+        if in_q(w2):
+            r = reduce_word(w2)
+            res.check(len(r) >= 2 and r[-2] == zbar and r[-1] == obar
+                      and minus.accepts(r[:-2]),
+                      f"reduction of {words.zo_str(rho)} 0bar 1bar leaves varpi- 0bar 1bar")
+        else:
+            res.checked += 1
+    return res
+
+
+def reference_suite_lemma7(red, budget, varpi_max_len, sample_cap, seed):
+    """``dycklab.suites.suite_lemma7`` as a loop that tests every whole
+    combined word with ``in_q`` / ``in_q_init`` and then reduces it again,
+    on chain labels from :func:`reference_nominal_paths`."""
+    from dycklab import (automata, in_q, in_q_init, reduce_word,
+                         reduced_language_nfa, regular_nfa, words)
+    from dycklab.suites import SuiteResult
+
+    res = SuiteResult("lemma7")
+    rng = random.Random(seed)
+    varpi = regular_nfa("varpi")
+    varpi_red = reduced_language_nfa("varpi")
+    res.info["strict_misses"] = 0
+
+    by_label = {}
+    for x, lab, y in sorted(red.source.graph.edges):
+        labels, _ = reference_nominal_paths(red, ("edge", x, lab, y), budget)
+        by_label.setdefault(lab, []).extend(labels)
+    for lab, pool in by_label.items():
+        if len(pool) > sample_cap:
+            by_label[lab] = rng.sample(pool, sample_cap)
+    rhos = list(automata.enumerate_accepted(varpi, words.ZO_ALPHABET,
+                                            varpi_max_len))
+    if len(rhos) > sample_cap:
+        rhos = rng.sample(rhos, sample_cap)
+
+    def pairs(open_k, close_k):
+        for w1 in by_label.get(Label("l", open_k, False), ()):
+            for w3 in by_label.get(Label("l", close_k, True), ()):
+                yield w1, w3
+
+    for k in (1, 2):
+        for w1, w3 in pairs(k, k):
+            for rho in rhos:
+                w = w1 + rho + w3
+                if in_q(w):
+                    r = reduce_word(w)
+                    res.check(varpi_red.accepts(r),
+                              f"matched pair {k}: reduction of a factor word "
+                              f"escapes even the closure of varpi: {words.zo_str(r)}")
+                    if not varpi.accepts(r):
+                        res.info["strict_misses"] += 1
+                else:
+                    res.checked += 1
+    for k, other in ((1, 2), (2, 1)):
+        for w1, w3 in pairs(k, other):
+            for rho in rhos:
+                res.check(not in_q(w1 + rho + w3),
+                          f"mismatched pair {k}/{other}: factor word survived")
+    for k in (1, 2):
+        for w3 in by_label.get(Label("l", k, True), ()):
+            for rho in rhos:
+                res.check(not in_q_init(rho + w3),
+                          f"closing chain {k} started a balanced prefix")
+    return res
