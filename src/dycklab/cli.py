@@ -263,8 +263,7 @@ def cmd_word(args, rep: Reporter) -> int:
 def cmd_oracle(args, rep: Reporter) -> int:
     if args.what == "reach":
         inst = _load_graph(args.graph)
-        budget = EnumerationBudget(args.max_len, args.max_paths)
-        pairs = brute_dyck_reach(inst, budget)
+        pairs = brute_dyck_reach(inst, EnumerationBudget(args.max_len))
         rep.emit("pairs", len(pairs))
         for u, v in sorted(pairs):
             rep.emit("pair", f"{u},{v}")
@@ -387,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     op = osub.add_parser("reach")
     op.add_argument("graph")
     op.add_argument("--max-len", type=_limit, default=12)
-    op.add_argument("--max-paths", type=_limit, default=100_000)
     op.set_defaults(func=cmd_oracle)
     op = osub.add_parser("paths")
     op.add_argument("graph")

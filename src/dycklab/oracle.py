@@ -31,6 +31,18 @@ class EnumerationBudget:
     max_paths: int = 100_000
     max_expansions: Optional[int] = None
 
+    def __post_init__(self):
+        # the enumerators keep a path before they test the cap, so a cap
+        # of zero paths could not be honoured
+        if self.max_paths < 1:
+            raise ValueError(f"max_paths must be at least 1, got {self.max_paths}")
+        if self.max_path_length < 0:
+            raise ValueError(f"max_path_length must be non-negative, "
+                             f"got {self.max_path_length}")
+        if self.max_expansions is not None and self.max_expansions < 0:
+            raise ValueError(f"max_expansions must be non-negative, "
+                             f"got {self.max_expansions}")
+
 
 @dataclass(frozen=True)
 class Enumeration:

@@ -17,9 +17,10 @@ from .oracle import (EnumerationBudget, enumerate_nominal_paths,
                      enumerate_paths, factor_of_dyck_oracle)
 from .reductions import CompiledReduction, compile_dyck2_to_undirected
 from .saturate import solve_dyck
-from .words import (ZO_ALPHABET, in_q, in_q_init, is_dyck_prefix, mu,
-                    nominal_decompose, reduce_word, reduced_in_q,
-                    reduced_in_q_init, reduced_language_nfa, regular_nfa)
+from .words import (ZO_ALPHABET, in_q, in_q_init, is_dyck_prefix,
+                    join_reduced, mu, nominal_decompose, reduce_word,
+                    reduced_in_q, reduced_in_q_init, reduced_language_nfa,
+                    regular_nfa)
 
 
 @dataclass
@@ -84,27 +85,76 @@ def _varpi_words(max_len: int) -> list[tuple[Label, ...]]:
 
 def suite_lemma5(max_len: int = 10) -> SuiteResult:
     """If 1.0.rho stays a factor word for rho in varpi, its reduction is in
-    1.0.varpi+; dually for rho.0bar.1bar and varpi-."""
+    1.0.varpi+; dually for rho.0bar.1bar and varpi-.
+
+    One depth-first walk over the varpi DFA, in ``ZO_ALPHABET`` order to
+    depth ``max_len``, keeps the normal form of its prefix on a stack, so
+    each word costs one letter of reduction plus the junctions with 1.0
+    and 0bar.1bar (:func:`words.join_reduced`).  The walk is
+    lexicographic; failures are sorted stably by word length, so they come
+    shortest first and in label order within a length.
+    """
     res = SuiteResult("lemma5")
-    one, zero = words.ONE, words.ZERO
-    zbar, obar = words.ZERO_BAR, words.ONE_BAR
+    head, tail = (words.ONE, words.ZERO), (words.ZERO_BAR, words.ONE_BAR)
     plus = regular_nfa("varpi+")
     minus = regular_nfa("varpi-")
-    for rho in _varpi_words(max_len):
-        r = reduce_word((one, zero) + rho)
-        if reduced_in_q(r):
-            res.check(len(r) >= 2 and r[0] == one and r[1] == zero
-                      and plus.accepts(r[2:]),
-                      f"reduction of 1 0 {words.zo_str(rho)} leaves 1 0 varpi+")
+    varpi = regular_nfa("varpi")
+    moves, final = varpi.moves, varpi.final
+    found: list[tuple[int, str]] = []
+    rho: list[Label] = []               # the walk's word
+    red: list[Label] = []               # its normal form
+    cancelled: list[Label | None] = []  # per letter of rho, what it cancelled
+    states = [varpi.start()]            # per prefix of rho, its DFA state
+    nexts = [0]                         # per prefix of rho, the next letter to try
+
+    def visit():
+        res.checked += 2
+        r0 = tuple(red)
+        r = join_reduced(head, r0)
+        if reduced_in_q(r) and not (r[:2] == head and plus.accepts(r[2:])):
+            found.append((len(rho), f"reduction of 1 0 {words.zo_str(rho)} "
+                                    f"leaves 1 0 varpi+"))
+        r = join_reduced(r0, tail)
+        if reduced_in_q(r) and not (r[-2:] == tail and minus.accepts(r[:-2])):
+            found.append((len(rho), f"reduction of {words.zo_str(rho)} 0bar 1bar "
+                                    f"leaves varpi- 0bar 1bar"))
+
+    if max_len >= 0 and final[states[0]]:
+        visit()
+    while nexts:
+        i = nexts[-1]
+        if i == len(ZO_ALPHABET) or len(rho) >= max_len:
+            nexts.pop()
+            states.pop()
+            if rho:
+                rho.pop()
+                lab = cancelled.pop()
+                if lab is None:
+                    red.pop()
+                else:
+                    red.append(lab)
+            continue
+        nexts[-1] = i + 1
+        lab = ZO_ALPHABET[i]
+        state = moves[states[-1]].get(lab)
+        if state is None:
+            state = varpi.advance(states[-1], lab)
+        if not state:
+            continue
+        rho.append(lab)
+        top = red[-1] if red else None
+        if (top is not None and lab.bar and not top.bar
+                and top.index == lab.index and top.base == lab.base):
+            cancelled.append(red.pop())
         else:
-            res.checked += 1
-        r = reduce_word(rho + (zbar, obar))
-        if reduced_in_q(r):
-            res.check(len(r) >= 2 and r[-2] == zbar and r[-1] == obar
-                      and minus.accepts(r[:-2]),
-                      f"reduction of {words.zo_str(rho)} 0bar 1bar leaves varpi- 0bar 1bar")
-        else:
-            res.checked += 1
+            red.append(lab)
+            cancelled.append(None)
+        states.append(state)
+        nexts.append(0)
+        if final[state]:
+            visit()
+    found.sort(key=lambda f: f[0])
+    res.failures = [message for _, message in found]
     return res
 
 
@@ -217,38 +267,41 @@ def suite_lemma7(red: CompiledReduction | None = None,
         rhos = rng.sample(rhos, sample_cap)
 
     # Reduction is a monoid congruence with unique normal forms, so each
-    # factor is reduced once and only the concatenation of the reduced
-    # factors is reduced per combination.
+    # factor is reduced once; a combination then costs only the
+    # cancellations at its two junctions.
     reduced_by_label = {lab: [reduce_word(w) for w in pool]
                         for lab, pool in by_label.items()}
     reduced_rhos = [reduce_word(rho) for rho in rhos]
 
-    def pairs(open_k: int, close_k: int):
+    def joined(open_k: int, close_k: int):
+        """Normal forms of r1 + rho + r3, looping over r1, r3, rho."""
+        closing = reduced_by_label.get(Label("l", close_k, True))
+        if not closing:
+            return
         for r1 in reduced_by_label.get(Label("l", open_k, False), ()):
-            for r3 in reduced_by_label.get(Label("l", close_k, True), ()):
-                yield r1, r3
+            heads = [join_reduced(r1, rr) for rr in reduced_rhos]
+            for r3 in closing:
+                for h in heads:
+                    yield join_reduced(h, r3)
 
     for k in (1, 2):
-        for r1, r3 in pairs(k, k):
-            for rr in reduced_rhos:
-                r = reduce_word(r1 + rr + r3)
-                if reduced_in_q(r):
-                    res.check(varpi_red.accepts(r),
-                              f"matched pair {k}: reduction of a factor word "
-                              f"escapes even the closure of varpi: {words.zo_str(r)}")
-                    if not varpi.accepts(r):
-                        res.info["strict_misses"] += 1
-                else:
-                    res.checked += 1
+        for r in joined(k, k):
+            if reduced_in_q(r):
+                res.check(varpi_red.accepts(r),
+                          f"matched pair {k}: reduction of a factor word "
+                          f"escapes even the closure of varpi: {words.zo_str(r)}")
+                if not varpi.accepts(r):
+                    res.info["strict_misses"] += 1
+            else:
+                res.checked += 1
     for k, other in ((1, 2), (2, 1)):
-        for r1, r3 in pairs(k, other):
-            for rr in reduced_rhos:
-                res.check(not reduced_in_q(reduce_word(r1 + rr + r3)),
-                          f"mismatched pair {k}/{other}: factor word survived")
+        for r in joined(k, other):
+            res.check(not reduced_in_q(r),
+                      f"mismatched pair {k}/{other}: factor word survived")
     for k in (1, 2):
         for r3 in reduced_by_label.get(Label("l", k, True), ()):
             for rr in reduced_rhos:
-                res.check(not reduced_in_q_init(reduce_word(rr + r3)),
+                res.check(not reduced_in_q_init(join_reduced(rr, r3)),
                           f"closing chain {k} started a balanced prefix")
     return res
 

@@ -59,6 +59,25 @@ def reduce_word(w: Sequence[Label]) -> Word:
     return tuple(out)
 
 
+def join_reduced(p: Word, q: Word) -> Word:
+    """``reduce_word(p + q)`` for ``p`` and ``q`` already in normal form.
+
+    The normal form of a concatenation of normal forms changes only at the
+    junction (Book & Otto, *String-Rewriting Systems*, 1993): the last
+    letters of ``p`` cancel against the first letters of ``q`` while they
+    are partners (same test as :func:`reduce_word`), so the cost is the
+    number of cancelled letters plus one slice.
+    """
+    i, j, n = len(p), 0, len(q)
+    while i and j < n:
+        top, lab = p[i - 1], q[j]
+        if top.bar or not lab.bar or top.index != lab.index or top.base != lab.base:
+            break
+        i -= 1
+        j += 1
+    return p[:i] + q[j:]
+
+
 def is_dyck(w: Sequence[Label]) -> bool:
     """Membership in the balanced-bracket language (any number of pairs)."""
     stack: list[Label] = []

@@ -344,6 +344,19 @@ def test_a_suite_that_checked_nothing_fails(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("oracle", "paths", "{graph}", "0", "4", "--max-paths", "0"),
+    ("suite", "lemma6", "--max-paths", "0"),
+])
+def test_a_zero_path_cap_is_rejected(capsys, gap_chain, argv):
+    """The enumerators keep a path before they test the cap, so a cap of
+    zero paths would still return one: it is an error instead."""
+    code, out, err = run(capsys, "--kv",
+                         *(a.format(graph=gap_chain) for a in argv))
+    assert code == 2
+    assert "error: max_paths must be at least 1" in err
+    assert "paths=" not in out and "verdict=" not in out
+
+@pytest.mark.parametrize("argv", [
     ("suite", "prop1", "--samples", "-5"),
     ("suite", "lemma4", "--budget", "-1"),
     ("suite", "lemma6", "--max-paths", "-1"),

@@ -85,6 +85,16 @@ def test_balanced_enumeration_matches_the_filtered_walks(seed, near, max_len,
         reference_balanced_paths(inst, inst.source, inst.sink, budget)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(max_path_length=4, max_paths=0),
+    dict(max_path_length=-1),
+    dict(max_path_length=4, max_expansions=-1),
+])
+def test_a_budget_that_cannot_be_honoured_is_rejected(kwargs):
+    with pytest.raises(ValueError):
+        EnumerationBudget(**kwargs)
+
+
 def test_brute_reach_edgeless_graph():
     inst = Instance(LabeledGraph.build(True, 3, Alphabet("dyck", 1), []), 0, 0)
     assert brute_dyck_reach(inst, EnumerationBudget(4)) == \

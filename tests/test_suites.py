@@ -6,10 +6,12 @@ import time
 
 import pytest
 
+import dycklab
 from dycklab import (Alphabet, EnumerationBudget, Instance, Label,
                      LabeledGraph, PHI_UNDIRECTED, in_q, reduce_word,
                      reduced_language_nfa)
 from dycklab.oracle import enumerate_nominal_paths
+from dycklab import suites
 from dycklab.suites import (SUITES, default_gadget_source, suite_lemma4,
                             suite_lemma5, suite_lemma6, suite_lemma7,
                             suite_prop1, suite_q_validate)
@@ -85,7 +87,7 @@ def test_lemma7_small_budget():
     assert res.ok, res.failures
 
 
-@pytest.mark.parametrize("max_len", [0, 4, 7])
+@pytest.mark.parametrize("max_len", [0, 4, 7, 10])
 def test_lemma5_matches_the_in_q_then_reduce_loop(max_len):
     got = suite_lemma5(max_len=max_len)
     want = reference_suite_lemma5(max_len)
@@ -93,6 +95,11 @@ def test_lemma5_matches_the_in_q_then_reduce_loop(max_len):
         (want.checked, want.failures, want.info)
     assert got.checked > 0
 
+
+def test_lemma5_below_length_zero_visits_no_word():
+    got, want = suite_lemma5(max_len=-1), reference_suite_lemma5(-1)
+    assert (got.checked, got.failures) == (want.checked, want.failures) \
+        == (0, [])
 
 def _lemma7_sources():
     """The all-label default source, the worked bracket cycle, and every
@@ -126,6 +133,46 @@ def test_lemma7_matches_the_in_q_then_reduce_loop(budget, varpi_max_len,
         checked += got.checked
     assert checked > 0
 
+
+
+@pytest.mark.parametrize("swap", [
+    {"varpi+": "omega+", "varpi-": "omega-"},
+    {"varpi+": "varpi-", "varpi-": "varpi+"},
+])
+def test_lemma5_reports_the_failures_of_the_reference_loop(monkeypatch, swap):
+    """With the target languages swapped for others the claim fails; the
+    depth-first walk must report the reference loop's counterexamples in
+    the reference's order (shortest first, label order within a
+    length)."""
+    def swapped(which):
+        return regular_nfa(swap.get(which, which))
+
+    monkeypatch.setattr(suites, "regular_nfa", swapped)
+    monkeypatch.setattr(dycklab, "regular_nfa", swapped)
+    for max_len in (6, 9):
+        got = suite_lemma5(max_len=max_len)
+        want = reference_suite_lemma5(max_len)
+        assert (got.checked, got.failures, got.info) == \
+            (want.checked, want.failures, want.info)
+        assert got.failures
+
+
+def test_lemma7_reports_the_failures_of_the_reference_loop(monkeypatch):
+    """With the closure of varpi swapped for varpi itself, every literal
+    miss becomes a counterexample; the junction joins must report the
+    reference loop's counterexamples in its order."""
+    monkeypatch.setattr(suites, "reduced_language_nfa", regular_nfa)
+    monkeypatch.setattr(dycklab, "reduced_language_nfa", regular_nfa)
+    budget = EnumerationBudget(16, 60, max_expansions=5000)
+    failures = 0
+    for source in _lemma7_sources():
+        red = compile_dyck2_to_undirected(source)
+        got = suite_lemma7(red, budget, 6, 12, 5)
+        want = reference_suite_lemma7(red, budget, 6, 12, 5)
+        assert (got.checked, got.failures, got.info) == \
+            (want.checked, want.failures, want.info)
+        failures += len(got.failures)
+    assert failures > 0
 
 def test_prop1_suite():
     res = suite_prop1(samples=120, seed=3)

@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dycklab import (DOT, Label, PHI_UNDIRECTED, cyk_accepts, dyck_grammar,
@@ -13,7 +13,7 @@ from dycklab import (DOT, Label, PHI_UNDIRECTED, cyk_accepts, dyck_grammar,
                      is_dyck_prefix, is_near_dyck, mu, phi_neardyck,
                      phi_undirected, reduce_word, theta, word, zo_str)
 from dycklab.words import (GAMMA, ZO_ALPHABET, free_product_mul,
-                           phi_neardyck_letter, regular_nfa)
+                           join_reduced, phi_neardyck_letter, regular_nfa)
 from dycklab import automata
 
 zo_words = st.lists(st.sampled_from(ZO_ALPHABET), max_size=12).map(tuple)
@@ -66,6 +66,16 @@ def test_reduction_of_a_concatenation_reduces_its_reduced_factors(u, v, w):
     assert reduce_word(u + v + w) == \
         reduce_word(reduce_word(u) + reduce_word(v) + reduce_word(w))
 
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(zo_words, mixed_words), st.one_of(zo_words, mixed_words))
+@example(word("l1"), word("v1bar"))  # same index, other base: no partners
+@example(word("l1 l2"), word("l2bar l1bar"))  # cancels more than one pair
+@example(word("l2 l1"), word("l1bar v2bar"))  # stops inside the junction
+def test_joining_normal_forms_reduces_the_concatenation(u, v):
+    """Joining two normal forms cancels only at the junction and gives
+    the normal form of the concatenation."""
+    assert join_reduced(reduce_word(u), reduce_word(v)) == reduce_word(u + v)
 
 @settings(max_examples=100, deadline=None)
 @given(zo_words)
