@@ -7,7 +7,7 @@ from .graphs import (DOT, Alphabet, GraphFormatError, Instance, Label,
                      parse_graph, parse_label_token, parse_updates,
                      serialize_graph, serialize_updates)
 from .one_letter import (DistanceGadget, ParityIndex, build_distance_gadget,
-                         parity_index_for, prop1_check)
+                         prop1_check)
 from .oracle import (EnumerationBudget, bfs_distances, brute_dyck_reach,
                      cyk_accepts, enumerate_nominal_paths, enumerate_paths,
                      exhaustive_words, factor_of_dyck_oracle)

@@ -16,7 +16,7 @@ from .alternating import solve_alternating
 from .graphs import (GraphFormatError, Instance, UpdateError, UpdateOp,
                      apply_update, parse_graph, parse_label_token,
                      parse_updates, serialize_graph)
-from .one_letter import prop1_check
+from .one_letter import ParityIndex
 from .oracle import (EnumerationBudget, brute_dyck_reach, enumerate_paths,
                      exhaustive_words)
 from .reductions import compile_reduction
@@ -79,17 +79,28 @@ def _grammar_for(inst: Instance):
     return near_dyck_grammar(alph.size)
 
 
+def maintained_index(inst: Instance, engine: str):
+    """The index ``engine`` keeps through a script, owning ``inst``, or
+    None for an engine that answers from scratch.  The solvers are looked
+    up in this module at each call, not in a table built at import, so a
+    wrapper patched onto ``cli.solve_dyck`` is the one that runs."""
+    if engine == "dyck":
+        return solve_dyck(inst)
+    if engine == "wrap-only":
+        return solve_dyck_wrap_only(inst)
+    if engine == "prop1":
+        return ParityIndex(inst)
+    return None
+
+
 def answer_query(inst: Instance, engine: str) -> bool:
     s, t = inst.source, inst.sink
-    if engine == "dyck":
-        return solve_dyck(inst).query(s, t)
-    if engine == "wrap-only":
-        return solve_dyck_wrap_only(inst).query(s, t)
+    index = maintained_index(inst, engine)
+    if index is not None:
+        return index.query(s, t)
     if engine == "cfl":
         grammar = _grammar_for(inst)
         return (s, t) in solve_cfl(inst, grammar)[grammar.start]
-    if engine == "prop1":
-        return prop1_check(inst)
     if engine == "alt":
         return solve_alternating(inst)[0]
     raise ValueError(f"unknown engine {engine!r}")
@@ -97,11 +108,12 @@ def answer_query(inst: Instance, engine: str) -> bool:
 
 def run_replay(inst: Instance, script: list[UpdateOp],
                engine: str = "dyck") -> RunReport:
-    """Apply a script, answering every query with the chosen engine.  The
-    bracket engine keeps one index through the script; the others
-    re-answer from scratch."""
+    """Apply a script, answering every query with the chosen engine.  An
+    engine with an index keeps one through the script (an instance it
+    rejects fails before any update); the others re-answer from
+    scratch."""
     report = RunReport()
-    index = solve_dyck(inst) if engine == "dyck" else None
+    index = maintained_index(inst, engine)
     for op in script:
         if op.op == "query":
             report.answers.append(answer_query(inst, engine) if index is None

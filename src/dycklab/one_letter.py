@@ -2,9 +2,9 @@
 
 For undirected graphs, a balanced path from s to t (s != t) exists exactly
 when s has an incident opening edge, t has an incident closing edge, and an
-even-length walk joins s and t.  The even-walk test is maintained by a
-union-find over the parity double cover: node (v, p) is vertex v reached
-after a walk of parity p.
+even-length walk joins s and t.  ``ParityIndex`` keeps that answer current
+under updates, with the owned-instance contract of ``saturate.ReachIndex``;
+``prop1_check`` answers the marked pair once.
 
 The distance gadget turns breadth-first distance in a plain digraph into
 one-pair bracket reachability: label every edge with the opener, add an
@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Alphabet, Instance, Label, LabeledGraph, UpdateError
+from .graphs import (Alphabet, Instance, Label, LabeledGraph, UpdateOp,
+                     apply_update)
 
 OPEN1 = Label("l", 1, False)
 CLOSE1 = Label("l", 1, True)
@@ -47,81 +48,57 @@ class _UnionFind:
 
 
 class ParityIndex:
-    """Even/odd walk connectivity over an undirected edge multiset.
+    """Balanced reachability on an undirected one-pair instance it owns,
+    kept current under ``apply``.  ``uf`` joins node ``2 * v + p`` (vertex
+    ``v`` after a walk of parity ``p``) across every edge: an insertion is
+    two merges, a deletion rebuilds from the surviving edges.  A merge is
+    idempotent, so an l1 and an l1bar edge on the same two vertices need no
+    special case."""
 
-    Insertions are union-find merges; deletions rebuild from the surviving
-    edges (answer equivalence with from-scratch construction is the
-    contract, not structural equality).
-    """
+    def __init__(self, inst: Instance):
+        g = inst.graph
+        if g.directed:
+            raise ValueError("characterization applies to undirected graphs only")
+        if g.alphabet != Alphabet("dyck", 1):
+            raise ValueError("characterization applies to the one-pair alphabet")
+        self.inst = inst
+        self._rebuild()
 
-    def __init__(self, vertex_count: int, edges=()):
-        self.vertex_count = vertex_count
-        self.edges: set[tuple[int, int]] = set()
-        self.uf = _UnionFind(2 * vertex_count)
-        for u, v in edges:
-            self.insert(u, v)
+    def _rebuild(self):
+        self.uf = _UnionFind(2 * self.inst.graph.vertex_count)
+        for u, _lab, v in self.inst.graph.edges:
+            self._merge(u, v)
 
-    def _node(self, v: int, parity: int) -> int:
-        return 2 * v + parity
+    def _merge(self, u: int, v: int):
+        self.uf.union(2 * u, 2 * v + 1)
+        self.uf.union(2 * u + 1, 2 * v)
 
-    def insert(self, u: int, v: int):
-        key = (min(u, v), max(u, v))
-        if key in self.edges:
-            raise UpdateError(f"duplicate edge {key}")
-        self.edges.add(key)
-        self.uf.union(self._node(u, 0), self._node(v, 1))
-        self.uf.union(self._node(u, 1), self._node(v, 0))
+    def apply(self, op: UpdateOp):
+        """Apply one update to the owned instance (a rejected update raises
+        and changes nothing)."""
+        self.inst = apply_update(self.inst, op)
+        if op.op == "ins":
+            self._merge(op.u, op.v)
+        elif op.op == "del":
+            self._rebuild()
 
-    def delete(self, u: int, v: int):
-        key = (min(u, v), max(u, v))
-        if key not in self.edges:
-            raise UpdateError(f"missing edge {key}")
-        self.edges.remove(key)
-        self.uf = _UnionFind(2 * self.vertex_count)
-        for a, b in self.edges:
-            self.uf.union(self._node(a, 0), self._node(b, 1))
-            self.uf.union(self._node(a, 1), self._node(b, 0))
-
-    def even_walk(self, u: int, v: int) -> bool:
-        if u == v:
-            return True
-        return self.uf.find(self._node(u, 0)) == self.uf.find(self._node(v, 0))
-
-    def odd_walk(self, u: int, v: int) -> bool:
-        return self.uf.find(self._node(u, 0)) == self.uf.find(self._node(v, 1))
-
-
-def parity_index_for(inst: Instance) -> ParityIndex:
-    idx = ParityIndex(inst.graph.vertex_count)
-    seen = set()
-    for u, _lab, v in inst.graph.edges:
-        key = (min(u, v), max(u, v))
-        if key not in seen:
-            seen.add(key)
-            idx.insert(u, v)
-    return idx
+    def query(self, s: int, t: int) -> bool:
+        """Whether a balanced walk joins ``s`` to ``t`` (``s = t`` is a
+        trivial yes): ``s`` has an incident opening edge, ``t`` an incident
+        closing edge, and an even-length walk joins them."""
+        g = self.inst.graph
+        if not (0 <= s < g.vertex_count and 0 <= t < g.vertex_count):
+            return False
+        return s == t or (
+            any(lab == OPEN1 and s in (u, v) for u, lab, v in g.edges)
+            and any(lab == CLOSE1 and t in (u, v) for u, lab, v in g.edges)
+            and self.uf.find(2 * s) == self.uf.find(2 * t))
 
 
-def prop1_check(inst: Instance, parity: ParityIndex | None = None) -> bool:
-    """Balanced reachability on an undirected one-pair instance, by the
-    three-condition characterization (s = t is a trivial yes)."""
-    g = inst.graph
-    if g.directed:
-        raise ValueError("characterization applies to undirected graphs only")
-    if g.alphabet != Alphabet("dyck", 1):
-        raise ValueError("characterization applies to the one-pair alphabet")
-    s, t = inst.source, inst.sink
-    if s == t:
-        return True
-    has_open_at_s = any(u == s and lab == OPEN1
-                        for u, lab, v in g.directed_edges())
-    has_close_at_t = any(u == t and lab == CLOSE1
-                         for u, lab, v in g.directed_edges())
-    if not (has_open_at_s and has_close_at_t):
-        return False
-    if parity is None:
-        parity = parity_index_for(inst)
-    return parity.even_walk(s, t)
+def prop1_check(inst: Instance) -> bool:
+    """Balanced reachability of the marked pair on an undirected one-pair
+    instance, by the three-condition characterization."""
+    return ParityIndex(inst).query(inst.source, inst.sink)
 
 
 @dataclass(frozen=True)

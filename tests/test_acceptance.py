@@ -17,9 +17,8 @@ from dycklab import (Alphabet, EnumerationBudget, Instance, Label,
                      compile_dyck2_to_undirected, dyck_grammar,
                      enumerate_paths, in_q, in_q_init, is_dyck,
                      is_dyck_prefix, near_dyck_grammar, nominal_decompose,
-                     parity_index_for, prop1_check, reduce_word,
-                     resolve_after_update, solve_alternating, solve_cfl,
-                     solve_dyck, solve_dyck_wrap_only)
+                     reduce_word, resolve_after_update, solve_alternating,
+                     solve_cfl, solve_dyck, solve_dyck_wrap_only)
 from dycklab.cli import run_equivalence
 from dycklab.oracle import bfs_distances
 from dycklab.one_letter import ParityIndex
@@ -65,13 +64,13 @@ def test_wrap_only_solver_misses_the_concatenation_chain():
 
 def _one_pair_universe(n, slots):
     """All undirected one-pair graphs over the given edge slots, as
-    (graph, parity index, solver pair set) triples."""
+    (parity index, solver pair set) pairs."""
     choices = [(u, lab, v) for (u, v) in slots for lab in (L1, L1BAR)]
     for bits in range(1 << len(choices)):
         edges = [choices[i] for i in range(len(choices)) if bits >> i & 1]
         g = LabeledGraph.build(False, n, Alphabet("dyck", 1), edges)
         inst = Instance(g, 0, 0)
-        yield inst, parity_index_for(inst), solve_dyck(inst).pairs
+        yield ParityIndex(inst), solve_dyck(inst).pairs
 
 
 def test_parity_characterization_matches_the_solver():
@@ -82,24 +81,22 @@ def test_parity_characterization_matches_the_solver():
         inst = random_dyck_instance(rng, max_vertices=6, pairs=1,
                                     density=rng.uniform(0.05, 0.6),
                                     directed=False)
-        parity = parity_index_for(inst)
+        parity = ParityIndex(inst)
         pairs = solve_dyck(inst).pairs
         n = inst.graph.vertex_count
         for s in range(n):
             for t in range(n):
-                sub = Instance(inst.graph, s, t)
-                assert prop1_check(sub, parity) == ((s, t) in pairs)
+                assert parity.query(s, t) == ((s, t) in pairs)
     # exhaustive loop-free 4-vertex universe and full 3-vertex universe
     # (self-loops included); the with-loop 4-vertex universe is 2^20 graphs
     # and does not fit the time budget
     universes = [(4, list(itertools.combinations(range(4), 2))),
                  (3, [(u, v) for u in range(3) for v in range(u, 3)])]
     for n, slots in universes:
-        for inst, parity, pairs in _one_pair_universe(n, slots):
+        for parity, pairs in _one_pair_universe(n, slots):
             for s in range(n):
                 for t in range(n):
-                    sub = Instance(inst.graph, s, t)
-                    assert prop1_check(sub, parity) == ((s, t) in pairs)
+                    assert parity.query(s, t) == ((s, t) in pairs)
     assert time.monotonic() - t0 < 120
 
 
@@ -260,25 +257,16 @@ def test_incremental_maintenance_matches_from_scratch():
             idx = resolve_after_update(idx, inst, op)
             inst = apply_update(inst, op)
             assert idx.pairs == solve_dyck(inst).pairs
-    # 50 scripts on undirected one-pair instances: parity double cover,
-    # kept in sync with the label-deduplicated edge set
+    # 50 scripts on undirected one-pair instances: one live parity index
     for _ in range(50):
         inst = random_dyck_instance(rng, max_vertices=6, pairs=1,
                                     density=0.2, directed=False)
-        parity = parity_index_for(inst)
+        parity = ParityIndex(inst)
         for op in random_script(rng, inst, ops=50, query_rate=0.0):
-            before = inst.graph
+            parity.apply(op)
             inst = apply_update(inst, op)
-            others = any(before.has_edge(op.u, lab, op.v)
-                         for lab in (L1, L1BAR) if lab != op.label)
-            if not others:
-                if op.op == "ins":
-                    parity.insert(op.u, op.v)
-                else:
-                    parity.delete(op.u, op.v)
             pairs = solve_dyck(inst).pairs
             n = inst.graph.vertex_count
             for s in range(n):
                 for t in range(n):
-                    sub = Instance(inst.graph, s, t)
-                    assert prop1_check(sub, parity) == ((s, t) in pairs)
+                    assert parity.query(s, t) == ((s, t) in pairs)

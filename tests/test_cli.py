@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dycklab import serialize_graph, serialize_updates
 from dycklab.cli import ENGINES, main
+from dycklab.suites import random_undirected_one_pair
 
 from util import (fig1_instance, fig2_source, gap_chain_instance,
                   random_neardyck_instance, random_script)
@@ -85,6 +86,21 @@ def test_near_dyck_file_gives_the_same_answers_under_both_engines(capsys,
                            "answer[2]=true", "answer[3]=false"]
 
 
+def _engine_outputs(capsys, graph, script, engines):
+    """The ``solve`` and ``replay`` output under each engine, with the
+    engine's name blanked."""
+    outputs = {}
+    for engine in engines:
+        code, solved, _ = run(capsys, "--kv", "solve", str(graph),
+                              "--engine", engine)
+        assert code == 0
+        code, replayed, _ = run(capsys, "--kv", "replay", str(graph),
+                                str(script), "--engine", engine)
+        assert code == 0
+        outputs[engine] = (solved + replayed).replace(f"engine={engine}", "")
+    return outputs
+
+
 def test_dyck_and_cfl_engines_agree_on_random_near_dyck_files(capsys,
                                                               tmp_path):
     rng = random.Random(17)
@@ -95,17 +111,42 @@ def test_dyck_and_cfl_engines_agree_on_random_near_dyck_files(capsys,
         graph.write_text(serialize_graph(inst))
         script.write_text(serialize_updates(
             random_script(rng, inst, ops=16, query_rate=0.3)))
-        outputs = {}
-        for engine in ("dyck", "cfl"):
-            code, solved, _ = run(capsys, "--kv", "solve", str(graph),
-                                  "--engine", engine)
-            assert code == 0
-            code, replayed, _ = run(capsys, "--kv", "replay", str(graph),
-                                    str(script), "--engine", engine)
-            assert code == 0
-            outputs[engine] = (solved + replayed).replace(
-                f"engine={engine}", "")
+        outputs = _engine_outputs(capsys, graph, script, ("dyck", "cfl"))
         assert outputs["dyck"] == outputs["cfl"]
+
+
+def test_every_engine_agrees_on_random_undirected_one_pair_files(capsys,
+                                                                 tmp_path):
+    rng = random.Random(23)
+    graph, script = tmp_path / "one.graph", tmp_path / "one.upd"
+    for _ in range(12):
+        inst = random_undirected_one_pair(rng, max_vertices=5)
+        graph.write_text(serialize_graph(inst))
+        script.write_text(serialize_updates(
+            random_script(rng, inst, ops=16, query_rate=0.3)))
+        outputs = _engine_outputs(capsys, graph, script,
+                                  ("dyck", "cfl", "prop1"))
+        assert outputs["dyck"] == outputs["cfl"] == outputs["prop1"]
+
+
+@pytest.mark.parametrize("graph_text, message", [
+    ("graph directed\nvertices 2\nalphabet dyck 1\nedge 0 l1 1\n"
+     "mark 0 1\n", "undirected graphs only"),
+    ("graph undirected\nvertices 2\nalphabet dyck 2\nedge 0 l1 1\n"
+     "mark 0 1\n", "the one-pair alphabet"),
+])
+@pytest.mark.parametrize("script_text", [
+    "", "del 0 l1 1\n", "ins 0 l9 1\nquery\n"])
+def test_prop1_replay_rejects_other_graphs_before_any_update(
+        capsys, tmp_path, graph_text, message, script_text):
+    graph, script = tmp_path / "g.graph", tmp_path / "g.upd"
+    graph.write_text(graph_text)
+    script.write_text(script_text)
+    code, out, err = run(capsys, "replay", str(graph), str(script),
+                         "--engine", "prop1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: characterization applies to {message}\n"
 
 
 def test_replay_reports_per_query_answers(capsys, tmp_path, gap_chain):

@@ -4,11 +4,16 @@ parity double cover, and the distance gadget."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dycklab import (Alphabet, Instance, Label, LabeledGraph, ParityIndex,
-                     UpdateError, bfs_distances, build_distance_gadget,
-                     parity_index_for, prop1_check, solve_dyck)
+                     UpdateError, UpdateOp, apply_update, bfs_distances,
+                     build_distance_gadget, dyck_grammar, prop1_check,
+                     solve_cfl, solve_dyck)
 from dycklab.suites import random_undirected_one_pair
+
+from util import random_script
 
 OPEN1, CLOSE1 = Label("l", 1, False), Label("l", 1, True)
 
@@ -29,7 +34,7 @@ def test_two_edge_path_is_reachable():
     assert solve_dyck(inst).query(0, 2)
 
 
-def test_odd_path_fails_the_even_walk_condition():
+def test_odd_path_fails_the_even_length_condition():
     inst = undirected(4, [(0, OPEN1, 1), (1, OPEN1, 2), (2, CLOSE1, 3)], 0, 3)
     assert not prop1_check(inst)
     assert not solve_dyck(inst).query(0, 3)
@@ -59,79 +64,104 @@ def test_characterization_matches_solver_on_random_instances():
 
 
 # ---------------------------------------------------------------------------
-# Parity double cover
+# Parity double cover, maintained under updates
 
-def test_single_edge_gives_odd_walks_only():
-    idx = ParityIndex(2, [(0, 1)])
-    assert not idx.even_walk(0, 1)
-    assert idx.odd_walk(0, 1)
-    assert idx.even_walk(0, 0)
+def both_labels(pairs):
+    """Each pair as an l1 and an l1bar edge, so every endpoint has an
+    opening and a closing edge and a query asks for an even-length walk
+    only."""
+    return [(u, lab, v) for u, v in pairs for lab in (OPEN1, CLOSE1)]
+
+
+def walk_parities(idx, u, v):
+    """The parities of the walks joining u and v in the double cover."""
+    return {p for p in (0, 1) if idx.uf.find(2 * u) == idx.uf.find(2 * v + p)}
+
+
+def test_single_edge_gives_only_odd_length_walks():
+    idx = ParityIndex(undirected(2, [(0, OPEN1, 1)], 0, 1))
+    assert not idx.query(0, 1)
+    assert walk_parities(idx, 0, 1) == {1}
+    assert idx.query(0, 0)
 
 
 def test_triangle_connects_everything():
-    idx = ParityIndex(3, [(0, 1), (1, 2), (2, 0)])
+    idx = ParityIndex(undirected(3, both_labels([(0, 1), (1, 2), (2, 0)]),
+                                 0, 1))
     for u in range(3):
         for v in range(3):
-            assert idx.even_walk(u, v)
-            assert idx.odd_walk(u, v)
+            assert idx.query(u, v)
+            assert walk_parities(idx, u, v) == {0, 1}
 
 
 def test_four_cycle_stays_bipartite():
-    idx = ParityIndex(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert idx.even_walk(0, 2)
-    assert not idx.even_walk(0, 1)
-    assert idx.odd_walk(0, 1)
+    idx = ParityIndex(undirected(
+        4, both_labels([(0, 1), (1, 2), (2, 3), (3, 0)]), 0, 2))
+    assert idx.query(0, 2)
+    assert not idx.query(0, 1)
+    assert walk_parities(idx, 0, 1) == {1}
 
 
 def test_delete_from_triangle_breaks_the_odd_cycle():
-    idx = ParityIndex(3, [(0, 1), (1, 2), (2, 0)])
-    idx.delete(2, 0)
-    assert idx.even_walk(0, 2)  # walk 0-1-2 of length 2 survives
-    assert not idx.even_walk(0, 1)
+    idx = ParityIndex(undirected(3, both_labels([(0, 1), (1, 2), (2, 0)]),
+                                 0, 2))
+    idx.apply(UpdateOp.delete(2, OPEN1, 0))
+    assert idx.query(0, 1)  # the l1bar edge 0-2 keeps the odd cycle
+    idx.apply(UpdateOp.delete(2, CLOSE1, 0))
+    assert idx.query(0, 2)  # walk 0-1-2 of length 2 survives
+    assert not idx.query(0, 1)
 
 
 def test_delete_last_edge_isolates_all():
-    idx = ParityIndex(2, [(0, 1)])
-    idx.delete(0, 1)
-    assert not idx.odd_walk(0, 1)
-    assert not idx.even_walk(0, 1)
+    idx = ParityIndex(undirected(2, [(0, OPEN1, 1)], 0, 1))
+    idx.apply(UpdateOp.delete(0, OPEN1, 1))
+    assert walk_parities(idx, 0, 1) == set()
+    assert not idx.query(0, 1)
 
 
 def test_strict_duplicate_and_missing_edges():
-    idx = ParityIndex(2, [(0, 1)])
+    inst = undirected(2, [(0, OPEN1, 1)], 0, 1)
+    idx = ParityIndex(inst)
     with pytest.raises(UpdateError):
-        idx.insert(1, 0)
+        idx.apply(UpdateOp.ins(1, OPEN1, 0))
     with pytest.raises(UpdateError):
-        idx.delete(0, 0)
+        idx.apply(UpdateOp.delete(0, OPEN1, 0))
+    assert idx.inst is inst
+    assert not idx.query(0, 1)
+    # the other label on the same two vertices is a new edge
+    idx.apply(UpdateOp.ins(1, CLOSE1, 0))
+    assert not idx.query(0, 1)
+    assert walk_parities(idx, 0, 1) == {1}
 
 
-def test_update_log_matches_from_scratch():
-    rng = random.Random(5)
-    for _ in range(20):
-        n = rng.randint(2, 7)
-        idx = ParityIndex(n)
-        present: set[tuple[int, int]] = set()
-        for _ in range(30):
-            u, v = rng.randrange(n), rng.randrange(n)
-            key = (min(u, v), max(u, v))
-            if key in present:
-                present.remove(key)
-                idx.delete(u, v)
-            else:
-                present.add(key)
-                idx.insert(u, v)
-            fresh = ParityIndex(n, sorted(present))
-            for a in range(n):
-                for b in range(n):
-                    assert idx.even_walk(a, b) == fresh.even_walk(a, b)
-                    assert idx.odd_walk(a, b) == fresh.odd_walk(a, b)
+def test_parallel_labels_are_one_parity_edge():
+    inst = undirected(2, both_labels([(0, 1)]), 0, 1)
+    idx = ParityIndex(inst)
+    assert walk_parities(idx, 0, 1) == {1}
+    assert not idx.query(0, 1)
+    assert not solve_dyck(inst).query(0, 1)
+    idx.apply(UpdateOp.ins(1, OPEN1, 1))  # an odd cycle at 1
+    # deleting one label leaves the other edge joining 0 and 1
+    idx.apply(UpdateOp.delete(0, OPEN1, 1))
+    assert idx.query(1, 0)  # 1 -l1-> 1 -l1bar-> 0
+    assert solve_dyck(idx.inst).query(1, 0)
 
 
-def test_parity_index_for_dedupes_parallel_labels():
-    inst = undirected(2, [(0, OPEN1, 1), (0, CLOSE1, 1)], 0, 1)
-    idx = parity_index_for(inst)
-    assert idx.odd_walk(0, 1)
-    assert not idx.even_walk(0, 1)
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_live_index_matches_the_grammar_engine(seed):
+    rng = random.Random(seed)
+    inst = random_undirected_one_pair(rng, max_vertices=5)
+    n = inst.graph.vertex_count
+    idx = ParityIndex(inst)
+    for op in random_script(rng, inst, ops=24, query_rate=0.1):
+        idx.apply(op)
+        inst = apply_update(inst, op)
+        assert idx.inst == inst
+        expected = solve_cfl(inst, dyck_grammar(1))["S"]
+        for s in range(n):
+            for t in range(n):
+                assert idx.query(s, t) == ((s, t) in expected), (op, s, t)
 
 
 # ---------------------------------------------------------------------------
