@@ -22,13 +22,6 @@ class FixpointTrace:
     def member(self, x: int) -> bool:
         return x in self.first_layer
 
-    def table(self) -> str:
-        rows = []
-        for i, layer in enumerate(self.layers):
-            fresh = sorted(v for v in layer if self.first_layer[v] == i)
-            rows.append(f"X_{i}: {sorted(layer)}  (new: {fresh})")
-        return "\n".join(rows)
-
 
 def _successors(inst: Instance) -> list[set[int]]:
     succ: list[set[int]] = [set() for _ in range(inst.graph.vertex_count)]

@@ -94,13 +94,11 @@ def maintained_index(inst: Instance, engine: str):
 
 
 def answer_query(inst: Instance, engine: str) -> bool:
-    s, t = inst.source, inst.sink
-    index = maintained_index(inst, engine)
-    if index is not None:
-        return index.query(s, t)
+    """The marked pair's answer from an engine with no index."""
     if engine == "cfl":
         grammar = _grammar_for(inst)
-        return (s, t) in solve_cfl(inst, grammar)[grammar.start]
+        pair = (inst.source, inst.sink)
+        return pair in solve_cfl(inst, grammar)[grammar.start]
     if engine == "alt":
         return solve_alternating(inst)[0]
     raise ValueError(f"unknown engine {engine!r}")
@@ -176,7 +174,7 @@ def _load_script(path: str) -> list[UpdateOp]:
 
 def cmd_solve(args, rep: Reporter) -> int:
     inst = _load_graph(args.graph)
-    ans = answer_query(inst, args.engine)
+    [ans] = run_replay(inst, [UpdateOp.query()], args.engine).answers
     rep.emit("engine", args.engine)
     rep.emit("answer", ans)
     return 0
@@ -206,9 +204,7 @@ def cmd_reduce(args, rep: Reporter) -> int:
     if args.map:
         with open(args.map, "w") as fh:
             for vid, name in enumerate(red.names):
-                pretty = " ".join(lab.token() if hasattr(lab, "token") else str(lab)
-                                  for lab in name)
-                fh.write(f"{vid}\t{pretty}\n")
+                fh.write(f"{vid}\t{' '.join(map(str, name))}\n")
         rep.emit("map", args.map)
     rep.emit("kind", args.kind)
     rep.emit("target_vertices", red.target.graph.vertex_count)

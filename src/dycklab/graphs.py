@@ -237,13 +237,6 @@ class UpdateOp:
         the suffix of an error message about this op."""
         return "" if self.line is None else f" (script line {self.line})"
 
-    def inverse(self) -> "UpdateOp":
-        if self.op == "ins":
-            return UpdateOp("del", self.u, self.label, self.v)
-        if self.op == "del":
-            return UpdateOp("ins", self.u, self.label, self.v)
-        return self
-
 
 def apply_update(inst: Instance, op: UpdateOp) -> Instance:
     """Apply one update; strict (no-op insertions/deletions are errors).
@@ -374,7 +367,7 @@ def parse_graph(text: str) -> Instance:
         partition = tuple("and" if i in set(ands) else "or"
                           for i in range(vertex_count))
 
-    graph = LabeledGraph.build(directed, vertex_count, alphabet, canon)
+    graph = LabeledGraph(directed, vertex_count, alphabet, frozenset(canon))
     return Instance(graph, s, t, partition)
 
 

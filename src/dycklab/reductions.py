@@ -16,7 +16,7 @@ is vertex i-1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from .graphs import (DOT, Alphabet, Instance, Label, LabeledGraph, UpdateOp)
 from .words import PHI_UNDIRECTED
@@ -264,12 +264,3 @@ def compile_reduction(kind: str, inst: Instance) -> CompiledReduction:
         raise ValueError(f"unknown reduction kind {kind!r}; expected one of "
                          f"{sorted(_COMPILERS)}")
     return _COMPILERS[kind](inst)
-
-
-def translate_updates(red: CompiledReduction,
-                      script: list[UpdateOp]) -> list[UpdateOp]:
-    """Concatenated per-op translations; queries pass through."""
-    out: list[UpdateOp] = []
-    for op in script:
-        out.extend(red.translate(op))
-    return out

@@ -39,19 +39,6 @@ class SuiteResult:
         if not condition:
             self.failures.append(message)
 
-    def summary(self) -> str:
-        """One report line, then counterexamples.  A result that checked
-        nothing reads as a failure here, though ``ok`` stays true."""
-        verdict = "pass" if self.ok and self.checked else "FAIL"
-        out = f"suite={self.name} checked={self.checked} verdict={verdict}"
-        if not self.checked:
-            out += " failure=checked nothing"
-        for key, value in sorted(self.info.items()):
-            out += f" {key}={value}"
-        for f in self.failures[:10]:
-            out += f"\n  counterexample: {f}"
-        return out
-
 
 # ---------------------------------------------------------------------------
 

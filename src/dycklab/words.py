@@ -254,17 +254,13 @@ def phi_neardyck(w: Sequence[Label], n: int) -> Word:
     return tuple(out)
 
 
-def _w(tokens: str) -> Word:
-    return word(tokens)
-
-
 # The four 12-letter encodings for the undirected gadget, locks included
 # (positions 2-3 and 11-12 of the opening words).
 PHI_UNDIRECTED: dict[Label, Word] = {
-    Label("l", 1, False): _w("0 0bar 1 1 0 0 1 1 1 1 1bar 0"),
-    Label("l", 1, True): _w("0bar 1 1bar 1bar 1bar 1bar 0bar 0bar 1bar 1bar 0 0bar"),
-    Label("l", 2, False): _w("0 0bar 1 0 0 1 1 0 0 1 1bar 0"),
-    Label("l", 2, True): _w("0bar 1 1bar 0bar 0bar 1bar 1bar 0bar 0bar 1bar 0 0bar"),
+    Label("l", 1, False): word("0 0bar 1 1 0 0 1 1 1 1 1bar 0"),
+    Label("l", 1, True): word("0bar 1 1bar 1bar 1bar 1bar 0bar 0bar 1bar 1bar 0 0bar"),
+    Label("l", 2, False): word("0 0bar 1 0 0 1 1 0 0 1 1bar 0"),
+    Label("l", 2, True): word("0bar 1 1bar 0bar 0bar 1bar 1bar 0bar 0bar 1bar 0 0bar"),
 }
 
 
@@ -354,10 +350,6 @@ class NominalDecomposition:
     vertices: tuple[int, ...]  # nominal vertex sequence, in source-graph ids
     segments: tuple[NominalSegment, ...]
     ancestor: tuple[tuple[int, Label, int], ...]
-
-    def label_map(self) -> dict[int, Label]:
-        return {i + 1: seg.source_label
-                for i, seg in enumerate(self.segments) if seg.tag == "edge"}
 
 
 class DecompositionError(ValueError):

@@ -27,7 +27,6 @@ def test_worked_instance_layers():
     assert trace.layers[0] == frozenset({4})
     assert trace.first_layer == {4: 0, 3: 1, 1: 2, 2: 3, 0: 4}
     assert trace.member(0)
-    assert "X_0" in trace.table()
 
 
 def test_source_equals_sink():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from dycklab import serialize_graph, serialize_updates
 from dycklab.cli import ENGINES, main
-from dycklab.suites import random_undirected_one_pair
+from dycklab.suites import SUITES, SuiteResult, random_undirected_one_pair
 
 from util import (fig1_instance, fig2_source, gap_chain_instance,
                   random_neardyck_instance, random_script)
@@ -142,11 +142,11 @@ def test_prop1_replay_rejects_other_graphs_before_any_update(
     graph, script = tmp_path / "g.graph", tmp_path / "g.upd"
     graph.write_text(graph_text)
     script.write_text(script_text)
-    code, out, err = run(capsys, "replay", str(graph), str(script),
-                         "--engine", "prop1")
-    assert code == 2
-    assert out == ""
-    assert err == f"error: characterization applies to {message}\n"
+    for argv in (("replay", str(graph), str(script)), ("solve", str(graph))):
+        code, out, err = run(capsys, *argv, "--engine", "prop1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: characterization applies to {message}\n"
 
 
 def test_replay_reports_per_query_answers(capsys, tmp_path, gap_chain):
@@ -168,7 +168,9 @@ def test_reduce_writes_target_and_map(capsys, tmp_path, fig2):
     assert code == 0
     assert "target_vertices: 178" in out
     assert "vertices 178" in out_file.read_text()
-    assert map_file.read_text().splitlines()[0] == "0\t0"
+    names = map_file.read_text().splitlines()
+    assert names[0] == "0\t0"
+    assert names[2] == "2\t0 l1 0 1"
 
 
 def test_verify_equiv_passes(capsys, tmp_path, fig2):
@@ -381,6 +383,19 @@ def test_a_suite_that_checked_nothing_fails(capsys, argv):
     assert code == 1
     assert "checked=0" in out
     assert "failure=checked nothing" in out
+    assert "verdict=FAIL" in out
+
+
+def test_a_failing_suite_prints_its_counterexample(capsys, monkeypatch):
+    def failing(**_):
+        res = SuiteResult("prop1")
+        res.check(False, "synthetic failure")
+        return res
+
+    monkeypatch.setitem(SUITES, "prop1", failing)
+    code, out, _ = run(capsys, "--kv", "suite", "prop1")
+    assert code == 1
+    assert "counterexample=synthetic failure" in out
     assert "verdict=FAIL" in out
 
 

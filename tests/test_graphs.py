@@ -163,14 +163,6 @@ def test_undirected_self_loop_reported_once():
     assert list(g.directed_edges()) == [(0, lab, 0)]
 
 
-def test_update_op_inverse():
-    lab = Label("l", 1, False)
-    op = UpdateOp.ins(0, lab, 1)
-    assert op.inverse() == UpdateOp.delete(0, lab, 1)
-    assert op.inverse().inverse() == op
-    assert UpdateOp.query().inverse() == UpdateOp.query()
-
-
 def test_parse_updates_round_trip():
     text = "ins 0 l1 1\nquery\ndel 0 l1 1\n"
     ops = parse_updates(text)

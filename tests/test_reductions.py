@@ -14,8 +14,7 @@ from dycklab import (DOT, Alphabet, CompiledReduction, EnumerationBudget,
                      compile_neardyck_to_dyck2, compile_reduction,
                      enumerate_paths, is_dyck, near_dyck_grammar,
                      nominal_decompose, solve_alternating, solve_cfl,
-                     serialize_graph, serialize_updates, solve_dyck,
-                     translate_updates)
+                     serialize_graph, serialize_updates, solve_dyck)
 from dycklab.cli import run_equivalence
 from dycklab.words import DecompositionError
 
@@ -205,7 +204,7 @@ def test_full_traversal_cycle_recovers_the_source_cycle():
     decomp = nominal_decompose(path, red)
     assert decomp.vertices == (0, 1, 0)
     assert decomp.ancestor == ((0, L1, 1), (1, L1BAR, 0))
-    assert decomp.label_map() == {1: L1, 2: L1BAR}
+    assert [seg.source_label for seg in decomp.segments] == [L1, L1BAR]
 
 
 def test_direct_chain_traversal_decomposes_to_its_edge():
@@ -239,17 +238,13 @@ def test_decomposition_needs_original_endpoints():
 # ---------------------------------------------------------------------------
 # Update translation and end-to-end equivalence
 
-def test_translate_updates_empty_script():
-    red = compile_dyck2_to_undirected(fig2_source())
-    assert translate_updates(red, []) == []
-
-
 def test_translate_ins_del_cancels_out():
     red = compile_dyck2_to_undirected(fig2_source())
     script = [UpdateOp.ins(0, L2, 1), UpdateOp.delete(0, L2, 1)]
     target = red.target
-    for op in translate_updates(red, script):
-        target = apply_update(target, op)
+    for op in script:
+        for target_op in red.translate(op):
+            target = apply_update(target, target_op)
     assert target == red.target
 
 

@@ -1,0 +1,26 @@
+"""Every script under ``scripts/`` runs to a clean exit at a tiny size, so
+a change to the library's names cannot leave one broken unnoticed."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv", [
+    ("engine_fuzz.py", "--samples", "5"),
+    ("reduction_fuzz.py", "--samples", "2", "--ops", "10"),
+    ("distance_demo.py", "--vertices", "4"),
+])
+def test_script_runs(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
