@@ -12,6 +12,10 @@ stale.  While that index is stale, its rows must hold every pair the
 grammar derives, and it is first asked ``query`` on the marked pair and on
 random pairs, each answer checked against the grammar, so that stale
 answers are checked before any read of ``pairs`` re-solves the index.
+After every update both indexes' support masks are checked too: each
+``closers[k]`` must be exactly the vertices with an outgoing closing edge
+of pair ``k``, and ``wide`` must hold every row with more than its
+identity bit.
 
 Usage: python3 scripts/engine_fuzz.py [--samples N] [--seed S]
                                       [--max-vertices V] [--pairs P]
@@ -29,7 +33,8 @@ from dycklab import (EnumerationBudget, apply_update, brute_dyck_reach,
                      dyck_grammar, near_dyck_grammar, resolve_after_update,
                      serialize_updates, solve_cfl, solve_dyck,
                      solve_dyck_wrap_only)
-from util import random_dyck_instance, random_neardyck_instance, random_script
+from util import (mask_faults, random_dyck_instance, random_neardyck_instance,
+                  random_script)
 
 SCRIPT_OPS = 20  # updates replayed per sample through the incremental route
 LIVE_CHECK_EVERY = 3  # updates between checks of the index driven by apply
@@ -85,6 +90,14 @@ def main() -> int:
             live.apply(op)
             inst = apply_update(inst, op)
             expected = solve_cfl(inst, grammar)["S"]
+            for route, maintained in (("resolve_after_update", index),
+                                      ("apply", live)):
+                faults = mask_faults(maintained)
+                if faults:
+                    print(f"MISMATCH sample {i} step {step} "
+                          f"({serialize_updates([op]).strip()}): "
+                          f"index maintained by {route}: {faults[0]}")
+                    return 1
             if live.stale:
                 if not all(live.rows[u] >> v & 1 for u, v in expected):
                     print(f"MISMATCH sample {i} step {step} "

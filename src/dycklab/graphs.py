@@ -9,6 +9,7 @@ endpoints in canonical order, and report it in both directions.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -71,7 +72,10 @@ _ALIASES = {
 }
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_label_token(token: str) -> Label:
+    """The label a token names.  Memoized: a file repeats few distinct
+    tokens, a ``Label`` is immutable, and a bad token raises each time."""
     token = _ALIASES.get(token, token)
     if token == "dot":
         return DOT

@@ -25,6 +25,17 @@ step: when row ``a`` gains the bits ``B``, every row in ``C[a]`` gains
 edge bitsets.  Either rule only ever adds ``bits & ~R[u]``, and only those
 new bits are processed further.
 
+Two support masks keep the rules off bits that cannot contribute.
+``closers[k]`` is the bitset of the vertices with an outgoing closing edge
+of pair ``k``: the wrap rule joins a row only at those bits, since a bit
+``v`` with no closing edge adds nothing.  It is set on insertion, cleared
+when a deletion removes a vertex's last such edge, and rebuilt by a
+re-solve, so it always equals that support exactly.  ``wide`` holds at
+least every vertex whose row has more than its identity bit: concatenation
+expands only the new bits in ``wide``, since expanding any other bit
+``b`` adds just ``b`` itself.  A row never shrinks between re-solves, so
+``wide`` only grows until a re-solve rebuilds it.
+
 A ``ReachIndex`` owns its instance and keeps its answers current under
 ``apply``.  An insertion sets the new edge's bit (both directions for an
 undirected edge), or adds the pair of a new ``dot`` edge, and continues the
@@ -140,7 +151,16 @@ class ReachIndex:
     between calls ``pending`` is all zeros and ``work`` is empty.  The edge
     bitsets always hold the instance's bracket edges.  A deletion sets
     ``stale``: the rows are then closed but may hold pairs the instance no
-    longer derives, until a re-solve makes them exact again."""
+    longer derives, until a re-solve makes them exact again.
+
+    Two support masks let the rules skip bits that cannot contribute.
+    ``closers[k]`` is the bitset of the vertices with an outgoing closing
+    edge of pair ``k`` (counted from 0, the slot ``2k + 1``), kept exact
+    by insertions, deletions, ``copy`` and re-solves; the wrap rule joins
+    only ``delta & closers[k]``.  ``wide`` holds at least every vertex
+    whose row has more than its identity bit, and concatenation expands
+    only ``new & wide``.  It grows with the rows and a re-solve rebuilds
+    it."""
 
     def __init__(self, inst: Instance, concat: bool = True):
         self.inst = inst
@@ -149,6 +169,10 @@ class ReachIndex:
         identity = [1 << x for x in range(inst.graph.vertex_count)]
         self.rows, self.cols = list(identity), list(identity)
         self.out_edges, self.in_edges, dots = _edge_bitsets(inst)
+        self.closers = [
+            sum(1 << w for w, targets in enumerate(closing) if targets)
+            for closing in self.out_edges[1::2]]
+        self.wide = 0
         self.pending = identity
         self.work = list(range(len(identity)))
         for u, v in dots:
@@ -161,6 +185,7 @@ class ReachIndex:
         other.rows, other.cols = list(self.rows), list(self.cols)
         other.out_edges = [list(slot) for slot in self.out_edges]
         other.in_edges = [list(slot) for slot in self.in_edges]
+        other.closers = list(self.closers)
         other.pending, other.work = [0] * len(self.rows), []
         return other
 
@@ -184,13 +209,17 @@ class ReachIndex:
         self.stale = True
         if op.label != DOT:
             s = _slot(op.label)
+            out_edges = self.out_edges[s]
             for u, v in ends:
-                self.out_edges[s][u] &= ~(1 << v)
+                out_edges[u] &= ~(1 << v)
                 self.in_edges[s][v] &= ~(1 << u)
+                if op.label.bar and not out_edges[u]:
+                    # u's last closing edge of this pair is gone
+                    self.closers[s >> 1] &= ~(1 << u)
 
     def _refresh(self):
         """Re-solve a stale index from scratch, taking over the new
-        index's state."""
+        index's state (its masks included)."""
         if self.stale:
             solve = solve_dyck if self.concat else solve_dyck_wrap_only
             vars(self).update(vars(solve(self.inst)))
@@ -221,24 +250,35 @@ class ReachIndex:
         if not new:
             return
         if self.concat:
-            # whatever reaches a now also reaches new and all it reaches
-            for b in _bits(new):
-                new |= rows[b]
+            # whatever reaches a now also reaches new and all it reaches;
+            # a row outside wide is its identity bit, already in new
+            expand = new & self.wide
+            while expand:
+                low = expand & -expand
+                new |= rows[low.bit_length() - 1]
+                expand ^= low
             sources = self.cols[a]
         else:
             sources = 1 << a
         cols, pending, work = self.cols, self.pending, self.work
-        for x in _bits(sources):
+        grown = 0
+        while sources:
+            bit = sources & -sources
+            sources ^= bit
+            x = bit.bit_length() - 1
             gained = new & ~rows[x]
             if not gained:
                 continue
             rows[x] |= gained
-            bit = 1 << x
-            for v in _bits(gained):
-                cols[v] |= bit
+            grown |= bit
             if not pending[x]:
                 work.append(x)
             pending[x] |= gained
+            while gained:
+                low = gained & -gained
+                cols[low.bit_length() - 1] |= bit
+                gained ^= low
+        self.wide |= grown
 
     def _insert_edge(self, u: int, lab: Label, v: int):
         """Set the bit of a new directed edge and add what it derives
@@ -252,41 +292,60 @@ class ReachIndex:
         if lab.is_open:
             # (v, w) in the set and an edge (w, q-bar, b)  =>  (u, b)
             closing = self.out_edges[s + 1]
+            ends = self.rows[v] & self.closers[s >> 1]
             reach = 0
-            for w in _bits(self.rows[v]):
-                reach |= closing[w]
+            while ends:
+                low = ends & -ends
+                reach |= closing[low.bit_length() - 1]
+                ends ^= low
             self._add(u, reach)
         else:
+            self.closers[s >> 1] |= 1 << u
             # (w, u) in the set and an edge (a, q, w)  =>  (a, v)
             opening = self.in_edges[s - 1]
+            ends = self.cols[u]
             srcs = 0
-            for w in _bits(self.cols[u]):
-                srcs |= opening[w]
-            for a in _bits(srcs):
-                self._add(a, 1 << v)
+            while ends:
+                low = ends & -ends
+                srcs |= opening[low.bit_length() - 1]
+                ends ^= low
+            rows, bit = self.rows, 1 << v
+            while srcs:
+                low = srcs & -srcs
+                a = low.bit_length() - 1
+                if not rows[a] & bit:
+                    self._add(a, bit)
+                srcs ^= low
 
     def _run(self):
-        pending, work = self.pending, self.work
-        wraps = [(self.in_edges[s], self.out_edges[s + 1])
-                 for s in range(0, len(self.in_edges), 2)]
+        rows, pending, work = self.rows, self.pending, self.work
+        # no edge changes while the fixpoint runs, so closers is read once
+        wraps = list(zip(self.in_edges[0::2], self.out_edges[1::2],
+                         self.closers))
+        add = self._add
         while work:
             x = work.pop()
             delta = pending[x]
             pending[x] = 0
             # wrap rule: (x, v) new, edges (a, q, x) and (v, q-bar, b)
-            targets = None
-            for opening, closing in wraps:
+            for opening, closing, closers in wraps:
                 srcs = opening[x]
                 if not srcs:
                     continue
-                if targets is None:
-                    targets = list(_bits(delta))
+                ends = delta & closers
                 reach = 0
-                for v in targets:
-                    reach |= closing[v]
-                if reach:
-                    for a in _bits(srcs):
-                        self._add(a, reach)
+                while ends:
+                    low = ends & -ends
+                    reach |= closing[low.bit_length() - 1]
+                    ends ^= low
+                if not reach:
+                    continue
+                while srcs:
+                    low = srcs & -srcs
+                    a = low.bit_length() - 1
+                    if reach & ~rows[a]:
+                        add(a, reach)
+                    srcs ^= low
 
 
 def solve_dyck(inst: Instance) -> ReachIndex:

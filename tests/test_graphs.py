@@ -89,6 +89,23 @@ def test_parse_errors_carry_line_numbers():
     assert exc.value.line == 4
 
 
+def test_a_bad_label_token_raises_on_every_use():
+    # parse_label_token is memoized; a bad token must not be cached as a
+    # label, and each parser must still name its own line
+    token = "x913"
+    graph = ("graph directed\nvertices 2\nalphabet dyck 1\n"
+             f"edge 0 l1 1\nedge 1 {token} 0\nmark 0 1\n")
+    script = f"ins 0 l1bar 1\nquery\nins 1 {token} 0\n"
+    for _ in range(2):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph(graph)
+        assert exc.value.line == 5 and token in str(exc.value)
+        with pytest.raises(GraphFormatError) as exc:
+            parse_updates(script)
+        assert exc.value.line == 3 and token in str(exc.value)
+    assert parse_label_token("l1") is parse_label_token("l1")
+
+
 def test_parse_rejects_duplicate_mark():
     text = ("graph directed\nvertices 2\nalphabet dyck 1\n"
             "mark 0 1\nmark 1 0\n")

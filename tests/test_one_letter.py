@@ -147,6 +147,25 @@ def test_parallel_labels_are_one_parity_edge():
     assert solve_dyck(idx.inst).query(1, 0)
 
 
+def test_deleting_the_last_opener_at_the_source_turns_yes_to_no():
+    # 0 =l1,l1bar= 1 -l1bar- 2, with an l1 self-loop at 0: the walk
+    # 0 -l1-> 1 -l1bar-> 2 is balanced
+    inst = undirected(3, [(0, OPEN1, 0), (0, OPEN1, 1), (0, CLOSE1, 1),
+                          (1, CLOSE1, 2)], 0, 2)
+    idx = ParityIndex(inst)
+    assert idx.query(0, 2)
+    idx.apply(UpdateOp.delete(0, OPEN1, 0))
+    assert idx.query(0, 2)            # the l1 edge to 1 is still there
+    idx.apply(UpdateOp.delete(0, OPEN1, 1))
+    # 0 still reaches 2 by an even walk over the l1bar edges, but has no
+    # opening edge left
+    assert walk_parities(idx, 0, 2) == {0}
+    assert not idx.query(0, 2)
+    assert not solve_dyck(idx.inst).query(0, 2)
+    idx.apply(UpdateOp.ins(0, OPEN1, 1))
+    assert idx.query(0, 2)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
 def test_live_index_matches_the_grammar_engine(seed):
@@ -154,13 +173,16 @@ def test_live_index_matches_the_grammar_engine(seed):
     inst = random_undirected_one_pair(rng, max_vertices=5)
     n = inst.graph.vertex_count
     idx = ParityIndex(inst)
-    for op in random_script(rng, inst, ops=24, query_rate=0.1):
+    # every pair before the first op and after each one, plus the pairs
+    # with an endpoint just outside the vertex range
+    for op in [UpdateOp.query()] + random_script(rng, inst, ops=24,
+                                                 query_rate=0.1):
         idx.apply(op)
         inst = apply_update(inst, op)
         assert idx.inst == inst
         expected = solve_cfl(inst, dyck_grammar(1))["S"]
-        for s in range(n):
-            for t in range(n):
+        for s in range(-1, n + 1):
+            for t in range(-1, n + 1):
                 assert idx.query(s, t) == ((s, t) in expected), (op, s, t)
 
 

@@ -15,8 +15,9 @@ from dycklab import (DOT, Alphabet, AlphabetMismatchError,
                      resolve_after_update, solve_cfl, solve_dyck,
                      solve_dyck_wrap_only, EnumerationBudget)
 
-from util import (fig2_source, gap_chain_instance, random_dyck_instance,
-                  random_neardyck_instance, random_script)
+from util import (fig2_source, gap_chain_instance, mask_faults,
+                  random_dyck_instance, random_neardyck_instance,
+                  random_script)
 
 L1, L1BAR = Label("l", 1, False), Label("l", 1, True)
 L2, L2BAR = Label("l", 2, False), Label("l", 2, True)
@@ -345,6 +346,49 @@ def test_a_stale_index_answers_queries_exactly(seed, near, directed, solve):
         asked += [(rng.randrange(n), rng.randrange(n)) for _ in range(4)]
         for u, v in asked:
             assert live.query(u, v) == ((u, v) in expected), (op, u, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.booleans(),
+       st.booleans(), st.sampled_from((solve_dyck, solve_dyck_wrap_only)))
+def test_support_masks_hold_under_mixed_scripts(seed, near, directed, solve):
+    rng = random.Random(seed)
+    if near:
+        # the per-vertex alphabet carries the neutral dot edges
+        inst = random_neardyck_instance(rng, max_vertices=5, density=0.15,
+                                        directed=directed)
+    else:
+        inst = random_dyck_instance(rng, max_vertices=7,
+                                    pairs=rng.choice((1, 2)), density=0.2,
+                                    directed=directed)
+    live = solve(inst)
+    assert mask_faults(live) == []
+    for step in range(24):
+        op = _churn_op(rng, inst)
+        live.apply(op)
+        inst = apply_update(inst, op)
+        assert mask_faults(live) == [], (step, op)
+        assert mask_faults(live.copy()) == [], (step, op)
+        if step % 3 == 2:
+            live._refresh()
+            assert not live.stale
+            assert mask_faults(live) == [], (step, op)
+
+
+def test_closers_follow_the_last_closing_edge():
+    # 0 -l1-> 1 -l1bar-> 2, and a second l1bar edge out of 1
+    inst = chain([L1, L1BAR], pairs=1)
+    idx = solve_dyck(inst)
+    assert idx.closers == [0b010] and idx.wide == 0b001
+    idx.apply(UpdateOp.ins(1, L1BAR, 0))
+    assert idx.closers == [0b010]
+    idx.apply(UpdateOp.delete(1, L1BAR, 2))
+    assert idx.closers == [0b010]     # 1 keeps its edge to 0
+    idx.apply(UpdateOp.delete(1, L1BAR, 0))
+    assert idx.closers == [0]
+    assert idx.wide == 0b001          # stale rows keep their masks
+    idx._refresh()
+    assert idx.wide == 0 and idx.rows == [0b001, 0b010, 0b100]
 
 
 def test_a_stale_no_costs_no_resolve(monkeypatch):

@@ -1,5 +1,6 @@
 """Shared generators for the test suite: random instances, random update
-scripts, and the two worked instances used across modules."""
+scripts, the worked instances used across modules, and the check of a
+``ReachIndex``'s support masks."""
 
 import random
 
@@ -87,6 +88,31 @@ def random_script(rng: random.Random, inst: Instance, ops: int = 30,
             present.add(key)
             script.append(UpdateOp.ins(u, lab, v))
     return script
+
+
+def mask_faults(index) -> list[str]:
+    """How a ``ReachIndex``'s support masks fail their invariants, read
+    against its instance's edges and its rows: ``closers[k]`` must be
+    exactly the vertices with an outgoing closing edge of pair ``k``
+    (counted from 0), and ``wide`` must hold every vertex whose row has
+    more than its identity bit.  Empty when both hold."""
+    first = {"l": 1, "v": 0}
+    support = [0] * index.inst.graph.alphabet.size
+    for u, lab, _v in index.inst.graph.directed_edges():
+        if lab.bar:
+            support[lab.index - first[lab.base]] |= 1 << u
+    faults = []
+    for k, (want, got) in enumerate(zip(support, index.closers,
+                                        strict=True)):
+        if want & ~got:
+            faults.append(f"closers[{k}] misses vertices {want & ~got:#b}")
+        if got & ~want:
+            faults.append(f"closers[{k}] holds vertices with no closing "
+                          f"edge {got & ~want:#b}")
+    for x, row in enumerate(index.rows):
+        if row != 1 << x and not index.wide >> x & 1:
+            faults.append(f"wide misses row {x}")
+    return faults
 
 
 def fig1_instance() -> Instance:
