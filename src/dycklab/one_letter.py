@@ -53,9 +53,7 @@ class ParityIndex:
     ``v`` after a walk of parity ``p``) across every edge: an insertion is
     two merges, a deletion rebuilds from the surviving edges.  A merge is
     idempotent, so an l1 and an l1bar edge on the same two vertices need no
-    special case.  ``openers[v]`` and ``closers[v]`` count the opening and
-    the closing edges incident to ``v`` (a self-loop once), so a query
-    costs two lookups and two finds."""
+    special case."""
 
     def __init__(self, inst: Instance):
         g = inst.graph
@@ -67,28 +65,20 @@ class ParityIndex:
         self._rebuild()
 
     def _rebuild(self):
-        n = self.inst.graph.vertex_count
-        self.uf = _UnionFind(2 * n)
-        self.openers, self.closers = [0] * n, [0] * n
-        for u, lab, v in self.inst.graph.edges:
-            self._link(u, lab, v)
+        self.uf = _UnionFind(2 * self.inst.graph.vertex_count)
+        for u, _lab, v in self.inst.graph.edges:
+            self._merge(u, v)
 
-    def _link(self, u: int, lab: Label, v: int):
-        """Merge the parity nodes across the edge and count it at both
-        ends."""
+    def _merge(self, u: int, v: int):
         self.uf.union(2 * u, 2 * v + 1)
         self.uf.union(2 * u + 1, 2 * v)
-        counts = self.closers if lab.bar else self.openers
-        counts[u] += 1
-        if v != u:
-            counts[v] += 1
 
     def apply(self, op: UpdateOp):
         """Apply one update to the owned instance (a rejected update raises
         and changes nothing)."""
         self.inst = apply_update(self.inst, op)
         if op.op == "ins":
-            self._link(op.u, op.label, op.v)
+            self._merge(op.u, op.v)
         elif op.op == "del":
             self._rebuild()
 
@@ -96,11 +86,12 @@ class ParityIndex:
         """Whether a balanced walk joins ``s`` to ``t`` (``s = t`` is a
         trivial yes): ``s`` has an incident opening edge, ``t`` an incident
         closing edge, and an even-length walk joins them."""
-        n = len(self.openers)
-        if not (0 <= s < n and 0 <= t < n):
+        g = self.inst.graph
+        if not (0 <= s < g.vertex_count and 0 <= t < g.vertex_count):
             return False
-        return s == t or bool(
-            self.openers[s] and self.closers[t]
+        return s == t or (
+            any(lab == OPEN1 and s in (u, v) for u, lab, v in g.edges)
+            and any(lab == CLOSE1 and t in (u, v) for u, lab, v in g.edges)
             and self.uf.find(2 * s) == self.uf.find(2 * t))
 
 

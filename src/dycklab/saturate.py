@@ -309,16 +309,14 @@ class ReachIndex:
                 low = ends & -ends
                 srcs |= opening[low.bit_length() - 1]
                 ends ^= low
-            rows, bit = self.rows, 1 << v
+            bit = 1 << v
             while srcs:
                 low = srcs & -srcs
-                a = low.bit_length() - 1
-                if not rows[a] & bit:
-                    self._add(a, bit)
+                self._add(low.bit_length() - 1, bit)
                 srcs ^= low
 
     def _run(self):
-        rows, pending, work = self.rows, self.pending, self.work
+        pending, work = self.pending, self.work
         # no edge changes while the fixpoint runs, so closers is read once
         wraps = list(zip(self.in_edges[0::2], self.out_edges[1::2],
                          self.closers))
@@ -342,9 +340,7 @@ class ReachIndex:
                     continue
                 while srcs:
                     low = srcs & -srcs
-                    a = low.bit_length() - 1
-                    if reach & ~rows[a]:
-                        add(a, reach)
+                    add(low.bit_length() - 1, reach)
                     srcs ^= low
 
 
