@@ -1,9 +1,19 @@
 """Independent brute-force oracles.
 
-Everything here is deliberately naive: bounded walk enumeration, bounded
-stack search, exhaustive word streams, and CYK word membership.  These
-ground the expected values of the clever solvers and never share code with
-them.
+Bounded walk enumeration, bounded stack search, exhaustive word streams,
+and CYK word membership.  These ground the expected values of the clever
+solvers and never share code with them.
+
+The two walk enumerators are plain depth-first searches with one shortcut:
+a per-call table of dead subtrees (a transposition table for depth-bounded
+search; Reinefeld & Marsland, IEEE TPAMI 1994).  A subtree is dead when it
+appended no walk and was not cut by a cap; the table maps its key, which
+holds everything the subtree can observe, to the expansions it used.  Met
+again, the subtree is not re-walked: its count is added, and if that would
+cross the expansion cap the search is truncated there, as the re-walk would
+have been, having found nothing more.  A subtree that found a walk is never
+stored, so every result still comes from the walk itself, in the same order
+and with the same truncated flag as the untabled search.
 """
 
 from __future__ import annotations
@@ -71,6 +81,12 @@ def enumerate_paths(inst: Instance, source: int, sink: int,
     pushed and popped with the walk, and does not extend a prefix that no
     word completes to a balanced one, so each step costs O(1).  A pruned
     step still counts as an expansion.
+
+    Dead subtrees are tabled (see the module docstring), one table across
+    all lengths, under ``(vertex, left, tuple(stack[-(left + 1):]))``: with
+    ``left`` steps to go, a subtree can pop at most ``left`` letters, and
+    one more tells whether the stack can still empty.  Without
+    ``balanced`` the stack stays empty.
     """
     vertices = range(inst.graph.vertex_count)
     if source not in vertices or sink not in vertices:
@@ -98,6 +114,7 @@ def enumerate_paths(inst: Instance, source: int, sink: int,
     expansions = 0
     edges: list[PathEdge] = []
     stack: list[int] = []  # stays empty unless balanced
+    dead: dict[tuple, int] = {}  # key -> expansions of a dead subtree
 
     def walk(at: int, left: int) -> bool:
         nonlocal truncated, expansions
@@ -108,6 +125,15 @@ def enumerate_paths(inst: Instance, source: int, sink: int,
                     truncated = True
                     return False
             return True
+        key = (at, left, tuple(stack[-left - 1:]))
+        count = dead.get(key)
+        if count is not None:
+            if expansions + count > cap:
+                truncated = True
+                return False
+            expansions += count
+            return True
+        before, paths_before = expansions, len(found)
         for edge, letter, nxt in moves.get(at, ()):
             expansions += 1
             if expansions > cap:
@@ -130,6 +156,8 @@ def enumerate_paths(inst: Instance, source: int, sink: int,
                     stack.append(-letter)
             if not ok:
                 return False
+        if len(found) == paths_before:
+            dead[key] = expansions - before
         return True
 
     for length in range(budget.max_path_length + 1):
@@ -281,9 +309,16 @@ def enumerate_nominal_paths(red, tag: tuple, budget: EnumerationBudget,
     ``("edge", x, label, y)`` for chain traversals of one source edge.
     Pruned by membership of the partial label in the factor language (which
     is factor-closed, so the pruning is sound).  The moves of the tag are
-    compiled once per call, one tuple per vertex, and the reduced partial
-    label is kept as a stack that is pushed and popped with the search, so
-    each step costs O(1).
+    compiled once per call, one tuple per vertex, and the opening letters
+    of the reduced partial label are kept as a stack that is pushed and
+    popped with the search, so each step costs O(1).
+
+    Dead subtrees are tabled (see the module docstring) under
+    ``(vertex, steps_left, opens, crossed)``.  ``opens`` is the top
+    ``steps_left`` letters of that stack, all that a subtree can pop.
+    ``crossed`` says whether the prefix holds a pair-2 letter, which
+    decides whether a chain traversal is kept, and is always true for a
+    stutter loop.
     """
     if red.kind != "dyck2_to_undirected":
         raise ValueError("nominal enumeration needs an undirected-gadget target")
@@ -326,25 +361,34 @@ def enumerate_nominal_paths(red, tag: tuple, budget: EnumerationBudget,
     truncated = False
     expansions = 0
     labels: list[Label] = []
-    # Letters of the normal form of ``labels`` under open-then-close
-    # cancellation.  Every walked prefix is a factor word, so this is
-    # closing letters followed by opening letters.
-    reduced: list[int] = []
+    # The opening letters of the normal form of ``labels`` under
+    # open-then-close cancellation.  Every walked prefix is a factor word,
+    # so that form is closing letters followed by opening letters, and its
+    # closing letters can never cancel: they are not kept.
+    opens: list[int] = []
+    dead: dict[tuple, int] = {}  # key -> expansions of a dead subtree
 
-    def walk(at: int, steps_left: int):
+    def walk(at: int, steps_left: int, crossed: bool):
         nonlocal truncated, expansions
-        if truncated:
-            return
         if labels and at == finish:
             # chain traversals must touch the second pair; a pair-1-only
             # return (possible on a self-loop chain) is a stutter loop
-            if loop or any(lab.index == 2 for lab in labels):
+            if crossed:
                 results.append(tuple(labels))
                 if len(results) >= budget.max_paths:
                     truncated = True
             return  # nominal paths stop at the first original endpoint
         if steps_left == 0:
             return
+        key = (at, steps_left, tuple(opens[-steps_left:]), crossed)
+        count = dead.get(key)
+        if count is not None:
+            if expansions + count > cap:
+                truncated = True
+            else:
+                expansions += count
+            return
+        before, found_before = expansions, len(results)
         for lab, letter, nxt, may_step in moves.get(at, ()):
             expansions += 1
             if expansions > cap:
@@ -355,19 +399,23 @@ def enumerate_nominal_paths(red, tag: tuple, budget: EnumerationBudget,
             # A closing letter after an opening one cancels it if it is
             # its partner and leaves the factor language otherwise.
             cancelled = 0
-            if letter < 0 and reduced and reduced[-1] > 0:
-                if reduced[-1] != -letter:
+            if letter < 0 and opens:
+                if opens[-1] != -letter:
                     continue
-                cancelled = reduced.pop()
-            else:
-                reduced.append(letter)
+                cancelled = opens.pop()
+            elif letter > 0:
+                opens.append(letter)
             labels.append(lab)
-            walk(nxt, steps_left - 1)
+            walk(nxt, steps_left - 1, crossed or abs(letter) == 2)
             labels.pop()
             if cancelled:
-                reduced.append(cancelled)
-            else:
-                reduced.pop()
+                opens.append(cancelled)
+            elif letter > 0:
+                opens.pop()
+            if truncated:
+                return
+        if len(results) == found_before:
+            dead[key] = expansions - before
 
-    walk(start, budget.max_path_length)
+    walk(start, budget.max_path_length, loop)
     return tuple(results), truncated

@@ -1,11 +1,12 @@
 """Brute-force oracles: path enumeration, word streams, CYK, factor
 oracle, and BFS distances."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dycklab import (Alphabet, EnumerationBudget, Instance, Label,
@@ -15,11 +16,13 @@ from dycklab import (Alphabet, EnumerationBudget, Instance, Label,
                      factor_of_dyck_oracle, in_q, in_q_init, is_dyck,
                      near_dyck_grammar, solve_dyck, word)
 from dycklab.oracle import enumerate_nominal_paths
+from dycklab.suites import default_gadget_source
 from dycklab.words import ZO_ALPHABET
 
 from util import (gap_chain_instance, random_dyck_instance,
                   random_neardyck_instance, reference_balanced_paths,
-                  reference_nominal_paths)
+                  reference_nominal_paths, reference_untabled_nominal_paths,
+                  reference_untabled_paths)
 
 
 def test_empty_graph_empty_path():
@@ -83,6 +86,71 @@ def test_balanced_enumeration_matches_the_filtered_walks(seed, near, max_len,
     got = enumerate_paths(inst, inst.source, inst.sink, budget, balanced=True)
     assert (got.paths, got.truncated) == \
         reference_balanced_paths(inst, inst.source, inst.sink, budget)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), st.booleans(), st.booleans(),
+       st.integers(0, 9), st.sampled_from([1, 3, 40, 10_000]),
+       st.one_of(st.none(), st.just(0), st.integers(1, 60),
+                 st.integers(61, 20_000)))
+def test_enumeration_matches_the_untabled_walk(seed, near, balanced, max_len,
+                                               max_paths, cap):
+    """Skipping dead subtrees keeps every walk, their order and the
+    truncated flag of the walk that re-walks them, under every expansion
+    cap, on Dyck and near-Dyck instances with self-loops and ``dot``
+    edges, with and without the bracket stack."""
+    rng = random.Random(seed)
+    if near:
+        inst = random_neardyck_instance(rng, max_vertices=4, density=0.3)
+    else:
+        inst = random_dyck_instance(rng, max_vertices=4, density=0.35)
+    budget = EnumerationBudget(max_len, max_paths, max_expansions=cap)
+    got = enumerate_paths(inst, inst.source, inst.sink, budget,
+                          balanced=balanced)
+    assert (got.paths, got.truncated) == reference_untabled_paths(
+        inst, inst.source, inst.sink, budget, balanced)
+
+
+def _least_finishing_cap(finishes, limit):
+    """The least expansion cap up to ``limit`` under which an untabled
+    search finishes, or None.  A search that finishes under a cap
+    finishes under every larger one, so the cap is bisected."""
+    if not finishes(limit):
+        return None
+    lo, hi = 0, limit
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if finishes(mid) else (mid + 1, hi)
+    return lo
+
+
+def _sweep(limit, total, steps, tail):
+    """``steps`` caps spread over 0..limit, and the last ``tail`` caps
+    before ``total``, where a skipped subtree that ends the search lies."""
+    caps = set(range(0, limit + 1, max(1, limit // steps)))
+    if total is not None:
+        caps |= set(range(max(0, total - tail), total + 1))
+    return sorted(caps)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_enumeration_truncates_where_the_untabled_walk_does(seed):
+    """Caps across the whole search, and every cap in its last stretch,
+    where a skipped subtree that ends the search lies: the tabled walk
+    must stop, or finish, exactly where the untabled one does."""
+    rng = random.Random(seed)
+    if seed % 2:
+        inst = random_neardyck_instance(rng, max_vertices=3, density=0.3)
+    else:
+        inst = random_dyck_instance(rng, max_vertices=3, density=0.35)
+    for balanced in (False, True):
+        def run(cap, walk=reference_untabled_paths):
+            budget = EnumerationBudget(4, 10_000, max_expansions=cap)
+            return walk(inst, inst.source, inst.sink, budget, balanced)
+        total = _least_finishing_cap(lambda cap: not run(cap)[1], 10**6)
+        for cap in _sweep(total, total, 50, 50):
+            got = run(cap, enumerate_paths)
+            assert (got.paths, got.truncated) == run(cap), (balanced, cap)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -163,6 +231,90 @@ def test_nominal_truncation_matches_the_re_reducing_walk_at_every_cap():
             assert got == reference_nominal_paths(red, tag, budget), (tag, cap)
             flags.add((got[1], bool(got[0])))
     assert flags == {(True, False), (True, True), (False, True)}
+
+
+def _lemma_gadgets():
+    """The worked 4-edge cycle gadget and the one-edge ``0 l1bar 1`` and
+    ``0 l2bar 1`` gadgets, each with all of its nominal tags."""
+    sources = [default_gadget_source()] + [
+        Instance(LabeledGraph.build(True, 2, Alphabet("dyck", 2),
+                                    [(0, Label("l", k, True), 1)]), 0, 1)
+        for k in (1, 2)]
+    for source in sources:
+        red = compile_dyck2_to_undirected(source)
+        tags = [("loop", x) for x in range(source.graph.vertex_count)]
+        tags += [("edge",) + e for e in sorted(source.graph.edges)]
+        yield red, tags
+
+
+@pytest.mark.parametrize("budget", [
+    EnumerationBudget(40, 300, max_expansions=20_000),
+    EnumerationBudget(36, 120, max_expansions=20_000),
+])
+def test_nominal_paths_match_the_untabled_walk(budget):
+    """At the lemma suites' budgets, skipping dead subtrees keeps the
+    labels, their order and the truncated flag of the walk that re-walks
+    them."""
+    for red, tags in _lemma_gadgets():
+        for tag in tags:
+            assert enumerate_nominal_paths(red, tag, budget) == \
+                reference_untabled_nominal_paths(red, tag, budget), tag
+
+
+def test_nominal_truncation_matches_the_untabled_walk_at_every_cap():
+    """A sweep of the expansion cap up to 20,000, with every cap in the
+    last stretch of a search that finishes under it, lands caps inside
+    subtrees the tabled walk skips: it must stop with the same labels and
+    flag."""
+    flags = set()
+    for red, tags in _lemma_gadgets():
+        for tag, length in itertools.product(tags, (13, 36)):
+            def run(cap, walk=reference_untabled_nominal_paths):
+                return walk(red, tag, EnumerationBudget(
+                    length, 10_000, max_expansions=cap))
+            total = _least_finishing_cap(lambda cap: not run(cap)[1], 20_000)
+            for cap in _sweep(20_000, total, 8, 30):
+                got = run(cap, enumerate_nominal_paths)
+                assert got == run(cap), (tag, length, cap)
+                flags.add((got[1], bool(got[0])))
+    assert flags == {(True, False), (True, True), (False, True)}
+
+
+def _redrawn_gadget(rng: random.Random, density: float):
+    """A one-edge gadget whose target edges are redrawn at random among
+    the source's vertices and that edge's chain, with its nominal tags:
+    shapes no compiled gadget has, such as two walks that meet in the same
+    vertex and reduced label, one of them past a pair-2 letter."""
+    n = rng.randint(1, 2)
+    x, y = rng.randrange(n), rng.randrange(n)
+    lab = Label("l", rng.randint(1, 2), rng.random() < 0.5)
+    alph = Alphabet("dyck", 2)
+    red = compile_dyck2_to_undirected(
+        Instance(LabeledGraph.build(True, n, alph, [(x, lab, y)]), 0, n - 1))
+    stops = sorted({x, y} | {red.vertex_id((x, lab, y, i))
+                             for i in range(1, 12)})
+    edges = [(u, a, v) for i, u in enumerate(stops) for v in stops[i:]
+             for a in alph.labels() if rng.random() < density]
+    target = LabeledGraph.build(False, len(red.names), alph, edges)
+    tags = [("loop", v) for v in range(n)] + [("edge", x, lab, y)]
+    return dataclasses.replace(red, target=Instance(target, 0, 0)), tags
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9), st.floats(0.02, 0.12), st.integers(0, 12),
+       st.one_of(st.none(), st.integers(0, 3_000)))
+# a self-loop chain whose walks meet in one state with and without a
+# pair-2 letter, only the second of which may be kept
+@example(seed=1, density=0.05, max_len=8, cap=None)
+def test_nominal_paths_match_the_untabled_walk_on_redrawn_gadgets(
+        seed, density, max_len, cap):
+    """On targets no compiler makes, the tabled walk still keeps the
+    labels, order and truncated flag of the untabled one."""
+    red, tags = _redrawn_gadget(random.Random(seed), density)
+    budget = EnumerationBudget(max_len, 10_000, max_expansions=cap)
+    for tag in tags:
+        assert enumerate_nominal_paths(red, tag, budget) == \
+            reference_untabled_nominal_paths(red, tag, budget), tag
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Shared generators for the test suite: random instances, random update
-scripts, the worked instances used across modules, and the check of a
-``ReachIndex``'s support masks."""
+scripts, the worked instances used across modules, the check of a
+``ReachIndex``'s support masks, and slow reference versions of the
+oracle walks and suites."""
 
+import math
 import random
 
 from dycklab import Alphabet, Instance, Label, LabeledGraph, UpdateOp
@@ -325,3 +327,160 @@ def reference_suite_lemma7(red, budget, varpi_max_len, sample_cap, seed):
                 res.check(not in_q_init(rho + w3),
                           f"closing chain {k} started a balanced prefix")
     return res
+
+
+def _sorted_moves(inst):
+    adj = {}
+    for u, lab, v in inst.graph.directed_edges():
+        adj.setdefault(u, []).append((lab, v))
+    for lst in adj.values():
+        lst.sort()
+    return adj
+
+
+def reference_untabled_paths(inst, source, sink, budget, balanced=False):
+    """``dycklab.oracle.enumerate_paths`` as a depth-first walk that
+    re-walks every subtree it meets, with no table of dead subtrees: the
+    same walks, order, expansion count and truncated flag, as a
+    ``(paths, truncated)`` pair."""
+    vertices = range(inst.graph.vertex_count)
+    if source not in vertices or sink not in vertices:
+        raise ValueError(f"endpoint out of range: ({source}, {sink})")
+    pair_ids = {}
+    moves = {}
+    for u, adj in _sorted_moves(inst).items():
+        out = []
+        for lab, v in adj:
+            letter = 0
+            if lab.base != "dot":
+                letter = pair_ids.setdefault((lab.base, lab.index),
+                                             len(pair_ids) + 1)
+                if lab.bar:
+                    letter = -letter
+            out.append(((u, lab, v), letter, v))
+        moves[u] = tuple(out)
+    cap = math.inf if budget.max_expansions is None else budget.max_expansions
+    max_paths = budget.max_paths
+    found = []
+    truncated = False
+    expansions = 0
+    edges = []
+    stack = []
+
+    def walk(at, left):
+        nonlocal truncated, expansions
+        if left == 0:
+            if at == sink and not stack:
+                found.append(tuple(edges))
+                if len(found) >= max_paths:
+                    truncated = True
+                    return False
+            return True
+        for edge, letter, nxt in moves.get(at, ()):
+            expansions += 1
+            if expansions > cap:
+                truncated = True
+                return False
+            if balanced:
+                if letter > 0:
+                    stack.append(letter)
+                elif letter and stack and stack[-1] == -letter:
+                    stack.pop()
+                else:
+                    continue
+            edges.append(edge)
+            ok = walk(nxt, left - 1)
+            edges.pop()
+            if balanced:
+                if letter > 0:
+                    stack.pop()
+                else:
+                    stack.append(-letter)
+            if not ok:
+                return False
+        return True
+
+    for length in range(budget.max_path_length + 1):
+        if truncated:
+            break
+        walk(source, length)
+    return tuple(found), truncated
+
+
+def reference_untabled_nominal_paths(red, tag, budget):
+    """``dycklab.oracle.enumerate_nominal_paths`` as a depth-first walk
+    that re-walks every subtree it meets, with no table of dead subtrees,
+    keeping the whole reduced label and scanning each found label for a
+    pair-2 letter."""
+    if red.kind != "dyck2_to_undirected":
+        raise ValueError("nominal enumeration needs an undirected-gadget target")
+    inst = red.target
+    if tag[0] == "loop":
+        x = tag[1]
+        start = finish = x
+        loop = True
+        allowed_interior = None
+    elif tag[0] == "edge":
+        _, x, lab0, y = tag
+        start, finish = x, y
+        loop = False
+        allowed_interior = {red.vertex_id((x, lab0, y, i)) for i in range(1, 12)}
+    else:
+        raise ValueError(f"unknown tag {tag!r}")
+
+    original = {i for i, name in enumerate(red.names) if len(name) == 1}
+    moves = {}
+    for u, adj in _sorted_moves(inst).items():
+        out = []
+        for lab, v in adj:
+            if loop and lab.index != 1:
+                continue
+            if v in original:
+                may_step = v == finish
+            else:
+                may_step = allowed_interior is None or v in allowed_interior
+            out.append((lab, -lab.index if lab.bar else lab.index, v, may_step))
+        moves[u] = tuple(out)
+    cap = math.inf if budget.max_expansions is None else budget.max_expansions
+    results = []
+    truncated = False
+    expansions = 0
+    labels = []
+    reduced = []
+
+    def walk(at, steps_left):
+        nonlocal truncated, expansions
+        if truncated:
+            return
+        if labels and at == finish:
+            if loop or any(lab.index == 2 for lab in labels):
+                results.append(tuple(labels))
+                if len(results) >= budget.max_paths:
+                    truncated = True
+            return
+        if steps_left == 0:
+            return
+        for lab, letter, nxt, may_step in moves.get(at, ()):
+            expansions += 1
+            if expansions > cap:
+                truncated = True
+                return
+            if not may_step:
+                continue
+            cancelled = 0
+            if letter < 0 and reduced and reduced[-1] > 0:
+                if reduced[-1] != -letter:
+                    continue
+                cancelled = reduced.pop()
+            else:
+                reduced.append(letter)
+            labels.append(lab)
+            walk(nxt, steps_left - 1)
+            labels.pop()
+            if cancelled:
+                reduced.append(cancelled)
+            else:
+                reduced.pop()
+
+    walk(start, budget.max_path_length)
+    return tuple(results), truncated
