@@ -74,13 +74,14 @@ _ALIASES = {
 
 @functools.lru_cache(maxsize=1024)
 def parse_label_token(token: str) -> Label:
-    """The label a token names.  Memoized: a file repeats few distinct
+    """The label a token names.  Bracket pairs ``l<k>`` count from 1,
+    vertex pairs ``v<i>`` from 0.  Memoized: a file repeats few distinct
     tokens, a ``Label`` is immutable, and a bad token raises each time."""
     token = _ALIASES.get(token, token)
     if token == "dot":
         return DOT
     m = _TOKEN_RE.match(token)
-    if not m:
+    if not m or (m.group(1) == "l" and int(m.group(2)) == 0):
         raise ValueError(f"unknown label token {token!r}")
     return Label(m.group(1), int(m.group(2)), m.group(3) is not None)
 

@@ -74,74 +74,74 @@ def suite_lemma5(max_len: int = 10) -> SuiteResult:
     """If 1.0.rho stays a factor word for rho in varpi, its reduction is in
     1.0.varpi+; dually for rho.0bar.1bar and varpi-.
 
-    One depth-first walk over the varpi DFA, in ``ZO_ALPHABET`` order to
-    depth ``max_len``, keeps the normal form of its prefix on a stack, so
-    each word costs one letter of reduction plus the junctions with 1.0
-    and 0bar.1bar (:func:`words.join_reduced`).  The walk is
-    lexicographic; failures are sorted stably by word length, so they come
-    shortest first and in label order within a length.
+    Both claims read only rho's normal form, so each is decided once per
+    call.  A depth-first walk over the varpi DFA in ``ZO_ALPHABET`` order,
+    to depth ``max_len``, keeps each prefix's normal form as signed letters
+    (+k opens pair k, -k closes it).  Failures are sorted stably by word
+    length, so they come shortest first and in label order within one.
     """
     res = SuiteResult("lemma5")
     head, tail = (words.ONE, words.ZERO), (words.ZERO_BAR, words.ONE_BAR)
-    plus = regular_nfa("varpi+")
-    minus = regular_nfa("varpi-")
-    varpi = regular_nfa("varpi")
-    moves, final = varpi.moves, varpi.final
+    plus, minus, varpi = map(regular_nfa, ("varpi+", "varpi-", "varpi"))
+    start, final = varpi.start(), varpi.final
+    signed = {lab: -lab.index if lab.bar else lab.index for lab in ZO_ALPHABET}
+    letter = {c: lab for lab, c in signed.items()}
+    # per DFA state, its live moves (letter index, signed letter, next state)
+    live: dict[int, list[tuple[int, int, int]]] = {}
+    todo = [start]
+    while todo:
+        state = todo.pop()
+        out = varpi.moves[state]  # a step met before needs no advance
+        live[state] = [(i, signed[lab], nxt) for i, lab in enumerate(ZO_ALPHABET)
+                       if (nxt := out[lab] if lab in out
+                           else varpi.advance(state, lab))]
+        todo += {nxt for _, _, nxt in live[state]}.difference(live, todo)
+    # per frame depth, the moves worth taking (the last: those that end a word)
+    tables = [live] * (max_len - 1) + [{s: [m for m in ms if final[m[2]]]
+                                        for s, ms in live.items()}]
+    # per normal form met, the messages of the claims it fails
+    verdicts: dict[tuple[int, ...], tuple[str, ...]] = {}
     found: list[tuple[int, str]] = []
-    rho: list[Label] = []               # the walk's word
-    red: list[Label] = []               # its normal form
-    cancelled: list[Label | None] = []  # per letter of rho, what it cancelled
-    states = [varpi.start()]            # per prefix of rho, its DFA state
-    nexts = [0]                         # per prefix of rho, the next letter to try
 
-    def visit():
+    def check(form: tuple[int, ...], rho: list[int]):
+        if form not in verdicts:
+            r0 = tuple([letter[c] for c in form])
+            r = join_reduced(head, r0)
+            verdicts[form] = ()
+            if reduced_in_q(r) and not (r[:2] == head and plus.accepts(r[2:])):
+                verdicts[form] += ("reduction of 1 0 {} leaves 1 0 varpi+",)
+            r = join_reduced(r0, tail)
+            if reduced_in_q(r) and not (r[-2:] == tail and minus.accepts(r[:-2])):
+                verdicts[form] += ("reduction of {} 0bar 1bar leaves varpi- 0bar 1bar",)
+        for message in verdicts[form]:
+            found.append((len(rho), message.format(
+                words.zo_str([ZO_ALPHABET[i] for i in rho]))))
+
+    if max_len >= 0 and final[start]:
         res.checked += 2
-        r0 = tuple(red)
-        r = join_reduced(head, r0)
-        if reduced_in_q(r) and not (r[:2] == head and plus.accepts(r[2:])):
-            found.append((len(rho), f"reduction of 1 0 {words.zo_str(rho)} "
-                                    f"leaves 1 0 varpi+"))
-        r = join_reduced(r0, tail)
-        if reduced_in_q(r) and not (r[-2:] == tail and minus.accepts(r[:-2])):
-            found.append((len(rho), f"reduction of {words.zo_str(rho)} 0bar 1bar "
-                                    f"leaves varpi- 0bar 1bar"))
-
-    if max_len >= 0 and final[states[0]]:
-        visit()
-    while nexts:
-        i = nexts[-1]
-        if i == len(ZO_ALPHABET) or len(rho) >= max_len:
-            nexts.pop()
-            states.pop()
-            if rho:
-                rho.pop()
-                lab = cancelled.pop()
-                if lab is None:
-                    red.pop()
-                else:
-                    red.append(lab)
-            continue
-        nexts[-1] = i + 1
-        lab = ZO_ALPHABET[i]
-        state = moves[states[-1]].get(lab)
-        if state is None:
-            state = varpi.advance(states[-1], lab)
-        if not state:
-            continue
-        rho.append(lab)
-        top = red[-1] if red else None
-        if (top is not None and lab.bar and not top.bar
-                and top.index == lab.index and top.base == lab.base):
-            cancelled.append(red.pop())
+        check((), [])
+    rho: list[int] = []  # the letters into the current frame
+    forms = [()]         # per frame, the normal form of its prefix
+    frames = [iter(tables[0][start])] if max_len > 0 else []
+    while frames:
+        deep = len(frames) < max_len
+        base = forms[-1]
+        for i, c, state in frames[-1]:
+            form = base[:-1] if c < 0 and base and base[-1] == -c else base + (c,)
+            if final[state]:
+                res.checked += 2
+                if verdicts.get(form, True):  # unseen, or fails a claim
+                    check(form, rho + [i])
+            if deep:
+                rho.append(i)
+                forms.append(form)
+                frames.append(iter(tables[len(frames)][state]))
+                break
         else:
-            red.append(lab)
-            cancelled.append(None)
-        states.append(state)
-        nexts.append(0)
-        if final[state]:
-            visit()
-    found.sort(key=lambda f: f[0])
-    res.failures = [message for _, message in found]
+            frames.pop()
+            forms.pop()
+            del rho[-1:]
+    res.failures = [message for _, message in sorted(found, key=lambda f: f[0])]
     return res
 
 

@@ -2,7 +2,10 @@
 
 import contextlib
 import io
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -294,6 +297,35 @@ def test_word_theta_rejects_letters_outside_the_two_pairs(capsys, tokens):
     assert code == 2
     assert "theta=" not in out
     assert "error: theta is defined on the two-pair letters only" in err
+
+
+@pytest.mark.parametrize("argv", [("word", "dyck", "l0", "l0bar"),
+                                  ("word", "mu", "l0", "l0bar", "l0bar")])
+def test_bracket_pair_zero_is_an_unknown_token(capsys, tmp_path, argv):
+    """Bracket pairs count from 1: ``l0`` names no letter, on the command
+    line or in a graph file (``v0`` stays a vertex letter)."""
+    code, out, err = run(capsys, "--kv", *argv)
+    assert (code, out) == (2, "")
+    assert "error: unknown label token 'l0'" in err
+    bad = tmp_path / "l0.graph"
+    bad.write_text("graph directed\nvertices 2\nalphabet dyck 1\n"
+                   "edge 0 l0 1\nmark 0 1\n")
+    code, _, err = run(capsys, "solve", str(bad))
+    assert code == 2
+    assert "error: line 4: unknown label token 'l0'" in err
+    assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m dycklab`` works from a checkout, without installing."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dycklab", "--kv", "word", "reduce", "0", "0bar"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "reduced=eps\n"), proc.stderr
 
 
 def test_oracle_reach(capsys, gap_chain):

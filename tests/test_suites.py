@@ -2,6 +2,7 @@
 matched-pair consecution fact needs the reduction-closure reading."""
 
 import itertools
+import sys
 import time
 
 import pytest
@@ -11,7 +12,7 @@ from dycklab import (Alphabet, EnumerationBudget, Instance, Label,
                      LabeledGraph, PHI_UNDIRECTED, in_q, reduce_word,
                      reduced_language_nfa)
 from dycklab.oracle import enumerate_nominal_paths
-from dycklab import suites
+from dycklab import automata, suites, words
 from dycklab.suites import (SUITES, default_gadget_source, suite_lemma4,
                             suite_lemma5, suite_lemma6, suite_lemma7,
                             suite_prop1, suite_q_validate)
@@ -134,6 +135,16 @@ def test_lemma7_matches_the_in_q_then_reduce_loop(budget, varpi_max_len,
 
 
 
+def _swap_languages(monkeypatch, swap):
+    """Patch ``regular_nfa`` where the suite and the reference look it up,
+    so that each name in ``swap`` gives the automaton it maps to."""
+    def swapped(which):
+        return swap.get(which) or regular_nfa(which)
+
+    monkeypatch.setattr(suites, "regular_nfa", swapped)
+    monkeypatch.setattr(dycklab, "regular_nfa", swapped)
+
+
 @pytest.mark.parametrize("swap", [
     {"varpi+": "omega+", "varpi-": "omega-"},
     {"varpi+": "varpi-", "varpi-": "varpi+"},
@@ -143,17 +154,51 @@ def test_lemma5_reports_the_failures_of_the_reference_loop(monkeypatch, swap):
     depth-first walk must report the reference loop's counterexamples in
     the reference's order (shortest first, label order within a
     length)."""
-    def swapped(which):
-        return regular_nfa(swap.get(which, which))
-
-    monkeypatch.setattr(suites, "regular_nfa", swapped)
-    monkeypatch.setattr(dycklab, "regular_nfa", swapped)
+    _swap_languages(monkeypatch, {k: regular_nfa(v) for k, v in swap.items()})
     for max_len in (6, 9):
         got = suite_lemma5(max_len=max_len)
         want = reference_suite_lemma5(max_len)
         assert (got.checked, got.failures, got.info) == \
             (want.checked, want.failures, want.info)
         assert got.failures
+
+
+def test_lemma5_matches_the_reference_under_every_language_swap(monkeypatch):
+    """Targets swapped for every ordered pair of the named languages, then
+    the walked language swapped for omega and for varpi+, at every length
+    up to 8: counts, counterexamples and their order match the reference
+    loop.  The calls run one after another in one process, so a verdict
+    kept from a call under other languages would show."""
+    names = sorted(words.REGULAR_EXPRS)
+    swaps = [{"varpi+": a, "varpi-": b}
+             for a, b in itertools.product(names, repeat=2)]
+    swaps += [{"varpi": "omega"}, {"varpi": "varpi+"}]
+    failing = 0
+    for swap in swaps:
+        _swap_languages(monkeypatch,
+                        {k: regular_nfa(v) for k, v in swap.items()})
+        for max_len in range(9):
+            got = suite_lemma5(max_len=max_len)
+            want = reference_suite_lemma5(max_len)
+            assert (got.checked, got.failures, got.info) == \
+                (want.checked, want.failures, want.info), (swap, max_len)
+        failing += bool(got.failures)
+    assert 0 < failing < len(swaps)
+
+
+def test_lemma5_walks_words_longer_than_the_recursion_limit(monkeypatch):
+    """The walk keeps its own stack: with varpi swapped for 0*, it reaches
+    words longer than the recursion limit and still matches the
+    reference loop."""
+    zeros = automata.compile_regex(automata.lit(words.ZERO).star())
+    _swap_languages(monkeypatch, {"varpi": zeros})
+    max_len = sys.getrecursionlimit() + 50
+    got = suite_lemma5(max_len=max_len)
+    want = reference_suite_lemma5(max_len)
+    assert (got.checked, got.failures, got.info) == \
+        (want.checked, want.failures, want.info)
+    assert got.checked == 2 * (max_len + 1)
+    assert got.failures
 
 
 def test_lemma7_reports_the_failures_of_the_reference_loop(monkeypatch):
