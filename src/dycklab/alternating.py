@@ -5,14 +5,12 @@ sequences, and the minimal-sequence index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .graphs import Instance
 
 
-@dataclass(frozen=True)
-class FixpointTrace:
+class FixpointTrace(NamedTuple):
     """Layers X_0 subset X_1 subset ... of the fixpoint computation and the
     first layer each member joins."""
 

@@ -8,42 +8,62 @@ automata can serve as one side of a dual-route check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import Label
 
 
-class Regex:
-    def star(self) -> "Regex":
-        return Star(self)
+def _same_node(self, other) -> bool:
+    return type(self) is type(other) and tuple.__eq__(self, other)
 
 
-@dataclass(frozen=True)
-class Eps(Regex):
+def _other_node(self, other) -> bool:
+    return not _same_node(self, other)
+
+
+def _star(self) -> "Regex":
+    return Star(self)
+
+
+def _node(cls):
+    """A regex node type: a NamedTuple equal only to nodes of its own type,
+    though the fields of two types may agree (``Cat(a, b) != Alt(a, b)``),
+    with ``star()``."""
+    cls.__eq__, cls.__ne__, cls.__hash__ = _same_node, _other_node, tuple.__hash__
+    cls.star = _star
+    return cls
+
+
+@_node
+class Eps(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Lit(Regex):
+@_node
+class Lit(NamedTuple):
     label: Label
 
 
-@dataclass(frozen=True)
-class Cat(Regex):
+@_node
+class Cat(NamedTuple):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True)
-class Alt(Regex):
+@_node
+class Alt(NamedTuple):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True)
-class Star(Regex):
+@_node
+class Star(NamedTuple):
     inner: Regex
+
+
+# not ``typing.Union``: typing caches a Union, and with it these classes
+# and their module, past a re-import of the package
+Regex = Eps | Lit | Cat | Alt | Star
 
 
 def lit(label: Label) -> Regex:

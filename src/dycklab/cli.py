@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .alternating import solve_alternating
 from .graphs import (GraphFormatError, Instance, UpdateError, UpdateOp,
@@ -50,16 +49,18 @@ class Reporter:
             print(f"{key}: {value}")
 
 
-@dataclass
 class RunReport:
     """A replay's per-query answers.  An equivalence run adds the
     target's answers, the per-update translated-op counts and its
     failures."""
 
-    answers: list[bool] = field(default_factory=list)
-    target_answers: list[bool] = field(default_factory=list)
-    counts: list[int] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
+    __slots__ = ("answers", "target_answers", "counts", "failures")
+
+    def __init__(self):
+        self.answers: list[bool] = []
+        self.target_answers: list[bool] = []
+        self.counts: list[int] = []
+        self.failures: list[str] = []
 
     @property
     def ok(self) -> bool:

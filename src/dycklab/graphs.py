@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 
@@ -62,7 +61,7 @@ class Label(NamedTuple):
 
 DOT = Label("dot", 0, False)
 
-_TOKEN_RE = re.compile(r"^(l|v)(\d+)(bar)?$")
+_TOKEN_RE = re.compile(r"(l|v)(0|[1-9][0-9]*)(bar)?")
 
 # Convenience aliases used by the word-level tooling: the two-pair bracket
 # alphabet doubles as {0, 1, 0bar, 1bar} and as {a, b, abar, bbar}.
@@ -80,25 +79,35 @@ def parse_label_token(token: str) -> Label:
     token = _ALIASES.get(token, token)
     if token == "dot":
         return DOT
-    m = _TOKEN_RE.match(token)
-    if not m or (m.group(1) == "l" and int(m.group(2)) == 0):
+    m = _TOKEN_RE.fullmatch(token)
+    if not m or (m.group(1) == "l" and m.group(2) == "0"):
         raise ValueError(f"unknown label token {token!r}")
     return Label(m.group(1), int(m.group(2)), m.group(3) is not None)
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Either ``dyck(n)`` (n bracket pairs) or ``neardyck(N)`` (per-vertex
-    pairs for vertices ``0..N-1`` plus the neutral symbol)."""
+# The package's records are NamedTuples, not dataclasses: a dataclass
+# generates its methods with ``exec`` when its module is imported, about
+# 1 ms a class.  A record that validates its fields subclasses a NamedTuple
+# of its fields and checks them in ``__new__``; ``_replace`` skips the
+# checks.
 
+class _AlphabetFields(NamedTuple):
     kind: str  # "dyck" | "neardyck"
     size: int
 
-    def __post_init__(self):
-        if self.kind not in ("dyck", "neardyck"):
-            raise ValueError(f"unknown alphabet kind {self.kind!r}")
-        if self.size < 1:
+
+class Alphabet(_AlphabetFields):
+    """Either ``dyck(n)`` (n bracket pairs) or ``neardyck(N)`` (per-vertex
+    pairs for vertices ``0..N-1`` plus the neutral symbol)."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, size: int):
+        if kind not in ("dyck", "neardyck"):
+            raise ValueError(f"unknown alphabet kind {kind!r}")
+        if size < 1:
             raise ValueError("alphabet size must be positive")
+        return super().__new__(cls, kind, size)
 
     def contains(self, label: Label) -> bool:
         if label.base == "dot":
@@ -135,8 +144,7 @@ def _canonical(directed: bool, edge: Edge) -> Edge:
     return (u, lab, v) if u <= v else (v, lab, u)
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(NamedTuple):
     """Immutable labeled graph.  ``edges`` holds canonical triples only."""
 
     directed: bool
@@ -187,25 +195,30 @@ class LabeledGraph:
                             self.edges - {e})
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A graph with a marked source/sink pair and an optional and/or
-    partition (``partition[v]`` is ``"and"`` or ``"or"``)."""
-
+class _InstanceFields(NamedTuple):
     graph: LabeledGraph
     source: int
     sink: int
     partition: Optional[tuple[str, ...]] = None
 
-    def __post_init__(self):
-        n = self.graph.vertex_count
-        if not (0 <= self.source < n and 0 <= self.sink < n):
+
+class Instance(_InstanceFields):
+    """A graph with a marked source/sink pair and an optional and/or
+    partition (``partition[v]`` is ``"and"`` or ``"or"``)."""
+
+    __slots__ = ()
+
+    def __new__(cls, graph: LabeledGraph, source: int, sink: int,
+                partition: Optional[tuple[str, ...]] = None):
+        n = graph.vertex_count
+        if not (0 <= source < n and 0 <= sink < n):
             raise GraphFormatError("marked vertex out of range")
-        if self.partition is not None:
-            if len(self.partition) != n:
+        if partition is not None:
+            if len(partition) != n:
                 raise GraphFormatError("partition must cover every vertex")
-            if any(p not in ("and", "or") for p in self.partition):
+            if any(p not in ("and", "or") for p in partition):
                 raise GraphFormatError("partition entries must be and/or")
+        return super().__new__(cls, graph, source, sink, partition)
 
     def fingerprint(self) -> int:
         g = self.graph
@@ -213,17 +226,29 @@ class Instance:
                      self.source, self.sink, self.partition))
 
 
-@dataclass(frozen=True)
-class UpdateOp:
+class UpdateOp(NamedTuple):
     """``ins``/``del`` of one edge, or a ``query`` of the marked pair.
     ``line`` is the script line an op was parsed from, for error messages;
-    it takes no part in comparisons."""
+    it takes no part in comparisons, hashing or the repr."""
 
     op: str  # "ins" | "del" | "query"
     u: int = -1
     label: Optional[Label] = None
     v: int = -1
-    line: Optional[int] = field(default=None, compare=False, repr=False)
+    line: Optional[int] = None
+
+    def __eq__(self, other) -> bool:
+        return type(other) is UpdateOp and self[:4] == other[:4]
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
+
+    def __repr__(self) -> str:
+        return (f"UpdateOp(op={self.op!r}, u={self.u!r}, "
+                f"label={self.label!r}, v={self.v!r})")
 
     @staticmethod
     def ins(u: int, label: Label, v: int) -> "UpdateOp":
@@ -245,7 +270,9 @@ class UpdateOp:
 
 def apply_update(inst: Instance, op: UpdateOp) -> Instance:
     """Apply one update; strict (no-op insertions/deletions are errors).
-    The error of an op parsed from a script names its line."""
+    The error of an op parsed from a script names its line.  Only the
+    edge set changes, so the marks and the partition are not checked
+    again."""
     if op.op == "query":
         return inst
     try:
@@ -257,11 +284,22 @@ def apply_update(inst: Instance, op: UpdateOp) -> Instance:
             raise UpdateError(f"unknown update {op.op!r}")
     except UpdateError as exc:
         raise UpdateError(f"{exc}{op.where()}") from None
-    return Instance(g, inst.source, inst.sink, inst.partition)
+    return inst._replace(graph=g)
 
 
 # ---------------------------------------------------------------------------
 # File formats
+
+@functools.lru_cache(maxsize=4096)
+def _number(field: str) -> int:
+    """The non-negative integer ``field`` spells: ASCII digits without
+    leading zeros, so each number has one spelling (``int`` would also take
+    ``01``, ``+1``, ``1_0`` and non-ASCII digits).  Memoized like
+    ``parse_label_token``: a file repeats few distinct numbers."""
+    if field.isdigit() and field.isascii() and (field[0] != "0" or field == "0"):
+        return int(field)
+    raise ValueError(f"expected a non-negative integer, got {field!r}")
+
 
 def parse_graph(text: str) -> Instance:
     """Parse the line-oriented graph format.
@@ -284,9 +322,9 @@ def parse_graph(text: str) -> Instance:
 
     def num(field, no):
         try:
-            return int(field)
-        except ValueError:
-            err(f"expected an integer, got {field!r}", no)
+            return _number(field)
+        except ValueError as exc:
+            err(str(exc), no)
 
     lines = text.splitlines()
     header = []
@@ -305,8 +343,8 @@ def parse_graph(text: str) -> Instance:
             if len(fields) != 4:
                 err("expected 'edge <u> <label> <v>'", no)
             try:
-                u, v = int(fields[1]), int(fields[3])
-                lab = parse_label_token(fields[2])
+                u, lab, v = (_number(fields[1]), parse_label_token(fields[2]),
+                             _number(fields[3]))
             except ValueError as exc:
                 err(str(exc), no)
             edges.append((no, (u, lab, v)))
@@ -334,8 +372,6 @@ def parse_graph(text: str) -> Instance:
     if f2[0] != "vertices" or len(f2) != 2:
         err("expected 'vertices <N>'", no2)
     vertex_count = num(f2[1], no2)
-    if vertex_count < 0:
-        err("vertex count must be non-negative", no2)
     if f3[0] != "alphabet" or len(f3) != 3 or f3[1] not in ("dyck", "neardyck"):
         err("expected 'alphabet dyck <n>' or 'alphabet neardyck <N>'", no3)
     size = num(f3[2], no3)
@@ -407,8 +443,8 @@ def parse_updates(text: str) -> list[UpdateOp]:
             if len(fields) != 4:
                 raise GraphFormatError(f"expected '{fields[0]} <u> <label> <v>'", no)
             try:
-                u, v = int(fields[1]), int(fields[3])
-                lab = parse_label_token(fields[2])
+                u, lab, v = (_number(fields[1]), parse_label_token(fields[2]),
+                             _number(fields[3]))
             except ValueError as exc:
                 raise GraphFormatError(str(exc), no)
             ops.append(UpdateOp(fields[0], u, lab, v, line=no))

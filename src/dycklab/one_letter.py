@@ -15,7 +15,7 @@ not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (Alphabet, Instance, Label, LabeledGraph, UpdateOp,
                      apply_update)
@@ -101,8 +101,7 @@ def prop1_check(inst: Instance) -> bool:
     return ParityIndex(inst).query(inst.source, inst.sink)
 
 
-@dataclass(frozen=True)
-class DistanceGadget:
+class DistanceGadget(NamedTuple):
     """One-pair labeled extension of a plain digraph for distance queries."""
 
     instance: Instance

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import Instance, Label
 from .saturate import Grammar
@@ -30,32 +29,36 @@ from .words import is_dyck_prefix
 PathEdge = tuple[int, Label, int]
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
+class _BudgetFields(NamedTuple):
+    max_path_length: int
+    max_paths: int = 100_000
+    max_expansions: Optional[int] = None
+
+
+class EnumerationBudget(_BudgetFields):
     """Bounds for walk enumeration.  ``max_expansions`` caps the number of
     explored prefixes across the whole search (None = unlimited); hitting
     any cap sets the truncated flag instead of running forever on graphs
     where prefixes proliferate but full witnesses are rare."""
 
-    max_path_length: int
-    max_paths: int = 100_000
-    max_expansions: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, max_path_length: int, max_paths: int = 100_000,
+                max_expansions: Optional[int] = None):
         # the enumerators keep a path before they test the cap, so a cap
         # of zero paths could not be honoured
-        if self.max_paths < 1:
-            raise ValueError(f"max_paths must be at least 1, got {self.max_paths}")
-        if self.max_path_length < 0:
+        if max_paths < 1:
+            raise ValueError(f"max_paths must be at least 1, got {max_paths}")
+        if max_path_length < 0:
             raise ValueError(f"max_path_length must be non-negative, "
-                             f"got {self.max_path_length}")
-        if self.max_expansions is not None and self.max_expansions < 0:
+                             f"got {max_path_length}")
+        if max_expansions is not None and max_expansions < 0:
             raise ValueError(f"max_expansions must be non-negative, "
-                             f"got {self.max_expansions}")
+                             f"got {max_expansions}")
+        return super().__new__(cls, max_path_length, max_paths, max_expansions)
 
 
-@dataclass(frozen=True)
-class Enumeration:
+class Enumeration(NamedTuple):
     paths: tuple[tuple[PathEdge, ...], ...]
     truncated: bool
 

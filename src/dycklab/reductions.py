@@ -15,8 +15,7 @@ is vertex i-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graphs import (DOT, Alphabet, Instance, Label, LabeledGraph, UpdateOp)
 from .words import PHI_UNDIRECTED
@@ -24,14 +23,13 @@ from .words import PHI_UNDIRECTED
 StructuredName = tuple
 
 
-@dataclass(frozen=True)
-class CompiledReduction:
+class CompiledReduction(NamedTuple):
     kind: str
     source: Instance
     target: Instance
     names: tuple[StructuredName, ...]  # names[id] = structured name
-    ids: dict[StructuredName, int] = field(repr=False)
-    translate_one: Callable[[UpdateOp], list[UpdateOp]] = field(repr=False)
+    ids: dict[StructuredName, int]
+    translate_one: Callable[[UpdateOp], list[UpdateOp]]
 
     def vertex_name(self, vid: int) -> StructuredName:
         return self.names[vid]

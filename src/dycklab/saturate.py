@@ -60,9 +60,9 @@ the bracket grammar of either alphabet.
 from __future__ import annotations
 
 import copy
+import functools
 from collections.abc import Set
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graphs import Alphabet, Instance, Label, UpdateOp, apply_update, DOT
 
@@ -370,11 +370,7 @@ def resolve_after_update(index: ReachIndex, inst: Instance,
 # ---------------------------------------------------------------------------
 # Generic engine over grammars in binary normal form
 
-@dataclass(frozen=True)
-class Grammar:
-    """Context-free grammar in binary normal form: every production is
-    A -> epsilon, A -> a, or A -> B C."""
-
+class _GrammarFields(NamedTuple):
     nonterminals: tuple[str, ...]
     start: str
     nullable: frozenset[str]
@@ -382,22 +378,33 @@ class Grammar:
     binary_rules: tuple[tuple[str, str, str], ...]  # (A, B, C) for A -> B C
     alphabet: Alphabet
 
-    def __post_init__(self):
-        nts = set(self.nonterminals)
-        if self.start not in nts:
+
+class Grammar(_GrammarFields):
+    """Context-free grammar in binary normal form: every production is
+    A -> epsilon, A -> a, or A -> B C."""
+
+    __slots__ = ()
+
+    def __new__(cls, nonterminals, start, nullable, terminal_rules,
+                binary_rules, alphabet):
+        nts = set(nonterminals)
+        if start not in nts:
             raise ValueError("start symbol is not a nonterminal")
-        for a, _, _ in self.binary_rules:
+        for a, _, _ in binary_rules:
             if a not in nts:
                 raise ValueError(f"unknown nonterminal {a!r}")
-        for a, lab in self.terminal_rules:
-            if a not in nts or not self.alphabet.contains(lab):
+        for a, lab in terminal_rules:
+            if a not in nts or not alphabet.contains(lab):
                 raise ValueError(f"bad terminal rule {a} -> {lab.token()}")
+        return super().__new__(cls, nonterminals, start, nullable,
+                               terminal_rules, binary_rules, alphabet)
 
 
+@functools.lru_cache
 def dyck_grammar(n: int) -> Grammar:
     """Bracket grammar over n pairs, normalized by a fixed table:
     S -> eps | S S | O_k K_k ;  K_k -> S C_k ;  O_k -> l_k ;  C_k -> l_k-bar.
-    """
+    Memoized: a grammar is immutable."""
     nts = ["S"]
     terminal, binary = [], [("S", "S", "S")]
     for k in range(1, n + 1):
@@ -409,10 +416,11 @@ def dyck_grammar(n: int) -> Grammar:
                    tuple(binary), Alphabet("dyck", n))
 
 
+@functools.lru_cache
 def near_dyck_grammar(vertex_count: int) -> Grammar:
     """Per-vertex bracket grammar with the neutral symbol:
     S -> eps | S S | dot | V_i K_i ;  K_i -> S C_i ;  V_i -> v_i ;
-    C_i -> v_i-bar."""
+    C_i -> v_i-bar.  Memoized: a grammar is immutable."""
     nts = ["S", "D"]
     terminal = [("D", DOT)]
     binary = [("S", "S", "S"), ("S", "D", "S")]

@@ -13,8 +13,7 @@ product Z2 * Z2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import automata
 from .graphs import DOT, Label, parse_label_token
@@ -336,8 +335,7 @@ def gamma_exponent(e: FreeProductElement) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # Nominal decomposition of balanced paths in the undirected gadget
 
-@dataclass(frozen=True)
-class NominalSegment:
+class NominalSegment(NamedTuple):
     tag: str  # "edge" (P_{x,lambda,y}) or "loop" (P_x)
     source: int
     sink: int
@@ -345,8 +343,7 @@ class NominalSegment:
     edges: tuple[tuple[int, Label, int], ...]
 
 
-@dataclass(frozen=True)
-class NominalDecomposition:
+class NominalDecomposition(NamedTuple):
     vertices: tuple[int, ...]  # nominal vertex sequence, in source-graph ids
     segments: tuple[NominalSegment, ...]
     ancestor: tuple[tuple[int, Label, int], ...]

@@ -104,6 +104,19 @@ def test_closure_of_a_used_nfa_matches_a_fresh_one():
     assert not used.accepts((ONE, ZERO, ZERO_BAR, ONE_BAR))
 
 
+def test_nodes_of_different_types_never_compare_equal():
+    a, b = automata.lit(ZERO), automata.lit(ONE)
+    cat, alt = automata.Cat(a, b), automata.Alt(a, b)
+    assert cat != alt and not cat == alt
+    assert len({cat, alt}) == 2
+    assert cat == automata.Cat(a, b) and not cat != automata.Cat(a, b)
+    assert hash(cat) == hash(automata.Cat(a, b))
+    assert automata.Star(a) != automata.Lit(a)  # the same one field
+    assert automata.Eps() == automata.Eps() and automata.Eps() != ()
+    assert cat != (a, b) and automata.Cat(cat, a) != automata.Cat(alt, a)
+    assert a.star() == automata.Star(a)
+
+
 def test_cat_and_union_helpers():
     e = automata.cat(automata.lit(ZERO), automata.lit(ZERO_BAR))
     nfa = automata.compile_regex(e)

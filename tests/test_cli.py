@@ -316,6 +316,34 @@ def test_bracket_pair_zero_is_an_unknown_token(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("token", ["l01", "l\u0661", "l1_0", "l+1"])
+def test_a_label_index_has_one_spelling(capsys, token):
+    """``l01`` is not ``l1``: label indices are ASCII digits without
+    leading zeros."""
+    code, out, err = run(capsys, "--kv", "word", "dyck", token, "l1bar")
+    assert (code, out) == (2, "")
+    assert f"error: unknown label token {token!r}" in err
+
+
+@pytest.mark.parametrize("graph, script, line", [
+    ("vertices 1_1\nalphabet dyck 2\nedge 1_0 l1bar 0\nedge 0 l01 +1\n",
+     "query\n", "line 4:"),
+    ("vertices 11\nalphabet dyck 2\nedge 10 l1bar 0\nedge 0 l01 1\n",
+     "query\n", "line 5: unknown label token 'l01'"),
+    ("vertices 2\nalphabet dyck 2\nedge 1 l1bar 0\n", "query\nins 0 l1 +1\n",
+     "line 2: expected a non-negative integer, got '+1'"),
+    ("vertices 2\nalphabet dyck 2\nedge 1 l1bar 0\n", "del 1 l1bar \u0660\n",
+     "line 1: expected a non-negative integer, got '\u0660'"),
+], ids=["graph-numbers", "graph-label", "script-plus", "script-arabic-zero"])
+def test_files_spell_numbers_one_way(capsys, tmp_path, graph, script, line):
+    g, s = tmp_path / "g.graph", tmp_path / "s.upd"
+    g.write_text("graph directed\n" + graph + "mark 0 1\n")
+    s.write_text(script)
+    code, out, err = run(capsys, "--kv", "replay", str(g), str(s))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {line}")
+
+
 def test_python_dash_m_runs_the_cli():
     """``python -m dycklab`` works from a checkout, without installing."""
     root = Path(__file__).resolve().parent.parent
@@ -525,7 +553,9 @@ _FUZZ_CASES = (
 _FUZZ_TOKENS = ("x", "-1", "0", "1", "3", "9", "l1", "l2bar", "l3", "v0",
                 "v1bar", "v9", "dot", "edge", "mark", "ins", "del", "query",
                 "partition", "and", "vertices", "alphabet", "dyck",
-                "neardyck", "undirected", "#", "")
+                "neardyck", "undirected", "#", "",
+                # numbers and label indices spelled in ways ``int`` reads
+                "01", "+1", "1_0", "\u0661", "l01", "l1_0", "v\u0661bar")
 _FUZZ_COMMANDS = (
     [("solve", "{g}", "--engine", e) for e in ENGINES]
     + [("replay", "{g}", "{s}", "--engine", e) for e in ENGINES]

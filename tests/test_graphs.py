@@ -1,9 +1,19 @@
 """Graph model: labels, alphabets, strict updates, and the file formats."""
 
+import dataclasses
+import importlib
+import inspect
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dycklab
 from dycklab import (DOT, Alphabet, GraphFormatError, Instance, Label,
                      LabeledGraph, UpdateError, UpdateOp, apply_update,
                      parse_graph, parse_label_token, parse_updates,
@@ -39,6 +49,47 @@ def test_unknown_label_token():
         parse_label_token("x7")
 
 
+# spellings ``int`` reads as a number that are not the number's one
+# ASCII spelling
+NONCANONICAL_NUMERALS = ("01", "00", "+1", "-0", "1_0", "\u0661", "1\u0660")
+
+
+@pytest.mark.parametrize("digits", NONCANONICAL_NUMERALS)
+def test_label_indices_have_one_spelling(digits):
+    for token in (f"l{digits}", f"l{digits}bar", f"v{digits}"):
+        with pytest.raises(ValueError, match="unknown label token"):
+            parse_label_token(token)
+
+
+@pytest.mark.parametrize("digits", NONCANONICAL_NUMERALS)
+@pytest.mark.parametrize("line, template", [
+    (2, "graph directed\nvertices {n}\nalphabet dyck 2\nmark 0 0\n"),
+    (3, "graph directed\nvertices 2\nalphabet dyck {n}\nmark 0 0\n"),
+    (4, "graph directed\nvertices 2\nalphabet dyck 2\nedge {n} l1 0\n"
+        "mark 0 0\n"),
+    (4, "graph directed\nvertices 2\nalphabet dyck 2\nedge 0 l1 {n}\n"
+        "mark 0 0\n"),
+    (4, "graph directed\nvertices 2\nalphabet dyck 2\nmark {n} 0\n"),
+    (4, "graph directed\nvertices 2\nalphabet dyck 2\nmark 0 {n}\n"),
+    (5, "graph directed\nvertices 2\nalphabet dyck 2\nmark 0 0\n"
+        "partition and {n}\n"),
+], ids=["vertices", "alphabet", "edge-u", "edge-v", "mark-s", "mark-t",
+        "partition"])
+def test_graph_integers_have_one_spelling(digits, line, template):
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(template.format(n=digits))
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("digits", NONCANONICAL_NUMERALS)
+@pytest.mark.parametrize("template", ["ins {n} l1 0", "del 0 l1 {n}"],
+                         ids=["ins-u", "del-v"])
+def test_script_integers_have_one_spelling(digits, template):
+    with pytest.raises(GraphFormatError) as exc:
+        parse_updates("query\n" + template.format(n=digits) + "\n")
+    assert exc.value.line == 2
+
+
 def test_alphabet_membership():
     d2 = Alphabet("dyck", 2)
     assert d2.contains(Label("l", 2, True))
@@ -53,10 +104,83 @@ def test_alphabet_membership():
 
 
 def test_alphabet_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown alphabet kind 'weird'"):
         Alphabet("weird", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alphabet size must be positive"):
         Alphabet("dyck", 0)
+
+
+def test_instance_validation():
+    g = LabeledGraph.build(True, 2, Alphabet("dyck", 1), [])
+    for source, sink in ((0, 2), (-1, 0)):
+        with pytest.raises(GraphFormatError, match="marked vertex out of range"):
+            Instance(g, source, sink)
+    with pytest.raises(GraphFormatError, match="partition must cover every vertex"):
+        Instance(g, 0, 1, ("and",))
+    with pytest.raises(GraphFormatError, match="partition entries must be and/or"):
+        Instance(g, 0, 1, ("and", "xor"))
+    assert Instance(g, 0, 1, partition=("and", "or")).partition == ("and", "or")
+
+
+def test_update_op_comparisons_ignore_the_line():
+    lab = Label("l", 1, False)
+    parsed = UpdateOp("ins", 0, lab, 1, line=7)
+    built = UpdateOp.ins(0, lab, 1)
+    assert parsed == built and not parsed != built
+    assert hash(parsed) == hash(built)
+    assert len({parsed, built}) == 1
+    assert repr(parsed) == repr(built)
+    assert parsed.where() == " (script line 7)" and built.where() == ""
+    assert parsed != UpdateOp.delete(0, lab, 1)
+    assert parsed != UpdateOp.ins(0, lab, 0)
+    assert parsed != ("ins", 0, lab, 1, 7)
+
+
+def test_only_suite_result_is_a_dataclass():
+    """Records are NamedTuples or slotted classes, which generate no code
+    at import; ``SuiteResult`` stays a dataclass for
+    ``dataclasses.replace``."""
+    found = set()
+    for info in pkgutil.iter_modules(dycklab.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"dycklab.{info.name}")
+        for name, obj in vars(module).items():
+            if (inspect.isclass(obj) and obj.__module__ == module.__name__
+                    and dataclasses.is_dataclass(obj)):
+                found.add(f"{info.name}.{name}")
+    assert found == {"suites.SuiteResult"}
+
+
+_REIMPORT = """
+import gc, importlib, sys
+def fresh():
+    for name in [m for m in sys.modules if m.split(".")[0] == "dycklab"]:
+        del sys.modules[name]
+    importlib.import_module("dycklab.cli")
+    gc.collect()
+    return len(gc.get_objects())
+fresh()
+once = fresh()
+for _ in range(4):
+    fresh()
+print(fresh() - once)
+"""
+
+
+def test_reimporting_the_package_keeps_no_old_objects_alive():
+    """A module dropped from ``sys.modules`` and imported again must leave
+    nothing of its old copy reachable.  A ``typing.Union`` of the package's
+    own classes did: typing caches it, with the classes and through their
+    methods the old module globals, about 480 objects per import."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _REIMPORT], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 50, "objects kept alive by 5 re-imports"
 
 
 def test_parse_minimal_graph():
@@ -145,10 +269,12 @@ def test_comments_and_blank_lines_ignored():
 
 def test_apply_update_ins_del():
     alph = Alphabet("dyck", 1)
-    inst = Instance(LabeledGraph.build(True, 2, alph, []), 0, 1)
+    inst = Instance(LabeledGraph.build(True, 2, alph, []), 0, 1, ("and", "or"))
     lab = Label("l", 1, False)
     grown = apply_update(inst, UpdateOp.ins(0, lab, 1))
     assert len(grown.graph.edges) == 1
+    assert type(grown) is Instance
+    assert (grown.source, grown.sink, grown.partition) == (0, 1, ("and", "or"))
     back = apply_update(grown, UpdateOp.delete(0, lab, 1))
     assert not back.graph.edges
     assert apply_update(inst, UpdateOp.query()) == inst
@@ -220,6 +346,74 @@ def instances(draw):
 @given(instances())
 def test_serialize_parse_round_trip(inst):
     assert parse_graph(serialize_graph(inst)) == inst
+
+
+# label tokens that name the same letter as the serialized one
+_ALIASES = {"l1": ("0", "a"), "l1bar": ("0bar", "abar"),
+            "l2": ("1", "b"), "l2bar": ("1bar", "bbar")}
+
+
+@st.composite
+def graph_files(draw):
+    """An instance and a graph file for it, respelled: comments, blank
+    lines, padding, body lines shuffled, undirected edges reversed, label
+    aliases, and sometimes one number in a spelling the format rejects.
+    Returns the instance, the text, and whether the text must parse."""
+    inst = draw(instances())
+    lines = [line.split() for line in serialize_graph(inst).splitlines()]
+    rows = lines[:3] + draw(st.permutations(lines[3:]))
+    for fields in rows[3:]:
+        if fields[0] != "edge":
+            continue
+        if not inst.graph.directed and draw(st.booleans()):
+            fields[1], fields[3] = fields[3], fields[1]
+        if inst.graph.alphabet.kind == "dyck" and fields[2] in _ALIASES:
+            fields[2] = draw(st.sampled_from((fields[2],) + _ALIASES[fields[2]]))
+    respell = draw(st.booleans())
+    if respell:
+        i, j = draw(st.sampled_from([(i, j) for i, fields in enumerate(rows)
+                                     for j, tok in enumerate(fields)
+                                     if tok.isdigit()]))
+        n = rows[i][j]
+        rows[i][j] = draw(st.sampled_from([
+            "0" + n, "+" + n, n + "_0", "\u0660" + n,
+            "".join(chr(0x660 + int(d)) for d in n)]))
+    text = "# respelled\n" + "".join(" ".join(f) + "\n" for f in rows[:3])
+    text += "\n" + "".join("  " + "   ".join(f) + "  # c\n" for f in rows[3:])
+    return inst, text, not respell
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_files())
+def test_parse_serialize_parse_is_the_identity(case):
+    """A file that parses means one instance, which serializing keeps; a
+    number spelled any other way than its ASCII digits without leading
+    zeros is rejected."""
+    inst, text, accepted = case
+    if not accepted:
+        with pytest.raises(GraphFormatError):
+            parse_graph(text)
+        return
+    parsed = parse_graph(text)
+    assert parsed == inst
+    assert parse_graph(serialize_graph(parsed)) == parsed
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(
+    st.just(UpdateOp.query()),
+    st.builds(UpdateOp, st.sampled_from(["ins", "del"]), st.integers(0, 120),
+              st.sampled_from([Label("l", 1, False), Label("l", 12, True),
+                               Label("v", 0, True), Label("v", 10, False),
+                               DOT]),
+              st.integers(0, 120))), max_size=8))
+def test_parse_serialize_parse_updates_is_the_identity(ops):
+    text = serialize_updates(ops)
+    parsed = parse_updates(text)
+    assert parsed == ops
+    assert [op.line for op in parsed] == [None if op.op == "query" else i
+                                          for i, op in enumerate(ops, start=1)]
+    assert parse_updates(serialize_updates(parsed)) == parsed
 
 
 @settings(max_examples=40, deadline=None)

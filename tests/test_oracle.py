@@ -1,7 +1,6 @@
 """Brute-force oracles: path enumeration, word streams, CYK, factor
 oracle, and BFS distances."""
 
-import dataclasses
 import itertools
 import random
 
@@ -297,7 +296,7 @@ def _redrawn_gadget(rng: random.Random, density: float):
              for a in alph.labels() if rng.random() < density]
     target = LabeledGraph.build(False, len(red.names), alph, edges)
     tags = [("loop", v) for v in range(n)] + [("edge", x, lab, y)]
-    return dataclasses.replace(red, target=Instance(target, 0, 0)), tags
+    return red._replace(target=Instance(target, 0, 0)), tags
 
 
 @settings(max_examples=100, deadline=None)

@@ -92,11 +92,20 @@ def test_dyck_grammar_shape():
     assert len(g.terminal_rules) == 4
 
 
+def test_grammar_factories_build_each_grammar_once():
+    assert dyck_grammar(2) is dyck_grammar(2)
+    assert near_dyck_grammar(3) is near_dyck_grammar(3)
+    assert dyck_grammar(1) != dyck_grammar(2)
+
+
 def test_grammar_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="start symbol is not a nonterminal"):
         Grammar(("S",), "T", frozenset(), (), (), Alphabet("dyck", 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad terminal rule S -> l2"):
         Grammar(("S",), "S", frozenset(), (("S", Label("l", 2, False)),), (),
+                Alphabet("dyck", 1))
+    with pytest.raises(ValueError, match="unknown nonterminal 'T'"):
+        Grammar(("S",), "S", frozenset(), (), (("T", "S", "S"),),
                 Alphabet("dyck", 1))
 
 
