@@ -14,7 +14,7 @@ import time
 from .alternating import solve_alternating
 from .graphs import (GraphFormatError, Instance, UpdateError, UpdateOp,
                      apply_update, parse_graph, parse_label_token,
-                     parse_updates, serialize_graph)
+                     parse_number, parse_updates, serialize_graph)
 from .one_letter import ParityIndex
 from .oracle import (EnumerationBudget, brute_dyck_reach, enumerate_paths,
                      exhaustive_words)
@@ -331,15 +331,12 @@ def cmd_suite(args, rep: Reporter) -> int:
 # ---------------------------------------------------------------------------
 
 def _limit(text: str) -> int:
-    """A length, budget or sample count: a non-negative integer."""
+    """A length, budget or sample count: a non-negative integer, spelled
+    as in the file formats."""
     try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return value
+        return parse_number(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,6 +31,13 @@ class CompiledReduction(NamedTuple):
     ids: dict[StructuredName, int]
     translate_one: Callable[[UpdateOp], list[UpdateOp]]
 
+    def __repr__(self) -> str:
+        # ``ids`` and ``translate_one`` stay out: on a large target they
+        # would fill a failure report.
+        return (f"CompiledReduction(kind={self.kind!r}, "
+                f"source={self.source!r}, target={self.target!r}, "
+                f"names={self.names!r})")
+
     def vertex_name(self, vid: int) -> StructuredName:
         return self.names[vid]
 

@@ -300,34 +300,31 @@ def test_word_theta_rejects_letters_outside_the_two_pairs(capsys, tokens):
 
 
 @pytest.mark.parametrize("argv", [("word", "dyck", "l0", "l0bar"),
-                                  ("word", "mu", "l0", "l0bar", "l0bar")])
+                                  ("word", "mu", "l0", "l0bar", "l0bar"),
+                                  ("word", "dyck", "l01", "l1bar"),
+                                  ("word", "dyck", "l\u0661", "l1bar"),
+                                  ("word", "dyck", "l1_0", "l1bar"),
+                                  ("word", "dyck", "l+1", "l1bar")])
 def test_bracket_pair_zero_is_an_unknown_token(capsys, tmp_path, argv):
     """Bracket pairs count from 1: ``l0`` names no letter, on the command
-    line or in a graph file (``v0`` stays a vertex letter)."""
+    line or in a graph file (``v0`` stays a vertex letter).  A label index
+    is ASCII digits without leading zeros, so ``l01`` is not ``l1``."""
+    token = argv[2]
     code, out, err = run(capsys, "--kv", *argv)
     assert (code, out) == (2, "")
-    assert "error: unknown label token 'l0'" in err
+    assert f"error: unknown label token {token!r}" in err
     bad = tmp_path / "l0.graph"
     bad.write_text("graph directed\nvertices 2\nalphabet dyck 1\n"
-                   "edge 0 l0 1\nmark 0 1\n")
+                   f"edge 0 {token} 1\nmark 0 1\n", encoding="utf-8")
     code, _, err = run(capsys, "solve", str(bad))
     assert code == 2
-    assert "error: line 4: unknown label token 'l0'" in err
+    assert f"error: line 4: unknown label token {token!r}" in err
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("token", ["l01", "l\u0661", "l1_0", "l+1"])
-def test_a_label_index_has_one_spelling(capsys, token):
-    """``l01`` is not ``l1``: label indices are ASCII digits without
-    leading zeros."""
-    code, out, err = run(capsys, "--kv", "word", "dyck", token, "l1bar")
-    assert (code, out) == (2, "")
-    assert f"error: unknown label token {token!r}" in err
 
 
 @pytest.mark.parametrize("graph, script, line", [
     ("vertices 1_1\nalphabet dyck 2\nedge 1_0 l1bar 0\nedge 0 l01 +1\n",
-     "query\n", "line 4:"),
+     "query\n", "line 2: expected a non-negative integer, got '1_1'"),
     ("vertices 11\nalphabet dyck 2\nedge 10 l1bar 0\nedge 0 l01 1\n",
      "query\n", "line 5: unknown label token 'l01'"),
     ("vertices 2\nalphabet dyck 2\nedge 1 l1bar 0\n", "query\nins 0 l1 +1\n",
@@ -480,8 +477,13 @@ def test_a_zero_path_cap_is_rejected(capsys, gap_chain, argv):
     ("oracle", "reach", "g.graph", "--max-len", "-1"),
     ("oracle", "paths", "g.graph", "0", "1", "--max-paths", "-1"),
     ("oracle", "words", "--max-len", "-2"),
+    ("oracle", "words", "--max-len", "01"),
+    ("suite", "lemma4", "--budget", "+1"),
+    ("suite", "prop1", "--samples", "1_0"),
+    ("suite", "lemma5", "--max-len", "\u0661"),
 ])
 def test_negative_limits_are_rejected(capsys, argv):
+    """Limits are non-negative and spelled as in the file formats."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2

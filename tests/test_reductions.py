@@ -41,6 +41,17 @@ def test_alt_gadget_layout_and_marks():
     assert red.vertex_name(red.vertex_id((2, 3))) == (2, 3)
 
 
+def test_compiled_reduction_repr_leaves_out_the_id_map():
+    """The repr names the instances and the layout, not the name -> id
+    dict or the translator, which would fill a failure report."""
+    red = compile_alt_to_neardyck(fig1_instance())
+    text = repr(red)
+    assert text.startswith("CompiledReduction(kind='alt_to_neardyck', ")
+    assert f"names={red.names!r})" in text
+    assert "ids=" not in text and "translate_one" not in text
+    assert "function" not in text
+
+
 def test_alt_gadget_answers_the_worked_instance():
     inst = fig1_instance()
     assert solve_alternating(inst)[0]
