@@ -237,9 +237,20 @@ def _parse_word(tokens: list[str]):
     return tuple(parse_label_token(t) for t in tokens)
 
 
+# ``dycklab word`` operations that print one value of the word under their
+# own name; ``oracle words --predicate`` filters on the same table
+WORD_VALUES = {"dyck": is_dyck, "neardyck": is_near_dyck, "q": in_q,
+               "qinit": in_q_init, "mu": mu}
+WORD_OPS = ("reduce", *WORD_VALUES, "theta", "regular")
+
+
 def cmd_word(args, rep: Reporter) -> int:
-    w = _parse_word(args.tokens)
-    what = args.what
+    what, tokens = args.what, args.tokens
+    if what == "regular":  # the language name comes first
+        which = tokens[0] if tokens else ""  # no name: in_regular lists them
+        rep.emit(which, in_regular(_parse_word(tokens[1:]), which))
+        return 0
+    w = _parse_word(tokens)
     if what == "reduce":
         r = reduce_word(w)
         try:
@@ -247,25 +258,13 @@ def cmd_word(args, rep: Reporter) -> int:
         except KeyError:  # labels outside the two-pair 0/1 alphabet
             text = " ".join(lab.token() for lab in r)
         rep.emit("reduced", text or "eps")
-    elif what == "dyck":
-        rep.emit("dyck", is_dyck(w))
-    elif what == "neardyck":
-        rep.emit("neardyck", is_near_dyck(w))
-    elif what == "q":
-        rep.emit("q", in_q(w))
-    elif what == "qinit":
-        rep.emit("qinit", in_q_init(w))
-    elif what == "regular":
-        rep.emit(args.which, in_regular(w, args.which))
-    elif what == "mu":
-        rep.emit("mu", mu(w))
     elif what == "theta":
         e = theta(w)
         rep.emit("theta", " ".join(e) or "identity")
         k = gamma_exponent(e)
         rep.emit("gamma_exponent", "none" if k is None else k)
     else:
-        raise ValueError(what)
+        rep.emit(what, WORD_VALUES[what](w))
     return 0
 
 
@@ -290,8 +289,8 @@ def cmd_oracle(args, rep: Reporter) -> int:
     if args.what == "words":
         from .graphs import Alphabet
         labels = tuple(Alphabet("dyck", args.pairs).labels())
-        preds = {"dyck": is_dyck, "q": in_q, "qinit": in_q_init}
-        out = list(exhaustive_words(labels, args.max_len, preds[args.predicate]))
+        out = list(exhaustive_words(labels, args.max_len,
+                                    WORD_VALUES[args.predicate]))
         rep.emit("words", len(out))
         if args.list:
             for w in out:
@@ -331,7 +330,7 @@ def cmd_suite(args, rep: Reporter) -> int:
 # ---------------------------------------------------------------------------
 
 def _limit(text: str) -> int:
-    """A length, budget or sample count: a non-negative integer, spelled
+    """A vertex id, length, budget or count: a non-negative integer, spelled
     as in the file formats."""
     try:
         return parse_number(text)
@@ -376,16 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify_equiv)
 
     sp = sub.add_parser("word", help="word-level predicates and maps")
-    wsub = sp.add_subparsers(dest="what", required=True)
-    for name in ("reduce", "dyck", "neardyck", "q", "qinit", "mu", "theta"):
-        wp = wsub.add_parser(name)
-        wp.add_argument("tokens", nargs="*")
-        wp.set_defaults(func=cmd_word)
-    wp = wsub.add_parser("regular")
-    wp.add_argument("which", choices=("omega+", "omega-", "omega",
-                                      "varpi+", "varpi-", "varpi"))
-    wp.add_argument("tokens", nargs="*")
-    wp.set_defaults(func=cmd_word)
+    sp.add_argument("what", choices=WORD_OPS)
+    sp.add_argument("tokens", nargs="*",
+                    help="label tokens; for regular, the language name first")
+    sp.set_defaults(func=cmd_word)
 
     sp = sub.add_parser("oracle", help="brute-force reference computations")
     osub = sp.add_subparsers(dest="what", required=True)
@@ -395,17 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
     op.set_defaults(func=cmd_oracle)
     op = osub.add_parser("paths")
     op.add_argument("graph")
-    op.add_argument("source", type=int)
-    op.add_argument("sink", type=int)
+    op.add_argument("source", type=_limit)
+    op.add_argument("sink", type=_limit)
     op.add_argument("--max-len", type=_limit, default=8)
     op.add_argument("--max-paths", type=_limit, default=1000)
     op.add_argument("--balanced", action="store_true",
                     help="keep balanced-label walks only")
     op.set_defaults(func=cmd_oracle)
     op = osub.add_parser("words")
-    op.add_argument("--pairs", type=int, default=2)
+    op.add_argument("--pairs", type=_limit, default=2)
     op.add_argument("--max-len", type=_limit, default=6)
-    op.add_argument("--predicate", choices=("dyck", "q", "qinit"), default="dyck")
+    op.add_argument("--predicate", choices=WORD_VALUES, default="dyck")
     op.add_argument("--list", action="store_true")
     op.set_defaults(func=cmd_oracle)
 

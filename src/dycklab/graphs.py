@@ -408,9 +408,10 @@ def parse_graph(text: str) -> Instance:
         no, ands = partition_and
         if any(not 0 <= a < vertex_count for a in ands):
             err("partition vertex out of range", no)
-        if len(set(ands)) != len(ands):
+        and_set = set(ands)
+        if len(and_set) != len(ands):
             err("repeated vertex in partition", no)
-        partition = tuple("and" if i in set(ands) else "or"
+        partition = tuple("and" if i in and_set else "or"
                           for i in range(vertex_count))
 
     graph = LabeledGraph(directed, vertex_count, alphabet, frozenset(canon))

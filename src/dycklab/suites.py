@@ -7,6 +7,7 @@ test suite asserts them.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -165,13 +166,9 @@ def _lemma6_regex(lab: Label) -> automata.Regex:
     raise ValueError(lab)
 
 
-_LEMMA6_NFAS: dict[Label, automata.Nfa] = {}
-
-
+@functools.cache
 def lemma6_nfa(lab: Label) -> automata.Nfa:
-    if lab not in _LEMMA6_NFAS:
-        _LEMMA6_NFAS[lab] = automata.compile_regex(_lemma6_regex(lab))
-    return _LEMMA6_NFAS[lab]
+    return automata.compile_regex(_lemma6_regex(lab))
 
 
 def default_gadget_source() -> Instance:

@@ -13,6 +13,7 @@ product Z2 * Z2.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Optional, Sequence
 
 from . import automata
@@ -196,23 +197,20 @@ REGULAR_EXPRS: dict[str, automata.Regex] = {
     "varpi": _varpi(),
 }
 
-_NFAS = {name: automata.compile_regex(expr) for name, expr in REGULAR_EXPRS.items()}
-
 
 def in_regular(w: Sequence[Label], which: str) -> bool:
-    if which not in _NFAS:
+    if which not in REGULAR_EXPRS:
         raise ValueError(f"unknown language {which!r}; expected one of "
-                         f"{sorted(_NFAS)}")
-    return _NFAS[which].accepts(tuple(w))
+                         f"{sorted(REGULAR_EXPRS)}")
+    return regular_nfa(which).accepts(tuple(w))
 
 
+@functools.cache
 def regular_nfa(which: str) -> automata.Nfa:
-    return _NFAS[which]
+    return automata.compile_regex(REGULAR_EXPRS[which])
 
 
-_CLOSURE_NFAS: dict[str, automata.Nfa] = {}
-
-
+@functools.cache
 def reduced_language_nfa(which: str) -> automata.Nfa:
     """Automaton for the set of reductions of words of a named language.
 
@@ -221,9 +219,7 @@ def reduced_language_nfa(which: str) -> automata.Nfa:
     like "reduces into 1.0.0bar.1bar, hence into the empty word" make
     sense, and it is strictly larger than the literal language.
     """
-    if which not in _CLOSURE_NFAS:
-        _CLOSURE_NFAS[which] = automata.reduction_closure(regular_nfa(which))
-    return _CLOSURE_NFAS[which]
+    return automata.reduction_closure(regular_nfa(which))
 
 
 # ---------------------------------------------------------------------------

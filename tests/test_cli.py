@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dycklab import serialize_graph, serialize_updates
-from dycklab.cli import ENGINES, main
+from dycklab.cli import ENGINES, WORD_OPS, main
 from dycklab.suites import SUITES, SuiteResult, random_undirected_one_pair
+from dycklab.words import REGULAR_EXPRS
 
 from util import (fig1_instance, fig2_source, gap_chain_instance,
                   random_neardyck_instance, random_script)
@@ -291,6 +292,56 @@ def test_word_subcommands(capsys):
     assert "neardyck: true" in out
 
 
+# operation -> (tokens, plain report), pinned byte for byte; the --kv
+# report swaps ": " for "="
+_WORD_OUTPUTS = {
+    "reduce": (("0", "0bar", "1", "l3"), "reduced: l2 l3\n"),
+    "dyck": (("l1", "l2", "l2bar", "l1bar"), "dyck: true\n"),
+    "neardyck": (("v1", "dot", "v1bar"), "neardyck: true\n"),
+    "q": (("0bar", "1"), "q: true\n"),
+    "qinit": (("0", "1", "1bar"), "qinit: true\n"),
+    "mu": (("l1", "l1", "l2bar"), "mu: 1\n"),
+    "theta": (("0", "1", "0bar"),
+              "theta: alpha beta alpha\ngamma_exponent: none\n"),
+    "regular": (("omega", "0bar", "0"), "omega: true\n"),
+}
+
+
+@pytest.mark.parametrize("what", WORD_OPS)
+def test_every_word_operation_prints_its_report(capsys, what):
+    tokens, plain = _WORD_OUTPUTS[what]
+    assert run(capsys, "word", what, *tokens) == (0, plain, "")
+    assert run(capsys, "--kv", "word", what, *tokens) == (
+        0, plain.replace(": ", "="), "")
+
+
+@pytest.mark.parametrize("argv", [("word", "regular"),
+                                  ("word", "regular", "sigma", "0"),
+                                  ("word", "bogus", "0")])
+def test_a_malformed_word_command_is_a_clean_error(capsys, argv):
+    try:
+        code = main(["--kv", *argv])
+    except SystemExit as exc:  # argparse rejects an unknown operation
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert "error:" in out.err
+    assert "Traceback" not in out.err
+    if argv[1] == "regular":
+        assert f"expected one of {sorted(REGULAR_EXPRS)}" in out.err
+
+
+@pytest.mark.parametrize("predicate, count", [
+    ("dyck", 11), ("neardyck", 11), ("q", 227), ("qinit", 73), ("mu", 236)])
+def test_oracle_words_filters_on_every_word_value(capsys, predicate, count):
+    """On bracket letters neardyck is dyck; mu keeps the 236 of the 341
+    words up to length 4 whose opening and closing letters differ in
+    number."""
+    code, out, _ = run(capsys, "--kv", "oracle", "words", "--max-len", "4",
+                       "--predicate", predicate)
+    assert (code, out) == (0, f"words={count}\n")
+
+
 @pytest.mark.parametrize("tokens", [("dot",), ("v0", "v0bar"), ("l3",)])
 def test_word_theta_rejects_letters_outside_the_two_pairs(capsys, tokens):
     code, out, err = run(capsys, "--kv", "word", "theta", *tokens)
@@ -481,9 +532,15 @@ def test_a_zero_path_cap_is_rejected(capsys, gap_chain, argv):
     ("suite", "lemma4", "--budget", "+1"),
     ("suite", "prop1", "--samples", "1_0"),
     ("suite", "lemma5", "--max-len", "\u0661"),
+    ("oracle", "paths", "g.graph", "00", "1"),
+    ("oracle", "paths", "g.graph", "0", "+1"),
+    ("oracle", "paths", "g.graph", "0", "1_0"),
+    ("oracle", "words", "--pairs", "-1"),
+    ("oracle", "words", "--pairs", "\u0662"),
 ])
 def test_negative_limits_are_rejected(capsys, argv):
-    """Limits are non-negative and spelled as in the file formats."""
+    """Limits and vertex ids are non-negative and spelled as in the file
+    formats."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
@@ -563,7 +620,13 @@ _FUZZ_COMMANDS = (
     + [("replay", "{g}", "{s}", "--engine", e) for e in ENGINES]
     + [("verify-equiv", kind, "{g}", "{s}")
        for kind in ("{k}", "alt_to_neardyck", "neardyck_to_dyck2",
-                    "dyck2_to_undirected")])
+                    "dyck2_to_undirected")]
+    # a word command takes the drawn word tokens as its arguments
+    + [("word", what) for what in WORD_OPS]
+    + [("word", "regular", name) for name in REGULAR_EXPRS])
+_words = st.lists(st.sampled_from(_FUZZ_TOKENS + ("0bar", "1bar",
+                                                  *REGULAR_EXPRS)),
+                  max_size=5)
 
 # (file, edit, line index, token index, new token): file 0 is the graph,
 # file 1 the script
@@ -599,15 +662,18 @@ def _mutate(text, edits):
     return "\n".join(" ".join(line) for line in lines) + "\n"
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(_FUZZ_CASES), _edits, st.sampled_from(_FUZZ_COMMANDS))
-def test_fuzzed_inputs_exit_cleanly(case, edits, command):
+@settings(max_examples=700, deadline=None)
+@given(st.sampled_from(_FUZZ_CASES), _edits, st.sampled_from(_FUZZ_COMMANDS),
+       _words)
+def test_fuzzed_inputs_exit_cleanly(case, edits, command, words):
     with tempfile.TemporaryDirectory() as tmp:
         graph, script = Path(tmp) / "g.graph", Path(tmp) / "s.upd"
         for path, text, which in ((graph, case[0], 0), (script, case[1], 1)):
             path.write_text(_mutate(text, [e[1:] for e in edits
                                            if e[0] == which]))
         argv = [arg.format(g=graph, s=script, k=case[2]) for arg in command]
+        if command[0] == "word":
+            argv += words
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["--kv"] + argv)
