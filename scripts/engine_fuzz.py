@@ -72,7 +72,9 @@ def main() -> int:
         if full.pairs != solve_cfl(inst, grammar)["S"]:
             print(f"MISMATCH sample {i}: saturation vs grammar engine")
             return 1
-        # the walk oracle reads bracket pairs only, not the neutral symbol
+        # the walk oracle runs on bracket-pair samples only, for cost: its
+        # stacks range over the open labels, |V| of them on a near-Dyck
+        # sample, so at the default budget it would dwarf the rest
         if grammar.alphabet.kind == "dyck":
             brute = brute_dyck_reach(inst, EnumerationBudget(args.oracle_len))
             if not brute <= full.pairs:

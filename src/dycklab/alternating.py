@@ -5,7 +5,7 @@ sequences, and the minimal-sequence index.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import AbstractSet, NamedTuple, Optional, Sequence
 
 from .graphs import Instance
 
@@ -28,6 +28,15 @@ def _successors(inst: Instance) -> list[set[int]]:
     return succ
 
 
+def _ready(inst: Instance, succ: list[set[int]], v: int,
+           members: AbstractSet[int]) -> bool:
+    """The and/or rule: an or-vertex joins once one successor is a member,
+    an and-vertex once all of them are."""
+    if inst.partition[v] == "or":
+        return not succ[v].isdisjoint(members)
+    return succ[v] <= members
+
+
 def solve_alternating(inst: Instance) -> tuple[bool, FixpointTrace]:
     """Does the source belong to the least set X containing the sink and
     closed under exists-successor at or-vertices and forall-successor at
@@ -42,14 +51,8 @@ def solve_alternating(inst: Instance) -> tuple[bool, FixpointTrace]:
     while True:
         nxt = set(current)
         for x in range(n):
-            if x in nxt:
-                continue
-            if inst.partition[x] == "or":
-                if succ[x] & current:
-                    nxt.add(x)
-            else:
-                if all(y in current for y in succ[x]):
-                    nxt.add(x)
+            if x not in nxt and _ready(inst, succ, x, current):
+                nxt.add(x)
         if nxt == current:
             break
         for x in nxt - current:
@@ -69,13 +72,8 @@ def is_well_ordered(seq: Sequence[int], inst: Instance) -> bool:
     succ = _successors(inst)
     prefix: set[int] = set()
     for i, w in enumerate(seq):
-        if i > 0:
-            if inst.partition[w] == "or":
-                if not (succ[w] & prefix):
-                    return False
-            else:
-                if not succ[w] <= prefix:
-                    return False
+        if i > 0 and not _ready(inst, succ, w, prefix):
+            return False
         prefix.add(w)
     return True
 
@@ -99,11 +97,6 @@ def kappa(x: int, inst: Instance) -> Optional[int]:
         raise ValueError("index search needs an and/or partition")
     succ = _successors(inst)
 
-    def addable(v: int, members: frozenset[int]) -> bool:
-        if inst.partition[v] == "or":
-            return bool(succ[v] & members)
-        return succ[v] <= members
-
     best: dict[int, int] = {inst.sink: 0}
     start = frozenset({inst.sink})
     frontier = [start]
@@ -112,7 +105,7 @@ def kappa(x: int, inst: Instance) -> Optional[int]:
         nxt = []
         for members in frontier:
             for v in range(n):
-                if v in members or not addable(v, members):
+                if v in members or not _ready(inst, succ, v, members):
                     continue
                 grown = members | {v}
                 if v not in best:

@@ -315,9 +315,9 @@ def parse_graph(text: str) -> Instance:
     directed = None
     vertex_count = None
     alphabet = None
-    edges = []
+    canon = set()
     mark = None
-    partition_and = None
+    partition = None
 
     def err(msg, no):
         raise GraphFormatError(msg, no)
@@ -344,8 +344,8 @@ def parse_graph(text: str) -> Instance:
             err(str(exc), no3)
         return f1[1] == "directed", vertex_count, alphabet
 
-    # The header is checked as soon as it is read, so its errors come
-    # before those of the body.
+    # The header is checked as soon as it is read, and each body line as
+    # soon as it is read against it, so an error names the first bad line.
     header = []
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -367,19 +367,35 @@ def parse_graph(text: str) -> Instance:
                              parse_number(fields[3]))
             except ValueError as exc:
                 err(str(exc), no)
-            edges.append((no, (u, lab, v)))
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+                err(f"vertex out of range in edge ({u}, {lab.token()}, {v})", no)
+            if not alphabet.contains(lab):
+                err(f"unknown label token {lab.token()!r} for this alphabet", no)
+            key = _canonical(directed, (u, lab, v))
+            if key in canon:
+                err(f"duplicate edge ({u}, {lab.token()}, {v})", no)
+            canon.add(key)
         elif kw == "mark":
             if mark is not None:
                 err("duplicate mark line", no)
             if len(fields) != 3:
                 err("expected 'mark <s> <t>'", no)
-            mark = (no, (num(fields[1], no), num(fields[2], no)))
+            mark = (num(fields[1], no), num(fields[2], no))
+            if not all(0 <= x < vertex_count for x in mark):
+                err("marked vertex out of range", no)
         elif kw == "partition":
-            if partition_and is not None:
+            if partition is not None:
                 err("duplicate partition line", no)
             if len(fields) < 2 or fields[1] != "and":
                 err("expected 'partition and <u> ...'", no)
-            partition_and = (no, [num(f, no) for f in fields[2:]])
+            ands = [num(f, no) for f in fields[2:]]
+            if any(not 0 <= a < vertex_count for a in ands):
+                err("partition vertex out of range", no)
+            and_set = set(ands)
+            if len(and_set) != len(ands):
+                err("repeated vertex in partition", no)
+            partition = tuple("and" if i in and_set else "or"
+                              for i in range(vertex_count))
         else:
             err(f"unknown directive {kw!r}", no)
 
@@ -387,35 +403,9 @@ def parse_graph(text: str) -> Instance:
         raise GraphFormatError("missing header (graph / vertices / alphabet)")
     if mark is None:
         raise GraphFormatError("missing mark line")
-    mark_no, (s, t) = mark
-    if not (0 <= s < vertex_count and 0 <= t < vertex_count):
-        err("marked vertex out of range", mark_no)
-
-    canon = set()
-    for no, e in edges:
-        u, lab, v = e
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            err(f"vertex out of range in edge ({u}, {lab.token()}, {v})", no)
-        if not alphabet.contains(lab):
-            err(f"unknown label token {lab.token()!r} for this alphabet", no)
-        key = _canonical(directed, e)
-        if key in canon:
-            err(f"duplicate edge ({u}, {lab.token()}, {v})", no)
-        canon.add(key)
-
-    partition = None
-    if partition_and is not None:
-        no, ands = partition_and
-        if any(not 0 <= a < vertex_count for a in ands):
-            err("partition vertex out of range", no)
-        and_set = set(ands)
-        if len(and_set) != len(ands):
-            err("repeated vertex in partition", no)
-        partition = tuple("and" if i in and_set else "or"
-                          for i in range(vertex_count))
 
     graph = LabeledGraph(directed, vertex_count, alphabet, frozenset(canon))
-    return Instance(graph, s, t, partition)
+    return Instance(graph, *mark, partition)
 
 
 def serialize_graph(inst: Instance) -> str:

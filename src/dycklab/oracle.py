@@ -174,9 +174,9 @@ def brute_dyck_reach(inst: Instance,
                      budget: EnumerationBudget) -> frozenset[tuple[int, int]]:
     """Pairs joined by a balanced-label walk of length <= the budget.
 
-    Breadth-first over (vertex, bracket stack) states; independent of the
-    saturation solvers.  Sound, and complete for witnesses within the
-    budget.
+    Breadth-first over (vertex, bracket stack) states; the neutral symbol
+    ``dot`` leaves the stack as it is.  Independent of the saturation
+    solvers.  Sound, and complete for witnesses within the budget.
     """
     adj: dict[int, list[tuple[Label, int]]] = {}
     for u, lab, v in inst.graph.directed_edges():
@@ -191,7 +191,9 @@ def brute_dyck_reach(inst: Instance,
             nxt = []
             for at, stack in frontier:
                 for lab, to in adj.get(at, ()):
-                    if lab.bar:
+                    if lab.base == "dot":
+                        new_stack = stack
+                    elif lab.bar:
                         if not stack or stack[-1] != lab.matched():
                             continue
                         new_stack = stack[:-1]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .graphs import (DOT, Alphabet, Instance, Label, LabeledGraph, UpdateOp)
-from .words import PHI_UNDIRECTED
+from .words import PHI_UNDIRECTED, phi_neardyck_letter
 
 StructuredName = tuple
 
@@ -144,12 +144,16 @@ def compile_neardyck_to_dyck2(inst: Instance) -> CompiledReduction:
     """Per-vertex-bracket reachability compiled to the two-pair alphabet
     {a, b, abar, bbar} (pair 1 is a, pair 2 is b).
 
-    The neutral symbol is spelled a*abar; the opening label of vertex slot
-    i (1-based) is spelled a^i b a^(n+1-i) and its closing partner the
-    formal inverse.  Target vertices: the originals, one dot-relay (x, dot)
-    per vertex, and spelling chains (x, lab, 0..n) for every vertex x and
-    every non-neutral label lab.  All chains are static; each source edge
-    contributes exactly one closing jump off its chain.
+    Every source letter is spelled by ``words.phi_neardyck_letter``: dot
+    as a*abar, the opening label of vertex slot i (1-based) as
+    a^i b a^(n+1-i), its closing partner as the formal inverse.  Target
+    vertices: the originals, one dot-relay (x, dot) per vertex, and
+    spelling chains (x, lab, 0..n) for every vertex x and every non-neutral
+    label lab.  A chain leaves x and walks its nodes in order, (x, lab, 0)
+    up to (x, lab, n) for an opening label and down from (x, lab, n) for a
+    closing one, one letter of the spelling per step.  All chains are
+    static; each source edge contributes exactly one edge, the spelling's
+    last letter, leaving its chain's last node.
     """
     if inst.graph.alphabet.kind != "neardyck":
         raise ValueError("compilation needs a per-vertex-bracket instance")
@@ -159,46 +163,32 @@ def compile_neardyck_to_dyck2(inst: Instance) -> CompiledReduction:
     if inst.graph.alphabet.size != n:
         raise ValueError("alphabet size must equal the vertex count")
 
-    A, ABAR = Label("l", 1, False), Label("l", 1, True)
-    B, BBAR = Label("l", 2, False), Label("l", 2, True)
-
     chain_labels = [Label("v", i, bar) for i in range(n) for bar in (False, True)]
     names: list[StructuredName] = [(x,) for x in range(n)]
-    for x in range(n):
-        names.append((x, "dot"))
-    for x in range(n):
-        for lab in chain_labels:
-            for i in range(n + 1):
-                names.append((x, lab, i))
+    names += [(x, "dot") for x in range(n)]
+    names += [(x, lab, i) for x in range(n) for lab in chain_labels
+              for i in range(n + 1)]
     names_t, ids = _layout(names)
+    spell = {lab: phi_neardyck_letter(lab, n) for lab in [DOT] + chain_labels}
 
     edges = []
+    last: dict[tuple[int, Label], int] = {}  # the chain's last node
     for x in range(n):
-        edges.append((x, A, ids[(x, "dot")]))
-        for lab in chain_labels:
-            slot = lab.index + 1  # 1-based slot of the spelled vertex
-            if not lab.bar:
-                edges.append((x, A, ids[(x, lab, 0)]))
-                for i in range(n):
-                    step = B if i + 1 == slot else A
-                    edges.append((ids[(x, lab, i)], step, ids[(x, lab, i + 1)]))
+        for lab, letters in spell.items():
+            if lab == DOT:
+                chain = [x, ids[(x, "dot")]]
             else:
-                edges.append((x, ABAR, ids[(x, lab, n)]))
-                for i in range(n):
-                    step = BBAR if i + 1 == slot else ABAR
-                    edges.append((ids[(x, lab, i + 1)], step, ids[(x, lab, i)]))
+                steps = range(n, -1, -1) if lab.bar else range(n + 1)
+                chain = [x] + [ids[(x, lab, i)] for i in steps]
+            edges.extend(zip(chain, letters, chain[1:]))
+            last[(x, lab)] = chain[-1]
 
     def hook(u: int, lab: Label, v: int) -> tuple[int, Label, int]:
-        """The single dynamic edge encoding source edge (u, lab, v)."""
-        if lab == DOT:
-            return (ids[(u, "dot")], ABAR, v)
-        if not lab.bar:
-            return (ids[(u, lab, n)], A, v)
-        return (ids[(u, lab, 0)], ABAR, v)
+        """The single dynamic edge encoding source edge (u, lab, v): the
+        spelling's last letter, leaving the chain's last node."""
+        return (last[(u, lab)], spell[lab][-1], v)
 
-    for u, lab, v in inst.graph.directed_edges():
-        edges.append(hook(u, lab, v))
-
+    edges.extend(hook(u, lab, v) for u, lab, v in inst.graph.directed_edges())
     graph = LabeledGraph.build(True, len(names_t), Alphabet("dyck", 2), edges)
     target = Instance(graph, inst.source, inst.sink)
 

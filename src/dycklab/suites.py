@@ -15,7 +15,7 @@ from . import automata, words
 from .graphs import Alphabet, Instance, Label, LabeledGraph
 from .one_letter import prop1_check
 from .oracle import (EnumerationBudget, enumerate_nominal_paths,
-                     enumerate_paths, factor_of_dyck_oracle)
+                     enumerate_paths, exhaustive_words, factor_of_dyck_oracle)
 from .reductions import CompiledReduction, compile_dyck2_to_undirected
 from .saturate import solve_dyck
 from .words import (ZO_ALPHABET, in_q, in_q_init, is_dyck_prefix,
@@ -43,17 +43,11 @@ class SuiteResult:
 
 # ---------------------------------------------------------------------------
 
-def _all_words(max_len: int):
-    import itertools
-    for length in range(max_len + 1):
-        yield from itertools.product(ZO_ALPHABET, repeat=length)
-
-
 def suite_q_validate(max_len: int = 8) -> SuiteResult:
     """The reduced-shape characterizations of the factor and prefix
     languages against brute-force oracles, for every word up to max_len."""
     res = SuiteResult("q-validate")
-    for w in _all_words(max_len):
+    for w in exhaustive_words(ZO_ALPHABET, max_len, lambda w: True):
         claim_q = in_q(w)
         claim_init = in_q_init(w)
         res.check(claim_init == is_dyck_prefix(w),

@@ -79,18 +79,9 @@ def join_reduced(p: Word, q: Word) -> Word:
 
 
 def is_dyck(w: Sequence[Label]) -> bool:
-    """Membership in the balanced-bracket language (any number of pairs)."""
-    stack: list[Label] = []
-    for lab in w:
-        if lab.base == "dot":
-            return False
-        if lab.bar:
-            if not stack or stack[-1] != lab.matched():
-                return False
-            stack.pop()
-        else:
-            stack.append(lab)
-    return not stack
+    """Membership in the balanced-bracket language (any number of pairs):
+    a prefix of a balanced word that opens as often as it closes."""
+    return is_dyck_prefix(w) and mu(w) == 0
 
 
 def is_dyck_prefix(w: Sequence[Label]) -> bool:
@@ -287,17 +278,13 @@ GAMMA: FreeProductElement = ("beta", "alpha")
 def theta(w: Sequence[Label]) -> FreeProductElement:
     """Send 0 and 0bar to the involution alpha, 1 and 1bar to beta, then
     reduce modulo alpha^2 = beta^2 = identity."""
-    out: list[str] = []
+    gens: list[str] = []
     for lab in w:
         if lab.base != "l" or lab.index not in (1, 2):
             raise ValueError(f"theta is defined on the two-pair letters only, "
                              f"not {lab.token()}")
-        g = "alpha" if lab.index == 1 else "beta"
-        if out and out[-1] == g:
-            out.pop()
-        else:
-            out.append(g)
-    return tuple(out)
+        gens.append("alpha" if lab.index == 1 else "beta")
+    return free_product_mul((), tuple(gens))
 
 
 def free_product_mul(x: FreeProductElement, y: FreeProductElement) -> FreeProductElement:

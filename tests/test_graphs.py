@@ -206,11 +206,15 @@ def test_parse_label_outside_alphabet():
 
 
 def test_parse_errors_carry_line_numbers():
-    text = ("graph directed\nvertices 2\nalphabet dyck 1\n"
-            "edge 0 l1 5\nmark 0 1\n")
-    with pytest.raises(GraphFormatError) as exc:
-        parse_graph(text)
-    assert exc.value.line == 4
+    # the first bad line wins, whatever kinds of error follow it
+    for body, line in [
+            ("edge 0 l1 5\nmark 0 1\n", 4),
+            ("edge 0 l1 5\nmark 0 1\nbogus 1\n", 4),
+            ("edge 0 l1 1\nedge 0 l1 1\nmark 0 1\npartition or 0\n", 5)]:
+        text = "graph directed\nvertices 2\nalphabet dyck 1\n" + body
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph(text)
+        assert exc.value.line == line, body
 
 
 def test_a_bad_label_token_raises_on_every_use():

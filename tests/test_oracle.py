@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dycklab import (Alphabet, EnumerationBudget, Instance, Label,
+from dycklab import (DOT, Alphabet, EnumerationBudget, Instance, Label,
                      LabeledGraph, bfs_distances, brute_dyck_reach,
                      compile_dyck2_to_undirected, cyk_accepts, dyck_grammar,
                      enumerate_paths, exhaustive_words,
@@ -170,14 +170,33 @@ def test_brute_reach_edgeless_graph():
 
 def test_brute_reach_complete_on_acyclic_instances():
     rng = random.Random(11)
-    for _ in range(20):
+    for trial in range(40):
         n = rng.randint(2, 6)
-        alph = Alphabet("dyck", 2)
+        alph = Alphabet("dyck", 2) if trial % 2 == 0 else Alphabet("neardyck", n)
         labels = list(alph.labels())
         edges = [(u, lab, v) for u in range(n) for v in range(u + 1, n)
                  for lab in labels if rng.random() < 0.3]
         inst = Instance(LabeledGraph.build(True, n, alph, edges), 0, n - 1)
         assert brute_dyck_reach(inst, EnumerationBudget(n)) == \
+            solve_dyck(inst).pairs
+
+
+def test_brute_reach_reads_dot_as_neutral():
+    alph = Alphabet("neardyck", 3)
+    v0, v0bar = Label("v", 0, False), Label("v", 0, True)
+    g = LabeledGraph.build(True, 3, alph,
+                           [(0, DOT, 1), (1, v0, 2), (2, v0bar, 1)])
+    inst = Instance(g, 0, 1)
+    brute = brute_dyck_reach(inst, EnumerationBudget(4))
+    assert brute == {(0, 0), (0, 1), (1, 1), (2, 2)} == solve_dyck(inst).pairs
+
+
+def test_brute_reach_is_sound_on_neardyck_instances():
+    rng = random.Random(17)
+    for _ in range(50):
+        inst = random_neardyck_instance(rng, max_vertices=4,
+                                        directed=rng.random() < 0.5)
+        assert brute_dyck_reach(inst, EnumerationBudget(6)) <= \
             solve_dyck(inst).pairs
 
 

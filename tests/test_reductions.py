@@ -117,6 +117,31 @@ def test_neardyck_gadget_vertex_count():
     assert red.target.graph.alphabet == Alphabet("dyck", 2)
 
 
+def test_neardyck_gadget_layout_is_pinned():
+    # one dot, one opening and one closing edge: each chain spells its
+    # label's phi_neardyck_letter, and each source edge leaves the last
+    # node of its chain
+    g = LabeledGraph.build(True, 2, Alphabet("neardyck", 2),
+                           [(0, DOT, 1), (0, Label("v", 0, False), 1),
+                            (1, Label("v", 1, True), 0)])
+    red = compile_neardyck_to_dyck2(Instance(g, 0, 1))
+    assert serialize_graph(red.target) == (
+        "graph directed\nvertices 28\nalphabet dyck 2\n"
+        "edge 0 l1 2\nedge 0 l1 4\nedge 0 l1 10\nedge 0 l1bar 9\n"
+        "edge 0 l1bar 15\nedge 1 l1 3\nedge 1 l1 16\nedge 1 l1 22\n"
+        "edge 1 l1bar 21\nedge 1 l1bar 27\nedge 2 l1bar 1\nedge 4 l2 5\n"
+        "edge 5 l1 6\nedge 6 l1 1\nedge 8 l2bar 7\nedge 9 l1bar 8\n"
+        "edge 10 l1 11\nedge 11 l2 12\nedge 14 l1bar 13\nedge 15 l2bar 14\n"
+        "edge 16 l2 17\nedge 17 l1 18\nedge 20 l2bar 19\nedge 21 l1bar 20\n"
+        "edge 22 l1 23\nedge 23 l2 24\nedge 25 l1bar 0\nedge 26 l1bar 25\n"
+        "edge 27 l2bar 26\nmark 0 1\n")
+    chain_labels = [Label("v", 0, False), Label("v", 0, True),
+                    Label("v", 1, False), Label("v", 1, True)]
+    assert red.names == ((0,), (1,), (0, "dot"), (1, "dot"), *(
+        (x, lab, i) for x in range(2) for lab in chain_labels
+        for i in range(3)))
+
+
 def test_neardyck_gadget_single_dot_edge():
     g = LabeledGraph.build(True, 2, Alphabet("neardyck", 2), [(0, DOT, 1)])
     red = compile_neardyck_to_dyck2(Instance(g, 0, 1))
