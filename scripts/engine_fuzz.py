@@ -2,23 +2,26 @@
 """Fuzz the saturation solver against the grammar engine on random labeled
 graphs, directed and undirected, over both alphabets: every other sample
 is a per-vertex-bracket (near-Dyck) instance, checked against the
-near-Dyck grammar; the rest use ``--pairs`` bracket pairs and are also
-checked against the bounded walk oracle.  Each sample then replays a
-random mixed insert/delete script twice: through ``resolve_after_update``,
-checked against its grammar after every update, and through
-``ReachIndex.apply`` on one index, checked after every third update and at
-the end, so that insertions also land on an index that a deletion has left
-stale.  While that index is stale, its rows must hold every pair the
-grammar derives, and it is first asked ``query`` on the marked pair and on
-random pairs, each answer checked against the grammar, so that stale
-answers are checked before any read of ``pairs`` re-solves the index.
-After every update both indexes' support masks are checked too: each
-``closers[k]`` must be exactly the vertices with an outgoing closing edge
-of pair ``k``, and ``wide`` must hold every row with more than its
-identity bit.
+near-Dyck grammar; the rest use ``--pairs`` bracket pairs.  Every
+bracket-pair sample, and every near-Dyck sample of at most
+``NEAR_ORACLE_VERTICES`` vertices, is also checked against the bounded walk
+oracle, and every sample's wrap-only pairs must lie within the solver's.
+Each sample then replays a random mixed insert/delete script twice:
+through ``resolve_after_update``, checked against its grammar after every
+update, and through ``ReachIndex.apply`` on one index, checked after every
+third update and at the end, so that insertions also land on an index that
+a deletion has left stale.  While that index is stale, its rows must hold
+every pair the grammar derives, and it is first asked ``query`` on the
+marked pair and on random pairs, each answer checked against the grammar,
+so that stale answers are checked before any read of ``pairs`` re-solves
+the index.  After every update both indexes' support masks are checked
+too: each ``closers[k]`` must be exactly the vertices with an outgoing
+closing edge of pair ``k``, and ``wide`` must hold every row with more
+than its identity bit.
 
 Usage: python3 scripts/engine_fuzz.py [--samples N] [--seed S]
                                       [--max-vertices V] [--pairs P]
+                                      [--oracle-len L]
 """
 
 import argparse
@@ -30,15 +33,18 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
 from dycklab import (EnumerationBudget, apply_update, brute_dyck_reach,
-                     dyck_grammar, near_dyck_grammar, resolve_after_update,
-                     serialize_updates, solve_cfl, solve_dyck,
-                     solve_dyck_wrap_only)
+                     resolve_after_update, serialize_updates, solve_cfl,
+                     solve_dyck, solve_dyck_wrap_only)
+from dycklab.saturate import bracket_grammar
 from util import (mask_faults, random_dyck_instance, random_neardyck_instance,
                   random_script)
 
 SCRIPT_OPS = 20  # updates replayed per sample through the incremental route
 LIVE_CHECK_EVERY = 3  # updates between checks of the index driven by apply
 STALE_QUERIES = 4  # random pairs queried on a stale index, besides the marks
+# the walk oracle's stacks range over the open labels, |V| of them on a
+# near-Dyck sample, so larger near-Dyck samples would dwarf the rest
+NEAR_ORACLE_VERTICES = 6
 
 
 def main() -> int:
@@ -53,6 +59,7 @@ def main() -> int:
 
     rng = random.Random(args.seed)
     gaps = 0
+    oracle_checked = {"dyck": 0, "neardyck": 0}
     t0 = time.monotonic()
     for i in range(args.samples):
         if i % 2:
@@ -61,30 +68,30 @@ def main() -> int:
                                             max_vertices=args.max_vertices,
                                             density=rng.uniform(0.01, 0.1),
                                             directed=rng.random() < 0.5)
-            grammar = near_dyck_grammar(inst.graph.alphabet.size)
         else:
             inst = random_dyck_instance(rng, max_vertices=args.max_vertices,
                                         pairs=args.pairs,
                                         density=rng.uniform(0.05, 0.4),
                                         directed=rng.random() < 0.5)
-            grammar = dyck_grammar(args.pairs)
+        grammar = bracket_grammar(inst.graph.alphabet)
         full = solve_dyck(inst)
-        if full.pairs != solve_cfl(inst, grammar)["S"]:
+        full_pairs = full.pairs
+        if full_pairs != solve_cfl(inst, grammar)["S"]:
             print(f"MISMATCH sample {i}: saturation vs grammar engine")
             return 1
-        # the walk oracle runs on bracket-pair samples only, for cost: its
-        # stacks range over the open labels, |V| of them on a near-Dyck
-        # sample, so at the default budget it would dwarf the rest
-        if grammar.alphabet.kind == "dyck":
+        kind = grammar.alphabet.kind
+        if kind == "dyck" or inst.graph.vertex_count <= NEAR_ORACLE_VERTICES:
             brute = brute_dyck_reach(inst, EnumerationBudget(args.oracle_len))
-            if not brute <= full.pairs:
+            if not brute <= full_pairs:
                 print(f"MISMATCH sample {i}: oracle found a pair the solver "
                       f"missed")
                 return 1
-        if not solve_dyck_wrap_only(inst).pairs <= full.pairs:
+            oracle_checked[kind] += 1
+        wrap = solve_dyck_wrap_only(inst)
+        if not wrap <= full_pairs:
             print(f"MISMATCH sample {i}: wrap-only exceeded the full solver")
             return 1
-        gaps += full.pairs != solve_dyck_wrap_only(inst).pairs
+        gaps += wrap != full_pairs
         index, live = full, solve_dyck(inst)
         for step, op in enumerate(random_script(rng, inst, ops=SCRIPT_OPS,
                                                 query_rate=0.0), start=1):
@@ -128,7 +135,9 @@ def main() -> int:
     dt = time.monotonic() - t0
     print(f"{args.samples} instances ({args.samples // 2} near-Dyck) and "
           f"{args.samples * SCRIPT_OPS} updates, 0 mismatches, "
-          f"{gaps} wrap-only gaps, {dt:.1f}s")
+          f"{gaps} wrap-only gaps, oracle checked "
+          f"{oracle_checked['dyck']} bracket-pair and "
+          f"{oracle_checked['neardyck']} near-Dyck samples, {dt:.1f}s")
     return 0
 
 

@@ -19,7 +19,7 @@ from .one_letter import ParityIndex
 from .oracle import (EnumerationBudget, brute_dyck_reach, enumerate_paths,
                      exhaustive_words)
 from .reductions import compile_reduction
-from .saturate import (dyck_grammar, near_dyck_grammar, solve_cfl, solve_dyck,
+from .saturate import (bracket_grammar, solve_cfl, solve_dyck,
                        solve_dyck_wrap_only)
 from .suites import SUITES
 from .words import (gamma_exponent, in_q, in_q_init, in_regular, is_dyck,
@@ -73,13 +73,6 @@ class RunReport:
 ENGINES = ("dyck", "wrap-only", "cfl", "prop1")
 
 
-def _grammar_for(inst: Instance):
-    alph = inst.graph.alphabet
-    if alph.kind == "dyck":
-        return dyck_grammar(alph.size)
-    return near_dyck_grammar(alph.size)
-
-
 def maintained_index(inst: Instance, engine: str):
     """The index ``engine`` keeps through a script, owning ``inst``, or
     None for an engine that answers from scratch.  The solvers are looked
@@ -87,8 +80,6 @@ def maintained_index(inst: Instance, engine: str):
     wrapper patched onto ``cli.solve_dyck`` is the one that runs."""
     if engine == "dyck":
         return solve_dyck(inst)
-    if engine == "wrap-only":
-        return solve_dyck_wrap_only(inst)
     if engine == "prop1":
         return ParityIndex(inst)
     return None
@@ -96,10 +87,12 @@ def maintained_index(inst: Instance, engine: str):
 
 def answer_query(inst: Instance, engine: str) -> bool:
     """The marked pair's answer from an engine with no index."""
+    pair = (inst.source, inst.sink)
     if engine == "cfl":
-        grammar = _grammar_for(inst)
-        pair = (inst.source, inst.sink)
+        grammar = bracket_grammar(inst.graph.alphabet)
         return pair in solve_cfl(inst, grammar)[grammar.start]
+    if engine == "wrap-only":
+        return pair in solve_dyck_wrap_only(inst)
     if engine == "alt":
         return solve_alternating(inst)[0]
     raise ValueError(f"unknown engine {engine!r}")

@@ -221,9 +221,10 @@ class Instance(_InstanceFields):
         return super().__new__(cls, graph, source, sink, partition)
 
     def fingerprint(self) -> int:
+        # hash(None) is an address; no partition is empty, so () stands in
         g = self.graph
         return hash((g.directed, g.vertex_count, g.alphabet, g.edges,
-                     self.source, self.sink, self.partition))
+                     self.source, self.sink, self.partition or ()))
 
 
 class UpdateOp(NamedTuple):

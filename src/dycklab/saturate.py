@@ -50,11 +50,11 @@ re-solves it from scratch, once, however many deletions came before.
 ``resolve_after_update`` is the same step on a copy, for callers that keep
 the old index.
 
-``solve_dyck_wrap_only`` omits the concatenation rule; it under-approximates
-(e.g. it misses the chain labeled l1 l1bar l2 l2bar) and is kept so the gap
-itself is observable.  ``solve_cfl`` is an independent engine driven by a
-grammar in binary normal form and must agree with ``solve_dyck`` when given
-the bracket grammar of either alphabet.
+``solve_cfl`` is an independent engine over grammars in binary normal form
+and must agree with ``solve_dyck`` on either alphabet's ``bracket_grammar``.
+``solve_dyck_wrap_only`` runs it on that grammar without ``S -> S S``; it
+under-approximates (e.g. it misses the chain labeled l1 l1bar l2 l2bar) and
+is kept so that the gap concatenation closes stays observable.
 """
 
 from __future__ import annotations
@@ -162,9 +162,8 @@ class ReachIndex:
     only ``new & wide``.  It grows with the rows and a re-solve rebuilds
     it."""
 
-    def __init__(self, inst: Instance, concat: bool = True):
+    def __init__(self, inst: Instance):
         self.inst = inst
-        self.concat = concat
         self.stale = False
         identity = [1 << x for x in range(inst.graph.vertex_count)]
         self.rows, self.cols = list(identity), list(identity)
@@ -221,8 +220,7 @@ class ReachIndex:
         """Re-solve a stale index from scratch, taking over the new
         index's state (its masks included)."""
         if self.stale:
-            solve = solve_dyck if self.concat else solve_dyck_wrap_only
-            vars(self).update(vars(solve(self.inst)))
+            vars(self).update(vars(solve_dyck(self.inst)))
 
     @property
     def pairs(self) -> PairSet:
@@ -249,18 +247,15 @@ class ReachIndex:
         new = bits & ~rows[a]
         if not new:
             return
-        if self.concat:
-            # whatever reaches a now also reaches new and all it reaches;
-            # a row outside wide is its identity bit, already in new
-            expand = new & self.wide
-            while expand:
-                low = expand & -expand
-                new |= rows[low.bit_length() - 1]
-                expand ^= low
-            sources = self.cols[a]
-        else:
-            sources = 1 << a
+        # whatever reaches a now also reaches new and all it reaches; a row
+        # outside wide is its identity bit, already in new
+        expand = new & self.wide
+        while expand:
+            low = expand & -expand
+            new |= rows[low.bit_length() - 1]
+            expand ^= low
         cols, pending, work = self.cols, self.pending, self.work
+        sources = cols[a]
         grown = 0
         while sources:
             bit = sources & -sources
@@ -348,11 +343,6 @@ def solve_dyck(inst: Instance) -> ReachIndex:
     return ReachIndex(inst)
 
 
-def solve_dyck_wrap_only(inst: Instance) -> ReachIndex:
-    """The saturation loop with the wrap rule only (no concatenation)."""
-    return ReachIndex(inst, concat=False)
-
-
 def resolve_after_update(index: ReachIndex, inst: Instance,
                          op: UpdateOp) -> ReachIndex:
     """A new index for ``inst`` after one update, leaving ``index`` as it
@@ -418,14 +408,12 @@ def dyck_grammar(n: int) -> Grammar:
 
 @functools.lru_cache
 def near_dyck_grammar(vertex_count: int) -> Grammar:
-    """Per-vertex bracket grammar with the neutral symbol:
+    """Per-vertex bracket grammar, whose only concatenating rule is S -> S S:
     S -> eps | S S | dot | V_i K_i ;  K_i -> S C_i ;  V_i -> v_i ;
     C_i -> v_i-bar.  Memoized: a grammar is immutable."""
-    nts = ["S", "D"]
-    terminal = [("D", DOT)]
-    binary = [("S", "S", "S"), ("S", "D", "S")]
-    # D alone derives a single dot; S -> D S with nullable S covers it too,
-    # so "S -> dot" is expressed as the pair of rules above plus S -> eps.
+    nts = ["S"]
+    terminal = [("S", DOT)]
+    binary = [("S", "S", "S")]
     for i in range(vertex_count):
         o, c, k = f"V{i}", f"C{i}", f"K{i}"
         nts += [o, c, k]
@@ -433,6 +421,13 @@ def near_dyck_grammar(vertex_count: int) -> Grammar:
         binary += [("S", o, k), (k, "S", c)]
     return Grammar(tuple(nts), "S", frozenset({"S"}), tuple(terminal),
                    tuple(binary), Alphabet("neardyck", vertex_count))
+
+
+def bracket_grammar(alphabet: Alphabet) -> Grammar:
+    """The bracket grammar of an instance's alphabet, either kind."""
+    if alphabet.kind == "dyck":
+        return dyck_grammar(alphabet.size)
+    return near_dyck_grammar(alphabet.size)
 
 
 def solve_cfl(inst: Instance, grammar: Grammar) -> dict[str, frozenset[tuple[int, int]]]:
@@ -479,3 +474,11 @@ def solve_cfl(inst: Instance, grammar: Grammar) -> dict[str, frozenset[tuple[int
                 add(a, w, v)
 
     return {a: frozenset(p) for a, p in pairs.items()}
+
+
+def solve_dyck_wrap_only(inst: Instance) -> frozenset[tuple[int, int]]:
+    """The pairs of the instance's bracket grammar without ``S -> S S``:
+    walks that are empty, one ``dot`` edge, or a bracket pair around one."""
+    grammar = bracket_grammar(inst.graph.alphabet)
+    rules = tuple(r for r in grammar.binary_rules if r != ("S", "S", "S"))
+    return solve_cfl(inst, grammar._replace(binary_rules=rules))[grammar.start]

@@ -53,7 +53,7 @@ def test_saturation_agrees_with_grammar_engine_on_500_instances():
 
 def test_wrap_only_solver_misses_the_concatenation_chain():
     inst = gap_chain_instance()
-    assert not solve_dyck_wrap_only(inst).query(0, 4)
+    assert (0, 4) not in solve_dyck_wrap_only(inst)
     assert solve_dyck(inst).query(0, 4)
     enum = enumerate_paths(inst, 0, 4, EnumerationBudget(4, 10), balanced=True)
     labels = [tuple(lab for _, lab, _ in p) for p in enum.paths]

@@ -164,6 +164,20 @@ def test_replay_reports_per_query_answers(capsys, tmp_path, gap_chain):
     assert "answer[2]=true" in out
 
 
+def test_replay_wrap_only_follows_the_updates(capsys, tmp_path, gap_chain):
+    # the gap chain needs concatenation; the edge 0 -l2-> 3 and the
+    # chain's 3 -l2bar-> 4 wrap the pair (3, 3) instead
+    script = tmp_path / "script.upd"
+    script.write_text("query\nins 0 l2 3\nquery\ndel 0 l2 3\nquery\n")
+    for engine, answers in (("wrap-only", "false true false"),
+                            ("dyck", "true true true")):
+        code, out, _ = run(capsys, "--kv", "replay", gap_chain, str(script),
+                           "--engine", engine)
+        assert code == 0
+        assert out.splitlines()[2:] == [
+            f"answer[{i}]={a}" for i, a in enumerate(answers.split())]
+
+
 def test_reduce_writes_target_and_map(capsys, tmp_path, fig2):
     out_file = tmp_path / "target.graph"
     map_file = tmp_path / "names.tsv"

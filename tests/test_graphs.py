@@ -19,7 +19,7 @@ from dycklab import (DOT, Alphabet, GraphFormatError, Instance, Label,
                      parse_graph, parse_label_token, parse_updates,
                      serialize_graph, serialize_updates)
 
-from util import fig1_instance
+from util import fig1_instance, gap_chain_instance
 
 
 def test_label_tokens_round_trip():
@@ -424,3 +424,25 @@ def test_parse_serialize_parse_updates_is_the_identity(ops):
 @given(instances())
 def test_fingerprint_tracks_equality(inst):
     assert inst.fingerprint() == parse_graph(serialize_graph(inst)).fingerprint()
+
+
+def test_fingerprint_is_the_same_in_every_process():
+    """Two processes with one hash seed give an instance without a
+    partition one fingerprint: ``hash(None)`` is an address, so the
+    missing partition must not be hashed as ``None``."""
+    inst = gap_chain_instance()
+    assert inst.partition is None
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys; from dycklab import parse_graph; "
+            "print(parse_graph(sys.stdin.read()).fingerprint())")
+    prints = set()
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                              input=serialize_graph(inst), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        prints.add(proc.stdout)
+    assert len(prints) == 1, prints

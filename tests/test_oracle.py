@@ -398,6 +398,7 @@ def test_cyk_near_dyck_grammar():
     g = near_dyck_grammar(2)
     assert cyk_accepts(g, word("v1 dot v1bar"))
     assert cyk_accepts(g, word("dot"))
+    assert cyk_accepts(g, word("dot v0 v0bar dot"))
     assert not cyk_accepts(g, word("v1 v0bar"))
     assert cyk_accepts(g, ())
 

@@ -17,7 +17,7 @@ from dycklab import (DOT, Alphabet, AlphabetMismatchError,
 
 from util import (fig2_source, gap_chain_instance, mask_faults,
                   random_dyck_instance, random_neardyck_instance,
-                  random_script)
+                  random_script, reference_wrap_only_pairs)
 
 L1, L1BAR = Label("l", 1, False), Label("l", 1, True)
 L2, L2BAR = Label("l", 2, False), Label("l", 2, True)
@@ -53,15 +53,29 @@ def test_concatenation_chain_found_by_corrected_solver():
 
 def test_wrap_only_misses_the_concatenation_chain():
     inst = gap_chain_instance()
-    assert not solve_dyck_wrap_only(inst).query(0, 4)
+    assert (0, 4) not in solve_dyck_wrap_only(inst)
     # a brute-force enumeration still finds the witness at budget 4
     assert (0, 4) in brute_dyck_reach(inst, EnumerationBudget(4))
 
 
 def test_wrap_only_handles_pure_nesting():
-    idx = solve_dyck_wrap_only(chain([L1, L2, L2BAR, L1BAR]))
-    assert idx.query(0, 4)
-    assert solve_dyck_wrap_only(chain([L1, L1BAR])).query(0, 2)
+    assert (0, 4) in solve_dyck_wrap_only(chain([L1, L2, L2BAR, L1BAR]))
+    assert (0, 2) in solve_dyck_wrap_only(chain([L1, L1BAR]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.booleans(),
+       st.booleans())
+def test_wrap_only_matches_the_plain_wrap_fixpoint(seed, near, directed):
+    rng = random.Random(seed)
+    if near:
+        inst = random_neardyck_instance(rng, max_vertices=5, density=0.15,
+                                        directed=directed)
+    else:
+        inst = random_dyck_instance(rng, max_vertices=7,
+                                    pairs=rng.choice((1, 2, 3)), density=0.2,
+                                    directed=directed)
+    assert solve_dyck_wrap_only(inst) == reference_wrap_only_pairs(inst)
 
 
 def test_two_edge_bracket_cycle():
@@ -148,7 +162,7 @@ def test_engine_agreement_seeded_sample():
 @given(st.integers(min_value=0, max_value=10**9))
 def test_wrap_only_is_a_subset_of_the_corrected_solver(seed):
     inst = random_dyck_instance(random.Random(seed), max_vertices=6)
-    assert solve_dyck_wrap_only(inst).pairs <= solve_dyck(inst).pairs
+    assert solve_dyck_wrap_only(inst) <= solve_dyck(inst).pairs
 
 
 @settings(max_examples=40, deadline=None)
@@ -328,8 +342,8 @@ def _churn_op(rng, inst):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9), st.booleans(),
-       st.booleans(), st.sampled_from((solve_dyck, solve_dyck_wrap_only)))
-def test_a_stale_index_answers_queries_exactly(seed, near, directed, solve):
+       st.booleans())
+def test_a_stale_index_answers_queries_exactly(seed, near, directed):
     rng = random.Random(seed)
     if near:
         inst = random_neardyck_instance(rng, max_vertices=5, density=0.15,
@@ -340,14 +354,12 @@ def test_a_stale_index_answers_queries_exactly(seed, near, directed, solve):
                                     density=0.2, directed=directed)
         grammar = dyck_grammar(2)
     n = inst.graph.vertex_count
-    live = solve(inst)
+    live = solve_dyck(inst)
     for _ in range(24):
         op = _churn_op(rng, inst)
         live.apply(op)
         inst = apply_update(inst, op)
-        # the grammar engine derives concatenations, which wrap-only omits
-        expected = (solve_cfl(inst, grammar)["S"] if solve is solve_dyck
-                    else solve_dyck_wrap_only(inst).pairs)
+        expected = solve_cfl(inst, grammar)["S"]
         if live.stale:
             # stale rows over-approximate: every derivable pair is present
             assert all(live.rows[u] >> v & 1 for u, v in expected)
@@ -359,8 +371,8 @@ def test_a_stale_index_answers_queries_exactly(seed, near, directed, solve):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9), st.booleans(),
-       st.booleans(), st.sampled_from((solve_dyck, solve_dyck_wrap_only)))
-def test_support_masks_hold_under_mixed_scripts(seed, near, directed, solve):
+       st.booleans())
+def test_support_masks_hold_under_mixed_scripts(seed, near, directed):
     rng = random.Random(seed)
     if near:
         # the per-vertex alphabet carries the neutral dot edges
@@ -370,7 +382,7 @@ def test_support_masks_hold_under_mixed_scripts(seed, near, directed, solve):
         inst = random_dyck_instance(rng, max_vertices=7,
                                     pairs=rng.choice((1, 2)), density=0.2,
                                     directed=directed)
-    live = solve(inst)
+    live = solve_dyck(inst)
     assert mask_faults(live) == []
     for step in range(24):
         op = _churn_op(rng, inst)

@@ -2,6 +2,7 @@
 a change to the library's names cannot leave one broken unnoticed."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# what a script's summary line must show beyond its clean exit: the fuzz
+# leg's walk oracle must have checked near-Dyck samples, not skipped them
+SUMMARIES = {
+    "engine_fuzz.py": r"oracle checked [1-9]\d* bracket-pair and [1-9]\d* "
+                      r"near-Dyck samples",
+}
+
 
 @pytest.mark.parametrize("argv", [
-    ("engine_fuzz.py", "--samples", "5"),
+    ("engine_fuzz.py", "--samples", "5", "--max-vertices", "6"),
     ("reduction_fuzz.py", "--samples", "2", "--ops", "10"),
     ("distance_demo.py", "--vertices", "4"),
 ])
@@ -24,3 +32,4 @@ def test_script_runs(argv):
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert re.search(SUMMARIES.get(argv[0], ""), proc.stdout), proc.stdout

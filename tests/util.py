@@ -1,7 +1,7 @@
 """Shared generators for the test suite: random instances, random update
 scripts, the worked instances used across modules, the check of a
 ``ReachIndex``'s support masks, and slow reference versions of the
-oracle walks and suites."""
+wrap-only solver, the oracle walks and the suites."""
 
 import math
 import random
@@ -146,6 +146,27 @@ def gap_chain_instance() -> Instance:
     edges = [(i, toks[i], i + 1) for i in range(4)]
     graph = LabeledGraph.build(True, 5, alph, edges)
     return Instance(graph, 0, 4)
+
+
+def reference_wrap_only_pairs(inst):
+    """``dycklab.solve_dyck_wrap_only`` as a fixpoint over a plain set of
+    pairs, with no bitsets and no grammar: every ``(x, x)`` and the pair of
+    every ``dot`` edge, closed under the wrap rule alone, which derives
+    ``(u, v)`` from a held ``(a, b)`` and edges ``(u, q, a)``,
+    ``(b, q-bar, v)``."""
+    edges = list(inst.graph.directed_edges())
+    pairs = {(x, x) for x in range(inst.graph.vertex_count)}
+    pairs |= {(u, v) for u, lab, v in edges if lab.base == "dot"}
+    opening = [(u, (lab.base, lab.index), v) for u, lab, v in edges
+               if lab.base != "dot" and not lab.bar]
+    closing = [(u, (lab.base, lab.index), v) for u, lab, v in edges
+               if lab.base != "dot" and lab.bar]
+    while True:
+        derived = {(u, v) for u, q, a in opening for b, c, v in closing
+                   if q == c and (a, b) in pairs}
+        if derived <= pairs:
+            return frozenset(pairs)
+        pairs |= derived
 
 
 def reference_nominal_paths(red, tag, budget):
