@@ -14,10 +14,13 @@ a deletion has left stale.  While that index is stale, its rows must hold
 every pair the grammar derives, and it is first asked ``query`` on the
 marked pair and on random pairs, each answer checked against the grammar,
 so that stale answers are checked before any read of ``pairs`` re-solves
-the index.  After every update both indexes' support masks are checked
-too: each ``closers[k]`` must be exactly the vertices with an outgoing
-closing edge of pair ``k``, and ``wide`` must hold every row with more
-than its identity bit.
+the index.  A stale "no" on a set bit runs the index's lazy solve
+``lower`` to its end, so the index must then be fresh.  After every update
+both indexes' support masks are checked too, and after every stale query
+those of an unfinished ``lower``, against the current edges: each
+``closers[k]`` must be exactly the vertices with an outgoing closing edge
+of pair ``k``, and ``wide`` must hold every row with more than its
+identity bit.
 
 Usage: python3 scripts/engine_fuzz.py [--samples N] [--seed S]
                                       [--max-vertices V] [--pairs P]
@@ -118,10 +121,21 @@ def main() -> int:
                     (rng.randrange(n), rng.randrange(n))
                     for _ in range(STALE_QUERIES)]
                 for u, v in asked:
-                    if live.query(u, v) != ((u, v) in expected):
-                        print(f"MISMATCH sample {i} step {step} "
-                              f"({serialize_updates([op]).strip()}): "
-                              f"stale query({u}, {v}) vs grammar engine")
+                    where = (f"MISMATCH sample {i} step {step} "
+                             f"({serialize_updates([op]).strip()}): "
+                             f"stale query({u}, {v})")
+                    stale_bit = live.stale and live.rows[u] >> v & 1
+                    answer = live.query(u, v)
+                    if answer != ((u, v) in expected):
+                        print(f"{where} vs grammar engine")
+                        return 1
+                    if stale_bit and not answer and live.stale:
+                        print(f"{where}: a set bit's \"no\" left the "
+                              f"index stale")
+                        return 1
+                    faults = live.lower and mask_faults(live.lower, inst)
+                    if faults:
+                        print(f"{where}: unfinished solve: {faults[0]}")
                         return 1
             checks = [("resolve_after_update", index)]
             if step % LIVE_CHECK_EVERY == 0 or step == SCRIPT_OPS:

@@ -45,10 +45,13 @@ marks the index stale, keeping its rows.  Stale rows are a superset of the
 closure: they were closed under a superset of today's edges, and the
 fixpoint is monotone in the edges, so continuing later insertions on them
 keeps a superset.  A stale index therefore answers "no" at once when the
-queried bit is absent; only a present bit (or a read of ``pairs``)
-re-solves it from scratch, once, however many deletions came before.
-``resolve_after_update`` is the same step on a copy, for callers that keep
-the old index.
+queried bit is absent, and "yes" for an identity pair.  Any other set bit
+runs ``lower``, one lazy from-scratch solve sharing the index's edge
+bitsets, only until its row holds that bit, an exact "yes"; once its
+worklist empties it is exact and the index takes it over.  An insertion
+seeds it without running it, and a deletion drops it.  A read of ``pairs``
+re-solves a stale index from scratch; ``resolve_after_update`` is that
+step on a copy, for callers that keep the old index.
 
 ``solve_cfl`` is an independent engine over grammars in binary normal form
 and must agree with ``solve_dyck`` on either alphabet's ``bracket_grammar``.
@@ -149,9 +152,12 @@ class ReachIndex:
     a closure ``pending[x]`` holds the bits row ``x`` gained that the wrap
     rule has not yet joined, and ``work`` lists the rows with pending bits;
     between calls ``pending`` is all zeros and ``work`` is empty.  The edge
-    bitsets always hold the instance's bracket edges.  A deletion sets
-    ``stale``: the rows are then closed but may hold pairs the instance no
-    longer derives, until a re-solve makes them exact again.
+    bitsets always hold the instance's bracket edges, and ``dots`` its
+    ``dot`` edges as directed pairs.  A deletion sets ``stale``: the rows
+    are then closed but may hold pairs the instance no longer derives,
+    until a re-solve makes them exact again.  ``lower`` is None or an
+    unfinished from-scratch solve of a stale index's edges, with the same
+    edge bitsets, masks and ``dots``, and a worklist resumed by ``query``.
 
     Two support masks let the rules skip bits that cannot contribute.
     ``closers[k]`` is the bitset of the vertices with an outgoing closing
@@ -163,20 +169,31 @@ class ReachIndex:
     it."""
 
     def __init__(self, inst: Instance):
-        self.inst = inst
-        self.stale = False
-        identity = [1 << x for x in range(inst.graph.vertex_count)]
-        self.rows, self.cols = list(identity), list(identity)
-        self.out_edges, self.in_edges, dots = _edge_bitsets(inst)
-        self.closers = [
-            sum(1 << w for w, targets in enumerate(closing) if targets)
-            for closing in self.out_edges[1::2]]
-        self.wide = 0
-        self.pending = identity
-        self.work = list(range(len(identity)))
+        out_edges, in_edges, dots = _edge_bitsets(inst)
+        closers = [sum(1 << w for w, targets in enumerate(closing) if targets)
+                   for closing in out_edges[1::2]]
+        self._start(inst, out_edges, in_edges, closers, dots)
+        self._run()
+
+    def _start(self, inst, out_edges, in_edges, closers, dots):
+        """Begin a from-scratch solve over these edges: identity rows, the
+        ``dot`` pairs added, every row on the worklist, nothing run."""
+        self.inst, self.stale, self.lower, self.wide = inst, False, None, 0
+        self.out_edges, self.in_edges = out_edges, in_edges
+        self.closers, self.dots = closers, dots
+        self.pending = [1 << x for x in range(inst.graph.vertex_count)]
+        self.rows, self.cols = list(self.pending), list(self.pending)
+        self.work = list(range(len(self.pending)))
         for u, v in dots:
             self._add(u, 1 << v)
-        self._run()
+
+    def _fresh(self) -> "ReachIndex":
+        """An unfinished from-scratch solve of today's edges, sharing this
+        index's edge bitsets, masks and ``dot`` list, which are exact."""
+        lower = ReachIndex.__new__(ReachIndex)
+        lower._start(self.inst, self.out_edges, self.in_edges, self.closers,
+                     self.dots)
+        return lower
 
     def copy(self) -> "ReachIndex":
         """An independent index with the same answers and instance."""
@@ -184,16 +201,16 @@ class ReachIndex:
         other.rows, other.cols = list(self.rows), list(self.cols)
         other.out_edges = [list(slot) for slot in self.out_edges]
         other.in_edges = [list(slot) for slot in self.in_edges]
-        other.closers = list(self.closers)
-        other.pending, other.work = [0] * len(self.rows), []
+        other.closers, other.dots = list(self.closers), list(self.dots)
+        other.pending, other.work, other.lower = [0] * len(self.rows), [], None
         return other
 
     def apply(self, op: UpdateOp):
         """Apply one update to the owned instance (a rejected update raises
         and changes nothing).  An insertion continues the fixpoint on the
-        rows in place, stale or not; a deletion clears the edge's bits and
-        marks the index stale, leaving rows that over-approximate the
-        closure until a query needs them exact."""
+        rows in place, stale or not, and seeds ``lower`` without running
+        it; a deletion clears the edge's bits, drops ``lower`` and marks
+        the index stale, leaving rows that over-approximate the closure."""
         self.inst = apply_update(self.inst, op)
         if op.op == "query":
             return
@@ -202,10 +219,13 @@ class ReachIndex:
             ends.append((op.v, op.u))
         if op.op == "ins":
             for u, v in ends:
-                self._insert_edge(u, op.label, v)
+                self._set_edge(u, op.label, v)
+            for index in (self, self.lower) if self.lower else (self,):
+                for u, v in ends:
+                    index._seed(u, op.label, v)
             self._run()
             return
-        self.stale = True
+        self.stale, self.lower = True, None
         if op.label != DOT:
             s = _slot(op.label)
             out_edges = self.out_edges[s]
@@ -215,6 +235,9 @@ class ReachIndex:
                 if op.label.bar and not out_edges[u]:
                     # u's last closing edge of this pair is gone
                     self.closers[s >> 1] &= ~(1 << u)
+        else:
+            for end in ends:
+                self.dots.remove(end)
 
     def _refresh(self):
         """Re-solve a stale index from scratch, taking over the new
@@ -230,15 +253,20 @@ class ReachIndex:
 
     def query(self, u: int, v: int) -> bool:
         """Whether ``(u, v)`` is in the closed set.  A stale index's rows
-        over-approximate it, so an absent bit is an exact "no"; only a
-        present one re-solves first."""
-        if not (0 <= u < len(self.rows) and 0 <= v
-                and self.rows[u] >> v & 1):
+        over-approximate it, so an absent bit is an exact "no" and an
+        identity pair a "yes"; any other present bit runs the unfinished
+        solve ``lower`` until it holds the pair or finishes exact."""
+        rows = self.rows
+        if not (0 <= u < len(rows) and 0 <= v and rows[u] >> v & 1):
             return False
-        if self.stale:
-            self._refresh()
-            return bool(self.rows[u] >> v & 1)
-        return True
+        if not self.stale or u == v:
+            return True
+        lower = self.lower = self.lower or self._fresh()
+        lower._run(u, 1 << v)
+        if lower.work:
+            return True
+        vars(self).update(vars(lower), inst=self.inst)
+        return bool(self.rows[u] >> v & 1)
 
     def _add(self, a: int, bits: int):
         """Add the pairs ``(a, b)`` for ``b`` in ``bits``, with everything
@@ -275,15 +303,25 @@ class ReachIndex:
                 gained ^= low
         self.wide |= grown
 
-    def _insert_edge(self, u: int, lab: Label, v: int):
-        """Set the bit of a new directed edge and add what it derives
-        against the current pairs.  A ``dot`` edge is itself a pair."""
+    def _set_edge(self, u: int, lab: Label, v: int):
+        """Record a new directed edge in the bitsets, masks and ``dot``
+        list that this index shares with ``lower``."""
         if lab == DOT:
-            self._add(u, 1 << v)
+            self.dots.append((u, v))
             return
         s = _slot(lab)
         self.out_edges[s][u] |= 1 << v
         self.in_edges[s][v] |= 1 << u
+        if lab.bar:
+            self.closers[s >> 1] |= 1 << u
+
+    def _seed(self, u: int, lab: Label, v: int):
+        """Add what a recorded edge derives against the current pairs.  A
+        ``dot`` edge is itself a pair."""
+        if lab == DOT:
+            self._add(u, 1 << v)
+            return
+        s = _slot(lab)
         if lab.is_open:
             # (v, w) in the set and an edge (w, q-bar, b)  =>  (u, b)
             closing = self.out_edges[s + 1]
@@ -295,7 +333,6 @@ class ReachIndex:
                 ends ^= low
             self._add(u, reach)
         else:
-            self.closers[s >> 1] |= 1 << u
             # (w, u) in the set and an edge (a, q, w)  =>  (a, v)
             opening = self.in_edges[s - 1]
             ends = self.cols[u]
@@ -310,13 +347,15 @@ class ReachIndex:
                 self._add(low.bit_length() - 1, bit)
                 srcs ^= low
 
-    def _run(self):
-        pending, work = self.pending, self.work
+    def _run(self, u: int = 0, bit: int = 0):
+        """Close the worklist, or with a target ``bit`` stop before the next
+        pop once ``rows[u]`` holds it, leaving the rest to resume."""
+        rows, pending, work = self.rows, self.pending, self.work
         # no edge changes while the fixpoint runs, so closers is read once
         wraps = list(zip(self.in_edges[0::2], self.out_edges[1::2],
                          self.closers))
         add = self._add
-        while work:
+        while work and not rows[u] & bit:
             x = work.pop()
             delta = pending[x]
             pending[x] = 0

@@ -297,35 +297,42 @@ def test_a_rejected_update_leaves_the_index_unchanged(op):
     assert not idx.query(0, 2)
 
 
+def _count_fresh_solves(monkeypatch) -> list:
+    """Patch ``ReachIndex._fresh`` to record the instance of every lazy
+    solve a stale query starts; returns the record."""
+    built = []
+    fresh = saturate.ReachIndex._fresh
+
+    def counted(index):
+        built.append(index.inst)
+        return fresh(index)
+
+    monkeypatch.setattr(saturate.ReachIndex, "_fresh", counted)
+    return built
+
+
 def test_deletions_before_a_query_cost_one_resolve(monkeypatch):
-    calls = []
-    original = saturate.solve_dyck
-
-    def counted(inst):
-        calls.append(inst)
-        return original(inst)
-
-    # run_replay's first solve goes through cli's name, re-solves through
-    # saturate's
-    monkeypatch.setattr(saturate, "solve_dyck", counted)
-    monkeypatch.setattr(cli, "solve_dyck", counted)
+    built = _count_fresh_solves(monkeypatch)
     inst = chain([L1, L1BAR, L2, L2BAR])
     script = [UpdateOp.delete(0, L1, 1), UpdateOp.delete(2, L2, 3),
               UpdateOp.ins(0, L1, 1), UpdateOp.delete(3, L2BAR, 4),
               UpdateOp.ins(2, L2, 3), UpdateOp.query(), UpdateOp.query()]
     report = cli.run_replay(inst, script)
     assert report.answers == [False, False]
-    assert len(calls) == 2
+    # the first "no" finishes the one solve; the second query needs none
+    assert len(built) == 1
 
     # the same through one index: nothing is solved until the query
-    idx = original(inst)
+    idx = solve_dyck(inst)
     for op in script[:5]:
         idx.apply(op)
         inst = apply_update(inst, op)
-    assert len(calls) == 2
-    assert idx.pairs == solve_cfl(inst, dyck_grammar(2))["S"]
+    assert len(built) == 1 and idx.stale
     assert not idx.query(0, 4)
-    assert len(calls) == 3
+    assert built[1:] == [inst] and not idx.stale
+    assert idx.pairs == solve_cfl(inst, dyck_grammar(2))["S"]
+    assert idx.query(0, 2) and not idx.query(2, 4)
+    assert len(built) == 2
 
 
 def _churn_op(rng, inst):
@@ -413,27 +420,92 @@ def test_closers_follow_the_last_closing_edge():
 
 
 def test_a_stale_no_costs_no_resolve(monkeypatch):
-    calls = []
-    original = saturate.solve_dyck
-
-    def counted(inst):
-        calls.append(inst)
-        return original(inst)
-
-    monkeypatch.setattr(saturate, "solve_dyck", counted)
+    built = _count_fresh_solves(monkeypatch)
     # 0 -l1-> 1 -l1bar-> 2 -l2-> 3 -l2bar-> 4
-    idx = counted(chain([L1, L1BAR, L2, L2BAR]))
+    idx = solve_dyck(chain([L1, L1BAR, L2, L2BAR]))
     idx.apply(UpdateOp.delete(1, L1BAR, 2))
     assert idx.stale
     idx.apply(UpdateOp.ins(4, L2, 0))  # lands on the stale rows
     # (2, 0) was never derivable: its bit is absent, so "no" is exact
     assert not idx.query(2, 0)
     assert idx.stale
-    assert len(calls) == 1
+    assert built == []
     # (0, 2) was derivable before the deletion: its stale bit is set, and
-    # the answer needs the one re-solve
+    # the answer needs the one solve, run to its end
     assert not idx.query(0, 2)
-    assert len(calls) == 2
-    assert not idx.stale
+    assert len(built) == 1
+    assert not idx.stale and idx.lower is None
     assert idx.query(2, 4) and not idx.query(0, 4)
-    assert len(calls) == 2
+    assert len(built) == 1
+
+
+def _bracket_cycle():
+    """0 -l1-> 1 -l1bar-> 2 -l2-> 3 -l2bar-> 4 -l1-> 5 -l1bar-> 0, with
+    (1, l1bar, 2) deleted: a stale index whose rows keep (0, 2)."""
+    edges = [(0, L1, 1), (1, L1BAR, 2), (2, L2, 3), (3, L2BAR, 4),
+             (4, L1, 5), (5, L1BAR, 0)]
+    inst = Instance(LabeledGraph.build(True, 6, Alphabet("dyck", 2), edges),
+                    0, 4)
+    idx = solve_dyck(inst)
+    op = UpdateOp.delete(1, L1BAR, 2)
+    idx.apply(op)
+    return idx, apply_update(inst, op)
+
+
+def test_a_partial_solve_survives_an_insertion(monkeypatch):
+    built = _count_fresh_solves(monkeypatch)
+    idx, inst = _bracket_cycle()
+    # 2 -l2 l2bar l1 l1bar-> 0 still holds: found before the solve ends
+    assert idx.query(2, 0)
+    lower = idx.lower
+    assert idx.stale and lower.work
+    # 4 -l1-> 5 -l1bar-> 3 needs the new edge out of a row already popped
+    op = UpdateOp.ins(5, L1BAR, 3)
+    idx.apply(op)
+    inst = apply_update(inst, op)
+    expected = solve_cfl(inst, dyck_grammar(2))["S"]
+    assert idx.lower is lower and (4, 3) in expected
+    assert idx.query(4, 3)
+    # (0, 2) lost its witness: the "no" runs the solve to its end
+    assert not idx.query(0, 2)
+    assert len(built) == 1 and not idx.stale
+    assert idx.inst == inst and mask_faults(idx) == []
+    assert idx.pairs == expected
+    assert idx.rows == solve_dyck(inst).rows
+
+
+def test_a_deletion_drops_the_partial_solve():
+    idx, inst = _bracket_cycle()
+    assert idx.query(2, 0) and idx.lower.work
+    op = UpdateOp.delete(4, L1, 5)
+    idx.apply(op)
+    inst = apply_update(inst, op)
+    assert idx.lower is None
+    assert not idx.query(2, 0)
+    assert idx.pairs == solve_cfl(inst, dyck_grammar(2))["S"]
+
+
+def test_a_stale_identity_query_solves_nothing(monkeypatch):
+    built = _count_fresh_solves(monkeypatch)
+    idx, _ = _bracket_cycle()
+    assert all(idx.query(x, x) for x in range(6))
+    assert built == [] and idx.stale and idx.lower is None
+
+
+def test_copies_of_a_partial_solve_keep_its_answers():
+    idx, inst = _bracket_cycle()
+    assert idx.query(2, 0)
+    lower, work = idx.lower, list(idx.lower.work)
+    rows = list(idx.rows)
+    copied = idx.copy()
+    assert copied.lower is None and copied.stale
+    op = UpdateOp.ins(5, L1BAR, 3)
+    new = resolve_after_update(idx, inst, op)
+    assert new.lower is None and not new.stale
+    assert new.pairs == solve_cfl(apply_update(inst, op), dyck_grammar(2))["S"]
+    # neither touched the partial solve nor the stale rows
+    assert idx.lower is lower and lower.work == work and idx.rows == rows
+    expected = solve_cfl(inst, dyck_grammar(2))["S"]
+    for index in (copied, idx):
+        assert all(index.query(u, v) == ((u, v) in expected)
+                   for u in range(6) for v in range(6))

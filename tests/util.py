@@ -92,15 +92,18 @@ def random_script(rng: random.Random, inst: Instance, ops: int = 30,
     return script
 
 
-def mask_faults(index) -> list[str]:
+def mask_faults(index, inst=None) -> list[str]:
     """How a ``ReachIndex``'s support masks fail their invariants, read
-    against its instance's edges and its rows: ``closers[k]`` must be
-    exactly the vertices with an outgoing closing edge of pair ``k``
-    (counted from 0), and ``wide`` must hold every vertex whose row has
-    more than its identity bit.  Empty when both hold."""
+    against the edges of ``inst`` (the index's own instance by default;
+    an unfinished solve ``lower`` shares the edges of its index's) and
+    against its rows: ``closers[k]`` must be exactly the vertices with an
+    outgoing closing edge of pair ``k`` (counted from 0), and ``wide`` must
+    hold every vertex whose row has more than its identity bit.  Empty
+    when both hold."""
+    graph = (inst or index.inst).graph
     first = {"l": 1, "v": 0}
-    support = [0] * index.inst.graph.alphabet.size
-    for u, lab, _v in index.inst.graph.directed_edges():
+    support = [0] * graph.alphabet.size
+    for u, lab, _v in graph.directed_edges():
         if lab.bar:
             support[lab.index - first[lab.base]] |= 1 << u
     faults = []
