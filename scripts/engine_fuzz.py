@@ -13,14 +13,15 @@ third update and at the end, so that insertions also land on an index that
 a deletion has left stale.  While that index is stale, its rows must hold
 every pair the grammar derives, and it is first asked ``query`` on the
 marked pair and on random pairs, each answer checked against the grammar,
-so that stale answers are checked before any read of ``pairs`` re-solves
-the index.  A stale "no" on a set bit runs the index's lazy solve
-``lower`` to its end, so the index must then be fresh.  After every update
-both indexes' support masks are checked too, and after every stale query
-those of an unfinished ``lower``, against the current edges: each
-``closers[k]`` must be exactly the vertices with an outgoing closing edge
-of pair ``k``, and ``wide`` must hold every row with more than its
-identity bit.
+so that stale answers are checked before a read of ``pairs`` runs the
+index's lazy solve ``lower`` to its end.  A stale "no" on a set bit runs
+it to its end too, so the index must then be fresh.  After every update
+both indexes' edge bitsets and support masks are checked too, and after
+every stale query those of an unfinished ``lower``, against the current
+edges: ``out_edges``, ``in_edges`` and ``dots`` must hold exactly the
+directed edges, each ``closers[k]`` must be exactly the vertices with an
+outgoing closing edge of pair ``k``, and ``wide`` must hold every row
+with more than its identity bit.
 
 Usage: python3 scripts/engine_fuzz.py [--samples N] [--seed S]
                                       [--max-vertices V] [--pairs P]

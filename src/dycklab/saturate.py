@@ -28,13 +28,13 @@ new bits are processed further.
 Two support masks keep the rules off bits that cannot contribute.
 ``closers[k]`` is the bitset of the vertices with an outgoing closing edge
 of pair ``k``: the wrap rule joins a row only at those bits, since a bit
-``v`` with no closing edge adds nothing.  It is set on insertion, cleared
-when a deletion removes a vertex's last such edge, and rebuilt by a
-re-solve, so it always equals that support exactly.  ``wide`` holds at
-least every vertex whose row has more than its identity bit: concatenation
-expands only the new bits in ``wide``, since expanding any other bit
-``b`` adds just ``b`` itself.  A row never shrinks between re-solves, so
-``wide`` only grows until a re-solve rebuilds it.
+``v`` with no closing edge adds nothing.  It is built with the edge
+bitsets, set on insertion and cleared when a deletion removes a vertex's
+last such edge, so it always equals that support exactly.  ``wide`` holds
+at least every vertex whose row has more than its identity bit:
+concatenation expands only the new bits in ``wide``, since expanding any
+other bit ``b`` adds just ``b`` itself.  A row never shrinks between
+re-solves, so ``wide`` only grows until a re-solve starts it afresh.
 
 A ``ReachIndex`` owns its instance and keeps its answers current under
 ``apply``.  An insertion sets the new edge's bit (both directions for an
@@ -45,13 +45,15 @@ marks the index stale, keeping its rows.  Stale rows are a superset of the
 closure: they were closed under a superset of today's edges, and the
 fixpoint is monotone in the edges, so continuing later insertions on them
 keeps a superset.  A stale index therefore answers "no" at once when the
-queried bit is absent, and "yes" for an identity pair.  Any other set bit
-runs ``lower``, one lazy from-scratch solve sharing the index's edge
-bitsets, only until its row holds that bit, an exact "yes"; once its
+queried bit is absent, and "yes" for an identity pair.  Its one way back
+to exact rows is ``lower``, a lazy from-scratch solve sharing the index's
+edge bitsets, which are exact, so the index builds them from its instance
+only once.  Any other set bit runs ``lower`` only until its row holds that
+bit, an exact "yes"; a read of ``pairs`` runs it to its end.  Once its
 worklist empties it is exact and the index takes it over.  An insertion
-seeds it without running it, and a deletion drops it.  A read of ``pairs``
-re-solves a stale index from scratch; ``resolve_after_update`` is that
-step on a copy, for callers that keep the old index.
+seeds it without running it, and a deletion drops it.
+``resolve_after_update`` applies an update to a copy, for callers that
+keep the old index, and re-solves a stale copy at once.
 
 ``solve_cfl`` is an independent engine over grammars in binary normal form
 and must agree with ``solve_dyck`` on either alphabet's ``bracket_grammar``.
@@ -128,8 +130,8 @@ class PairSet(Set):
 
 def _edge_bitsets(inst: Instance):
     """Per label slot, the target and the source bitset of every vertex,
-    over the directed view of the graph, and the neutral (``dot``) edges,
-    which have no slot."""
+    over the directed view of the graph; per pair, the ``closers`` mask;
+    and the neutral (``dot``) edges, which have no slot."""
     n = inst.graph.vertex_count
     slots = 2 * inst.graph.alphabet.size
     out_edges = [[0] * n for _ in range(slots)]
@@ -142,7 +144,9 @@ def _edge_bitsets(inst: Instance):
         s = _slot(lab)
         out_edges[s][u] |= 1 << v
         in_edges[s][v] |= 1 << u
-    return out_edges, in_edges, dots
+    closers = [sum(1 << w for w, targets in enumerate(closing) if targets)
+               for closing in out_edges[1::2]]
+    return out_edges, in_edges, closers, dots
 
 
 class ReachIndex:
@@ -153,26 +157,25 @@ class ReachIndex:
     rule has not yet joined, and ``work`` lists the rows with pending bits;
     between calls ``pending`` is all zeros and ``work`` is empty.  The edge
     bitsets always hold the instance's bracket edges, and ``dots`` its
-    ``dot`` edges as directed pairs.  A deletion sets ``stale``: the rows
-    are then closed but may hold pairs the instance no longer derives,
-    until a re-solve makes them exact again.  ``lower`` is None or an
-    unfinished from-scratch solve of a stale index's edges, with the same
-    edge bitsets, masks and ``dots``, and a worklist resumed by ``query``.
+    ``dot`` edges as directed pairs; only ``__init__`` builds them from
+    the instance.  A deletion sets ``stale``: the rows are then closed but
+    may hold pairs the instance no longer derives, until ``lower`` makes
+    them exact again.  ``lower`` is None or an unfinished from-scratch
+    solve of a stale index's edges, with the same edge bitsets, masks and
+    ``dots``, and a worklist that ``_settle`` resumes for ``query`` and
+    ``pairs``.
 
     Two support masks let the rules skip bits that cannot contribute.
     ``closers[k]`` is the bitset of the vertices with an outgoing closing
     edge of pair ``k`` (counted from 0, the slot ``2k + 1``), kept exact
-    by insertions, deletions, ``copy`` and re-solves; the wrap rule joins
-    only ``delta & closers[k]``.  ``wide`` holds at least every vertex
-    whose row has more than its identity bit, and concatenation expands
-    only ``new & wide``.  It grows with the rows and a re-solve rebuilds
-    it."""
+    by insertions, deletions and ``copy``; the wrap rule joins only
+    ``delta & closers[k]``.  ``wide`` holds at least every vertex whose
+    row has more than its identity bit, and concatenation expands only
+    ``new & wide``.  It grows with the rows, and ``lower`` starts its own
+    from zero."""
 
     def __init__(self, inst: Instance):
-        out_edges, in_edges, dots = _edge_bitsets(inst)
-        closers = [sum(1 << w for w, targets in enumerate(closing) if targets)
-                   for closing in out_edges[1::2]]
-        self._start(inst, out_edges, in_edges, closers, dots)
+        self._start(inst, *_edge_bitsets(inst))
         self._run()
 
     def _start(self, inst, out_edges, in_edges, closers, dots):
@@ -239,33 +242,34 @@ class ReachIndex:
             for end in ends:
                 self.dots.remove(end)
 
-    def _refresh(self):
-        """Re-solve a stale index from scratch, taking over the new
-        index's state (its masks included)."""
-        if self.stale:
-            vars(self).update(vars(solve_dyck(self.inst)))
+    def _settle(self, u: int = 0, bit: int = 0):
+        """Run ``lower``, started if there is none, until its ``rows[u]``
+        holds ``bit``, or to its end, when this index takes it over (its
+        masks included) and is fresh again."""
+        lower = self.lower = self.lower or self._fresh()
+        lower._run(u, bit)
+        if not lower.work:
+            vars(self).update(vars(lower), inst=self.inst)
 
     @property
     def pairs(self) -> PairSet:
-        """A snapshot of the closed pairs (a stale index re-solves first)."""
-        self._refresh()
+        """A snapshot of the closed pairs (a stale index settles first)."""
+        if self.stale:
+            self._settle()
         return PairSet(tuple(self.rows))
 
     def query(self, u: int, v: int) -> bool:
         """Whether ``(u, v)`` is in the closed set.  A stale index's rows
         over-approximate it, so an absent bit is an exact "no" and an
-        identity pair a "yes"; any other present bit runs the unfinished
-        solve ``lower`` until it holds the pair or finishes exact."""
+        identity pair a "yes"; any other present bit settles ``lower``
+        until it holds the pair or finishes exact."""
         rows = self.rows
         if not (0 <= u < len(rows) and 0 <= v and rows[u] >> v & 1):
             return False
         if not self.stale or u == v:
             return True
-        lower = self.lower = self.lower or self._fresh()
-        lower._run(u, 1 << v)
-        if lower.work:
-            return True
-        vars(self).update(vars(lower), inst=self.inst)
+        self._settle(u, 1 << v)
+        # an unfinished lower holds the pair; a finished one is the rows
         return bool(self.rows[u] >> v & 1)
 
     def _add(self, a: int, bits: int):
@@ -385,15 +389,14 @@ def solve_dyck(inst: Instance) -> ReachIndex:
 def resolve_after_update(index: ReachIndex, inst: Instance,
                          op: UpdateOp) -> ReachIndex:
     """A new index for ``inst`` after one update, leaving ``index`` as it
-    was: ``apply`` on a copy, with a deletion re-solved at once."""
+    was: ``apply`` on a copy, with a stale copy re-solved at once."""
     if index.inst != inst:
         raise FingerprintMismatchError("index does not match the instance")
     if op.op == "query":
         return index
     new = index.copy()
     new.apply(op)
-    new._refresh()
-    return new
+    return solve_dyck(new.inst) if new.stale else new
 
 
 # ---------------------------------------------------------------------------
@@ -430,43 +433,32 @@ class Grammar(_GrammarFields):
 
 
 @functools.lru_cache
-def dyck_grammar(n: int) -> Grammar:
-    """Bracket grammar over n pairs, normalized by a fixed table:
-    S -> eps | S S | O_k K_k ;  K_k -> S C_k ;  O_k -> l_k ;  C_k -> l_k-bar.
-    Memoized: a grammar is immutable."""
+def bracket_grammar(alphabet: Alphabet) -> Grammar:
+    """The bracket grammar of either alphabet, normalized by one table over
+    its opening labels ``q`` (``l_k`` or ``v_i``, numbered ``j`` = k or i):
+    S -> eps | S S | O_j K_j ;  K_j -> S C_j ;  O_j -> q ;  C_j -> q-bar,
+    and S -> dot for a ``neardyck`` alphabet.  Memoized: a grammar is
+    immutable."""
     nts = ["S"]
-    terminal, binary = [], [("S", "S", "S")]
-    for k in range(1, n + 1):
-        o, c, kk = f"O{k}", f"C{k}", f"K{k}"
-        nts += [o, c, kk]
-        terminal += [(o, Label("l", k, False)), (c, Label("l", k, True))]
-        binary += [("S", o, kk), (kk, "S", c)]
-    return Grammar(tuple(nts), "S", frozenset({"S"}), tuple(terminal),
-                   tuple(binary), Alphabet("dyck", n))
-
-
-@functools.lru_cache
-def near_dyck_grammar(vertex_count: int) -> Grammar:
-    """Per-vertex bracket grammar, whose only concatenating rule is S -> S S:
-    S -> eps | S S | dot | V_i K_i ;  K_i -> S C_i ;  V_i -> v_i ;
-    C_i -> v_i-bar.  Memoized: a grammar is immutable."""
-    nts = ["S"]
-    terminal = [("S", DOT)]
+    terminal = [("S", DOT)] if alphabet.kind == "neardyck" else []
     binary = [("S", "S", "S")]
-    for i in range(vertex_count):
-        o, c, k = f"V{i}", f"C{i}", f"K{i}"
+    for q in alphabet.open_labels():
+        o, c, k = f"O{q.index}", f"C{q.index}", f"K{q.index}"
         nts += [o, c, k]
-        terminal += [(o, Label("v", i, False)), (c, Label("v", i, True))]
+        terminal += [(o, q), (c, q.matched())]
         binary += [("S", o, k), (k, "S", c)]
     return Grammar(tuple(nts), "S", frozenset({"S"}), tuple(terminal),
-                   tuple(binary), Alphabet("neardyck", vertex_count))
+                   tuple(binary), alphabet)
 
 
-def bracket_grammar(alphabet: Alphabet) -> Grammar:
-    """The bracket grammar of an instance's alphabet, either kind."""
-    if alphabet.kind == "dyck":
-        return dyck_grammar(alphabet.size)
-    return near_dyck_grammar(alphabet.size)
+def dyck_grammar(n: int) -> Grammar:
+    """The bracket grammar over ``n`` pairs."""
+    return bracket_grammar(Alphabet("dyck", n))
+
+
+def near_dyck_grammar(vertex_count: int) -> Grammar:
+    """The per-vertex bracket grammar over ``vertex_count`` vertices."""
+    return bracket_grammar(Alphabet("neardyck", vertex_count))
 
 
 def solve_cfl(inst: Instance, grammar: Grammar) -> dict[str, frozenset[tuple[int, int]]]:

@@ -146,47 +146,32 @@ def _zo(expr: str) -> automata.Regex:
     return automata.lit(parse_label_token(expr))
 
 
-def _omega_plus() -> automata.Regex:
-    return automata.union(automata.cat(_zo("0"), _zo("0")),
-                          automata.cat(_zo("1"), _zo("1"))).star()
+def _squares(x: str, y: str) -> automata.Regex:
+    """``(x x | y y)*``, the blocks of ``omega+`` and ``omega-``."""
+    return automata.union(automata.cat(_zo(x), _zo(x)),
+                          automata.cat(_zo(y), _zo(y))).star()
 
 
-def _omega_minus() -> automata.Regex:
-    return automata.union(automata.cat(_zo("0bar"), _zo("0bar")),
-                          automata.cat(_zo("1bar"), _zo("1bar"))).star()
+def _varpi_over(w: automata.Regex, x: str, y: str) -> automata.Regex:
+    """``(w x w y)* w``, the shape of the three varpi languages."""
+    return automata.cat(automata.cat(w, _zo(x), w, _zo(y)).star(), w)
 
 
-def _omega() -> automata.Regex:
-    return automata.union(_omega_plus(), _omega_minus(),
-                          automata.cat(_zo("0bar"), _zo("0"))).star()
+def _regular_exprs() -> dict[str, automata.Regex]:
+    omega_plus, omega_minus = _squares("0", "1"), _squares("0bar", "1bar")
+    omega = automata.union(omega_plus, omega_minus,
+                           automata.cat(_zo("0bar"), _zo("0"))).star()
+    return {
+        "omega+": omega_plus,
+        "omega-": omega_minus,
+        "omega": omega,
+        "varpi+": _varpi_over(omega_plus, "1", "1"),
+        "varpi-": _varpi_over(omega_minus, "1bar", "1bar"),
+        "varpi": _varpi_over(omega, "1", "1bar"),
+    }
 
 
-def _varpi_plus() -> automata.Regex:
-    w = _omega_plus()
-    return automata.cat(
-        automata.cat(_omega_plus(), _zo("1"), _omega_plus(), _zo("1")).star(), w)
-
-
-def _varpi_minus() -> automata.Regex:
-    w = _omega_minus()
-    return automata.cat(
-        automata.cat(_omega_minus(), _zo("1bar"), _omega_minus(), _zo("1bar")).star(), w)
-
-
-def _varpi() -> automata.Regex:
-    w = _omega()
-    return automata.cat(
-        automata.cat(_omega(), _zo("1"), _omega(), _zo("1bar")).star(), w)
-
-
-REGULAR_EXPRS: dict[str, automata.Regex] = {
-    "omega+": _omega_plus(),
-    "omega-": _omega_minus(),
-    "omega": _omega(),
-    "varpi+": _varpi_plus(),
-    "varpi-": _varpi_minus(),
-    "varpi": _varpi(),
-}
+REGULAR_EXPRS: dict[str, automata.Regex] = _regular_exprs()
 
 
 def in_regular(w: Sequence[Label], which: str) -> bool:

@@ -398,7 +398,7 @@ def test_support_masks_hold_under_mixed_scripts(seed, near, directed):
         assert mask_faults(live) == [], (step, op)
         assert mask_faults(live.copy()) == [], (step, op)
         if step % 3 == 2:
-            live._refresh()
+            assert live.pairs == solve_dyck(inst).pairs
             assert not live.stale
             assert mask_faults(live) == [], (step, op)
 
@@ -415,7 +415,7 @@ def test_closers_follow_the_last_closing_edge():
     idx.apply(UpdateOp.delete(1, L1BAR, 0))
     assert idx.closers == [0]
     assert idx.wide == 0b001          # stale rows keep their masks
-    idx._refresh()
+    assert idx.pairs == {(0, 0), (1, 1), (2, 2)}
     assert idx.wide == 0 and idx.rows == [0b001, 0b010, 0b100]
 
 
@@ -472,6 +472,17 @@ def test_a_partial_solve_survives_an_insertion(monkeypatch):
     assert idx.inst == inst and mask_faults(idx) == []
     assert idx.pairs == expected
     assert idx.rows == solve_dyck(inst).rows
+
+
+def test_a_stale_pairs_read_resumes_the_partial_solve(monkeypatch):
+    built = _count_fresh_solves(monkeypatch)
+    idx, inst = _bracket_cycle()
+    assert idx.query(2, 0) and idx.lower.work
+    # the read runs the same solve to its end rather than starting another
+    assert idx.pairs == solve_cfl(inst, dyck_grammar(2))["S"]
+    assert len(built) == 1
+    assert not idx.stale and idx.lower is None
+    assert mask_faults(idx) == []
 
 
 def test_a_deletion_drops_the_partial_solve():

@@ -169,6 +169,25 @@ def test_enumerate_accepted_is_shortest_first_and_sound():
     assert len(out) == 7
 
 
+# words of each length 0-10 over {0, 0bar, 1, 1bar} in each language
+LANGUAGE_COUNTS = {
+    "omega+": (1, 0, 2, 0, 4, 0, 8, 0, 16, 0, 32),
+    "omega-": (1, 0, 2, 0, 4, 0, 8, 0, 16, 0, 32),
+    "omega": (1, 0, 5, 0, 25, 0, 125, 0, 625, 0, 3125),
+    "varpi+": (1, 0, 2, 0, 5, 0, 13, 0, 34, 0, 89),
+    "varpi-": (1, 0, 2, 0, 5, 0, 13, 0, 34, 0, 89),
+    "varpi": (1, 0, 6, 0, 39, 0, 268, 0, 1901, 0, 13714),
+}
+
+
+@pytest.mark.parametrize("which", LANGS)
+def test_each_language_has_its_word_counts(which):
+    counts = [0] * 11
+    for w in automata.enumerate_accepted(regular_nfa(which), ZO_ALPHABET, 10):
+        counts[len(w)] += 1
+    assert tuple(counts) == LANGUAGE_COUNTS[which]
+
+
 # ---------------------------------------------------------------------------
 # Encodings
 

@@ -1,12 +1,13 @@
 """Shared generators for the test suite: random instances, random update
 scripts, the worked instances used across modules, the check of a
-``ReachIndex``'s support masks, and slow reference versions of the
-wrap-only solver, the oracle walks and the suites."""
+``ReachIndex``'s edge bitsets and support masks, and slow reference
+versions of the wrap-only solver, the oracle walks and the suites."""
 
 import math
 import random
+from collections import Counter
 
-from dycklab import Alphabet, Instance, Label, LabeledGraph, UpdateOp
+from dycklab import DOT, Alphabet, Instance, Label, LabeledGraph, UpdateOp
 
 
 def random_dyck_instance(rng: random.Random, max_vertices: int = 8,
@@ -93,20 +94,43 @@ def random_script(rng: random.Random, inst: Instance, ops: int = 30,
 
 
 def mask_faults(index, inst=None) -> list[str]:
-    """How a ``ReachIndex``'s support masks fail their invariants, read
-    against the edges of ``inst`` (the index's own instance by default;
-    an unfinished solve ``lower`` shares the edges of its index's) and
-    against its rows: ``closers[k]`` must be exactly the vertices with an
-    outgoing closing edge of pair ``k`` (counted from 0), and ``wide`` must
-    hold every vertex whose row has more than its identity bit.  Empty
-    when both hold."""
+    """How a ``ReachIndex``'s edge bitsets and support masks fail their
+    invariants, read against the edges of ``inst`` (the index's own
+    instance by default; an unfinished solve ``lower`` shares the edges of
+    its index's) and against its rows.  ``out_edges`` and ``in_edges``
+    must hold exactly the directed bracket edges, and ``dots`` the
+    directed ``dot`` edges as a multiset; ``closers[k]`` must be exactly
+    the vertices with an outgoing closing edge of pair ``k`` (counted from
+    0); and ``wide`` must hold every vertex whose row has more than its
+    identity bit.  Empty when all hold."""
     graph = (inst or index.inst).graph
+    n = graph.vertex_count
     first = {"l": 1, "v": 0}
     support = [0] * graph.alphabet.size
-    for u, lab, _v in graph.directed_edges():
+    out_edges = [[0] * n for _ in range(2 * graph.alphabet.size)]
+    in_edges = [[0] * n for _ in range(2 * graph.alphabet.size)]
+    dots = Counter()
+    for u, lab, v in graph.directed_edges():
+        if lab == DOT:
+            dots[(u, v)] += 1
+            continue
+        s = 2 * (lab.index - first[lab.base]) + lab.bar
+        out_edges[s][u] |= 1 << v
+        in_edges[s][v] |= 1 << u
         if lab.bar:
-            support[lab.index - first[lab.base]] |= 1 << u
+            support[s >> 1] |= 1 << u
     faults = []
+    for name, want_slots, got_slots in (("out_edges", out_edges,
+                                         index.out_edges),
+                                        ("in_edges", in_edges,
+                                         index.in_edges)):
+        for s, (want, got) in enumerate(zip(want_slots, got_slots,
+                                            strict=True)):
+            if want != got:
+                faults.append(f"{name}[{s}] is {got}, not {want}")
+    if Counter(index.dots) != dots:
+        faults.append(f"dots are {sorted(index.dots)}, "
+                      f"not {sorted(dots.elements())}")
     for k, (want, got) in enumerate(zip(support, index.closers,
                                         strict=True)):
         if want & ~got:
