@@ -21,7 +21,12 @@ every stale query those of an unfinished ``lower``, against the current
 edges: ``out_edges``, ``in_edges`` and ``dots`` must hold exactly the
 directed edges, each ``closers[k]`` must be exactly the vertices with an
 outgoing closing edge of pair ``k``, and ``wide`` must hold every row
-with more than its identity bit.
+with more than its identity bit.  The same script also drives a third
+index, the grammar engine's own ``GrammarIndex`` on the sample's bracket
+grammar: after every update it is asked the marked pair and random pairs,
+each answer checked against the from-scratch grammar engine and against
+the bitset index that ``resolve_after_update`` keeps, and while it is stale its pairs must hold every pair the
+from-scratch engine derives.
 
 Usage: python3 scripts/engine_fuzz.py [--samples N] [--seed S]
                                       [--max-vertices V] [--pairs P]
@@ -36,9 +41,10 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
-from dycklab import (EnumerationBudget, apply_update, brute_dyck_reach,
-                     resolve_after_update, serialize_updates, solve_cfl,
-                     solve_dyck, solve_dyck_wrap_only)
+from dycklab import (EnumerationBudget, GrammarIndex, apply_update,
+                     brute_dyck_reach, resolve_after_update,
+                     serialize_updates, solve_cfl, solve_dyck,
+                     solve_dyck_wrap_only)
 from dycklab.saturate import bracket_grammar
 from util import (mask_faults, random_dyck_instance, random_neardyck_instance,
                   random_script)
@@ -62,7 +68,7 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    gaps = 0
+    gaps = grammar_queries = grammar_stale = 0
     oracle_checked = {"dyck": 0, "neardyck": 0}
     t0 = time.monotonic()
     for i in range(args.samples):
@@ -97,12 +103,15 @@ def main() -> int:
             return 1
         gaps += wrap != full_pairs
         index, live = full, solve_dyck(inst)
+        gram = GrammarIndex(inst, grammar)
         for step, op in enumerate(random_script(rng, inst, ops=SCRIPT_OPS,
                                                 query_rate=0.0), start=1):
             index = resolve_after_update(index, inst, op)
             live.apply(op)
+            gram.apply(op)
             inst = apply_update(inst, op)
             expected = solve_cfl(inst, grammar)["S"]
+            n = inst.graph.vertex_count
             for route, maintained in (("resolve_after_update", index),
                                       ("apply", live)):
                 faults = mask_faults(maintained)
@@ -117,7 +126,6 @@ def main() -> int:
                           f"({serialize_updates([op]).strip()}): "
                           f"stale rows miss a pair of the grammar engine")
                     return 1
-                n = inst.graph.vertex_count
                 asked = [(inst.source, inst.sink)] + [
                     (rng.randrange(n), rng.randrange(n))
                     for _ in range(STALE_QUERIES)]
@@ -138,6 +146,30 @@ def main() -> int:
                     if faults:
                         print(f"{where}: unfinished solve: {faults[0]}")
                         return 1
+            where = (f"MISMATCH sample {i} step {step} "
+                     f"({serialize_updates([op]).strip()}): ")
+            if gram.stale:
+                held = {(u, v) for u, targets
+                        in enumerate(gram.succ[grammar.start])
+                        for v in targets}
+                if not expected <= held:
+                    print(f"{where}stale grammar index misses a pair of the "
+                          f"from-scratch engine")
+                    return 1
+                grammar_stale += 1
+            for u, v in [(inst.source, inst.sink)] + [
+                    (rng.randrange(n), rng.randrange(n))
+                    for _ in range(STALE_QUERIES)]:
+                answer = gram.query(u, v)
+                if answer != ((u, v) in expected):
+                    print(f"{where}grammar index query({u}, {v}) vs the "
+                          f"from-scratch engine")
+                    return 1
+                if answer != index.query(u, v):
+                    print(f"{where}grammar index query({u}, {v}) vs the "
+                          f"bitset index")
+                    return 1
+                grammar_queries += 1
             checks = [("resolve_after_update", index)]
             if step % LIVE_CHECK_EVERY == 0 or step == SCRIPT_OPS:
                 checks.append(("apply", live))
@@ -152,7 +184,9 @@ def main() -> int:
           f"{args.samples * SCRIPT_OPS} updates, 0 mismatches, "
           f"{gaps} wrap-only gaps, oracle checked "
           f"{oracle_checked['dyck']} bracket-pair and "
-          f"{oracle_checked['neardyck']} near-Dyck samples, {dt:.1f}s")
+          f"{oracle_checked['neardyck']} near-Dyck samples, grammar "
+          f"index checked on {grammar_queries} queries and "
+          f"{grammar_stale} stale states, {dt:.1f}s")
     return 0
 
 

@@ -15,9 +15,9 @@ from .reductions import (CompiledReduction, compile_alt_to_neardyck,
                          compile_dyck2_to_undirected,
                          compile_neardyck_to_dyck2, compile_reduction)
 from .saturate import (AlphabetMismatchError, FingerprintMismatchError,
-                       Grammar, ReachIndex, dyck_grammar, near_dyck_grammar,
-                       resolve_after_update, solve_cfl, solve_dyck,
-                       solve_dyck_wrap_only)
+                       Grammar, GrammarIndex, ReachIndex, dyck_grammar,
+                       near_dyck_grammar, resolve_after_update, solve_cfl,
+                       solve_dyck, solve_dyck_wrap_only)
 from .words import (PHI_UNDIRECTED, NominalDecomposition, NominalSegment,
                     gamma_exponent, in_q, in_q_init, in_regular, is_dyck,
                     is_dyck_prefix, is_near_dyck, mu, nominal_decompose,

@@ -19,8 +19,8 @@ from .one_letter import ParityIndex
 from .oracle import (EnumerationBudget, brute_dyck_reach, enumerate_paths,
                      exhaustive_words)
 from .reductions import compile_reduction
-from .saturate import (bracket_grammar, solve_cfl, solve_dyck,
-                       solve_dyck_wrap_only)
+from .saturate import (GrammarIndex, bracket_grammar, solve_dyck,
+                       wrap_only_grammar)
 from .suites import SUITES
 from .words import (gamma_exponent, in_q, in_q_init, in_regular, is_dyck,
                     is_near_dyck, mu, reduce_word, theta, zo_str)
@@ -75,24 +75,25 @@ ENGINES = ("dyck", "wrap-only", "cfl", "prop1")
 
 def maintained_index(inst: Instance, engine: str):
     """The index ``engine`` keeps through a script, owning ``inst``, or
-    None for an engine that answers from scratch.  The solvers are looked
-    up in this module at each call, not in a table built at import, so a
-    wrapper patched onto ``cli.solve_dyck`` is the one that runs."""
+    None for ``alt``, which answers from scratch: alternating reachability
+    is not monotone in the edges.  ``cfl`` and ``wrap-only`` keep a
+    grammar index, which shares no code with ``dyck``'s.  The solvers are
+    looked up in this module at each call, not in a table built at import,
+    so a wrapper patched onto ``cli.solve_dyck`` is the one that runs."""
     if engine == "dyck":
         return solve_dyck(inst)
     if engine == "prop1":
         return ParityIndex(inst)
+    if engine == "cfl":
+        return GrammarIndex(inst, bracket_grammar(inst.graph.alphabet))
+    if engine == "wrap-only":
+        return GrammarIndex(inst, wrap_only_grammar(inst.graph.alphabet))
     return None
 
 
 def answer_query(inst: Instance, engine: str) -> bool:
-    """The marked pair's answer from an engine with no index."""
-    pair = (inst.source, inst.sink)
-    if engine == "cfl":
-        grammar = bracket_grammar(inst.graph.alphabet)
-        return pair in solve_cfl(inst, grammar)[grammar.start]
-    if engine == "wrap-only":
-        return pair in solve_dyck_wrap_only(inst)
+    """The marked pair's answer from an engine with no index, which is
+    ``alt`` alone."""
     if engine == "alt":
         return solve_alternating(inst)[0]
     raise ValueError(f"unknown engine {engine!r}")

@@ -53,7 +53,9 @@ class ParityIndex:
     ``v`` after a walk of parity ``p``) across every edge: an insertion is
     two merges, a deletion rebuilds from the surviving edges.  A merge is
     idempotent, so an l1 and an l1bar edge on the same two vertices need no
-    special case."""
+    special case.  ``openers`` and ``closers`` are the bitsets of the
+    vertices with an incident opening and closing edge: an insertion sets
+    its endpoints' bits and a deletion rebuilds them with ``uf``."""
 
     def __init__(self, inst: Instance):
         g = inst.graph
@@ -66,19 +68,25 @@ class ParityIndex:
 
     def _rebuild(self):
         self.uf = _UnionFind(2 * self.inst.graph.vertex_count)
-        for u, _lab, v in self.inst.graph.edges:
-            self._merge(u, v)
+        self.openers = self.closers = 0
+        for u, lab, v in self.inst.graph.edges:
+            self._insert(u, lab, v)
 
-    def _merge(self, u: int, v: int):
+    def _insert(self, u: int, lab: Label, v: int):
         self.uf.union(2 * u, 2 * v + 1)
         self.uf.union(2 * u + 1, 2 * v)
+        ends = 1 << u | 1 << v
+        if lab == OPEN1:
+            self.openers |= ends
+        else:
+            self.closers |= ends
 
     def apply(self, op: UpdateOp):
         """Apply one update to the owned instance (a rejected update raises
         and changes nothing)."""
         self.inst = apply_update(self.inst, op)
         if op.op == "ins":
-            self._merge(op.u, op.v)
+            self._insert(op.u, op.label, op.v)
         elif op.op == "del":
             self._rebuild()
 
@@ -86,12 +94,11 @@ class ParityIndex:
         """Whether a balanced walk joins ``s`` to ``t`` (``s = t`` is a
         trivial yes): ``s`` has an incident opening edge, ``t`` an incident
         closing edge, and an even-length walk joins them."""
-        g = self.inst.graph
-        if not (0 <= s < g.vertex_count and 0 <= t < g.vertex_count):
+        n = self.inst.graph.vertex_count
+        if not (0 <= s < n and 0 <= t < n):
             return False
-        return s == t or (
-            any(lab == OPEN1 and s in (u, v) for u, lab, v in g.edges)
-            and any(lab == CLOSE1 and t in (u, v) for u, lab, v in g.edges)
+        return s == t or bool(
+            self.openers >> s & 1 and self.closers >> t & 1
             and self.uf.find(2 * s) == self.uf.find(2 * t))
 
 

@@ -55,11 +55,15 @@ seeds it without running it, and a deletion drops it.
 ``resolve_after_update`` applies an update to a copy, for callers that
 keep the old index, and re-solves a stale copy at once.
 
-``solve_cfl`` is an independent engine over grammars in binary normal form
-and must agree with ``solve_dyck`` on either alphabet's ``bracket_grammar``.
-``solve_dyck_wrap_only`` runs it on that grammar without ``S -> S S``; it
-under-approximates (e.g. it misses the chain labeled l1 l1bar l2 l2bar) and
-is kept so that the gap concatenation closes stays observable.
+``GrammarIndex`` is an independent engine over grammars in binary normal
+form and must agree with ``solve_dyck`` on either alphabet's
+``bracket_grammar``.  It shares no code with ``ReachIndex`` but keeps its
+contract, stale "no" and lazy ``lower`` included, since grammar
+reachability is monotone in the edges too; ``solve_cfl`` is a from-scratch
+build of it.  ``solve_dyck_wrap_only`` builds it on ``wrap_only_grammar``,
+the bracket grammar without ``S -> S S``; that under-approximates (e.g. it
+misses the chain labeled l1 l1bar l2 l2bar) and is kept so that the gap
+concatenation closes stays observable.
 """
 
 from __future__ import annotations
@@ -461,55 +465,153 @@ def near_dyck_grammar(vertex_count: int) -> Grammar:
     return bracket_grammar(Alphabet("neardyck", vertex_count))
 
 
+@functools.lru_cache
+def wrap_only_grammar(alphabet: Alphabet) -> Grammar:
+    """The bracket grammar without ``S -> S S``: its walks are empty, one
+    ``dot`` edge, or a bracket pair around one.  Memoized like
+    ``bracket_grammar``."""
+    grammar = bracket_grammar(alphabet)
+    rules = tuple(r for r in grammar.binary_rules if r != ("S", "S", "S"))
+    return grammar._replace(binary_rules=rules)
+
+
+class GrammarIndex:
+    """All-pairs grammar reachability on an instance it owns, kept current
+    under ``apply``: the worklist closure of Reps ("Program analysis via
+    graph reachability", 1998).  ``succ[A][u]`` holds the ``v`` with
+    ``(u, v)`` derived from ``A`` and ``pred[A][v]`` the ``u``; ``work``
+    holds the facts ``(A, u, v)`` not yet joined with the rest, and is
+    empty between calls.  ``by_left[B]`` lists the ``(A, C)`` of the rules
+    A -> B C, ``by_right[C]`` the ``(A, B)``, ``by_label[a]`` the ``A`` of
+    A -> a.  A deletion sets ``stale``: the facts were closed under a
+    superset of today's edges, so they over-approximate and an absent pair
+    is an exact "no".  ``lower`` is None or an unfinished from-scratch
+    solve of a stale index's instance, which ``_settle`` resumes."""
+
+    def __init__(self, inst: Instance, grammar: Grammar):
+        if inst.graph.alphabet != grammar.alphabet:
+            raise AlphabetMismatchError(
+                "grammar terminals do not match the instance")
+        self.grammar = grammar
+        self.by_left, self.by_right, self.by_label = {}, {}, {}
+        for a, b, c in grammar.binary_rules:
+            self.by_left.setdefault(b, []).append((a, c))
+            self.by_right.setdefault(c, []).append((a, b))
+        for a, lab in grammar.terminal_rules:
+            self.by_label.setdefault(lab, []).append(a)
+        self._start(inst)
+        self._run()
+
+    def _start(self, inst: Instance):
+        """Begin a from-scratch solve: the identity pairs of every nullable
+        nonterminal and every edge's terminal facts on the worklist,
+        nothing run."""
+        self.inst, self.stale, self.lower = inst, False, None
+        n = inst.graph.vertex_count
+        nts = self.grammar.nonterminals
+        self.succ = {a: [set() for _ in range(n)] for a in nts}
+        self.pred = {a: [set() for _ in range(n)] for a in nts}
+        self.work = []
+        for a in self.grammar.nullable:
+            for x in range(n):
+                self._add(a, x, x)
+        for u, lab, v in inst.graph.directed_edges():
+            for a in self.by_label.get(lab, ()):
+                self._add(a, u, v)
+
+    def apply(self, op: UpdateOp):
+        """Apply one update to the owned instance (a rejected update raises
+        and changes nothing).  An insertion adds the edge's terminal facts,
+        both ways round for an undirected edge, continues the worklist and
+        seeds ``lower`` without running it; a deletion drops ``lower`` and
+        marks the index stale."""
+        self.inst = apply_update(self.inst, op)
+        if op.op == "del":
+            self.stale, self.lower = True, None
+        elif op.op == "ins":
+            ends = [(op.u, op.v)]
+            if not self.inst.graph.directed and op.u != op.v:
+                ends.append((op.v, op.u))
+            for index in (self, self.lower) if self.lower else (self,):
+                for u, v in ends:
+                    for a in self.by_label.get(op.label, ()):
+                        index._add(a, u, v)
+            self._run()
+
+    def _settle(self, u: int = 0, v: int | None = None):
+        """Run ``lower``, started if there is none, until it derives
+        ``(u, v)`` from the start symbol, or to its end, when this index
+        takes it over and is fresh again."""
+        lower = self.lower
+        if lower is None:
+            lower = self.lower = copy.copy(self)
+            lower._start(self.inst)
+        lower._run(u, v)
+        if not lower.work:
+            vars(self).update(vars(lower), inst=self.inst)
+
+    @property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """The pairs derived from the start symbol (a stale index settles
+        first)."""
+        if self.stale:
+            self._settle()
+        return _pair_set(self.succ[self.grammar.start])
+
+    def query(self, u: int, v: int) -> bool:
+        """Whether ``(u, v)`` is derived from the start symbol.  A stale
+        index answers an absent pair "no" at once, and an identity pair
+        "yes" when the start symbol is nullable; any other present pair
+        settles ``lower`` until it derives the pair or finishes exact."""
+        start = self.grammar.start
+        rows = self.succ[start]
+        if not (0 <= u < len(rows) and v in rows[u]):
+            return False
+        if not self.stale or (u == v and start in self.grammar.nullable):
+            return True
+        self._settle(u, v)
+        # an unfinished lower derives the pair; a finished one is succ
+        return v in self.succ[start][u]
+
+    def _add(self, a: str, u: int, v: int):
+        """Derive ``(u, v)`` from ``a``, queued unless already derived."""
+        targets = self.succ[a][u]
+        if v not in targets:
+            targets.add(v)
+            self.pred[a][v].add(u)
+            self.work.append((a, u, v))
+
+    def _run(self, u: int = 0, v: int | None = None):
+        """Close the worklist, or with a target ``v`` stop before the next
+        pop once the start symbol derives ``(u, v)``, leaving the rest to
+        resume."""
+        succ, pred, work, add = self.succ, self.pred, self.work, self._add
+        by_left, by_right = self.by_left, self.by_right
+        goal = () if v is None else succ[self.grammar.start][u]
+        while work and v not in goal:
+            b, x, y = work.pop()
+            # (x, y) from B and (y, w) from C  =>  (x, w) from A -> B C
+            for a, c in by_left.get(b, ()):
+                for w in succ[c][y] - succ[a][x]:
+                    add(a, x, w)
+            # (w, x) from C and (x, y) from B  =>  (w, y) from A -> C B
+            for a, c in by_right.get(b, ()):
+                for w in pred[c][x] - pred[a][y]:
+                    add(a, w, y)
+
+
+def _pair_set(rows: list[set[int]]) -> frozenset[tuple[int, int]]:
+    return frozenset((u, v) for u, targets in enumerate(rows) for v in targets)
+
+
 def solve_cfl(inst: Instance, grammar: Grammar) -> dict[str, frozenset[tuple[int, int]]]:
     """All-pairs grammar reachability: for each nonterminal A, the pairs
     (u, v) joined by a path whose label derives from A."""
-    if inst.graph.alphabet != grammar.alphabet:
-        raise AlphabetMismatchError("grammar terminals do not match the instance")
-    n = inst.graph.vertex_count
-    pairs: dict[str, set[tuple[int, int]]] = {a: set() for a in grammar.nonterminals}
-    succ: dict[tuple[str, int], set[int]] = {}
-    pred: dict[tuple[str, int], set[int]] = {}
-    work: list[tuple[str, int, int]] = []
-
-    by_left: dict[str, list[tuple[str, str]]] = {}
-    by_right: dict[str, list[tuple[str, str]]] = {}
-    for a, b, c in grammar.binary_rules:
-        by_left.setdefault(b, []).append((a, c))
-        by_right.setdefault(c, []).append((a, b))
-    by_label: dict[Label, list[str]] = {}
-    for a, lab in grammar.terminal_rules:
-        by_label.setdefault(lab, []).append(a)
-
-    def add(a: str, u: int, v: int):
-        if (u, v) not in pairs[a]:
-            pairs[a].add((u, v))
-            succ.setdefault((a, u), set()).add(v)
-            pred.setdefault((a, v), set()).add(u)
-            work.append((a, u, v))
-
-    for a in grammar.nullable:
-        for x in range(n):
-            add(a, x, x)
-    for u, lab, v in inst.graph.directed_edges():
-        for a in by_label.get(lab, ()):
-            add(a, u, v)
-
-    while work:
-        b, u, v = work.pop()
-        for a, c in by_left.get(b, ()):
-            for w in tuple(succ.get((c, v), ())):
-                add(a, u, w)
-        for a, c in by_right.get(b, ()):
-            for w in tuple(pred.get((c, u), ())):
-                add(a, w, v)
-
-    return {a: frozenset(p) for a, p in pairs.items()}
+    index = GrammarIndex(inst, grammar)
+    return {a: _pair_set(rows) for a, rows in index.succ.items()}
 
 
 def solve_dyck_wrap_only(inst: Instance) -> frozenset[tuple[int, int]]:
     """The pairs of the instance's bracket grammar without ``S -> S S``:
     walks that are empty, one ``dot`` edge, or a bracket pair around one."""
-    grammar = bracket_grammar(inst.graph.alphabet)
-    rules = tuple(r for r in grammar.binary_rules if r != ("S", "S", "S"))
-    return solve_cfl(inst, grammar._replace(binary_rules=rules))[grammar.start]
+    return GrammarIndex(inst, wrap_only_grammar(inst.graph.alphabet)).pairs

@@ -186,6 +186,39 @@ def test_live_index_matches_the_grammar_engine(seed):
                 assert idx.query(s, t) == ((s, t) in expected), (op, s, t)
 
 
+def three_condition_scan(idx, s, t):
+    """``ParityIndex.query`` as it read the conditions before it kept
+    endpoint bitsets: two scans of the instance's edges for an opening
+    edge at ``s`` and a closing edge at ``t``, then the double cover."""
+    g = idx.inst.graph
+    if not (0 <= s < g.vertex_count and 0 <= t < g.vertex_count):
+        return False
+    return s == t or (
+        any(lab == OPEN1 and s in (u, v) for u, lab, v in g.edges)
+        and any(lab == CLOSE1 and t in (u, v) for u, lab, v in g.edges)
+        and 0 in walk_parities(idx, s, t))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_endpoint_bitsets_answer_as_the_edge_scans(seed):
+    rng = random.Random(seed)
+    inst = random_undirected_one_pair(rng, max_vertices=6)
+    n = inst.graph.vertex_count
+    idx = ParityIndex(inst)
+    for op in [UpdateOp.query()] + random_script(rng, inst, ops=30,
+                                                 query_rate=0.0):
+        idx.apply(op)
+        edges = idx.inst.graph.edges
+        for mask, lab in ((idx.openers, OPEN1), (idx.closers, CLOSE1)):
+            assert mask == sum({1 << x for u, elab, v in edges
+                                if elab == lab for x in (u, v)}), op
+        for s in range(-1, n + 1):
+            for t in range(-1, n + 1):
+                assert idx.query(s, t) == three_condition_scan(idx, s, t), \
+                    (op, s, t)
+
+
 # ---------------------------------------------------------------------------
 # Distance gadget
 

@@ -19,7 +19,8 @@ from dycklab.cli import run_equivalence
 from dycklab.words import DecompositionError
 
 from util import (fig1_instance, fig2_source, random_alt_instance,
-                  random_neardyck_instance, random_script)
+                  random_dyck_instance, random_neardyck_instance,
+                  random_script)
 
 L1, L1BAR = Label("l", 1, False), Label("l", 1, True)
 L2, L2BAR = Label("l", 2, False), Label("l", 2, True)
@@ -269,6 +270,75 @@ def test_decomposition_needs_original_endpoints():
     step = PHI_UNDIRECTED[L1][1]
     with pytest.raises(DecompositionError):
         nominal_decompose([(first, step, red.vertex_id((0, L1, 1, 2)))], red)
+
+
+# ---------------------------------------------------------------------------
+# The reductions' shape, as properties
+
+LANE_SOURCES = {
+    "alt_to_neardyck": lambda rng: random_alt_instance(rng, max_vertices=5),
+    "neardyck_to_dyck2": lambda rng: random_neardyck_instance(
+        rng, max_vertices=4),
+    "dyck2_to_undirected": lambda rng: random_dyck_instance(
+        rng, max_vertices=4, pairs=2, density=0.15),
+}
+
+
+def _without_edges(inst):
+    g = inst.graph
+    empty = LabeledGraph.build(g.directed, g.vertex_count, g.alphabet, [])
+    return Instance(empty, inst.source, inst.sink, inst.partition)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(LANE_SOURCES)),
+       st.integers(min_value=0, max_value=10**9))
+def test_a_target_universe_does_not_depend_on_the_source_edges(kind, seed):
+    inst = LANE_SOURCES[kind](random.Random(seed))
+    red = compile_reduction(kind, inst)
+    bare = compile_reduction(kind, _without_edges(inst))
+    assert red.target.graph.vertex_count == bare.target.graph.vertex_count
+    assert red.names == bare.names
+    assert (red.target.source, red.target.sink) == (bare.target.source,
+                                                    bare.target.sink)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_undirected_gadget_sizes_are_exact(seed):
+    rng = random.Random(seed)
+    inst = LANE_SOURCES["dyck2_to_undirected"](rng)
+    red = compile_dyck2_to_undirected(inst)
+    n = inst.graph.vertex_count
+    assert red.target.graph.vertex_count == n + 44 * n * n
+    target = red.target
+    for op in [UpdateOp.query()] + random_script(rng, inst, ops=12,
+                                                 query_rate=0.0):
+        inst = apply_update(inst, op)
+        for top in red.translate(op):
+            target = apply_update(target, top)
+        assert target.graph.vertex_count == n + 44 * n * n
+        assert len(target.graph.edges) == 12 * len(inst.graph.edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(LANE_SOURCES)),
+       st.integers(min_value=0, max_value=10**9))
+def test_translation_counts_stay_in_the_lane_bounds(kind, seed):
+    rng = random.Random(seed)
+    inst = LANE_SOURCES[kind](rng)
+    red = compile_reduction(kind, inst)
+    bounds = cli.LANES[kind][1]
+    target = red.target
+    for op in random_script(rng, inst, ops=16, query_rate=0.2):
+        ops = red.translate(op)
+        if op.op == "query":
+            assert ops == [op]
+            continue
+        assert len(ops) in bounds, (op, ops)
+        # each translated op applies to the target as it stands
+        for top in ops:
+            target = apply_update(target, top)
 
 
 # ---------------------------------------------------------------------------

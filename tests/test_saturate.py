@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 import dycklab.cli as cli
 import dycklab.saturate as saturate
 from dycklab import (DOT, Alphabet, AlphabetMismatchError,
-                     FingerprintMismatchError, Grammar, Instance, Label,
-                     LabeledGraph, UpdateError, UpdateOp, apply_update,
-                     brute_dyck_reach, dyck_grammar, near_dyck_grammar,
-                     resolve_after_update, solve_cfl, solve_dyck,
-                     solve_dyck_wrap_only, EnumerationBudget)
+                     FingerprintMismatchError, Grammar, GrammarIndex,
+                     Instance, Label, LabeledGraph, UpdateError, UpdateOp,
+                     apply_update, brute_dyck_reach, dyck_grammar,
+                     near_dyck_grammar, resolve_after_update, solve_cfl,
+                     solve_dyck, solve_dyck_wrap_only, EnumerationBudget)
 
 from util import (fig2_source, gap_chain_instance, mask_faults,
                   random_dyck_instance, random_neardyck_instance,
@@ -520,3 +520,72 @@ def test_copies_of_a_partial_solve_keep_its_answers():
     for index in (copied, idx):
         assert all(index.query(u, v) == ((u, v) in expected)
                    for u in range(6) for v in range(6))
+
+
+# ---------------------------------------------------------------------------
+# The grammar engine's maintained index
+
+def _count_grammar_solves(monkeypatch) -> list:
+    """Patch ``GrammarIndex._start`` to record the instance of every solve
+    it begins, the first build included; returns the record."""
+    started = []
+    start = GrammarIndex._start
+
+    def counted(index, inst):
+        started.append(inst)
+        return start(index, inst)
+
+    monkeypatch.setattr(GrammarIndex, "_start", counted)
+    return started
+
+
+def test_a_stale_grammar_yes_solves_only_until_the_pair_appears(monkeypatch):
+    started = _count_grammar_solves(monkeypatch)
+    idx, inst = _bracket_cycle()
+    gram = GrammarIndex(idx.inst, dyck_grammar(2))
+    gram.apply(UpdateOp.ins(1, L1BAR, 2))
+    gram.apply(UpdateOp.delete(1, L1BAR, 2))
+    assert gram.stale and len(started) == 1
+    # 2 -l2 l2bar l1 l1bar-> 0 still holds: found before the solve ends
+    assert gram.query(2, 0)
+    lower = gram.lower
+    assert gram.stale and lower.work and len(started) == 2
+    op = UpdateOp.ins(5, L1BAR, 3)
+    gram.apply(op)
+    inst = apply_update(inst, op)
+    assert gram.lower is lower
+    assert gram.query(4, 3)
+    # (0, 2) lost its witness: the "no" runs the solve to its end
+    assert not gram.query(0, 2)
+    assert len(started) == 2 and not gram.stale and gram.lower is None
+    assert gram.inst == inst
+    assert gram.pairs == solve_dyck(inst).pairs
+    # after a deletion a stale identity pair needs no solve
+    assert gram.query(2, 0) and gram.lower is None
+    gram.apply(UpdateOp.delete(4, L1, 5))
+    assert gram.stale and all(gram.query(x, x) for x in range(6))
+    assert len(started) == 2
+    assert not gram.query(2, 0) and len(started) == 3
+
+
+def test_a_stale_identity_pair_waits_for_a_non_nullable_start():
+    # S -> O C, O -> l1, C -> l1bar: no empty walk, so (x, x) needs a cycle
+    alph = Alphabet("dyck", 1)
+    grammar = Grammar(("S", "O", "C"), "S", frozenset(),
+                      (("O", L1), ("C", L1BAR)), (("S", "O", "C"),), alph)
+    g = LabeledGraph.build(True, 2, alph, [(0, L1, 1), (1, L1BAR, 0)])
+    gram = GrammarIndex(Instance(g, 0, 0), grammar)
+    # 1 -l1bar-> 0 -l1-> 1 is no word of the grammar
+    assert gram.query(0, 0) and not gram.query(1, 1)
+    gram.apply(UpdateOp.delete(1, L1BAR, 0))
+    assert gram.stale
+    assert not gram.query(0, 0)
+    assert not gram.stale and gram.pairs == frozenset()
+
+
+def test_a_grammar_index_reads_an_undirected_insertion_both_ways():
+    g = LabeledGraph.build(False, 3, Alphabet("dyck", 1), [(0, L1, 1)])
+    gram = GrammarIndex(Instance(g, 0, 2), dyck_grammar(1))
+    gram.apply(UpdateOp.ins(2, L1BAR, 1))  # also the edge 1 -l1bar-> 2
+    assert gram.query(0, 2)
+    assert gram.pairs == solve_dyck(gram.inst).pairs

@@ -12,10 +12,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 # what a script's summary line must show beyond its clean exit: the fuzz
-# leg's walk oracle must have checked near-Dyck samples, not skipped them
+# leg's walk oracle must have checked near-Dyck samples, not skipped them,
+# and its grammar-index leg must have checked queries and stale states
 SUMMARIES = {
     "engine_fuzz.py": r"oracle checked [1-9]\d* bracket-pair and [1-9]\d* "
-                      r"near-Dyck samples",
+                      r"near-Dyck samples, grammar index checked on [1-9]\d* "
+                      r"queries and [1-9]\d* stale states",
 }
 
 
