@@ -10,8 +10,9 @@ Each sample then replays a random mixed insert/delete script twice:
 through ``resolve_after_update``, checked against its grammar after every
 update, and through ``ReachIndex.apply`` on one index, checked after every
 third update and at the end, so that insertions also land on an index that
-a deletion has left stale.  While that index is stale, its rows must hold
-every pair the grammar derives, and it is first asked ``query`` on the
+a deletion has left stale.  While that index is stale, its rows, once the
+work its insertions left pending has run, must hold every pair the
+grammar derives, and it is first asked ``query`` on the
 marked pair and on random pairs, each answer checked against the grammar,
 so that stale answers are checked before a read of ``pairs`` runs the
 index's lazy solve ``lower`` to its end.  A stale "no" on a set bit runs
@@ -121,6 +122,7 @@ def main() -> int:
                           f"index maintained by {route}: {faults[0]}")
                     return 1
             if live.stale:
+                live._run()  # close the rows under the pending insertions
                 if not all(live.rows[u] >> v & 1 for u, v in expected):
                     print(f"MISMATCH sample {i} step {step} "
                           f"({serialize_updates([op]).strip()}): "

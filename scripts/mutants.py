@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Mutation checks: each entry of ``MUTANTS`` breaks one spot of the
+program and names the tests that must then fail.  The script copies the
+repository's ``src``, ``tests`` and ``scripts`` to a temporary directory,
+first runs the named tests there unchanged (they must pass), then applies
+each mutant to a fresh copy and runs only its tests.  A mutant is killed
+when its tests fail, and survives when they pass.  An entry whose old
+text is not found exactly once no longer matches the code and counts as
+a survivor too, so the table cannot rot unnoticed.  Hypothesis runs with
+a fixed seed, so a run is repeatable.
+
+Usage: python3 scripts/mutants.py [--only NAME ...]
+
+Exit status: 0 if every mutant run was killed, 1 if any survived, 2 if the
+tests fail with no mutant applied.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SATURATE = "src/dycklab/saturate.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str        # relative to the repository root
+    old: str         # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest ids, at least one of which must fail
+
+
+MUTANTS = (
+    Mutant("in-edges-kept-on-deletion", SATURATE,
+           "            self.in_edges[s][v] &= ~(1 << u)\n", "",
+           ("tests/test_saturate.py::"
+            "test_support_masks_hold_under_mixed_scripts",)),
+    Mutant("lower-not-seeded-on-insertion", SATURATE,
+           "for index in (self, self.lower) if self.lower else (self,):\n"
+           "                for u, v in ends:\n"
+           "                    index._seed(",
+           "for index in (self,):\n"
+           "                for u, v in ends:\n"
+           "                    index._seed(",
+           ("tests/test_saturate.py::"
+            "test_a_partial_solve_survives_an_insertion",)),
+    Mutant("lower-kept-on-deletion", SATURATE,
+           "self.stale, self.lower = not exact, None",
+           "self.stale = not exact",
+           ("tests/test_saturate.py::test_a_deletion_drops_the_partial_solve",)),
+    Mutant("takeover-drops-the-updates", SATURATE,
+           "vars(self).update(vars(lower))",
+           "vars(self).update(vars(lower), _ops=[])",
+           ("tests/test_saturate.py::"
+            "test_a_partial_solve_survives_an_insertion",)),
+    Mutant("copy-without-flush", SATURATE,
+           "        self._run()\n        other = copy.copy(self)\n",
+           "        other = copy.copy(self)\n",
+           ("tests/test_saturate.py::"
+            "test_reads_and_copies_run_the_pending_insertions",)),
+    Mutant("pairs-without-flush", SATURATE,
+           "            self._settle()\n        else:\n            self._run()\n",
+           "            self._settle()\n",
+           ("tests/test_saturate.py::"
+            "test_reads_and_copies_run_the_pending_insertions",)),
+    Mutant("query-without-flush", SATURATE,
+           "        if not rows[u] >> v & 1:\n            self._run()\n",
+           "        if not rows[u] >> v & 1:\n",
+           ("tests/test_saturate.py::"
+            "test_reads_and_copies_run_the_pending_insertions",)),
+    Mutant("duplicate-insertion-accepted", SATURATE,
+           '== (op.op == "del")', '>= (op.op == "del")',
+           ("tests/test_saturate.py::"
+            "test_a_rejected_update_leaves_the_index_unchanged",)),
+    Mutant("fired-nothing-test-on-a-stale-index", SATURATE,
+           "exact = not self.stale and lab != DOT and not self._fired(",
+           "exact = lab != DOT and not self._fired(",
+           ("tests/test_saturate.py::"
+            "test_a_deletion_that_fired_nothing_leaves_a_stale_index_stale",)),
+)
+
+
+def make_copy(where: Path) -> Path:
+    root = where / "repo"
+    for part in ("src", "tests", "scripts"):
+        shutil.copytree(ROOT / part, root / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
+def run_tests(root: Path, tests) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *tests],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600)
+
+
+def apply_mutant(root: Path, mutant: Mutant) -> bool:
+    """Apply ``mutant`` in ``root``; False if its old text is not there
+    exactly once."""
+    path = root / mutant.path
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        return False
+    path.write_text(text.replace(mutant.old, mutant.new))
+    return True
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--only", action="append", metavar="NAME",
+                    choices=[m.name for m in MUTANTS],
+                    help="run only this mutant (repeatable)")
+    args = ap.parse_args()
+    mutants = [m for m in MUTANTS if not args.only or m.name in args.only]
+    tests = sorted({t for m in mutants for t in m.tests})
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = run_tests(make_copy(Path(tmp) / "base"), tests)
+        if proc.returncode != 0:
+            print("the tests fail with no mutant applied:")
+            print(proc.stdout[-2000:] + proc.stderr[-2000:])
+            return 2
+        survivors = []
+        for m in mutants:
+            root = make_copy(Path(tmp) / m.name)
+            if not apply_mutant(root, m):
+                verdict = "SURVIVED (old text not found exactly once)"
+            elif run_tests(root, m.tests).returncode == 0:
+                verdict = "SURVIVED"
+            else:
+                verdict = "killed"
+            if verdict != "killed":
+                survivors.append(m.name)
+            print(f"{m.name}: {verdict}", flush=True)
+            shutil.rmtree(root.parent)
+    print(f"{len(mutants)} mutants, {len(mutants) - len(survivors)} killed, "
+          f"{len(survivors)} survived")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -36,24 +36,29 @@ concatenation expands only the new bits in ``wide``, since expanding any
 other bit ``b`` adds just ``b`` itself.  A row never shrinks between
 re-solves, so ``wide`` only grows until a re-solve starts it afresh.
 
-A ``ReachIndex`` owns its instance and keeps its answers current under
-``apply``.  An insertion sets the new edge's bit (both directions for an
-undirected edge), or adds the pair of a new ``dot`` edge, and continues the
-fixpoint on the index's own rows, processing only what the new edge
-derives.  A deletion clears the edge's bits (a ``dot`` edge has none) and
-marks the index stale, keeping its rows.  Stale rows are a superset of the
-closure: they were closed under a superset of today's edges, and the
-fixpoint is monotone in the edges, so continuing later insertions on them
-keeps a superset.  A stale index therefore answers "no" at once when the
-queried bit is absent, and "yes" for an identity pair.  Its one way back
-to exact rows is ``lower``, a lazy from-scratch solve sharing the index's
-edge bitsets, which are exact, so the index builds them from its instance
-only once.  Any other set bit runs ``lower`` only until its row holds that
-bit, an exact "yes"; a read of ``pairs`` runs it to its end.  Once its
-worklist empties it is exact and the index takes it over.  An insertion
-seeds it without running it, and a deletion drops it.
-``resolve_after_update`` applies an update to a copy, for callers that
-keep the old index, and re-solves a stale copy at once.
+A ``ReachIndex`` owns its instance and pays for an update only what it
+derives.  ``apply`` checks the update in O(1) against the edge bitsets,
+which hold the edges exactly; the instance is brought up to date only
+when ``inst`` is read.  An insertion sets the new edge's bits (both ways
+round for an undirected edge), or adds the pair of a new ``dot`` edge,
+and seeds what it derives; the fixpoint runs only when a read needs it (a
+``pairs`` read, a ``copy``, or a query whose bit is not yet set, since
+rows only grow), once for every insertion since.  A from-scratch solve joins the identity pairs
+with the edges at once, so only the rows that gain a bit are processed.
+A deletion clears the edge's bits and marks the index stale, keeping its
+rows, unless the index is exact and the edge fired nothing (its wrap
+joins no pair of the rows).  Stale rows are a superset of the closure:
+they were closed under a superset of today's edges, and the fixpoint is
+monotone in the edges, so later insertions on them keep a superset.  A
+stale index therefore answers "no" at once when the queried bit is
+absent, and "yes" for an identity pair.  Its one way back to exact rows
+is ``lower``, a lazy from-scratch solve sharing the index's edge bitsets.
+Any other set bit runs ``lower`` only until its row holds that bit, an
+exact "yes"; a read of ``pairs`` runs it to its end.  Once its worklist
+empties it is exact and the index takes it over.  An insertion seeds it
+without running it, and a deletion drops it.  ``resolve_after_update``
+applies an update to a copy, for callers that keep the old index, and
+re-solves a stale copy at once.
 
 ``GrammarIndex`` is an independent engine over grammars in binary normal
 form and must agree with ``solve_dyck`` on either alphabet's
@@ -135,15 +140,15 @@ class PairSet(Set):
 def _edge_bitsets(inst: Instance):
     """Per label slot, the target and the source bitset of every vertex,
     over the directed view of the graph; per pair, the ``closers`` mask;
-    and the neutral (``dot``) edges, which have no slot."""
+    and the set of neutral (``dot``) edges, which have no slot."""
     n = inst.graph.vertex_count
     slots = 2 * inst.graph.alphabet.size
     out_edges = [[0] * n for _ in range(slots)]
     in_edges = [[0] * n for _ in range(slots)]
-    dots = []
+    dots = set()
     for u, lab, v in inst.graph.directed_edges():
         if lab == DOT:
-            dots.append((u, v))
+            dots.add((u, v))
             continue
         s = _slot(lab)
         out_edges[s][u] |= 1 << v
@@ -156,18 +161,14 @@ def _edge_bitsets(inst: Instance):
 class ReachIndex:
     """The closed pair set of an instance it owns, kept current under
     ``apply``.  ``out_edges[slot][u]`` holds the targets of ``u``'s edges
-    with that label, ``in_edges[slot][v]`` the sources of ``v``'s.  During
-    a closure ``pending[x]`` holds the bits row ``x`` gained that the wrap
-    rule has not yet joined, and ``work`` lists the rows with pending bits;
-    between calls ``pending`` is all zeros and ``work`` is empty.  The edge
-    bitsets always hold the instance's bracket edges, and ``dots`` its
-    ``dot`` edges as directed pairs; only ``__init__`` builds them from
-    the instance.  A deletion sets ``stale``: the rows are then closed but
-    may hold pairs the instance no longer derives, until ``lower`` makes
-    them exact again.  ``lower`` is None or an unfinished from-scratch
-    solve of a stale index's edges, with the same edge bitsets, masks and
-    ``dots``, and a worklist that ``_settle`` resumes for ``query`` and
-    ``pairs``.
+    with that label, ``in_edges[slot][v]`` the sources of ``v``'s, and
+    ``dots`` the ``dot`` edges as directed pairs; they always hold the
+    instance's edges, and only ``__init__`` builds them from it.
+    ``pending[x]`` holds the bits row ``x`` gained that the wrap rule has
+    not yet joined, and ``work`` lists the rows with pending bits; ``pairs``,
+    ``copy`` and a query of an absent bit close them.  ``stale`` rows are closed but may hold pairs the instance
+    no longer derives, until ``lower``, None or an unfinished from-scratch
+    solve of the same edge bitsets, masks and ``dots``, makes them exact.
 
     Two support masks let the rules skip bits that cannot contribute.
     ``closers[k]`` is the bitset of the vertices with an outgoing closing
@@ -179,72 +180,112 @@ class ReachIndex:
     from zero."""
 
     def __init__(self, inst: Instance):
-        self._start(inst, *_edge_bitsets(inst))
+        self._inst, self._ops = inst, []
+        self._start(inst.graph.vertex_count, *_edge_bitsets(inst))
         self._run()
 
-    def _start(self, inst, out_edges, in_edges, closers, dots):
-        """Begin a from-scratch solve over these edges: identity rows, the
-        ``dot`` pairs added, every row on the worklist, nothing run."""
-        self.inst, self.stale, self.lower, self.wide = inst, False, None, 0
+    def _start(self, n, out_edges, in_edges, closers, dots):
+        """Begin a from-scratch solve over these edges on ``n`` vertices:
+        identity rows joined with the edges at once, and the ``dot`` pairs,
+        so only rows that gain a bit go on the worklist; nothing run."""
+        self.stale, self.lower, self.wide = False, None, 0
         self.out_edges, self.in_edges = out_edges, in_edges
         self.closers, self.dots = closers, dots
-        self.pending = [1 << x for x in range(inst.graph.vertex_count)]
-        self.rows, self.cols = list(self.pending), list(self.pending)
-        self.work = list(range(len(self.pending)))
+        self.rows = [1 << x for x in range(n)]
+        self.cols = list(self.rows)
+        self.pending, self.work = [0] * n, []
         for u, v in dots:
             self._add(u, 1 << v)
+        # (x, x), edges (a, q, x) and (x, q-bar, b)  =>  (a, b)
+        for opening, closing, ends in zip(in_edges[0::2], out_edges[1::2],
+                                          closers):
+            for x in _bits(ends):
+                for a in _bits(opening[x]):
+                    self._add(a, closing[x])
 
     def _fresh(self) -> "ReachIndex":
         """An unfinished from-scratch solve of today's edges, sharing this
-        index's edge bitsets, masks and ``dot`` list, which are exact."""
+        index's edge bitsets, masks and ``dot`` set, which are exact."""
         lower = ReachIndex.__new__(ReachIndex)
-        lower._start(self.inst, self.out_edges, self.in_edges, self.closers,
-                     self.dots)
+        lower._start(len(self.rows), self.out_edges, self.in_edges,
+                     self.closers, self.dots)
         return lower
+
+    @property
+    def inst(self) -> Instance:
+        """The instance, with the updates since the last read applied."""
+        for op in self._ops:
+            self._inst = apply_update(self._inst, op)
+        self._ops = []
+        return self._inst
 
     def copy(self) -> "ReachIndex":
         """An independent index with the same answers and instance."""
+        self._run()
         other = copy.copy(self)
+        other._ops = list(self._ops)
         other.rows, other.cols = list(self.rows), list(self.cols)
         other.out_edges = [list(slot) for slot in self.out_edges]
         other.in_edges = [list(slot) for slot in self.in_edges]
-        other.closers, other.dots = list(self.closers), list(self.dots)
+        other.closers, other.dots = list(self.closers), set(self.dots)
         other.pending, other.work, other.lower = [0] * len(self.rows), [], None
         return other
 
     def apply(self, op: UpdateOp):
-        """Apply one update to the owned instance (a rejected update raises
-        and changes nothing).  An insertion continues the fixpoint on the
-        rows in place, stale or not, and seeds ``lower`` without running
-        it; a deletion clears the edge's bits, drops ``lower`` and marks
-        the index stale, leaving rows that over-approximate the closure."""
-        self.inst = apply_update(self.inst, op)
+        """Apply one update, checked against the edge bitsets (a rejected
+        one raises the instance's own error and changes nothing).  An
+        insertion seeds the rows, stale or not, and ``lower``, leaving the
+        fixpoint to a read.  A deletion drops ``lower`` and marks
+        the index stale, unless it is exact and the edge fired nothing."""
         if op.op == "query":
             return
-        ends = [(op.u, op.v)]
-        if not self.inst.graph.directed and op.u != op.v:
-            ends.append((op.v, op.u))
+        graph = self._inst.graph
+        u, lab, v = op.u, op.label, op.v
+        n = len(self.rows)
+        if not (op.op in ("ins", "del") and 0 <= u < n and 0 <= v < n
+                and graph.alphabet.contains(lab)
+                and bool((u, v) in self.dots if lab == DOT else
+                         self.out_edges[_slot(lab)][u] >> v & 1)
+                == (op.op == "del")):
+            apply_update(self.inst, op)  # raises the instance's error
+            raise AssertionError(f"the edge bitsets accept {op!r}")
+        self._ops.append(op)
+        ends = [(u, v)]
+        if not graph.directed and u != v:
+            ends.append((v, u))
         if op.op == "ins":
             for u, v in ends:
-                self._set_edge(u, op.label, v)
+                self._set_edge(u, lab, v)
             for index in (self, self.lower) if self.lower else (self,):
                 for u, v in ends:
-                    index._seed(u, op.label, v)
-            self._run()
+                    index._seed(u, lab, v)
             return
-        self.stale, self.lower = True, None
-        if op.label != DOT:
-            s = _slot(op.label)
-            out_edges = self.out_edges[s]
-            for u, v in ends:
-                out_edges[u] &= ~(1 << v)
-                self.in_edges[s][v] &= ~(1 << u)
-                if op.label.bar and not out_edges[u]:
-                    # u's last closing edge of this pair is gone
-                    self.closers[s >> 1] &= ~(1 << u)
-        else:
-            for end in ends:
-                self.dots.remove(end)
+        exact = not self.stale and lab != DOT and not self._fired(lab, ends)
+        self.stale, self.lower = not exact, None
+        if lab == DOT:
+            self.dots.difference_update(ends)
+            return
+        s = _slot(lab)
+        out_edges = self.out_edges[s]
+        for u, v in ends:
+            out_edges[u] &= ~(1 << v)
+            self.in_edges[s][v] &= ~(1 << u)
+            if lab.bar and not out_edges[u]:
+                # u's last closing edge of this pair is gone
+                self.closers[s >> 1] &= ~(1 << u)
+
+    def _fired(self, lab: Label, ends) -> bool:
+        """Whether a bracket edge, in the directions ``ends``, takes part
+        in a wrap of the rows: ``(u, q, v)`` when row ``v`` holds a closer
+        of its pair, ``(w, q-bar, b)`` when a row holding ``w`` has an
+        opening in-edge of its pair.  Rows never shrink, so if it does not,
+        no pair was derived through it, and pending work, run after the
+        deletion, cannot use it: exact rows stay exact without running."""
+        s = _slot(lab)
+        if lab.is_open:
+            return any(self.rows[v] & self.closers[s >> 1] for _, v in ends)
+        opening = self.in_edges[s - 1]
+        return any(opening[x] for w, _ in ends for x in _bits(self.cols[w]))
 
     def _settle(self, u: int = 0, bit: int = 0):
         """Run ``lower``, started if there is none, until its ``rows[u]``
@@ -253,23 +294,30 @@ class ReachIndex:
         lower = self.lower = self.lower or self._fresh()
         lower._run(u, bit)
         if not lower.work:
-            vars(self).update(vars(lower), inst=self.inst)
+            vars(self).update(vars(lower))
 
     @property
     def pairs(self) -> PairSet:
         """A snapshot of the closed pairs (a stale index settles first)."""
         if self.stale:
             self._settle()
+        else:
+            self._run()
         return PairSet(tuple(self.rows))
 
     def query(self, u: int, v: int) -> bool:
         """Whether ``(u, v)`` is in the closed set.  A stale index's rows
         over-approximate it, so an absent bit is an exact "no" and an
         identity pair a "yes"; any other present bit settles ``lower``
-        until it holds the pair or finishes exact."""
+        until it holds the pair or finishes exact.  Rows only grow, so the
+        pending work runs only to decide an absent bit."""
         rows = self.rows
-        if not (0 <= u < len(rows) and 0 <= v and rows[u] >> v & 1):
+        if not (0 <= u < len(rows) and 0 <= v):
             return False
+        if not rows[u] >> v & 1:
+            self._run()
+            if not rows[u] >> v & 1:
+                return False
         if not self.stale or u == v:
             return True
         self._settle(u, 1 << v)
@@ -313,9 +361,9 @@ class ReachIndex:
 
     def _set_edge(self, u: int, lab: Label, v: int):
         """Record a new directed edge in the bitsets, masks and ``dot``
-        list that this index shares with ``lower``."""
+        set that this index shares with ``lower``."""
         if lab == DOT:
-            self.dots.append((u, v))
+            self.dots.add((u, v))
             return
         s = _slot(lab)
         self.out_edges[s][u] |= 1 << v
@@ -359,6 +407,8 @@ class ReachIndex:
         """Close the worklist, or with a target ``bit`` stop before the next
         pop once ``rows[u]`` holds it, leaving the rest to resume."""
         rows, pending, work = self.rows, self.pending, self.work
+        if not work:
+            return
         # no edge changes while the fixpoint runs, so closers is read once
         wraps = list(zip(self.in_edges[0::2], self.out_edges[1::2],
                          self.closers))

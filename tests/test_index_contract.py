@@ -1,13 +1,14 @@
 """One state machine for the maintained-index contract: every engine's
 index that applies to a random instance is driven through one random
-script of insertions, deletions, queries, ``pairs`` reads and copies, and
-checked after every step against a from-scratch model it shares no code
-with.  Hypothesis shrinks a failure to a minimal script."""
+script of insertions, deletions, bursts of updates with no read between
+them, queries, ``pairs`` reads and copies, and checked after every step
+against a from-scratch model it shares no code with.  Hypothesis shrinks
+a failure to a minimal script."""
 
 import random
 
 import pytest
-from hypothesis import settings
+from hypothesis import event, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
@@ -34,8 +35,10 @@ def model_pairs(engine, inst):
 
 
 def held_pairs(index):
-    """The pairs an index holds now, read without settling a stale one."""
+    """The pairs an index holds now, read without settling a stale one; a
+    bitset index first runs the work its insertions left pending."""
     if isinstance(index, ReachIndex):
+        index._run()
         return {(u, v) for u, row in enumerate(index.rows)
                 for v in range(row.bit_length()) if row >> v & 1}
     start = index.grammar.start
@@ -81,21 +84,48 @@ class MaintainedIndexes(RuleBasedStateMachine):
         self.models = {}
         self.query_a_held_pair(data)
 
-    @rule(data=st.data())
-    def insert(self, data):
+    def _insertion(self, data):
+        """An insertion of an absent edge, or None if every edge is in."""
         g = self.inst.graph
         n = g.vertex_count
         absent = [(u, lab, v) for u in range(n) for v in range(n)
                   for lab in g.alphabet.labels() if not g.has_edge(u, lab, v)]
-        if absent:
-            self._update(UpdateOp.ins(*data.draw(st.sampled_from(absent))),
-                         data)
+        return UpdateOp.ins(*data.draw(st.sampled_from(absent))) if absent \
+            else None
+
+    def _deletion(self, data):
+        return UpdateOp.delete(
+            *data.draw(st.sampled_from(sorted(self.inst.graph.edges))))
+
+    @rule(data=st.data())
+    def insert(self, data):
+        op = self._insertion(data)
+        if op:
+            self._update(op, data)
 
     @precondition(lambda self: self.inst.graph.edges)
     @rule(data=st.data())
     def delete(self, data):
-        edge = data.draw(st.sampled_from(sorted(self.inst.graph.edges)))
-        self._update(UpdateOp.delete(*edge), data)
+        self._update(self._deletion(data), data)
+
+    @rule(data=st.data(), size=st.integers(min_value=2, max_value=12))
+    def burst(self, data, size):
+        """Updates with no read between them, so that the insertions' work
+        piles up, on fresh or stale rows and on an unfinished lazy solve
+        an earlier query left; then reads."""
+        if self.indexes["dyck"].lower is not None:
+            event("burst on an unfinished lazy solve")
+        for _ in range(size):
+            op = None
+            if not self.inst.graph.edges or data.draw(st.booleans()):
+                op = self._insertion(data)
+            op = op or self._deletion(data)
+            for index in self.indexes.values():
+                index.apply(op)
+            self.inst = apply_update(self.inst, op)
+        self.models = {}
+        self.query_a_held_pair(data)
+        self.query(data)
 
     @rule(data=st.data())
     def reject(self, data):

@@ -14,6 +14,7 @@ from dycklab import (DOT, Alphabet, AlphabetMismatchError,
                      apply_update, brute_dyck_reach, dyck_grammar,
                      near_dyck_grammar, resolve_after_update, solve_cfl,
                      solve_dyck, solve_dyck_wrap_only, EnumerationBudget)
+from dycklab.saturate import bracket_grammar
 
 from util import (fig2_source, gap_chain_instance, mask_faults,
                   random_dyck_instance, random_neardyck_instance,
@@ -297,6 +298,76 @@ def test_a_rejected_update_leaves_the_index_unchanged(op):
     assert not idx.query(0, 2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.booleans(),
+       st.booleans())
+def test_apply_accepts_and_rejects_as_apply_update_does(seed, near,
+                                                        directed):
+    """Ops of every kind: valid ones, duplicate insertions (the reversed
+    edge too), missing deletions, vertices out of range, labels outside
+    the alphabet and ``dot`` edges.  The index raises exactly when
+    ``apply_update`` does, with its message; a rejected op changes neither
+    its pairs nor its instance, and an accepted one gives the instance
+    ``apply_update`` gives."""
+    rng = random.Random(seed)
+    if near:
+        inst = random_neardyck_instance(rng, max_vertices=4, density=0.15,
+                                        directed=directed)
+    else:
+        inst = random_dyck_instance(rng, max_vertices=5, pairs=2,
+                                    density=0.2, directed=directed)
+    n, alphabet = inst.graph.vertex_count, inst.graph.alphabet
+    labels = list(alphabet.labels()) + [
+        DOT, L1, V1BAR, Label("l", alphabet.size + 1, True),
+        Label("v", alphabet.size, False)]
+    grammar = bracket_grammar(alphabet)
+    idx = solve_dyck(inst)
+    for step in range(30):
+        edges = sorted(inst.graph.edges)
+        if edges and rng.random() < 0.4:
+            u, lab, v = rng.choice(edges)
+            if rng.random() < 0.5:
+                u, v = v, u
+        else:
+            u, lab, v = (rng.randrange(-1, n + 1), rng.choice(labels),
+                         rng.randrange(-1, n + 1))
+        kind = rng.choice(("ins", "del") * 4 + ("swap",))
+        op = UpdateOp(kind, u, lab, v, line=rng.choice((None, step + 1)))
+        try:
+            want = apply_update(inst, op)
+        except UpdateError as exc:
+            with pytest.raises(UpdateError) as got:
+                idx.apply(op)
+            assert str(got.value) == str(exc)
+            assert idx.inst == inst
+            assert idx.pairs == solve_cfl(inst, grammar)["S"]
+            continue
+        idx.apply(op)
+        inst = want
+        # read the instance only now and then, so that accepted updates
+        # pile up before a rejected one
+        if rng.random() < 0.5:
+            assert idx.inst == inst
+    assert idx.inst == inst
+    assert idx.pairs == solve_cfl(inst, grammar)["S"]
+
+
+def test_reads_and_copies_run_the_pending_insertions():
+    # 0 -l1-> 1 -l2-> 2 -l2bar-> 3 -l1bar-> 4: inserting (2, l2bar, 3)
+    # seeds (1, 3), and only the run it leaves pending derives (0, 4)
+    whole = chain([L1, L2, L2BAR, L1BAR])
+    part = apply_update(whole, UpdateOp.delete(2, L2BAR, 3))
+    expected = solve_cfl(whole, dyck_grammar(2))["S"]
+    read, copied, queried = solve_dyck(part), solve_dyck(part), \
+        solve_dyck(part)
+    for idx in (read, copied, queried):
+        idx.apply(UpdateOp.ins(2, L2BAR, 3))
+        assert idx.work and not idx.rows[0] >> 4 & 1
+    assert (0, 4) in expected and read.pairs == expected
+    assert copied.copy().pairs == expected
+    assert queried.query(0, 4)
+
+
 def _count_fresh_solves(monkeypatch) -> list:
     """Patch ``ReachIndex._fresh`` to record the instance of every lazy
     solve a stale query starts; returns the record."""
@@ -368,7 +439,9 @@ def test_a_stale_index_answers_queries_exactly(seed, near, directed):
         inst = apply_update(inst, op)
         expected = solve_cfl(inst, grammar)["S"]
         if live.stale:
-            # stale rows over-approximate: every derivable pair is present
+            # stale rows, closed by running their pending work, over-
+            # approximate: every derivable pair is present
+            live._run()
             assert all(live.rows[u] >> v & 1 for u, v in expected)
         asked = [(inst.source, inst.sink)]
         asked += [(rng.randrange(n), rng.randrange(n)) for _ in range(4)]
@@ -437,6 +510,76 @@ def test_a_stale_no_costs_no_resolve(monkeypatch):
     assert not idx.stale and idx.lower is None
     assert idx.query(2, 4) and not idx.query(0, 4)
     assert len(built) == 1
+
+
+def _stays_exact(inst, *ops) -> bool:
+    """Apply ``ops`` to a fresh index of ``inst``, check every answer and
+    ``pairs`` against ``solve_cfl``, and return whether the index stayed
+    fresh, with no lazy solve."""
+    idx = solve_dyck(inst)
+    for op in ops:
+        idx.apply(op)
+        inst = apply_update(inst, op)
+    exact = not idx.stale
+    assert idx.lower is None
+    n = inst.graph.vertex_count
+    expected = solve_cfl(inst, bracket_grammar(inst.graph.alphabet))["S"]
+    assert all(idx.query(u, v) == ((u, v) in expected)
+               for u in range(n) for v in range(n))
+    assert idx.pairs == expected
+    return exact
+
+
+def _one_pair(directed, edges):
+    return Instance(LabeledGraph.build(directed, 6, Alphabet("dyck", 1),
+                                       edges), 0, 0)
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_deleting_an_opening_edge_that_fired_nothing_keeps_it_exact(
+        directed):
+    # 0 -l1-> 1 -l1bar-> 2 -l1-> 3: row 3 holds no vertex with an l1bar
+    # edge, so (2, l1, 3) wraps nothing.  Undirected, it also runs
+    # 3 -l1-> 2, and row 2 holds 2, which has an l1bar edge
+    inst = _one_pair(directed, [(0, L1, 1), (1, L1BAR, 2), (2, L1, 3)])
+    assert _stays_exact(inst, UpdateOp.delete(2, L1, 3)) == directed
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_deleting_a_closing_edge_that_fired_nothing_keeps_it_exact(
+        directed):
+    # (3, l1bar, 4): no row that holds 3 has an l1 in-edge, so it wraps
+    # nothing.  Undirected, it also runs 4 -l1bar-> 3, and 5 -l1-> 4
+    # enters row 4, which holds 4
+    inst = _one_pair(directed, [(0, L1, 1), (1, L1BAR, 2), (3, L1BAR, 4),
+                                (5, L1, 4)])
+    assert _stays_exact(inst, UpdateOp.delete(3, L1BAR, 4)) == directed
+
+
+def test_an_edge_that_fires_only_in_pending_work_is_deleted_exactly():
+    # 0 -l1-> 1 -l2-> 2 . 3 -l1bar-> 4 -l1bar-> 6 and 5 -l1-> 0: inserting
+    # (2, l2bar, 3) seeds (1, 3), and only the pending run derives (0, 4)
+    # and through (5, l1, 0) then (5, 6).  Deleted before that run, the
+    # edge has fired nothing, and the run no longer uses it
+    edges = [(0, L1, 1), (1, L2, 2), (3, L1BAR, 4), (4, L1BAR, 6),
+             (5, L1, 0)]
+    inst = Instance(LabeledGraph.build(True, 7, Alphabet("dyck", 2), edges),
+                    0, 4)
+    assert _stays_exact(inst, UpdateOp.ins(2, L2BAR, 3),
+                        UpdateOp.delete(5, L1, 0))
+
+
+def test_a_deletion_that_fired_nothing_leaves_a_stale_index_stale():
+    # 0 -l1-> 1 -l1bar-> 2 and 3 -l2-> 4: deleting (1, l1bar, 2) leaves
+    # the stale bit (0, 2); (3, l2, 4) wraps nothing even in stale rows
+    edges = [(0, L1, 1), (1, L1BAR, 2), (3, L2, 4)]
+    inst = Instance(LabeledGraph.build(True, 5, Alphabet("dyck", 2), edges),
+                    0, 2)
+    idx = solve_dyck(inst)
+    for op in (UpdateOp.delete(1, L1BAR, 2), UpdateOp.delete(3, L2, 4)):
+        idx.apply(op)
+        assert idx.stale
+    assert idx.rows[0] >> 2 & 1 and not idx.query(0, 2)
 
 
 def _bracket_cycle():

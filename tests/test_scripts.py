@@ -13,11 +13,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # what a script's summary line must show beyond its clean exit: the fuzz
 # leg's walk oracle must have checked near-Dyck samples, not skipped them,
-# and its grammar-index leg must have checked queries and stale states
+# and its grammar-index leg must have checked queries and stale states;
+# the mutants run must have killed both of its mutants
 SUMMARIES = {
     "engine_fuzz.py": r"oracle checked [1-9]\d* bracket-pair and [1-9]\d* "
                       r"near-Dyck samples, grammar index checked on [1-9]\d* "
                       r"queries and [1-9]\d* stale states",
+    "mutants.py": r"2 mutants, 2 killed, 0 survived",
 }
 
 
@@ -25,6 +27,8 @@ SUMMARIES = {
     ("engine_fuzz.py", "--samples", "5", "--max-vertices", "6"),
     ("reduction_fuzz.py", "--samples", "2", "--ops", "10"),
     ("distance_demo.py", "--vertices", "4"),
+    ("mutants.py", "--only", "duplicate-insertion-accepted",
+     "--only", "lower-kept-on-deletion"),
 ])
 def test_script_runs(argv):
     env = dict(os.environ)
