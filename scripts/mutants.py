@@ -26,6 +26,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SATURATE = "src/dycklab/saturate.py"
+ORACLE = "src/dycklab/oracle.py"
+CLI = "src/dycklab/cli.py"
 
 
 class Mutant(NamedTuple):
@@ -51,9 +53,14 @@ MUTANTS = (
            ("tests/test_saturate.py::"
             "test_a_partial_solve_survives_an_insertion",)),
     Mutant("lower-kept-on-deletion", SATURATE,
-           "self.stale, self.lower = not exact, None",
-           "self.stale = not exact",
+           "self.stale, self.lower = True, None\n        if lab == DOT:",
+           "self.stale = True\n        if lab == DOT:",
            ("tests/test_saturate.py::test_a_deletion_drops_the_partial_solve",)),
+    Mutant("deletion-left-fresh", SATURATE,
+           "self.stale, self.lower = True, None\n        if lab == DOT:",
+           "self.lower = None\n        if lab == DOT:",
+           ("tests/test_saturate.py::"
+            "test_a_deletion_that_fired_nothing_leaves_a_stale_index_stale",)),
     Mutant("takeover-drops-the-updates", SATURATE,
            "vars(self).update(vars(lower))",
            "vars(self).update(vars(lower), _ops=[])",
@@ -78,11 +85,35 @@ MUTANTS = (
            '== (op.op == "del")', '>= (op.op == "del")',
            ("tests/test_saturate.py::"
             "test_a_rejected_update_leaves_the_index_unchanged",)),
-    Mutant("fired-nothing-test-on-a-stale-index", SATURATE,
-           "exact = not self.stale and lab != DOT and not self._fired(",
-           "exact = lab != DOT and not self._fired(",
+    Mutant("grammar-undirected-insertion-one-way", SATURATE,
+           "                ends.append((op.v, op.u))\n",
+           "                pass\n",
            ("tests/test_saturate.py::"
-            "test_a_deletion_that_fired_nothing_leaves_a_stale_index_stale",)),
+            "test_a_grammar_index_reads_an_undirected_insertion_both_ways",)),
+    Mutant("grammar-lower-not-seeded-on-insertion", SATURATE,
+           "for index in (self, self.lower) if self.lower else (self,):\n"
+           "                for u, v in ends:\n"
+           "                    for a in self.by_label",
+           "for index in (self,):\n"
+           "                for u, v in ends:\n"
+           "                    for a in self.by_label",
+           ("tests/test_saturate.py::"
+            "test_a_stale_grammar_yes_solves_only_until_the_pair_appears",)),
+    Mutant("wrap-only-keeps-concatenation", SATURATE,
+           'tuple(r for r in grammar.binary_rules if r != ("S", "S", "S"))',
+           "grammar.binary_rules",
+           ("tests/test_saturate.py::"
+            "test_wrap_only_misses_the_concatenation_chain",)),
+    Mutant("brute-reach-pushes-dot", ORACLE,
+           'if lab.base == "dot":\n'
+           "                        new_stack = stack\n"
+           "                    elif lab.bar:",
+           "if lab.bar:",
+           ("tests/test_oracle.py::test_brute_reach_reads_dot_as_neutral",)),
+    Mutant("limit-parsed-with-int", CLI,
+           "        return parse_number(text)\n",
+           "        return int(text)\n",
+           ("tests/test_cli.py::test_negative_limits_are_rejected",)),
 )
 
 

@@ -14,7 +14,7 @@ from .oracle import (EnumerationBudget, bfs_distances, brute_dyck_reach,
 from .reductions import (CompiledReduction, compile_alt_to_neardyck,
                          compile_dyck2_to_undirected,
                          compile_neardyck_to_dyck2, compile_reduction)
-from .saturate import (AlphabetMismatchError, FingerprintMismatchError,
+from .saturate import (AlphabetMismatchError, InstanceMismatchError,
                        Grammar, GrammarIndex, ReachIndex, dyck_grammar,
                        near_dyck_grammar, resolve_after_update, solve_cfl,
                        solve_dyck, solve_dyck_wrap_only)

@@ -76,10 +76,11 @@ ENGINES = ("dyck", "wrap-only", "cfl", "prop1")
 def maintained_index(inst: Instance, engine: str):
     """The index ``engine`` keeps through a script, owning ``inst``, or
     None for ``alt``, which answers from scratch: alternating reachability
-    is not monotone in the edges.  ``cfl`` and ``wrap-only`` keep a
-    grammar index, which shares no code with ``dyck``'s.  The solvers are
-    looked up in this module at each call, not in a table built at import,
-    so a wrapper patched onto ``cli.solve_dyck`` is the one that runs."""
+    is not monotone in the edges.  Any other name raises ``ValueError``.
+    ``cfl`` and ``wrap-only`` keep a grammar index, which shares no code
+    with ``dyck``'s.  The solvers are looked up in this module at each
+    call, not in a table built at import, so a wrapper patched onto
+    ``cli.solve_dyck`` is the one that runs."""
     if engine == "dyck":
         return solve_dyck(inst)
     if engine == "prop1":
@@ -88,28 +89,22 @@ def maintained_index(inst: Instance, engine: str):
         return GrammarIndex(inst, bracket_grammar(inst.graph.alphabet))
     if engine == "wrap-only":
         return GrammarIndex(inst, wrap_only_grammar(inst.graph.alphabet))
-    return None
-
-
-def answer_query(inst: Instance, engine: str) -> bool:
-    """The marked pair's answer from an engine with no index, which is
-    ``alt`` alone."""
     if engine == "alt":
-        return solve_alternating(inst)[0]
+        return None
     raise ValueError(f"unknown engine {engine!r}")
 
 
 def run_replay(inst: Instance, script: list[UpdateOp],
                engine: str = "dyck") -> RunReport:
     """Apply a script, answering every query with the chosen engine.  An
-    engine with an index keeps one through the script (an instance it
-    rejects fails before any update); the others re-answer from
-    scratch."""
+    engine with an index keeps one through the script; ``alt`` re-answers
+    from scratch.  An unknown engine, or an instance the engine rejects,
+    fails before any update."""
     report = RunReport()
     index = maintained_index(inst, engine)
     for op in script:
         if op.op == "query":
-            report.answers.append(answer_query(inst, engine) if index is None
+            report.answers.append(solve_alternating(inst)[0] if index is None
                                   else index.query(inst.source, inst.sink))
         elif index is None:
             inst = apply_update(inst, op)

@@ -43,22 +43,21 @@ when ``inst`` is read.  An insertion sets the new edge's bits (both ways
 round for an undirected edge), or adds the pair of a new ``dot`` edge,
 and seeds what it derives; the fixpoint runs only when a read needs it (a
 ``pairs`` read, a ``copy``, or a query whose bit is not yet set, since
-rows only grow), once for every insertion since.  A from-scratch solve joins the identity pairs
-with the edges at once, so only the rows that gain a bit are processed.
-A deletion clears the edge's bits and marks the index stale, keeping its
-rows, unless the index is exact and the edge fired nothing (its wrap
-joins no pair of the rows).  Stale rows are a superset of the closure:
-they were closed under a superset of today's edges, and the fixpoint is
-monotone in the edges, so later insertions on them keep a superset.  A
-stale index therefore answers "no" at once when the queried bit is
-absent, and "yes" for an identity pair.  Its one way back to exact rows
-is ``lower``, a lazy from-scratch solve sharing the index's edge bitsets.
-Any other set bit runs ``lower`` only until its row holds that bit, an
-exact "yes"; a read of ``pairs`` runs it to its end.  Once its worklist
-empties it is exact and the index takes it over.  An insertion seeds it
-without running it, and a deletion drops it.  ``resolve_after_update``
-applies an update to a copy, for callers that keep the old index, and
-re-solves a stale copy at once.
+rows only grow), once for every insertion since.  A from-scratch solve
+joins the identity pairs with the edges at once, so only the rows that
+gain a bit are processed.  Every deletion clears the edge's bits and
+marks the index stale, keeping its rows.  Stale rows are a superset of
+the closure: they were closed under a superset of today's edges, and the
+fixpoint is monotone in the edges, so later insertions on them keep a
+superset.  A stale index therefore answers "no" at once when the queried
+bit is absent, and "yes" for an identity pair.  Its one way back to exact
+rows is ``lower``, a lazy from-scratch solve sharing the index's edge
+bitsets.  Any other set bit runs ``lower`` only until its row holds that
+bit, an exact "yes"; a read of ``pairs`` runs it to its end.  Once its
+worklist empties it is exact and the index takes it over.  An insertion
+seeds it without running it, and a deletion drops it.
+``resolve_after_update`` applies an update to a copy, for callers that
+keep the old index, and re-solves a stale copy at once.
 
 ``GrammarIndex`` is an independent engine over grammars in binary normal
 form and must agree with ``solve_dyck`` on either alphabet's
@@ -75,7 +74,6 @@ from __future__ import annotations
 
 import copy
 import functools
-from collections.abc import Set
 from typing import Iterator, NamedTuple
 
 from .graphs import Alphabet, Instance, Label, UpdateOp, apply_update, DOT
@@ -85,7 +83,7 @@ class AlphabetMismatchError(ValueError):
     pass
 
 
-class FingerprintMismatchError(ValueError):
+class InstanceMismatchError(ValueError):
     pass
 
 
@@ -105,36 +103,6 @@ def _slot(lab: Label) -> int:
     ``l_k`` (pairs count from 1), ``2i`` for ``v_i`` (vertices count from
     0), and one more for the closing partner."""
     return 2 * (lab.index - _FIRST_INDEX[lab.base]) + lab.bar
-
-
-class PairSet(Set):
-    """Read-only set view of the pairs ``(u, v)`` held in bitset rows.  Its
-    length is a popcount sum; nothing is enumerated until iterated."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: tuple[int, ...]):
-        self._rows = rows
-
-    def __contains__(self, pair) -> bool:
-        u, v = pair
-        rows = self._rows
-        return 0 <= u < len(rows) and 0 <= v and bool(rows[u] >> v & 1)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        for u, row in enumerate(self._rows):
-            for v in _bits(row):
-                yield (u, v)
-
-    def __len__(self) -> int:
-        return sum(row.bit_count() for row in self._rows)
-
-    @classmethod
-    def _from_iterable(cls, it):
-        return frozenset(it)
-
-    def __repr__(self) -> str:
-        return f"PairSet({sorted(self)})"
 
 
 def _edge_bitsets(inst: Instance):
@@ -235,8 +203,8 @@ class ReachIndex:
         """Apply one update, checked against the edge bitsets (a rejected
         one raises the instance's own error and changes nothing).  An
         insertion seeds the rows, stale or not, and ``lower``, leaving the
-        fixpoint to a read.  A deletion drops ``lower`` and marks
-        the index stale, unless it is exact and the edge fired nothing."""
+        fixpoint to a read.  A deletion drops ``lower`` and marks the
+        index stale."""
         if op.op == "query":
             return
         graph = self._inst.graph
@@ -260,8 +228,7 @@ class ReachIndex:
                 for u, v in ends:
                     index._seed(u, lab, v)
             return
-        exact = not self.stale and lab != DOT and not self._fired(lab, ends)
-        self.stale, self.lower = not exact, None
+        self.stale, self.lower = True, None
         if lab == DOT:
             self.dots.difference_update(ends)
             return
@@ -274,19 +241,6 @@ class ReachIndex:
                 # u's last closing edge of this pair is gone
                 self.closers[s >> 1] &= ~(1 << u)
 
-    def _fired(self, lab: Label, ends) -> bool:
-        """Whether a bracket edge, in the directions ``ends``, takes part
-        in a wrap of the rows: ``(u, q, v)`` when row ``v`` holds a closer
-        of its pair, ``(w, q-bar, b)`` when a row holding ``w`` has an
-        opening in-edge of its pair.  Rows never shrink, so if it does not,
-        no pair was derived through it, and pending work, run after the
-        deletion, cannot use it: exact rows stay exact without running."""
-        s = _slot(lab)
-        if lab.is_open:
-            return any(self.rows[v] & self.closers[s >> 1] for _, v in ends)
-        opening = self.in_edges[s - 1]
-        return any(opening[x] for w, _ in ends for x in _bits(self.cols[w]))
-
     def _settle(self, u: int = 0, bit: int = 0):
         """Run ``lower``, started if there is none, until its ``rows[u]``
         holds ``bit``, or to its end, when this index takes it over (its
@@ -297,13 +251,14 @@ class ReachIndex:
             vars(self).update(vars(lower))
 
     @property
-    def pairs(self) -> PairSet:
-        """A snapshot of the closed pairs (a stale index settles first)."""
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """The closed pairs (a stale index settles first)."""
         if self.stale:
             self._settle()
         else:
             self._run()
-        return PairSet(tuple(self.rows))
+        return frozenset((u, v) for u, row in enumerate(self.rows)
+                         for v in _bits(row))
 
     def query(self, u: int, v: int) -> bool:
         """Whether ``(u, v)`` is in the closed set.  A stale index's rows
@@ -445,7 +400,7 @@ def resolve_after_update(index: ReachIndex, inst: Instance,
     """A new index for ``inst`` after one update, leaving ``index`` as it
     was: ``apply`` on a copy, with a stale copy re-solved at once."""
     if index.inst != inst:
-        raise FingerprintMismatchError("index does not match the instance")
+        raise InstanceMismatchError("index does not match the instance")
     if op.op == "query":
         return index
     new = index.copy()

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dycklab import serialize_graph, serialize_updates
-from dycklab.cli import ENGINES, WORD_OPS, main
+from dycklab import UpdateOp, serialize_graph, serialize_updates
+from dycklab.cli import ENGINES, WORD_OPS, main, maintained_index, run_replay
 from dycklab.suites import SUITES, SuiteResult, random_undirected_one_pair
 from dycklab.words import REGULAR_EXPRS
 
@@ -151,6 +151,17 @@ def test_prop1_replay_rejects_other_graphs_before_any_update(
         assert code == 2
         assert out == ""
         assert err == f"error: characterization applies to {message}\n"
+
+
+@pytest.mark.parametrize("ops", [(), ("del",), ("del", "query")])
+def test_an_unknown_engine_fails_before_any_update(ops):
+    inst = gap_chain_instance()
+    edge = sorted(inst.graph.edges)[0]
+    script = [UpdateOp.delete(*edge) if op == "del" else UpdateOp.query()
+              for op in ops]
+    with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+        run_replay(inst, script, "bogus")
+    assert maintained_index(inst, "alt") is None
 
 
 def test_replay_reports_per_query_answers(capsys, tmp_path, gap_chain):

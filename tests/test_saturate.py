@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import dycklab.cli as cli
 import dycklab.saturate as saturate
-from dycklab import (DOT, Alphabet, AlphabetMismatchError,
-                     FingerprintMismatchError, Grammar, GrammarIndex,
-                     Instance, Label, LabeledGraph, UpdateError, UpdateOp,
+from dycklab import (DOT, Alphabet, AlphabetMismatchError, Grammar,
+                     GrammarIndex, Instance, InstanceMismatchError, Label,
+                     LabeledGraph, UpdateError, UpdateOp,
                      apply_update, brute_dyck_reach, dyck_grammar,
                      near_dyck_grammar, resolve_after_update, solve_cfl,
                      solve_dyck, solve_dyck_wrap_only, EnumerationBudget)
@@ -198,10 +198,10 @@ def test_delete_breaks_the_only_witness():
     assert not idx2.query(0, 2)
 
 
-def test_fingerprint_mismatch_is_rejected():
+def test_instance_mismatch_is_rejected():
     inst = chain([L1, L1BAR], pairs=1)
     other = chain([L1, L1BAR, L2, L2BAR])
-    with pytest.raises(FingerprintMismatchError):
+    with pytest.raises(InstanceMismatchError):
         resolve_after_update(solve_dyck(inst), other, UpdateOp.query())
 
 
@@ -512,22 +512,19 @@ def test_a_stale_no_costs_no_resolve(monkeypatch):
     assert len(built) == 1
 
 
-def _stays_exact(inst, *ops) -> bool:
-    """Apply ``ops`` to a fresh index of ``inst``, check every answer and
-    ``pairs`` against ``solve_cfl``, and return whether the index stayed
-    fresh, with no lazy solve."""
-    idx = solve_dyck(inst)
+def _answers_exactly(idx, inst, *ops):
+    """Apply ``ops`` to ``idx``, which holds ``inst``, checking that each
+    deletion leaves it stale with no lazy solve; then check every answer
+    and ``pairs`` against ``solve_cfl``."""
     for op in ops:
         idx.apply(op)
         inst = apply_update(inst, op)
-    exact = not idx.stale
-    assert idx.lower is None
+        assert op.op != "del" or (idx.stale and idx.lower is None), op
     n = inst.graph.vertex_count
     expected = solve_cfl(inst, bracket_grammar(inst.graph.alphabet))["S"]
     assert all(idx.query(u, v) == ((u, v) in expected)
                for u in range(n) for v in range(n))
     assert idx.pairs == expected
-    return exact
 
 
 def _one_pair(directed, edges):
@@ -540,9 +537,10 @@ def test_deleting_an_opening_edge_that_fired_nothing_keeps_it_exact(
         directed):
     # 0 -l1-> 1 -l1bar-> 2 -l1-> 3: row 3 holds no vertex with an l1bar
     # edge, so (2, l1, 3) wraps nothing.  Undirected, it also runs
-    # 3 -l1-> 2, and row 2 holds 2, which has an l1bar edge
+    # 3 -l1-> 2, and row 2 holds 2, which has an l1bar edge.  Either way
+    # the deletion marks the index stale, and its answers stay exact
     inst = _one_pair(directed, [(0, L1, 1), (1, L1BAR, 2), (2, L1, 3)])
-    assert _stays_exact(inst, UpdateOp.delete(2, L1, 3)) == directed
+    _answers_exactly(solve_dyck(inst), inst, UpdateOp.delete(2, L1, 3))
 
 
 @pytest.mark.parametrize("directed", [True, False])
@@ -553,20 +551,20 @@ def test_deleting_a_closing_edge_that_fired_nothing_keeps_it_exact(
     # enters row 4, which holds 4
     inst = _one_pair(directed, [(0, L1, 1), (1, L1BAR, 2), (3, L1BAR, 4),
                                 (5, L1, 4)])
-    assert _stays_exact(inst, UpdateOp.delete(3, L1BAR, 4)) == directed
+    _answers_exactly(solve_dyck(inst), inst, UpdateOp.delete(3, L1BAR, 4))
 
 
 def test_an_edge_that_fires_only_in_pending_work_is_deleted_exactly():
     # 0 -l1-> 1 -l2-> 2 . 3 -l1bar-> 4 -l1bar-> 6 and 5 -l1-> 0: inserting
     # (2, l2bar, 3) seeds (1, 3), and only the pending run derives (0, 4)
     # and through (5, l1, 0) then (5, 6).  Deleted before that run, the
-    # edge has fired nothing, and the run no longer uses it
+    # edge has fired nothing, and the answers must not use it
     edges = [(0, L1, 1), (1, L2, 2), (3, L1BAR, 4), (4, L1BAR, 6),
              (5, L1, 0)]
     inst = Instance(LabeledGraph.build(True, 7, Alphabet("dyck", 2), edges),
                     0, 4)
-    assert _stays_exact(inst, UpdateOp.ins(2, L2BAR, 3),
-                        UpdateOp.delete(5, L1, 0))
+    _answers_exactly(solve_dyck(inst), inst, UpdateOp.ins(2, L2BAR, 3),
+                     UpdateOp.delete(5, L1, 0))
 
 
 def test_a_deletion_that_fired_nothing_leaves_a_stale_index_stale():
@@ -575,11 +573,12 @@ def test_a_deletion_that_fired_nothing_leaves_a_stale_index_stale():
     edges = [(0, L1, 1), (1, L1BAR, 2), (3, L2, 4)]
     inst = Instance(LabeledGraph.build(True, 5, Alphabet("dyck", 2), edges),
                     0, 2)
+    first = UpdateOp.delete(1, L1BAR, 2)
     idx = solve_dyck(inst)
-    for op in (UpdateOp.delete(1, L1BAR, 2), UpdateOp.delete(3, L2, 4)):
-        idx.apply(op)
-        assert idx.stale
-    assert idx.rows[0] >> 2 & 1 and not idx.query(0, 2)
+    idx.apply(first)
+    assert idx.stale and idx.rows[0] >> 2 & 1
+    _answers_exactly(idx, apply_update(inst, first),
+                     UpdateOp.delete(3, L2, 4))
 
 
 def _bracket_cycle():
