@@ -17,12 +17,13 @@ marked pair and on random pairs, each answer checked against the grammar,
 so that stale answers are checked before a read of ``pairs`` runs the
 index's lazy solve ``lower`` to its end.  A stale "no" on a set bit runs
 it to its end too, so the index must then be fresh.  After every update
-both indexes' edge bitsets and support masks are checked too, and after
+both indexes' edge tables and support masks are checked too, and after
 every stale query those of an unfinished ``lower``, against the current
-edges: ``out_edges``, ``in_edges`` and ``dots`` must hold exactly the
-directed edges, each ``closers[k]`` must be exactly the vertices with an
-outgoing closing edge of pair ``k``, and ``wide`` must hold every row
-with more than its identity bit.  The same script also drives a third
+edges: each table of ``edges`` must hold exactly the directed edges of
+its label (the ``dot`` table of a ``dyck`` alphabet none), each
+``closers[k]`` must be exactly the vertices with an outgoing closing edge
+of pair ``k``, and ``wide`` must hold every row with more than its
+identity bit.  The same script also drives a third
 index, the grammar engine's own ``GrammarIndex`` on the sample's bracket
 grammar: after every update it is asked the marked pair and random pairs,
 each answer checked against the from-scratch grammar engine and against

@@ -28,6 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SATURATE = "src/dycklab/saturate.py"
 ORACLE = "src/dycklab/oracle.py"
 CLI = "src/dycklab/cli.py"
+ONE_LETTER = "src/dycklab/one_letter.py"
+WORDS = "src/dycklab/words.py"
 
 
 class Mutant(NamedTuple):
@@ -39,26 +41,45 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("in-edges-kept-on-deletion", SATURATE,
-           "            self.in_edges[s][v] &= ~(1 << u)\n", "",
+    Mutant("edge-kept-on-deletion", SATURATE,
+           "            table[x] &= ~(1 << y)\n", "",
            ("tests/test_saturate.py::"
             "test_support_masks_hold_under_mixed_scripts",)),
+    Mutant("undirected-insertion-one-way", SATURATE,
+           "for x, y in cells:\n                table[x] |= 1 << y\n",
+           "for x, y in cells[:1]:\n                table[x] |= 1 << y\n",
+           ("tests/test_saturate.py::"
+            "test_support_masks_hold_under_mixed_scripts",)),
+    Mutant("closing-insertion-leaves-closers", SATURATE,
+           "                if lab.bar:\n"
+           "                    self.closers[s >> 1] |= 1 << x\n", "",
+           ("tests/test_saturate.py::"
+            "test_support_masks_hold_under_mixed_scripts",)),
+    Mutant("last-closing-deletion-keeps-closers", SATURATE,
+           "                self.closers[s >> 1] &= ~(1 << x)\n",
+           "                pass\n",
+           ("tests/test_saturate.py::"
+            "test_closers_follow_the_last_closing_edge",)),
+    Mutant("dot-insertion-not-seeded", SATURATE,
+           "        else:\n            self._add(x, 1 << y)\n", "",
+           ("tests/test_saturate.py::"
+            "test_maintained_near_dyck_index_matches_the_grammar_engine",)),
     Mutant("lower-not-seeded-on-insertion", SATURATE,
            "for index in (self, self.lower) if self.lower else (self,):\n"
-           "                for u, v in ends:\n"
+           "                for x, y in cells:\n"
            "                    index._seed(",
            "for index in (self,):\n"
-           "                for u, v in ends:\n"
+           "                for x, y in cells:\n"
            "                    index._seed(",
            ("tests/test_saturate.py::"
             "test_a_partial_solve_survives_an_insertion",)),
     Mutant("lower-kept-on-deletion", SATURATE,
-           "self.stale, self.lower = True, None\n        if lab == DOT:",
-           "self.stale = True\n        if lab == DOT:",
+           "self.stale, self.lower = True, None\n        for x, y in cells:",
+           "self.stale = True\n        for x, y in cells:",
            ("tests/test_saturate.py::test_a_deletion_drops_the_partial_solve",)),
     Mutant("deletion-left-fresh", SATURATE,
-           "self.stale, self.lower = True, None\n        if lab == DOT:",
-           "self.lower = None\n        if lab == DOT:",
+           "self.stale, self.lower = True, None\n        for x, y in cells:",
+           "self.lower = None\n        for x, y in cells:",
            ("tests/test_saturate.py::"
             "test_a_deletion_that_fired_nothing_leaves_a_stale_index_stale",)),
     Mutant("takeover-drops-the-updates", SATURATE,
@@ -104,6 +125,26 @@ MUTANTS = (
            "grammar.binary_rules",
            ("tests/test_saturate.py::"
             "test_wrap_only_misses_the_concatenation_chain",)),
+    Mutant("parity-bits-on-one-endpoint", ONE_LETTER,
+           "ends = 1 << u | 1 << v", "ends = 1 << u",
+           ("tests/test_one_letter.py::"
+            "test_endpoint_bitsets_answer_as_the_edge_scans",)),
+    Mutant("parity-rebuild-keeps-bitsets", ONE_LETTER,
+           "        self.openers = self.closers = 0\n",
+           "        self.openers = vars(self).get(\"openers\", 0)\n"
+           "        self.closers = vars(self).get(\"closers\", 0)\n",
+           ("tests/test_one_letter.py::"
+            "test_deleting_the_last_opener_at_the_source_turns_yes_to_no",)),
+    Mutant("reduce-word-ignores-base", WORDS,
+           "top.index == lab.index and top.base == lab.base",
+           "top.index == lab.index",
+           ("tests/test_words.py::"
+            "test_reduce_is_confluent_under_random_order",)),
+    Mutant("join-reduced-stops-after-one-pair", WORDS,
+           "        i -= 1\n        j += 1\n",
+           "        i -= 1\n        j += 1\n        break\n",
+           ("tests/test_words.py::"
+            "test_joining_normal_forms_reduces_the_concatenation",)),
     Mutant("brute-reach-pushes-dot", ORACLE,
            'if lab.base == "dot":\n'
            "                        new_stack = stack\n"

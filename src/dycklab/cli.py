@@ -12,9 +12,9 @@ import sys
 import time
 
 from .alternating import solve_alternating
-from .graphs import (GraphFormatError, Instance, UpdateError, UpdateOp,
-                     apply_update, parse_graph, parse_label_token,
-                     parse_number, parse_updates, serialize_graph)
+from .graphs import (Instance, UpdateOp, apply_update, parse_graph,
+                     parse_label_token, parse_number, parse_updates,
+                     serialize_graph)
 from .one_letter import ParityIndex
 from .oracle import (EnumerationBudget, brute_dyck_reach, enumerate_paths,
                      exhaustive_words)
@@ -408,7 +408,7 @@ def main(argv=None) -> int:
     rep = Reporter(args.kv)
     try:
         return args.func(args, rep)
-    except (GraphFormatError, UpdateError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import Instance, Label
@@ -72,6 +73,19 @@ def _sorted_adjacency(inst: Instance) -> dict[int, list[tuple[Label, int]]]:
     return adj
 
 
+def _check_depth(max_path_length: int):
+    """Reject a ``max_path_length`` that a walk search started by the
+    caller, one recursion per step, cannot reach within the recursion
+    limit, keeping 10 frames for the deepest step's own calls."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit() - depth - 10
+    if max_path_length > limit:
+        raise ValueError(f"max_path_length {max_path_length} is beyond the "
+                         f"walk search's depth limit of {limit} steps")
+
+
 def enumerate_paths(inst: Instance, source: int, sink: int,
                     budget: EnumerationBudget, balanced: bool = False,
                     ) -> Enumeration:
@@ -94,6 +108,7 @@ def enumerate_paths(inst: Instance, source: int, sink: int,
     vertices = range(inst.graph.vertex_count)
     if source not in vertices or sink not in vertices:
         raise ValueError(f"endpoint out of range: ({source}, {sink})")
+    _check_depth(budget.max_path_length)
     # Per vertex, (edge, letter, target).  The letter is +k for an opening
     # label and -k for its partner, k numbering the (base, index) pairs;
     # dot is 0.
@@ -340,6 +355,7 @@ def enumerate_nominal_paths(red, tag: tuple, budget: EnumerationBudget,
         allowed_interior = {red.vertex_id((x, lab0, y, i)) for i in range(1, 12)}
     else:
         raise ValueError(f"unknown tag {tag!r}")
+    _check_depth(budget.max_path_length)
 
     original = {i for i, name in enumerate(red.names) if len(name) == 1}
     # Per vertex, the tag's moves (label, letter, target, may step).  The

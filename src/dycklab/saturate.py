@@ -17,19 +17,20 @@ Both alphabets are read the same way: the pairs ``l_k`` / ``l_k-bar`` of a
 The set is kept a row at a time, as in Chaudhuri's subcubic closure
 ("Subcubic algorithms for recursive state machines", POPL 2008): row
 ``R[u]`` is a Python-int bitset of the ``v`` with ``(u, v)`` in the set and
-column ``C[v]`` the bitset of the ``u``; each label has a target bitset per
-vertex for its outgoing edges and a source bitset per vertex for its
-incoming ones.  Concatenation keeps the rows transitively closed at every
-step: when row ``a`` gains the bits ``B``, every row in ``C[a]`` gains
-``B`` and the rows of ``B``.  The wrap rule joins a row's new bits with the
-edge bitsets.  Either rule only ever adds ``bits & ~R[u]``, and only those
-new bits are processed further.
+column ``C[v]`` the bitset of the ``u``.  Each label has one edge table,
+kept the way the wrap rule reads it: per vertex, the source bitset of its
+incoming edges for an opening label, and the target bitset of its outgoing
+edges for a closing label or ``dot``.  Concatenation keeps the rows
+transitively closed at every step: when row ``a`` gains the bits ``B``,
+every row in ``C[a]`` gains ``B`` and the rows of ``B``.  The wrap rule
+joins a row's new bits with the edge tables.  Either rule only ever adds
+``bits & ~R[u]``, and only those new bits are processed further.
 
 Two support masks keep the rules off bits that cannot contribute.
 ``closers[k]`` is the bitset of the vertices with an outgoing closing edge
 of pair ``k``: the wrap rule joins a row only at those bits, since a bit
 ``v`` with no closing edge adds nothing.  It is built with the edge
-bitsets, set on insertion and cleared when a deletion removes a vertex's
+tables, set on insertion and cleared when a deletion removes a vertex's
 last such edge, so it always equals that support exactly.  ``wide`` holds
 at least every vertex whose row has more than its identity bit:
 concatenation expands only the new bits in ``wide``, since expanding any
@@ -37,22 +38,21 @@ other bit ``b`` adds just ``b`` itself.  A row never shrinks between
 re-solves, so ``wide`` only grows until a re-solve starts it afresh.
 
 A ``ReachIndex`` owns its instance and pays for an update only what it
-derives.  ``apply`` checks the update in O(1) against the edge bitsets,
+derives.  ``apply`` checks the update in O(1) against the edge tables,
 which hold the edges exactly; the instance is brought up to date only
-when ``inst`` is read.  An insertion sets the new edge's bits (both ways
-round for an undirected edge), or adds the pair of a new ``dot`` edge,
-and seeds what it derives; the fixpoint runs only when a read needs it (a
-``pairs`` read, a ``copy``, or a query whose bit is not yet set, since
-rows only grow), once for every insertion since.  A from-scratch solve
-joins the identity pairs with the edges at once, so only the rows that
-gain a bit are processed.  Every deletion clears the edge's bits and
-marks the index stale, keeping its rows.  Stale rows are a superset of
-the closure: they were closed under a superset of today's edges, and the
+when ``inst`` is read.  An insertion sets the new edge's bit in its
+label's table (both ways round for an undirected edge) and seeds what it
+derives; the fixpoint runs only when a read needs it (a ``pairs`` read, a
+``copy``, or a query whose bit is not yet set, since rows only grow), once
+for every insertion since.  A from-scratch solve joins the identity pairs
+with the edges at once, so only the rows that gain a bit are processed.
+Every deletion clears the edge's bits and marks the index stale, keeping
+its rows.  Stale rows are a superset of the closure: they were closed under a superset of today's edges, and the
 fixpoint is monotone in the edges, so later insertions on them keep a
 superset.  A stale index therefore answers "no" at once when the queried
 bit is absent, and "yes" for an identity pair.  Its one way back to exact
 rows is ``lower``, a lazy from-scratch solve sharing the index's edge
-bitsets.  Any other set bit runs ``lower`` only until its row holds that
+tables.  Any other set bit runs ``lower`` only until its row holds that
 bit, an exact "yes"; a read of ``pairs`` runs it to its end.  Once its
 worklist empties it is exact and the index takes it over.  An insertion
 seeds it without running it, and a deletion drops it.
@@ -99,44 +99,43 @@ _FIRST_INDEX = {"l": 1, "v": 0}
 
 
 def _slot(lab: Label) -> int:
-    """Edge-table slot of a bracket label: ``2k-2`` for the opening label
-    ``l_k`` (pairs count from 1), ``2i`` for ``v_i`` (vertices count from
-    0), and one more for the closing partner."""
+    """Edge-table slot of a label: ``2k-2`` for the opening label ``l_k``
+    (pairs count from 1), ``2i`` for ``v_i`` (vertices count from 0), one
+    more for the closing partner, and the last slot, -1, for ``dot``."""
+    if lab == DOT:
+        return -1
     return 2 * (lab.index - _FIRST_INDEX[lab.base]) + lab.bar
 
 
-def _edge_bitsets(inst: Instance):
-    """Per label slot, the target and the source bitset of every vertex,
-    over the directed view of the graph; per pair, the ``closers`` mask;
-    and the set of neutral (``dot``) edges, which have no slot."""
+def _edge_tables(inst: Instance):
+    """Per slot, the edge table of the graph's directed view, laid out as
+    ``ReachIndex`` keeps it; per pair, the ``closers`` mask."""
     n = inst.graph.vertex_count
-    slots = 2 * inst.graph.alphabet.size
-    out_edges = [[0] * n for _ in range(slots)]
-    in_edges = [[0] * n for _ in range(slots)]
-    dots = set()
+    edges = [[0] * n for _ in range(2 * inst.graph.alphabet.size)]
+    edges.append([0] * n if inst.graph.alphabet.contains(DOT) else [])
     for u, lab, v in inst.graph.directed_edges():
-        if lab == DOT:
-            dots.add((u, v))
-            continue
-        s = _slot(lab)
-        out_edges[s][u] |= 1 << v
-        in_edges[s][v] |= 1 << u
+        if lab.is_open:
+            edges[_slot(lab)][v] |= 1 << u
+        else:
+            edges[_slot(lab)][u] |= 1 << v
     closers = [sum(1 << w for w, targets in enumerate(closing) if targets)
-               for closing in out_edges[1::2]]
-    return out_edges, in_edges, closers, dots
+               for closing in edges[1::2]]
+    return edges, closers
 
 
 class ReachIndex:
     """The closed pair set of an instance it owns, kept current under
-    ``apply``.  ``out_edges[slot][u]`` holds the targets of ``u``'s edges
-    with that label, ``in_edges[slot][v]`` the sources of ``v``'s, and
-    ``dots`` the ``dot`` edges as directed pairs; they always hold the
-    instance's edges, and only ``__init__`` builds them from it.
+    ``apply``.  ``edges[slot][x]`` holds each edge once, the way the rules
+    read it: for an opening label the sources of ``x``'s incoming edges,
+    for a closing label and for ``dot`` (slot -1, empty for a ``dyck``
+    alphabet) the targets of ``x``'s outgoing ones.  The tables always hold
+    the instance's edges, and only ``__init__`` builds them from it.
     ``pending[x]`` holds the bits row ``x`` gained that the wrap rule has
-    not yet joined, and ``work`` lists the rows with pending bits; ``pairs``,
-    ``copy`` and a query of an absent bit close them.  ``stale`` rows are closed but may hold pairs the instance
-    no longer derives, until ``lower``, None or an unfinished from-scratch
-    solve of the same edge bitsets, masks and ``dots``, makes them exact.
+    not yet joined, and ``work`` lists the rows with pending bits;
+    ``pairs``, ``copy`` and a query of an absent bit close them.  ``stale``
+    rows are closed but may hold pairs the instance no longer derives,
+    until ``lower``, None or an unfinished from-scratch solve of the same
+    edge tables and masks, makes them exact.
 
     Two support masks let the rules skip bits that cannot contribute.
     ``closers[k]`` is the bitset of the vertices with an outgoing closing
@@ -149,34 +148,31 @@ class ReachIndex:
 
     def __init__(self, inst: Instance):
         self._inst, self._ops = inst, []
-        self._start(inst.graph.vertex_count, *_edge_bitsets(inst))
+        self._start(inst.graph.vertex_count, *_edge_tables(inst))
         self._run()
 
-    def _start(self, n, out_edges, in_edges, closers, dots):
+    def _start(self, n, edges, closers):
         """Begin a from-scratch solve over these edges on ``n`` vertices:
         identity rows joined with the edges at once, and the ``dot`` pairs,
         so only rows that gain a bit go on the worklist; nothing run."""
         self.stale, self.lower, self.wide = False, None, 0
-        self.out_edges, self.in_edges = out_edges, in_edges
-        self.closers, self.dots = closers, dots
+        self.edges, self.closers = edges, closers
         self.rows = [1 << x for x in range(n)]
         self.cols = list(self.rows)
         self.pending, self.work = [0] * n, []
-        for u, v in dots:
-            self._add(u, 1 << v)
+        for u, targets in enumerate(edges[-1]):
+            self._add(u, targets)
         # (x, x), edges (a, q, x) and (x, q-bar, b)  =>  (a, b)
-        for opening, closing, ends in zip(in_edges[0::2], out_edges[1::2],
-                                          closers):
+        for opening, closing, ends in zip(edges[:-1:2], edges[1::2], closers):
             for x in _bits(ends):
                 for a in _bits(opening[x]):
                     self._add(a, closing[x])
 
     def _fresh(self) -> "ReachIndex":
         """An unfinished from-scratch solve of today's edges, sharing this
-        index's edge bitsets, masks and ``dot`` set, which are exact."""
+        index's edge tables and masks, which are exact."""
         lower = ReachIndex.__new__(ReachIndex)
-        lower._start(len(self.rows), self.out_edges, self.in_edges,
-                     self.closers, self.dots)
+        lower._start(len(self.rows), self.edges, self.closers)
         return lower
 
     @property
@@ -193,14 +189,13 @@ class ReachIndex:
         other = copy.copy(self)
         other._ops = list(self._ops)
         other.rows, other.cols = list(self.rows), list(self.cols)
-        other.out_edges = [list(slot) for slot in self.out_edges]
-        other.in_edges = [list(slot) for slot in self.in_edges]
-        other.closers, other.dots = list(self.closers), set(self.dots)
+        other.edges = [list(table) for table in self.edges]
+        other.closers = list(self.closers)
         other.pending, other.work, other.lower = [0] * len(self.rows), [], None
         return other
 
     def apply(self, op: UpdateOp):
-        """Apply one update, checked against the edge bitsets (a rejected
+        """Apply one update, checked against the edge tables (a rejected
         one raises the instance's own error and changes nothing).  An
         insertion seeds the rows, stale or not, and ``lower``, leaving the
         fixpoint to a read.  A deletion drops ``lower`` and marks the
@@ -210,36 +205,33 @@ class ReachIndex:
         graph = self._inst.graph
         u, lab, v = op.u, op.label, op.v
         n = len(self.rows)
-        if not (op.op in ("ins", "del") and 0 <= u < n and 0 <= v < n
-                and graph.alphabet.contains(lab)
-                and bool((u, v) in self.dots if lab == DOT else
-                         self.out_edges[_slot(lab)][u] >> v & 1)
+        valid = (op.op in ("ins", "del") and 0 <= u < n and 0 <= v < n
+                 and graph.alphabet.contains(lab))
+        # the edge is bit y of row x of its label's table
+        x, y = (v, u) if valid and lab.is_open else (u, v)
+        if not (valid and bool(self.edges[_slot(lab)][x] >> y & 1)
                 == (op.op == "del")):
             apply_update(self.inst, op)  # raises the instance's error
-            raise AssertionError(f"the edge bitsets accept {op!r}")
+            raise AssertionError(f"the edge tables accept {op!r}")
         self._ops.append(op)
-        ends = [(u, v)]
-        if not graph.directed and u != v:
-            ends.append((v, u))
+        s = _slot(lab)
+        table = self.edges[s]
+        cells = [(x, y)] if graph.directed or u == v else [(x, y), (y, x)]
         if op.op == "ins":
-            for u, v in ends:
-                self._set_edge(u, lab, v)
+            for x, y in cells:
+                table[x] |= 1 << y
+                if lab.bar:
+                    self.closers[s >> 1] |= 1 << x
             for index in (self, self.lower) if self.lower else (self,):
-                for u, v in ends:
-                    index._seed(u, lab, v)
+                for x, y in cells:
+                    index._seed(lab, x, y)
             return
         self.stale, self.lower = True, None
-        if lab == DOT:
-            self.dots.difference_update(ends)
-            return
-        s = _slot(lab)
-        out_edges = self.out_edges[s]
-        for u, v in ends:
-            out_edges[u] &= ~(1 << v)
-            self.in_edges[s][v] &= ~(1 << u)
-            if lab.bar and not out_edges[u]:
-                # u's last closing edge of this pair is gone
-                self.closers[s >> 1] &= ~(1 << u)
+        for x, y in cells:
+            table[x] &= ~(1 << y)
+            if lab.bar and not table[x]:
+                # x's last closing edge of this pair is gone
+                self.closers[s >> 1] &= ~(1 << x)
 
     def _settle(self, u: int = 0, bit: int = 0):
         """Run ``lower``, started if there is none, until its ``rows[u]``
@@ -314,49 +306,37 @@ class ReachIndex:
                 gained ^= low
         self.wide |= grown
 
-    def _set_edge(self, u: int, lab: Label, v: int):
-        """Record a new directed edge in the bitsets, masks and ``dot``
-        set that this index shares with ``lower``."""
-        if lab == DOT:
-            self.dots.add((u, v))
-            return
-        s = _slot(lab)
-        self.out_edges[s][u] |= 1 << v
-        self.in_edges[s][v] |= 1 << u
-        if lab.bar:
-            self.closers[s >> 1] |= 1 << u
-
-    def _seed(self, u: int, lab: Label, v: int):
-        """Add what a recorded edge derives against the current pairs.  A
-        ``dot`` edge is itself a pair."""
-        if lab == DOT:
-            self._add(u, 1 << v)
-            return
+    def _seed(self, lab: Label, x: int, y: int):
+        """Add what a recorded edge, bit ``y`` of its table's row ``x``,
+        derives against the current pairs.  A ``dot`` edge is itself a
+        pair."""
         s = _slot(lab)
         if lab.is_open:
-            # (v, w) in the set and an edge (w, q-bar, b)  =>  (u, b)
-            closing = self.out_edges[s + 1]
-            ends = self.rows[v] & self.closers[s >> 1]
+            # edge (y, q, x), (x, w) in the set and (w, q-bar, b)  =>  (y, b)
+            closing = self.edges[s + 1]
+            ends = self.rows[x] & self.closers[s >> 1]
             reach = 0
             while ends:
                 low = ends & -ends
                 reach |= closing[low.bit_length() - 1]
                 ends ^= low
-            self._add(u, reach)
-        else:
-            # (w, u) in the set and an edge (a, q, w)  =>  (a, v)
-            opening = self.in_edges[s - 1]
-            ends = self.cols[u]
+            self._add(y, reach)
+        elif lab.bar:
+            # edge (x, q-bar, y), (w, x) in the set and (a, q, w)  =>  (a, y)
+            opening = self.edges[s - 1]
+            ends = self.cols[x]
             srcs = 0
             while ends:
                 low = ends & -ends
                 srcs |= opening[low.bit_length() - 1]
                 ends ^= low
-            bit = 1 << v
+            bit = 1 << y
             while srcs:
                 low = srcs & -srcs
                 self._add(low.bit_length() - 1, bit)
                 srcs ^= low
+        else:
+            self._add(x, 1 << y)
 
     def _run(self, u: int = 0, bit: int = 0):
         """Close the worklist, or with a target ``bit`` stop before the next
@@ -365,8 +345,7 @@ class ReachIndex:
         if not work:
             return
         # no edge changes while the fixpoint runs, so closers is read once
-        wraps = list(zip(self.in_edges[0::2], self.out_edges[1::2],
-                         self.closers))
+        wraps = list(zip(self.edges[:-1:2], self.edges[1::2], self.closers))
         add = self._add
         while work and not rows[u] & bit:
             x = work.pop()

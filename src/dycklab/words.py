@@ -109,16 +109,19 @@ def in_q(w: Sequence[Label]) -> bool:
     """Is w a factor of some balanced two-pair word?
 
     Characterization: the reduced word must consist of closing letters
-    followed by opening letters.  Validated elsewhere against the
+    followed by opening letters, and hold no ``dot``, which no balanced
+    word holds and no reduction cancels.  Validated elsewhere against the
     brute-force factor oracle.
     """
-    return reduced_in_q(reduce_word(w))
+    r = reduce_word(w)
+    return DOT not in r and reduced_in_q(r)
 
 
 def in_q_init(w: Sequence[Label]) -> bool:
     """Is w a prefix of some balanced two-pair word?  Equivalently, the
-    reduced word has opening letters only."""
-    return reduced_in_q_init(reduce_word(w))
+    reduced word has opening letters only, ``dot`` not among them."""
+    r = reduce_word(w)
+    return DOT not in r and reduced_in_q_init(r)
 
 
 def reduced_in_q(r: Sequence[Label]) -> bool:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -544,6 +545,50 @@ def test_a_zero_path_cap_is_rejected(capsys, gap_chain, argv):
     assert code == 2
     assert "error: max_paths must be at least 1" in err
     assert "paths=" not in out and "verdict=" not in out
+
+
+SELF_LOOP_GRAPH = """graph directed
+vertices 1
+alphabet dyck 1
+edge 0 l1 0
+mark 0 0
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "paths", "{graph}", "0", "0", "--max-len", "1200"),
+    ("suite", "lemma7", "--budget", "1200", "--max-paths", "1"),
+])
+def test_a_walk_limit_past_the_recursion_limit_is_rejected(capsys, tmp_path,
+                                                           argv):
+    """The walk enumerators recurse once per step, so a length bound that
+    the interpreter's recursion limit cannot reach is an error naming that
+    limit, not a crash."""
+    graph = tmp_path / "loop.graph"
+    graph.write_text(SELF_LOOP_GRAPH)
+    code, out, err = run(capsys, "--kv",
+                         *(a.format(graph=graph) for a in argv))
+    assert code == 2
+    assert re.fullmatch(r"error: max_path_length 1200 is beyond the walk "
+                        r"search's depth limit of \d+ steps\n", err), err
+    assert "paths=" not in out and "verdict=" not in out
+
+
+def test_deep_walk_limits_within_the_recursion_limit_still_run(capsys,
+                                                               tmp_path):
+    """A deep bound the recursion can reach walks as before, and the
+    breadth-first ``oracle reach`` takes any bound."""
+    graph = tmp_path / "loop.graph"
+    graph.write_text(SELF_LOOP_GRAPH)
+    code, out, _ = run(capsys, "--kv", "oracle", "paths", str(graph), "0",
+                       "0", "--max-len", "400")
+    assert code == 0
+    assert out.splitlines()[:2] == ["paths=401", "truncated=false"]
+    assert out.splitlines()[-1] == "path[400]=" + " ".join(["l1"] * 400)
+    code, out, _ = run(capsys, "--kv", "oracle", "reach", str(graph),
+                       "--max-len", "1200")
+    assert code == 0
+    assert out.splitlines() == ["pairs=1", "pair=0,0"]
 
 @pytest.mark.parametrize("argv", [
     ("suite", "prop1", "--samples", "-5"),

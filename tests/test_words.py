@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dycklab import (DOT, Label, PHI_UNDIRECTED, cyk_accepts, dyck_grammar,
+                     factor_of_dyck_oracle,
                      gamma_exponent, in_q, in_q_init, in_regular, is_dyck,
                      is_dyck_prefix, is_near_dyck, mu, phi_neardyck,
                      phi_undirected, reduce_word, theta, word, zo_str)
@@ -109,6 +110,19 @@ def test_q_membership_examples():
     assert in_q(word("0bar 1"))
     assert not in_q_init(word("0bar 1"))
     assert in_q(()) and in_q_init(())
+
+
+@pytest.mark.parametrize("tokens", ["", "0", "0 0bar", "1 0", "0bar 1",
+                                    "0 1 1bar 0bar"])
+def test_no_word_holding_dot_is_a_prefix_or_factor(tokens):
+    """No balanced word holds ``dot``, so a word with ``dot`` in any
+    position is in neither language, as the oracles say."""
+    base = word(tokens)
+    for i in range(len(base) + 1):
+        w = base[:i] + (DOT,) + base[i:]
+        assert not is_dyck_prefix(w) and not factor_of_dyck_oracle(w), w
+        assert in_q_init(w) == is_dyck_prefix(w), w
+        assert in_q(w) == factor_of_dyck_oracle(w), w
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,11 +1,10 @@
 """Shared generators for the test suite: random instances, random update
 scripts, the worked instances used across modules, the check of a
-``ReachIndex``'s edge bitsets and support masks, and slow reference
+``ReachIndex``'s edge tables and support masks, and slow reference
 versions of the wrap-only solver, the oracle walks and the suites."""
 
 import math
 import random
-from collections import Counter
 
 from dycklab import DOT, Alphabet, Instance, Label, LabeledGraph, UpdateOp
 
@@ -94,12 +93,14 @@ def random_script(rng: random.Random, inst: Instance, ops: int = 30,
 
 
 def mask_faults(index, inst=None) -> list[str]:
-    """How a ``ReachIndex``'s edge bitsets and support masks fail their
+    """How a ``ReachIndex``'s edge tables and support masks fail their
     invariants, read against the edges of ``inst`` (the index's own
     instance by default; an unfinished solve ``lower`` shares the edges of
-    its index's) and against its rows.  ``out_edges`` and ``in_edges``
-    must hold exactly the directed bracket edges, and ``dots`` the
-    directed ``dot`` edges as a multiset; ``closers[k]`` must be exactly
+    its index's) and against its rows.  ``edges`` must hold one table per
+    label slot and one last table for ``dot``, each holding exactly the
+    directed edges of its label: an opening label's as sources by target,
+    a closing label's and ``dot``'s as targets by source, and a ``dyck``
+    alphabet's ``dot`` table must be empty; ``closers[k]`` must be exactly
     the vertices with an outgoing closing edge of pair ``k`` (counted from
     0); and ``wide`` must hold every vertex whose row has more than its
     identity bit.  Empty when all hold."""
@@ -107,30 +108,25 @@ def mask_faults(index, inst=None) -> list[str]:
     n = graph.vertex_count
     first = {"l": 1, "v": 0}
     support = [0] * graph.alphabet.size
-    out_edges = [[0] * n for _ in range(2 * graph.alphabet.size)]
-    in_edges = [[0] * n for _ in range(2 * graph.alphabet.size)]
-    dots = Counter()
+    edges = [[0] * n for _ in range(2 * graph.alphabet.size)]
+    edges.append([0] * n if graph.alphabet.kind == "neardyck" else [])
     for u, lab, v in graph.directed_edges():
         if lab == DOT:
-            dots[(u, v)] += 1
+            edges[-1][u] |= 1 << v
             continue
         s = 2 * (lab.index - first[lab.base]) + lab.bar
-        out_edges[s][u] |= 1 << v
-        in_edges[s][v] |= 1 << u
         if lab.bar:
+            edges[s][u] |= 1 << v
             support[s >> 1] |= 1 << u
+        else:
+            edges[s][v] |= 1 << u
     faults = []
-    for name, want_slots, got_slots in (("out_edges", out_edges,
-                                         index.out_edges),
-                                        ("in_edges", in_edges,
-                                         index.in_edges)):
-        for s, (want, got) in enumerate(zip(want_slots, got_slots,
-                                            strict=True)):
-            if want != got:
-                faults.append(f"{name}[{s}] is {got}, not {want}")
-    if Counter(index.dots) != dots:
-        faults.append(f"dots are {sorted(index.dots)}, "
-                      f"not {sorted(dots.elements())}")
+    if len(index.edges) != len(edges):
+        faults.append(f"edges has {len(index.edges)} tables, not "
+                      f"{len(edges)}")
+    for s, (want, got) in enumerate(zip(edges, index.edges)):
+        if want != got:
+            faults.append(f"edges[{s}] is {got}, not {want}")
     for k, (want, got) in enumerate(zip(support, index.closers,
                                         strict=True)):
         if want & ~got:
