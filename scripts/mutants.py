@@ -30,6 +30,7 @@ ORACLE = "src/dycklab/oracle.py"
 CLI = "src/dycklab/cli.py"
 ONE_LETTER = "src/dycklab/one_letter.py"
 WORDS = "src/dycklab/words.py"
+AUTOMATA = "src/dycklab/automata.py"
 
 
 class Mutant(NamedTuple):
@@ -54,7 +55,9 @@ MUTANTS = (
            "                if lab.bar:\n"
            "                    self.closers[s >> 1] |= 1 << x\n", "",
            ("tests/test_saturate.py::"
-            "test_support_masks_hold_under_mixed_scripts",)),
+            "test_support_masks_hold_under_mixed_scripts",
+            "tests/test_saturate.py::"
+            "test_closers_follow_the_last_closing_edge")),
     Mutant("last-closing-deletion-keeps-closers", SATURATE,
            "                self.closers[s >> 1] &= ~(1 << x)\n",
            "                pass\n",
@@ -145,6 +148,22 @@ MUTANTS = (
            "        i -= 1\n        j += 1\n        break\n",
            ("tests/test_words.py::"
             "test_joining_normal_forms_reduces_the_concatenation",)),
+    Mutant("dfa-step-not-closed", AUTOMATA,
+           "nxt = _closure(eps, targets.get(lab, ()))",
+           "nxt = frozenset(targets.get(lab, ()))",
+           ("tests/test_automata.py::test_a_warm_nfa_matches_brute_semantics",
+            "tests/test_automata.py::test_nfa_matches_brute_semantics")),
+    Mutant("dfa-final-needs-every-state", AUTOMATA,
+           "not self.accepting.isdisjoint(subset)",
+           "self.accepting.issuperset(subset)",
+           ("tests/test_automata.py::test_a_warm_nfa_matches_brute_semantics",
+            "tests/test_automata.py::test_nfa_matches_brute_semantics")),
+    Mutant("closure-skips-epsilon-reach", AUTOMATA,
+           "for s in _closure(eps, [r]):", "for s in (r,):",
+           ("tests/test_automata.py::test_closure_handles_nested_deletion",
+            "tests/test_automata.py::"
+            "test_closure_is_sound_for_the_named_languages",
+            "tests/test_suites.py::test_lemma7_small_budget")),
     Mutant("brute-reach-pushes-dot", ORACLE,
            'if lab.base == "dot":\n'
            "                        new_stack = stack\n"

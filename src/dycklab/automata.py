@@ -1,8 +1,9 @@
 """Tiny regular-expression engine over edge labels.
 
 Expressions are built from literals, concatenation, union and star, and
-compiled to epsilon-NFAs by the textbook construction.  Membership is by
-subset simulation.  No pattern-matching library is involved, so these
+compiled to epsilon-NFAs by the textbook construction, each determinized
+once by the subset construction when it is built.  Membership is a walk
+over that DFA table.  No pattern-matching library is involved, so these
 automata can serve as one side of a dual-route check.
 """
 
@@ -85,116 +86,107 @@ def union(*parts: Regex) -> Regex:
     return out
 
 
-class Nfa:
-    """Epsilon-NFA with integer states; state 0 is initial.
+def _closure(eps: Sequence[Sequence[int]], states) -> frozenset[int]:
+    """The states reachable from ``states`` by epsilon moves."""
+    seen = set(states)
+    stack = list(states)
+    while stack:
+        for t in eps[stack.pop()]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return frozenset(seen)
 
-    Membership runs on a lazy DFA (Thompson's simulation with its subset
-    steps memoized per automaton).  Each reachable subset of NFA states is
-    interned once as an integer id; per id the automaton keeps a
-    label -> id dict and a ``final`` flag, and id 0 is the empty (dead)
-    subset.  ``start`` and ``advance`` return these ids.  Subsets are built
-    on first use, so the transitions and accepting states must not change
-    after the first ``start`` or ``advance``.
+
+class Nfa:
+    """Epsilon-NFA with integer states (state 0 initial), determinized once,
+    when it is built.
+
+    ``eps``, ``step`` and ``accepting`` keep the NFA as given.  The
+    constructor runs the subset construction (Rabin & Scott, 1959) from the
+    epsilon closure of state 0 over the labels ``step`` reads, and interns
+    each reachable subset of states as an integer id; id 0 is the empty
+    (dead) subset and ``start`` the initial one.  Per id, ``moves`` maps
+    every label the NFA reads to the next id and ``final`` says whether the
+    subset holds an accepting state.  A label the NFA never reads is absent
+    from ``moves`` and leads to 0.
     """
 
-    def __init__(self):
-        self.eps: list[list[int]] = []
-        self.step: list[list[tuple[Label, int]]] = []
-        self.accepting: set[int] = set()
-        self._ids: dict[frozenset[int], int] = {}
-        self._subsets: list[frozenset[int]] = []
+    def __init__(self, eps: list[list[int]],
+                 step: list[list[tuple[Label, int]]], accepting: set[int]):
+        self.eps, self.step, self.accepting = eps, step, set(accepting)
+        labels = list(dict.fromkeys(lab for edges in step for lab, _ in edges))
+        subsets = [frozenset(), _closure(eps, [0])]
+        ids = {subset: sid for sid, subset in enumerate(subsets)}
+        self.start = 1
         self.moves: list[dict[Label, int]] = []
-        self.final: list[bool] = []
-        self._start: int | None = None
-        self._intern(frozenset())
-
-    def new_state(self) -> int:
-        self.eps.append([])
-        self.step.append([])
-        return len(self.eps) - 1
-
-    def closure(self, states) -> frozenset[int]:
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            s = stack.pop()
-            for t in self.eps[s]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
-
-    def _intern(self, subset: frozenset[int]) -> int:
-        sid = self._ids.get(subset)
-        if sid is None:
-            sid = self._ids[subset] = len(self._subsets)
-            self._subsets.append(subset)
-            self.moves.append({})
-            self.final.append(any(s in self.accepting for s in subset))
-        return sid
+        for subset in subsets:  # grows as new subsets are met
+            targets: dict[Label, list[int]] = {}
+            for s in subset:
+                for lab, t in step[s]:
+                    targets.setdefault(lab, []).append(t)
+            row = {}
+            for lab in labels:
+                nxt = _closure(eps, targets.get(lab, ()))
+                if nxt not in ids:
+                    ids[nxt] = len(subsets)
+                    subsets.append(nxt)
+                row[lab] = ids[nxt]
+            self.moves.append(row)
+        self.final = [not self.accepting.isdisjoint(subset) for subset in subsets]
 
     def advance(self, state: int, label: Label) -> int:
-        """The DFA step from subset id ``state`` on ``label`` (0 if no
-        NFA state survives)."""
-        moves = self.moves[state]
-        out = moves.get(label)
-        if out is None:
-            nxt = {t for s in self._subsets[state]
-                   for (lab, t) in self.step[s] if lab == label}
-            out = moves[label] = self._intern(self.closure(nxt))
-        return out
-
-    def start(self) -> int:
-        if self._start is None:
-            self._start = self._intern(self.closure([0]))
-        return self._start
+        """The DFA step from subset id ``state`` on ``label`` (0 if no NFA
+        state survives)."""
+        return self.moves[state].get(label, 0)
 
     def accepts(self, word: Sequence[Label]) -> bool:
-        state = self.start()
-        moves = self.moves
+        state, moves = self.start, self.moves
         for label in word:
-            nxt = moves[state].get(label)
-            if nxt is None:
-                nxt = self.advance(state, label)
-            if not nxt:
+            state = moves[state].get(label, 0)
+            if not state:
                 return False
-            state = nxt
         return self.final[state]
 
 
 def compile_regex(expr: Regex) -> Nfa:
-    nfa = Nfa()
-    start = nfa.new_state()
+    eps: list[list[int]] = []
+    step: list[list[tuple[Label, int]]] = []
+
+    def new_state() -> int:
+        eps.append([])
+        step.append([])
+        return len(eps) - 1
 
     def build(e: Regex, src: int) -> int:
         """Wire e between src and a fresh sink state; return the sink."""
         if isinstance(e, Eps):
-            dst = nfa.new_state()
-            nfa.eps[src].append(dst)
+            dst = new_state()
+            eps[src].append(dst)
             return dst
         if isinstance(e, Lit):
-            dst = nfa.new_state()
-            nfa.step[src].append((e.label, dst))
+            dst = new_state()
+            step[src].append((e.label, dst))
             return dst
         if isinstance(e, Cat):
             mid = build(e.left, src)
             return build(e.right, mid)
         if isinstance(e, Alt):
-            dst = nfa.new_state()
+            dst = new_state()
             for branch in (e.left, e.right):
                 end = build(branch, src)
-                nfa.eps[end].append(dst)
+                eps[end].append(dst)
             return dst
         if isinstance(e, Star):
-            hub = nfa.new_state()
-            nfa.eps[src].append(hub)
+            hub = new_state()
+            eps[src].append(hub)
             end = build(e.inner, hub)
-            nfa.eps[end].append(hub)
+            eps[end].append(hub)
             return hub
         raise TypeError(f"not a regex node: {e!r}")
 
-    nfa.accepting.add(build(expr, start))
-    return nfa
+    start = new_state()
+    return Nfa(eps, step, {build(expr, start)})
 
 
 def reduction_closure(nfa: Nfa) -> Nfa:
@@ -208,24 +200,22 @@ def reduction_closure(nfa: Nfa) -> Nfa:
     A reduced word is accepted iff it is the normal form of some word in
     the original language.
     """
-    clo = Nfa()
-    clo.eps = [list(edges) for edges in nfa.eps]
-    clo.step = [list(edges) for edges in nfa.step]
-    clo.accepting = set(nfa.accepting)
+    eps = [list(edges) for edges in nfa.eps]
+    step = nfa.step
     changed = True
     while changed:
         changed = False
-        for p in range(len(clo.step)):
-            for lab, r in clo.step[p]:
+        for p, edges in enumerate(step):
+            for lab, r in edges:
                 if lab.bar or lab.base == "dot":
                     continue
                 close = lab.matched()
-                for s in clo.closure([r]):
-                    for lab2, q in clo.step[s]:
-                        if lab2 == close and q not in clo.eps[p]:
-                            clo.eps[p].append(q)
+                for s in _closure(eps, [r]):
+                    for lab2, q in step[s]:
+                        if lab2 == close and q not in eps[p]:
+                            eps[p].append(q)
                             changed = True
-    return clo
+    return Nfa(eps, step, nfa.accepting)
 
 
 def brute_matches(expr: Regex, word: Sequence[Label]) -> bool:
@@ -269,7 +259,7 @@ def enumerate_accepted(nfa: Nfa, alphabet: Sequence[Label],
     """All accepted words of length <= max_len, shortest first, each length
     in label order."""
     moves, final = nfa.moves, nfa.final
-    frontier = [((), nfa.start())]
+    frontier = [((), nfa.start)]
     for _ in range(max_len + 1):
         nxt = []
         for word, state in frontier:
@@ -277,9 +267,6 @@ def enumerate_accepted(nfa: Nfa, alphabet: Sequence[Label],
                 yield word
             out = moves[state]
             for label in alphabet:
-                adv = out.get(label)
-                if adv is None:
-                    adv = nfa.advance(state, label)
-                if adv:
+                if adv := out.get(label, 0):
                     nxt.append((word + (label,), adv))
         frontier = nxt

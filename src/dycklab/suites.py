@@ -76,19 +76,13 @@ def suite_lemma5(max_len: int = 10) -> SuiteResult:
     res = SuiteResult("lemma5")
     head, tail = (words.ONE, words.ZERO), (words.ZERO_BAR, words.ONE_BAR)
     plus, minus, varpi = map(regular_nfa, ("varpi+", "varpi-", "varpi"))
-    start, final = varpi.start(), varpi.final
+    start, final = varpi.start, varpi.final
     signed = {lab: -lab.index if lab.bar else lab.index for lab in ZO_ALPHABET}
     letter = {c: lab for lab, c in signed.items()}
     # per DFA state, its live moves (letter index, signed letter, next state)
-    live: dict[int, list[tuple[int, int, int]]] = {}
-    todo = [start]
-    while todo:
-        state = todo.pop()
-        out = varpi.moves[state]  # a step met before needs no advance
-        live[state] = [(i, signed[lab], nxt) for i, lab in enumerate(ZO_ALPHABET)
-                       if (nxt := out[lab] if lab in out
-                           else varpi.advance(state, lab))]
-        todo += {nxt for _, _, nxt in live[state]}.difference(live, todo)
+    live = {state: [(i, signed[lab], nxt) for i, lab in enumerate(ZO_ALPHABET)
+                    if (nxt := out.get(lab, 0))]
+            for state, out in enumerate(varpi.moves)}
     # per frame depth, the moves worth taking (the last: those that end a word)
     tables = [live] * (max_len - 1) + [{s: [m for m in ms if final[m[2]]]
                                         for s, ms in live.items()}]
@@ -138,29 +132,22 @@ def suite_lemma5(max_len: int = 10) -> SuiteResult:
     return res
 
 
-# languages of reduced chain-traversal labels, per source-edge label
-def _lemma6_regex(lab: Label) -> automata.Regex:
-    r = automata
-    L = lambda tok: r.lit(words.word(tok)[0])
-    vp = words.REGULAR_EXPRS["varpi"]
-    wp = words.REGULAR_EXPRS["omega+"]
-    wm = words.REGULAR_EXPRS["omega-"]
-    if lab == Label("l", 1, False):
-        return r.cat(vp, L("1"), L("1"), L("0"), L("0"), wp, L("1"), L("0"))
-    if lab == Label("l", 2, False):
-        return r.cat(vp, L("1"), wp, L("0"), L("0"), L("1"), L("1"), wp, L("0"))
-    if lab == Label("l", 1, True):
-        return r.cat(L("0bar"), L("1bar"), wm, L("0bar"), L("0bar"),
-                     L("1bar"), L("1bar"), vp)
-    if lab == Label("l", 2, True):
-        return r.cat(L("0bar"), wm, L("1bar"), L("1bar"), L("0bar"),
-                     L("0bar"), wm, L("1bar"), vp)
-    raise ValueError(lab)
+# languages of reduced chain-traversal labels, per source-edge label; a
+# token is a name in ``words.REGULAR_EXPRS`` or one letter
+_LEMMA6_TOKENS = {
+    Label("l", 1, False): "varpi 1 1 0 0 omega+ 1 0",
+    Label("l", 2, False): "varpi 1 omega+ 0 0 1 1 omega+ 0",
+    Label("l", 1, True): "0bar 1bar omega- 0bar 0bar 1bar 1bar varpi",
+    Label("l", 2, True): "0bar omega- 1bar 1bar 0bar 0bar omega- 1bar varpi",
+}
 
 
 @functools.cache
 def lemma6_nfa(lab: Label) -> automata.Nfa:
-    return automata.compile_regex(_lemma6_regex(lab))
+    exprs = words.REGULAR_EXPRS
+    return automata.compile_regex(automata.cat(*[
+        exprs[tok] if tok in exprs else automata.lit(words.word(tok)[0])
+        for tok in _LEMMA6_TOKENS[lab].split()]))
 
 
 def default_gadget_source() -> Instance:

@@ -71,9 +71,9 @@ def _subset_simulation(nfa, w) -> bool:
 
 def test_a_warm_nfa_matches_brute_semantics():
     """One automaton per language, and one per reduction closure, reused
-    over every short word, so most subset steps come from its memo.  A
-    language automaton answers as the regex's brute semantics; a closure
-    automaton, which has no regex, as a plain subset simulation."""
+    over every short word, twice.  A language automaton answers as the
+    regex's brute semantics; a closure automaton, which has no regex, as a
+    plain subset simulation of its NFA."""
     words = list(_zo_words(5))
     for which, expr in REGULAR_EXPRS.items():
         nfa = automata.compile_regex(expr)

@@ -2,8 +2,9 @@
 index that applies to a random instance is driven through one random
 script of insertions, deletions, bursts of updates with no read between
 them, queries, ``pairs`` reads and copies, and checked after every step
-against a from-scratch model it shares no code with.  Hypothesis shrinks
-a failure to a minimal script."""
+against a from-scratch model it shares no code with; the bitset index is
+also resolved through ``resolve_after_update``.  Hypothesis shrinks a
+failure to a minimal script."""
 
 import random
 
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
-from dycklab import (ReachIndex, UpdateError, UpdateOp, apply_update,
-                     solve_cfl, solve_dyck)
+from dycklab import (InstanceMismatchError, ReachIndex, UpdateError,
+                     UpdateOp, apply_update, resolve_after_update, solve_cfl,
+                     solve_dyck)
 from dycklab.cli import ENGINES, maintained_index
 from dycklab.saturate import bracket_grammar
 
@@ -97,6 +99,16 @@ class MaintainedIndexes(RuleBasedStateMachine):
         return UpdateOp.delete(
             *data.draw(st.sampled_from(sorted(self.inst.graph.edges))))
 
+    def _rejected(self, data):
+        """An update the instance rejects: an endpoint out of range, or an
+        insertion of an edge already in."""
+        g = self.inst.graph
+        lab = data.draw(st.sampled_from(list(g.alphabet.labels())))
+        rejected = [UpdateOp.ins(0, lab, g.vertex_count),
+                    UpdateOp.delete(g.vertex_count, lab, 0)]
+        rejected += [UpdateOp.ins(*edge) for edge in sorted(g.edges)]
+        return data.draw(st.sampled_from(rejected))
+
     @rule(data=st.data())
     def insert(self, data):
         op = self._insertion(data)
@@ -108,6 +120,12 @@ class MaintainedIndexes(RuleBasedStateMachine):
     def delete(self, data):
         self._update(self._deletion(data), data)
 
+    def _insertion_or_deletion(self, data):
+        op = None
+        if not self.inst.graph.edges or data.draw(st.booleans()):
+            op = self._insertion(data)
+        return op or self._deletion(data)
+
     @rule(data=st.data(), size=st.integers(min_value=2, max_value=12))
     def burst(self, data, size):
         """Updates with no read between them, so that the insertions' work
@@ -116,10 +134,7 @@ class MaintainedIndexes(RuleBasedStateMachine):
         if self.indexes["dyck"].lower is not None:
             event("burst on an unfinished lazy solve")
         for _ in range(size):
-            op = None
-            if not self.inst.graph.edges or data.draw(st.booleans()):
-                op = self._insertion(data)
-            op = op or self._deletion(data)
+            op = self._insertion_or_deletion(data)
             for index in self.indexes.values():
                 index.apply(op)
             self.inst = apply_update(self.inst, op)
@@ -130,15 +145,31 @@ class MaintainedIndexes(RuleBasedStateMachine):
     @rule(data=st.data())
     def reject(self, data):
         """An update the instance rejects raises and changes no index."""
-        g = self.inst.graph
-        lab = data.draw(st.sampled_from(list(g.alphabet.labels())))
-        rejected = [UpdateOp.ins(0, lab, g.vertex_count),
-                    UpdateOp.delete(g.vertex_count, lab, 0)]
-        rejected += [UpdateOp.ins(*edge) for edge in sorted(g.edges)]
-        op = data.draw(st.sampled_from(rejected))
+        op = self._rejected(data)
         for index in self.indexes.values():
             with pytest.raises(UpdateError):
                 index.apply(op)
+
+    @rule(data=st.data())
+    def resolve(self, data):
+        """``resolve_after_update`` on the bitset index gives a new index
+        exact on the updated instance, and leaves the index it was given
+        on ``self.inst``; it raises on a rejected update and on an index
+        that does not match the instance."""
+        index = self.indexes["dyck"]
+        op = self._insertion_or_deletion(data)
+        after = apply_update(self.inst, op)
+        new = resolve_after_update(index, self.inst, op)
+        assert new.inst == after
+        assert new.pairs == model_pairs("dyck", after)
+        assert mask_faults(new) == []
+        assert index.inst == self.inst
+        u, v = data.draw(st.sampled_from(sorted(held_pairs(index))))
+        assert index.query(u, v) == ((u, v) in self.expected("dyck")), (u, v)
+        with pytest.raises(UpdateError):
+            resolve_after_update(index, self.inst, self._rejected(data))
+        with pytest.raises(InstanceMismatchError):
+            resolve_after_update(index, after, op)
 
     @rule(data=st.data())
     def query(self, data):

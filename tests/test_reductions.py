@@ -303,22 +303,61 @@ def test_a_target_universe_does_not_depend_on_the_source_edges(kind, seed):
                                                     bare.target.sink)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9))
-def test_undirected_gadget_sizes_are_exact(seed):
-    rng = random.Random(seed)
-    inst = LANE_SOURCES["dyck2_to_undirected"](rng)
-    red = compile_dyck2_to_undirected(inst)
+def _undirected_target_sizes(inst):
+    """V' and E' of the two-pair lane's target: n vertices, m edges."""
+    n, m = inst.graph.vertex_count, len(inst.graph.edges)
+    return n + 44 * n * n, 12 * m
+
+
+def _alt_target_sizes(inst):
+    """V' and E' of the alternating lane's target: n vertices, a and-vertices
+    and o distinct arcs out of or-vertices."""
     n = inst.graph.vertex_count
-    assert red.target.graph.vertex_count == n + 44 * n * n
+    a = inst.partition.count("and")
+    o = len({(u, v) for u, _, v in inst.graph.edges
+             if inst.partition[u] == "or"})
+    return n + a * (n + 1), n + a * (n + 2) + o
+
+
+def _neardyck_target_sizes(inst):
+    """V' and E' of the per-vertex lane's target: n vertices, m edges."""
+    n, m = inst.graph.vertex_count, len(inst.graph.edges)
+    return 2 * n + 2 * n * n * (n + 1), n * (2 * n * (n + 1) + 1) + m
+
+
+TARGET_SIZES = {"dyck2_to_undirected": _undirected_target_sizes,
+                "alt_to_neardyck": _alt_target_sizes,
+                "neardyck_to_dyck2": _neardyck_target_sizes}
+
+
+def _assert_target_sizes(kind, seed):
+    """A random source of lane ``kind``, compiled; the target's vertex and
+    edge counts equal the lane's formula at the start and after every
+    update of a random script."""
+    rng = random.Random(seed)
+    inst = LANE_SOURCES[kind](rng)
+    red = compile_reduction(kind, inst)
     target = red.target
     for op in [UpdateOp.query()] + random_script(rng, inst, ops=12,
                                                  query_rate=0.0):
         inst = apply_update(inst, op)
         for top in red.translate(op):
             target = apply_update(target, top)
-        assert target.graph.vertex_count == n + 44 * n * n
-        assert len(target.graph.edges) == 12 * len(inst.graph.edges)
+        sizes = (target.graph.vertex_count, len(target.graph.edges))
+        assert sizes == TARGET_SIZES[kind](inst), (kind, op)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_undirected_gadget_sizes_are_exact(seed):
+    _assert_target_sizes("dyck2_to_undirected", seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("alt_to_neardyck", "neardyck_to_dyck2")),
+       st.integers(min_value=0, max_value=10**9))
+def test_the_other_lanes_target_sizes_are_exact(kind, seed):
+    _assert_target_sizes(kind, seed)
 
 
 @settings(max_examples=60, deadline=None)

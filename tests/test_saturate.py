@@ -490,6 +490,8 @@ def test_closers_follow_the_last_closing_edge():
     assert idx.wide == 0b001          # stale rows keep their masks
     assert idx.pairs == {(0, 0), (1, 1), (2, 2)}
     assert idx.wide == 0 and idx.rows == [0b001, 0b010, 0b100]
+    idx.apply(UpdateOp.ins(2, L1BAR, 0))  # out of a vertex with no closer
+    assert idx.closers == [0b100]
 
 
 def test_a_stale_no_costs_no_resolve(monkeypatch):
