@@ -31,6 +31,7 @@ CLI = "src/dycklab/cli.py"
 ONE_LETTER = "src/dycklab/one_letter.py"
 WORDS = "src/dycklab/words.py"
 AUTOMATA = "src/dycklab/automata.py"
+SUITES = "src/dycklab/suites.py"
 
 
 class Mutant(NamedTuple):
@@ -164,6 +165,32 @@ MUTANTS = (
             "tests/test_automata.py::"
             "test_closure_is_sound_for_the_named_languages",
             "tests/test_suites.py::test_lemma7_small_budget")),
+    Mutant("lemma5-cancels-any-closer", SUITES,
+           "c < 0 and form and form[-1] == -c", "c < 0 and form",
+           ("tests/test_suites.py::test_lemma5_short",
+            "tests/test_suites.py::test_lemma5_matches_the_in_q_then_reduce_loop",
+            "tests/test_suites.py::"
+            "test_lemma5_matches_the_reference_under_every_language_swap")),
+    Mutant("lemma5-stops-one-short", SUITES,
+           "        if n < max_len:\n", "        if n < max_len - 1:\n",
+           ("tests/test_suites.py::test_lemma5_matches_the_in_q_then_reduce_loop",
+            "tests/test_suites.py::"
+            "test_lemma5_walks_words_longer_than_the_recursion_limit")),
+    Mutant("lemma5-verdict-by-first-letter", SUITES,
+           "verdict = verdicts.get(form)\n"
+           "            if verdict is None:\n"
+           "                r0 = tuple([letter[c] for c in form])\n"
+           "                r = join_reduced(head, r0)\n"
+           "                verdicts[form] = verdict = []\n",
+           "verdict = verdicts.get(form[:1])\n"
+           "            if verdict is None:\n"
+           "                r0 = tuple([letter[c] for c in form])\n"
+           "                r = join_reduced(head, r0)\n"
+           "                verdicts[form[:1]] = verdict = []\n",
+           ("tests/test_suites.py::"
+            "test_lemma5_reports_the_failures_of_the_reference_loop",
+            "tests/test_suites.py::"
+            "test_lemma5_matches_the_reference_under_every_language_swap")),
     Mutant("brute-reach-pushes-dot", ORACLE,
            'if lab.base == "dot":\n'
            "                        new_stack = stack\n"

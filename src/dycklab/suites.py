@@ -58,76 +58,57 @@ def suite_q_validate(max_len: int = 8) -> SuiteResult:
     return res
 
 
-def _varpi_words(max_len: int) -> list[tuple[Label, ...]]:
-    return list(automata.enumerate_accepted(regular_nfa("varpi"),
-                                            ZO_ALPHABET, max_len))
-
-
 def suite_lemma5(max_len: int = 10) -> SuiteResult:
     """If 1.0.rho stays a factor word for rho in varpi, its reduction is in
     1.0.varpi+; dually for rho.0bar.1bar and varpi-.
 
     Both claims read only rho's normal form, so each is decided once per
     call.  A depth-first walk over the varpi DFA in ``ZO_ALPHABET`` order,
-    to depth ``max_len``, keeps each prefix's normal form as signed letters
-    (+k opens pair k, -k closes it).  Failures are sorted stably by word
-    length, so they come shortest first and in label order within one.
+    to depth ``max_len``, keeps on one explicit stack each word's DFA state,
+    normal form as signed letters (+k opens pair k, -k closes it), link to
+    its prefix and length; a word is spelled out only when it fails a claim.
+    Failures are sorted stably by word length, so they come shortest first
+    and in label order within one.
     """
     res = SuiteResult("lemma5")
     head, tail = (words.ONE, words.ZERO), (words.ZERO_BAR, words.ONE_BAR)
     plus, minus, varpi = map(regular_nfa, ("varpi+", "varpi-", "varpi"))
-    start, final = varpi.start, varpi.final
+    final = varpi.final
     signed = {lab: -lab.index if lab.bar else lab.index for lab in ZO_ALPHABET}
     letter = {c: lab for lab, c in signed.items()}
-    # per DFA state, its live moves (letter index, signed letter, next state)
-    live = {state: [(i, signed[lab], nxt) for i, lab in enumerate(ZO_ALPHABET)
-                    if (nxt := out.get(lab, 0))]
-            for state, out in enumerate(varpi.moves)}
-    # per frame depth, the moves worth taking (the last: those that end a word)
-    tables = [live] * (max_len - 1) + [{s: [m for m in ms if final[m[2]]]
-                                        for s, ms in live.items()}]
+    # per DFA state, its live moves (label, signed letter, next state),
+    # reversed so that the stack pops them in ``ZO_ALPHABET`` order
+    live = [[(lab, signed[lab], nxt) for lab in reversed(ZO_ALPHABET)
+             if (nxt := out.get(lab, 0))] for out in varpi.moves]
     # per normal form met, the messages of the claims it fails
-    verdicts: dict[tuple[int, ...], tuple[str, ...]] = {}
+    verdicts: dict[tuple[int, ...], list[str]] = {}
     found: list[tuple[int, str]] = []
-
-    def check(form: tuple[int, ...], rho: list[int]):
-        if form not in verdicts:
-            r0 = tuple([letter[c] for c in form])
-            r = join_reduced(head, r0)
-            verdicts[form] = ()
-            if reduced_in_q(r) and not (r[:2] == head and plus.accepts(r[2:])):
-                verdicts[form] += ("reduction of 1 0 {} leaves 1 0 varpi+",)
-            r = join_reduced(r0, tail)
-            if reduced_in_q(r) and not (r[-2:] == tail and minus.accepts(r[:-2])):
-                verdicts[form] += ("reduction of {} 0bar 1bar leaves varpi- 0bar 1bar",)
-        for message in verdicts[form]:
-            found.append((len(rho), message.format(
-                words.zo_str([ZO_ALPHABET[i] for i in rho]))))
-
-    if max_len >= 0 and final[start]:
-        res.checked += 2
-        check((), [])
-    rho: list[int] = []  # the letters into the current frame
-    forms = [()]         # per frame, the normal form of its prefix
-    frames = [iter(tables[0][start])] if max_len > 0 else []
-    while frames:
-        deep = len(frames) < max_len
-        base = forms[-1]
-        for i, c, state in frames[-1]:
-            form = base[:-1] if c < 0 and base and base[-1] == -c else base + (c,)
-            if final[state]:
-                res.checked += 2
-                if verdicts.get(form, True):  # unseen, or fails a claim
-                    check(form, rho + [i])
-            if deep:
-                rho.append(i)
-                forms.append(form)
-                frames.append(iter(tables[len(frames)][state]))
-                break
-        else:
-            frames.pop()
-            forms.pop()
-            del rho[-1:]
+    stack = [(varpi.start, (), None, 0)] if max_len >= 0 else []
+    while stack:
+        state, form, link, n = stack.pop()
+        if final[state]:
+            res.checked += 2
+            verdict = verdicts.get(form)
+            if verdict is None:
+                r0 = tuple([letter[c] for c in form])
+                r = join_reduced(head, r0)
+                verdicts[form] = verdict = []
+                if reduced_in_q(r) and not (r[:2] == head and plus.accepts(r[2:])):
+                    verdict.append("reduction of 1 0 {} leaves 1 0 varpi+")
+                r = join_reduced(r0, tail)
+                if reduced_in_q(r) and not (r[-2:] == tail and minus.accepts(r[:-2])):
+                    verdict.append("reduction of {} 0bar 1bar leaves varpi- 0bar 1bar")
+            if verdict:
+                rho, at = [], link
+                while at:
+                    at, lab = at
+                    rho.append(lab)
+                shown = words.zo_str(rho[::-1])
+                found += [(n, message.format(shown)) for message in verdict]
+        if n < max_len:
+            for lab, c, nxt in live[state]:
+                stack.append((nxt, form[:-1] if c < 0 and form and form[-1] == -c
+                              else form + (c,), (link, lab), n + 1))
     res.failures = [message for _, message in sorted(found, key=lambda f: f[0])]
     return res
 
@@ -225,7 +206,8 @@ def suite_lemma7(red: CompiledReduction | None = None,
         if len(pool) > sample_cap:
             by_label[lab] = rng.sample(pool, sample_cap)
 
-    rhos = [r for r in _varpi_words(varpi_max_len)]
+    rhos = list(automata.enumerate_accepted(varpi, ZO_ALPHABET,
+                                            varpi_max_len))
     if len(rhos) > sample_cap:
         rhos = rng.sample(rhos, sample_cap)
 

@@ -363,8 +363,6 @@ def nominal_decompose(path: Sequence[tuple[int, Label, int]],
         if as_original(e[2]) is not None:
             segments.append(current)
             current = []
-    if current:
-        raise DecompositionError("path does not end at an original vertex")
 
     nominal_vertices = [as_original(first)]
     out_segments: list[NominalSegment] = []

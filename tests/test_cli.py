@@ -507,6 +507,17 @@ def test_suite_subcommand(capsys):
     assert "verdict=pass" in out
 
 
+@pytest.mark.parametrize("name, max_len, checked", [
+    ("lemma5", "6", 628),       # 2 x 314 varpi words up to length 6
+    ("q-validate", "4", 682),   # 2 x 341 words over 4 letters up to length 4
+])
+def test_a_word_suite_walks_up_to_its_max_len(capsys, name, max_len, checked):
+    code, out, _ = run(capsys, "--kv", "suite", name, "--max-len", max_len)
+    assert code == 0
+    assert f"checked={checked}\n" in out
+    assert "verdict=pass" in out
+
+
 @pytest.mark.parametrize("argv", [
     ("suite", "prop1", "--samples", "0"),
     ("suite", "lemma4", "--budget", "0"),

@@ -16,6 +16,7 @@ from dycklab import (DOT, Alphabet, CompiledReduction, EnumerationBudget,
                      nominal_decompose, solve_alternating, solve_cfl,
                      serialize_graph, serialize_updates, solve_dyck)
 from dycklab.cli import run_equivalence
+from dycklab.suites import default_gadget_source
 from dycklab.words import DecompositionError
 
 from util import (fig1_instance, fig2_source, random_alt_instance,
@@ -270,6 +271,27 @@ def test_decomposition_needs_original_endpoints():
     step = PHI_UNDIRECTED[L1][1]
     with pytest.raises(DecompositionError):
         nominal_decompose([(first, step, red.vertex_id((0, L1, 1, 2)))], red)
+
+
+A, B, C = (0, L1, 1, 1), (0, L2, 1, 1), (0, L1, 1, 11)
+
+
+@pytest.mark.parametrize("walk, message", [
+    ([], "empty path"),
+    ([(0, L1, A), (A, L1BAR, 1)], "stutter segment with distinct endpoints"),
+    ([(0, L2, A), (A, L2BAR, B), (B, L1, 1)], "spans several chains"),
+    ([(1, L2, C), (C, L2BAR, 0)], "crosses a lock backwards"),
+])
+def test_decomposition_rejects_walks_off_the_nominal_shape(walk, message):
+    """Factor-word walks between original vertices that no nominal
+    segment sequence explains; named vertices are chain interiors."""
+    red = compile_dyck2_to_undirected(default_gadget_source())
+
+    def vid(v):
+        return v if isinstance(v, int) else red.vertex_id(v)
+
+    with pytest.raises(DecompositionError, match=message):
+        nominal_decompose([(vid(u), lab, vid(v)) for u, lab, v in walk], red)
 
 
 # ---------------------------------------------------------------------------

@@ -535,7 +535,7 @@ def _one_pair(directed, edges):
 
 
 @pytest.mark.parametrize("directed", [True, False])
-def test_deleting_an_opening_edge_that_fired_nothing_keeps_it_exact(
+def test_deleting_an_opening_edge_that_wrapped_nothing_answers_exactly(
         directed):
     # 0 -l1-> 1 -l1bar-> 2 -l1-> 3: row 3 holds no vertex with an l1bar
     # edge, so (2, l1, 3) wraps nothing.  Undirected, it also runs
@@ -546,7 +546,7 @@ def test_deleting_an_opening_edge_that_fired_nothing_keeps_it_exact(
 
 
 @pytest.mark.parametrize("directed", [True, False])
-def test_deleting_a_closing_edge_that_fired_nothing_keeps_it_exact(
+def test_deleting_a_closing_edge_that_wrapped_nothing_answers_exactly(
         directed):
     # (3, l1bar, 4): no row that holds 3 has an l1 in-edge, so it wraps
     # nothing.  Undirected, it also runs 4 -l1bar-> 3, and 5 -l1-> 4
