@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SATURATE = "src/dycklab/saturate.py"
 ORACLE = "src/dycklab/oracle.py"
 CLI = "src/dycklab/cli.py"
+REDUCTIONS = "src/dycklab/reductions.py"
 ONE_LETTER = "src/dycklab/one_letter.py"
 WORDS = "src/dycklab/words.py"
 AUTOMATA = "src/dycklab/automata.py"
@@ -129,6 +130,21 @@ MUTANTS = (
            "grammar.binary_rules",
            ("tests/test_saturate.py::"
             "test_wrap_only_misses_the_concatenation_chain",)),
+    Mutant("alt-replay-reuses-first-answer", SATURATE,
+           "answers.append(solve_alternating(inst)[0] if index is None",
+           "answers.append((answers or [solve_alternating(inst)[0]])[0]\n"
+           "                           if index is None",
+           ("tests/test_reductions.py::test_equivalence_fuzz_alt",
+            "tests/test_reductions.py::"
+            "test_alt_lane_target_index_matches_the_independent_routes")),
+    Mutant("lane-bounds-unchecked", REDUCTIONS,
+           "if len(ops) not in bounds:", "if False:",
+           ("tests/test_reductions.py::"
+            "test_a_translator_that_drops_every_op_fails_the_run",)),
+    Mutant("equivalence-ignores-divergence", REDUCTIONS,
+           "if src_ans != tgt_ans:", "if False:",
+           ("tests/test_reductions.py::"
+            "test_a_translator_that_drops_every_op_fails_the_run",)),
     Mutant("parity-bits-on-one-endpoint", ONE_LETTER,
            "ends = 1 << u | 1 << v", "ends = 1 << u",
            ("tests/test_one_letter.py::"

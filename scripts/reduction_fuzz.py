@@ -13,7 +13,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
-from dycklab.cli import run_equivalence
+from dycklab.reductions import run_equivalence
 from util import (random_alt_instance, random_dyck_instance,
                   random_neardyck_instance, random_script)
 

@@ -8,145 +8,34 @@ to one ``key=value`` record per line.  Exit code 0 iff every verdict passes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
-from .alternating import solve_alternating
-from .graphs import (Instance, UpdateOp, apply_update, parse_graph,
+from .graphs import (Alphabet, Instance, UpdateOp, parse_graph,
                      parse_label_token, parse_number, parse_updates,
                      serialize_graph)
-from .one_letter import ParityIndex
 from .oracle import (EnumerationBudget, brute_dyck_reach, enumerate_paths,
                      exhaustive_words)
-from .reductions import compile_reduction
-from .saturate import (GrammarIndex, bracket_grammar, solve_dyck,
-                       wrap_only_grammar)
+from .reductions import LANES, compile_reduction, run_equivalence
+from .saturate import ENGINES, run_replay
+# Nothing here calls solve_dyck: perfbench/test_perfbench.py asserts that
+# the benchmark's tracer wraps ``cli.solve_dyck``, and the import goes
+# when that check does (ROADMAP item 8).
+from .saturate import solve_dyck  # noqa: F401
 from .suites import SUITES
 from .words import (gamma_exponent, in_q, in_q_init, in_regular, is_dyck,
                     is_near_dyck, mu, reduce_word, theta, zo_str)
 
 DEFAULT_SEED = 20240 | 1  # fixed default for all randomized subcommands
 
-# reduction kind -> (engine answering the source, allowed translated-op
-# counts per source update)
-LANES = {
-    "alt_to_neardyck": ("alt", {1, 2}),
-    "neardyck_to_dyck2": ("cfl", {1}),
-    "dyck2_to_undirected": ("dyck", {12}),
-}
 
-
-class Reporter:
-    def __init__(self, kv: bool):
-        self.kv = kv
-
-    def emit(self, key: str, value):
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        if self.kv:
-            print(f"{key}={value}")
-        else:
-            print(f"{key}: {value}")
-
-
-class RunReport:
-    """A replay's per-query answers.  An equivalence run adds the
-    target's answers, the per-update translated-op counts and its
-    failures."""
-
-    __slots__ = ("answers", "target_answers", "counts", "failures")
-
-    def __init__(self):
-        self.answers: list[bool] = []
-        self.target_answers: list[bool] = []
-        self.counts: list[int] = []
-        self.failures: list[str] = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-# ---------------------------------------------------------------------------
-# Engines
-
-ENGINES = ("dyck", "wrap-only", "cfl", "prop1")
-
-
-def maintained_index(inst: Instance, engine: str):
-    """The index ``engine`` keeps through a script, owning ``inst``, or
-    None for ``alt``, which answers from scratch: alternating reachability
-    is not monotone in the edges.  Any other name raises ``ValueError``.
-    ``cfl`` and ``wrap-only`` keep a grammar index, which shares no code
-    with ``dyck``'s.  The solvers are looked up in this module at each
-    call, not in a table built at import, so a wrapper patched onto
-    ``cli.solve_dyck`` is the one that runs."""
-    if engine == "dyck":
-        return solve_dyck(inst)
-    if engine == "prop1":
-        return ParityIndex(inst)
-    if engine == "cfl":
-        return GrammarIndex(inst, bracket_grammar(inst.graph.alphabet))
-    if engine == "wrap-only":
-        return GrammarIndex(inst, wrap_only_grammar(inst.graph.alphabet))
-    if engine == "alt":
-        return None
-    raise ValueError(f"unknown engine {engine!r}")
-
-
-def run_replay(inst: Instance, script: list[UpdateOp],
-               engine: str = "dyck") -> RunReport:
-    """Apply a script, answering every query with the chosen engine.  An
-    engine with an index keeps one through the script; ``alt`` re-answers
-    from scratch.  An unknown engine, or an instance the engine rejects,
-    fails before any update."""
-    report = RunReport()
-    index = maintained_index(inst, engine)
-    for op in script:
-        if op.op == "query":
-            report.answers.append(solve_alternating(inst)[0] if index is None
-                                  else index.query(inst.source, inst.sink))
-        elif index is None:
-            inst = apply_update(inst, op)
-        else:
-            index.apply(op)
-    return report
-
-
-def run_equivalence(kind: str, inst: Instance,
-                    script: list[UpdateOp]) -> RunReport:
-    """Compile, replay, translate, replay, compare.  The source replay
-    (answered by the lane's engine) applies, and so validates, every update
-    before any is translated; the target replay keeps one bracket index,
-    whichever alphabet it has.  Records both answer streams, the
-    per-update translated-op counts, and any divergence by script step."""
-    red = compile_reduction(kind, inst)
-    source_engine, bounds = LANES[kind]
-    report = run_replay(inst, script, source_engine)
-    translated: list[UpdateOp] = []
-    query_steps = []
-    for step, op in enumerate(script):
-        if op.op == "query":
-            translated.append(op)
-            query_steps.append(step)
-            continue
-        try:
-            ops = red.translate(op)
-        except ValueError as exc:
-            raise ValueError(f"{exc}{op.where()}") from None
-        report.counts.append(len(ops))
-        if len(ops) not in bounds:
-            report.failures.append(
-                f"step {step}: translated into {len(ops)} ops, "
-                f"expected {sorted(bounds)}")
-        translated.extend(ops)
-    report.target_answers = run_replay(red.target, translated).answers
-    for step, src_ans, tgt_ans in zip(query_steps, report.answers,
-                                      report.target_answers):
-        if src_ans != tgt_ans:
-            report.failures.append(
-                f"step {step}: source={src_ans} target={tgt_ans}")
-    return report
+def emit(kv: bool, key: str, value, file=None):
+    """Print one report line, ``key=value`` under ``--kv`` and ``key:
+    value`` otherwise, to ``file`` (default stdout)."""
+    if isinstance(value, bool):
+        value = "true" if value else "false"
+    print(f"{key}={value}" if kv else f"{key}: {value}", file=file)
 
 
 # ---------------------------------------------------------------------------
@@ -162,63 +51,64 @@ def _load_script(path: str) -> list[UpdateOp]:
         return parse_updates(fh.read())
 
 
-def cmd_solve(args, rep: Reporter) -> int:
+def cmd_solve(args, emit) -> int:
     inst = _load_graph(args.graph)
-    [ans] = run_replay(inst, [UpdateOp.query()], args.engine).answers
-    rep.emit("engine", args.engine)
-    rep.emit("answer", ans)
+    [ans] = run_replay(inst, [UpdateOp.query()], args.engine)
+    emit("engine", args.engine)
+    emit("answer", ans)
     return 0
 
 
-def cmd_replay(args, rep: Reporter) -> int:
+def cmd_replay(args, emit) -> int:
     inst = _load_graph(args.graph)
     script = _load_script(args.script)
-    report = run_replay(inst, script, args.engine)
-    rep.emit("engine", args.engine)
-    rep.emit("queries", len(report.answers))
-    for i, ans in enumerate(report.answers):
-        rep.emit(f"answer[{i}]", ans)
+    answers = run_replay(inst, script, args.engine)
+    emit("engine", args.engine)
+    emit("queries", len(answers))
+    for i, ans in enumerate(answers):
+        emit(f"answer[{i}]", ans)
     return 0
 
 
-def cmd_reduce(args, rep: Reporter) -> int:
+def cmd_reduce(args, emit) -> int:
     inst = _load_graph(args.graph)
     red = compile_reduction(args.kind, inst)
     text = serialize_graph(red.target)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
-        rep.emit("output", args.output)
-    else:
+        emit("output", args.output)
+    else:  # stdout holds the target graph alone, so the report goes to stderr
         sys.stdout.write(text)
+        emit = functools.partial(emit, file=sys.stderr)
     if args.map:
         with open(args.map, "w") as fh:
             for vid, name in enumerate(red.names):
                 fh.write(f"{vid}\t{' '.join(map(str, name))}\n")
-        rep.emit("map", args.map)
-    rep.emit("kind", args.kind)
-    rep.emit("target_vertices", red.target.graph.vertex_count)
-    rep.emit("target_edges", len(red.target.graph.edges))
+        emit("map", args.map)
+    emit("kind", args.kind)
+    emit("target_vertices", red.target.graph.vertex_count)
+    emit("target_edges", len(red.target.graph.edges))
     return 0
 
 
-def cmd_verify_equiv(args, rep: Reporter) -> int:
+def cmd_verify_equiv(args, emit) -> int:
     inst = _load_graph(args.graph)
     script = _load_script(args.script)
     report = run_equivalence(args.kind, inst, script)
-    rep.emit("kind", args.kind)
-    rep.emit("queries", len(report.answers))
+    emit("kind", args.kind)
+    emit("queries", len(report.answers))
     for i, (a, b) in enumerate(zip(report.answers, report.target_answers)):
-        rep.emit(f"answer[{i}]", a)
-        rep.emit(f"target_answer[{i}]", b)
+        emit(f"answer[{i}]", a)
+        emit(f"target_answer[{i}]", b)
     if report.counts:
-        rep.emit("translated_counts", ",".join(map(str, report.counts)))
+        emit("translated_counts", ",".join(map(str, report.counts)))
     for f in report.failures:
-        rep.emit("failure", f)
+        emit("failure", f)
     ok = report.ok and bool(report.answers)
     if not report.answers:
-        rep.emit("failure", "checked nothing")
-    rep.emit("verdict", "pass" if ok else "FAIL")
+        emit("failure", "checked nothing")
+    emit("verdict", "pass" if ok else "FAIL")
     return 0 if ok else 1
 
 
@@ -233,11 +123,11 @@ WORD_VALUES = {"dyck": is_dyck, "neardyck": is_near_dyck, "q": in_q,
 WORD_OPS = ("reduce", *WORD_VALUES, "theta", "regular")
 
 
-def cmd_word(args, rep: Reporter) -> int:
+def cmd_word(args, emit) -> int:
     what, tokens = args.what, args.tokens
     if what == "regular":  # the language name comes first
         which = tokens[0] if tokens else ""  # no name: in_regular lists them
-        rep.emit(which, in_regular(_parse_word(tokens[1:]), which))
+        emit(which, in_regular(_parse_word(tokens[1:]), which))
         return 0
     w = _parse_word(tokens)
     if what == "reduce":
@@ -246,49 +136,50 @@ def cmd_word(args, rep: Reporter) -> int:
             text = zo_str(r)
         except KeyError:  # labels outside the two-pair 0/1 alphabet
             text = " ".join(lab.token() for lab in r)
-        rep.emit("reduced", text or "eps")
+        emit("reduced", text or "eps")
     elif what == "theta":
         e = theta(w)
-        rep.emit("theta", " ".join(e) or "identity")
+        emit("theta", " ".join(e) or "identity")
         k = gamma_exponent(e)
-        rep.emit("gamma_exponent", "none" if k is None else k)
+        emit("gamma_exponent", "none" if k is None else k)
     else:
-        rep.emit(what, WORD_VALUES[what](w))
+        emit(what, WORD_VALUES[what](w))
     return 0
 
 
-def cmd_oracle(args, rep: Reporter) -> int:
-    if args.what == "reach":
-        inst = _load_graph(args.graph)
-        pairs = brute_dyck_reach(inst, EnumerationBudget(args.max_len))
-        rep.emit("pairs", len(pairs))
-        for u, v in sorted(pairs):
-            rep.emit("pair", f"{u},{v}")
-        return 0
-    if args.what == "paths":
-        inst = _load_graph(args.graph)
-        budget = EnumerationBudget(args.max_len, args.max_paths)
-        enum = enumerate_paths(inst, args.source, args.sink, budget,
-                               balanced=args.balanced)
-        rep.emit("paths", len(enum.paths))
-        rep.emit("truncated", enum.truncated)
-        for i, path in enumerate(enum.paths):
-            rep.emit(f"path[{i}]", " ".join(lab.token() for _, lab, _ in path) or "eps")
-        return 0
-    if args.what == "words":
-        from .graphs import Alphabet
-        labels = tuple(Alphabet("dyck", args.pairs).labels())
-        out = list(exhaustive_words(labels, args.max_len,
-                                    WORD_VALUES[args.predicate]))
-        rep.emit("words", len(out))
-        if args.list:
-            for w in out:
-                rep.emit("word", " ".join(lab.token() for lab in w) or "eps")
-        return 0
-    raise ValueError(args.what)
+def cmd_oracle_reach(args, emit) -> int:
+    inst = _load_graph(args.graph)
+    pairs = brute_dyck_reach(inst, EnumerationBudget(args.max_len))
+    emit("pairs", len(pairs))
+    for u, v in sorted(pairs):
+        emit("pair", f"{u},{v}")
+    return 0
 
 
-def cmd_suite(args, rep: Reporter) -> int:
+def cmd_oracle_paths(args, emit) -> int:
+    inst = _load_graph(args.graph)
+    budget = EnumerationBudget(args.max_len, args.max_paths)
+    enum = enumerate_paths(inst, args.source, args.sink, budget,
+                           balanced=args.balanced)
+    emit("paths", len(enum.paths))
+    emit("truncated", enum.truncated)
+    for i, path in enumerate(enum.paths):
+        emit(f"path[{i}]", " ".join(lab.token() for _, lab, _ in path) or "eps")
+    return 0
+
+
+def cmd_oracle_words(args, emit) -> int:
+    labels = tuple(Alphabet("dyck", args.pairs).labels())
+    out = list(exhaustive_words(labels, args.max_len,
+                                WORD_VALUES[args.predicate]))
+    emit("words", len(out))
+    if args.list:
+        for w in out:
+            emit("word", " ".join(lab.token() for lab in w) or "eps")
+    return 0
+
+
+def cmd_suite(args, emit) -> int:
     kwargs = {}
     if args.name in ("q-validate", "lemma5"):
         kwargs["max_len"] = args.max_len
@@ -302,17 +193,17 @@ def cmd_suite(args, rep: Reporter) -> int:
     start = time.perf_counter()
     result = SUITES[args.name](**kwargs)
     elapsed = time.perf_counter() - start
-    rep.emit("suite", result.name)
-    rep.emit("checked", result.checked)
+    emit("suite", result.name)
+    emit("checked", result.checked)
     for key, value in sorted(result.info.items()):
-        rep.emit(key, value)
+        emit(key, value)
     for f in result.failures[:20]:
-        rep.emit("counterexample", f)
+        emit("counterexample", f)
     ok = result.ok and result.checked > 0
     if not result.checked:
-        rep.emit("failure", "checked nothing")
-    rep.emit("elapsed_s", f"{elapsed:.2f}")
-    rep.emit("verdict", "pass" if ok else "FAIL")
+        emit("failure", "checked nothing")
+    emit("elapsed_s", f"{elapsed:.2f}")
+    emit("verdict", "pass" if ok else "FAIL")
     return 0 if ok else 1
 
 
@@ -374,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     op = osub.add_parser("reach")
     op.add_argument("graph")
     op.add_argument("--max-len", type=_limit, default=12)
-    op.set_defaults(func=cmd_oracle)
+    op.set_defaults(func=cmd_oracle_reach)
     op = osub.add_parser("paths")
     op.add_argument("graph")
     op.add_argument("source", type=_limit)
@@ -383,13 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--max-paths", type=_limit, default=1000)
     op.add_argument("--balanced", action="store_true",
                     help="keep balanced-label walks only")
-    op.set_defaults(func=cmd_oracle)
+    op.set_defaults(func=cmd_oracle_paths)
     op = osub.add_parser("words")
     op.add_argument("--pairs", type=_limit, default=2)
     op.add_argument("--max-len", type=_limit, default=6)
     op.add_argument("--predicate", choices=WORD_VALUES, default="dyck")
     op.add_argument("--list", action="store_true")
-    op.set_defaults(func=cmd_oracle)
+    op.set_defaults(func=cmd_oracle_words)
 
     sp = sub.add_parser("suite", help="bounded verification suites")
     sp.add_argument("name", choices=sorted(SUITES))
@@ -405,9 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    rep = Reporter(args.kv)
     try:
-        return args.func(args, rep)
+        return args.func(args, functools.partial(emit, args.kv))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

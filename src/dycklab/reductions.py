@@ -11,6 +11,10 @@ Gadget vertex ids follow a documented deterministic layout so the map from
 structured names to dense ids is reproducible.  The vertex bijection used
 by the encodings is fixed to the identity on dense ids: slot i (1-based)
 is vertex i-1.
+
+``LANES`` names each kind's compiler, the engine that answers its source
+and its translated-op counts; ``run_equivalence`` replays a script on
+source and target side by side and checks both.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .graphs import (DOT, Alphabet, Instance, Label, LabeledGraph, UpdateOp)
+from .saturate import run_replay
 from .words import PHI_UNDIRECTED, phi_neardyck_letter
 
 StructuredName = tuple
@@ -247,15 +252,66 @@ def compile_dyck2_to_undirected(inst: Instance) -> CompiledReduction:
                              ids, translate_one)
 
 
-_COMPILERS = {
-    "alt_to_neardyck": compile_alt_to_neardyck,
-    "neardyck_to_dyck2": compile_neardyck_to_dyck2,
-    "dyck2_to_undirected": compile_dyck2_to_undirected,
+class Equivalence(NamedTuple):
+    """An equivalence run: the source's and the target's answer at each
+    query, each source update's translated-op count, and the failures by
+    script step."""
+    answers: list[bool]
+    target_answers: list[bool]
+    counts: list[int]
+    failures: list[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+# reduction kind -> (compiler, engine answering the source, allowed
+# translated-op counts per source update)
+LANES = {
+    "alt_to_neardyck": (compile_alt_to_neardyck, "alt", {1, 2}),
+    "neardyck_to_dyck2": (compile_neardyck_to_dyck2, "cfl", {1}),
+    "dyck2_to_undirected": (compile_dyck2_to_undirected, "dyck", {12}),
 }
 
 
 def compile_reduction(kind: str, inst: Instance) -> CompiledReduction:
-    if kind not in _COMPILERS:
+    if kind not in LANES:
         raise ValueError(f"unknown reduction kind {kind!r}; expected one of "
-                         f"{sorted(_COMPILERS)}")
-    return _COMPILERS[kind](inst)
+                         f"{sorted(LANES)}")
+    return LANES[kind][0](inst)
+
+
+def run_equivalence(kind: str, inst: Instance,
+                    script: list[UpdateOp]) -> Equivalence:
+    """Compile, replay, translate, replay, compare.  The source replay
+    (answered by the lane's engine) applies, and so validates, every update
+    before any is translated; the target replay keeps one bracket index,
+    whichever alphabet it has.  Records both answer streams, the
+    per-update translated-op counts, and any divergence by script step."""
+    red = compile_reduction(kind, inst)
+    _compiler, source_engine, bounds = LANES[kind]
+    answers = run_replay(inst, script, source_engine)
+    counts: list[int] = []
+    failures: list[str] = []
+    translated: list[UpdateOp] = []
+    query_steps = []
+    for step, op in enumerate(script):
+        if op.op == "query":
+            translated.append(op)
+            query_steps.append(step)
+            continue
+        try:
+            ops = red.translate(op)
+        except ValueError as exc:
+            raise ValueError(f"{exc}{op.where()}") from None
+        counts.append(len(ops))
+        if len(ops) not in bounds:
+            failures.append(f"step {step}: translated into {len(ops)} ops, "
+                            f"expected {sorted(bounds)}")
+        translated.extend(ops)
+    target_answers = run_replay(red.target, translated)
+    for step, src_ans, tgt_ans in zip(query_steps, answers, target_answers):
+        if src_ans != tgt_ans:
+            failures.append(f"step {step}: source={src_ans} target={tgt_ans}")
+    return Equivalence(answers, target_answers, counts, failures)

@@ -68,6 +68,9 @@ build of it.  ``solve_dyck_wrap_only`` builds it on ``wrap_only_grammar``,
 the bracket grammar without ``S -> S S``; that under-approximates (e.g. it
 misses the chain labeled l1 l1bar l2 l2bar) and is kept so that the gap
 concatenation closes stays observable.
+
+``run_replay`` answers an update script's queries through the index that
+``maintained_index`` keeps for the chosen engine.
 """
 
 from __future__ import annotations
@@ -76,7 +79,9 @@ import copy
 import functools
 from typing import Iterator, NamedTuple
 
+from .alternating import solve_alternating
 from .graphs import Alphabet, Instance, Label, UpdateOp, apply_update, DOT
+from .one_letter import ParityIndex
 
 
 class AlphabetMismatchError(ValueError):
@@ -599,3 +604,49 @@ def solve_dyck_wrap_only(inst: Instance) -> frozenset[tuple[int, int]]:
     """The pairs of the instance's bracket grammar without ``S -> S S``:
     walks that are empty, one ``dot`` edge, or a bracket pair around one."""
     return GrammarIndex(inst, wrap_only_grammar(inst.graph.alphabet)).pairs
+
+
+# ---------------------------------------------------------------------------
+# Replays: one maintained index through an update script
+
+ENGINES = ("dyck", "wrap-only", "cfl", "prop1")
+
+
+def maintained_index(inst: Instance, engine: str):
+    """The index ``engine`` keeps through a script, owning ``inst``, or
+    None for ``alt``, which answers from scratch: alternating reachability
+    is not monotone in the edges.  Any other name raises ``ValueError``.
+    ``cfl`` and ``wrap-only`` keep a grammar index, which shares no code
+    with ``dyck``'s.  The solvers are looked up at each call, not in a
+    table built at import, so a wrapper patched onto ``solve_dyck`` is the
+    one that runs."""
+    if engine == "dyck":
+        return solve_dyck(inst)
+    if engine == "prop1":
+        return ParityIndex(inst)
+    if engine == "cfl":
+        return GrammarIndex(inst, bracket_grammar(inst.graph.alphabet))
+    if engine == "wrap-only":
+        return GrammarIndex(inst, wrap_only_grammar(inst.graph.alphabet))
+    if engine == "alt":
+        return None
+    raise ValueError(f"unknown engine {engine!r}")
+
+
+def run_replay(inst: Instance, script: list[UpdateOp],
+               engine: str = "dyck") -> list[bool]:
+    """Apply a script, answering every query with the chosen engine; the
+    answers in order.  An engine with an index keeps one through the
+    script; ``alt`` re-answers from scratch.  An unknown engine, or an
+    instance the engine rejects, fails before any update."""
+    answers = []
+    index = maintained_index(inst, engine)
+    for op in script:
+        if op.op == "query":
+            answers.append(solve_alternating(inst)[0] if index is None
+                           else index.query(inst.source, inst.sink))
+        elif index is None:
+            inst = apply_update(inst, op)
+        else:
+            index.apply(op)
+    return answers

@@ -19,7 +19,7 @@ from dycklab import (Alphabet, EnumerationBudget, Instance, Label,
                      is_dyck_prefix, near_dyck_grammar, nominal_decompose,
                      reduce_word, resolve_after_update, solve_alternating,
                      solve_cfl, solve_dyck, solve_dyck_wrap_only)
-from dycklab.cli import run_equivalence
+from dycklab.reductions import run_equivalence
 from dycklab.oracle import bfs_distances
 from dycklab.one_letter import ParityIndex
 from dycklab.suites import (default_gadget_source, suite_lemma4,

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dycklab import UpdateOp, serialize_graph, serialize_updates
-from dycklab.cli import ENGINES, WORD_OPS, main, maintained_index, run_replay
+from dycklab import (UpdateOp, compile_reduction, parse_graph,
+                     serialize_graph, serialize_updates)
+from dycklab.cli import WORD_OPS, main
+from dycklab.saturate import ENGINES, maintained_index, run_replay
 from dycklab.suites import SUITES, SuiteResult, random_undirected_one_pair
 from dycklab.words import REGULAR_EXPRS
 
@@ -201,6 +203,26 @@ def test_reduce_writes_target_and_map(capsys, tmp_path, fig2):
     names = map_file.read_text().splitlines()
     assert names[0] == "0\t0"
     assert names[2] == "2\t0 l1 0 1"
+
+
+@pytest.mark.parametrize("kv", [False, True])
+def test_reduce_to_stdout_prints_the_target_alone(capsys, tmp_path, kv):
+    """Without ``-o`` stdout holds the target graph and nothing else, so it
+    reads back as the compiled target; the report goes to stderr."""
+    g = tmp_path / "g.graph"
+    g.write_text("graph directed\nvertices 2\nalphabet dyck 2\n"
+                 "edge 0 l1 1\nmark 0 1\n")
+    code, out, err = run(capsys, *["--kv"] * kv, "reduce",
+                         "dyck2_to_undirected", str(g))
+    assert code == 0
+    target = compile_reduction("dyck2_to_undirected",
+                               parse_graph(g.read_text())).target
+    assert parse_graph(out) == target
+    sep = "=" if kv else ": "
+    assert err.splitlines() == [
+        f"kind{sep}dyck2_to_undirected",
+        f"target_vertices{sep}{target.graph.vertex_count}",
+        f"target_edges{sep}{len(target.graph.edges)}"]
 
 
 def test_verify_equiv_passes(capsys, tmp_path, fig2):
@@ -663,6 +685,28 @@ def test_malformed_graph_is_a_clean_error(capsys, tmp_path):
         assert code == 2, text
         assert f"error: line {line}:" in err, text
         assert "Traceback" not in err
+
+
+ONE_PAIR_HEADER = "graph directed\nvertices 2\nalphabet dyck 1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (ONE_PAIR_HEADER + "mark 0 1\npartition and 0\npartition and 1\n",
+     "line 6: duplicate partition line"),
+    (ONE_PAIR_HEADER + "mark 0 1\npartition and 2\n",
+     "line 5: partition vertex out of range"),
+    (ONE_PAIR_HEADER + "mark 0 1\npartition and 1 1\n",
+     "line 5: repeated vertex in partition"),
+    ("graph directed\nvertices 2\n",
+     "missing header (graph / vertices / alphabet)"),
+], ids=["duplicate-partition", "partition-range", "partition-repeat",
+        "missing-header"])
+def test_malformed_partition_and_header_lines_exit_2(capsys, tmp_path, text,
+                                                     message):
+    bad = tmp_path / "bad.graph"
+    bad.write_text(text)
+    code, out, err = run(capsys, "solve", str(bad))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_kv_reports_are_deterministic(capsys, gap_chain):

@@ -17,8 +17,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
 from dycklab import (InstanceMismatchError, ReachIndex, UpdateError,
                      UpdateOp, apply_update, resolve_after_update, solve_cfl,
                      solve_dyck)
-from dycklab.cli import ENGINES, maintained_index
-from dycklab.saturate import bracket_grammar
+from dycklab.saturate import ENGINES, bracket_grammar, maintained_index
 
 from util import (mask_faults, random_dyck_instance, random_neardyck_instance,
                   reference_wrap_only_pairs)

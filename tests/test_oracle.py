@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dycklab import (DOT, Alphabet, EnumerationBudget, Instance, Label,
-                     LabeledGraph, bfs_distances, brute_dyck_reach,
+from dycklab import (DOT, Alphabet, EnumerationBudget, Grammar, Instance,
+                     Label, LabeledGraph, bfs_distances, brute_dyck_reach,
                      compile_dyck2_to_undirected, cyk_accepts, dyck_grammar,
                      enumerate_paths, exhaustive_words,
                      factor_of_dyck_oracle, in_q, in_q_init, is_dyck,
-                     near_dyck_grammar, solve_dyck, word)
+                     near_dyck_grammar, solve_cfl, solve_dyck, word)
 from dycklab.oracle import enumerate_nominal_paths
 from dycklab.suites import default_gadget_source
 from dycklab.words import ZO_ALPHABET
@@ -407,6 +407,43 @@ def test_cyk_near_dyck_grammar():
     assert not cyk_accepts(g, word("v1 v0bar"))
     assert cyk_accepts(g, ())
 
+
+ONE_PAIR = Alphabet("dyck", 1)
+_NTS = ("S", "A", "B")
+
+
+@st.composite
+def grammars_and_dags(draw):
+    """A random binary-normal-form grammar over one bracket pair on the
+    nonterminals S, A and B, and a DAG of up to 4 vertices whose edges run
+    from a lower to a higher id."""
+    nt, lab = st.sampled_from(_NTS), st.sampled_from(tuple(ONE_PAIR.labels()))
+    grammar = Grammar(
+        _NTS, "S", draw(st.frozensets(nt, max_size=2)),
+        tuple(draw(st.lists(st.tuples(nt, lab), max_size=4))),
+        tuple(draw(st.lists(st.tuples(nt, nt, nt), min_size=1, max_size=5))),
+        ONE_PAIR)
+    n = draw(st.integers(min_value=1, max_value=4))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = {(u, a, v) for u, a, v in draw(st.lists(st.tuples(vertex, lab, vertex)))
+             if u < v}
+    return grammar, Instance(LabeledGraph.build(True, n, ONE_PAIR, edges), 0, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grammars_and_dags())
+def test_the_grammar_engine_matches_cyk_on_every_walk_of_a_dag(case):
+    """A DAG has finitely many walks, so both sides are exact: the pairs
+    derived from S are those joined by a walk whose label CYK accepts."""
+    grammar, inst = case
+    out = {}
+    for u, lab, v in inst.graph.edges:
+        out.setdefault(u, []).append((lab, v))
+    walks = [(x, x, ()) for x in range(inst.graph.vertex_count)]
+    for u, w, label in walks:  # grows while it is read: every walk once
+        walks.extend((u, v, label + (lab,)) for lab, v in out.get(w, ()))
+    assert solve_cfl(inst, grammar)["S"] == {
+        (u, w) for u, w, label in walks if cyk_accepts(grammar, label)}
 
 def test_bfs_distances_simple():
     arcs = {(0, 1), (1, 2), (0, 3)}

@@ -15,7 +15,7 @@ from dycklab import (DOT, Alphabet, CompiledReduction, EnumerationBudget,
                      enumerate_paths, is_dyck, near_dyck_grammar,
                      nominal_decompose, solve_alternating, solve_cfl,
                      serialize_graph, serialize_updates, solve_dyck)
-from dycklab.cli import run_equivalence
+from dycklab.reductions import LANES, run_equivalence
 from dycklab.suites import default_gadget_source
 from dycklab.words import DecompositionError
 
@@ -389,7 +389,7 @@ def test_translation_counts_stay_in_the_lane_bounds(kind, seed):
     rng = random.Random(seed)
     inst = LANE_SOURCES[kind](rng)
     red = compile_reduction(kind, inst)
-    bounds = cli.LANES[kind][1]
+    bounds = LANES[kind][2]
     target = red.target
     for op in random_script(rng, inst, ops=16, query_rate=0.2):
         ops = red.translate(op)
@@ -511,7 +511,6 @@ def test_an_insert_only_script_solves_each_side_once(monkeypatch):
         return original(inst)
 
     monkeypatch.setattr(saturate, "solve_dyck", counted)
-    monkeypatch.setattr(cli, "solve_dyck", counted)
     g = LabeledGraph.build(True, 5, Alphabet("dyck", 2), [(0, L1, 1)])
     script = [UpdateOp.query(), UpdateOp.ins(1, L2, 2), UpdateOp.query(),
               UpdateOp.ins(2, L2BAR, 3), UpdateOp.query(),

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dycklab.cli as cli
 import dycklab.saturate as saturate
 from dycklab import (DOT, Alphabet, AlphabetMismatchError, Grammar,
                      GrammarIndex, Instance, InstanceMismatchError, Label,
@@ -388,8 +387,7 @@ def test_deletions_before_a_query_cost_one_resolve(monkeypatch):
     script = [UpdateOp.delete(0, L1, 1), UpdateOp.delete(2, L2, 3),
               UpdateOp.ins(0, L1, 1), UpdateOp.delete(3, L2BAR, 4),
               UpdateOp.ins(2, L2, 3), UpdateOp.query(), UpdateOp.query()]
-    report = cli.run_replay(inst, script)
-    assert report.answers == [False, False]
+    assert saturate.run_replay(inst, script) == [False, False]
     # the first "no" finishes the one solve; the second query needs none
     assert len(built) == 1
 

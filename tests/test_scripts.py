@@ -14,12 +14,12 @@ ROOT = Path(__file__).resolve().parent.parent
 # what a script's summary line must show beyond its clean exit: the fuzz
 # leg's walk oracle must have checked near-Dyck samples, not skipped them,
 # and its grammar-index leg must have checked queries and stale states;
-# the mutants run must have killed all four of its mutants
+# the mutants run must have killed all five of its mutants
 SUMMARIES = {
     "engine_fuzz.py": r"oracle checked [1-9]\d* bracket-pair and [1-9]\d* "
                       r"near-Dyck samples, grammar index checked on [1-9]\d* "
                       r"queries and [1-9]\d* stale states",
-    "mutants.py": r"4 mutants, 4 killed, 0 survived",
+    "mutants.py": r"5 mutants, 5 killed, 0 survived",
 }
 
 
@@ -29,7 +29,8 @@ SUMMARIES = {
     ("distance_demo.py", "--vertices", "4"),
     ("mutants.py", "--only", "duplicate-insertion-accepted",
      "--only", "lower-kept-on-deletion", "--only", "brute-reach-pushes-dot",
-     "--only", "last-closing-deletion-keeps-closers"),
+     "--only", "last-closing-deletion-keeps-closers",
+     "--only", "lane-bounds-unchecked"),
 ])
 def test_script_runs(argv):
     env = dict(os.environ)
