@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+GRAPHS = "src/dycklab/graphs.py"
 SATURATE = "src/dycklab/saturate.py"
 ORACLE = "src/dycklab/oracle.py"
 CLI = "src/dycklab/cli.py"
@@ -44,6 +45,24 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
+    Mutant("update-accepts-duplicate", GRAPHS,
+           "        elif e in g.edges:\n", "        elif False:\n",
+           ("tests/test_graphs.py::test_apply_update_strictness",
+            "tests/test_graphs.py::"
+            "test_a_rejected_update_names_its_problem_and_line")),
+    Mutant("update-deletes-a-missing-edge", GRAPHS,
+           "    elif op.op == \"del\":\n        if e in g.edges:\n",
+           "    elif op.op == \"del\":\n        if True:\n",
+           ("tests/test_graphs.py::test_apply_update_strictness",
+            "tests/test_graphs.py::"
+            "test_a_rejected_update_names_its_problem_and_line")),
+    Mutant("build-accepts-a-foreign-label", GRAPHS,
+           "            if not alphabet.contains(lab):\n"
+           "                raise GraphFormatError(",
+           "            if False:\n"
+           "                raise GraphFormatError(",
+           ("tests/test_graphs.py::"
+            "test_build_rejects_an_edge_the_graph_cannot_hold",)),
     Mutant("edge-kept-on-deletion", SATURATE,
            "            table[x] &= ~(1 << y)\n", "",
            ("tests/test_saturate.py::"

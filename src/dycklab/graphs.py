@@ -176,24 +176,6 @@ class LabeledGraph(NamedTuple):
             if not self.directed and u != v:
                 yield (v, lab, u)
 
-    def with_edge(self, u: int, label: Label, v: int) -> "LabeledGraph":
-        if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-            raise UpdateError(f"edge endpoint out of range: ({u}, {label.token()}, {v})")
-        if not self.alphabet.contains(label):
-            raise UpdateError(f"label {label.token()} not in alphabet")
-        e = _canonical(self.directed, (u, label, v))
-        if e in self.edges:
-            raise UpdateError(f"duplicate edge ({u}, {label.token()}, {v})")
-        return LabeledGraph(self.directed, self.vertex_count, self.alphabet,
-                            self.edges | {e})
-
-    def without_edge(self, u: int, label: Label, v: int) -> "LabeledGraph":
-        e = _canonical(self.directed, (u, label, v))
-        if e not in self.edges:
-            raise UpdateError(f"missing edge ({u}, {label.token()}, {v})")
-        return LabeledGraph(self.directed, self.vertex_count, self.alphabet,
-                            self.edges - {e})
-
 
 class _InstanceFields(NamedTuple):
     graph: LabeledGraph
@@ -276,16 +258,27 @@ def apply_update(inst: Instance, op: UpdateOp) -> Instance:
     again."""
     if op.op == "query":
         return inst
-    try:
-        if op.op == "ins":
-            g = inst.graph.with_edge(op.u, op.label, op.v)
-        elif op.op == "del":
-            g = inst.graph.without_edge(op.u, op.label, op.v)
+    g = inst.graph
+    u, lab, v = op.u, op.label, op.v
+    e = _canonical(g.directed, (u, lab, v))
+    if op.op == "ins":
+        if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
+            problem = f"edge endpoint out of range: ({u}, {lab.token()}, {v})"
+        elif not g.alphabet.contains(lab):
+            problem = f"label {lab.token()} not in alphabet"
+        elif e in g.edges:
+            problem = f"duplicate edge ({u}, {lab.token()}, {v})"
         else:
-            raise UpdateError(f"unknown update {op.op!r}")
-    except UpdateError as exc:
-        raise UpdateError(f"{exc}{op.where()}") from None
-    return inst._replace(graph=g)
+            return inst._replace(graph=LabeledGraph(
+                g.directed, g.vertex_count, g.alphabet, g.edges | {e}))
+    elif op.op == "del":
+        if e in g.edges:
+            return inst._replace(graph=LabeledGraph(
+                g.directed, g.vertex_count, g.alphabet, g.edges - {e}))
+        problem = f"missing edge ({u}, {lab.token()}, {v})"
+    else:
+        problem = f"unknown update {op.op!r}"
+    raise UpdateError(problem + op.where())
 
 
 # ---------------------------------------------------------------------------

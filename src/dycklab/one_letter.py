@@ -27,7 +27,6 @@ CLOSE1 = Label("l", 1, True)
 class _UnionFind:
     def __init__(self, size: int):
         self.parent = list(range(size))
-        self.rank = [0] * size
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -37,14 +36,7 @@ class _UnionFind:
         return x
 
     def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
+        self.parent[self.find(b)] = self.find(a)
 
 
 class ParityIndex:

@@ -43,9 +43,6 @@ class CompiledReduction(NamedTuple):
                 f"source={self.source!r}, target={self.target!r}, "
                 f"names={self.names!r})")
 
-    def vertex_name(self, vid: int) -> StructuredName:
-        return self.names[vid]
-
     def vertex_id(self, name: StructuredName) -> int:
         return self.ids[name]
 

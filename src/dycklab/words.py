@@ -346,7 +346,7 @@ def nominal_decompose(path: Sequence[tuple[int, Label, int]],
         raise DecompositionError("path label is not a factor of a balanced word")
 
     def as_original(vid: int) -> Optional[int]:
-        name = red.vertex_name(vid)
+        name = red.names[vid]
         return name[0] if len(name) == 1 else None
 
     if not path:
@@ -379,7 +379,7 @@ def nominal_decompose(path: Sequence[tuple[int, Label, int]],
             out_segments.append(NominalSegment("loop", src, dst, None, tuple(seg)))
         else:
             interiors = {v for _, _, v in seg[:-1]}
-            names = {red.vertex_name(v) for v in interiors}
+            names = {red.names[v] for v in interiors}
             keys = {(x, lab, y) for (x, lab, y, _i) in names}
             if len(keys) != 1:
                 raise DecompositionError("segment interior spans several chains")

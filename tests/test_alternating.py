@@ -50,6 +50,14 @@ def test_missing_partition_rejected():
         solve_alternating(Instance(g, 0, 1))
 
 
+def test_well_ordered_and_kappa_need_a_partition():
+    inst = Instance(LabeledGraph.build(True, 2, Alphabet("dyck", 1), []), 0, 1)
+    with pytest.raises(ValueError, match="needs an and/or partition"):
+        is_well_ordered([1], inst)
+    with pytest.raises(ValueError, match="needs an and/or partition"):
+        kappa(0, inst)
+
+
 def test_well_ordered_examples():
     inst = fig1_instance()
     assert is_well_ordered([4], inst)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 import functools
 import itertools
 
+import pytest
+
 from dycklab import automata, reduce_word, reduced_language_nfa
 from dycklab.words import (REGULAR_EXPRS, ZO_ALPHABET, ZERO, ZERO_BAR, ONE,
                            ONE_BAR, regular_nfa)
@@ -126,6 +128,13 @@ def test_cat_and_union_helpers():
     nfa = automata.compile_regex(u)
     assert nfa.accepts((ZERO,)) and nfa.accepts((ONE,))
     assert not nfa.accepts(())
+
+
+def test_compile_and_brute_semantics_reject_a_non_node():
+    with pytest.raises(TypeError, match="not a regex node"):
+        automata.compile_regex("x")
+    with pytest.raises(TypeError, match="not a regex node"):
+        automata.brute_matches("x", ())
 
 
 def test_enumerate_accepted_matches_a_brute_filter_in_order():

@@ -697,10 +697,12 @@ ONE_PAIR_HEADER = "graph directed\nvertices 2\nalphabet dyck 1\n"
      "line 5: partition vertex out of range"),
     (ONE_PAIR_HEADER + "mark 0 1\npartition and 1 1\n",
      "line 5: repeated vertex in partition"),
+    (ONE_PAIR_HEADER + "mark 0 1\npartition or 1\n",
+     "line 5: expected 'partition and <u> ...'"),
     ("graph directed\nvertices 2\n",
      "missing header (graph / vertices / alphabet)"),
 ], ids=["duplicate-partition", "partition-range", "partition-repeat",
-        "missing-header"])
+        "partition-or", "missing-header"])
 def test_malformed_partition_and_header_lines_exit_2(capsys, tmp_path, text,
                                                      message):
     bad = tmp_path / "bad.graph"

@@ -110,6 +110,20 @@ def test_alphabet_validation():
         Alphabet("dyck", 0)
 
 
+def test_alphabet_holds_no_label_of_an_unknown_base():
+    assert not Alphabet("dyck", 1).contains(Label("x", 1, False))
+
+
+@pytest.mark.parametrize("edge, message", [
+    ((0, Label("l", 1, False), 5), "edge endpoint out of range: (0, l1, 5)"),
+    ((0, Label("v", 0, False), 1), "label v0 not in alphabet"),
+], ids=["endpoint", "label"])
+def test_build_rejects_an_edge_the_graph_cannot_hold(edge, message):
+    with pytest.raises(GraphFormatError) as exc:
+        LabeledGraph.build(True, 2, Alphabet("dyck", 1), [edge])
+    assert str(exc.value) == message
+
+
 def test_instance_validation():
     g = LabeledGraph.build(True, 2, Alphabet("dyck", 1), [])
     for source, sink in ((0, 2), (-1, 0)):
@@ -292,6 +306,26 @@ def test_apply_update_strictness():
         apply_update(inst, UpdateOp.ins(0, lab, 1))
     with pytest.raises(UpdateError):
         apply_update(inst, UpdateOp.delete(1, lab, 0))
+
+
+@pytest.mark.parametrize("line", [None, 3])
+@pytest.mark.parametrize("op, message", [
+    (("ins", 0, "l1", 5), "edge endpoint out of range: (0, l1, 5)"),
+    (("ins", 0, "v0", 1), "label v0 not in alphabet"),
+    (("ins", 0, "l1", 1), "duplicate edge (0, l1, 1)"),
+    (("del", 1, "l1", 0), "missing edge (1, l1, 0)"),
+    (("swap", 0, "l1", 1), "unknown update 'swap'"),
+], ids=["endpoint", "label", "duplicate", "missing", "unknown"])
+def test_a_rejected_update_names_its_problem_and_line(op, message, line):
+    lab = Label("l", 1, False)
+    inst = Instance(LabeledGraph.build(True, 2, Alphabet("dyck", 1),
+                                       [(0, lab, 1)]), 0, 1)
+    kind, u, token, v = op
+    with pytest.raises(UpdateError) as exc:
+        apply_update(inst, UpdateOp(kind, u, parse_label_token(token), v,
+                                    line=line))
+    suffix = "" if line is None else f" (script line {line})"
+    assert str(exc.value) == message + suffix
 
 
 def test_undirected_edges_reported_both_ways():

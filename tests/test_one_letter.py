@@ -245,6 +245,11 @@ def test_chain_vertex_bounds():
         gadget.chain_vertex(2, 1)
 
 
+def test_distance_gadget_needs_a_vertex():
+    with pytest.raises(ValueError, match="need at least one vertex"):
+        build_distance_gadget(0, set())
+
+
 def gadget_distances(vertex_count, arcs, source):
     gadget = build_distance_gadget(vertex_count, arcs)
     idx = solve_dyck(gadget.instance)

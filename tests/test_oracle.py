@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from dycklab import (DOT, Alphabet, EnumerationBudget, Grammar, Instance,
                      Label, LabeledGraph, bfs_distances, brute_dyck_reach,
-                     compile_dyck2_to_undirected, cyk_accepts, dyck_grammar,
-                     enumerate_paths, exhaustive_words,
-                     factor_of_dyck_oracle, in_q, in_q_init, is_dyck,
-                     near_dyck_grammar, solve_cfl, solve_dyck, word)
+                     compile_dyck2_to_undirected, compile_neardyck_to_dyck2,
+                     cyk_accepts, dyck_grammar, enumerate_paths,
+                     exhaustive_words, factor_of_dyck_oracle, in_q, in_q_init,
+                     is_dyck, near_dyck_grammar, solve_cfl, solve_dyck, word)
 from dycklab.oracle import enumerate_nominal_paths
 from dycklab.suites import default_gadget_source
 from dycklab.words import ZO_ALPHABET
@@ -165,6 +165,18 @@ def test_enumeration_truncates_where_the_untabled_walk_does(seed):
 def test_a_budget_that_cannot_be_honoured_is_rejected(kwargs):
     with pytest.raises(ValueError):
         EnumerationBudget(**kwargs)
+
+
+def test_nominal_enumeration_rejects_other_lanes_and_tags():
+    budget = EnumerationBudget(4)
+    near = Instance(LabeledGraph.build(True, 2, Alphabet("neardyck", 2), []),
+                    0, 1)
+    with pytest.raises(ValueError, match="needs an undirected-gadget target"):
+        enumerate_nominal_paths(compile_neardyck_to_dyck2(near), ("loop", 0),
+                                budget)
+    red = compile_dyck2_to_undirected(default_gadget_source())
+    with pytest.raises(ValueError, match="unknown tag"):
+        enumerate_nominal_paths(red, ("bogus", 0), budget)
 
 
 def test_brute_reach_edgeless_graph():

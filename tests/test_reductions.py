@@ -40,7 +40,7 @@ def test_alt_gadget_layout_and_marks():
     # 5 originals plus a 6-vertex chain per and-vertex
     assert red.target.graph.vertex_count == 5 + 2 * 6 == 17
     assert (red.target.source, red.target.sink) == (4, 0)  # reversed marks
-    assert red.vertex_name(red.vertex_id((2, 3))) == (2, 3)
+    assert red.names[red.vertex_id((2, 3))] == (2, 3)
 
 
 def test_compiled_reduction_repr_leaves_out_the_id_map():
@@ -169,6 +169,12 @@ def test_neardyck_gadget_preconditions():
         compile_neardyck_to_dyck2(Instance(g2, 0, 1))
 
 
+def test_neardyck_gadget_needs_a_directed_source():
+    g = LabeledGraph.build(False, 2, Alphabet("neardyck", 2), [])
+    with pytest.raises(ValueError, match="source must be directed"):
+        compile_neardyck_to_dyck2(Instance(g, 0, 1))
+
+
 def test_neardyck_translation_is_one_op():
     g = LabeledGraph.build(True, 2, Alphabet("neardyck", 2), [])
     red = compile_neardyck_to_dyck2(Instance(g, 0, 1))
@@ -271,6 +277,12 @@ def test_decomposition_needs_original_endpoints():
     step = PHI_UNDIRECTED[L1][1]
     with pytest.raises(DecompositionError):
         nominal_decompose([(first, step, red.vertex_id((0, L1, 1, 2)))], red)
+
+
+def test_decomposition_needs_the_undirected_gadget():
+    red = compile_alt_to_neardyck(fig1_instance())
+    with pytest.raises(DecompositionError, match="undirected-gadget target"):
+        nominal_decompose([], red)
 
 
 A, B, C = (0, L1, 1, 1), (0, L2, 1, 1), (0, L1, 1, 11)

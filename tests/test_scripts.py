@@ -26,7 +26,6 @@ SUMMARIES = {
 @pytest.mark.parametrize("argv", [
     ("engine_fuzz.py", "--samples", "5", "--max-vertices", "6"),
     ("reduction_fuzz.py", "--samples", "2", "--ops", "10"),
-    ("distance_demo.py", "--vertices", "4"),
     ("mutants.py", "--only", "duplicate-insertion-accepted",
      "--only", "lower-kept-on-deletion", "--only", "brute-reach-pushes-dot",
      "--only", "last-closing-deletion-keeps-closers",
