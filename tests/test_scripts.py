@@ -26,6 +26,8 @@ SUMMARIES = {
 @pytest.mark.parametrize("argv", [
     ("engine_fuzz.py", "--samples", "5", "--max-vertices", "6"),
     ("reduction_fuzz.py", "--samples", "2", "--ops", "10"),
+    # a second seed, so the fuzz leg's summary holds on more than one stream
+    ("engine_fuzz.py", "--samples", "5", "--max-vertices", "6", "--seed", "1"),
     ("mutants.py", "--only", "duplicate-insertion-accepted",
      "--only", "lower-kept-on-deletion", "--only", "brute-reach-pushes-dot",
      "--only", "last-closing-deletion-keeps-closers",
