@@ -236,6 +236,15 @@ MUTANTS = (
            "        return parse_number(text)\n",
            "        return int(text)\n",
            ("tests/test_cli.py::test_negative_limits_are_rejected",)),
+    Mutant("parser-shares-a-namespace", CLI,
+           "    args = parser.parse_args(argv)\n",
+           "    args = parser.parse_args(\n"
+           "        argv, vars(main).setdefault(\"shared\", "
+           "argparse.Namespace()))\n",
+           ("tests/test_cli.py::"
+            "test_a_call_inherits_nothing_from_the_call_before",
+            "tests/test_cli.py::"
+            "test_the_default_seed_returns_after_a_seeded_call")),
 )
 
 

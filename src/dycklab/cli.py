@@ -12,9 +12,9 @@ import functools
 import sys
 import time
 
-from .graphs import (Alphabet, Instance, UpdateOp, parse_graph,
-                     parse_label_token, parse_number, parse_updates,
-                     serialize_graph)
+from .graphs import (Alphabet, GraphFormatError, Instance, UpdateOp,
+                     parse_graph, parse_label_token, parse_number,
+                     parse_updates, serialize_graph)
 from .oracle import (EnumerationBudget, brute_dyck_reach, enumerate_paths,
                      exhaustive_words)
 from .reductions import LANES, compile_reduction, run_equivalence
@@ -41,14 +41,26 @@ def emit(kv: bool, key: str, value, file=None):
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
+def _read(path: str) -> str:
+    """The text of a graph or script file, decoded as UTF-8; a byte that is
+    not UTF-8 raises ``GraphFormatError`` naming the line that holds it,
+    numbered as ``parse_graph`` and ``parse_updates`` number lines."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise GraphFormatError(f"byte 0x{data[exc.start]:02x} is not UTF-8 "
+                               f"({exc.reason})", line) from None
+
+
 def _load_graph(path: str) -> Instance:
-    with open(path) as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read(path))
 
 
 def _load_script(path: str) -> list[UpdateOp]:
-    with open(path) as fh:
-        return parse_updates(fh.read())
+    return parse_updates(_read(path))
 
 
 def cmd_solve(args, emit) -> int:
@@ -218,7 +230,13 @@ def _limit(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``dycklab`` parser, built on the first call and shared by every
+    later one in the process (``parse_args`` leaves it unchanged and fills a
+    fresh namespace each time).  It captures the ``cmd_*`` handlers and the
+    ``ENGINES``, ``LANES``, ``SUITES`` and ``WORD_OPS`` choices as they are
+    when it is built."""
     p = argparse.ArgumentParser(
         prog="dycklab",
         description="Bracket-reachability solvers, gadget compilers and "

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, report modes, exit codes."""
 
+import argparse
 import contextlib
 import io
 import os
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from dycklab import (UpdateOp, compile_reduction, parse_graph,
                      serialize_graph, serialize_updates)
-from dycklab.cli import WORD_OPS, main
+from dycklab.cli import DEFAULT_SEED, WORD_OPS, main
 from dycklab.saturate import ENGINES, maintained_index, run_replay
 from dycklab.suites import SUITES, SuiteResult, random_undirected_one_pair
 from dycklab.words import REGULAR_EXPRS
@@ -711,10 +712,125 @@ def test_malformed_partition_and_header_lines_exit_2(capsys, tmp_path, text,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("line", [1, 4])
+@pytest.mark.parametrize("which", ["graph", "script"])
+def test_a_file_that_is_not_utf8_names_its_line(capsys, tmp_path, fig2, which,
+                                                line):
+    """A byte that is not UTF-8, here in a comment, exits 2 naming its line,
+    whatever the locale's encoding."""
+    paths = {"graph": Path(fig2), "script": tmp_path / "s.upd"}
+    paths["script"].write_text("query\nquery\nquery\nquery\n")
+    lines = paths[which].read_bytes().splitlines(keepends=True)
+    lines.insert(line - 1, b"# caf\xff\n")
+    paths[which].write_bytes(b"".join(lines))
+    code, out, err = run(capsys, "replay", str(paths["graph"]),
+                         str(paths["script"]))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {line}: byte 0xff is not UTF-8"), err
+    assert "Traceback" not in err
+
+
 def test_kv_reports_are_deterministic(capsys, gap_chain):
     _, first, _ = run(capsys, "--kv", "solve", gap_chain)
     _, second, _ = run(capsys, "--kv", "solve", gap_chain)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# One parser per process: a call inherits nothing from the call before it
+
+def _call(capsys, argv):
+    """``main(argv)`` in this process: exit code, stdout and stderr, with a
+    usage error's ``SystemExit`` read as its code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _alone(argv):
+    """``dycklab argv`` in a fresh process, where no call came before."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "dycklab", *argv], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _masked(result):
+    code, out, err = result
+    return code, re.sub(r"elapsed_s[=:] ?\S+", "elapsed_s", out), err
+
+
+@pytest.mark.parametrize("first, second", [
+    (("--kv", "--seed", "5", "suite", "prop1", "--samples", "3"),
+     ("--kv", "suite", "prop1", "--samples", "3")),
+    (("oracle", "paths", "{g}", "0", "2", "--balanced"),
+     ("oracle", "paths", "{g}", "0", "2")),
+    (("--kv", "replay", "--engine", "cfl", "{g}", "{s}"),
+     ("--kv", "replay", "{g}", "{s}")),
+    (("--kv", "solve", "{g}"), ("solve", "{g}")),
+    (("--kv", "--seed", "9", "solve"), ("solve", "{g}")),
+], ids=["seed", "balanced", "engine", "kv", "usage-error"])
+def test_a_call_inherits_nothing_from_the_call_before(capsys, tmp_path,
+                                                      gap_chain, first,
+                                                      second):
+    script = tmp_path / "s.upd"
+    script.write_text("query\ndel 0 l1 1\nquery\n")
+    first, second = ([a.format(g=gap_chain, s=script) for a in argv]
+                     for argv in (first, second))
+    _call(capsys, first)
+    after = _call(capsys, second)
+    assert _masked(after) == _masked(_alone(second))
+    assert after[0] == 0
+
+
+def test_the_default_seed_returns_after_a_seeded_call(capsys, monkeypatch):
+    seeds = []
+
+    def spy(**kwargs):
+        seeds.append(kwargs["seed"])
+        return prop1(**kwargs)
+
+    prop1 = SUITES["prop1"]
+    monkeypatch.setitem(SUITES, "prop1", spy)
+    for argv in (["--seed", "5"], [], ["--seed", "7"], []):
+        code, _, _ = _call(capsys, [*argv, "suite", "prop1", "--samples", "2"])
+        assert code == 0
+    assert seeds == [5, DEFAULT_SEED, 7, DEFAULT_SEED]
+
+
+def test_later_calls_build_no_parser(capsys, monkeypatch, tmp_path, fig2):
+    """After the first call, every subcommand runs on the parser that call
+    built."""
+    script = tmp_path / "s.upd"
+    script.write_text("query\n")
+    _call(capsys, ["word", "dyck"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    g, s = fig2, str(script)
+    codes = [_call(capsys, argv)[0] for argv in (
+        ["solve", g], ["replay", g, s],
+        ["reduce", "dyck2_to_undirected", g, "-o", str(tmp_path / "t.graph")],
+        ["verify-equiv", "dyck2_to_undirected", g, s],
+        ["word", "reduce", "0", "0bar"],
+        ["oracle", "reach", g, "--max-len", "2"],
+        ["oracle", "paths", g, "0", "1", "--max-len", "2"],
+        ["oracle", "words", "--max-len", "2"],
+        ["suite", "prop1", "--samples", "1"],
+        ["--kv", "suite", "nope"])]
+    assert codes == [0] * 9 + [2]
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
