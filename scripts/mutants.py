@@ -3,7 +3,8 @@
 program and names the tests that must then fail.  The script copies the
 repository's ``src``, ``tests`` and ``scripts`` to a temporary directory,
 first runs the named tests there unchanged (they must pass), then applies
-each mutant to a fresh copy and runs only its tests.  A mutant is killed
+each mutant to a fresh copy and runs only its tests, one mutant per core
+at a time; the verdicts print in table order.  A mutant is killed
 when its tests fail, and survives when they pass.  An entry whose old
 text is not found exactly once no longer matches the code and counts as
 a survivor too, so the table cannot rot unnoticed.  Hypothesis runs with
@@ -16,11 +17,13 @@ tests fail with no mutant applied.
 """
 
 import argparse
+import functools
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -242,9 +245,22 @@ MUTANTS = (
            "        argv, vars(main).setdefault(\"shared\", "
            "argparse.Namespace()))\n",
            ("tests/test_cli.py::"
-            "test_a_call_inherits_nothing_from_the_call_before",
-            "tests/test_cli.py::"
-            "test_the_default_seed_returns_after_a_seeded_call")),
+            "test_a_call_inherits_nothing_from_the_call_before",)),
+    Mutant("prop1-gets-no-samples", CLI,
+           'for key in ("max_len", "samples", "seed")',
+           'for key in ("max_len", "seed")',
+           ("tests/test_cli.py::"
+            "test_a_suite_receives_exactly_the_options_it_reads[prop1]",
+            "tests/test_cli.py::test_a_suite_that_checked_nothing_fails")),
+    Mutant("lemma7-gets-no-seed", CLI,
+           'for name in ("lemma7", "prop1"):',
+           'for name in ("prop1",):',
+           ("tests/test_cli.py::"
+            "test_a_suite_receives_exactly_the_options_it_reads[lemma7]",)),
+    Mutant("lemma5-limit-one-past", CLI,
+           "if (n := _limit(text)) > LEMMA5_MAX_LEN:",
+           "if (n := _limit(text)) > LEMMA5_MAX_LEN + 1:",
+           ("tests/test_cli.py::test_lemma5_max_len_stops_at_its_limit",)),
 )
 
 
@@ -276,6 +292,19 @@ def apply_mutant(root: Path, mutant: Mutant) -> bool:
     return True
 
 
+def run_mutant(tmp: Path, mutant: Mutant) -> str:
+    """The verdict on ``mutant``, from its tests on a fresh copy."""
+    root = make_copy(tmp / mutant.name)
+    try:
+        if not apply_mutant(root, mutant):
+            return "SURVIVED (old text not found exactly once)"
+        if run_tests(root, mutant.tests).returncode == 0:
+            return "SURVIVED"
+        return "killed"
+    finally:
+        shutil.rmtree(root.parent)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--only", action="append", metavar="NAME",
@@ -291,18 +320,13 @@ def main() -> int:
             print(proc.stdout[-2000:] + proc.stderr[-2000:])
             return 2
         survivors = []
-        for m in mutants:
-            root = make_copy(Path(tmp) / m.name)
-            if not apply_mutant(root, m):
-                verdict = "SURVIVED (old text not found exactly once)"
-            elif run_tests(root, m.tests).returncode == 0:
-                verdict = "SURVIVED"
-            else:
-                verdict = "killed"
-            if verdict != "killed":
-                survivors.append(m.name)
-            print(f"{m.name}: {verdict}", flush=True)
-            shutil.rmtree(root.parent)
+        with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+            verdicts = pool.map(functools.partial(run_mutant, Path(tmp)),
+                                mutants)
+            for m, verdict in zip(mutants, verdicts):
+                if verdict != "killed":
+                    survivors.append(m.name)
+                print(f"{m.name}: {verdict}", flush=True)
     print(f"{len(mutants)} mutants, {len(mutants) - len(survivors)} killed, "
           f"{len(survivors)} survived")
     return 1 if survivors else 0

@@ -12,9 +12,9 @@ import functools
 import sys
 import time
 
-from .graphs import (Alphabet, GraphFormatError, Instance, UpdateOp,
-                     parse_graph, parse_label_token, parse_number,
-                     parse_updates, serialize_graph)
+from .graphs import (Alphabet, GraphFormatError, UpdateOp, parse_graph,
+                     parse_label_token, parse_number, parse_updates,
+                     serialize_graph)
 from .oracle import (EnumerationBudget, brute_dyck_reach, enumerate_paths,
                      exhaustive_words)
 from .reductions import LANES, compile_reduction, run_equivalence
@@ -27,7 +27,10 @@ from .suites import SUITES
 from .words import (gamma_exponent, in_q, in_q_init, in_regular, is_dyck,
                     is_near_dyck, mu, reduce_word, theta, zo_str)
 
-DEFAULT_SEED = 20240 | 1  # fixed default for all randomized subcommands
+DEFAULT_SEED = 20240 | 1  # default ``--seed`` of the sampling suites
+# ``suite lemma5 --max-len``'s bound: on a 2-core host (Python 3.11.7)
+# lengths 12, 14 and 16 took 0.33, 2.3 and 15 s and 22, 51 and 239 MB
+LEMMA5_MAX_LEN = 16
 
 
 def emit(kv: bool, key: str, value, file=None):
@@ -55,16 +58,8 @@ def _read(path: str) -> str:
                                f"({exc.reason})", line) from None
 
 
-def _load_graph(path: str) -> Instance:
-    return parse_graph(_read(path))
-
-
-def _load_script(path: str) -> list[UpdateOp]:
-    return parse_updates(_read(path))
-
-
 def cmd_solve(args, emit) -> int:
-    inst = _load_graph(args.graph)
+    inst = parse_graph(_read(args.graph))
     [ans] = run_replay(inst, [UpdateOp.query()], args.engine)
     emit("engine", args.engine)
     emit("answer", ans)
@@ -72,8 +67,8 @@ def cmd_solve(args, emit) -> int:
 
 
 def cmd_replay(args, emit) -> int:
-    inst = _load_graph(args.graph)
-    script = _load_script(args.script)
+    inst = parse_graph(_read(args.graph))
+    script = parse_updates(_read(args.script))
     answers = run_replay(inst, script, args.engine)
     emit("engine", args.engine)
     emit("queries", len(answers))
@@ -83,7 +78,7 @@ def cmd_replay(args, emit) -> int:
 
 
 def cmd_reduce(args, emit) -> int:
-    inst = _load_graph(args.graph)
+    inst = parse_graph(_read(args.graph))
     red = compile_reduction(args.kind, inst)
     text = serialize_graph(red.target)
     if args.output:
@@ -105,8 +100,8 @@ def cmd_reduce(args, emit) -> int:
 
 
 def cmd_verify_equiv(args, emit) -> int:
-    inst = _load_graph(args.graph)
-    script = _load_script(args.script)
+    inst = parse_graph(_read(args.graph))
+    script = parse_updates(_read(args.script))
     report = run_equivalence(args.kind, inst, script)
     emit("kind", args.kind)
     emit("queries", len(report.answers))
@@ -160,7 +155,7 @@ def cmd_word(args, emit) -> int:
 
 
 def cmd_oracle_reach(args, emit) -> int:
-    inst = _load_graph(args.graph)
+    inst = parse_graph(_read(args.graph))
     pairs = brute_dyck_reach(inst, EnumerationBudget(args.max_len))
     emit("pairs", len(pairs))
     for u, v in sorted(pairs):
@@ -169,7 +164,7 @@ def cmd_oracle_reach(args, emit) -> int:
 
 
 def cmd_oracle_paths(args, emit) -> int:
-    inst = _load_graph(args.graph)
+    inst = parse_graph(_read(args.graph))
     budget = EnumerationBudget(args.max_len, args.max_paths)
     enum = enumerate_paths(inst, args.source, args.sink, budget,
                            balanced=args.balanced)
@@ -182,26 +177,20 @@ def cmd_oracle_paths(args, emit) -> int:
 
 def cmd_oracle_words(args, emit) -> int:
     labels = tuple(Alphabet("dyck", args.pairs).labels())
-    out = list(exhaustive_words(labels, args.max_len,
-                                WORD_VALUES[args.predicate]))
-    emit("words", len(out))
-    if args.list:
-        for w in out:
-            emit("word", " ".join(lab.token() for lab in w) or "eps")
+    found = exhaustive_words(labels, args.max_len, WORD_VALUES[args.predicate])
+    listed = list(found) if args.list else ()  # else count, keeping none
+    emit("words", len(listed) if args.list else sum(1 for _ in found))
+    for w in listed:
+        emit("word", " ".join(lab.token() for lab in w) or "eps")
     return 0
 
 
 def cmd_suite(args, emit) -> int:
-    kwargs = {}
-    if args.name in ("q-validate", "lemma5"):
-        kwargs["max_len"] = args.max_len
-    if args.name in ("lemma4", "lemma6", "lemma7"):
+    options = vars(args)  # a suite's sub-parser holds only what it reads
+    kwargs = {key: options[key] for key in ("max_len", "samples", "seed")
+              if key in options}
+    if "budget" in options:
         kwargs["budget"] = EnumerationBudget(args.budget, args.max_paths)
-    if args.name == "lemma7":
-        kwargs["seed"] = args.seed
-    if args.name == "prop1":
-        kwargs["samples"] = args.samples
-        kwargs["seed"] = args.seed
     start = time.perf_counter()
     result = SUITES[args.name](**kwargs)
     elapsed = time.perf_counter() - start
@@ -230,6 +219,13 @@ def _limit(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _lemma5_len(text: str) -> int:
+    if (n := _limit(text)) > LEMMA5_MAX_LEN:
+        raise argparse.ArgumentTypeError(
+            f"{n} is above lemma 5's limit of {LEMMA5_MAX_LEN}")
+    return n
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``dycklab`` parser, built on the first call and shared by every
@@ -243,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "word-combinatorics suites over labeled graphs.")
     p.add_argument("--kv", action="store_true",
                    help="machine-readable key=value output")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="seed for randomized subcommands")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("solve", help="answer the marked reachability query")
@@ -301,12 +295,19 @@ def build_parser() -> argparse.ArgumentParser:
     op.set_defaults(func=cmd_oracle_words)
 
     sp = sub.add_parser("suite", help="bounded verification suites")
-    sp.add_argument("name", choices=sorted(SUITES))
-    sp.add_argument("--max-len", type=_limit, default=8)
-    sp.add_argument("--budget", type=_limit, default=40)
-    sp.add_argument("--max-paths", type=_limit, default=500)
-    sp.add_argument("--samples", type=_limit, default=300)
     sp.set_defaults(func=cmd_suite)
+    ssub = sp.add_subparsers(dest="name", required=True)
+    suite = {name: ssub.add_parser(name) for name in sorted(SUITES)}
+    suite["q-validate"].add_argument("--max-len", type=_limit, default=8)
+    suite["lemma5"].add_argument("--max-len", type=_lemma5_len, default=8,
+                                 help=f"at most {LEMMA5_MAX_LEN}")
+    for name in ("lemma4", "lemma6", "lemma7"):
+        suite[name].add_argument("--budget", type=_limit, default=40)
+        suite[name].add_argument("--max-paths", type=_limit, default=500)
+    suite["prop1"].add_argument("--samples", type=_limit, default=300)
+    for name in ("lemma7", "prop1"):
+        suite[name].add_argument("--seed", type=int, default=DEFAULT_SEED,
+                                 help="seed for the random samples")
 
     return p
 

@@ -288,14 +288,13 @@ def random_undirected_one_pair(rng: random.Random, max_vertices: int = 6) -> Ins
     return Instance(graph, rng.randrange(n), rng.randrange(n))
 
 
-def suite_prop1(samples: int = 300, seed: int = 0,
-                max_vertices: int = 6) -> SuiteResult:
+def suite_prop1(samples: int = 300, seed: int = 0) -> SuiteResult:
     """The three-condition characterization against the saturation solver
     on random undirected one-pair instances."""
     res = SuiteResult("prop1")
     rng = random.Random(seed)
     for _ in range(samples):
-        inst = random_undirected_one_pair(rng, max_vertices)
+        inst = random_undirected_one_pair(rng)
         fast = prop1_check(inst)
         slow = solve_dyck(inst).query(inst.source, inst.sink)
         res.check(fast == slow,

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from dycklab import (UpdateOp, compile_reduction, parse_graph,
                      serialize_graph, serialize_updates)
-from dycklab.cli import DEFAULT_SEED, WORD_OPS, main
+from dycklab.cli import (DEFAULT_SEED, LEMMA5_MAX_LEN, WORD_OPS, build_parser,
+                         main)
+from dycklab.oracle import EnumerationBudget
 from dycklab.saturate import ENGINES, maintained_index, run_replay
 from dycklab.suites import SUITES, SuiteResult, random_undirected_one_pair
 from dycklab.words import REGULAR_EXPRS
@@ -530,6 +532,105 @@ def test_suite_subcommand(capsys):
     assert "verdict=pass" in out
 
 
+def _choices(parser):
+    """The sub-parsers of ``parser``, by name."""
+    [action] = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_one_sub_parser_per_suite():
+    suites = _choices(_choices(build_parser())["suite"])
+    assert list(suites) == sorted(SUITES)
+
+
+# per suite, the keyword arguments its call receives by default, then an
+# argv that sets every option the suite reads, and the arguments it gives
+_B = EnumerationBudget
+_SUITE_CALLS = {
+    "q-validate": ({"max_len": 8}, ["--max-len", "3"], {"max_len": 3}),
+    "lemma4": ({"budget": _B(40, 500)}, ["--budget", "6", "--max-paths", "7"],
+               {"budget": _B(6, 7)}),
+    "lemma5": ({"max_len": 8}, ["--max-len", "3"], {"max_len": 3}),
+    "lemma6": ({"budget": _B(40, 500)}, ["--budget", "6", "--max-paths", "7"],
+               {"budget": _B(6, 7)}),
+    "lemma7": ({"budget": _B(40, 500), "seed": DEFAULT_SEED},
+               ["--budget", "6", "--max-paths", "7", "--seed", "5"],
+               {"budget": _B(6, 7), "seed": 5}),
+    "prop1": ({"samples": 300, "seed": DEFAULT_SEED},
+              ["--samples", "4", "--seed", "5"], {"samples": 4, "seed": 5}),
+}
+
+
+def _spy_on_suites(monkeypatch):
+    """Replace every suite by one that records its keyword arguments and
+    passes one check."""
+    calls = []
+
+    def spy(name):
+        def run_suite(**kwargs):
+            calls.append(kwargs)
+            res = SuiteResult(name)
+            res.check(True, "")
+            return res
+        return run_suite
+
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, spy(name))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_SUITE_CALLS))
+def test_a_suite_receives_exactly_the_options_it_reads(capsys, monkeypatch,
+                                                       name):
+    calls = _spy_on_suites(monkeypatch)
+    defaults, argv, given = _SUITE_CALLS[name]
+    assert run(capsys, "suite", name)[0] == 0
+    assert run(capsys, "suite", name, *argv)[0] == 0
+    assert calls == [defaults, given]
+
+
+# a suite option its suite does not read is a usage error (19 pairs), and
+# so is ``--seed`` on the 8 other leaf commands and before any command
+_SUITE_OPTIONS = ("--max-len", "--budget", "--max-paths", "--samples",
+                  "--seed")
+_UNREAD = [("suite", name, option, "1")
+           for name, (_, argv, _) in _SUITE_CALLS.items()
+           for option in _SUITE_OPTIONS if option not in argv]
+_UNREAD += [(*leaf, "--seed", "1") for leaf in (
+    ("solve", "g"), ("replay", "g", "s"), ("reduce", "alt_to_neardyck", "g"),
+    ("verify-equiv", "alt_to_neardyck", "g", "s"), ("word", "dyck"),
+    ("oracle", "reach", "g"), ("oracle", "paths", "g", "0", "1"),
+    ("oracle", "words"))]
+_UNREAD += [("--seed", "5", "solve", "g")]
+
+
+@pytest.mark.parametrize("argv", _UNREAD, ids=" ".join)
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys,
+                                                              monkeypatch,
+                                                              argv):
+    calls = _spy_on_suites(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "usage: dycklab" in out.err
+    assert "Traceback" not in out.err and calls == []
+    assert len(_UNREAD) == 19 + 8 + 1
+
+
+def test_lemma5_max_len_stops_at_its_limit(capsys):
+    """Parsed only, never run: lemma 5 at its limit takes about 15 s."""
+    parser = build_parser()
+    argv = ["suite", "lemma5", "--max-len"]
+    assert parser.parse_args([*argv, str(LEMMA5_MAX_LEN)]).max_len == 16
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([*argv, str(LEMMA5_MAX_LEN + 1)])
+    assert exc.value.code == 2
+    assert ("error: argument --max-len: 17 is above lemma 5's limit of 16"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("name, max_len, checked", [
     ("lemma5", "6", 628),       # 2 x 314 varpi words up to length 6
     ("q-validate", "4", 682),   # 2 x 341 words over 4 letters up to length 4
@@ -767,14 +868,14 @@ def _masked(result):
 
 
 @pytest.mark.parametrize("first, second", [
-    (("--kv", "--seed", "5", "suite", "prop1", "--samples", "3"),
+    (("--kv", "suite", "prop1", "--seed", "5", "--samples", "3"),
      ("--kv", "suite", "prop1", "--samples", "3")),
     (("oracle", "paths", "{g}", "0", "2", "--balanced"),
      ("oracle", "paths", "{g}", "0", "2")),
     (("--kv", "replay", "--engine", "cfl", "{g}", "{s}"),
      ("--kv", "replay", "{g}", "{s}")),
     (("--kv", "solve", "{g}"), ("solve", "{g}")),
-    (("--kv", "--seed", "9", "solve"), ("solve", "{g}")),
+    (("--kv", "solve"), ("solve", "{g}")),
 ], ids=["seed", "balanced", "engine", "kv", "usage-error"])
 def test_a_call_inherits_nothing_from_the_call_before(capsys, tmp_path,
                                                       gap_chain, first,
@@ -799,7 +900,7 @@ def test_the_default_seed_returns_after_a_seeded_call(capsys, monkeypatch):
     prop1 = SUITES["prop1"]
     monkeypatch.setitem(SUITES, "prop1", spy)
     for argv in (["--seed", "5"], [], ["--seed", "7"], []):
-        code, _, _ = _call(capsys, [*argv, "suite", "prop1", "--samples", "2"])
+        code, _, _ = _call(capsys, ["suite", "prop1", *argv, "--samples", "2"])
         assert code == 0
     assert seeds == [5, DEFAULT_SEED, 7, DEFAULT_SEED]
 
