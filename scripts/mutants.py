@@ -87,6 +87,14 @@ MUTANTS = (
            "                pass\n",
            ("tests/test_saturate.py::"
             "test_closers_follow_the_last_closing_edge",)),
+    Mutant("column-update-dropped", SATURATE,
+           "            cols[low.bit_length() - 1] |= grown\n", "",
+           ("tests/test_saturate.py::"
+            "test_columns_transpose_closed_rows_after_every_step",)),
+    Mutant("fresh-skips-expansion", SATURATE,
+           "fresh = new & ~rows[a]", "fresh = bits & ~rows[a]",
+           ("tests/test_saturate.py::"
+            "test_columns_transpose_closed_rows_after_every_step",)),
     Mutant("dot-insertion-not-seeded", SATURATE,
            "        else:\n            self._add(x, 1 << y)\n", "",
            ("tests/test_saturate.py::"
@@ -235,6 +243,11 @@ MUTANTS = (
            "                    elif lab.bar:",
            "if lab.bar:",
            ("tests/test_oracle.py::test_brute_reach_reads_dot_as_neutral",)),
+    Mutant("factor-oracle-drops-a-forced-opener", ORACLE,
+           "is_dyck_prefix(tuple(partners[::-1]) + w)",
+           "is_dyck_prefix(tuple(partners[:0:-1]) + w)",
+           ("tests/test_oracle.py::"
+            "test_forced_prefix_oracle_matches_every_prefix_tried",)),
     Mutant("limit-parsed-with-int", CLI,
            "        return parse_number(text)\n",
            "        return int(text)\n",

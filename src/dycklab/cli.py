@@ -29,7 +29,7 @@ from .words import (gamma_exponent, in_q, in_q_init, in_regular, is_dyck,
 
 DEFAULT_SEED = 20240 | 1  # default ``--seed`` of the sampling suites
 # ``suite lemma5 --max-len``'s bound: on a 2-core host (Python 3.11.7)
-# lengths 12, 14 and 16 took 0.33, 2.3 and 15 s and 22, 51 and 239 MB
+# lengths 12, 14 and 16 took 0.22, 2.2 and 11 s and 21, 50 and 239 MB
 LEMMA5_MAX_LEN = 16
 
 
@@ -226,6 +226,19 @@ def _lemma5_len(text: str) -> int:
     return n
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reports arguments it does not know with
+    its own usage line.  A plain sub-parser hands them up to the root
+    parser, whose usage names no command; ``add_subparsers`` makes every
+    sub-parser of this class too."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``dycklab`` parser, built on the first call and shared by every
@@ -233,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     fresh namespace each time).  It captures the ``cmd_*`` handlers and the
     ``ENGINES``, ``LANES``, ``SUITES`` and ``WORD_OPS`` choices as they are
     when it is built."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="dycklab",
         description="Bracket-reachability solvers, gadget compilers and "
                     "word-combinatorics suites over labeled graphs.")

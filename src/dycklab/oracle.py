@@ -237,20 +237,26 @@ def exhaustive_words(labels: Sequence[Label], max_len: int,
 
 
 def factor_of_dyck_oracle(w: Sequence[Label]) -> bool:
-    """Brute-force: is w a factor of some balanced two-pair word?
+    """Is w a factor of some balanced two-pair word?
 
-    Tries every all-opening prefix u with |u| <= |w| and checks that u.w is
-    a valid balanced-word prefix by direct stack scan.  (If x.w.y is
-    balanced, the stack contents after x give such a u, and w can pop at
-    most |w| entries.)
+    If x.w.y is balanced, each closer of w that finds no opener of w left
+    to match pops its partner from x, innermost first, and nothing else in
+    x matters.  So one all-opening prefix is forced: u, the partners of w's
+    unmatched closers in reverse order (each of pair 1 or 2), and w is a
+    factor iff u.w is a valid balanced-word prefix, by direct stack scan.
     """
     w = tuple(w)
-    opens = [Label("l", 1, False), Label("l", 2, False)]
-    for k in range(len(w) + 1):
-        for u in itertools.product(opens, repeat=k):
-            if is_dyck_prefix(u + w):
-                return True
-    return False
+    depth, partners = 0, []
+    for lab in w:
+        if not lab.bar:
+            depth += 1
+        elif depth:
+            depth -= 1  # a mismatch here fails the scan below, whatever u
+        elif lab.base == "l" and lab.index in (1, 2):
+            partners.append(lab.matched())
+        else:
+            return False  # no two-pair opener matches it
+    return is_dyck_prefix(tuple(partners[::-1]) + w)
 
 
 def cyk_accepts(grammar: Grammar, word: Sequence[Label]) -> bool:

@@ -22,7 +22,11 @@ kept the way the wrap rule reads it: per vertex, the source bitset of its
 incoming edges for an opening label, and the target bitset of its outgoing
 edges for a closing label or ``dot``.  Concatenation keeps the rows
 transitively closed at every step: when row ``a`` gains the bits ``B``,
-every row in ``C[a]`` gains ``B`` and the rows of ``B``.  The wrap rule
+every row in ``C[a]`` gains ``B`` and the rows of ``B``.  Since each row in
+``C[a]`` already holds ``R[a]``, it gains only part of the fresh bits ``F``,
+those of ``B`` and their rows outside ``R[a]``, and afterwards holds all of
+``F``; so the columns are updated once per bit of ``F``, each gaining the
+rows that gained anything, not once per derived pair.  The wrap rule
 joins a row's new bits with the edge tables.  Either rule only ever adds
 ``bits & ~R[u]``, and only those new bits are processed further.
 
@@ -149,7 +153,13 @@ class ReachIndex:
     ``delta & closers[k]``.  ``wide`` holds at least every vertex whose
     row has more than its identity bit, and concatenation expands only
     ``new & wide``.  It grows with the rows, and ``lower`` starts its own
-    from zero."""
+    from zero.
+
+    ``_add`` relies on two invariants, which hold after every call of it
+    and so at every read: ``cols`` is the exact transpose of ``rows``, and
+    every row is closed (``rows[b]`` is a subset of ``rows[x]`` for each
+    ``b`` in ``rows[x]``).  So every source ``x`` in ``cols[a]`` holds
+    ``rows[a]``, and adding bits to row ``a`` touches each column once."""
 
     def __init__(self, inst: Instance):
         self._inst, self._ops = inst, []
@@ -290,6 +300,9 @@ class ReachIndex:
             low = expand & -expand
             new |= rows[low.bit_length() - 1]
             expand ^= low
+        # each source of a holds rows[a], so it gains only part of fresh
+        # and afterwards holds all of it
+        fresh = new & ~rows[a]
         cols, pending, work = self.cols, self.pending, self.work
         sources = cols[a]
         grown = 0
@@ -297,7 +310,7 @@ class ReachIndex:
             bit = sources & -sources
             sources ^= bit
             x = bit.bit_length() - 1
-            gained = new & ~rows[x]
+            gained = fresh & ~rows[x]
             if not gained:
                 continue
             rows[x] |= gained
@@ -305,10 +318,11 @@ class ReachIndex:
             if not pending[x]:
                 work.append(x)
             pending[x] |= gained
-            while gained:
-                low = gained & -gained
-                cols[low.bit_length() - 1] |= bit
-                gained ^= low
+        # a source that gained nothing already held all of fresh
+        while fresh:
+            low = fresh & -fresh
+            cols[low.bit_length() - 1] |= grown
+            fresh ^= low
         self.wide |= grown
 
     def _seed(self, lab: Label, x: int, y: int):

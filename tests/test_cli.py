@@ -619,6 +619,23 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(capsys,
     assert len(_UNREAD) == 19 + 8 + 1
 
 
+@pytest.mark.parametrize("argv, command", [
+    (["replay", "g", "s", "--seed", "1"], "replay"),
+    (["oracle", "paths", "g", "0", "1", "--seed", "1"], "oracle paths"),
+    (["suite", "lemma5", "--samples", "9"], "suite lemma5"),
+], ids=["replay", "oracle-paths", "suite-lemma5"])
+def test_a_usage_error_names_its_command(capsys, monkeypatch, argv, command):
+    calls = _spy_on_suites(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and calls == []
+    assert out.err.startswith(f"usage: dycklab {command} [-h]")
+    assert out.err.endswith(f"\ndycklab {command}: error: unrecognized "
+                            f"arguments: {' '.join(argv[-2:])}\n")
+
+
 def test_lemma5_max_len_stops_at_its_limit(capsys):
     """Parsed only, never run: lemma 5 at its limit takes about 15 s."""
     parser = build_parser()

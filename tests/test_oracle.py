@@ -20,8 +20,8 @@ from dycklab.words import ZO_ALPHABET
 
 from util import (gap_chain_instance, random_dyck_instance,
                   random_neardyck_instance, reference_balanced_paths,
-                  reference_nominal_paths, reference_untabled_nominal_paths,
-                  reference_untabled_paths)
+                  reference_factor_words, reference_nominal_paths,
+                  reference_untabled_nominal_paths, reference_untabled_paths)
 
 
 def test_empty_graph_empty_path():
@@ -386,6 +386,20 @@ def test_exhaustive_words_order_is_deterministic():
 def test_factor_oracle_agrees_with_the_characterization():
     for w in exhaustive_words(ZO_ALPHABET, 6, lambda w: True):
         assert in_q(w) == (in_q_init(w) or factor_of_dyck_oracle(w))
+
+
+@pytest.mark.parametrize("labels, max_len", [
+    (ZO_ALPHABET, 7),
+    # labels outside the two pairs, and dot, which no factor holds
+    (ZO_ALPHABET + (DOT, Label("l", 3, False), Label("l", 3, True)), 4),
+], ids=["two-pair", "foreign-labels"])
+def test_forced_prefix_oracle_matches_every_prefix_tried(labels, max_len):
+    factors = reference_factor_words(labels, max_len)
+    count = 0
+    for w in exhaustive_words(labels, max_len, lambda w: True):
+        assert factor_of_dyck_oracle(w) == (w in factors), w
+        count += 1
+    assert count == sum(len(labels) ** k for k in range(max_len + 1))
 
 
 def test_factor_oracle_spot_checks():

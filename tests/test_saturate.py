@@ -474,6 +474,59 @@ def test_support_masks_hold_under_mixed_scripts(seed, near, directed):
             assert mask_faults(live) == [], (step, op)
 
 
+def _closure_faults(index) -> list[str]:
+    """How an index, and its unfinished ``lower`` if it has one, fail the
+    two invariants ``_add`` relies on: ``cols`` is the exact transpose of
+    ``rows``, and every row is closed (``rows[b]`` is a subset of
+    ``rows[x]`` for each ``b`` in ``rows[x]``).  Empty when both hold."""
+    faults = []
+    for name, idx in (("index", index), ("lower", index.lower)):
+        if idx is None:
+            continue
+        rows = idx.rows
+        transpose = [0] * len(rows)
+        for x, row in enumerate(rows):
+            for b in saturate._bits(row):
+                transpose[b] |= 1 << x
+                if rows[b] & ~row:
+                    faults.append(f"{name}: row {x} holds {b} but misses "
+                                  f"{rows[b] & ~row:#b} of its row")
+        for v, (want, got) in enumerate(zip(transpose, idx.cols,
+                                            strict=True)):
+            if want != got:
+                faults.append(f"{name}: cols[{v}] is {got:#b}, not {want:#b}")
+    return faults
+
+
+@pytest.mark.parametrize("near", [False, True], ids=["dyck2", "neardyck"])
+@pytest.mark.parametrize("directed", [True, False],
+                         ids=["directed", "undirected"])
+def test_columns_transpose_closed_rows_after_every_step(near, directed):
+    """On seeded scripts of insertions, deletions and queries, the index
+    (and any unfinished ``lower``) keeps ``cols`` the transpose of closed
+    rows after every ``apply``, every query and every ``pairs`` read."""
+    for seed in range(25):
+        rng = random.Random(seed)
+        if near:
+            inst = random_neardyck_instance(rng, max_vertices=6,
+                                            density=0.12, directed=directed)
+        else:
+            inst = random_dyck_instance(rng, max_vertices=9, pairs=2,
+                                        density=0.1, directed=directed)
+        n = inst.graph.vertex_count
+        idx = solve_dyck(inst)
+        assert _closure_faults(idx) == [], seed
+        for step, op in enumerate(random_script(rng, inst, ops=40)):
+            if op.op == "query":
+                idx.query(rng.randrange(n), rng.randrange(n))
+            else:
+                idx.apply(op)
+            assert _closure_faults(idx) == [], (seed, step, op)
+            if step % 10 == 9:
+                idx.pairs
+                assert _closure_faults(idx) == [], (seed, step, "pairs")
+
+
 def test_closers_follow_the_last_closing_edge():
     # 0 -l1-> 1 -l1bar-> 2, and a second l1bar edge out of 1
     inst = chain([L1, L1BAR], pairs=1)

@@ -96,6 +96,16 @@ def test_lemma5_matches_the_in_q_then_reduce_loop(max_len):
     assert got.checked > 0
 
 
+def test_lemma5_counts_stay_pinned_up_to_length_12():
+    """The walk pushes only accepting moves at its last depth; the words it
+    checks, and that none fails, stay as the full walk gave them."""
+    pinned = [2, 2, 14, 14, 92, 92, 628, 628, 4430, 4430, 31858, 31858,
+              231448]
+    for max_len, checked in enumerate(pinned):
+        got = suite_lemma5(max_len=max_len)
+        assert (got.checked, got.failures) == (checked, []), max_len
+
+
 def test_lemma5_below_length_zero_visits_no_word():
     got, want = suite_lemma5(max_len=-1), reference_suite_lemma5(-1)
     assert (got.checked, got.failures) == (want.checked, want.failures) \

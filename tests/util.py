@@ -3,6 +3,7 @@ scripts, the worked instances used across modules, the check of a
 ``ReachIndex``'s edge tables and support masks, and slow reference
 versions of the wrap-only solver, the oracle walks and the suites."""
 
+import itertools
 import math
 import random
 
@@ -528,3 +529,32 @@ def reference_untabled_nominal_paths(red, tag, budget):
 
     walk(start, budget.max_path_length)
     return tuple(results), truncated
+
+
+def reference_factor_words(labels, max_len):
+    """The words over ``labels`` of length at most ``max_len`` that are
+    factors of a balanced two-pair word, by brute force: for every
+    all-opening prefix u over pairs 1 and 2 (2^k of each length k), every
+    w of length at least |u| for which u.w stays a valid balanced-word
+    prefix, grown letter by letter on a stack.  (If x.w.y is balanced, the
+    stack after x gives such a u, and w pops at most |w| entries.)"""
+    opens = (Label("l", 1, False), Label("l", 2, False))
+    found = set()
+
+    def grow(k, w, stack):
+        if len(w) >= k:
+            found.add(w)
+        if len(w) == max_len:
+            return
+        for lab in labels:
+            if lab == DOT:
+                continue
+            if not lab.bar:
+                grow(k, w + (lab,), stack + (lab,))
+            elif stack and stack[-1] == lab.matched():
+                grow(k, w + (lab,), stack[:-1])
+
+    for k in range(max_len + 1):
+        for u in itertools.product(opens, repeat=k):
+            grow(k, (), u)
+    return found
