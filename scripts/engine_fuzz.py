@@ -10,25 +10,28 @@ Each sample then replays a random mixed insert/delete script twice:
 through ``resolve_after_update``, checked against its grammar after every
 update, and through ``ReachIndex.apply`` on one index, checked after every
 third update and at the end, so that insertions also land on an index that
-a deletion has left stale.  While that index is stale, its rows, once the
-work its insertions left pending has run, must hold every pair the
-grammar derives, and it is first asked ``query`` on the
-marked pair and on random pairs, each answer checked against the grammar,
-so that stale answers are checked before a read of ``pairs`` runs the
-index's lazy solve ``lower`` to its end.  A stale "no" on a set bit runs
-it to its end too, so the index must then be fresh.  After every update
-both indexes' edge tables and support masks are checked too, and after
-every stale query those of an unfinished ``lower``, against the current
-edges: each table of ``edges`` must hold exactly the directed edges of
-its label (the ``dot`` table of a ``dyck`` alphabet none), each
-``closers[k]`` must be exactly the vertices with an outgoing closing edge
-of pair ``k``, and ``wide`` must hold every row with more than its
-identity bit.  The same script also drives a third
-index, the grammar engine's own ``GrammarIndex`` on the sample's bracket
-grammar: after every update it is asked the marked pair and random pairs,
-each answer checked against the from-scratch grammar engine and against
-the bitset index that ``resolve_after_update`` keeps, and while it is stale its pairs must hold every pair the
-from-scratch engine derives.
+a deletion has left stale.  After every update that index is first asked
+``query`` on the marked pair and on random pairs, each answer checked
+against the grammar, so that answers are checked while its insertions'
+seeds are still pending and, while it is stale, before a read of
+``pairs`` runs its lazy solve ``lower`` to its end.  A stale "no" on a
+set bit runs it to its end too, so the index must then be fresh.  If it
+is still stale after its queries, its rows, once the seeds and work its
+insertions left pending have run, must hold every pair the grammar
+derives.  The summary counts the queries answered while the index or
+``lower`` held seeds not yet run, and the run fails if there were none.
+After every update both indexes' edge tables and support masks are
+checked too, and after every query those of an unfinished ``lower``,
+against the current edges: each table of ``edges`` must hold exactly the
+directed edges of its label (the ``dot`` table of a ``dyck`` alphabet
+none), each ``closers[k]`` must be exactly the vertices with an outgoing
+closing edge of pair ``k``, and ``wide`` must hold every row with more
+than its identity bit.  The same script also drives a third index, the
+grammar engine's own ``GrammarIndex`` on the sample's bracket grammar:
+after every update it is asked the marked pair and random pairs, each
+answer checked against the from-scratch grammar engine and against the
+bitset index that ``resolve_after_update`` keeps, and while it is stale
+its pairs must hold every pair the from-scratch engine derives.
 
 Usage: python3 scripts/engine_fuzz.py [--samples N] [--seed S]
                                       [--max-vertices V] [--pairs P]
@@ -53,7 +56,7 @@ from util import (mask_faults, random_dyck_instance, random_neardyck_instance,
 
 SCRIPT_OPS = 20  # updates replayed per sample through the incremental route
 LIVE_CHECK_EVERY = 3  # updates between checks of the index driven by apply
-STALE_QUERIES = 4  # random pairs queried on a stale index, besides the marks
+RANDOM_QUERIES = 4  # random pairs asked after each update, besides the mark
 # the walk oracle's stacks range over the open labels, |V| of them on a
 # near-Dyck sample, so larger near-Dyck samples would dwarf the rest
 NEAR_ORACLE_VERTICES = 6
@@ -71,6 +74,7 @@ def main() -> int:
 
     rng = random.Random(args.seed)
     gaps = grammar_queries = grammar_stale = 0
+    live_queries = pending_queries = 0
     oracle_checked = {"dyck": 0, "neardyck": 0}
     t0 = time.monotonic()
     for i in range(args.samples):
@@ -122,6 +126,29 @@ def main() -> int:
                           f"({serialize_updates([op]).strip()}): "
                           f"index maintained by {route}: {faults[0]}")
                     return 1
+            asked = [(inst.source, inst.sink)] + [
+                (rng.randrange(n), rng.randrange(n))
+                for _ in range(RANDOM_QUERIES)]
+            for u, v in asked:
+                where = (f"MISMATCH sample {i} step {step} "
+                         f"({serialize_updates([op]).strip()}): "
+                         f"query({u}, {v})")
+                stale_bit = live.stale and live.rows[u] >> v & 1
+                seeded = live.seeds or live.lower and live.lower.seeds
+                answer = live.query(u, v)
+                if answer != ((u, v) in expected):
+                    print(f"{where} vs grammar engine")
+                    return 1
+                live_queries += 1
+                pending_queries += bool(seeded)
+                if stale_bit and not answer and live.stale:
+                    print(f"{where}: a set bit's \"no\" left the index "
+                          f"stale")
+                    return 1
+                faults = live.lower and mask_faults(live.lower, inst)
+                if faults:
+                    print(f"{where}: unfinished solve: {faults[0]}")
+                    return 1
             if live.stale:
                 live._run()  # close the rows under the pending insertions
                 if not all(live.rows[u] >> v & 1 for u, v in expected):
@@ -129,26 +156,6 @@ def main() -> int:
                           f"({serialize_updates([op]).strip()}): "
                           f"stale rows miss a pair of the grammar engine")
                     return 1
-                asked = [(inst.source, inst.sink)] + [
-                    (rng.randrange(n), rng.randrange(n))
-                    for _ in range(STALE_QUERIES)]
-                for u, v in asked:
-                    where = (f"MISMATCH sample {i} step {step} "
-                             f"({serialize_updates([op]).strip()}): "
-                             f"stale query({u}, {v})")
-                    stale_bit = live.stale and live.rows[u] >> v & 1
-                    answer = live.query(u, v)
-                    if answer != ((u, v) in expected):
-                        print(f"{where} vs grammar engine")
-                        return 1
-                    if stale_bit and not answer and live.stale:
-                        print(f"{where}: a set bit's \"no\" left the "
-                              f"index stale")
-                        return 1
-                    faults = live.lower and mask_faults(live.lower, inst)
-                    if faults:
-                        print(f"{where}: unfinished solve: {faults[0]}")
-                        return 1
             where = (f"MISMATCH sample {i} step {step} "
                      f"({serialize_updates([op]).strip()}): ")
             if gram.stale:
@@ -162,7 +169,7 @@ def main() -> int:
                 grammar_stale += 1
             for u, v in [(inst.source, inst.sink)] + [
                     (rng.randrange(n), rng.randrange(n))
-                    for _ in range(STALE_QUERIES)]:
+                    for _ in range(RANDOM_QUERIES)]:
                 answer = gram.query(u, v)
                 if answer != ((u, v) in expected):
                     print(f"{where}grammar index query({u}, {v}) vs the "
@@ -189,7 +196,13 @@ def main() -> int:
           f"{oracle_checked['dyck']} bracket-pair and "
           f"{oracle_checked['neardyck']} near-Dyck samples, grammar "
           f"index checked on {grammar_queries} queries and "
-          f"{grammar_stale} stale states, {dt:.1f}s")
+          f"{grammar_stale} stale states, apply route checked on "
+          f"{live_queries} queries, {pending_queries} with seeds pending, "
+          f"{dt:.1f}s")
+    if args.samples and not pending_queries:
+        print("FAIL: no query was answered with seeds pending, so the "
+              "deferred insertions went unchecked")
+        return 1
     return 0
 
 

@@ -101,11 +101,9 @@ MUTANTS = (
             "test_maintained_near_dyck_index_matches_the_grammar_engine",)),
     Mutant("lower-not-seeded-on-insertion", SATURATE,
            "for index in (self, self.lower) if self.lower else (self,):\n"
-           "                for x, y in cells:\n"
-           "                    index._seed(",
+           "                index.seeds +=",
            "for index in (self,):\n"
-           "                for x, y in cells:\n"
-           "                    index._seed(",
+           "                index.seeds +=",
            ("tests/test_saturate.py::"
             "test_a_partial_solve_survives_an_insertion",)),
     Mutant("lower-kept-on-deletion", SATURATE,
@@ -127,6 +125,12 @@ MUTANTS = (
            "        other = copy.copy(self)\n",
            ("tests/test_saturate.py::"
             "test_reads_and_copies_run_the_pending_insertions",)),
+    Mutant("copy-drops-pending-seeds", SATURATE,
+           "        self._run()\n        other = copy.copy(self)\n",
+           "        self.seeds.clear()\n"
+           "        self._run()\n        other = copy.copy(self)\n",
+           ("tests/test_saturate.py::"
+            "test_reads_and_copies_run_the_pending_insertions",)),
     Mutant("pairs-without-flush", SATURATE,
            "            self._settle()\n        else:\n            self._run()\n",
            "            self._settle()\n",
@@ -137,6 +141,21 @@ MUTANTS = (
            "        if not rows[u] >> v & 1:\n",
            ("tests/test_saturate.py::"
             "test_reads_and_copies_run_the_pending_insertions",)),
+    Mutant("absent-bit-query-skips-seeds", SATURATE,
+           "        if not rows[u] >> v & 1:\n            self._run()\n",
+           "        if not rows[u] >> v & 1:\n"
+           "            seeds, self.seeds = self.seeds, []\n"
+           "            self._run()\n"
+           "            self.seeds = seeds\n",
+           ("tests/test_saturate.py::"
+            "test_reads_and_copies_run_the_pending_insertions",
+            "tests/test_saturate.py::test_a_query_on_a_set_bit_runs_no_seed")),
+    Mutant("deleted-edge-still-seeded", SATURATE,
+           "            if self.edges[_slot(lab)][x] >> y & 1:\n"
+           "                self._seed(lab, x, y)\n",
+           "            self._seed(lab, x, y)\n",
+           ("tests/test_saturate.py::"
+            "test_an_edge_deleted_before_any_read_is_never_seeded",)),
     Mutant("duplicate-insertion-accepted", SATURATE,
            '== (op.op == "del")', '>= (op.op == "del")',
            ("tests/test_saturate.py::"
@@ -271,9 +290,20 @@ MUTANTS = (
            ("tests/test_cli.py::"
             "test_a_suite_receives_exactly_the_options_it_reads[lemma7]",)),
     Mutant("lemma5-limit-one-past", CLI,
-           "if (n := _limit(text)) > LEMMA5_MAX_LEN:",
-           "if (n := _limit(text)) > LEMMA5_MAX_LEN + 1:",
+           'LEMMA5_MAX_LEN, "lemma 5")', 'LEMMA5_MAX_LEN + 1, "lemma 5")',
            ("tests/test_cli.py::test_lemma5_max_len_stops_at_its_limit",)),
+    Mutant("q-validate-limit-one-past", CLI,
+           'Q_VALIDATE_MAX_LEN, "q-validate")',
+           'Q_VALIDATE_MAX_LEN + 1, "q-validate")',
+           ("tests/test_cli.py::"
+            "test_a_max_len_one_past_its_limit_is_a_usage_error"
+            "[q-validate]",)),
+    Mutant("reach-limit-one-past", CLI,
+           'REACH_MAX_LEN, "oracle reach")',
+           'REACH_MAX_LEN + 1, "oracle reach")',
+           ("tests/test_cli.py::"
+            "test_a_max_len_one_past_its_limit_is_a_usage_error"
+            "[oracle-reach]",)),
 )
 
 

@@ -28,9 +28,15 @@ from .words import (gamma_exponent, in_q, in_q_init, in_regular, is_dyck,
                     is_near_dyck, mu, reduce_word, theta, zo_str)
 
 DEFAULT_SEED = 20240 | 1  # default ``--seed`` of the sampling suites
-# ``suite lemma5 --max-len``'s bound: on a 2-core host (Python 3.11.7)
-# lengths 12, 14 and 16 took 0.22, 2.2 and 11 s and 21, 50 and 239 MB
+# ``--max-len`` bounds, each the largest length that runs in about 15 s
+# on a 2-core host (Python 3.11.7).  ``suite lemma5``: 12, 14 and 16 took
+# 0.22, 2.2 and 11 s and 21, 50 and 239 MB.  ``suite q-validate``: 8, 9
+# and 10 took 0.87, 3.9 and 16 s.  ``oracle reach`` on a 45-vertex,
+# 112-edge two-pair graph: 18, 19, 20 and 21 took 2.5, 5.6, 11 and 18 s
+# and 32, 44, 67 and 90 MB.
 LEMMA5_MAX_LEN = 16
+Q_VALIDATE_MAX_LEN = 10
+REACH_MAX_LEN = 20
 
 
 def emit(kv: bool, key: str, value, file=None):
@@ -219,11 +225,15 @@ def _limit(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _lemma5_len(text: str) -> int:
-    if (n := _limit(text)) > LEMMA5_MAX_LEN:
-        raise argparse.ArgumentTypeError(
-            f"{n} is above lemma 5's limit of {LEMMA5_MAX_LEN}")
-    return n
+def _at_most(limit: int, what: str):
+    """The argument type of a ``_limit`` bounded by ``limit``: a larger
+    value is a usage error naming ``what``'s limit."""
+    def parse(text: str) -> int:
+        if (n := _limit(text)) > limit:
+            raise argparse.ArgumentTypeError(
+                f"{n} is above {what}'s limit of {limit}")
+        return n
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -289,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     osub = sp.add_subparsers(dest="what", required=True)
     op = osub.add_parser("reach")
     op.add_argument("graph")
-    op.add_argument("--max-len", type=_limit, default=12)
+    op.add_argument("--max-len", type=_at_most(REACH_MAX_LEN, "oracle reach"),
+                    default=12, help=f"at most {REACH_MAX_LEN}")
     op.set_defaults(func=cmd_oracle_reach)
     op = osub.add_parser("paths")
     op.add_argument("graph")
@@ -311,9 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_suite)
     ssub = sp.add_subparsers(dest="name", required=True)
     suite = {name: ssub.add_parser(name) for name in sorted(SUITES)}
-    suite["q-validate"].add_argument("--max-len", type=_limit, default=8)
-    suite["lemma5"].add_argument("--max-len", type=_lemma5_len, default=8,
-                                 help=f"at most {LEMMA5_MAX_LEN}")
+    for name, limit, what in (("q-validate", Q_VALIDATE_MAX_LEN, "q-validate"),
+                              ("lemma5", LEMMA5_MAX_LEN, "lemma 5")):
+        suite[name].add_argument("--max-len", type=_at_most(limit, what),
+                                 default=8, help=f"at most {limit}")
     for name in ("lemma4", "lemma6", "lemma7"):
         suite[name].add_argument("--budget", type=_limit, default=40)
         suite[name].add_argument("--max-paths", type=_limit, default=500)

@@ -45,21 +45,26 @@ A ``ReachIndex`` owns its instance and pays for an update only what it
 derives.  ``apply`` checks the update in O(1) against the edge tables,
 which hold the edges exactly; the instance is brought up to date only
 when ``inst`` is read.  An insertion sets the new edge's bit in its
-label's table (both ways round for an undirected edge) and seeds what it
-derives; the fixpoint runs only when a read needs it (a ``pairs`` read, a
-``copy``, or a query whose bit is not yet set, since rows only grow), once
-for every insertion since.  A from-scratch solve joins the identity pairs
-with the edges at once, so only the rows that gain a bit are processed.
-Every deletion clears the edge's bits and marks the index stale, keeping
-its rows.  Stale rows are a superset of the closure: they were closed under a superset of today's edges, and the
-fixpoint is monotone in the edges, so later insertions on them keep a
-superset.  A stale index therefore answers "no" at once when the queried
-bit is absent, and "yes" for an identity pair.  Its one way back to exact
-rows is ``lower``, a lazy from-scratch solve sharing the index's edge
-tables.  Any other set bit runs ``lower`` only until its row holds that
-bit, an exact "yes"; a read of ``pairs`` runs it to its end.  Once its
-worklist empties it is exact and the index takes it over.  An insertion
-seeds it without running it, and a deletion drops it.
+label's table (both ways round for an undirected edge) and queues the
+edge as a seed, to be joined with the rows later.  The seeds and the
+fixpoint run only when a read needs them (a ``pairs`` read, a ``copy``, or
+a query whose bit is not yet set, since rows only grow under
+insertions), once for every insertion since; a seed whose edge was
+deleted before then is skipped.  A from-scratch solve joins the identity
+pairs with the edges at once, so only the rows that gain a bit are
+processed.  Every deletion clears the edge's bits and marks the index
+stale, keeping its rows.  Stale rows are a superset of the closure once
+their seeds and work have run: they were closed under a superset of
+today's edges, and the fixpoint is monotone in the edges, so later
+insertions on them keep a superset.  A stale index therefore answers "no"
+when the queried bit is absent after that run, and "yes" at once for an
+identity pair.  Its one way back to exact rows is ``lower``, a lazy
+from-scratch solve sharing the index's edge tables.  Any other set bit
+runs ``lower`` only until its row holds that bit, an exact "yes", and
+leaves the stale rows' own seeds unpaid; a read of ``pairs`` runs it to
+its end.  Once its worklist empties it is exact and the index takes it
+over.  An insertion queues its seeds on ``lower`` too, and a deletion
+drops it with its seeds.
 ``resolve_after_update`` applies an update to a copy, for callers that
 keep the old index, and re-solves a stale copy at once.
 
@@ -139,12 +144,14 @@ class ReachIndex:
     for a closing label and for ``dot`` (slot -1, empty for a ``dyck``
     alphabet) the targets of ``x``'s outgoing ones.  The tables always hold
     the instance's edges, and only ``__init__`` builds them from it.
-    ``pending[x]`` holds the bits row ``x`` gained that the wrap rule has
-    not yet joined, and ``work`` lists the rows with pending bits;
-    ``pairs``, ``copy`` and a query of an absent bit close them.  ``stale``
-    rows are closed but may hold pairs the instance no longer derives,
-    until ``lower``, None or an unfinished from-scratch solve of the same
-    edge tables and masks, makes them exact.
+    ``seeds`` lists the cells ``(label, x, y)`` of the edges inserted
+    since the last run, not yet joined with the rows.  ``pending[x]``
+    holds the bits row ``x`` gained that the wrap rule has not yet joined,
+    and ``work`` lists the rows with pending bits.  ``pairs``, ``copy``
+    and a query of an absent bit run the seeds and close the worklist.
+    ``stale`` rows may hold pairs the instance no longer derives, until
+    ``lower``, None or an unfinished from-scratch solve of the same edge
+    tables and masks, makes them exact.
 
     Two support masks let the rules skip bits that cannot contribute.
     ``closers[k]`` is the bitset of the vertices with an outgoing closing
@@ -174,7 +181,7 @@ class ReachIndex:
         self.edges, self.closers = edges, closers
         self.rows = [1 << x for x in range(n)]
         self.cols = list(self.rows)
-        self.pending, self.work = [0] * n, []
+        self.pending, self.work, self.seeds = [0] * n, [], []
         for u, targets in enumerate(edges[-1]):
             self._add(u, targets)
         # (x, x), edges (a, q, x) and (x, q-bar, b)  =>  (a, b)
@@ -206,15 +213,16 @@ class ReachIndex:
         other.rows, other.cols = list(self.rows), list(self.cols)
         other.edges = [list(table) for table in self.edges]
         other.closers = list(self.closers)
-        other.pending, other.work, other.lower = [0] * len(self.rows), [], None
+        other.pending, other.work, other.seeds = [0] * len(self.rows), [], []
+        other.lower = None
         return other
 
     def apply(self, op: UpdateOp):
         """Apply one update, checked against the edge tables (a rejected
         one raises the instance's own error and changes nothing).  An
-        insertion seeds the rows, stale or not, and ``lower``, leaving the
-        fixpoint to a read.  A deletion drops ``lower`` and marks the
-        index stale."""
+        insertion sets the edge's bits and queues its cells as seeds of
+        the index, stale or not, and of ``lower``, leaving the rules to a
+        read.  A deletion drops ``lower`` and marks the index stale."""
         if op.op == "query":
             return
         graph = self._inst.graph
@@ -238,8 +246,7 @@ class ReachIndex:
                 if lab.bar:
                     self.closers[s >> 1] |= 1 << x
             for index in (self, self.lower) if self.lower else (self,):
-                for x, y in cells:
-                    index._seed(lab, x, y)
+                index.seeds += [(lab, x, y) for x, y in cells]
             return
         self.stale, self.lower = True, None
         for x, y in cells:
@@ -254,6 +261,8 @@ class ReachIndex:
         masks included) and is fresh again."""
         lower = self.lower = self.lower or self._fresh()
         lower._run(u, bit)
+        # a kept lower has work, and _run pops seeds before work, so an
+        # empty worklist leaves no seed pending
         if not lower.work:
             vars(self).update(vars(lower))
 
@@ -271,8 +280,9 @@ class ReachIndex:
         """Whether ``(u, v)`` is in the closed set.  A stale index's rows
         over-approximate it, so an absent bit is an exact "no" and an
         identity pair a "yes"; any other present bit settles ``lower``
-        until it holds the pair or finishes exact.  Rows only grow, so the
-        pending work runs only to decide an absent bit."""
+        until it holds the pair or finishes exact.  Rows only grow under
+        insertions, so the pending seeds and work run only to decide an
+        absent bit."""
         rows = self.rows
         if not (0 <= u < len(rows) and 0 <= v):
             return False
@@ -358,9 +368,16 @@ class ReachIndex:
             self._add(x, 1 << y)
 
     def _run(self, u: int = 0, bit: int = 0):
-        """Close the worklist, or with a target ``bit`` stop before the next
-        pop once ``rows[u]`` holds it, leaving the rest to resume."""
-        rows, pending, work = self.rows, self.pending, self.work
+        """Join the pending seeds with the rows, then close the worklist;
+        with a target ``bit``, stop before the next seed or pop once
+        ``rows[u]`` holds it, leaving the rest to resume."""
+        rows, pending, work, seeds = (self.rows, self.pending, self.work,
+                                      self.seeds)
+        while seeds and not rows[u] & bit:
+            lab, x, y = seeds.pop()
+            # an edge deleted since its insertion derives nothing
+            if self.edges[_slot(lab)][x] >> y & 1:
+                self._seed(lab, x, y)
         if not work:
             return
         # no edge changes while the fixpoint runs, so closers is read once

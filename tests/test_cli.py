@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from dycklab import (UpdateOp, compile_reduction, parse_graph,
                      serialize_graph, serialize_updates)
-from dycklab.cli import (DEFAULT_SEED, LEMMA5_MAX_LEN, WORD_OPS, build_parser,
-                         main)
+from dycklab.cli import (DEFAULT_SEED, LEMMA5_MAX_LEN, Q_VALIDATE_MAX_LEN,
+                         REACH_MAX_LEN, WORD_OPS, build_parser, main)
 from dycklab.oracle import EnumerationBudget
 from dycklab.saturate import ENGINES, maintained_index, run_replay
 from dycklab.suites import SUITES, SuiteResult, random_undirected_one_pair
@@ -648,6 +648,20 @@ def test_lemma5_max_len_stops_at_its_limit(capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv, limit, what", [
+    (["suite", "q-validate"], Q_VALIDATE_MAX_LEN, "q-validate"),
+    (["oracle", "reach", "g.graph"], REACH_MAX_LEN, "oracle reach"),
+], ids=["q-validate", "oracle-reach"])
+def test_a_max_len_one_past_its_limit_is_a_usage_error(capsys, argv, limit,
+                                                       what):
+    """Parsed only, never run: each limit runs for about 15 s."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*argv, "--max-len", str(limit + 1)])
+    assert exc.value.code == 2
+    assert (f"error: argument --max-len: {limit + 1} is above {what}'s "
+            f"limit of {limit}\n" in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("name, max_len, checked", [
     ("lemma5", "6", 628),       # 2 x 314 varpi words up to length 6
     ("q-validate", "4", 682),   # 2 x 341 words over 4 letters up to length 4
@@ -728,8 +742,7 @@ def test_a_walk_limit_past_the_recursion_limit_is_rejected(capsys, tmp_path,
 
 def test_deep_walk_limits_within_the_recursion_limit_still_run(capsys,
                                                                tmp_path):
-    """A deep bound the recursion can reach walks as before, and the
-    breadth-first ``oracle reach`` takes any bound."""
+    """A deep bound the recursion can reach walks as before."""
     graph = tmp_path / "loop.graph"
     graph.write_text(SELF_LOOP_GRAPH)
     code, out, _ = run(capsys, "--kv", "oracle", "paths", str(graph), "0",
@@ -737,10 +750,6 @@ def test_deep_walk_limits_within_the_recursion_limit_still_run(capsys,
     assert code == 0
     assert out.splitlines()[:2] == ["paths=401", "truncated=false"]
     assert out.splitlines()[-1] == "path[400]=" + " ".join(["l1"] * 400)
-    code, out, _ = run(capsys, "--kv", "oracle", "reach", str(graph),
-                       "--max-len", "1200")
-    assert code == 0
-    assert out.splitlines() == ["pairs=1", "pair=0,0"]
 
 @pytest.mark.parametrize("argv", [
     ("suite", "prop1", "--samples", "-5"),

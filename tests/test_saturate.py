@@ -353,7 +353,7 @@ def test_apply_accepts_and_rejects_as_apply_update_does(seed, near,
 
 def test_reads_and_copies_run_the_pending_insertions():
     # 0 -l1-> 1 -l2-> 2 -l2bar-> 3 -l1bar-> 4: inserting (2, l2bar, 3)
-    # seeds (1, 3), and only the run it leaves pending derives (0, 4)
+    # queues a seed, and only a read runs it, deriving (1, 3) and (0, 4)
     whole = chain([L1, L2, L2BAR, L1BAR])
     part = apply_update(whole, UpdateOp.delete(2, L2BAR, 3))
     expected = solve_cfl(whole, dyck_grammar(2))["S"]
@@ -361,10 +361,86 @@ def test_reads_and_copies_run_the_pending_insertions():
         solve_dyck(part)
     for idx in (read, copied, queried):
         idx.apply(UpdateOp.ins(2, L2BAR, 3))
-        assert idx.work and not idx.rows[0] >> 4 & 1
+        assert idx.seeds and not idx.rows[0] >> 4 & 1
     assert (0, 4) in expected and read.pairs == expected
     assert copied.copy().pairs == expected
     assert queried.query(0, 4)
+
+
+def _count_seeds(monkeypatch) -> list:
+    """Patch ``ReachIndex._seed`` to record every seed it joins with the
+    rows, as ``(label, x, y)``; returns the record."""
+    seeded = []
+    seed = saturate.ReachIndex._seed
+
+    def counted(index, lab, x, y):
+        seeded.append((lab, x, y))
+        return seed(index, lab, x, y)
+
+    monkeypatch.setattr(saturate.ReachIndex, "_seed", counted)
+    return seeded
+
+
+def test_a_query_on_a_set_bit_runs_no_seed(monkeypatch):
+    seeded = _count_seeds(monkeypatch)
+    # 0 -l1-> 1 -l1bar-> 2 -l2-> 3 -l2bar-> 4, and then 4 -l1-> 0 and
+    # 2 -l1bar-> 4, which close the bracket cycle (4, 4)
+    inst = chain([L1, L1BAR, L2, L2BAR])
+    idx = solve_dyck(inst)
+
+    def step(*ops):
+        nonlocal inst
+        for op in ops:
+            idx.apply(op)
+            inst = apply_update(inst, op)
+        return solve_cfl(inst, dyck_grammar(2))["S"]
+
+    expected = step(UpdateOp.ins(4, L1, 0), UpdateOp.ins(2, L1BAR, 4))
+    # fresh rows only grow under insertions: a set bit is an exact "yes"
+    assert idx.seeds and idx.query(0, 2) and (0, 2) in expected
+    assert seeded == []
+    # a stale set bit runs lower, and the stale rows' seeds stay unpaid
+    expected = step(UpdateOp.delete(3, L2BAR, 4), UpdateOp.ins(3, L2BAR, 4))
+    assert idx.stale and idx.seeds and idx.rows[0] >> 2 & 1
+    assert idx.query(0, 2) and (0, 2) in expected
+    assert seeded == [] and idx.stale and idx.seeds
+    # an absent bit runs them
+    assert not idx.rows[4] >> 2 & 1
+    assert not idx.query(4, 2) and (4, 2) not in expected
+    assert len(seeded) == 3 and not idx.seeds
+    assert idx.pairs == expected
+
+
+def test_an_edge_deleted_before_any_read_is_never_seeded(monkeypatch):
+    seeded = _count_seeds(monkeypatch)
+    # 0 -l1-> 1 -l2-> 2 and 3 -l1bar-> 4: (2, l2bar, 3) would derive (0, 4)
+    edges = [(0, L1, 1), (1, L2, 2), (3, L1BAR, 4)]
+    inst = Instance(LabeledGraph.build(True, 5, Alphabet("dyck", 2), edges),
+                    0, 4)
+    idx = solve_dyck(inst)
+    idx.apply(UpdateOp.ins(2, L2BAR, 3))
+    idx.apply(UpdateOp.delete(2, L2BAR, 3))
+    assert idx.stale and idx.seeds
+    # the stale "no" runs the pending seeds, skipping the deleted edge's
+    assert not idx.query(0, 4) and (0, 4) not in solve_cfl(
+        inst, dyck_grammar(2))["S"]
+    assert seeded == [] and idx.stale and not idx.seeds
+    _answers_exactly(idx, inst)
+    assert seeded == []
+
+
+def test_a_deletion_drops_lower_with_its_pending_seeds():
+    idx, inst = _bracket_cycle()
+    assert idx.query(2, 0) and idx.lower.work
+    op = UpdateOp.ins(5, L1BAR, 3)
+    idx.apply(op)
+    inst = apply_update(inst, op)
+    assert idx.lower.seeds
+    op = UpdateOp.delete(3, L2BAR, 4)
+    idx.apply(op)
+    inst = apply_update(inst, op)
+    assert idx.stale and idx.lower is None
+    _answers_exactly(idx, inst)
 
 
 def _count_fresh_solves(monkeypatch) -> list:
@@ -504,7 +580,10 @@ def _closure_faults(index) -> list[str]:
 def test_columns_transpose_closed_rows_after_every_step(near, directed):
     """On seeded scripts of insertions, deletions and queries, the index
     (and any unfinished ``lower``) keeps ``cols`` the transpose of closed
-    rows after every ``apply``, every query and every ``pairs`` read."""
+    rows after every ``apply``, every query and every ``pairs`` read,
+    seeds pending or not; the scripts reach states where the index, and
+    where an unfinished ``lower``, holds seeds not yet run."""
+    pending = {"index": 0, "lower": 0}
     for seed in range(25):
         rng = random.Random(seed)
         if near:
@@ -522,9 +601,12 @@ def test_columns_transpose_closed_rows_after_every_step(near, directed):
             else:
                 idx.apply(op)
             assert _closure_faults(idx) == [], (seed, step, op)
+            pending["index"] += bool(idx.seeds)
+            pending["lower"] += bool(idx.lower and idx.lower.seeds)
             if step % 10 == 9:
                 idx.pairs
                 assert _closure_faults(idx) == [], (seed, step, "pairs")
+    assert pending["index"] and pending["lower"], pending
 
 
 def test_closers_follow_the_last_closing_edge():
@@ -609,9 +691,10 @@ def test_deleting_a_closing_edge_that_wrapped_nothing_answers_exactly(
 
 def test_an_edge_that_fires_only_in_pending_work_is_deleted_exactly():
     # 0 -l1-> 1 -l2-> 2 . 3 -l1bar-> 4 -l1bar-> 6 and 5 -l1-> 0: inserting
-    # (2, l2bar, 3) seeds (1, 3), and only the pending run derives (0, 4)
-    # and through (5, l1, 0) then (5, 6).  Deleted before that run, the
-    # edge has fired nothing, and the answers must not use it
+    # (2, l2bar, 3) queues a seed, which derives (1, 3), then (0, 4) and
+    # through (5, l1, 0) (5, 6), only when a read runs it.  Deleted before
+    # that read, the edge (5, l1, 0) has fired nothing, and the answers
+    # must not use it
     edges = [(0, L1, 1), (1, L2, 2), (3, L1BAR, 4), (4, L1BAR, 6),
              (5, L1, 0)]
     inst = Instance(LabeledGraph.build(True, 7, Alphabet("dyck", 2), edges),

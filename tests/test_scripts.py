@@ -13,25 +13,34 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # what a script's summary line must show beyond its clean exit: the fuzz
 # leg's walk oracle must have checked near-Dyck samples, not skipped them,
-# and its grammar-index leg must have checked queries and stale states;
-# the mutants run must have killed all five of its mutants
+# its grammar-index leg must have checked queries and stale states, and
+# its apply route must have answered queries with seeds pending; the
+# mutants run must have killed all five of its mutants
 SUMMARIES = {
     "engine_fuzz.py": r"oracle checked [1-9]\d* bracket-pair and [1-9]\d* "
                       r"near-Dyck samples, grammar index checked on [1-9]\d* "
-                      r"queries and [1-9]\d* stale states",
+                      r"queries and [1-9]\d* stale states, apply route "
+                      r"checked on [1-9]\d* queries, [1-9]\d* with seeds "
+                      r"pending",
     "mutants.py": r"5 mutants, 5 killed, 0 survived",
 }
 
 
+# each case is named after its script, and its seed where two cases share
+# one, so that adding or removing a case renames no other
 @pytest.mark.parametrize("argv", [
-    ("engine_fuzz.py", "--samples", "5", "--max-vertices", "6"),
-    ("reduction_fuzz.py", "--samples", "2", "--ops", "10"),
+    pytest.param(("engine_fuzz.py", "--samples", "5", "--max-vertices", "6"),
+                 id="engine_fuzz-seed0"),
+    pytest.param(("reduction_fuzz.py", "--samples", "2", "--ops", "10"),
+                 id="reduction_fuzz"),
     # a second seed, so the fuzz leg's summary holds on more than one stream
-    ("engine_fuzz.py", "--samples", "5", "--max-vertices", "6", "--seed", "1"),
-    ("mutants.py", "--only", "duplicate-insertion-accepted",
-     "--only", "lower-kept-on-deletion", "--only", "brute-reach-pushes-dot",
-     "--only", "last-closing-deletion-keeps-closers",
-     "--only", "lane-bounds-unchecked"),
+    pytest.param(("engine_fuzz.py", "--samples", "5", "--max-vertices", "6",
+                  "--seed", "1"), id="engine_fuzz-seed1"),
+    pytest.param(("mutants.py", "--only", "duplicate-insertion-accepted",
+                  "--only", "lower-kept-on-deletion",
+                  "--only", "brute-reach-pushes-dot",
+                  "--only", "last-closing-deletion-keeps-closers",
+                  "--only", "lane-bounds-unchecked"), id="mutants"),
 ])
 def test_script_runs(argv):
     env = dict(os.environ)
