@@ -60,7 +60,7 @@ MUTANTS = (
             "tests/test_graphs.py::"
             "test_a_rejected_update_names_its_problem_and_line")),
     Mutant("build-accepts-a-foreign-label", GRAPHS,
-           "            if not alphabet.contains(lab):\n"
+           "            if slots[lab] is None:\n"
            "                raise GraphFormatError(",
            "            if False:\n"
            "                raise GraphFormatError(",
@@ -70,13 +70,26 @@ MUTANTS = (
            "            table[x] &= ~(1 << y)\n", "",
            ("tests/test_saturate.py::"
             "test_support_masks_hold_under_mixed_scripts",)),
+    Mutant("edge-table-drops-reverse-cell", SATURATE,
+           "        if undirected:\n            table[y] |= 1 << x\n", "",
+           ("tests/test_saturate.py::"
+            "test_edge_tables_match_the_label_by_label_build",
+            "tests/test_saturate.py::"
+            "test_support_masks_hold_under_mixed_scripts")),
+    Mutant("dot-edge-sets-a-closer", SATURATE,
+           "        if s > 0 and s & 1:\n            closers[s >> 1] |=",
+           "        if s & 1:\n            closers[s >> 1] |=",
+           ("tests/test_saturate.py::"
+            "test_edge_tables_match_the_label_by_label_build",
+            "tests/test_saturate.py::"
+            "test_support_masks_hold_under_mixed_scripts")),
     Mutant("undirected-insertion-one-way", SATURATE,
            "for x, y in cells:\n                table[x] |= 1 << y\n",
            "for x, y in cells[:1]:\n                table[x] |= 1 << y\n",
            ("tests/test_saturate.py::"
             "test_support_masks_hold_under_mixed_scripts",)),
     Mutant("closing-insertion-leaves-closers", SATURATE,
-           "                if lab.bar:\n"
+           "                if s > 0 and s & 1:\n"
            "                    self.closers[s >> 1] |= 1 << x\n", "",
            ("tests/test_saturate.py::"
             "test_support_masks_hold_under_mixed_scripts",
@@ -96,9 +109,17 @@ MUTANTS = (
            ("tests/test_saturate.py::"
             "test_columns_transpose_closed_rows_after_every_step",)),
     Mutant("dot-insertion-not-seeded", SATURATE,
-           "        else:\n            self._add(x, 1 << y)\n", "",
+           "        if s < 0:\n            self._add(x, 1 << y)\n",
+           "        if s < 0:\n            pass\n",
            ("tests/test_saturate.py::"
             "test_maintained_near_dyck_index_matches_the_grammar_engine",)),
+    Mutant("closing-seed-read-as-opening", SATURATE,
+           "        elif not s & 1:\n            # edge (y, q, x)",
+           "        elif s & 1:\n            # edge (y, q, x)",
+           ("tests/test_saturate.py::"
+            "test_reads_and_copies_run_the_pending_insertions",
+            "tests/test_saturate.py::"
+            "test_maintained_index_matches_the_grammar_engine")),
     Mutant("lower-not-seeded-on-insertion", SATURATE,
            "for index in (self, self.lower) if self.lower else (self,):\n"
            "                index.seeds +=",
@@ -151,9 +172,9 @@ MUTANTS = (
             "test_reads_and_copies_run_the_pending_insertions",
             "tests/test_saturate.py::test_a_query_on_a_set_bit_runs_no_seed")),
     Mutant("deleted-edge-still-seeded", SATURATE,
-           "            if self.edges[_slot(lab)][x] >> y & 1:\n"
-           "                self._seed(lab, x, y)\n",
-           "            self._seed(lab, x, y)\n",
+           "            if self.edges[s][x] >> y & 1:\n"
+           "                self._seed(s, x, y)\n",
+           "            self._seed(s, x, y)\n",
            ("tests/test_saturate.py::"
             "test_an_edge_deleted_before_any_read_is_never_seeded",)),
     Mutant("duplicate-insertion-accepted", SATURATE,
@@ -304,6 +325,11 @@ MUTANTS = (
            ("tests/test_cli.py::"
             "test_a_max_len_one_past_its_limit_is_a_usage_error"
             "[oracle-reach]",)),
+    Mutant("words-limit-one-length-short", CLI,
+           "    for _ in range(max(max_len, 1) + 1):\n",
+           "    for _ in range(max(max_len, 1)):\n",
+           ("tests/test_cli.py::"
+            "test_oracle_words_one_past_its_limit_is_an_error",)),
 )
 
 

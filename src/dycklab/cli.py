@@ -37,6 +37,12 @@ DEFAULT_SEED = 20240 | 1  # default ``--seed`` of the sampling suites
 LEMMA5_MAX_LEN = 16
 Q_VALIDATE_MAX_LEN = 10
 REACH_MAX_LEN = 20
+# ``oracle words`` bounds the words it tries (``_words_tried``) instead,
+# since their number grows with both ``--pairs`` and ``--max-len``.
+# ``--pairs 1 --max-len 21``, 4,194,303 words, took 14.7 s with ``qinit``,
+# the slowest predicate, and 12.3 s with ``dyck``; ``--pairs 1000000
+# --max-len 1`` took 5.7 s and 245 MB.
+WORDS_LIMIT = 4_200_000
 
 
 def emit(kv: bool, key: str, value, file=None):
@@ -181,7 +187,25 @@ def cmd_oracle_paths(args, emit) -> int:
     return 0
 
 
+def _words_tried(pairs: int, max_len: int, limit: int) -> int:
+    """How many words ``oracle words`` tries over ``pairs`` bracket pairs:
+    every word of length at most ``max_len``, and at least every
+    one-letter word, since it builds each letter.  Counted only until the
+    count passes ``limit``."""
+    count, power = 0, 1
+    for _ in range(max(max_len, 1) + 1):
+        count += power
+        if count > limit:
+            break
+        power *= 2 * pairs
+    return count
+
+
 def cmd_oracle_words(args, emit) -> int:
+    if _words_tried(args.pairs, args.max_len, WORDS_LIMIT) > WORDS_LIMIT:
+        raise ValueError(f"--pairs {args.pairs} --max-len {args.max_len} "
+                         f"tries more words than oracle words's limit of "
+                         f"{WORDS_LIMIT}")
     labels = tuple(Alphabet("dyck", args.pairs).labels())
     found = exhaustive_words(labels, args.max_len, WORD_VALUES[args.predicate])
     listed = list(found) if args.list else ()  # else count, keeping none

@@ -134,14 +134,45 @@ class Alphabet(_AlphabetFields):
             yield DOT
 
 
+_FIRST_INDEX = {"l": 1, "v": 0}
+
+
+class _LabelSlots(dict):
+    """One alphabet's labels, each with its slot: ``2j`` for the ``j``-th
+    opening label (``l_k`` is the ``(k-1)``-th, ``v_i`` the ``i``-th), one
+    more for its closing partner, and -1 for ``dot``.  So an even slot
+    opens, an odd one above 0 closes, and a slot indexes a list with one
+    table per label, ``dot``'s last.  A label outside the alphabet maps
+    to None.  Each label is resolved on its first lookup, so an alphabet
+    costs only the labels its graphs and scripts use."""
+
+    __slots__ = ("alphabet",)
+
+    def __init__(self, alphabet: "Alphabet"):
+        super().__init__()
+        self.alphabet = alphabet
+
+    def __missing__(self, lab: Label) -> Optional[int]:
+        if not self.alphabet.contains(lab):
+            slot = None
+        elif lab.base == "dot":
+            slot = -1
+        else:
+            slot = 2 * (lab.index - _FIRST_INDEX[lab.base]) + lab.bar
+        self[lab] = slot
+        return slot
+
+
+@functools.lru_cache
+def label_slots(alphabet: Alphabet) -> dict[Label, Optional[int]]:
+    """The slot of each label, None for one outside ``alphabet``
+    (``_LabelSlots``).  Memoized: an alphabet is immutable, so each keeps
+    one table, and looking a label up in it is the package's check that
+    the alphabet holds the label."""
+    return _LabelSlots(alphabet)
+
+
 Edge = tuple[int, Label, int]
-
-
-def _canonical(directed: bool, edge: Edge) -> Edge:
-    if directed:
-        return edge
-    u, lab, v = edge
-    return (u, lab, v) if u <= v else (v, lab, u)
 
 
 class LabeledGraph(NamedTuple):
@@ -156,17 +187,19 @@ class LabeledGraph(NamedTuple):
     def build(directed: bool, vertex_count: int, alphabet: Alphabet,
               edges: Iterable[Edge]) -> "LabeledGraph":
         canon = set()
+        slots = label_slots(alphabet)
         for e in edges:
             u, lab, v = e
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise GraphFormatError(f"edge endpoint out of range: {e}")
-            if not alphabet.contains(lab):
+            if slots[lab] is None:
                 raise GraphFormatError(f"label {lab.token()} not in alphabet")
-            canon.add(_canonical(directed, e))
+            canon.add((u, lab, v) if directed or u <= v else (v, lab, u))
         return LabeledGraph(directed, vertex_count, alphabet, frozenset(canon))
 
     def has_edge(self, u: int, label: Label, v: int) -> bool:
-        return _canonical(self.directed, (u, label, v)) in self.edges
+        return ((u, label, v) if self.directed or u <= v
+                else (v, label, u)) in self.edges
 
     def directed_edges(self) -> Iterator[Edge]:
         """All edges as directed triples; undirected edges appear both ways
@@ -260,11 +293,11 @@ def apply_update(inst: Instance, op: UpdateOp) -> Instance:
         return inst
     g = inst.graph
     u, lab, v = op.u, op.label, op.v
-    e = _canonical(g.directed, (u, lab, v))
+    e = (u, lab, v) if g.directed or u <= v else (v, lab, u)
     if op.op == "ins":
         if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
             problem = f"edge endpoint out of range: ({u}, {lab.token()}, {v})"
-        elif not g.alphabet.contains(lab):
+        elif label_slots(g.alphabet)[lab] is None:
             problem = f"label {lab.token()} not in alphabet"
         elif e in g.edges:
             problem = f"duplicate edge ({u}, {lab.token()}, {v})"
@@ -308,7 +341,7 @@ def parse_graph(text: str) -> Instance:
     """
     directed = None
     vertex_count = None
-    alphabet = None
+    alphabet = slots = None
     canon = set()
     mark = None
     partition = None
@@ -342,7 +375,7 @@ def parse_graph(text: str) -> Instance:
     # soon as it is read against it, so an error names the first bad line.
     header = []
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         fields = line.split()
@@ -350,6 +383,7 @@ def parse_graph(text: str) -> Instance:
             header.append((no, fields))
             if len(header) == 3:
                 directed, vertex_count, alphabet = read_header(header)
+                slots = label_slots(alphabet)
             continue
         kw = fields[0]
         if kw == "edge":
@@ -363,9 +397,9 @@ def parse_graph(text: str) -> Instance:
                 err(str(exc), no)
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 err(f"vertex out of range in edge ({u}, {lab.token()}, {v})", no)
-            if not alphabet.contains(lab):
+            if slots[lab] is None:
                 err(f"unknown label token {lab.token()!r} for this alphabet", no)
-            key = _canonical(directed, (u, lab, v))
+            key = (u, lab, v) if directed or u <= v else (v, lab, u)
             if key in canon:
                 err(f"duplicate edge ({u}, {lab.token()}, {v})", no)
             canon.add(key)

@@ -20,8 +20,12 @@ The set is kept a row at a time, as in Chaudhuri's subcubic closure
 column ``C[v]`` the bitset of the ``u``.  Each label has one edge table,
 kept the way the wrap rule reads it: per vertex, the source bitset of its
 incoming edges for an opening label, and the target bitset of its outgoing
-edges for a closing label or ``dot``.  Concatenation keeps the rows
-transitively closed at every step: when row ``a`` gains the bits ``B``,
+edges for a closing label or ``dot``.  The tables are numbered by slot:
+one table per alphabet, ``graphs.label_slots``, cached since an alphabet
+is immutable, resolves each label once to its slot, and past that the
+index works on slot numbers alone (an even slot opens, an odd one closes,
+-1 is ``dot``).  Concatenation keeps the rows transitively closed at
+every step: when row ``a`` gains the bits ``B``,
 every row in ``C[a]`` gains ``B`` and the rows of ``B``.  Since each row in
 ``C[a]`` already holds ``R[a]``, it gains only part of the fresh bits ``F``,
 those of ``B`` and their rows outside ``R[a]``, and afterwards holds all of
@@ -45,14 +49,14 @@ A ``ReachIndex`` owns its instance and pays for an update only what it
 derives.  ``apply`` checks the update in O(1) against the edge tables,
 which hold the edges exactly; the instance is brought up to date only
 when ``inst`` is read.  An insertion sets the new edge's bit in its
-label's table (both ways round for an undirected edge) and queues the
-edge as a seed, to be joined with the rows later.  The seeds and the
-fixpoint run only when a read needs them (a ``pairs`` read, a ``copy``, or
-a query whose bit is not yet set, since rows only grow under
-insertions), once for every insertion since; a seed whose edge was
-deleted before then is skipped.  A from-scratch solve joins the identity
-pairs with the edges at once, so only the rows that gain a bit are
-processed.  Every deletion clears the edge's bits and marks the index
+slot's table (both ways round for an undirected edge) and queues its
+cells ``(slot, x, y)`` as seeds, to be joined with the rows later.  The
+seeds and the fixpoint run only when a read needs them (a ``pairs``
+read, a ``copy``, or a query whose bit is not yet set, since rows only
+grow under insertions), once for every insertion since; a seed whose
+edge was deleted before then is skipped.  A from-scratch solve joins the
+identity pairs with the edges at once, so only the rows that gain a bit
+are processed.  Every deletion clears the edge's bits and marks the index
 stale, keeping its rows.  Stale rows are a superset of the closure once
 their seeds and work have run: they were closed under a superset of
 today's edges, and the fixpoint is monotone in the edges, so later
@@ -65,8 +69,10 @@ leaves the stale rows' own seeds unpaid; a read of ``pairs`` runs it to
 its end.  Once its worklist empties it is exact and the index takes it
 over.  An insertion queues its seeds on ``lower`` too, and a deletion
 drops it with its seeds.
-``resolve_after_update`` applies an update to a copy, for callers that
-keep the old index, and re-solves a stale copy at once.
+``resolve_after_update`` is for callers that keep the old index: it
+applies an insertion into a fresh index to a copy, and solves a deletion,
+or any update of a stale index, afresh, running none of the stale rows'
+seeds.
 
 ``GrammarIndex`` is an independent engine over grammars in binary normal
 form and must agree with ``solve_dyck`` on either alphabet's
@@ -89,7 +95,8 @@ import functools
 from typing import Iterator, NamedTuple
 
 from .alternating import solve_alternating
-from .graphs import Alphabet, Instance, Label, UpdateOp, apply_update, DOT
+from .graphs import (Alphabet, Instance, Label, UpdateOp, apply_update, DOT,
+                     label_slots)
 from .one_letter import ParityIndex
 
 
@@ -109,31 +116,33 @@ def _bits(x: int) -> Iterator[int]:
         x ^= low
 
 
-_FIRST_INDEX = {"l": 1, "v": 0}
-
-
-def _slot(lab: Label) -> int:
-    """Edge-table slot of a label: ``2k-2`` for the opening label ``l_k``
-    (pairs count from 1), ``2i`` for ``v_i`` (vertices count from 0), one
-    more for the closing partner, and the last slot, -1, for ``dot``."""
-    if lab == DOT:
-        return -1
-    return 2 * (lab.index - _FIRST_INDEX[lab.base]) + lab.bar
-
-
 def _edge_tables(inst: Instance):
-    """Per slot, the edge table of the graph's directed view, laid out as
-    ``ReachIndex`` keeps it; per pair, the ``closers`` mask."""
-    n = inst.graph.vertex_count
-    edges = [[0] * n for _ in range(2 * inst.graph.alphabet.size)]
-    edges.append([0] * n if inst.graph.alphabet.contains(DOT) else [])
-    for u, lab, v in inst.graph.directed_edges():
-        if lab.is_open:
-            edges[_slot(lab)][v] |= 1 << u
+    """Per slot (``graphs.label_slots``), the edge table of the graph's
+    directed view, laid out as ``ReachIndex`` keeps it; per pair, the
+    ``closers`` mask.  One pass over the stored edges writes both cells of
+    an undirected one."""
+    graph = inst.graph
+    n, size, undirected = (graph.vertex_count, graph.alphabet.size,
+                           not graph.directed)
+    slots = label_slots(graph.alphabet)
+    edges = [[0] * n for _ in range(2 * size)]
+    edges.append([0] * n if graph.alphabet.kind == "neardyck" else [])
+    closers = [0] * size
+    for u, lab, v in graph.edges:
+        s = slots[lab]
+        # bit y of row x: an opening label's table (an even slot's) holds
+        # sources by target, a closing label's and dot's (-1 & 1 is 1)
+        # targets by source
+        if s & 1:
+            x, y = u, v
         else:
-            edges[_slot(lab)][u] |= 1 << v
-    closers = [sum(1 << w for w, targets in enumerate(closing) if targets)
-               for closing in edges[1::2]]
+            x, y = v, u
+        table = edges[s]
+        table[x] |= 1 << y
+        if undirected:
+            table[y] |= 1 << x
+        if s > 0 and s & 1:
+            closers[s >> 1] |= 1 << x | 1 << y if undirected else 1 << x
     return edges, closers
 
 
@@ -143,11 +152,15 @@ class ReachIndex:
     read it: for an opening label the sources of ``x``'s incoming edges,
     for a closing label and for ``dot`` (slot -1, empty for a ``dyck``
     alphabet) the targets of ``x``'s outgoing ones.  The tables always hold
-    the instance's edges, and only ``__init__`` builds them from it.
-    ``seeds`` lists the cells ``(label, x, y)`` of the edges inserted
-    since the last run, not yet joined with the rows.  ``pending[x]``
-    holds the bits row ``x`` gained that the wrap rule has not yet joined,
-    and ``work`` lists the rows with pending bits.  ``pairs``, ``copy``
+    the instance's edges, and only ``__init__`` builds them from it.  A
+    label is resolved to its slot once, by ``apply`` or ``_edge_tables``
+    through the alphabet's one ``graphs.label_slots`` table; everything
+    past that reads the slot number, whose sign and parity say what the
+    label is (even opens, odd closes, -1 is ``dot``).  ``seeds`` lists
+    the cells ``(slot, x, y)`` of the edges inserted since the last run,
+    not yet joined with the rows.  ``pending[x]`` holds the bits row ``x``
+    gained that the wrap rule has not yet joined, and ``work`` lists the
+    rows with pending bits.  ``pairs``, ``copy``
     and a query of an absent bit run the seeds and close the worklist.
     ``stale`` rows may hold pairs the instance no longer derives, until
     ``lower``, None or an unfinished from-scratch solve of the same edge
@@ -170,6 +183,7 @@ class ReachIndex:
 
     def __init__(self, inst: Instance):
         self._inst, self._ops = inst, []
+        self._slots = label_slots(inst.graph.alphabet)
         self._start(inst.graph.vertex_count, *_edge_tables(inst))
         self._run()
 
@@ -182,13 +196,20 @@ class ReachIndex:
         self.rows = [1 << x for x in range(n)]
         self.cols = list(self.rows)
         self.pending, self.work, self.seeds = [0] * n, [], []
+        add = self._add
         for u, targets in enumerate(edges[-1]):
-            self._add(u, targets)
+            add(u, targets)
         # (x, x), edges (a, q, x) and (x, q-bar, b)  =>  (a, b)
         for opening, closing, ends in zip(edges[:-1:2], edges[1::2], closers):
-            for x in _bits(ends):
-                for a in _bits(opening[x]):
-                    self._add(a, closing[x])
+            while ends:
+                low = ends & -ends
+                x = low.bit_length() - 1
+                ends ^= low
+                srcs, reach = opening[x], closing[x]
+                while srcs:
+                    bit = srcs & -srcs
+                    add(bit.bit_length() - 1, reach)
+                    srcs ^= bit
 
     def _fresh(self) -> "ReachIndex":
         """An unfinished from-scratch solve of today's edges, sharing this
@@ -225,33 +246,34 @@ class ReachIndex:
         read.  A deletion drops ``lower`` and marks the index stale."""
         if op.op == "query":
             return
-        graph = self._inst.graph
-        u, lab, v = op.u, op.label, op.v
+        u, v = op.u, op.v
         n = len(self.rows)
-        valid = (op.op in ("ins", "del") and 0 <= u < n and 0 <= v < n
-                 and graph.alphabet.contains(lab))
-        # the edge is bit y of row x of its label's table
-        x, y = (v, u) if valid and lab.is_open else (u, v)
-        if not (valid and bool(self.edges[_slot(lab)][x] >> y & 1)
+        # the label's slot, None for a label outside the alphabet
+        s = (self._slots[op.label] if op.op in ("ins", "del")
+             and 0 <= u < n and 0 <= v < n else None)
+        # the edge is bit y of row x of its slot's table, which holds
+        # sources for an opening label (an even slot)
+        x, y = (u, v) if s is None or s & 1 else (v, u)
+        if not (s is not None and bool(self.edges[s][x] >> y & 1)
                 == (op.op == "del")):
             apply_update(self.inst, op)  # raises the instance's error
             raise AssertionError(f"the edge tables accept {op!r}")
         self._ops.append(op)
-        s = _slot(lab)
         table = self.edges[s]
-        cells = [(x, y)] if graph.directed or u == v else [(x, y), (y, x)]
+        cells = ([(x, y)] if self._inst.graph.directed or u == v
+                 else [(x, y), (y, x)])
         if op.op == "ins":
             for x, y in cells:
                 table[x] |= 1 << y
-                if lab.bar:
+                if s > 0 and s & 1:
                     self.closers[s >> 1] |= 1 << x
             for index in (self, self.lower) if self.lower else (self,):
-                index.seeds += [(lab, x, y) for x, y in cells]
+                index.seeds += [(s, x, y) for x, y in cells]
             return
         self.stale, self.lower = True, None
         for x, y in cells:
             table[x] &= ~(1 << y)
-            if lab.bar and not table[x]:
+            if s > 0 and s & 1 and not table[x]:
                 # x's last closing edge of this pair is gone
                 self.closers[s >> 1] &= ~(1 << x)
 
@@ -335,12 +357,13 @@ class ReachIndex:
             fresh ^= low
         self.wide |= grown
 
-    def _seed(self, lab: Label, x: int, y: int):
-        """Add what a recorded edge, bit ``y`` of its table's row ``x``,
-        derives against the current pairs.  A ``dot`` edge is itself a
-        pair."""
-        s = _slot(lab)
-        if lab.is_open:
+    def _seed(self, s: int, x: int, y: int):
+        """Add what a recorded edge, bit ``y`` of row ``x`` of slot ``s``'s
+        table, derives against the current pairs.  A ``dot`` edge (slot -1)
+        is itself a pair."""
+        if s < 0:
+            self._add(x, 1 << y)
+        elif not s & 1:
             # edge (y, q, x), (x, w) in the set and (w, q-bar, b)  =>  (y, b)
             closing = self.edges[s + 1]
             ends = self.rows[x] & self.closers[s >> 1]
@@ -350,7 +373,7 @@ class ReachIndex:
                 reach |= closing[low.bit_length() - 1]
                 ends ^= low
             self._add(y, reach)
-        elif lab.bar:
+        else:
             # edge (x, q-bar, y), (w, x) in the set and (a, q, w)  =>  (a, y)
             opening = self.edges[s - 1]
             ends = self.cols[x]
@@ -364,8 +387,6 @@ class ReachIndex:
                 low = srcs & -srcs
                 self._add(low.bit_length() - 1, bit)
                 srcs ^= low
-        else:
-            self._add(x, 1 << y)
 
     def _run(self, u: int = 0, bit: int = 0):
         """Join the pending seeds with the rows, then close the worklist;
@@ -374,10 +395,10 @@ class ReachIndex:
         rows, pending, work, seeds = (self.rows, self.pending, self.work,
                                       self.seeds)
         while seeds and not rows[u] & bit:
-            lab, x, y = seeds.pop()
+            s, x, y = seeds.pop()
             # an edge deleted since its insertion derives nothing
-            if self.edges[_slot(lab)][x] >> y & 1:
-                self._seed(lab, x, y)
+            if self.edges[s][x] >> y & 1:
+                self._seed(s, x, y)
         if not work:
             return
         # no edge changes while the fixpoint runs, so closers is read once
@@ -413,14 +434,18 @@ def solve_dyck(inst: Instance) -> ReachIndex:
 def resolve_after_update(index: ReachIndex, inst: Instance,
                          op: UpdateOp) -> ReachIndex:
     """A new index for ``inst`` after one update, leaving ``index`` as it
-    was: ``apply`` on a copy, with a stale copy re-solved at once."""
+    was: an insertion into a fresh index is applied to a copy; a deletion,
+    or any update of a stale index, is solved afresh on the updated
+    instance (a rejected update raises either way)."""
     if index.inst != inst:
         raise InstanceMismatchError("index does not match the instance")
     if op.op == "query":
         return index
-    new = index.copy()
-    new.apply(op)
-    return solve_dyck(new.inst) if new.stale else new
+    if op.op == "ins" and not index.stale:
+        new = index.copy()
+        new.apply(op)
+        return new
+    return solve_dyck(apply_update(index.inst, op))
 
 
 # ---------------------------------------------------------------------------

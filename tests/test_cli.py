@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 from dycklab import (UpdateOp, compile_reduction, parse_graph,
                      serialize_graph, serialize_updates)
+import dycklab.cli as cli
 from dycklab.cli import (DEFAULT_SEED, LEMMA5_MAX_LEN, Q_VALIDATE_MAX_LEN,
-                         REACH_MAX_LEN, WORD_OPS, build_parser, main)
+                         REACH_MAX_LEN, WORD_OPS, WORDS_LIMIT, build_parser,
+                         main)
 from dycklab.oracle import EnumerationBudget
 from dycklab.saturate import ENGINES, maintained_index, run_replay
 from dycklab.suites import SUITES, SuiteResult, random_undirected_one_pair
@@ -660,6 +662,24 @@ def test_a_max_len_one_past_its_limit_is_a_usage_error(capsys, argv, limit,
     assert exc.value.code == 2
     assert (f"error: argument --max-len: {limit + 1} is above {what}'s "
             f"limit of {limit}\n" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("pairs, max_len", [
+    (1, 22), (2, 11), (3, 9), (WORDS_LIMIT // 2, 1)])
+def test_oracle_words_one_past_its_limit_is_an_error(capsys, monkeypatch,
+                                                     pairs, max_len):
+    """Checked, never run: each call is one step of ``--max-len``, or for
+    one-letter words one pair, past the largest that the limit lets run,
+    which takes up to about 15 s."""
+    def enumerate_nothing(*args):
+        raise AssertionError("a call past the limit enumerated words")
+
+    monkeypatch.setattr(cli, "exhaustive_words", enumerate_nothing)
+    code, out, err = run(capsys, "--kv", "oracle", "words", "--pairs",
+                         str(pairs), "--max-len", str(max_len))
+    assert (code, out) == (2, "")
+    assert err == (f"error: --pairs {pairs} --max-len {max_len} tries more "
+                   f"words than oracle words's limit of {WORDS_LIMIT}\n")
 
 
 @pytest.mark.parametrize("name, max_len, checked", [

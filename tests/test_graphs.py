@@ -285,6 +285,32 @@ def test_comments_and_blank_lines_ignored():
     assert len(inst.graph.edges) == 1
 
 
+def test_a_foreign_label_before_a_comment_keeps_its_message_and_line():
+    text = ("graph directed\nvertices 2\nalphabet dyck 1  # one pair\n"
+            "edge 0 l1 1  # in the alphabet\n"
+            "edge 1 l2 0  # pair 2 is not\nmark 0 1\n")
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(text)
+    assert exc.value.line == 5
+    assert str(exc.value) == ("line 5: unknown label token 'l2' for this "
+                              "alphabet")
+
+
+@pytest.mark.parametrize("filler", [
+    "", "   ", "\t", "#", "# a note", "  # a note # and more",
+    "#edge 0 l9 1"])
+def test_blank_and_comment_only_lines_are_skipped(filler):
+    rows = ["graph undirected", "vertices 3", "alphabet neardyck 3",
+            "edge 0 v1 1", "edge 2 dot 1", "mark 0 2", "partition and 1"]
+    plain = parse_graph("\n".join(rows) + "\n")
+    # row i is line 2i + 2, after a filler line
+    padded = "".join(f"{filler}\n{row}\n" for row in rows) + filler
+    assert parse_graph(padded) == plain
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(padded.replace("edge 2 dot 1", "edge 2 dot 7"))
+    assert exc.value.line == 10
+
+
 def test_apply_update_ins_del():
     alph = Alphabet("dyck", 1)
     inst = Instance(LabeledGraph.build(True, 2, alph, []), 0, 1, ("and", "or"))

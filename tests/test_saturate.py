@@ -17,7 +17,8 @@ from dycklab.saturate import bracket_grammar
 
 from util import (fig2_source, gap_chain_instance, mask_faults,
                   random_dyck_instance, random_neardyck_instance,
-                  random_script, reference_wrap_only_pairs)
+                  random_script, reference_edge_tables,
+                  reference_wrap_only_pairs)
 
 L1, L1BAR = Label("l", 1, False), Label("l", 1, True)
 L2, L2BAR = Label("l", 2, False), Label("l", 2, True)
@@ -369,13 +370,13 @@ def test_reads_and_copies_run_the_pending_insertions():
 
 def _count_seeds(monkeypatch) -> list:
     """Patch ``ReachIndex._seed`` to record every seed it joins with the
-    rows, as ``(label, x, y)``; returns the record."""
+    rows, as ``(slot, x, y)``; returns the record."""
     seeded = []
     seed = saturate.ReachIndex._seed
 
-    def counted(index, lab, x, y):
-        seeded.append((lab, x, y))
-        return seed(index, lab, x, y)
+    def counted(index, s, x, y):
+        seeded.append((s, x, y))
+        return seed(index, s, x, y)
 
     monkeypatch.setattr(saturate.ReachIndex, "_seed", counted)
     return seeded
@@ -548,6 +549,33 @@ def test_support_masks_hold_under_mixed_scripts(seed, near, directed):
             assert live.pairs == solve_dyck(inst).pairs
             assert not live.stale
             assert mask_faults(live) == [], (step, op)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.booleans(),
+       st.booleans())
+def test_edge_tables_match_the_label_by_label_build(seed, near, directed):
+    """``_edge_tables`` reads each stored edge once, by its slot, against
+    a build that walks the directed view label by label: both alphabets,
+    directed and undirected, every instance with a self-loop and, on the
+    per-vertex alphabet, a ``dot`` edge."""
+    rng = random.Random(seed)
+    if near:
+        inst = random_neardyck_instance(rng, max_vertices=6, density=0.15,
+                                        directed=directed)
+    else:
+        inst = random_dyck_instance(rng, max_vertices=7,
+                                    pairs=rng.choice((1, 2, 3)),
+                                    density=0.15, directed=directed)
+    g = inst.graph
+    n = g.vertex_count
+    x, y = rng.randrange(n), rng.randrange(n)
+    extra = [(x, rng.choice(list(g.alphabet.labels())), x)]
+    if near:
+        extra.append((y, DOT, x))
+    inst = Instance(LabeledGraph.build(directed, n, g.alphabet,
+                                       [*g.edges, *extra]), 0, 0)
+    assert saturate._edge_tables(inst) == reference_edge_tables(inst)
 
 
 def _closure_faults(index) -> list[str]:
@@ -798,6 +826,33 @@ def test_copies_of_a_partial_solve_keep_its_answers():
     for index in (copied, idx):
         assert all(index.query(u, v) == ((u, v) in expected)
                    for u in range(6) for v in range(6))
+
+
+@pytest.mark.parametrize("op", [UpdateOp.ins(5, L1BAR, 3),
+                                UpdateOp.delete(2, L2, 3)],
+                         ids=["ins", "del"])
+def test_resolving_a_stale_index_runs_none_of_its_pending_seeds(
+        monkeypatch, op):
+    """A stale index's rows and seeds are thrown away by a re-solve, so
+    ``resolve_after_update`` solves the updated instance afresh without
+    running them, and leaves the index as it was."""
+    seeded = _count_seeds(monkeypatch)
+    idx, inst = _bracket_cycle()
+    pending = UpdateOp.ins(4, L2BAR, 1)
+    idx.apply(pending)
+    inst = apply_update(inst, pending)
+    seeds, rows = list(idx.seeds), list(idx.rows)
+    assert idx.stale and seeds
+    new = resolve_after_update(idx, inst, op)
+    assert new.pairs == solve_cfl(apply_update(inst, op),
+                                  dyck_grammar(2))["S"]
+    assert seeded == [] and not new.stale
+    assert idx.seeds == seeds and idx.rows == rows and idx.stale
+    # a rejected update raises and changes nothing
+    with pytest.raises(UpdateError):
+        resolve_after_update(idx, inst, UpdateOp.delete(1, L1BAR, 2))
+    assert idx.seeds == seeds and idx.rows == rows and idx.inst == inst
+    assert seeded == []
 
 
 # ---------------------------------------------------------------------------

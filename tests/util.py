@@ -93,22 +93,18 @@ def random_script(rng: random.Random, inst: Instance, ops: int = 30,
     return script
 
 
-def mask_faults(index, inst=None) -> list[str]:
-    """How a ``ReachIndex``'s edge tables and support masks fail their
-    invariants, read against the edges of ``inst`` (the index's own
-    instance by default; an unfinished solve ``lower`` shares the edges of
-    its index's) and against its rows.  ``edges`` must hold one table per
-    label slot and one last table for ``dot``, each holding exactly the
-    directed edges of its label: an opening label's as sources by target,
-    a closing label's and ``dot``'s as targets by source, and a ``dyck``
-    alphabet's ``dot`` table must be empty; ``closers[k]`` must be exactly
-    the vertices with an outgoing closing edge of pair ``k`` (counted from
-    0); and ``wide`` must hold every vertex whose row has more than its
-    identity bit.  Empty when all hold."""
-    graph = (inst or index.inst).graph
+def reference_edge_tables(inst):
+    """The edge tables and ``closers`` masks of a ``ReachIndex``, built
+    label by label: every directed edge's slot computed from its label,
+    an opening label's edge kept as a source by target and any other as a
+    target by source, then a second pass for each pair's vertices with an
+    outgoing closing edge.  ``edges`` holds one table per label slot
+    (``2j`` for the ``j``-th opening label, counted from 0, one more for
+    its partner) and one last table for ``dot``, empty for a ``dyck``
+    alphabet."""
+    graph = inst.graph
     n = graph.vertex_count
     first = {"l": 1, "v": 0}
-    support = [0] * graph.alphabet.size
     edges = [[0] * n for _ in range(2 * graph.alphabet.size)]
     edges.append([0] * n if graph.alphabet.kind == "neardyck" else [])
     for u, lab, v in graph.directed_edges():
@@ -118,9 +114,24 @@ def mask_faults(index, inst=None) -> list[str]:
         s = 2 * (lab.index - first[lab.base]) + lab.bar
         if lab.bar:
             edges[s][u] |= 1 << v
-            support[s >> 1] |= 1 << u
         else:
             edges[s][v] |= 1 << u
+    closers = [sum(1 << w for w, targets in enumerate(closing) if targets)
+               for closing in edges[1::2]]
+    return edges, closers
+
+
+def mask_faults(index, inst=None) -> list[str]:
+    """How a ``ReachIndex``'s edge tables and support masks fail their
+    invariants, read against the edges of ``inst`` (the index's own
+    instance by default; an unfinished solve ``lower`` shares the edges of
+    its index's) and against its rows.  ``edges`` and ``closers`` must be
+    exactly ``reference_edge_tables``'s: each table holds exactly the
+    directed edges of its label, and ``closers[k]`` exactly the vertices
+    with an outgoing closing edge of pair ``k`` (counted from 0); and
+    ``wide`` must hold every vertex whose row has more than its identity
+    bit.  Empty when all hold."""
+    edges, support = reference_edge_tables(inst or index.inst)
     faults = []
     if len(index.edges) != len(edges):
         faults.append(f"edges has {len(index.edges)} tables, not "
