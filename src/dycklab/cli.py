@@ -12,7 +12,7 @@ import functools
 import sys
 import time
 
-from .graphs import (Alphabet, GraphFormatError, UpdateOp, parse_graph,
+from .graphs import (Alphabet, UpdateOp, decode_text, parse_graph,
                      parse_label_token, parse_number, parse_updates,
                      serialize_graph)
 from .oracle import (EnumerationBudget, brute_dyck_reach, enumerate_paths,
@@ -57,17 +57,9 @@ def emit(kv: bool, key: str, value, file=None):
 # Subcommand handlers
 
 def _read(path: str) -> str:
-    """The text of a graph or script file, decoded as UTF-8; a byte that is
-    not UTF-8 raises ``GraphFormatError`` naming the line that holds it,
-    numbered as ``parse_graph`` and ``parse_updates`` number lines."""
+    """The text of a graph or script file (``graphs.decode_text``)."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise GraphFormatError(f"byte 0x{data[exc.start]:02x} is not UTF-8 "
-                               f"({exc.reason})", line) from None
+        return decode_text(fh.read())
 
 
 def cmd_solve(args, emit) -> int:

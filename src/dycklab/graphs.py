@@ -330,6 +330,28 @@ def parse_number(field: str) -> int:
     raise ValueError(f"expected a non-negative integer, got {field!r}")
 
 
+def numbered_fields(text: str) -> list[tuple[int, list[str]]]:
+    """Each line of ``text`` that holds more than blanks and a comment, as
+    its number and its whitespace-separated fields.  Lines are split as
+    ``str.splitlines`` splits them and numbered from 1, and a comment runs
+    from ``#`` to the end of its line.  Both file formats read their lines
+    here, and ``decode_text`` numbers a bad byte's line the same way."""
+    return [(no, fields) for no, raw in enumerate(text.splitlines(), 1)
+            if (fields := (raw.split("#", 1)[0] if "#" in raw else raw).split())]
+
+
+def decode_text(data: bytes) -> str:
+    """``data`` decoded as UTF-8.  A byte that is not UTF-8 raises
+    ``GraphFormatError`` naming the line that holds it, numbered as
+    ``numbered_fields`` numbers lines."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise GraphFormatError(f"byte 0x{data[exc.start]:02x} is not UTF-8 "
+                               f"({exc.reason})", line) from None
+
+
 def parse_graph(text: str) -> Instance:
     """Parse the line-oriented graph format.
 
@@ -339,13 +361,6 @@ def parse_graph(text: str) -> Instance:
     edge), one ``mark s t``, and optionally ``partition and u1 u2 ...`` (the
     remaining vertices are or-vertices).
     """
-    directed = None
-    vertex_count = None
-    alphabet = slots = None
-    canon = set()
-    mark = None
-    partition = None
-
     def err(msg, no):
         raise GraphFormatError(msg, no)
 
@@ -355,36 +370,30 @@ def parse_graph(text: str) -> Instance:
         except ValueError as exc:
             err(str(exc), no)
 
-    def read_header(header):
-        (no1, f1), (no2, f2), (no3, f3) = header
-        if f1[0] != "graph" or len(f1) != 2 or f1[1] not in ("directed", "undirected"):
-            err("expected 'graph directed' or 'graph undirected'", no1)
-        if f2[0] != "vertices" or len(f2) != 2:
-            err("expected 'vertices <N>'", no2)
-        vertex_count = num(f2[1], no2)
-        if f3[0] != "alphabet" or len(f3) != 3 or f3[1] not in ("dyck", "neardyck"):
-            err("expected 'alphabet dyck <n>' or 'alphabet neardyck <N>'", no3)
-        size = num(f3[2], no3)
-        try:
-            alphabet = Alphabet(f3[1], size)
-        except ValueError as exc:
-            err(str(exc), no3)
-        return f1[1] == "directed", vertex_count, alphabet
-
-    # The header is checked as soon as it is read, and each body line as
-    # soon as it is read against it, so an error names the first bad line.
-    header = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(header) < 3:
-            header.append((no, fields))
-            if len(header) == 3:
-                directed, vertex_count, alphabet = read_header(header)
-                slots = label_slots(alphabet)
-            continue
+    # The header is checked before the body, and each body line in turn
+    # against it, so an error names the first bad line.
+    lines = numbered_fields(text)
+    if len(lines) < 3:
+        raise GraphFormatError("missing header (graph / vertices / alphabet)")
+    (no1, f1), (no2, f2), (no3, f3) = lines[:3]
+    if f1[0] != "graph" or len(f1) != 2 or f1[1] not in ("directed", "undirected"):
+        err("expected 'graph directed' or 'graph undirected'", no1)
+    if f2[0] != "vertices" or len(f2) != 2:
+        err("expected 'vertices <N>'", no2)
+    vertex_count = num(f2[1], no2)
+    if f3[0] != "alphabet" or len(f3) != 3 or f3[1] not in ("dyck", "neardyck"):
+        err("expected 'alphabet dyck <n>' or 'alphabet neardyck <N>'", no3)
+    size = num(f3[2], no3)
+    try:
+        alphabet = Alphabet(f3[1], size)
+    except ValueError as exc:
+        err(str(exc), no3)
+    directed = f1[1] == "directed"
+    slots = label_slots(alphabet)
+    canon = set()
+    mark = None
+    partition = None
+    for no, fields in lines[3:]:
         kw = fields[0]
         if kw == "edge":
             if len(fields) != 4:
@@ -427,8 +436,6 @@ def parse_graph(text: str) -> Instance:
         else:
             err(f"unknown directive {kw!r}", no)
 
-    if len(header) < 3:
-        raise GraphFormatError("missing header (graph / vertices / alphabet)")
     if mark is None:
         raise GraphFormatError("missing mark line")
 
@@ -454,11 +461,7 @@ def parse_updates(text: str) -> list[UpdateOp]:
     """Parse an update script: ``ins u <label> v``, ``del u <label> v``,
     ``query`` lines."""
     ops = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for no, fields in numbered_fields(text):
         if fields[0] == "query":
             if len(fields) != 1:
                 raise GraphFormatError("query takes no arguments", no)
