@@ -97,7 +97,8 @@ def main() -> int:
             return 1
         kind = grammar.alphabet.kind
         if kind == "dyck" or inst.graph.vertex_count <= NEAR_ORACLE_VERTICES:
-            brute = brute_dyck_reach(inst, EnumerationBudget(args.oracle_len))
+            brute, _ = brute_dyck_reach(inst,
+                                        EnumerationBudget(args.oracle_len))
             if not brute <= full_pairs:
                 print(f"MISMATCH sample {i}: oracle found a pair the solver "
                       f"missed")

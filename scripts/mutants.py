@@ -48,6 +48,22 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
+    Mutant("reader-keeps-a-comment", GRAPHS,
+           'if (fields := (raw.split("#", 1)[0] if "#" in raw else raw).split())',
+           "if (fields := raw.split())",
+           ("tests/test_graphs.py::test_comments_and_blank_lines_ignored",
+            "tests/test_cli.py::"
+            "test_files_spell_numbers_one_way[script-comment]")),
+    Mutant("reader-numbers-lines-from-0", GRAPHS,
+           "enumerate(text.splitlines(), 1)", "enumerate(text.splitlines())",
+           ("tests/test_graphs.py::test_parse_errors_carry_line_numbers",
+            "tests/test_graphs.py::"
+            "test_a_bad_line_and_a_bad_byte_name_the_same_line")),
+    Mutant("header-read-from-the-second-line", GRAPHS,
+           "(no3, f3) = lines[:3]", "(no3, f3) = lines[1:4]",
+           ("tests/test_graphs.py::test_parse_errors_carry_line_numbers",
+            "tests/test_cli.py::test_malformed_partition_and_header_lines_"
+            "exit_2[header-of-two-lines]")),
     Mutant("update-accepts-duplicate", GRAPHS,
            "        elif e in g.edges:\n", "        elif False:\n",
            ("tests/test_graphs.py::test_apply_update_strictness",
@@ -283,6 +299,22 @@ MUTANTS = (
            "                    elif lab.bar:",
            "if lab.bar:",
            ("tests/test_oracle.py::test_brute_reach_reads_dot_as_neutral",)),
+    Mutant("reach-expansions-one-short", ORACLE,
+           "                    if expansions > cap:\n"
+           "                        return frozenset(pairs), True\n",
+           "                    if expansions >= cap:\n"
+           "                        return frozenset(pairs), True\n",
+           ("tests/test_cli.py::"
+            "test_oracle_walks_stop_at_the_expansion_limit[reach-at]",)),
+    Mutant("paths-expansions-one-short", ORACLE,
+           "            if expansions > cap:\n"
+           "                truncated = True\n"
+           "                return False\n",
+           "            if expansions >= cap:\n"
+           "                truncated = True\n"
+           "                return False\n",
+           ("tests/test_cli.py::"
+            "test_oracle_walks_stop_at_the_expansion_limit[paths-at]",)),
     Mutant("factor-oracle-drops-a-forced-opener", ORACLE,
            "is_dyck_prefix(tuple(partners[::-1]) + w)",
            "is_dyck_prefix(tuple(partners[:0:-1]) + w)",
@@ -330,6 +362,11 @@ MUTANTS = (
            "    for _ in range(max(max_len, 1)):\n",
            ("tests/test_cli.py::"
             "test_oracle_words_one_past_its_limit_is_an_error",)),
+    Mutant("list-limit-one-past", CLI,
+           '(LIST_LIMIT, "oracle words --list")',
+           '(LIST_LIMIT + 1, "oracle words --list")',
+           ("tests/test_cli.py::"
+            "test_oracle_words_one_past_its_limit_is_an_error[list-500000-1]",)),
 )
 
 

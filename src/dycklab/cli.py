@@ -23,11 +23,10 @@ from .saturate import ENGINES, run_replay
 # the benchmark's tracer wraps ``cli.solve_dyck``, and the import goes
 # when that check does (ROADMAP item 8).
 from .saturate import solve_dyck  # noqa: F401
-from .suites import SUITES
+from .suites import DEFAULT_BUDGET, DEFAULT_SEED, SUITES
 from .words import (gamma_exponent, in_q, in_q_init, in_regular, is_dyck,
                     is_near_dyck, mu, reduce_word, theta, zo_str)
 
-DEFAULT_SEED = 20240 | 1  # default ``--seed`` of the sampling suites
 # ``--max-len`` bounds, each the largest length that runs in about 15 s
 # on a 2-core host (Python 3.11.7).  ``suite lemma5``: 12, 14 and 16 took
 # 0.22, 2.2 and 11 s and 21, 50 and 239 MB.  ``suite q-validate``: 8, 9
@@ -43,6 +42,16 @@ REACH_MAX_LEN = 20
 # the slowest predicate, and 12.3 s with ``dyck``; ``--pairs 1000000
 # --max-len 1`` took 5.7 s and 245 MB.
 WORDS_LIMIT = 4_200_000
+# ``oracle words --list`` prints what it finds, which costs more than the
+# test, most with long words that every word passes: ``--pairs 1
+# --predicate q`` at ``--max-len`` 18 and 19 took 11 and 21 s.
+LIST_LIMIT = 1_000_000
+# ``oracle reach`` and ``oracle paths`` stop after this many expansions
+# (``EnumerationBudget.max_expansions``) and report ``truncated``.  On a
+# 60-vertex, 150-edge two-pair graph, a reach at ``--max-len`` 20 that
+# stopped there took 9.8 s and 155 MB; a path search with no path cap,
+# 0.8-1.9 s.
+ORACLE_EXPANSIONS = 3_000_000
 
 
 def emit(kv: bool, key: str, value, file=None):
@@ -160,8 +169,10 @@ def cmd_word(args, emit) -> int:
 
 def cmd_oracle_reach(args, emit) -> int:
     inst = parse_graph(_read(args.graph))
-    pairs = brute_dyck_reach(inst, EnumerationBudget(args.max_len))
+    budget = EnumerationBudget(args.max_len, max_expansions=ORACLE_EXPANSIONS)
+    pairs, truncated = brute_dyck_reach(inst, budget)
     emit("pairs", len(pairs))
+    emit("truncated", truncated)
     for u, v in sorted(pairs):
         emit("pair", f"{u},{v}")
     return 0
@@ -169,7 +180,8 @@ def cmd_oracle_reach(args, emit) -> int:
 
 def cmd_oracle_paths(args, emit) -> int:
     inst = parse_graph(_read(args.graph))
-    budget = EnumerationBudget(args.max_len, args.max_paths)
+    budget = EnumerationBudget(args.max_len, args.max_paths,
+                               ORACLE_EXPANSIONS)
     enum = enumerate_paths(inst, args.source, args.sink, budget,
                            balanced=args.balanced)
     emit("paths", len(enum.paths))
@@ -194,16 +206,20 @@ def _words_tried(pairs: int, max_len: int, limit: int) -> int:
 
 
 def cmd_oracle_words(args, emit) -> int:
-    if _words_tried(args.pairs, args.max_len, WORDS_LIMIT) > WORDS_LIMIT:
+    limit, what = ((LIST_LIMIT, "oracle words --list") if args.list
+                   else (WORDS_LIMIT, "oracle words"))
+    if _words_tried(args.pairs, args.max_len, limit) > limit:
         raise ValueError(f"--pairs {args.pairs} --max-len {args.max_len} "
-                         f"tries more words than oracle words's limit of "
-                         f"{WORDS_LIMIT}")
+                         f"tries more words than {what}'s limit of {limit}")
     labels = tuple(Alphabet("dyck", args.pairs).labels())
-    found = exhaustive_words(labels, args.max_len, WORD_VALUES[args.predicate])
-    listed = list(found) if args.list else ()  # else count, keeping none
-    emit("words", len(listed) if args.list else sum(1 for _ in found))
-    for w in listed:
-        emit("word", " ".join(lab.token() for lab in w) or "eps")
+    predicate = WORD_VALUES[args.predicate]
+    # a listing counts its words first, then walks them again to print
+    # them, so it holds none of them
+    emit("words", sum(1 for _ in exhaustive_words(labels, args.max_len,
+                                                   predicate)))
+    if args.list:
+        for w in exhaustive_words(labels, args.max_len, predicate):
+            emit("word", " ".join(lab.token() for lab in w) or "eps")
     return 0
 
 
@@ -343,8 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
         suite[name].add_argument("--max-len", type=_at_most(limit, what),
                                  default=8, help=f"at most {limit}")
     for name in ("lemma4", "lemma6", "lemma7"):
-        suite[name].add_argument("--budget", type=_limit, default=40)
-        suite[name].add_argument("--max-paths", type=_limit, default=500)
+        suite[name].add_argument("--budget", type=_limit,
+                                 default=DEFAULT_BUDGET.max_path_length)
+        suite[name].add_argument("--max-paths", type=_limit,
+                                 default=DEFAULT_BUDGET.max_paths)
     suite["prop1"].add_argument("--samples", type=_limit, default=300)
     for name in ("lemma7", "prop1"):
         suite[name].add_argument("--seed", type=int, default=DEFAULT_SEED,

@@ -185,18 +185,24 @@ def enumerate_paths(inst: Instance, source: int, sink: int,
     return Enumeration(tuple(found), truncated)
 
 
-def brute_dyck_reach(inst: Instance,
-                     budget: EnumerationBudget) -> frozenset[tuple[int, int]]:
-    """Pairs joined by a balanced-label walk of length <= the budget.
+def brute_dyck_reach(inst: Instance, budget: EnumerationBudget,
+                     ) -> tuple[frozenset[tuple[int, int]], bool]:
+    """Pairs joined by a balanced-label walk of length <= the budget, and
+    whether the search stopped early.
 
     Breadth-first over (vertex, bracket stack) states; the neutral symbol
     ``dot`` leaves the stack as it is.  Independent of the saturation
-    solvers.  Sound, and complete for witnesses within the budget.
+    solvers.  Sound, and complete for witnesses within the budget.  Each
+    edge tried from a state is one expansion; the search stops at the
+    first one past ``budget.max_expansions`` and returns the pairs found
+    so far, truncated.
     """
     adj: dict[int, list[tuple[Label, int]]] = {}
     for u, lab, v in inst.graph.directed_edges():
         adj.setdefault(u, []).append((lab, v))
 
+    cap = math.inf if budget.max_expansions is None else budget.max_expansions
+    expansions = 0
     pairs: set[tuple[int, int]] = set()
     for start in range(inst.graph.vertex_count):
         seen = {(start, ())}
@@ -206,6 +212,9 @@ def brute_dyck_reach(inst: Instance,
             nxt = []
             for at, stack in frontier:
                 for lab, to in adj.get(at, ()):
+                    expansions += 1
+                    if expansions > cap:
+                        return frozenset(pairs), True
                     if lab.base == "dot":
                         new_stack = stack
                     elif lab.bar:
@@ -221,7 +230,7 @@ def brute_dyck_reach(inst: Instance,
                         if not new_stack:
                             pairs.add((start, to))
             frontier = nxt
-    return frozenset(pairs)
+    return frozenset(pairs), False
 
 
 def exhaustive_words(labels: Sequence[Label], max_len: int,

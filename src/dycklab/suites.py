@@ -41,6 +41,11 @@ class SuiteResult:
             self.failures.append(message)
 
 
+# The defaults of the walk-enumerating suites, which the CLI's options share.
+DEFAULT_BUDGET = EnumerationBudget(40, 500)
+DEFAULT_SEED = 20240 | 1  # seed of the sampling suites
+
+
 # ---------------------------------------------------------------------------
 
 def suite_q_validate(max_len: int = 8) -> SuiteResult:
@@ -57,7 +62,7 @@ def suite_q_validate(max_len: int = 8) -> SuiteResult:
     return res
 
 
-def suite_lemma5(max_len: int = 10) -> SuiteResult:
+def suite_lemma5(max_len: int = 8) -> SuiteResult:
     """If 1.0.rho stays a factor word for rho in varpi, its reduction is in
     1.0.varpi+; dually for rho.0bar.1bar and varpi-.
 
@@ -143,15 +148,13 @@ def default_gadget_source() -> Instance:
 
 
 def suite_lemma6(red: CompiledReduction | None = None,
-                 budget: EnumerationBudget | None = None) -> SuiteResult:
+                 budget: EnumerationBudget = DEFAULT_BUDGET) -> SuiteResult:
     """Reduced labels of enumerated nominal paths lie in the per-tag
     languages: stutter loops in varpi, chain traversals in the four
     composite languages."""
     res = SuiteResult("lemma6")
     if red is None:
         red = compile_dyck2_to_undirected(default_gadget_source())
-    if budget is None:
-        budget = EnumerationBudget(40, 2000)
     source = red.source
     varpi = regular_nfa("varpi")
     for x in range(source.graph.vertex_count):
@@ -170,10 +173,10 @@ def suite_lemma6(red: CompiledReduction | None = None,
 
 
 def suite_lemma7(red: CompiledReduction | None = None,
-                 budget: EnumerationBudget | None = None,
+                 budget: EnumerationBudget = DEFAULT_BUDGET,
                  varpi_max_len: int = 6,
                  sample_cap: int = 40,
-                 seed: int = 0) -> SuiteResult:
+                 seed: int = DEFAULT_SEED) -> SuiteResult:
     """Consecution discipline of chain labels: a matched open/close pair
     around a varpi word reduces to the reduction of some varpi word; a
     mismatched pair never stays a factor word; closing chains cannot start
@@ -191,8 +194,6 @@ def suite_lemma7(red: CompiledReduction | None = None,
     res = SuiteResult("lemma7")
     if red is None:
         red = compile_dyck2_to_undirected(default_gadget_source())
-    if budget is None:
-        budget = EnumerationBudget(36, 400)
     rng = random.Random(seed)
     source = red.source
     varpi = regular_nfa("varpi")
@@ -254,14 +255,12 @@ def suite_lemma7(red: CompiledReduction | None = None,
 
 
 def suite_lemma4(red: CompiledReduction | None = None,
-                 budget: EnumerationBudget | None = None) -> SuiteResult:
+                 budget: EnumerationBudget = DEFAULT_BUDGET) -> SuiteResult:
     """Every enumerated balanced path between the marked vertices of an
     undirected-gadget target has an ancestor with zero bracket balance."""
     res = SuiteResult("lemma4")
     if red is None:
         red = compile_dyck2_to_undirected(default_gadget_source())
-    if budget is None:
-        budget = EnumerationBudget(40, 500)
     inst = red.target
     enum = enumerate_paths(inst, inst.source, inst.sink, budget, balanced=True)
     for path in enum.paths:
@@ -290,7 +289,7 @@ def random_undirected_one_pair(rng: random.Random, max_vertices: int = 6) -> Ins
     return Instance(graph, rng.randrange(n), rng.randrange(n))
 
 
-def suite_prop1(samples: int = 300, seed: int = 0) -> SuiteResult:
+def suite_prop1(samples: int = 300, seed: int = DEFAULT_SEED) -> SuiteResult:
     """The three-condition characterization against the saturation solver
     on random undirected one-pair instances."""
     res = SuiteResult("prop1")

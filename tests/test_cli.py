@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import inspect
 import io
 import os
 import random
@@ -18,9 +19,9 @@ from hypothesis import strategies as st
 from dycklab import (UpdateOp, compile_reduction, parse_graph,
                      serialize_graph, serialize_updates)
 import dycklab.cli as cli
-from dycklab.cli import (DEFAULT_SEED, LEMMA5_MAX_LEN, Q_VALIDATE_MAX_LEN,
-                         REACH_MAX_LEN, WORD_OPS, WORDS_LIMIT, build_parser,
-                         main)
+from dycklab.cli import (DEFAULT_SEED, LEMMA5_MAX_LEN, LIST_LIMIT,
+                         Q_VALIDATE_MAX_LEN, REACH_MAX_LEN, WORD_OPS,
+                         WORDS_LIMIT, build_parser, main)
 from dycklab.oracle import EnumerationBudget
 from dycklab.saturate import ENGINES, maintained_index, run_replay
 from dycklab.suites import SUITES, SuiteResult, random_undirected_one_pair
@@ -435,7 +436,16 @@ def test_bracket_pair_zero_is_an_unknown_token(capsys, tmp_path, argv):
      "line 2: expected a non-negative integer, got '+1'"),
     ("vertices 2\nalphabet dyck 2\nedge 1 l1bar 0\n", "del 1 l1bar \u0660\n",
      "line 1: expected a non-negative integer, got '\u0660'"),
-], ids=["graph-numbers", "graph-label", "script-plus", "script-arabic-zero"])
+    ("vertices 2\nalphabet dyck 2\nedge 1 l1bar 0\n",
+     "query  # first\nins 0 l1 +1  # plus one\n",
+     "line 2: expected a non-negative integer, got '+1'"),
+    ("vertices 2\r\nalphabet dyck 2\r\nedge 1 l1bar 0\r\nedge 0 l1 01\r\n",
+     "query\r\n", "line 5: expected a non-negative integer, got '01'"),
+    ("vertices 2\r\nalphabet dyck 2\r\nedge 1 l1bar 0\r\n",
+     "query\r\n\r\nins 0 l1 +1\r\n",
+     "line 3: expected a non-negative integer, got '+1'"),
+], ids=["graph-numbers", "graph-label", "script-plus", "script-arabic-zero",
+        "script-comment", "graph-crlf", "script-crlf"])
 def test_files_spell_numbers_one_way(capsys, tmp_path, graph, script, line):
     g, s = tmp_path / "g.graph", tmp_path / "s.upd"
     g.write_text("graph directed\n" + graph + "mark 0 1\n")
@@ -470,6 +480,25 @@ def test_oracle_paths(capsys, gap_chain):
     assert code == 0
     assert "paths=1" in out
     assert "path[0]=l1 l1bar l2 l2bar" in out
+
+
+# On the gap chain, ``oracle reach --max-len 4`` tries 8 edges (4 from
+# vertex 0, 2 from 2, 1 each from 1 and 3), the last from vertex 3, and
+# ``oracle paths 0 4 --balanced`` at its default ``--max-len`` 8 counts
+# 26 expansions, having found its one walk at length 4.
+@pytest.mark.parametrize("argv, expansions, head", [
+    (("reach", "--max-len", "4"), 8, ["pairs=8", "truncated=false"]),
+    (("reach", "--max-len", "4"), 7, ["pairs=7", "truncated=true"]),
+    (("paths", "0", "4", "--balanced"), 26, ["paths=1", "truncated=false"]),
+    (("paths", "0", "4", "--balanced"), 25, ["paths=1", "truncated=true"]),
+], ids=["reach-at", "reach-past", "paths-at", "paths-past"])
+def test_oracle_walks_stop_at_the_expansion_limit(capsys, monkeypatch,
+                                                  gap_chain, argv,
+                                                  expansions, head):
+    monkeypatch.setattr(cli, "ORACLE_EXPANSIONS", expansions)
+    code, out, _ = run(capsys, "--kv", "oracle", argv[0], gap_chain, *argv[1:])
+    assert code == 0
+    assert out.splitlines()[:2] == head
 
 
 NEAR_DYCK_CYCLES = """graph directed
@@ -585,8 +614,11 @@ def _spy_on_suites(monkeypatch):
 @pytest.mark.parametrize("name", sorted(_SUITE_CALLS))
 def test_a_suite_receives_exactly_the_options_it_reads(capsys, monkeypatch,
                                                        name):
-    calls = _spy_on_suites(monkeypatch)
     defaults, argv, given = _SUITE_CALLS[name]
+    # the CLI's defaults are the library's
+    parameters = inspect.signature(SUITES[name]).parameters
+    assert defaults == {key: parameters[key].default for key in defaults}
+    calls = _spy_on_suites(monkeypatch)
     assert run(capsys, "suite", name)[0] == 0
     assert run(capsys, "suite", name, *argv)[0] == 0
     assert calls == [defaults, given]
@@ -664,22 +696,27 @@ def test_a_max_len_one_past_its_limit_is_a_usage_error(capsys, argv, limit,
             f"limit of {limit}\n" in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("pairs, max_len", [
-    (1, 22), (2, 11), (3, 9), (WORDS_LIMIT // 2, 1)])
+@pytest.mark.parametrize("pairs, max_len, listing", [
+    (1, 22, False), (2, 11, False), (3, 9, False), (WORDS_LIMIT // 2, 1, False),
+    (1, 19, True), (LIST_LIMIT // 2, 1, True),
+], ids=["1-22", "2-11", "3-9", "2100000-1", "list-1-19", "list-500000-1"])
 def test_oracle_words_one_past_its_limit_is_an_error(capsys, monkeypatch,
-                                                     pairs, max_len):
+                                                     pairs, max_len, listing):
     """Checked, never run: each call is one step of ``--max-len``, or for
-    one-letter words one pair, past the largest that the limit lets run,
+    one-letter words one pair, past the largest that its limit lets run,
     which takes up to about 15 s."""
     def enumerate_nothing(*args):
         raise AssertionError("a call past the limit enumerated words")
 
     monkeypatch.setattr(cli, "exhaustive_words", enumerate_nothing)
+    what, limit = (("oracle words --list", LIST_LIMIT) if listing
+                   else ("oracle words", WORDS_LIMIT))
     code, out, err = run(capsys, "--kv", "oracle", "words", "--pairs",
-                         str(pairs), "--max-len", str(max_len))
+                         str(pairs), "--max-len", str(max_len),
+                         *["--list"] * listing)
     assert (code, out) == (2, "")
     assert err == (f"error: --pairs {pairs} --max-len {max_len} tries more "
-                   f"words than oracle words's limit of {WORDS_LIMIT}\n")
+                   f"words than {what}'s limit of {limit}\n")
 
 
 @pytest.mark.parametrize("name, max_len, checked", [
@@ -849,8 +886,10 @@ ONE_PAIR_HEADER = "graph directed\nvertices 2\nalphabet dyck 1\n"
      "line 5: expected 'partition and <u> ...'"),
     ("graph directed\nvertices 2\n",
      "missing header (graph / vertices / alphabet)"),
+    ("graph directed\nvertices 2\nedge 0 l1 1\nmark 0 1\n",
+     "line 3: expected 'alphabet dyck <n>' or 'alphabet neardyck <N>'"),
 ], ids=["duplicate-partition", "partition-range", "partition-repeat",
-        "partition-or", "missing-header"])
+        "partition-or", "missing-header", "header-of-two-lines"])
 def test_malformed_partition_and_header_lines_exit_2(capsys, tmp_path, text,
                                                      message):
     bad = tmp_path / "bad.graph"

@@ -18,6 +18,7 @@ from dycklab import (DOT, Alphabet, GraphFormatError, Instance, Label,
                      LabeledGraph, UpdateError, UpdateOp, apply_update,
                      parse_graph, parse_label_token, parse_updates,
                      serialize_graph, serialize_updates)
+from dycklab.graphs import decode_text
 
 from util import fig1_instance, gap_chain_instance
 
@@ -224,7 +225,8 @@ def test_parse_errors_carry_line_numbers():
     for body, line in [
             ("edge 0 l1 5\nmark 0 1\n", 4),
             ("edge 0 l1 5\nmark 0 1\nbogus 1\n", 4),
-            ("edge 0 l1 1\nedge 0 l1 1\nmark 0 1\npartition or 0\n", 5)]:
+            ("edge 0 l1 1\nedge 0 l1 1\nmark 0 1\npartition or 0\n", 5),
+            ("edge 0 l1 1\nmark 0\nbogus 1\n", 5)]:
         text = "graph directed\nvertices 2\nalphabet dyck 1\n" + body
         with pytest.raises(GraphFormatError) as exc:
             parse_graph(text)
@@ -309,6 +311,28 @@ def test_blank_and_comment_only_lines_are_skipped(filler):
     with pytest.raises(GraphFormatError) as exc:
         parse_graph(padded.replace("edge 2 dot 1", "edge 2 dot 7"))
     assert exc.value.line == 10
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\x0c", "\x1c"],
+                         ids=["crlf", "form-feed", "file-separator"])
+@pytest.mark.parametrize("parse, rows", [
+    (parse_graph, ["graph directed", "vertices 2", "alphabet dyck 1",
+                   "edge 0 l1 1", "mark 0 1"]),
+    (parse_updates, ["query", "ins 1 l1 0", "query", "del 0 l1 1"]),
+], ids=["graph", "script"])
+def test_a_bad_line_and_a_bad_byte_name_the_same_line(parse, rows, end):
+    """Lines end where ``str.splitlines`` ends them, so ``\\x0c`` and
+    ``\\x1c`` end a line as ``\\r\\n`` does, and a line that does not
+    parse and a byte that is not UTF-8 at the same spot name one line."""
+    assert parse(end.join(rows) + end) == parse("\n".join(rows) + "\n")
+    for at in range(len(rows) + 1):
+        head = "".join(row + end for row in rows[:at])
+        tail = "".join(end + row for row in rows[at:]) + end
+        with pytest.raises(GraphFormatError) as bad_line:
+            parse(head + "bogus 1" + tail)
+        with pytest.raises(GraphFormatError) as bad_byte:
+            decode_text(head.encode() + b"# caf\xff" + tail.encode())
+        assert bad_line.value.line == bad_byte.value.line == at + 1
 
 
 def test_apply_update_ins_del():

@@ -182,7 +182,7 @@ def test_nominal_enumeration_rejects_other_lanes_and_tags():
 def test_brute_reach_edgeless_graph():
     inst = Instance(LabeledGraph.build(True, 3, Alphabet("dyck", 1), []), 0, 0)
     assert brute_dyck_reach(inst, EnumerationBudget(4)) == \
-        frozenset({(x, x) for x in range(3)})
+        (frozenset({(x, x) for x in range(3)}), False)
 
 
 def test_brute_reach_complete_on_acyclic_instances():
@@ -195,7 +195,7 @@ def test_brute_reach_complete_on_acyclic_instances():
                  for lab in labels if rng.random() < 0.3]
         inst = Instance(LabeledGraph.build(True, n, alph, edges), 0, n - 1)
         assert brute_dyck_reach(inst, EnumerationBudget(n)) == \
-            solve_dyck(inst).pairs
+            (solve_dyck(inst).pairs, False)
 
 
 def test_brute_reach_reads_dot_as_neutral():
@@ -204,7 +204,7 @@ def test_brute_reach_reads_dot_as_neutral():
     g = LabeledGraph.build(True, 3, alph,
                            [(0, DOT, 1), (1, v0, 2), (2, v0bar, 1)])
     inst = Instance(g, 0, 1)
-    brute = brute_dyck_reach(inst, EnumerationBudget(4))
+    brute, _ = brute_dyck_reach(inst, EnumerationBudget(4))
     assert brute == {(0, 0), (0, 1), (1, 1), (2, 2)} == solve_dyck(inst).pairs
 
 
@@ -213,7 +213,7 @@ def test_brute_reach_is_sound_on_neardyck_instances():
     for _ in range(50):
         inst = random_neardyck_instance(rng, max_vertices=4,
                                         directed=rng.random() < 0.5)
-        assert brute_dyck_reach(inst, EnumerationBudget(6)) <= \
+        assert brute_dyck_reach(inst, EnumerationBudget(6))[0] <= \
             solve_dyck(inst).pairs
 
 

@@ -56,7 +56,7 @@ def test_wrap_only_misses_the_concatenation_chain():
     inst = gap_chain_instance()
     assert (0, 4) not in solve_dyck_wrap_only(inst)
     # a brute-force enumeration still finds the witness at budget 4
-    assert (0, 4) in brute_dyck_reach(inst, EnumerationBudget(4))
+    assert (0, 4) in brute_dyck_reach(inst, EnumerationBudget(4))[0]
 
 
 def test_wrap_only_handles_pure_nesting():
@@ -171,8 +171,8 @@ def test_wrap_only_is_a_subset_of_the_corrected_solver(seed):
 def test_brute_reach_is_a_sound_subset(seed):
     inst = random_dyck_instance(random.Random(seed), max_vertices=6,
                                 density=0.2)
-    brute = brute_dyck_reach(inst, EnumerationBudget(8))
-    assert brute <= solve_dyck(inst).pairs
+    brute, truncated = brute_dyck_reach(inst, EnumerationBudget(8))
+    assert brute <= solve_dyck(inst).pairs and not truncated
 
 
 # ---------------------------------------------------------------------------
