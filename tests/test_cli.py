@@ -482,10 +482,11 @@ def test_oracle_paths(capsys, gap_chain):
     assert "path[0]=l1 l1bar l2 l2bar" in out
 
 
-# On the gap chain, ``oracle reach --max-len 4`` tries 8 edges (4 from
-# vertex 0, 2 from 2, 1 each from 1 and 3), the last from vertex 3, and
-# ``oracle paths 0 4 --balanced`` at its default ``--max-len`` 8 counts
-# 26 expansions, having found its one walk at length 4.
+# On the gap chain, ``oracle reach --max-len 4`` tries 8 edges: 4 in the
+# search from vertex 0, 2 in the one from 2, and 1 each in those from 1
+# and 3, which comes last.  ``oracle paths 0 4 --balanced`` at its default
+# ``--max-len`` 8 counts 26 expansions, having found its one walk at
+# length 4.
 @pytest.mark.parametrize("argv, expansions, head", [
     (("reach", "--max-len", "4"), 8, ["pairs=8", "truncated=false"]),
     (("reach", "--max-len", "4"), 7, ["pairs=7", "truncated=true"]),
