@@ -41,9 +41,10 @@ class SuiteResult:
             self.failures.append(message)
 
 
-# The defaults of the walk-enumerating suites, which the CLI's options share.
+# The suites' default walk budget and sampling seed, which are also the
+# defaults of the CLI's options.
 DEFAULT_BUDGET = EnumerationBudget(40, 500)
-DEFAULT_SEED = 20240 | 1  # seed of the sampling suites
+DEFAULT_SEED = 20240 | 1
 
 
 # ---------------------------------------------------------------------------
