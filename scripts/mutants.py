@@ -261,6 +261,15 @@ MUTANTS = (
            "self.accepting.issuperset(subset)",
            ("tests/test_automata.py::test_a_warm_nfa_matches_brute_semantics",
             "tests/test_automata.py::test_nfa_matches_brute_semantics")),
+    Mutant("star-without-back-edge", AUTOMATA,
+           "eps[build(inner, hub)].append(hub)", "build(inner, hub)",
+           ("tests/test_automata.py::test_a_warm_nfa_matches_brute_semantics",
+            "tests/test_automata.py::test_nfa_matches_brute_semantics")),
+    Mutant("brute-alt-reads-left-only", AUTOMATA,
+           "return matches(left, i, j) or matches(right, i, j)",
+           "return matches(left, i, j)",
+           ("tests/test_automata.py::test_a_warm_nfa_matches_brute_semantics",
+            "tests/test_automata.py::test_nfa_matches_brute_semantics")),
     Mutant("closure-skips-epsilon-reach", AUTOMATA,
            "for s in _closure(eps, [r]):", "for s in (r,):",
            ("tests/test_automata.py::test_closure_handles_nested_deletion",

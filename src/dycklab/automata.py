@@ -9,72 +9,30 @@ automata can serve as one side of a dual-route check.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .graphs import Label
 
+# A regex is a tuple tagged by its kind: ``("eps",)``, ``("lit", label)``,
+# ``("cat", left, right)``, ``("alt", left, right)`` or ``("star", inner)``.
+# The tag keeps ``cat(a, b) != union(a, b)``.
+Regex = tuple
 
-def _same_node(self, other) -> bool:
-    return type(self) is type(other) and tuple.__eq__(self, other)
-
-
-def _other_node(self, other) -> bool:
-    return not _same_node(self, other)
-
-
-def _star(self) -> "Regex":
-    return Star(self)
-
-
-def _node(cls):
-    """A regex node type: a NamedTuple equal only to nodes of its own type,
-    though the fields of two types may agree (``Cat(a, b) != Alt(a, b)``),
-    with ``star()``."""
-    cls.__eq__, cls.__ne__, cls.__hash__ = _same_node, _other_node, tuple.__hash__
-    cls.star = _star
-    return cls
-
-
-@_node
-class Eps(NamedTuple):
-    pass
-
-
-@_node
-class Lit(NamedTuple):
-    label: Label
-
-
-@_node
-class Cat(NamedTuple):
-    left: Regex
-    right: Regex
-
-
-@_node
-class Alt(NamedTuple):
-    left: Regex
-    right: Regex
-
-
-@_node
-class Star(NamedTuple):
-    inner: Regex
-
-
-# not ``typing.Union``: typing caches a Union, and with it these classes
-# and their module, past a re-import of the package
-Regex = Eps | Lit | Cat | Alt | Star
+EPS: Regex = ("eps",)
 
 
 def lit(label: Label) -> Regex:
-    return Lit(label)
+    return ("lit", label)
+
+
+def star(inner: Regex) -> Regex:
+    return ("star", inner)
 
 
 def cat(*parts: Regex) -> Regex:
-    out: Regex = Eps()
+    out = EPS
     for p in parts:
-        out = Cat(out, p) if not isinstance(out, Eps) else p
+        out = ("cat", out, p) if out != EPS else p
     return out
 
 
@@ -82,7 +40,7 @@ def union(*parts: Regex) -> Regex:
     assert parts
     out = parts[0]
     for p in parts[1:]:
-        out = Alt(out, p)
+        out = ("alt", out, p)
     return out
 
 
@@ -160,33 +118,27 @@ def compile_regex(expr: Regex) -> Nfa:
 
     def build(e: Regex, src: int) -> int:
         """Wire e between src and a fresh sink state; return the sink."""
-        if isinstance(e, Eps):
-            dst = new_state()
-            eps[src].append(dst)
-            return dst
-        if isinstance(e, Lit):
-            dst = new_state()
-            step[src].append((e.label, dst))
-            return dst
-        if isinstance(e, Cat):
-            mid = build(e.left, src)
-            return build(e.right, mid)
-        if isinstance(e, Alt):
-            dst = new_state()
-            for branch in (e.left, e.right):
-                end = build(branch, src)
-                eps[end].append(dst)
-            return dst
-        if isinstance(e, Star):
-            hub = new_state()
-            eps[src].append(hub)
-            end = build(e.inner, hub)
-            eps[end].append(hub)
-            return hub
+        match e:
+            case ("eps",):
+                eps[src].append(dst := new_state())
+                return dst
+            case ("lit", label):
+                step[src].append((label, dst := new_state()))
+                return dst
+            case ("cat", left, right):
+                return build(right, build(left, src))
+            case ("alt", left, right):
+                dst = new_state()
+                for branch in (left, right):
+                    eps[build(branch, src)].append(dst)
+                return dst
+            case ("star", inner):
+                eps[src].append(hub := new_state())
+                eps[build(inner, hub)].append(hub)
+                return hub
         raise TypeError(f"not a regex node: {e!r}")
 
-    start = new_state()
-    return Nfa(eps, step, {build(expr, start)})
+    return Nfa(eps, step, {build(expr, new_state())})
 
 
 def reduction_closure(nfa: Nfa) -> Nfa:
@@ -222,12 +174,11 @@ def brute_matches(expr: Regex, word: Sequence[Label]) -> bool:
     """Reference semantics by structural recursion over all splits; usable
     only on short words, kept independent of the NFA path."""
     word = tuple(word)
-    n = len(word)
     # memo keyed by node identity: hashing a frozen node rehashes its
     # whole subtree, which made up most of the time
     memo: dict[tuple[int, int, int], bool] = {}
 
-    def match(e: Regex, i: int, j: int) -> bool:
+    def matches(e: Regex, i: int, j: int) -> bool:
         key = (id(e), i, j)
         hit = memo.get(key)
         if hit is None:
@@ -235,23 +186,22 @@ def brute_matches(expr: Regex, word: Sequence[Label]) -> bool:
         return hit
 
     def split(e: Regex, i: int, j: int) -> bool:
-        if isinstance(e, Eps):
-            return i == j
-        if isinstance(e, Lit):
-            return j == i + 1 and word[i] == e.label
-        if isinstance(e, Cat):
-            return any(match(e.left, i, k) and match(e.right, k, j)
-                       for k in range(i, j + 1))
-        if isinstance(e, Alt):
-            return match(e.left, i, j) or match(e.right, i, j)
-        if isinstance(e, Star):
-            if i == j:
-                return True
-            return any(match(e.inner, i, k) and match(e, k, j)
-                       for k in range(i + 1, j + 1))
+        match e:
+            case ("eps",):
+                return i == j
+            case ("lit", label):
+                return j == i + 1 and word[i] == label
+            case ("cat", left, right):
+                return any(matches(left, i, k) and matches(right, k, j)
+                           for k in range(i, j + 1))
+            case ("alt", left, right):
+                return matches(left, i, j) or matches(right, i, j)
+            case ("star", inner):
+                return i == j or any(matches(inner, i, k) and matches(e, k, j)
+                                     for k in range(i + 1, j + 1))
         raise TypeError(f"not a regex node: {e!r}")
 
-    return match(expr, 0, n)
+    return matches(expr, 0, len(word))
 
 
 def enumerate_accepted(nfa: Nfa, alphabet: Sequence[Label],

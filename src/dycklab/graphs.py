@@ -46,10 +46,6 @@ class Label(NamedTuple):
             raise ValueError("the neutral symbol has no matching partner")
         return Label(self.base, self.index, not self.bar)
 
-    @property
-    def is_open(self) -> bool:
-        return self.base != "dot" and not self.bar
-
     def token(self) -> str:
         if self.base == "dot":
             return "dot"

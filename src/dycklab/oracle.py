@@ -24,7 +24,6 @@ import sys
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import Instance, Label
-from .saturate import Grammar
 from .words import is_dyck_prefix
 
 PathEdge = tuple[int, Label, int]
@@ -268,9 +267,10 @@ def factor_of_dyck_oracle(w: Sequence[Label]) -> bool:
     return is_dyck_prefix(tuple(partners[::-1]) + w)
 
 
-def cyk_accepts(grammar: Grammar, word: Sequence[Label]) -> bool:
-    """CYK membership for a binary-normal-form grammar with nullable
-    nonterminals, via unit-closure through nullable siblings."""
+def cyk_accepts(grammar, word: Sequence[Label]) -> bool:
+    """CYK membership for a binary-normal-form grammar (a
+    ``saturate.Grammar``) with nullable nonterminals, via unit-closure
+    through nullable siblings."""
     word = tuple(word)
     nullable = set(grammar.nullable)
 

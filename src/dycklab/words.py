@@ -151,19 +151,19 @@ def _zo(expr: str) -> automata.Regex:
 
 def _squares(x: str, y: str) -> automata.Regex:
     """``(x x | y y)*``, the blocks of ``omega+`` and ``omega-``."""
-    return automata.union(automata.cat(_zo(x), _zo(x)),
-                          automata.cat(_zo(y), _zo(y))).star()
+    return automata.star(automata.union(automata.cat(_zo(x), _zo(x)),
+                                        automata.cat(_zo(y), _zo(y))))
 
 
 def _varpi_over(w: automata.Regex, x: str, y: str) -> automata.Regex:
     """``(w x w y)* w``, the shape of the three varpi languages."""
-    return automata.cat(automata.cat(w, _zo(x), w, _zo(y)).star(), w)
+    return automata.cat(automata.star(automata.cat(w, _zo(x), w, _zo(y))), w)
 
 
 def _regular_exprs() -> dict[str, automata.Regex]:
     omega_plus, omega_minus = _squares("0", "1"), _squares("0bar", "1bar")
-    omega = automata.union(omega_plus, omega_minus,
-                           automata.cat(_zo("0bar"), _zo("0"))).star()
+    omega = automata.star(automata.union(
+        omega_plus, omega_minus, automata.cat(_zo("0bar"), _zo("0"))))
     return {
         "omega+": omega_plus,
         "omega-": omega_minus,

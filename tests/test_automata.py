@@ -19,16 +19,15 @@ zo_words = st.lists(st.sampled_from(ZO_ALPHABET), max_size=8).map(tuple)
 def regexes(draw, depth=3):
     if depth == 0:
         return draw(st.sampled_from(
-            [automata.Eps()] + [automata.lit(lab) for lab in ZO_ALPHABET]))
+            [automata.EPS] + [automata.lit(lab) for lab in ZO_ALPHABET]))
     kind = draw(st.sampled_from(["leaf", "cat", "alt", "star"]))
     if kind == "leaf":
         return draw(regexes(depth=0))
     if kind == "star":
-        return automata.Star(draw(regexes(depth=depth - 1)))
+        return automata.star(draw(regexes(depth=depth - 1)))
     left = draw(regexes(depth=depth - 1))
     right = draw(regexes(depth=depth - 1))
-    cls = automata.Cat if kind == "cat" else automata.Alt
-    return cls(left, right)
+    return (kind, left, right)
 
 
 @settings(max_examples=150, deadline=None)
@@ -108,15 +107,15 @@ def test_closure_of_a_used_nfa_matches_a_fresh_one():
 
 def test_nodes_of_different_types_never_compare_equal():
     a, b = automata.lit(ZERO), automata.lit(ONE)
-    cat, alt = automata.Cat(a, b), automata.Alt(a, b)
+    cat, alt = automata.cat(a, b), automata.union(a, b)
     assert cat != alt and not cat == alt
     assert len({cat, alt}) == 2
-    assert cat == automata.Cat(a, b) and not cat != automata.Cat(a, b)
-    assert hash(cat) == hash(automata.Cat(a, b))
-    assert automata.Star(a) != automata.Lit(a)  # the same one field
-    assert automata.Eps() == automata.Eps() and automata.Eps() != ()
-    assert cat != (a, b) and automata.Cat(cat, a) != automata.Cat(alt, a)
-    assert a.star() == automata.Star(a)
+    assert cat == automata.cat(a, b) and not cat != automata.cat(a, b)
+    assert hash(cat) == hash(automata.cat(a, b))
+    assert automata.star(a) != automata.lit(a)  # the same one field
+    assert automata.star(a) != automata.star(b)
+    assert automata.EPS == automata.cat() and automata.EPS != ()
+    assert cat != (a, b) and automata.cat(cat, a) != automata.cat(alt, a)
 
 
 def test_cat_and_union_helpers():
@@ -131,10 +130,14 @@ def test_cat_and_union_helpers():
 
 
 def test_compile_and_brute_semantics_reject_a_non_node():
-    with pytest.raises(TypeError, match="not a regex node"):
-        automata.compile_regex("x")
-    with pytest.raises(TypeError, match="not a regex node"):
-        automata.brute_matches("x", ())
+    """A string, an unknown tag, a short node and a bare label: both
+    routes refuse each one."""
+    a = automata.lit(ZERO)
+    for expr in ("x", ("plus", a), ("cat", a), ZERO):
+        with pytest.raises(TypeError, match="not a regex node"):
+            automata.compile_regex(expr)
+        with pytest.raises(TypeError, match="not a regex node"):
+            automata.brute_matches(expr, ())
 
 
 def test_enumerate_accepted_matches_a_brute_filter_in_order():
@@ -148,7 +151,7 @@ def test_enumerate_accepted_matches_a_brute_filter_in_order():
 
 
 def test_enumerate_accepted_respects_the_bound():
-    nfa = automata.compile_regex(automata.Star(automata.lit(ZERO)))
+    nfa = automata.compile_regex(automata.star(automata.lit(ZERO)))
     out = list(automata.enumerate_accepted(nfa, ZO_ALPHABET, 3))
     assert out == [(), (ZERO,), (ZERO, ZERO), (ZERO, ZERO, ZERO)]
 

@@ -40,7 +40,6 @@ def test_label_matched_and_open():
     lab = Label("l", 1, False)
     assert lab.matched() == Label("l", 1, True)
     assert lab.matched().matched() == lab
-    assert lab.is_open and not lab.matched().is_open
     with pytest.raises(ValueError):
         DOT.matched()
 

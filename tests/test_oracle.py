@@ -1,13 +1,17 @@
 """Brute-force oracles: path enumeration, word streams, CYK, factor
 oracle, and BFS distances."""
 
+import ast
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dycklab.oracle
 from dycklab import (DOT, Alphabet, EnumerationBudget, Grammar, Instance,
                      Label, LabeledGraph, bfs_distances, brute_dyck_reach,
                      compile_dyck2_to_undirected, compile_neardyck_to_dyck2,
@@ -475,3 +479,21 @@ def test_bfs_distances_simple():
     arcs = {(0, 1), (1, 2), (0, 3)}
     assert bfs_distances(4, arcs, 0) == {0: 0, 1: 1, 3: 1, 2: 2}
     assert bfs_distances(4, arcs, 2) == {2: 0}
+
+
+def test_the_oracles_import_no_solver():
+    """The oracles stay independent of what they check: besides the
+    standard library, ``oracle.py`` imports only the graph model and the
+    word layer, at module level or inside a function."""
+    tree = ast.parse(Path(dycklab.oracle.__file__).read_text())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package.update([node.module] if node.module
+                           else [alias.name for alias in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [alias.name for alias in node.names])
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, name
+    assert package == {"graphs", "words"}

@@ -200,7 +200,7 @@ def test_lemma5_walks_words_longer_than_the_recursion_limit(monkeypatch):
     """The walk keeps its own stack: with varpi swapped for 0*, it reaches
     words longer than the recursion limit and still matches the
     reference loop."""
-    zeros = automata.compile_regex(automata.lit(words.ZERO).star())
+    zeros = automata.compile_regex(automata.star(automata.lit(words.ZERO)))
     _swap_languages(monkeypatch, {"varpi": zeros})
     max_len = sys.getrecursionlimit() + 50
     got = suite_lemma5(max_len=max_len)

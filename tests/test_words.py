@@ -50,7 +50,8 @@ def test_reduce_is_confluent_under_random_order(w, seed):
     cur = list(w)
     while True:
         sites = [i for i in range(len(cur) - 1)
-                 if cur[i].is_open and cur[i + 1] == cur[i].matched()]
+                 if cur[i].base != "dot" and not cur[i].bar
+                 and cur[i + 1] == cur[i].matched()]
         if not sites:
             break
         i = rng.choice(sites)
