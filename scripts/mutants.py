@@ -302,6 +302,32 @@ MUTANTS = (
             "test_lemma5_reports_the_failures_of_the_reference_loop",
             "tests/test_suites.py::"
             "test_lemma5_matches_the_reference_under_every_language_swap")),
+    Mutant("failure-text-arguments-reversed", SUITES,
+           "template.format(*map(_shown, args))",
+           "template.format(*map(_shown, args[::-1]))",
+           ("tests/test_suites.py::test_lemma4_pins_its_failure_text",
+            "tests/test_suites.py::test_lemma6_pins_its_failure_text",
+            "tests/test_suites.py::test_prop1_pins_its_failure_text")),
+    Mutant("failed-check-records-no-message", SUITES,
+           "            self.failures.append(template.format(*map(_shown, "
+           "args)))\n",
+           "            pass\n",
+           ("tests/test_suites.py::test_lemma6_pins_its_failure_text",
+            "tests/test_suites.py::test_lemma4_pins_its_failure_text",
+            "tests/test_suites.py::test_q_validate_pins_its_failure_text",
+            "tests/test_suites.py::test_prop1_pins_its_failure_text",
+            "tests/test_suites.py::"
+            "test_lemma7_reports_the_failures_of_the_reference_loop")),
+    Mutant("nominal-cancellation-not-restored", ORACLE,
+           "            if cancelled:\n"
+           "                code = code * 3 + cancelled\n",
+           "            if cancelled:\n"
+           "                pass\n",
+           ("tests/test_oracle.py::test_nominal_paths_match_the_untabled_walk",
+            "tests/test_oracle.py::"
+            "test_nominal_paths_match_the_untabled_walk_on_redrawn_gadgets",
+            "tests/test_oracle.py::"
+            "test_nominal_truncation_matches_the_untabled_walk_at_every_cap")),
     Mutant("brute-reach-pushes-dot", ORACLE,
            'if lab.base == "dot":\n'
            "                        new_stack = stack\n"

@@ -346,11 +346,15 @@ def enumerate_nominal_paths(red, tag: tuple, budget: EnumerationBudget,
     is factor-closed, so the pruning is sound).  The moves of the tag are
     compiled once per call, one tuple per vertex, and the opening letters
     of the reduced partial label are kept as a stack that is pushed and
-    popped with the search, so each step costs O(1).
+    popped with the search, so each step costs O(1).  The stack is one
+    base-3 numeral, its top letter the last digit; letters are 1 or 2, so
+    no digit is 0, the empty stack is 0, and each numeral names exactly
+    one stack.
 
     Dead subtrees are tabled (see the module docstring) under
-    ``(vertex, steps_left, opens, crossed)``.  ``opens`` is the top
-    ``steps_left`` letters of that stack, all that a subtree can pop.
+    ``(vertex, steps_left, opens, crossed)``.  ``opens`` is the numeral
+    modulo ``3 ** steps_left``, which names the top ``steps_left`` letters
+    of the stack, all that a subtree can pop.
     ``crossed`` says whether the prefix holds a pair-2 letter, which
     decides whether a chain traversal is kept, and is always true for a
     stutter loop.
@@ -398,14 +402,16 @@ def enumerate_nominal_paths(red, tag: tuple, budget: EnumerationBudget,
     expansions = 0
     labels: list[Label] = []
     # The opening letters of the normal form of ``labels`` under
-    # open-then-close cancellation.  Every walked prefix is a factor word,
-    # so that form is closing letters followed by opening letters, and its
-    # closing letters can never cancel: they are not kept.
-    opens: list[int] = []
+    # open-then-close cancellation, as a base-3 numeral.  Every walked
+    # prefix is a factor word, so that form is closing letters followed by
+    # opening letters, and its closing letters can never cancel: they are
+    # not kept.
+    code = 0
+    powers = [3 ** k for k in range(budget.max_path_length + 1)]
     dead: dict[tuple, int] = {}  # key -> expansions of a dead subtree
 
     def walk(at: int, steps_left: int, crossed: bool):
-        nonlocal truncated, expansions
+        nonlocal truncated, expansions, code
         if labels and at == finish:
             # chain traversals must touch the second pair; a pair-1-only
             # return (possible on a self-loop chain) is a stutter loop
@@ -416,7 +422,7 @@ def enumerate_nominal_paths(red, tag: tuple, budget: EnumerationBudget,
             return  # nominal paths stop at the first original endpoint
         if steps_left == 0:
             return
-        key = (at, steps_left, tuple(opens[-steps_left:]), crossed)
+        key = (at, steps_left, code % powers[steps_left], crossed)
         count = dead.get(key)
         if count is not None:
             if expansions + count > cap:
@@ -435,19 +441,20 @@ def enumerate_nominal_paths(red, tag: tuple, budget: EnumerationBudget,
             # A closing letter after an opening one cancels it if it is
             # its partner and leaves the factor language otherwise.
             cancelled = 0
-            if letter < 0 and opens:
-                if opens[-1] != -letter:
+            if letter < 0 and code:
+                if code % 3 != -letter:
                     continue
-                cancelled = opens.pop()
+                cancelled = -letter
+                code //= 3
             elif letter > 0:
-                opens.append(letter)
+                code = code * 3 + letter
             labels.append(lab)
             walk(nxt, steps_left - 1, crossed or abs(letter) == 2)
             labels.pop()
             if cancelled:
-                opens.append(cancelled)
+                code = code * 3 + cancelled
             elif letter > 0:
-                opens.pop()
+                code //= 3
             if truncated:
                 return
         if len(results) == found_before:

@@ -35,10 +35,23 @@ class SuiteResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, condition: bool, message: str):
+    def check(self, condition: bool, template: str, *args):
+        """Count one check; if it failed, record ``template`` filled in
+        with ``args``.  The text is built only then, since most checks
+        pass."""
         self.checked += 1
         if not condition:
-            self.failures.append(message)
+            self.failures.append(template.format(*map(_shown, args)))
+
+
+def _shown(arg):
+    """A message argument as a failure shows it: a word (a tuple of
+    labels) in 0/1 notation, a set in sorted order, anything else as is."""
+    if type(arg) is tuple:
+        return words.zo_str(arg)
+    if type(arg) is frozenset:
+        return sorted(arg)
+    return arg
 
 
 # The suites' default walk budget and sampling seed, which are also the
@@ -54,12 +67,10 @@ def suite_q_validate(max_len: int = 8) -> SuiteResult:
     languages against independent oracles, for every word up to max_len."""
     res = SuiteResult("q-validate")
     for w in exhaustive_words(ZO_ALPHABET, max_len, lambda w: True):
-        claim_init = in_q_init(w)
-        shown = words.zo_str(w)
-        res.check(claim_init == is_dyck_prefix(w),
-                  f"prefix-language mismatch on {shown}")
+        res.check(in_q_init(w) == is_dyck_prefix(w),
+                  "prefix-language mismatch on {}", w)
         res.check(in_q(w) == factor_of_dyck_oracle(w),
-                  f"factor-language mismatch on {shown}")
+                  "factor-language mismatch on {}", w)
     return res
 
 
@@ -162,14 +173,14 @@ def suite_lemma6(red: CompiledReduction | None = None,
         labels, _trunc = enumerate_nominal_paths(red, ("loop", x), budget)
         for w in labels:
             res.check(varpi.accepts(reduce_word(w)),
-                      f"loop at {x}: reduction of {words.zo_str(w)} not in varpi")
+                      "loop at {}: reduction of {} not in varpi", x, w)
     for x, lab, y in sorted(source.graph.edges):
         labels, _trunc = enumerate_nominal_paths(red, ("edge", x, lab, y), budget)
-        nfa = lemma6_nfa(lab)
+        nfa, token = lemma6_nfa(lab), lab.token()
         for w in labels:
             res.check(nfa.accepts(reduce_word(w)),
-                      f"chain ({x},{lab.token()},{y}): reduction of "
-                      f"{words.zo_str(w)} outside its language")
+                      "chain ({},{},{}): reduction of {} outside its "
+                      "language", x, token, y, w)
     return res
 
 
@@ -237,8 +248,8 @@ def suite_lemma7(red: CompiledReduction | None = None,
         for r in joined(k, k):
             if reduced_in_q(r):
                 res.check(varpi_red.accepts(r),
-                          f"matched pair {k}: reduction of a factor word "
-                          f"escapes even the closure of varpi: {words.zo_str(r)}")
+                          "matched pair {}: reduction of a factor word "
+                          "escapes even the closure of varpi: {}", k, r)
                 if not varpi.accepts(r):
                     res.info["strict_misses"] += 1
             else:
@@ -246,12 +257,12 @@ def suite_lemma7(red: CompiledReduction | None = None,
     for k, other in ((1, 2), (2, 1)):
         for r in joined(k, other):
             res.check(not reduced_in_q(r),
-                      f"mismatched pair {k}/{other}: factor word survived")
+                      "mismatched pair {}/{}: factor word survived", k, other)
     for k in (1, 2):
         for r3 in reduced_by_label.get(Label("l", k, True), ()):
             for rr in reduced_rhos:
                 res.check(not reduced_in_q_init(join_reduced(rr, r3)),
-                          f"closing chain {k} started a balanced prefix")
+                          "closing chain {} started a balanced prefix", k)
     return res
 
 
@@ -268,10 +279,9 @@ def suite_lemma4(red: CompiledReduction | None = None,
         if not path:
             continue
         decomp = nominal_decompose(path, red)
-        ancestor_label = [lab for _, lab, _ in decomp.ancestor]
-        res.check(mu(ancestor_label) == 0,
-                  f"ancestor balance {mu(ancestor_label)} != 0 for a path of "
-                  f"length {len(path)}")
+        balance = mu([lab for _, lab, _ in decomp.ancestor])
+        res.check(balance == 0, "ancestor balance {} != 0 for a path of "
+                  "length {}", balance, len(path))
     if not enum.paths:
         res.checked += 1  # vacuous but recorded
     return res
@@ -299,9 +309,8 @@ def suite_prop1(samples: int = 300, seed: int = DEFAULT_SEED) -> SuiteResult:
         inst = random_undirected_one_pair(rng)
         fast = prop1_check(inst)
         slow = solve_dyck(inst).query(inst.source, inst.sink)
-        res.check(fast == slow,
-                  f"mismatch on {inst.source}->{inst.sink} with edges "
-                  f"{sorted(inst.graph.edges)}")
+        res.check(fast == slow, "mismatch on {}->{} with edges {}",
+                  inst.source, inst.sink, inst.graph.edges)
     return res
 
 

@@ -4,6 +4,7 @@ matched-pair consecution fact needs the reduction-closure reading."""
 import itertools
 import sys
 import time
+import types
 
 import pytest
 
@@ -227,6 +228,89 @@ def test_lemma7_reports_the_failures_of_the_reference_loop(monkeypatch):
             (want.checked, want.failures, want.info)
         failures += len(got.failures)
     assert failures > 0
+
+
+# ---------------------------------------------------------------------------
+# Failure text.  Each test plants a failure and pins the exact messages and
+# their order, which a check's template and arguments must reproduce.
+
+def test_lemma6_pins_its_failure_text(monkeypatch):
+    """Loops checked against an automaton that rejects reductions of
+    length 4, and chains against their partner's language."""
+    partner = suites.lemma6_nfa
+    rejecting = types.SimpleNamespace(accepts=lambda w: len(w) != 4)
+    monkeypatch.setattr(suites, "regular_nfa", lambda which: rejecting)
+    monkeypatch.setattr(suites, "lemma6_nfa",
+                        lambda lab: partner(lab.matched()))
+    res = suite_lemma6(budget=EnumerationBudget(12, 300))
+    assert res.checked == 32
+    assert res.failures == [
+        "loop at 0: reduction of 0 0bar 0bar 0bar 0bar 0 not in varpi",
+        "loop at 0: reduction of 0 0bar 0bar 0bar 0bar 0 not in varpi",
+        "loop at 0: reduction of 0bar 0 0 0 0 0bar not in varpi",
+        "loop at 0: reduction of 0bar 0 0 0 0 0bar not in varpi",
+        "chain (0,l1,1): reduction of 0 0bar 1 1 0 0 1 1 1 1 1bar 0 "
+        "outside its language",
+        "chain (0,l2,1): reduction of 0 0bar 1 0 0 1 1 0 0 1 1bar 0 "
+        "outside its language",
+        "chain (1,l1bar,0): reduction of 0bar 1 1bar 1bar 1bar 1bar 0bar "
+        "0bar 1bar 1bar 0 0bar outside its language",
+        "chain (1,l2bar,0): reduction of 0bar 1 1bar 0bar 0bar 1bar 1bar "
+        "0bar 0bar 1bar 0 0bar outside its language",
+    ]
+
+
+def test_lemma4_pins_its_failure_text(monkeypatch):
+    """Every ancestor's balance read as 3."""
+    monkeypatch.setattr(suites, "mu", lambda w: 3)
+    res = suite_lemma4(budget=EnumerationBudget(8, 200))
+    assert res.checked == 52
+    assert res.failures == \
+        ["ancestor balance 3 != 0 for a path of length 4"] * 4 + \
+        ["ancestor balance 3 != 0 for a path of length 8"] * 48
+
+
+def test_q_validate_pins_its_failure_text(monkeypatch):
+    """The prefix oracle flipped on two-letter words starting with 1bar,
+    the factor oracle on two-letter words ending with 0: the two kinds of
+    message interleave in word order."""
+    prefix, factor = suites.is_dyck_prefix, suites.factor_of_dyck_oracle
+    monkeypatch.setattr(suites, "is_dyck_prefix", lambda w: prefix(w) != (
+        len(w) == 2 and w[0] == words.ONE_BAR))
+    monkeypatch.setattr(suites, "factor_of_dyck_oracle",
+                        lambda w: factor(w) != (len(w) == 2
+                                                and w[1] == words.ZERO))
+    res = suite_q_validate(max_len=3)
+    assert res.checked == 170
+    assert res.failures == [
+        "factor-language mismatch on 0 0",
+        "factor-language mismatch on 0bar 0",
+        "factor-language mismatch on 1 0",
+        "prefix-language mismatch on 1bar 0",
+        "factor-language mismatch on 1bar 0",
+        "prefix-language mismatch on 1bar 0bar",
+        "prefix-language mismatch on 1bar 1",
+        "prefix-language mismatch on 1bar 1bar",
+    ]
+
+
+def test_prop1_pins_its_failure_text(monkeypatch):
+    """The characterization flipped on instances with 1, 3 or 5 edges."""
+    check = suites.prop1_check
+    monkeypatch.setattr(suites, "prop1_check", lambda inst: check(inst) != (
+        len(inst.graph.edges) in (1, 3, 5)))
+    res = suite_prop1(samples=12, seed=3)
+    assert res.checked == 12
+    assert res.failures == [
+        "mismatch on 1->1 with edges [(0, l1bar, 0)]",
+        "mismatch on 0->0 with edges [(0, l1, 0)]",
+        "mismatch on 3->2 with edges [(0, l1, 0), (0, l1, 3), (0, l1bar, 0), "
+        "(1, l1bar, 3), (2, l1, 3)]",
+        "mismatch on 0->0 with edges [(0, l1, 1), (1, l1, 1), (2, l1, 2)]",
+        "mismatch on 2->0 with edges [(0, l1bar, 0), (0, l1bar, 1), "
+        "(0, l1bar, 2)]",
+    ]
+
 
 def test_prop1_suite():
     res = suite_prop1(samples=120, seed=3)
