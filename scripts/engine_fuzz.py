@@ -13,13 +13,20 @@ third update and at the end, so that insertions also land on an index that
 a deletion has left stale.  After every update that index is first asked
 ``query`` on the marked pair and on random pairs, each answer checked
 against the grammar, so that answers are checked while its insertions'
-seeds are still pending and, while it is stale, before a read of
-``pairs`` runs its lazy solve ``lower`` to its end.  A stale "no" on a
-set bit runs it to its end too, so the index must then be fresh.  If it
-is still stale after its queries, its rows, once the seeds and work its
-insertions left pending have run, must hold every pair the grammar
-derives.  The summary counts the queries answered while the index or
-``lower`` held seeds not yet run, and the run fails if there were none.
+seeds are still pending, while a fresh query has stopped at its pair
+with the rest of the work still queued, and, while it is stale, before a
+read of ``pairs`` runs its lazy solve ``lower`` to its end.  A stale "no"
+on a set bit runs it to its end too, so the index must then be fresh.
+If it is still stale after its queries, its rows, once the seeds and work
+its insertions left pending have run, must hold every pair the grammar
+derives.  A fourth ``ReachIndex`` is first read only at a random step of
+the script: until then each update may only edit its edge tables (no
+rows, no seed, no stale mark), and its first query and ``pairs`` read,
+which solve the tables as they are then, are checked against the grammar.
+The summary counts the queries answered while the index or ``lower``
+held seeds not yet run, the fresh queries answered with work still
+queued, and the first reads that came after a burst of updates with a
+deletion in it; the run fails if any of the three is 0.
 After every update both indexes' edge tables and support masks are
 checked too, and after every query those of an unfinished ``lower``,
 against the current edges: each table of ``edges`` must hold exactly the
@@ -74,7 +81,7 @@ def main() -> int:
 
     rng = random.Random(args.seed)
     gaps = grammar_queries = grammar_stale = 0
-    live_queries = pending_queries = 0
+    live_queries = pending_queries = stopped_queries = late_reads = 0
     oracle_checked = {"dyck": 0, "neardyck": 0}
     t0 = time.monotonic()
     for i in range(args.samples):
@@ -111,6 +118,9 @@ def main() -> int:
         gaps += wrap != full_pairs
         index, live = full, solve_dyck(inst)
         gram = GrammarIndex(inst, grammar)
+        # an index first read at a random step, after a burst of updates
+        late, late_deleted = solve_dyck(inst), False
+        late_read = rng.randint(1, SCRIPT_OPS)
         for step, op in enumerate(random_script(rng, inst, ops=SCRIPT_OPS,
                                                 query_rate=0.0), start=1):
             index = resolve_after_update(index, inst, op)
@@ -119,6 +129,26 @@ def main() -> int:
             inst = apply_update(inst, op)
             expected = solve_cfl(inst, grammar)["S"]
             n = inst.graph.vertex_count
+            where = (f"MISMATCH sample {i} step {step} "
+                     f"({serialize_updates([op]).strip()}): ")
+            if step <= late_read:
+                late.apply(op)
+                late_deleted |= op.op == "del"
+                faults = mask_faults(late, inst)
+                if late.rows is not None or late.seeds or late.stale:
+                    faults.append("an update before the first read solved, "
+                                  "seeded or marked it")
+                if faults:
+                    print(f"{where}index not yet read: {faults[0]}")
+                    return 1
+            if step == late_read:
+                u, v = rng.randrange(n), rng.randrange(n)
+                if (late.query(u, v) != ((u, v) in expected)
+                        or late.pairs != expected):
+                    print(f"{where}first read of an index after a burst of "
+                          f"updates vs grammar engine")
+                    return 1
+                late_reads += late_deleted
             for route, maintained in (("resolve_after_update", index),
                                       ("apply", live)):
                 faults = mask_faults(maintained)
@@ -142,6 +172,7 @@ def main() -> int:
                     return 1
                 live_queries += 1
                 pending_queries += bool(seeded)
+                stopped_queries += bool(not live.stale and live.work)
                 if stale_bit and not answer and live.stale:
                     print(f"{where}: a set bit's \"no\" left the index "
                           f"stale")
@@ -157,8 +188,6 @@ def main() -> int:
                           f"({serialize_updates([op]).strip()}): "
                           f"stale rows miss a pair of the grammar engine")
                     return 1
-            where = (f"MISMATCH sample {i} step {step} "
-                     f"({serialize_updates([op]).strip()}): ")
             if gram.stale:
                 held = {(u, v) for u, targets
                         in enumerate(gram.succ[grammar.start])
@@ -198,11 +227,20 @@ def main() -> int:
           f"{oracle_checked['neardyck']} near-Dyck samples, grammar "
           f"index checked on {grammar_queries} queries and "
           f"{grammar_stale} stale states, apply route checked on "
-          f"{live_queries} queries, {pending_queries} with seeds pending, "
-          f"{dt:.1f}s")
+          f"{live_queries} queries, {pending_queries} with seeds pending "
+          f"and {stopped_queries} fresh with work queued, {late_reads} first "
+          f"reads after deletions, {dt:.1f}s")
     if args.samples and not pending_queries:
         print("FAIL: no query was answered with seeds pending, so the "
               "deferred insertions went unchecked")
+        return 1
+    if args.samples and not stopped_queries:
+        print("FAIL: no fresh query stopped with work still queued, so the "
+              "early stop went unchecked")
+        return 1
+    if args.samples and not late_reads:
+        print("FAIL: no first read came after a deletion, so the updates "
+              "of an index not yet read went unchecked")
         return 1
     return 0
 

@@ -138,18 +138,22 @@ MUTANTS = (
             "test_maintained_index_matches_the_grammar_engine")),
     Mutant("lower-not-seeded-on-insertion", SATURATE,
            "for index in (self, self.lower) if self.lower else (self,):\n"
-           "                index.seeds +=",
+           "                    index.seeds +=",
            "for index in (self,):\n"
-           "                index.seeds +=",
+           "                    index.seeds +=",
            ("tests/test_saturate.py::"
             "test_a_partial_solve_survives_an_insertion",)),
     Mutant("lower-kept-on-deletion", SATURATE,
-           "self.stale, self.lower = True, None\n        for x, y in cells:",
-           "self.stale = True\n        for x, y in cells:",
+           "        if self.rows is not None:\n"
+           "            self.stale, self.lower = True, None\n",
+           "        if self.rows is not None:\n"
+           "            self.stale = True\n",
            ("tests/test_saturate.py::test_a_deletion_drops_the_partial_solve",)),
     Mutant("deletion-left-fresh", SATURATE,
-           "self.stale, self.lower = True, None\n        for x, y in cells:",
-           "self.lower = None\n        for x, y in cells:",
+           "        if self.rows is not None:\n"
+           "            self.stale, self.lower = True, None\n",
+           "        if self.rows is not None:\n"
+           "            self.lower = None\n",
            ("tests/test_saturate.py::"
             "test_a_deletion_that_fired_nothing_leaves_a_stale_index_stale",)),
     Mutant("takeover-drops-the-updates", SATURATE,
@@ -174,19 +178,41 @@ MUTANTS = (
            ("tests/test_saturate.py::"
             "test_reads_and_copies_run_the_pending_insertions",)),
     Mutant("query-without-flush", SATURATE,
-           "        if not rows[u] >> v & 1:\n            self._run()\n",
-           "        if not rows[u] >> v & 1:\n",
+           "            self._run(u, 1 << v)\n",
+           "            if rows is None:\n"
+           "                self._run(u, 1 << v)\n",
            ("tests/test_saturate.py::"
             "test_reads_and_copies_run_the_pending_insertions",)),
     Mutant("absent-bit-query-skips-seeds", SATURATE,
-           "        if not rows[u] >> v & 1:\n            self._run()\n",
-           "        if not rows[u] >> v & 1:\n"
+           "            self._run(u, 1 << v)\n",
            "            seeds, self.seeds = self.seeds, []\n"
-           "            self._run()\n"
+           "            self._run(u, 1 << v)\n"
            "            self.seeds = seeds\n",
            ("tests/test_saturate.py::"
             "test_reads_and_copies_run_the_pending_insertions",
             "tests/test_saturate.py::test_a_query_on_a_set_bit_runs_no_seed")),
+    Mutant("first-read-solves-the-initial-tables", SATURATE,
+           "            self._start(self._inst.graph.vertex_count,"
+           " self.edges,\n                        self.closers)\n",
+           "            self._start(self._inst.graph.vertex_count,\n"
+           "                        *_edge_tables(self._inst))\n",
+           ("tests/test_saturate.py::"
+            "test_updates_before_the_first_read_only_edit_the_tables",)),
+    Mutant("unread-deletion-keeps-the-edge", SATURATE,
+           "        for x, y in cells:\n            table[x] &= ~(1 << y)\n",
+           "        for x, y in cells if self.rows is not None else ():\n"
+           "            table[x] &= ~(1 << y)\n",
+           ("tests/test_saturate.py::"
+            "test_updates_before_the_first_read_only_edit_the_tables",)),
+    Mutant("stopped-query-answers-no-unrun", SATURATE,
+           "        rows = self.rows\n"
+           "        if rows is None or not rows[u] >> v & 1:\n",
+           "        rows = self.rows\n"
+           "        if rows is not None and not self.seeds"
+           " and not rows[u] >> v & 1:\n"
+           "            return False\n"
+           "        if rows is None or not rows[u] >> v & 1:\n",
+           ("tests/test_saturate.py::test_a_fresh_query_stops_at_its_pair",)),
     Mutant("deleted-edge-still-seeded", SATURATE,
            "            if self.edges[s][x] >> y & 1:\n"
            "                self._seed(s, x, y)\n",

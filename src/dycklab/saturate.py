@@ -48,19 +48,26 @@ re-solves, so ``wide`` only grows until a re-solve starts it afresh.
 A ``ReachIndex`` owns its instance and pays for an update only what it
 derives.  ``apply`` checks the update in O(1) against the edge tables,
 which hold the edges exactly; the instance is brought up to date only
-when ``inst`` is read.  An insertion sets the new edge's bit in its
-slot's table (both ways round for an undirected edge) and queues its
-cells ``(slot, x, y)`` as seeds, to be joined with the rows later.  The
-seeds and the fixpoint run only when a read needs them (a ``pairs``
-read, a ``copy``, or a query whose bit is not yet set, since rows only
-grow under insertions), once for every insertion since; a seed whose
-edge was deleted before then is skipped.  A from-scratch solve joins the
-identity pairs with the edges at once, so only the rows that gain a bit
-are processed.  Every deletion clears the edge's bits and marks the index
-stale, keeping its rows.  Stale rows are a superset of the closure once
-their seeds and work have run: they were closed under a superset of
-today's edges, and the fixpoint is monotone in the edges, so later
-insertions on them keep a superset.  A stale index therefore answers "no"
+when ``inst`` is read.  Building an index builds only its tables and
+masks.  Its from-scratch solve starts at the first read (a query, a
+``pairs`` read or a ``copy``), over the tables as they are then, so an
+update before that read only edits them: it queues no seed, and a
+deletion marks nothing stale.  A from-scratch solve joins the identity
+pairs with the edges at once, so only the rows that gain a bit are
+processed.  Once the index has rows, an insertion sets the new edge's
+bit in its slot's table (both ways round for an undirected edge) and
+queues its cells ``(slot, x, y)`` as seeds, to be joined with the rows
+later.  The seeds and the fixpoint run only when a read needs them, once
+for every insertion since; a seed whose edge was deleted before then is
+skipped.  A ``pairs`` read or a ``copy`` runs them to their end.  A
+query runs them only while its bit is absent, since rows only grow under
+insertions, and stops once the bit appears, leaving the rest queued for
+the next read that needs it.  Every deletion clears the edge's bits;
+on an index with rows it also marks the index stale, keeping its rows.
+Stale rows are a superset of the closure once their seeds and work have
+run: they were closed under a superset of today's edges, and the
+fixpoint is monotone in the edges, so later insertions on them keep a
+superset.  A stale index therefore answers "no"
 when the queried bit is absent after that run, and "yes" at once for an
 identity pair.  Its one way back to exact rows is ``lower``, a lazy
 from-scratch solve sharing the index's edge tables.  Any other set bit
@@ -156,12 +163,15 @@ class ReachIndex:
     label is resolved to its slot once, by ``apply`` or ``_edge_tables``
     through the alphabet's one ``graphs.label_slots`` table; everything
     past that reads the slot number, whose sign and parity say what the
-    label is (even opens, odd closes, -1 is ``dot``).  ``seeds`` lists
-    the cells ``(slot, x, y)`` of the edges inserted since the last run,
-    not yet joined with the rows.  ``pending[x]`` holds the bits row ``x``
-    gained that the wrap rule has not yet joined, and ``work`` lists the
-    rows with pending bits.  ``pairs``, ``copy``
-    and a query of an absent bit run the seeds and close the worklist.
+    label is (even opens, odd closes, -1 is ``dot``).  ``rows`` is None
+    until the first read starts the from-scratch solve over the tables
+    as they are then; until that read an update only edits the tables.
+    ``seeds`` lists the cells ``(slot, x, y)`` of the edges inserted
+    since the last run, not yet joined with the rows.  ``pending[x]``
+    holds the bits row ``x`` gained that the wrap rule has not yet
+    joined, and ``work`` lists the rows with pending bits.  ``pairs`` and
+    ``copy`` run the seeds and close the worklist; a query of an absent
+    bit runs them only until the bit appears.
     ``stale`` rows may hold pairs the instance no longer derives, until
     ``lower``, None or an unfinished from-scratch solve of the same edge
     tables and masks, makes them exact.
@@ -184,8 +194,8 @@ class ReachIndex:
     def __init__(self, inst: Instance):
         self._inst, self._ops = inst, []
         self._slots = label_slots(inst.graph.alphabet)
-        self._start(inst.graph.vertex_count, *_edge_tables(inst))
-        self._run()
+        self.edges, self.closers = _edge_tables(inst)
+        self.stale, self.lower, self.rows, self.seeds = False, None, None, []
 
     def _start(self, n, edges, closers):
         """Begin a from-scratch solve over these edges on ``n`` vertices:
@@ -241,13 +251,15 @@ class ReachIndex:
     def apply(self, op: UpdateOp):
         """Apply one update, checked against the edge tables (a rejected
         one raises the instance's own error and changes nothing).  An
-        insertion sets the edge's bits and queues its cells as seeds of
-        the index, stale or not, and of ``lower``, leaving the rules to a
-        read.  A deletion drops ``lower`` and marks the index stale."""
+        insertion sets the edge's bits and, once the index has rows,
+        queues its cells as seeds of the index, stale or not, and of
+        ``lower``, leaving the rules to a read.  A deletion clears them
+        and, once the index has rows, drops ``lower`` and marks the index
+        stale."""
         if op.op == "query":
             return
         u, v = op.u, op.v
-        n = len(self.rows)
+        n = self._inst.graph.vertex_count
         # the label's slot, None for a label outside the alphabet
         s = (self._slots[op.label] if op.op in ("ins", "del")
              and 0 <= u < n and 0 <= v < n else None)
@@ -267,15 +279,19 @@ class ReachIndex:
                 table[x] |= 1 << y
                 if s > 0 and s & 1:
                     self.closers[s >> 1] |= 1 << x
-            for index in (self, self.lower) if self.lower else (self,):
-                index.seeds += [(s, x, y) for x, y in cells]
+            # before the first read there is nothing to seed: its
+            # from-scratch solve reads today's tables
+            if self.rows is not None:
+                for index in (self, self.lower) if self.lower else (self,):
+                    index.seeds += [(s, x, y) for x, y in cells]
             return
-        self.stale, self.lower = True, None
         for x, y in cells:
             table[x] &= ~(1 << y)
             if s > 0 and s & 1 and not table[x]:
                 # x's last closing edge of this pair is gone
                 self.closers[s >> 1] &= ~(1 << x)
+        if self.rows is not None:
+            self.stale, self.lower = True, None
 
     def _settle(self, u: int = 0, bit: int = 0):
         """Run ``lower``, started if there is none, until its ``rows[u]``
@@ -303,14 +319,14 @@ class ReachIndex:
         over-approximate it, so an absent bit is an exact "no" and an
         identity pair a "yes"; any other present bit settles ``lower``
         until it holds the pair or finishes exact.  Rows only grow under
-        insertions, so the pending seeds and work run only to decide an
-        absent bit."""
-        rows = self.rows
-        if not (0 <= u < len(rows) and 0 <= v):
+        insertions, so the pending seeds and work run only until the bit
+        appears."""
+        if not (0 <= u < self._inst.graph.vertex_count and 0 <= v):
             return False
-        if not rows[u] >> v & 1:
-            self._run()
-            if not rows[u] >> v & 1:
+        rows = self.rows
+        if rows is None or not rows[u] >> v & 1:
+            self._run(u, 1 << v)
+            if not self.rows[u] >> v & 1:
                 return False
         if not self.stale or u == v:
             return True
@@ -382,6 +398,8 @@ class ReachIndex:
                 low = ends & -ends
                 srcs |= opening[low.bit_length() - 1]
                 ends ^= low
+            # a source in cols[y] already holds y
+            srcs &= ~self.cols[y]
             bit = 1 << y
             while srcs:
                 low = srcs & -srcs
@@ -391,7 +409,11 @@ class ReachIndex:
     def _run(self, u: int = 0, bit: int = 0):
         """Join the pending seeds with the rows, then close the worklist;
         with a target ``bit``, stop before the next seed or pop once
-        ``rows[u]`` holds it, leaving the rest to resume."""
+        ``rows[u]`` holds it, leaving the rest to resume.  The first run
+        of an index starts its from-scratch solve over today's tables."""
+        if self.rows is None:
+            self._start(self._inst.graph.vertex_count, self.edges,
+                        self.closers)
         rows, pending, work, seeds = (self.rows, self.pending, self.work,
                                       self.seeds)
         while seeds and not rows[u] & bit:

@@ -33,6 +33,15 @@ def chain(labels, pairs=2):
     return Instance(g, 0, n - 1)
 
 
+def solved(inst):
+    """``solve_dyck(inst)`` once its first read has run the from-scratch
+    solve, so that later updates land on rows: they queue seeds, and a
+    deletion marks the index stale."""
+    idx = solve_dyck(inst)
+    idx.pairs
+    return idx
+
+
 def test_empty_graph_identity_only():
     inst = Instance(LabeledGraph.build(True, 1, Alphabet("dyck", 1), []), 0, 0)
     assert solve_dyck(inst).pairs == frozenset({(0, 0)})
@@ -358,14 +367,81 @@ def test_reads_and_copies_run_the_pending_insertions():
     whole = chain([L1, L2, L2BAR, L1BAR])
     part = apply_update(whole, UpdateOp.delete(2, L2BAR, 3))
     expected = solve_cfl(whole, dyck_grammar(2))["S"]
-    read, copied, queried = solve_dyck(part), solve_dyck(part), \
-        solve_dyck(part)
+    read, copied, queried = solved(part), solved(part), solved(part)
     for idx in (read, copied, queried):
         idx.apply(UpdateOp.ins(2, L2BAR, 3))
         assert idx.seeds and not idx.rows[0] >> 4 & 1
     assert (0, 4) in expected and read.pairs == expected
     assert copied.copy().pairs == expected
     assert queried.query(0, 4)
+
+
+def test_updates_before_the_first_read_only_edit_the_tables(monkeypatch):
+    seeded = _count_seeds(monkeypatch)
+    started = _count_starts(monkeypatch)
+    # 0 -l1-> 1 -l1bar-> 2 -l2-> 3 -l2bar-> 4: the burst deletes the one
+    # witness of (0, 2) and (0, 4), and builds the nesting 4 -l1-> 0 -l1->
+    # 1 -l1bar-> 3 -l1bar-> 2, deleting (4, l1, 0) and inserting it again
+    inst = chain([L1, L1BAR, L2, L2BAR])
+    idx = solve_dyck(inst)
+    assert idx.rows is None and started == []
+    for op in (UpdateOp.ins(4, L1, 0), UpdateOp.delete(1, L1BAR, 2),
+               UpdateOp.ins(1, L1BAR, 3), UpdateOp.ins(3, L1BAR, 2),
+               UpdateOp.delete(4, L1, 0), UpdateOp.ins(4, L1, 0)):
+        idx.apply(op)
+        inst = apply_update(inst, op)
+        assert idx.rows is None and not idx.seeds and not idx.stale, op
+        assert mask_faults(idx, inst) == [], op
+    # the first read solves today's edges from scratch, and nothing else
+    assert (4, 2) in solve_cfl(inst, dyck_grammar(2))["S"]
+    _answers_exactly(idx, inst)
+    assert started == [5] and seeded == [] and not idx.stale
+
+
+def test_a_fresh_query_stops_at_its_pair():
+    # 0 -l1-> 1 -l2-> 2 -l2bar-> 3 -l1bar-> 4: the solve's start derives
+    # (1, 3), and only the work it queues derives (0, 4)
+    inst = chain([L1, L2, L2BAR, L1BAR])
+    expected = solve_cfl(inst, dyck_grammar(2))["S"]
+    read, copied, queried = solve_dyck(inst), solve_dyck(inst), \
+        solve_dyck(inst)
+    for idx in (read, copied, queried):
+        assert idx.query(1, 3) and idx.work and not idx.seeds
+        assert not idx.rows[0] >> 4 & 1
+    assert read.pairs == expected
+    other = copied.copy()
+    assert not copied.work and other.pairs == copied.pairs == expected
+    # an absent bit runs the queued work, which sets it
+    assert queried.query(0, 4) and (0, 4) in expected
+    assert not queried.query(4, 0) and not queried.work
+    assert queried.pairs == expected
+
+
+@pytest.mark.parametrize("op", [UpdateOp.delete(1, L2, 2),
+                                UpdateOp.delete(3, L1BAR, 4)],
+                         ids=["witness-of-the-pair", "edge-the-work-needs"])
+def test_a_deletion_after_a_stopped_query_keeps_the_stale_no_exact(op):
+    # the query leaves row 1's new bit 3 on the worklist; run after the
+    # deletion, that work joins today's edges with stale rows
+    inst = chain([L1, L2, L2BAR, L1BAR])
+    idx = solve_dyck(inst)
+    assert idx.query(1, 3) and idx.work
+    _answers_exactly(idx, inst, op)
+
+
+def _count_starts(monkeypatch) -> list:
+    """Patch ``ReachIndex._start`` to record the vertex count of every
+    from-scratch solve begun, a first read's and a lazy one's alike;
+    returns the record."""
+    started = []
+    start = saturate.ReachIndex._start
+
+    def counted(index, n, edges, closers):
+        started.append(n)
+        return start(index, n, edges, closers)
+
+    monkeypatch.setattr(saturate.ReachIndex, "_start", counted)
+    return started
 
 
 def _count_seeds(monkeypatch) -> list:
@@ -387,7 +463,7 @@ def test_a_query_on_a_set_bit_runs_no_seed(monkeypatch):
     # 0 -l1-> 1 -l1bar-> 2 -l2-> 3 -l2bar-> 4, and then 4 -l1-> 0 and
     # 2 -l1bar-> 4, which close the bracket cycle (4, 4)
     inst = chain([L1, L1BAR, L2, L2BAR])
-    idx = solve_dyck(inst)
+    idx = solved(inst)
 
     def step(*ops):
         nonlocal inst
@@ -414,11 +490,12 @@ def test_a_query_on_a_set_bit_runs_no_seed(monkeypatch):
 
 def test_an_edge_deleted_before_any_read_is_never_seeded(monkeypatch):
     seeded = _count_seeds(monkeypatch)
-    # 0 -l1-> 1 -l2-> 2 and 3 -l1bar-> 4: (2, l2bar, 3) would derive (0, 4)
+    # 0 -l1-> 1 -l2-> 2 and 3 -l1bar-> 4: (2, l2bar, 3) would derive (0, 4);
+    # it is inserted and deleted with no read of the solved index between
     edges = [(0, L1, 1), (1, L2, 2), (3, L1BAR, 4)]
     inst = Instance(LabeledGraph.build(True, 5, Alphabet("dyck", 2), edges),
                     0, 4)
-    idx = solve_dyck(inst)
+    idx = solved(inst)
     idx.apply(UpdateOp.ins(2, L2BAR, 3))
     idx.apply(UpdateOp.delete(2, L2BAR, 3))
     assert idx.stale and idx.seeds
@@ -460,25 +537,28 @@ def _count_fresh_solves(monkeypatch) -> list:
 
 def test_deletions_before_a_query_cost_one_resolve(monkeypatch):
     built = _count_fresh_solves(monkeypatch)
+    started = _count_starts(monkeypatch)
     inst = chain([L1, L1BAR, L2, L2BAR])
     script = [UpdateOp.delete(0, L1, 1), UpdateOp.delete(2, L2, 3),
               UpdateOp.ins(0, L1, 1), UpdateOp.delete(3, L2BAR, 4),
               UpdateOp.ins(2, L2, 3), UpdateOp.query(), UpdateOp.query()]
     assert saturate.run_replay(inst, script) == [False, False]
-    # the first "no" finishes the one solve; the second query needs none
-    assert len(built) == 1
+    # nothing was read before the first query, so it runs the index's
+    # first solve over today's edges and no lazy one; the second needs none
+    assert started == [5] and built == []
 
-    # the same through one index: nothing is solved until the query
-    idx = solve_dyck(inst)
+    # the same through an index already read: the deletions leave it
+    # stale, and nothing is solved until the query
+    idx = solved(inst)
     for op in script[:5]:
         idx.apply(op)
         inst = apply_update(inst, op)
-    assert len(built) == 1 and idx.stale
+    assert len(started) == 2 and built == [] and idx.stale
     assert not idx.query(0, 4)
-    assert built[1:] == [inst] and not idx.stale
+    assert built == [inst] and len(started) == 3 and not idx.stale
     assert idx.pairs == solve_cfl(inst, dyck_grammar(2))["S"]
     assert idx.query(0, 2) and not idx.query(2, 4)
-    assert len(built) == 2
+    assert len(built) == 1 and len(started) == 3
 
 
 def _churn_op(rng, inst):
@@ -621,7 +701,7 @@ def test_columns_transpose_closed_rows_after_every_step(near, directed):
             inst = random_dyck_instance(rng, max_vertices=9, pairs=2,
                                         density=0.1, directed=directed)
         n = inst.graph.vertex_count
-        idx = solve_dyck(inst)
+        idx = solved(inst)
         assert _closure_faults(idx) == [], seed
         for step, op in enumerate(random_script(rng, inst, ops=40)):
             if op.op == "query":
@@ -640,7 +720,7 @@ def test_columns_transpose_closed_rows_after_every_step(near, directed):
 def test_closers_follow_the_last_closing_edge():
     # 0 -l1-> 1 -l1bar-> 2, and a second l1bar edge out of 1
     inst = chain([L1, L1BAR], pairs=1)
-    idx = solve_dyck(inst)
+    idx = solved(inst)
     assert idx.closers == [0b010] and idx.wide == 0b001
     idx.apply(UpdateOp.ins(1, L1BAR, 0))
     assert idx.closers == [0b010]
@@ -658,7 +738,7 @@ def test_closers_follow_the_last_closing_edge():
 def test_a_stale_no_costs_no_resolve(monkeypatch):
     built = _count_fresh_solves(monkeypatch)
     # 0 -l1-> 1 -l1bar-> 2 -l2-> 3 -l2bar-> 4
-    idx = solve_dyck(chain([L1, L1BAR, L2, L2BAR]))
+    idx = solved(chain([L1, L1BAR, L2, L2BAR]))
     idx.apply(UpdateOp.delete(1, L1BAR, 2))
     assert idx.stale
     idx.apply(UpdateOp.ins(4, L2, 0))  # lands on the stale rows
@@ -703,7 +783,7 @@ def test_deleting_an_opening_edge_that_wrapped_nothing_answers_exactly(
     # 3 -l1-> 2, and row 2 holds 2, which has an l1bar edge.  Either way
     # the deletion marks the index stale, and its answers stay exact
     inst = _one_pair(directed, [(0, L1, 1), (1, L1BAR, 2), (2, L1, 3)])
-    _answers_exactly(solve_dyck(inst), inst, UpdateOp.delete(2, L1, 3))
+    _answers_exactly(solved(inst), inst, UpdateOp.delete(2, L1, 3))
 
 
 @pytest.mark.parametrize("directed", [True, False])
@@ -714,7 +794,7 @@ def test_deleting_a_closing_edge_that_wrapped_nothing_answers_exactly(
     # enters row 4, which holds 4
     inst = _one_pair(directed, [(0, L1, 1), (1, L1BAR, 2), (3, L1BAR, 4),
                                 (5, L1, 4)])
-    _answers_exactly(solve_dyck(inst), inst, UpdateOp.delete(3, L1BAR, 4))
+    _answers_exactly(solved(inst), inst, UpdateOp.delete(3, L1BAR, 4))
 
 
 def test_an_edge_that_fires_only_in_pending_work_is_deleted_exactly():
@@ -727,7 +807,7 @@ def test_an_edge_that_fires_only_in_pending_work_is_deleted_exactly():
              (5, L1, 0)]
     inst = Instance(LabeledGraph.build(True, 7, Alphabet("dyck", 2), edges),
                     0, 4)
-    _answers_exactly(solve_dyck(inst), inst, UpdateOp.ins(2, L2BAR, 3),
+    _answers_exactly(solved(inst), inst, UpdateOp.ins(2, L2BAR, 3),
                      UpdateOp.delete(5, L1, 0))
 
 
@@ -738,7 +818,7 @@ def test_a_deletion_that_fired_nothing_leaves_a_stale_index_stale():
     inst = Instance(LabeledGraph.build(True, 5, Alphabet("dyck", 2), edges),
                     0, 2)
     first = UpdateOp.delete(1, L1BAR, 2)
-    idx = solve_dyck(inst)
+    idx = solved(inst)
     idx.apply(first)
     assert idx.stale and idx.rows[0] >> 2 & 1
     _answers_exactly(idx, apply_update(inst, first),
@@ -752,7 +832,7 @@ def _bracket_cycle():
              (4, L1, 5), (5, L1BAR, 0)]
     inst = Instance(LabeledGraph.build(True, 6, Alphabet("dyck", 2), edges),
                     0, 4)
-    idx = solve_dyck(inst)
+    idx = solved(inst)
     op = UpdateOp.delete(1, L1BAR, 2)
     idx.apply(op)
     return idx, apply_update(inst, op)
@@ -777,7 +857,7 @@ def test_a_partial_solve_survives_an_insertion(monkeypatch):
     assert len(built) == 1 and not idx.stale
     assert idx.inst == inst and mask_faults(idx) == []
     assert idx.pairs == expected
-    assert idx.rows == solve_dyck(inst).rows
+    assert idx.rows == solved(inst).rows
 
 
 def test_a_stale_pairs_read_resumes_the_partial_solve(monkeypatch):

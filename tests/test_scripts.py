@@ -13,15 +13,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # what a script's summary line must show beyond its clean exit: the fuzz
 # leg's walk oracle must have checked near-Dyck samples, not skipped them,
-# its grammar-index leg must have checked queries and stale states, and
-# its apply route must have answered queries with seeds pending; the
-# mutants run must have killed all five of its mutants
+# its grammar-index leg must have checked queries and stale states, its
+# apply route must have answered queries with seeds pending and fresh
+# ones with work queued, and an index must have been first read after a
+# deletion; the mutants run must have killed all five of its mutants
 SUMMARIES = {
     "engine_fuzz.py": r"oracle checked [1-9]\d* bracket-pair and [1-9]\d* "
                       r"near-Dyck samples, grammar index checked on [1-9]\d* "
                       r"queries and [1-9]\d* stale states, apply route "
                       r"checked on [1-9]\d* queries, [1-9]\d* with seeds "
-                      r"pending",
+                      r"pending and [1-9]\d* fresh with work queued, "
+                      r"[1-9]\d* first reads after deletions",
     "mutants.py": r"5 mutants, 5 killed, 0 survived",
 }
 

@@ -130,7 +130,8 @@ def mask_faults(index, inst=None) -> list[str]:
     directed edges of its label, and ``closers[k]`` exactly the vertices
     with an outgoing closing edge of pair ``k`` (counted from 0); and
     ``wide`` must hold every vertex whose row has more than its identity
-    bit.  Empty when all hold."""
+    bit.  An index not yet read has no rows (``rows`` is None), so only
+    its tables and masks are checked.  Empty when all hold."""
     edges, support = reference_edge_tables(inst or index.inst)
     faults = []
     if len(index.edges) != len(edges):
@@ -146,7 +147,7 @@ def mask_faults(index, inst=None) -> list[str]:
         if got & ~want:
             faults.append(f"closers[{k}] holds vertices with no closing "
                           f"edge {got & ~want:#b}")
-    for x, row in enumerate(index.rows):
+    for x, row in enumerate(index.rows or ()):
         if row != 1 << x and not index.wide >> x & 1:
             faults.append(f"wide misses row {x}")
     return faults
