@@ -14,31 +14,31 @@ a deletion has left stale.  After every update that index is first asked
 ``query`` on the marked pair and on random pairs, each answer checked
 against the grammar, so that answers are checked while its insertions'
 seeds are still pending, while a fresh query has stopped at its pair
-with the rest of the work still queued, and, while it is stale, before a
-read of ``pairs`` runs its lazy solve ``lower`` to its end.  A stale "no"
-on a set bit runs it to its end too, so the index must then be fresh.
-If it is still stale after its queries, its rows, once the seeds and work
-its insertions left pending have run, must hold every pair the grammar
+with the rest of the work still queued, and while it is stale.  A stale
+query on a set bit other than an identity pair restarts the solve, so
+an index still stale after a query must lack the queried bit.  If it is
+still stale after its queries, its rows, once the seeds and work its
+insertions left pending have run, must hold every pair the grammar
 derives.  A fourth ``ReachIndex`` is first read only at a random step of
 the script: until then each update may only edit its edge tables (no
 rows, no seed, no stale mark), and its first query and ``pairs`` read,
 which solve the tables as they are then, are checked against the grammar.
-The summary counts the queries answered while the index or ``lower``
-held seeds not yet run, the fresh queries answered with work still
-queued, and the first reads that came after a burst of updates with a
-deletion in it; the run fails if any of the three is 0.
-After every update both indexes' edge tables and support masks are
-checked too, and after every query those of an unfinished ``lower``,
-against the current edges: each table of ``edges`` must hold exactly the
-directed edges of its label (the ``dot`` table of a ``dyck`` alphabet
-none), each ``closers[k]`` must be exactly the vertices with an outgoing
-closing edge of pair ``k``, and ``wide`` must hold every row with more
-than its identity bit.  The same script also drives a third index, the
-grammar engine's own ``GrammarIndex`` on the sample's bracket grammar:
-after every update it is asked the marked pair and random pairs, each
-answer checked against the from-scratch grammar engine and against the
-bitset index that ``resolve_after_update`` keeps, and while it is stale
-its pairs must hold every pair the from-scratch engine derives.
+The summary counts the queries answered while the index held seeds not
+yet run, the fresh queries answered with work still queued, the stale
+queries that restarted the solve, and the first reads that came after a
+burst of updates with a deletion in it; the run fails if any of the four
+is 0.  After every update both indexes' edge tables and support masks
+are checked too, against the current edges: each table of ``edges``
+must hold exactly the directed edges of its label (the ``dot`` table of
+a ``dyck`` alphabet none), each ``closers[k]`` must be exactly the
+vertices with an outgoing closing edge of pair ``k``, and ``wide`` must
+hold every row with more than its identity bit.  The same script also
+drives a third index, the grammar engine's own ``GrammarIndex`` on the
+sample's bracket grammar: after every update it is asked the marked pair
+and random pairs, each answer checked against the from-scratch grammar
+engine and against the bitset index that ``resolve_after_update`` keeps,
+and while it is stale its pairs must hold every pair the from-scratch
+engine derives.
 
 Usage: python3 scripts/engine_fuzz.py [--samples N] [--seed S]
                                       [--max-vertices V] [--pairs P]
@@ -82,6 +82,7 @@ def main() -> int:
     rng = random.Random(args.seed)
     gaps = grammar_queries = grammar_stale = 0
     live_queries = pending_queries = stopped_queries = late_reads = 0
+    restarts = 0
     oracle_checked = {"dyck": 0, "neardyck": 0}
     t0 = time.monotonic()
     for i in range(args.samples):
@@ -164,23 +165,21 @@ def main() -> int:
                 where = (f"MISMATCH sample {i} step {step} "
                          f"({serialize_updates([op]).strip()}): "
                          f"query({u}, {v})")
-                stale_bit = live.stale and live.rows[u] >> v & 1
-                seeded = live.seeds or live.lower and live.lower.seeds
+                stale = live.stale and u != v
+                seeded = bool(live.seeds)
                 answer = live.query(u, v)
                 if answer != ((u, v) in expected):
                     print(f"{where} vs grammar engine")
                     return 1
                 live_queries += 1
-                pending_queries += bool(seeded)
+                pending_queries += seeded
                 stopped_queries += bool(not live.stale and live.work)
-                if stale_bit and not answer and live.stale:
-                    print(f"{where}: a set bit's \"no\" left the index "
-                          f"stale")
+                # stale rows only grow, so a set bit, set before the query
+                # or by its run of the pending seeds, must restart the solve
+                if stale and live.stale and live.rows[u] >> v & 1:
+                    print(f"{where}: a stale set bit left the index stale")
                     return 1
-                faults = live.lower and mask_faults(live.lower, inst)
-                if faults:
-                    print(f"{where}: unfinished solve: {faults[0]}")
-                    return 1
+                restarts += stale and not live.stale
             if live.stale:
                 live._run()  # close the rows under the pending insertions
                 if not all(live.rows[u] >> v & 1 for u, v in expected):
@@ -228,8 +227,9 @@ def main() -> int:
           f"index checked on {grammar_queries} queries and "
           f"{grammar_stale} stale states, apply route checked on "
           f"{live_queries} queries, {pending_queries} with seeds pending "
-          f"and {stopped_queries} fresh with work queued, {late_reads} first "
-          f"reads after deletions, {dt:.1f}s")
+          f"and {stopped_queries} fresh with work queued, {restarts} stale "
+          f"queries restarted, {late_reads} first reads after deletions, "
+          f"{dt:.1f}s")
     if args.samples and not pending_queries:
         print("FAIL: no query was answered with seeds pending, so the "
               "deferred insertions went unchecked")
@@ -237,6 +237,10 @@ def main() -> int:
     if args.samples and not stopped_queries:
         print("FAIL: no fresh query stopped with work still queued, so the "
               "early stop went unchecked")
+        return 1
+    if args.samples and not restarts:
+        print("FAIL: no stale query restarted the solve, so the restart "
+              "went unchecked")
         return 1
     if args.samples and not late_reads:
         print("FAIL: no first read came after a deletion, so the updates "

@@ -82,6 +82,15 @@ MUTANTS = (
            "                raise GraphFormatError(",
            ("tests/test_graphs.py::"
             "test_build_rejects_an_edge_the_graph_cannot_hold",)),
+    Mutant("update-field-count-unchecked", GRAPHS,
+           "            if len(fields) != 4:\n"
+           "                raise GraphFormatError(f\"expected '{fields[0]}",
+           "            if False:\n"
+           "                raise GraphFormatError(f\"expected '{fields[0]}",
+           ("tests/test_graphs.py::"
+            "test_an_update_line_takes_exactly_three_fields",
+            "tests/test_cli.py::"
+            "test_an_update_line_with_a_wrong_field_count_exits_2")),
     Mutant("edge-kept-on-deletion", SATURATE,
            "            table[x] &= ~(1 << y)\n", "",
            ("tests/test_saturate.py::"
@@ -136,31 +145,29 @@ MUTANTS = (
             "test_reads_and_copies_run_the_pending_insertions",
             "tests/test_saturate.py::"
             "test_maintained_index_matches_the_grammar_engine")),
-    Mutant("lower-not-seeded-on-insertion", SATURATE,
-           "for index in (self, self.lower) if self.lower else (self,):\n"
-           "                    index.seeds +=",
-           "for index in (self,):\n"
-           "                    index.seeds +=",
-           ("tests/test_saturate.py::"
-            "test_a_partial_solve_survives_an_insertion",)),
-    Mutant("lower-kept-on-deletion", SATURATE,
-           "        if self.rows is not None:\n"
-           "            self.stale, self.lower = True, None\n",
-           "        if self.rows is not None:\n"
-           "            self.stale = True\n",
-           ("tests/test_saturate.py::test_a_deletion_drops_the_partial_solve",)),
     Mutant("deletion-left-fresh", SATURATE,
            "        if self.rows is not None:\n"
-           "            self.stale, self.lower = True, None\n",
+           "            self.stale = True\n",
            "        if self.rows is not None:\n"
-           "            self.lower = None\n",
+           "            pass\n",
            ("tests/test_saturate.py::"
             "test_a_deletion_that_fired_nothing_leaves_a_stale_index_stale",)),
-    Mutant("takeover-drops-the-updates", SATURATE,
-           "vars(self).update(vars(lower))",
-           "vars(self).update(vars(lower), _ops=[])",
+    Mutant("stale-yes-keeps-stale-rows", SATURATE,
+           "        if not self.stale or u == v:\n            return True\n",
+           "        if True:\n            return True\n",
+           ("tests/test_saturate.py::test_a_stale_no_costs_no_resolve",
+            "tests/test_saturate.py::"
+            "test_a_partial_solve_survives_an_insertion")),
+    Mutant("stale-pairs-skip-restart", SATURATE,
+           "        if self.stale:\n            self.rows = None\n"
+           "        self._run()\n",
+           "        self._run()\n",
            ("tests/test_saturate.py::"
-            "test_a_partial_solve_survives_an_insertion",)),
+            "test_a_stale_pairs_read_restarts_the_solve",)),
+    Mutant("query-v-unbounded", SATURATE,
+           "0 <= v < n)", "0 <= v)",
+           ("tests/test_saturate.py::"
+            "test_an_out_of_range_query_runs_nothing",)),
     Mutant("copy-without-flush", SATURATE,
            "        self._run()\n        other = copy.copy(self)\n",
            "        other = copy.copy(self)\n",
@@ -173,8 +180,10 @@ MUTANTS = (
            ("tests/test_saturate.py::"
             "test_reads_and_copies_run_the_pending_insertions",)),
     Mutant("pairs-without-flush", SATURATE,
-           "            self._settle()\n        else:\n            self._run()\n",
-           "            self._settle()\n",
+           "        if self.stale:\n            self.rows = None\n"
+           "        self._run()\n",
+           "        if self.stale or self.rows is None:\n"
+           "            self.rows = None\n            self._run()\n",
            ("tests/test_saturate.py::"
             "test_reads_and_copies_run_the_pending_insertions",)),
     Mutant("query-without-flush", SATURATE,
@@ -192,10 +201,9 @@ MUTANTS = (
             "test_reads_and_copies_run_the_pending_insertions",
             "tests/test_saturate.py::test_a_query_on_a_set_bit_runs_no_seed")),
     Mutant("first-read-solves-the-initial-tables", SATURATE,
-           "            self._start(self._inst.graph.vertex_count,"
-           " self.edges,\n                        self.closers)\n",
-           "            self._start(self._inst.graph.vertex_count,\n"
-           "                        *_edge_tables(self._inst))\n",
+           "        n, edges = self._inst.graph.vertex_count, self.edges\n",
+           "        n, edges = (self._inst.graph.vertex_count,\n"
+           "                    _edge_tables(self._inst)[0])\n",
            ("tests/test_saturate.py::"
             "test_updates_before_the_first_read_only_edit_the_tables",)),
     Mutant("unread-deletion-keeps-the-edge", SATURATE,

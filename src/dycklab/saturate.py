@@ -47,35 +47,32 @@ re-solves, so ``wide`` only grows until a re-solve starts it afresh.
 
 A ``ReachIndex`` owns its instance and pays for an update only what it
 derives.  ``apply`` checks the update in O(1) against the edge tables,
-which hold the edges exactly; the instance is brought up to date only
-when ``inst`` is read.  Building an index builds only its tables and
-masks.  Its from-scratch solve starts at the first read (a query, a
-``pairs`` read or a ``copy``), over the tables as they are then, so an
-update before that read only edits them: it queues no seed, and a
-deletion marks nothing stale.  A from-scratch solve joins the identity
-pairs with the edges at once, so only the rows that gain a bit are
-processed.  Once the index has rows, an insertion sets the new edge's
-bit in its slot's table (both ways round for an undirected edge) and
-queues its cells ``(slot, x, y)`` as seeds, to be joined with the rows
-later.  The seeds and the fixpoint run only when a read needs them, once
-for every insertion since; a seed whose edge was deleted before then is
-skipped.  A ``pairs`` read or a ``copy`` runs them to their end.  A
-query runs them only while its bit is absent, since rows only grow under
-insertions, and stops once the bit appears, leaving the rest queued for
-the next read that needs it.  Every deletion clears the edge's bits;
-on an index with rows it also marks the index stale, keeping its rows.
-Stale rows are a superset of the closure once their seeds and work have
-run: they were closed under a superset of today's edges, and the
-fixpoint is monotone in the edges, so later insertions on them keep a
-superset.  A stale index therefore answers "no"
-when the queried bit is absent after that run, and "yes" at once for an
-identity pair.  Its one way back to exact rows is ``lower``, a lazy
-from-scratch solve sharing the index's edge tables.  Any other set bit
-runs ``lower`` only until its row holds that bit, an exact "yes", and
-leaves the stale rows' own seeds unpaid; a read of ``pairs`` runs it to
-its end.  Once its worklist empties it is exact and the index takes it
-over.  An insertion queues its seeds on ``lower`` too, and a deletion
-drops it with its seeds.
+which hold the edges exactly, and sets or clears the edge's bits (both
+ways round for an undirected edge); the instance is brought up to date
+only when ``inst`` is read.  An index lives in three states:
+
+* Unread (``rows`` is None): building an index builds only its tables
+  and masks, and an update only edits them.  The first read (a query, a
+  ``pairs`` read or a ``copy``) starts the from-scratch solve over the
+  tables as they are then, joining the identity pairs with the edges at
+  once, so only the rows that gain a bit are processed.
+* Solved: an insertion queues the new edge's cells ``(slot, x, y)`` as
+  seeds.  The seeds and the fixpoint run only when a read needs them; a
+  seed whose edge was deleted since is skipped.  A ``pairs`` read or a
+  ``copy`` runs them to their end.  Rows only grow under insertions, so
+  a query runs them only while its bit is absent, leaving the rest
+  queued.
+* Stale: a deletion marks a read index stale, keeping its rows, seeds
+  and work.  Once those have run, stale rows are a superset of the
+  closure: they were closed under a superset of today's edges, and the
+  fixpoint is monotone in the edges.  So a stale index answers "no" when
+  the queried bit is absent after that run, and "yes" at once for an
+  identity pair.  Any other set bit drops the rows and restarts through
+  the first read, which the query stops at its pair; a ``pairs`` read
+  restarts and runs to the end.  Either leaves the index solved.  After
+  a restarted "yes", a pair the restarted rows lack runs that solve to
+  its end, where the stale rows might have answered "no" at once.
+
 ``resolve_after_update`` is for callers that keep the old index: it
 applies an insertion into a fresh index to a copy, and solves a deletion,
 or any update of a stale index, afresh, running none of the stale rows'
@@ -84,11 +81,14 @@ seeds.
 ``GrammarIndex`` is an independent engine over grammars in binary normal
 form and must agree with ``solve_dyck`` on either alphabet's
 ``bracket_grammar``.  It shares no code with ``ReachIndex`` but keeps its
-contract, stale "no" and lazy ``lower`` included, since grammar
-reachability is monotone in the edges too; ``solve_cfl`` is a from-scratch
-build of it.  ``solve_dyck_wrap_only`` builds it on ``wrap_only_grammar``,
-the bracket grammar without ``S -> S S``; that under-approximates (e.g. it
-misses the chain labeled l1 l1bar l2 l2bar) and is kept so that the gap
+contract, stale "no" included, since grammar reachability is monotone in
+the edges too.  Its ``apply`` runs the worklist at once, so a restarted
+partial solve would be finished by the next insertion; a stale "yes"
+therefore runs a separate from-scratch solve ``lower`` beside the stale
+facts.  ``solve_cfl`` is a from-scratch build of it.
+``solve_dyck_wrap_only`` builds it on ``wrap_only_grammar``, the bracket
+grammar without ``S -> S S``; that under-approximates (e.g. it misses the
+chain labeled l1 l1bar l2 l2bar) and is kept so that the gap
 concatenation closes stays observable.
 
 ``run_replay`` answers an update script's queries through the index that
@@ -164,17 +164,13 @@ class ReachIndex:
     through the alphabet's one ``graphs.label_slots`` table; everything
     past that reads the slot number, whose sign and parity say what the
     label is (even opens, odd closes, -1 is ``dot``).  ``rows`` is None
-    until the first read starts the from-scratch solve over the tables
-    as they are then; until that read an update only edits the tables.
-    ``seeds`` lists the cells ``(slot, x, y)`` of the edges inserted
-    since the last run, not yet joined with the rows.  ``pending[x]``
-    holds the bits row ``x`` gained that the wrap rule has not yet
-    joined, and ``work`` lists the rows with pending bits.  ``pairs`` and
-    ``copy`` run the seeds and close the worklist; a query of an absent
-    bit runs them only until the bit appears.
-    ``stale`` rows may hold pairs the instance no longer derives, until
-    ``lower``, None or an unfinished from-scratch solve of the same edge
-    tables and masks, makes them exact.
+    until the first read; the module docstring gives the index's states
+    and when each read runs the solve.  ``seeds`` lists the cells
+    ``(slot, x, y)`` of the edges inserted since the last run, not yet
+    joined with the rows.  ``pending[x]`` holds the bits row ``x`` gained
+    that the wrap rule has not yet joined, and ``work`` lists the rows
+    with pending bits.  ``stale`` rows may hold pairs the instance no
+    longer derives.
 
     Two support masks let the rules skip bits that cannot contribute.
     ``closers[k]`` is the bitset of the vertices with an outgoing closing
@@ -182,8 +178,8 @@ class ReachIndex:
     by insertions, deletions and ``copy``; the wrap rule joins only
     ``delta & closers[k]``.  ``wide`` holds at least every vertex whose
     row has more than its identity bit, and concatenation expands only
-    ``new & wide``.  It grows with the rows, and ``lower`` starts its own
-    from zero.
+    ``new & wide``.  It grows with the rows, and each from-scratch solve
+    starts it from zero.
 
     ``_add`` relies on two invariants, which hold after every call of it
     and so at every read: ``cols`` is the exact transpose of ``rows``, and
@@ -195,14 +191,14 @@ class ReachIndex:
         self._inst, self._ops = inst, []
         self._slots = label_slots(inst.graph.alphabet)
         self.edges, self.closers = _edge_tables(inst)
-        self.stale, self.lower, self.rows, self.seeds = False, None, None, []
+        self.stale, self.rows, self.seeds = False, None, []
 
-    def _start(self, n, edges, closers):
-        """Begin a from-scratch solve over these edges on ``n`` vertices:
-        identity rows joined with the edges at once, and the ``dot`` pairs,
-        so only rows that gain a bit go on the worklist; nothing run."""
-        self.stale, self.lower, self.wide = False, None, 0
-        self.edges, self.closers = edges, closers
+    def _start(self):
+        """Begin a from-scratch solve over today's edge tables: identity
+        rows joined with the edges at once, and the ``dot`` pairs, so only
+        rows that gain a bit go on the worklist; nothing run."""
+        n, edges = self._inst.graph.vertex_count, self.edges
+        self.stale, self.wide = False, 0
         self.rows = [1 << x for x in range(n)]
         self.cols = list(self.rows)
         self.pending, self.work, self.seeds = [0] * n, [], []
@@ -210,7 +206,8 @@ class ReachIndex:
         for u, targets in enumerate(edges[-1]):
             add(u, targets)
         # (x, x), edges (a, q, x) and (x, q-bar, b)  =>  (a, b)
-        for opening, closing, ends in zip(edges[:-1:2], edges[1::2], closers):
+        for opening, closing, ends in zip(edges[:-1:2], edges[1::2],
+                                          self.closers):
             while ends:
                 low = ends & -ends
                 x = low.bit_length() - 1
@@ -220,13 +217,6 @@ class ReachIndex:
                     bit = srcs & -srcs
                     add(bit.bit_length() - 1, reach)
                     srcs ^= bit
-
-    def _fresh(self) -> "ReachIndex":
-        """An unfinished from-scratch solve of today's edges, sharing this
-        index's edge tables and masks, which are exact."""
-        lower = ReachIndex.__new__(ReachIndex)
-        lower._start(len(self.rows), self.edges, self.closers)
-        return lower
 
     @property
     def inst(self) -> Instance:
@@ -245,17 +235,15 @@ class ReachIndex:
         other.edges = [list(table) for table in self.edges]
         other.closers = list(self.closers)
         other.pending, other.work, other.seeds = [0] * len(self.rows), [], []
-        other.lower = None
         return other
 
     def apply(self, op: UpdateOp):
         """Apply one update, checked against the edge tables (a rejected
         one raises the instance's own error and changes nothing).  An
         insertion sets the edge's bits and, once the index has rows,
-        queues its cells as seeds of the index, stale or not, and of
-        ``lower``, leaving the rules to a read.  A deletion clears them
-        and, once the index has rows, drops ``lower`` and marks the index
-        stale."""
+        queues its cells as seeds, stale or not, leaving the rules to a
+        read.  A deletion clears them and, once the index has rows, marks
+        the index stale."""
         if op.op == "query":
             return
         u, v = op.u, op.v
@@ -282,8 +270,7 @@ class ReachIndex:
             # before the first read there is nothing to seed: its
             # from-scratch solve reads today's tables
             if self.rows is not None:
-                for index in (self, self.lower) if self.lower else (self,):
-                    index.seeds += [(s, x, y) for x, y in cells]
+                self.seeds += [(s, x, y) for x, y in cells]
             return
         for x, y in cells:
             table[x] &= ~(1 << y)
@@ -291,37 +278,24 @@ class ReachIndex:
                 # x's last closing edge of this pair is gone
                 self.closers[s >> 1] &= ~(1 << x)
         if self.rows is not None:
-            self.stale, self.lower = True, None
-
-    def _settle(self, u: int = 0, bit: int = 0):
-        """Run ``lower``, started if there is none, until its ``rows[u]``
-        holds ``bit``, or to its end, when this index takes it over (its
-        masks included) and is fresh again."""
-        lower = self.lower = self.lower or self._fresh()
-        lower._run(u, bit)
-        # a kept lower has work, and _run pops seeds before work, so an
-        # empty worklist leaves no seed pending
-        if not lower.work:
-            vars(self).update(vars(lower))
+            self.stale = True
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
-        """The closed pairs (a stale index settles first)."""
+        """The closed pairs (a stale index restarts its solve first)."""
         if self.stale:
-            self._settle()
-        else:
-            self._run()
+            self.rows = None
+        self._run()
         return frozenset((u, v) for u, row in enumerate(self.rows)
                          for v in _bits(row))
 
     def query(self, u: int, v: int) -> bool:
-        """Whether ``(u, v)`` is in the closed set.  A stale index's rows
-        over-approximate it, so an absent bit is an exact "no" and an
-        identity pair a "yes"; any other present bit settles ``lower``
-        until it holds the pair or finishes exact.  Rows only grow under
-        insertions, so the pending seeds and work run only until the bit
-        appears."""
-        if not (0 <= u < self._inst.graph.vertex_count and 0 <= v):
+        """Whether ``(u, v)`` is in the closed set; a pair outside the
+        vertex range is not, and runs nothing.  The pending seeds and work
+        run only until the bit appears; a stale set bit other than an
+        identity pair restarts the solve (see the module docstring)."""
+        n = self._inst.graph.vertex_count
+        if not (0 <= u < n and 0 <= v < n):
             return False
         rows = self.rows
         if rows is None or not rows[u] >> v & 1:
@@ -330,8 +304,8 @@ class ReachIndex:
                 return False
         if not self.stale or u == v:
             return True
-        self._settle(u, 1 << v)
-        # an unfinished lower holds the pair; a finished one is the rows
+        self.rows = None
+        self._run(u, 1 << v)
         return bool(self.rows[u] >> v & 1)
 
     def _add(self, a: int, bits: int):
@@ -409,11 +383,10 @@ class ReachIndex:
     def _run(self, u: int = 0, bit: int = 0):
         """Join the pending seeds with the rows, then close the worklist;
         with a target ``bit``, stop before the next seed or pop once
-        ``rows[u]`` holds it, leaving the rest to resume.  The first run
-        of an index starts its from-scratch solve over today's tables."""
+        ``rows[u]`` holds it, leaving the rest to resume.  With no rows it
+        starts the from-scratch solve over today's tables."""
         if self.rows is None:
-            self._start(self._inst.graph.vertex_count, self.edges,
-                        self.closers)
+            self._start()
         rows, pending, work, seeds = (self.rows, self.pending, self.work,
                                       self.seeds)
         while seeds and not rows[u] & bit:

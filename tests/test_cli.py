@@ -455,6 +455,21 @@ def test_files_spell_numbers_one_way(capsys, tmp_path, graph, script, line):
     assert err.startswith(f"error: {line}")
 
 
+@pytest.mark.parametrize("script, message", [
+    ("query\nins 0 l1\n", "line 2: expected 'ins <u> <label> <v>'"),
+    ("query\ndel 0 l1 1 2\n", "line 2: expected 'del <u> <label> <v>'"),
+], ids=["ins-short", "del-long"])
+def test_an_update_line_with_a_wrong_field_count_exits_2(capsys, tmp_path,
+                                                         script, message):
+    g, s = tmp_path / "g.graph", tmp_path / "s.upd"
+    g.write_text("graph directed\nvertices 2\nalphabet dyck 1\n"
+                 "edge 0 l1 1\nmark 0 1\n")
+    s.write_text(script)
+    code, out, err = run(capsys, "--kv", "replay", str(g), str(s))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}\n") and "Traceback" not in err
+
+
 def test_python_dash_m_runs_the_cli():
     """``python -m dycklab`` works from a checkout, without installing."""
     root = Path(__file__).resolve().parent.parent

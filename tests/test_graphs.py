@@ -232,6 +232,16 @@ def test_parse_errors_carry_line_numbers():
         assert exc.value.line == line, body
 
 
+@pytest.mark.parametrize("script, message", [
+    ("query\nins 0 l1\n", "line 2: expected 'ins <u> <label> <v>'"),
+    ("query\ndel 0 l1 1 2\n", "line 2: expected 'del <u> <label> <v>'"),
+], ids=["ins-short", "del-long"])
+def test_an_update_line_takes_exactly_three_fields(script, message):
+    with pytest.raises(GraphFormatError) as exc:
+        parse_updates(script)
+    assert str(exc.value) == message and exc.value.line == 2
+
+
 def test_a_bad_label_token_raises_on_every_use():
     # parse_label_token is memoized; a bad token must not be cached as a
     # label, and each parser must still name its own line

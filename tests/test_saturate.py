@@ -395,7 +395,7 @@ def test_updates_before_the_first_read_only_edit_the_tables(monkeypatch):
     # the first read solves today's edges from scratch, and nothing else
     assert (4, 2) in solve_cfl(inst, dyck_grammar(2))["S"]
     _answers_exactly(idx, inst)
-    assert started == [5] and seeded == [] and not idx.stale
+    assert started == [inst] and seeded == [] and not idx.stale
 
 
 def test_a_fresh_query_stops_at_its_pair():
@@ -417,6 +417,21 @@ def test_a_fresh_query_stops_at_its_pair():
     assert queried.pairs == expected
 
 
+def test_an_out_of_range_query_runs_nothing():
+    # 0 -l1-> 1 -l2-> 2 -l2bar-> 3 -l1bar-> 4: the stopped query leaves
+    # work queued, and the insertion a seed
+    inst = chain([L1, L2, L2BAR, L1BAR])
+    unread = solve_dyck(inst)
+    assert not unread.query(0, 5) and unread.rows is None
+    idx = solve_dyck(inst)
+    assert idx.query(1, 3) and idx.work
+    idx.apply(UpdateOp.ins(4, L1, 0))
+    seeds, work = list(idx.seeds), list(idx.work)
+    for u, v in ((0, 5), (0, 6), (5, 0), (-1, 0), (0, -1)):
+        assert not idx.query(u, v), (u, v)
+        assert idx.seeds == seeds and idx.work == work, (u, v)
+
+
 @pytest.mark.parametrize("op", [UpdateOp.delete(1, L2, 2),
                                 UpdateOp.delete(3, L1BAR, 4)],
                          ids=["witness-of-the-pair", "edge-the-work-needs"])
@@ -430,15 +445,16 @@ def test_a_deletion_after_a_stopped_query_keeps_the_stale_no_exact(op):
 
 
 def _count_starts(monkeypatch) -> list:
-    """Patch ``ReachIndex._start`` to record the vertex count of every
-    from-scratch solve begun, a first read's and a lazy one's alike;
-    returns the record."""
+    """Patch ``ReachIndex._start`` to record the instance of every
+    from-scratch solve begun, a first read's and a stale query's restart
+    alike; returns the record."""
     started = []
     start = saturate.ReachIndex._start
 
-    def counted(index, n, edges, closers):
-        started.append(n)
-        return start(index, n, edges, closers)
+    def counted(index):
+        start(index)
+        # read only now: reading ``inst`` applies the pending updates
+        started.append(index.inst)
 
     monkeypatch.setattr(saturate.ReachIndex, "_start", counted)
     return started
@@ -476,15 +492,16 @@ def test_a_query_on_a_set_bit_runs_no_seed(monkeypatch):
     # fresh rows only grow under insertions: a set bit is an exact "yes"
     assert idx.seeds and idx.query(0, 2) and (0, 2) in expected
     assert seeded == []
-    # a stale set bit runs lower, and the stale rows' seeds stay unpaid
+    # a stale set bit restarts the solve, dropping the stale rows' seeds
     expected = step(UpdateOp.delete(3, L2BAR, 4), UpdateOp.ins(3, L2BAR, 4))
-    assert idx.stale and idx.seeds and idx.rows[0] >> 2 & 1
+    assert idx.stale and len(idx.seeds) == 3 and idx.rows[0] >> 2 & 1
     assert idx.query(0, 2) and (0, 2) in expected
-    assert seeded == [] and idx.stale and idx.seeds
-    # an absent bit runs them
-    assert not idx.rows[4] >> 2 & 1
+    assert seeded == [] and not idx.stale and not idx.seeds
+    # an absent bit runs the seeds, here on stale rows again
+    expected = step(UpdateOp.delete(3, L2BAR, 4), UpdateOp.ins(3, L2BAR, 4))
+    assert idx.stale and idx.seeds and not idx.rows[4] >> 2 & 1
     assert not idx.query(4, 2) and (4, 2) not in expected
-    assert len(seeded) == 3 and not idx.seeds
+    assert seeded == [(3, 3, 4)] and not idx.seeds  # l2bar is slot 3
     assert idx.pairs == expected
 
 
@@ -507,58 +524,31 @@ def test_an_edge_deleted_before_any_read_is_never_seeded(monkeypatch):
     assert seeded == []
 
 
-def test_a_deletion_drops_lower_with_its_pending_seeds():
-    idx, inst = _bracket_cycle()
-    assert idx.query(2, 0) and idx.lower.work
-    op = UpdateOp.ins(5, L1BAR, 3)
-    idx.apply(op)
-    inst = apply_update(inst, op)
-    assert idx.lower.seeds
-    op = UpdateOp.delete(3, L2BAR, 4)
-    idx.apply(op)
-    inst = apply_update(inst, op)
-    assert idx.stale and idx.lower is None
-    _answers_exactly(idx, inst)
-
-
-def _count_fresh_solves(monkeypatch) -> list:
-    """Patch ``ReachIndex._fresh`` to record the instance of every lazy
-    solve a stale query starts; returns the record."""
-    built = []
-    fresh = saturate.ReachIndex._fresh
-
-    def counted(index):
-        built.append(index.inst)
-        return fresh(index)
-
-    monkeypatch.setattr(saturate.ReachIndex, "_fresh", counted)
-    return built
-
-
 def test_deletions_before_a_query_cost_one_resolve(monkeypatch):
-    built = _count_fresh_solves(monkeypatch)
     started = _count_starts(monkeypatch)
     inst = chain([L1, L1BAR, L2, L2BAR])
     script = [UpdateOp.delete(0, L1, 1), UpdateOp.delete(2, L2, 3),
               UpdateOp.ins(0, L1, 1), UpdateOp.delete(3, L2BAR, 4),
               UpdateOp.ins(2, L2, 3), UpdateOp.query(), UpdateOp.query()]
+    final = inst
+    for op in script[:5]:
+        final = apply_update(final, op)
     assert saturate.run_replay(inst, script) == [False, False]
     # nothing was read before the first query, so it runs the index's
-    # first solve over today's edges and no lazy one; the second needs none
-    assert started == [5] and built == []
+    # first solve over today's edges; the second needs none
+    assert started == [final]
 
     # the same through an index already read: the deletions leave it
-    # stale, and nothing is solved until the query
+    # stale, and nothing is solved until the query restarts the solve
     idx = solved(inst)
     for op in script[:5]:
         idx.apply(op)
-        inst = apply_update(inst, op)
-    assert len(started) == 2 and built == [] and idx.stale
+    assert started == [final, inst] and idx.stale
     assert not idx.query(0, 4)
-    assert built == [inst] and len(started) == 3 and not idx.stale
-    assert idx.pairs == solve_cfl(inst, dyck_grammar(2))["S"]
+    assert started == [final, inst, final] and not idx.stale
+    assert idx.pairs == solve_cfl(final, dyck_grammar(2))["S"]
     assert idx.query(0, 2) and not idx.query(2, 4)
-    assert len(built) == 1 and len(started) == 3
+    assert len(started) == 3
 
 
 def _churn_op(rng, inst):
@@ -658,27 +648,23 @@ def test_edge_tables_match_the_label_by_label_build(seed, near, directed):
     assert saturate._edge_tables(inst) == reference_edge_tables(inst)
 
 
-def _closure_faults(index) -> list[str]:
-    """How an index, and its unfinished ``lower`` if it has one, fail the
-    two invariants ``_add`` relies on: ``cols`` is the exact transpose of
-    ``rows``, and every row is closed (``rows[b]`` is a subset of
-    ``rows[x]`` for each ``b`` in ``rows[x]``).  Empty when both hold."""
+def _closure_faults(idx) -> list[str]:
+    """How an index fails the two invariants ``_add`` relies on: ``cols``
+    is the exact transpose of ``rows``, and every row is closed
+    (``rows[b]`` is a subset of ``rows[x]`` for each ``b`` in
+    ``rows[x]``).  Empty when both hold."""
     faults = []
-    for name, idx in (("index", index), ("lower", index.lower)):
-        if idx is None:
-            continue
-        rows = idx.rows
-        transpose = [0] * len(rows)
-        for x, row in enumerate(rows):
-            for b in saturate._bits(row):
-                transpose[b] |= 1 << x
-                if rows[b] & ~row:
-                    faults.append(f"{name}: row {x} holds {b} but misses "
-                                  f"{rows[b] & ~row:#b} of its row")
-        for v, (want, got) in enumerate(zip(transpose, idx.cols,
-                                            strict=True)):
-            if want != got:
-                faults.append(f"{name}: cols[{v}] is {got:#b}, not {want:#b}")
+    rows = idx.rows
+    transpose = [0] * len(rows)
+    for x, row in enumerate(rows):
+        for b in saturate._bits(row):
+            transpose[b] |= 1 << x
+            if rows[b] & ~row:
+                faults.append(f"row {x} holds {b} but misses "
+                              f"{rows[b] & ~row:#b} of its row")
+    for v, (want, got) in enumerate(zip(transpose, idx.cols, strict=True)):
+        if want != got:
+            faults.append(f"cols[{v}] is {got:#b}, not {want:#b}")
     return faults
 
 
@@ -687,11 +673,12 @@ def _closure_faults(index) -> list[str]:
                          ids=["directed", "undirected"])
 def test_columns_transpose_closed_rows_after_every_step(near, directed):
     """On seeded scripts of insertions, deletions and queries, the index
-    (and any unfinished ``lower``) keeps ``cols`` the transpose of closed
-    rows after every ``apply``, every query and every ``pairs`` read,
-    seeds pending or not; the scripts reach states where the index, and
-    where an unfinished ``lower``, holds seeds not yet run."""
-    pending = {"index": 0, "lower": 0}
+    keeps ``cols`` the transpose of closed rows after every ``apply``,
+    every query and every ``pairs`` read, seeds pending or not; the
+    scripts reach states where stale rows, and where the rows of a solve
+    that a stale query restarted and stopped at its pair, hold seeds not
+    yet run."""
+    pending = {"stale": 0, "restarted": 0}
     for seed in range(25):
         rng = random.Random(seed)
         if near:
@@ -703,18 +690,23 @@ def test_columns_transpose_closed_rows_after_every_step(near, directed):
         n = inst.graph.vertex_count
         idx = solved(inst)
         assert _closure_faults(idx) == [], seed
+        restarted = False
         for step, op in enumerate(random_script(rng, inst, ops=40)):
             if op.op == "query":
+                stale = idx.stale
                 idx.query(rng.randrange(n), rng.randrange(n))
+                restarted = stale and not idx.stale and bool(idx.work)
             else:
                 idx.apply(op)
+                restarted &= op.op == "ins"
             assert _closure_faults(idx) == [], (seed, step, op)
-            pending["index"] += bool(idx.seeds)
-            pending["lower"] += bool(idx.lower and idx.lower.seeds)
+            pending["stale"] += bool(idx.stale and idx.seeds)
+            pending["restarted"] += bool(restarted and idx.seeds)
             if step % 10 == 9:
                 idx.pairs
+                restarted = False
                 assert _closure_faults(idx) == [], (seed, step, "pairs")
-    assert pending["index"] and pending["lower"], pending
+    assert pending["stale"] and pending["restarted"], pending
 
 
 def test_closers_follow_the_last_closing_edge():
@@ -736,33 +728,33 @@ def test_closers_follow_the_last_closing_edge():
 
 
 def test_a_stale_no_costs_no_resolve(monkeypatch):
-    built = _count_fresh_solves(monkeypatch)
     # 0 -l1-> 1 -l1bar-> 2 -l2-> 3 -l2bar-> 4
     idx = solved(chain([L1, L1BAR, L2, L2BAR]))
+    started = _count_starts(monkeypatch)
     idx.apply(UpdateOp.delete(1, L1BAR, 2))
     assert idx.stale
     idx.apply(UpdateOp.ins(4, L2, 0))  # lands on the stale rows
     # (2, 0) was never derivable: its bit is absent, so "no" is exact
     assert not idx.query(2, 0)
     assert idx.stale
-    assert built == []
+    assert started == []
     # (0, 2) was derivable before the deletion: its stale bit is set, and
     # the answer needs the one solve, run to its end
     assert not idx.query(0, 2)
-    assert len(built) == 1
-    assert not idx.stale and idx.lower is None
+    assert len(started) == 1
+    assert not idx.stale and not idx.work
     assert idx.query(2, 4) and not idx.query(0, 4)
-    assert len(built) == 1
+    assert len(started) == 1
 
 
 def _answers_exactly(idx, inst, *ops):
     """Apply ``ops`` to ``idx``, which holds ``inst``, checking that each
-    deletion leaves it stale with no lazy solve; then check every answer
-    and ``pairs`` against ``solve_cfl``."""
+    deletion leaves it stale; then check every answer and ``pairs``
+    against ``solve_cfl``."""
     for op in ops:
         idx.apply(op)
         inst = apply_update(inst, op)
-        assert op.op != "del" or (idx.stale and idx.lower is None), op
+        assert op.op != "del" or idx.stale, op
     n = inst.graph.vertex_count
     expected = solve_cfl(inst, bracket_grammar(inst.graph.alphabet))["S"]
     assert all(idx.query(u, v) == ((u, v) in expected)
@@ -839,71 +831,82 @@ def _bracket_cycle():
 
 
 def test_a_partial_solve_survives_an_insertion(monkeypatch):
-    built = _count_fresh_solves(monkeypatch)
     idx, inst = _bracket_cycle()
-    # 2 -l2 l2bar l1 l1bar-> 0 still holds: found before the solve ends
+    started = _count_starts(monkeypatch)
+    # 2 -l2 l2bar l1 l1bar-> 0 still holds: the stale "yes" restarts the
+    # solve, which stops once it finds the pair
     assert idx.query(2, 0)
-    lower = idx.lower
-    assert idx.stale and lower.work
+    assert started == [inst] and not idx.stale and idx.work
     # 4 -l1-> 5 -l1bar-> 3 needs the new edge out of a row already popped
     op = UpdateOp.ins(5, L1BAR, 3)
     idx.apply(op)
     inst = apply_update(inst, op)
     expected = solve_cfl(inst, dyck_grammar(2))["S"]
-    assert idx.lower is lower and (4, 3) in expected
+    assert idx.seeds and (4, 3) in expected
     assert idx.query(4, 3)
     # (0, 2) lost its witness: the "no" runs the solve to its end
     assert not idx.query(0, 2)
-    assert len(built) == 1 and not idx.stale
+    assert len(started) == 1 and not idx.work and not idx.seeds
     assert idx.inst == inst and mask_faults(idx) == []
     assert idx.pairs == expected
     assert idx.rows == solved(inst).rows
 
 
-def test_a_stale_pairs_read_resumes_the_partial_solve(monkeypatch):
-    built = _count_fresh_solves(monkeypatch)
+def test_a_stale_pairs_read_restarts_the_solve(monkeypatch):
+    seeded = _count_seeds(monkeypatch)
     idx, inst = _bracket_cycle()
-    assert idx.query(2, 0) and idx.lower.work
-    # the read runs the same solve to its end rather than starting another
+    pending = UpdateOp.ins(4, L2BAR, 1)
+    idx.apply(pending)
+    inst = apply_update(inst, pending)
+    started = _count_starts(monkeypatch)
+    # the read drops the stale rows with their seeds, unrun, and solves
+    # today's edges from scratch to the end
+    assert idx.stale and idx.seeds
     assert idx.pairs == solve_cfl(inst, dyck_grammar(2))["S"]
-    assert len(built) == 1
-    assert not idx.stale and idx.lower is None
+    assert started == [inst] and seeded == []
+    assert not idx.stale and not idx.seeds and not idx.work
     assert mask_faults(idx) == []
 
 
 def test_a_deletion_drops_the_partial_solve():
+    # the restarted solve a stale "yes" stopped at its pair goes stale
+    # with its work queued; the next stale set bit restarts the solve
+    # again, and the "no" runs it to its end
     idx, inst = _bracket_cycle()
-    assert idx.query(2, 0) and idx.lower.work
+    assert idx.query(2, 0) and idx.work and not idx.stale
     op = UpdateOp.delete(4, L1, 5)
     idx.apply(op)
     inst = apply_update(inst, op)
-    assert idx.lower is None
+    assert idx.stale and idx.work and idx.rows[2] & 1
     assert not idx.query(2, 0)
-    assert idx.pairs == solve_cfl(inst, dyck_grammar(2))["S"]
+    assert not idx.stale and not idx.work
+    _answers_exactly(idx, inst)
 
 
 def test_a_stale_identity_query_solves_nothing(monkeypatch):
-    built = _count_fresh_solves(monkeypatch)
     idx, _ = _bracket_cycle()
+    started = _count_starts(monkeypatch)
+    rows = list(idx.rows)
     assert all(idx.query(x, x) for x in range(6))
-    assert built == [] and idx.stale and idx.lower is None
+    assert started == [] and idx.stale and idx.rows == rows
 
 
 def test_copies_of_a_partial_solve_keep_its_answers():
     idx, inst = _bracket_cycle()
-    assert idx.query(2, 0)
-    lower, work = idx.lower, list(idx.lower.work)
-    rows = list(idx.rows)
+    expected = solve_cfl(inst, dyck_grammar(2))["S"]
+    # a copy of stale rows is stale too
     copied = idx.copy()
-    assert copied.lower is None and copied.stale
+    assert copied.stale and copied.rows == idx.rows
+    assert idx.query(2, 0) and idx.work and not idx.stale
+    # a copy runs the partial solve to its end first, so resolving an
+    # insertion finishes it too
     op = UpdateOp.ins(5, L1BAR, 3)
     new = resolve_after_update(idx, inst, op)
-    assert new.lower is None and not new.stale
+    assert not new.stale
     assert new.pairs == solve_cfl(apply_update(inst, op), dyck_grammar(2))["S"]
-    # neither touched the partial solve nor the stale rows
-    assert idx.lower is lower and lower.work == work and idx.rows == rows
-    expected = solve_cfl(inst, dyck_grammar(2))["S"]
-    for index in (copied, idx):
+    assert not idx.work and idx.rows == solved(inst).rows
+    assert not idx.copy().stale
+    for index in (copied, idx, idx.copy()):
         assert all(index.query(u, v) == ((u, v) in expected)
                    for u in range(6) for v in range(6))
 

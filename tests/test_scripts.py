@@ -15,14 +15,16 @@ ROOT = Path(__file__).resolve().parent.parent
 # leg's walk oracle must have checked near-Dyck samples, not skipped them,
 # its grammar-index leg must have checked queries and stale states, its
 # apply route must have answered queries with seeds pending and fresh
-# ones with work queued, and an index must have been first read after a
-# deletion; the mutants run must have killed all five of its mutants
+# ones with work queued, a stale query must have restarted the solve, and
+# an index must have been first read after a deletion; the mutants run
+# must have killed all five of its mutants
 SUMMARIES = {
     "engine_fuzz.py": r"oracle checked [1-9]\d* bracket-pair and [1-9]\d* "
                       r"near-Dyck samples, grammar index checked on [1-9]\d* "
                       r"queries and [1-9]\d* stale states, apply route "
                       r"checked on [1-9]\d* queries, [1-9]\d* with seeds "
                       r"pending and [1-9]\d* fresh with work queued, "
+                      r"[1-9]\d* stale queries restarted, "
                       r"[1-9]\d* first reads after deletions",
     "mutants.py": r"5 mutants, 5 killed, 0 survived",
 }
@@ -39,7 +41,7 @@ SUMMARIES = {
     pytest.param(("engine_fuzz.py", "--samples", "5", "--max-vertices", "6",
                   "--seed", "1"), id="engine_fuzz-seed1"),
     pytest.param(("mutants.py", "--only", "duplicate-insertion-accepted",
-                  "--only", "lower-kept-on-deletion",
+                  "--only", "stale-yes-keeps-stale-rows",
                   "--only", "brute-reach-pushes-dot",
                   "--only", "last-closing-deletion-keeps-closers",
                   "--only", "lane-bounds-unchecked"), id="mutants"),

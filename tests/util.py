@@ -124,14 +124,14 @@ def reference_edge_tables(inst):
 def mask_faults(index, inst=None) -> list[str]:
     """How a ``ReachIndex``'s edge tables and support masks fail their
     invariants, read against the edges of ``inst`` (the index's own
-    instance by default; an unfinished solve ``lower`` shares the edges of
-    its index's) and against its rows.  ``edges`` and ``closers`` must be
-    exactly ``reference_edge_tables``'s: each table holds exactly the
-    directed edges of its label, and ``closers[k]`` exactly the vertices
-    with an outgoing closing edge of pair ``k`` (counted from 0); and
-    ``wide`` must hold every vertex whose row has more than its identity
-    bit.  An index not yet read has no rows (``rows`` is None), so only
-    its tables and masks are checked.  Empty when all hold."""
+    instance by default) and against its rows.  ``edges`` and
+    ``closers`` must be exactly ``reference_edge_tables``'s: each table
+    holds exactly the directed edges of its label, and ``closers[k]``
+    exactly the vertices with an outgoing closing edge of pair ``k``
+    (counted from 0); and ``wide`` must hold every vertex whose row has
+    more than its identity bit.  An index not yet read has no rows
+    (``rows`` is None), so only its tables and masks are checked.  Empty
+    when all hold."""
     edges, support = reference_edge_tables(inst or index.inst)
     faults = []
     if len(index.edges) != len(edges):
