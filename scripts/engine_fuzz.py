@@ -18,21 +18,30 @@ with the rest of the work still queued, and while it is stale.  A stale
 query on a set bit other than an identity pair restarts the solve, so
 an index still stale after a query must lack the queried bit.  If it is
 still stale after its queries, its rows, once the seeds and work its
-insertions left pending have run, must hold every pair the grammar
-derives.  A fourth ``ReachIndex`` is first read only at a random step of
-the script: until then each update may only edit its edge tables (no
-rows, no seed, no stale mark), and its first query and ``pairs`` read,
-which solve the tables as they are then, are checked against the grammar.
-The summary counts the queries answered while the index held seeds not
-yet run, the fresh queries answered with work still queued, the stale
-queries that restarted the solve, and the first reads that came after a
-burst of updates with a deletion in it; the run fails if any of the four
-is 0.  After every update both indexes' edge tables and support masks
-are checked too, against the current edges: each table of ``edges``
-must hold exactly the directed edges of its label (the ``dot`` table of
-a ``dyck`` alphabet none), each ``closers[k]`` must be exactly the
-vertices with an outgoing closing edge of pair ``k``, and ``wide`` must
-hold every row with more than its identity bit.  The same script also
+insertions left pending have run on a deep copy with every vertex
+demanded, must hold every pair the grammar derives; the index itself
+keeps that work for its next queries.  A fourth ``ReachIndex`` is first
+read only at a random step of the script: until then each update may
+only edit its edge tables (no rows, no seed, no stale mark), and its
+first query and ``pairs`` read, which solve the tables as they are then,
+are checked against the grammar.  A fifth ``ReachIndex`` is asked one
+pair per update, with a source outside its demand set when it has one,
+and is never read whole, so that its demand set stays partial across
+deletions; once that set holds every vertex, a new index on the instance
+takes its place.  The summary counts the queries answered while the
+index held seeds not yet run, the fresh queries answered with work still
+queued, the stale queries that restarted the solve, the fifth index's
+queries whose source was outside its demand set, on solved rows and on
+stale ones, and the first reads that came after a burst of updates with
+a deletion in it; the run fails if any of these is 0.  After every
+update the bitset indexes' edge tables and support masks are checked
+too, against the current edges: each table of ``edges`` must hold
+exactly the directed edges of its label (the ``dot`` table of a ``dyck``
+alphabet none), each ``closers[k]`` must be exactly the vertices with an
+outgoing closing edge of pair ``k``, and ``wide`` must hold every row
+with more than its identity bit; the demand set must hold each active
+row's bits and opening-edge targets, and an inactive row must be its
+identity bit.  The same script also
 drives a third index, the grammar engine's own ``GrammarIndex`` on the
 sample's bracket grammar: after every update it is asked the marked pair
 and random pairs, each answer checked against the from-scratch grammar
@@ -46,6 +55,7 @@ Usage: python3 scripts/engine_fuzz.py [--samples N] [--seed S]
 """
 
 import argparse
+import copy
 import os
 import random
 import sys
@@ -82,7 +92,7 @@ def main() -> int:
     rng = random.Random(args.seed)
     gaps = grammar_queries = grammar_stale = 0
     live_queries = pending_queries = stopped_queries = late_reads = 0
-    restarts = 0
+    restarts = outside_solved = outside_stale = 0
     oracle_checked = {"dyck": 0, "neardyck": 0}
     t0 = time.monotonic()
     for i in range(args.samples):
@@ -122,6 +132,10 @@ def main() -> int:
         # an index first read at a random step, after a burst of updates
         late, late_deleted = solve_dyck(inst), False
         late_read = rng.randint(1, SCRIPT_OPS)
+        # an index asked one pair per update and never read whole, so that
+        # its demand set stays partial across deletions; once it holds
+        # every vertex, a new index on the instance takes its place
+        sparse = solve_dyck(inst)
         for step, op in enumerate(random_script(rng, inst, ops=SCRIPT_OPS,
                                                 query_rate=0.0), start=1):
             index = resolve_after_update(index, inst, op)
@@ -150,6 +164,25 @@ def main() -> int:
                           f"updates vs grammar engine")
                     return 1
                 late_reads += late_deleted
+            sparse.apply(op)
+            # a source outside the demand set, when there is one
+            undemanded = [x for x in range(n) if sparse.rows is not None
+                          and not sparse.demand >> x & 1]
+            u, v = rng.choice(undemanded or range(n)), rng.randrange(n)
+            was_stale = sparse.stale
+            if sparse.query(u, v) != ((u, v) in expected):
+                print(f"{where}query({u}, {v}) of an index asked one pair "
+                      f"per update vs grammar engine")
+                return 1
+            faults = mask_faults(sparse)
+            if faults:
+                print(f"{where}index asked one pair per update: {faults[0]}")
+                return 1
+            if undemanded:
+                outside_stale += was_stale and u != v
+                outside_solved += not was_stale
+            if sparse.demand == (1 << n) - 1:
+                sparse = solve_dyck(inst)
             for route, maintained in (("resolve_after_update", index),
                                       ("apply", live)):
                 faults = mask_faults(maintained)
@@ -181,8 +214,11 @@ def main() -> int:
                     return 1
                 restarts += stale and not live.stale
             if live.stale:
-                live._run()  # close the rows under the pending insertions
-                if not all(live.rows[u] >> v & 1 for u, v in expected):
+                # close a deep copy's rows under the pending insertions,
+                # every vertex demanded, so that the index keeps its work
+                closed = copy.deepcopy(live)
+                closed._run()
+                if not all(closed.rows[u] >> v & 1 for u, v in expected):
                     print(f"MISMATCH sample {i} step {step} "
                           f"({serialize_updates([op]).strip()}): "
                           f"stale rows miss a pair of the grammar engine")
@@ -228,8 +264,9 @@ def main() -> int:
           f"{grammar_stale} stale states, apply route checked on "
           f"{live_queries} queries, {pending_queries} with seeds pending "
           f"and {stopped_queries} fresh with work queued, {restarts} stale "
-          f"queries restarted, {late_reads} first reads after deletions, "
-          f"{dt:.1f}s")
+          f"queries restarted, {outside_solved} solved and {outside_stale} "
+          f"stale queries from outside the demand set, {late_reads} first "
+          f"reads after deletions, {dt:.1f}s")
     if args.samples and not pending_queries:
         print("FAIL: no query was answered with seeds pending, so the "
               "deferred insertions went unchecked")
@@ -241,6 +278,10 @@ def main() -> int:
     if args.samples and not restarts:
         print("FAIL: no stale query restarted the solve, so the restart "
               "went unchecked")
+        return 1
+    if args.samples and not (outside_solved and outside_stale):
+        print("FAIL: no query from outside the demand set met solved rows "
+              "and stale ones both, so activation went unchecked")
         return 1
     if args.samples and not late_reads:
         print("FAIL: no first read came after a deletion, so the updates "

@@ -114,7 +114,7 @@ MUTANTS = (
            ("tests/test_saturate.py::"
             "test_support_masks_hold_under_mixed_scripts",)),
     Mutant("closing-insertion-leaves-closers", SATURATE,
-           "                if s > 0 and s & 1:\n"
+           "                elif s > 0:\n"
            "                    self.closers[s >> 1] |= 1 << x\n", "",
            ("tests/test_saturate.py::"
             "test_support_masks_hold_under_mixed_scripts",
@@ -134,8 +134,10 @@ MUTANTS = (
            ("tests/test_saturate.py::"
             "test_columns_transpose_closed_rows_after_every_step",)),
     Mutant("dot-insertion-not-seeded", SATURATE,
-           "        if s < 0:\n            self._add(x, 1 << y)\n",
-           "        if s < 0:\n            pass\n",
+           "            if active >> x & 1:\n"
+           "                self._add(x, 1 << y)\n",
+           "            if False:\n"
+           "                self._add(x, 1 << y)\n",
            ("tests/test_saturate.py::"
             "test_maintained_near_dyck_index_matches_the_grammar_engine",)),
     Mutant("closing-seed-read-as-opening", SATURATE,
@@ -200,12 +202,13 @@ MUTANTS = (
            ("tests/test_saturate.py::"
             "test_reads_and_copies_run_the_pending_insertions",
             "tests/test_saturate.py::test_a_query_on_a_set_bit_runs_no_seed")),
-    Mutant("first-read-solves-the-initial-tables", SATURATE,
-           "        n, edges = self._inst.graph.vertex_count, self.edges\n",
-           "        n, edges = (self._inst.graph.vertex_count,\n"
-           "                    _edge_tables(self._inst)[0])\n",
+    Mutant("activation-reads-the-last-read-tables", SATURATE,
+           "        rows, edges = self.rows, self.edges\n",
+           "        rows, edges = self.rows, _edge_tables(self._inst)[0]\n",
            ("tests/test_saturate.py::"
-            "test_updates_before_the_first_read_only_edit_the_tables",)),
+            "test_the_demand_set_holds_after_every_step",
+            "tests/test_saturate.py::"
+            "test_a_stale_index_answers_queries_exactly")),
     Mutant("unread-deletion-keeps-the-edge", SATURATE,
            "        for x, y in cells:\n            table[x] &= ~(1 << y)\n",
            "        for x, y in cells if self.rows is not None else ():\n"
@@ -221,6 +224,41 @@ MUTANTS = (
            "            return False\n"
            "        if rows is None or not rows[u] >> v & 1:\n",
            ("tests/test_saturate.py::test_a_fresh_query_stops_at_its_pair",)),
+    Mutant("opening-seed-leaves-its-target-undemanded", SATURATE,
+           "            self.demand |= 1 << x\n", "",
+           ("tests/test_saturate.py::"
+            "test_the_demand_set_holds_after_every_step",)),
+    Mutant("activation-skips-dot-edges", SATURATE,
+           "        reach = edges[-1][a] if edges[-1] else 0\n",
+           "        reach = 0\n",
+           ("tests/test_saturate.py::test_solver_reads_the_near_dyck_alphabet",
+            "tests/test_saturate.py::"
+            "test_maintained_near_dyck_index_matches_the_grammar_engine")),
+    Mutant("stale-query-answers-from-an-identity-row", SATURATE,
+           "        else:\n            self.demand |= 1 << u\n",
+           "        elif not self.stale:\n            self.demand |= 1 << u\n",
+           ("tests/test_saturate.py::"
+            "test_a_query_closes_only_what_its_source_needs",
+            "tests/test_saturate.py::"
+            "test_the_demand_set_holds_after_every_step")),
+    Mutant("pairs-demands-only-one-source", SATURATE,
+           "            u, self.demand = 0, (1 << len(rows)) - 1\n",
+           "            u, self.demand = 0, self.demand | 1\n",
+           ("tests/test_saturate.py::"
+            "test_reads_and_copies_run_the_pending_insertions",
+            "tests/test_saturate.py::test_engine_agreement_seeded_sample")),
+    Mutant("wrap-reaches-inactive-sources", SATURATE,
+           "                srcs = opening[x] & active\n",
+           "                srcs = opening[x]\n",
+           ("tests/test_saturate.py::"
+            "test_the_demand_set_holds_after_every_step",)),
+    Mutant("inactive-columns-drop-their-identity", SATURATE,
+           "        self.cols = list(self.rows)\n",
+           "        self.cols = [0] * n\n",
+           ("tests/test_saturate.py::"
+            "test_a_partial_solve_survives_an_insertion",
+            "tests/test_saturate.py::"
+            "test_columns_transpose_closed_rows_after_every_step")),
     Mutant("deleted-edge-still-seeded", SATURATE,
            "            if self.edges[s][x] >> y & 1:\n"
            "                self._seed(s, x, y)\n",

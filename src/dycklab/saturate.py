@@ -49,29 +49,47 @@ A ``ReachIndex`` owns its instance and pays for an update only what it
 derives.  ``apply`` checks the update in O(1) against the edge tables,
 which hold the edges exactly, and sets or clears the edge's bits (both
 ways round for an undirected edge); the instance is brought up to date
-only when ``inst`` is read.  An index lives in three states:
+only when ``inst`` is read.
+
+It also closes only the rows a read needs, as demand-driven analyses
+compute only the summaries a query needs (Horwitz, Reps & Sagiv, "Demand
+interprocedural dataflow analysis", FSE 1995).  A pair ``(u, v)`` is
+derived from ``dot`` edges out of ``u``, from the rows of ``u``'s
+opening-edge targets (wrap) and from the rows of the bits of ``u``'s row
+(concatenation), so the index keeps a demand set closed under those two
+steps: a query ``(u, v)`` adds ``u``, and a ``pairs`` read or a ``copy``
+adds every vertex.  A demanded vertex becomes active only when the
+worklist is empty, the highest-numbered first: its row, its identity bit
+until then, is joined with its ``dot`` targets and, through its opening
+edges, with the rows of their targets, which join the demand set.  Only
+active rows gain bits, and every bit they gain joins the demand set.  The
+wrap rule joins a popped row with its active sources only, and a seed
+whose outer vertex is inactive derives nothing, since that vertex's
+activation reads today's tables.  So an inactive row stays its identity
+bit.  An index lives in three states:
 
 * Unread (``rows`` is None): building an index builds only its tables
   and masks, and an update only edits them.  The first read (a query, a
   ``pairs`` read or a ``copy``) starts the from-scratch solve over the
-  tables as they are then, joining the identity pairs with the edges at
-  once, so only the rows that gain a bit are processed.
+  tables as they are then, with identity rows and an empty demand set.
 * Solved: an insertion queues the new edge's cells ``(slot, x, y)`` as
-  seeds.  The seeds and the fixpoint run only when a read needs them; a
-  seed whose edge was deleted since is skipped.  A ``pairs`` read or a
-  ``copy`` runs them to their end.  Rows only grow under insertions, so
-  a query runs them only while its bit is absent, leaving the rest
-  queued.
-* Stale: a deletion marks a read index stale, keeping its rows, seeds
-  and work.  Once those have run, stale rows are a superset of the
-  closure: they were closed under a superset of today's edges, and the
-  fixpoint is monotone in the edges.  So a stale index answers "no" when
-  the queried bit is absent after that run, and "yes" at once for an
-  identity pair.  Any other set bit drops the rows and restarts through
-  the first read, which the query stops at its pair; a ``pairs`` read
-  restarts and runs to the end.  Either leaves the index solved.  After
-  a restarted "yes", a pair the restarted rows lack runs that solve to
-  its end, where the stale rows might have answered "no" at once.
+  seeds.  The seeds, the fixpoint and the activations run only when a
+  read needs them; a seed whose edge was deleted since is skipped.  A
+  ``pairs`` read or a ``copy`` runs them to their end.  Rows only grow
+  under insertions, so a query runs them only while its bit is absent,
+  leaving the rest queued.
+* Stale: a deletion marks a read index stale, keeping its rows, demand
+  set, seeds and work.  Every rule fires under today's edges and no row
+  shrinks, so once those have run and the demand set is closed, each
+  active row is a superset of its closure: the fixpoint is monotone in
+  the edges.  So a stale index answers "no" when the queried bit is
+  absent after that run, adding an inactive source to the demand set
+  first, and "yes" at once for an identity pair.  Any other set bit
+  drops the rows and restarts through the first read, which the query
+  stops at its pair; a ``pairs`` read restarts and runs to the end.
+  Either leaves the index solved.  After a restarted "yes", a pair the
+  restarted rows lack runs that solve to its end, where the stale rows
+  might have answered "no" at once.
 
 ``resolve_after_update`` is for callers that keep the old index: it
 applies an insertion into a fresh index to a copy, and solves a deletion,
@@ -126,8 +144,9 @@ def _bits(x: int) -> Iterator[int]:
 def _edge_tables(inst: Instance):
     """Per slot (``graphs.label_slots``), the edge table of the graph's
     directed view, laid out as ``ReachIndex`` keeps it; per pair, the
-    ``closers`` mask.  One pass over the stored edges writes both cells of
-    an undirected one."""
+    ``closers`` mask and the ``forward`` table of its opening edges'
+    targets by source.  One pass over the stored edges writes both cells
+    of an undirected one."""
     graph = inst.graph
     n, size, undirected = (graph.vertex_count, graph.alphabet.size,
                            not graph.directed)
@@ -135,6 +154,7 @@ def _edge_tables(inst: Instance):
     edges = [[0] * n for _ in range(2 * size)]
     edges.append([0] * n if graph.alphabet.kind == "neardyck" else [])
     closers = [0] * size
+    forward = [[0] * n for _ in range(size)]
     for u, lab, v in graph.edges:
         s = slots[lab]
         # bit y of row x: an opening label's table (an even slot's) holds
@@ -144,13 +164,17 @@ def _edge_tables(inst: Instance):
             x, y = u, v
         else:
             x, y = v, u
+            targets = forward[s >> 1]
+            targets[y] |= 1 << x
+            if undirected:
+                targets[x] |= 1 << y
         table = edges[s]
         table[x] |= 1 << y
         if undirected:
             table[y] |= 1 << x
         if s > 0 and s & 1:
             closers[s >> 1] |= 1 << x | 1 << y if undirected else 1 << x
-    return edges, closers
+    return edges, closers, forward
 
 
 class ReachIndex:
@@ -163,9 +187,15 @@ class ReachIndex:
     label is resolved to its slot once, by ``apply`` or ``_edge_tables``
     through the alphabet's one ``graphs.label_slots`` table; everything
     past that reads the slot number, whose sign and parity say what the
-    label is (even opens, odd closes, -1 is ``dot``).  ``rows`` is None
-    until the first read; the module docstring gives the index's states
-    and when each read runs the solve.  ``seeds`` lists the cells
+    label is (even opens, odd closes, -1 is ``dot``).  ``forward[k][x]``
+    holds the targets of ``x``'s outgoing opening edges of pair ``k``,
+    which an activation reads.  ``rows`` is None until the first read;
+    the module docstring gives the index's states and when each read runs
+    the solve.  ``demand`` is the demand set and ``active`` the demanded
+    vertices already activated; every bit of an active row, and every
+    opening-edge target of an active vertex but those of queued seeds, is
+    in ``demand``, and a row outside ``active`` is its identity bit.
+    ``seeds`` lists the cells
     ``(slot, x, y)`` of the edges inserted since the last run, not yet
     joined with the rows.  ``pending[x]`` holds the bits row ``x`` gained
     that the wrap rule has not yet joined, and ``work`` lists the rows
@@ -185,38 +215,55 @@ class ReachIndex:
     and so at every read: ``cols`` is the exact transpose of ``rows``, and
     every row is closed (``rows[b]`` is a subset of ``rows[x]`` for each
     ``b`` in ``rows[x]``).  So every source ``x`` in ``cols[a]`` holds
-    ``rows[a]``, and adding bits to row ``a`` touches each column once."""
+    ``rows[a]``, and adding bits to row ``a`` touches each column once.
+    It is called on active rows only, so the only inactive source in a
+    column is the column's own vertex."""
 
     def __init__(self, inst: Instance):
         self._inst, self._ops = inst, []
         self._slots = label_slots(inst.graph.alphabet)
-        self.edges, self.closers = _edge_tables(inst)
+        self.edges, self.closers, self.forward = _edge_tables(inst)
         self.stale, self.rows, self.seeds = False, None, []
 
     def _start(self):
-        """Begin a from-scratch solve over today's edge tables: identity
-        rows joined with the edges at once, and the ``dot`` pairs, so only
-        rows that gain a bit go on the worklist; nothing run."""
-        n, edges = self._inst.graph.vertex_count, self.edges
-        self.stale, self.wide = False, 0
+        """Begin a from-scratch solve: identity rows, an empty demand set
+        and nothing run; a row is joined with the edges when its vertex is
+        activated."""
+        n = self._inst.graph.vertex_count
+        self.stale, self.wide, self.demand, self.active = False, 0, 0, 0
         self.rows = [1 << x for x in range(n)]
         self.cols = list(self.rows)
         self.pending, self.work, self.seeds = [0] * n, [], []
-        add = self._add
-        for u, targets in enumerate(edges[-1]):
-            add(u, targets)
-        # (x, x), edges (a, q, x) and (x, q-bar, b)  =>  (a, b)
-        for opening, closing, ends in zip(edges[:-1:2], edges[1::2],
-                                          self.closers):
+
+    def _activate(self, a: int):
+        """Make ``a`` active and join its row with today's edges: its
+        ``dot`` targets and, through each opening edge ``(a, q, w)``, the
+        closing edges out of ``rows[w]``; every such ``w`` joins the
+        demand set.  A row ``w`` that grows later goes on the worklist,
+        whose wrap rule reaches ``a`` from then on."""
+        self.active |= 1 << a
+        rows, edges = self.rows, self.edges
+        reach = edges[-1][a] if edges[-1] else 0
+        demand = 0
+        for forward, closing, closers in zip(self.forward, edges[1::2],
+                                             self.closers):
+            targets = forward[a]
+            if not targets:
+                continue
+            demand |= targets
+            ends = 0
+            while targets:
+                low = targets & -targets
+                ends |= rows[low.bit_length() - 1]
+                targets ^= low
+            ends &= closers
             while ends:
                 low = ends & -ends
-                x = low.bit_length() - 1
+                reach |= closing[low.bit_length() - 1]
                 ends ^= low
-                srcs, reach = opening[x], closing[x]
-                while srcs:
-                    bit = srcs & -srcs
-                    add(bit.bit_length() - 1, reach)
-                    srcs ^= bit
+        self.demand |= demand
+        if reach:
+            self._add(a, reach)
 
     @property
     def inst(self) -> Instance:
@@ -227,13 +274,15 @@ class ReachIndex:
         return self._inst
 
     def copy(self) -> "ReachIndex":
-        """An independent index with the same answers and instance."""
+        """An independent index with the same answers and instance, every
+        vertex demanded and its work run."""
         self._run()
         other = copy.copy(self)
         other._ops = list(self._ops)
         other.rows, other.cols = list(self.rows), list(self.cols)
         other.edges = [list(table) for table in self.edges]
         other.closers = list(self.closers)
+        other.forward = [list(table) for table in self.forward]
         other.pending, other.work, other.seeds = [0] * len(self.rows), [], []
         return other
 
@@ -262,10 +311,14 @@ class ReachIndex:
         table = self.edges[s]
         cells = ([(x, y)] if self._inst.graph.directed or u == v
                  else [(x, y), (y, x)])
+        # an opening edge is also bit x of row y of its pair's forward
+        # table, and a closing one may change its pair's closers
         if op.op == "ins":
             for x, y in cells:
                 table[x] |= 1 << y
-                if s > 0 and s & 1:
+                if not s & 1:
+                    self.forward[s >> 1][y] |= 1 << x
+                elif s > 0:
                     self.closers[s >> 1] |= 1 << x
             # before the first read there is nothing to seed: its
             # from-scratch solve reads today's tables
@@ -274,7 +327,9 @@ class ReachIndex:
             return
         for x, y in cells:
             table[x] &= ~(1 << y)
-            if s > 0 and s & 1 and not table[x]:
+            if not s & 1:
+                self.forward[s >> 1][y] &= ~(1 << x)
+            elif s > 0 and not table[x]:
                 # x's last closing edge of this pair is gone
                 self.closers[s >> 1] &= ~(1 << x)
         if self.rows is not None:
@@ -282,7 +337,8 @@ class ReachIndex:
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
-        """The closed pairs (a stale index restarts its solve first)."""
+        """The closed pairs, every vertex demanded (a stale index
+        restarts its solve first)."""
         if self.stale:
             self.rows = None
         self._run()
@@ -291,9 +347,10 @@ class ReachIndex:
 
     def query(self, u: int, v: int) -> bool:
         """Whether ``(u, v)`` is in the closed set; a pair outside the
-        vertex range is not, and runs nothing.  The pending seeds and work
-        run only until the bit appears; a stale set bit other than an
-        identity pair restarts the solve (see the module docstring)."""
+        vertex range is not, and runs nothing.  ``u`` joins the demand
+        set, and the pending seeds, work and activations run only until
+        the bit appears; a stale set bit other than an identity pair
+        restarts the solve (see the module docstring)."""
         n = self._inst.graph.vertex_count
         if not (0 <= u < n and 0 <= v < n):
             return False
@@ -323,8 +380,10 @@ class ReachIndex:
             new |= rows[low.bit_length() - 1]
             expand ^= low
         # each source of a holds rows[a], so it gains only part of fresh
-        # and afterwards holds all of it
+        # and afterwards holds all of it; every source is active, so
+        # fresh joins the demand set
         fresh = new & ~rows[a]
+        self.demand |= fresh
         cols, pending, work = self.cols, self.pending, self.work
         sources = cols[a]
         grown = 0
@@ -350,11 +409,17 @@ class ReachIndex:
     def _seed(self, s: int, x: int, y: int):
         """Add what a recorded edge, bit ``y`` of row ``x`` of slot ``s``'s
         table, derives against the current pairs.  A ``dot`` edge (slot -1)
-        is itself a pair."""
+        is itself a pair.  A pair it would derive from an inactive vertex
+        is left to that vertex's activation, which reads today's tables."""
+        active = self.active
         if s < 0:
-            self._add(x, 1 << y)
+            if active >> x & 1:
+                self._add(x, 1 << y)
         elif not s & 1:
             # edge (y, q, x), (x, w) in the set and (w, q-bar, b)  =>  (y, b)
+            if not active >> y & 1:
+                return
+            self.demand |= 1 << x
             closing = self.edges[s + 1]
             ends = self.rows[x] & self.closers[s >> 1]
             reach = 0
@@ -373,39 +438,54 @@ class ReachIndex:
                 srcs |= opening[low.bit_length() - 1]
                 ends ^= low
             # a source in cols[y] already holds y
-            srcs &= ~self.cols[y]
+            srcs &= active & ~self.cols[y]
             bit = 1 << y
             while srcs:
                 low = srcs & -srcs
                 self._add(low.bit_length() - 1, bit)
                 srcs ^= low
 
-    def _run(self, u: int = 0, bit: int = 0):
-        """Join the pending seeds with the rows, then close the worklist;
-        with a target ``bit``, stop before the next seed or pop once
-        ``rows[u]`` holds it, leaving the rest to resume.  With no rows it
-        starts the from-scratch solve over today's tables."""
+    def _run(self, u: int | None = None, bit: int = 0):
+        """Add ``u`` to the demand set, or every vertex when ``u`` is None;
+        join the pending seeds with the rows, then close the worklist,
+        activating the highest demanded vertex not yet active whenever it
+        empties.  With a target ``bit``, stop before the next seed, pop or
+        activation once ``rows[u]`` holds it, leaving the rest to resume.
+        With no rows it starts the from-scratch solve over today's
+        tables."""
         if self.rows is None:
             self._start()
         rows, pending, work, seeds = (self.rows, self.pending, self.work,
                                       self.seeds)
+        if u is None:
+            u, self.demand = 0, (1 << len(rows)) - 1
+        else:
+            self.demand |= 1 << u
         while seeds and not rows[u] & bit:
             s, x, y = seeds.pop()
             # an edge deleted since its insertion derives nothing
             if self.edges[s][x] >> y & 1:
                 self._seed(s, x, y)
-        if not work:
+        if not work and not self.demand & ~self.active:
             return
         # no edge changes while the fixpoint runs, so closers is read once
         wraps = list(zip(self.edges[:-1:2], self.edges[1::2], self.closers))
-        add = self._add
-        while work and not rows[u] & bit:
+        add, active = self._add, self.active
+        while not rows[u] & bit:
+            if not work:
+                todo = self.demand & ~active
+                if not todo:
+                    return
+                self._activate(todo.bit_length() - 1)
+                active = self.active
+                continue
             x = work.pop()
             delta = pending[x]
             pending[x] = 0
-            # wrap rule: (x, v) new, edges (a, q, x) and (v, q-bar, b)
+            # wrap rule: (x, v) new, edges (a, q, x) and (v, q-bar, b), for
+            # an active a; an inactive one joins rows[x] when activated
             for opening, closing, closers in wraps:
-                srcs = opening[x]
+                srcs = opening[x] & active
                 if not srcs:
                     continue
                 ends = delta & closers

@@ -1,9 +1,10 @@
 """Pair-set saturation solvers and the grammar-driven second engine."""
 
+import copy
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import dycklab.saturate as saturate
@@ -584,14 +585,52 @@ def test_a_stale_index_answers_queries_exactly(seed, near, directed):
         inst = apply_update(inst, op)
         expected = solve_cfl(inst, grammar)["S"]
         if live.stale:
-            # stale rows, closed by running their pending work, over-
-            # approximate: every derivable pair is present
-            live._run()
-            assert all(live.rows[u] >> v & 1 for u, v in expected)
+            # stale rows, closed by running their pending work with every
+            # vertex demanded, over-approximate: every derivable pair is
+            # present.  A deep copy runs it, so that the queries below
+            # meet stale rows with seeds, work and activations pending
+            closed = copy.deepcopy(live)
+            closed._run()
+            assert all(closed.rows[u] >> v & 1 for u, v in expected)
         asked = [(inst.source, inst.sink)]
         asked += [(rng.randrange(n), rng.randrange(n)) for _ in range(4)]
         for u, v in asked:
             assert live.query(u, v) == ((u, v) in expected), (op, u, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.booleans(),
+       st.booleans())
+def test_the_demand_set_holds_after_every_step(seed, near, directed):
+    """On seeded scripts that mix insertions, deletions and queries of
+    random pairs, the forward tables and the demand set keep their
+    invariants (``mask_faults``) after every step, and every answer is
+    exact.  The queries' sources are drawn at random, so they land on
+    fresh, seeded and stale indexes, often outside the demand set."""
+    rng = random.Random(seed)
+    if near:
+        inst = random_neardyck_instance(rng, max_vertices=6, density=0.15,
+                                        directed=directed)
+    else:
+        inst = random_dyck_instance(rng, max_vertices=8, pairs=2,
+                                    density=0.15, directed=directed)
+    n = inst.graph.vertex_count
+    live, expected = solve_dyck(inst), None
+    for step in range(30):
+        if rng.random() < 0.4:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if expected is None:
+                expected = solve_cfl(
+                    inst, bracket_grammar(inst.graph.alphabet))["S"]
+            outside = live.rows is not None and not live.demand >> u & 1
+            event("source outside the demand set" if outside
+                  else "source demanded or index unread")
+            assert live.query(u, v) == ((u, v) in expected), (step, u, v)
+        else:
+            op = _churn_op(rng, inst)
+            live.apply(op)
+            inst, expected = apply_update(inst, op), None
+        assert mask_faults(live, inst) == [], step
 
 
 @settings(max_examples=60, deadline=None)
@@ -625,10 +664,11 @@ def test_support_masks_hold_under_mixed_scripts(seed, near, directed):
 @given(st.integers(min_value=0, max_value=10**9), st.booleans(),
        st.booleans())
 def test_edge_tables_match_the_label_by_label_build(seed, near, directed):
-    """``_edge_tables`` reads each stored edge once, by its slot, against
-    a build that walks the directed view label by label: both alphabets,
-    directed and undirected, every instance with a self-loop and, on the
-    per-vertex alphabet, a ``dot`` edge."""
+    """``_edge_tables`` reads each stored edge once, by its slot, into
+    the edge tables, the ``closers`` masks and the forward opening tables,
+    against a build that walks the directed view label by label: both
+    alphabets, directed and undirected, every instance with a self-loop
+    and, on the per-vertex alphabet, a ``dot`` edge."""
     rng = random.Random(seed)
     if near:
         inst = random_neardyck_instance(rng, max_vertices=6, density=0.15,
@@ -725,6 +765,29 @@ def test_closers_follow_the_last_closing_edge():
     assert idx.wide == 0 and idx.rows == [0b001, 0b010, 0b100]
     idx.apply(UpdateOp.ins(2, L1BAR, 0))  # out of a vertex with no closer
     assert idx.closers == [0b100]
+
+
+def test_a_query_closes_only_what_its_source_needs():
+    # 0 -l1-> 1 -l1bar-> 2, and 3 -l2-> 4 -l2bar-> 5 beside
+    # 3 -l1-> 6 -l1bar-> 5
+    edges = [(0, L1, 1), (1, L1BAR, 2), (3, L2, 4), (4, L2BAR, 5),
+             (3, L1, 6), (6, L1BAR, 5)]
+    inst = Instance(LabeledGraph.build(True, 7, Alphabet("dyck", 2), edges),
+                    0, 2)
+    idx = solve_dyck(inst)
+    assert idx.query(0, 2)
+    # 0 needs the rows of its opening target 1 and of the bit 2 only
+    assert idx.demand == 0b111 and idx.active == 0b001
+    assert idx.rows[3:] == [1 << x for x in range(3, 7)]
+    op = UpdateOp.delete(3, L2, 4)
+    idx.apply(op)
+    inst = apply_update(inst, op)
+    # 3's identity row lacks 5, yet 3 still reaches 5 through 6: the stale
+    # query adds 3 to the demand set before it reads the bit
+    assert idx.stale and idx.query(3, 5)
+    assert idx.demand >> 3 & 1 and not idx.stale
+    assert mask_faults(idx) == []
+    _answers_exactly(idx, inst)
 
 
 def test_a_stale_no_costs_no_resolve(monkeypatch):

@@ -15,8 +15,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # leg's walk oracle must have checked near-Dyck samples, not skipped them,
 # its grammar-index leg must have checked queries and stale states, its
 # apply route must have answered queries with seeds pending and fresh
-# ones with work queued, a stale query must have restarted the solve, and
-# an index must have been first read after a deletion; the mutants run
+# ones with work queued, a stale query must have restarted the solve,
+# queries must have met a source outside the demand set on solved rows
+# and on stale ones, and an index must have been first read after a
+# deletion; the mutants run
 # must have killed all five of its mutants
 SUMMARIES = {
     "engine_fuzz.py": r"oracle checked [1-9]\d* bracket-pair and [1-9]\d* "
@@ -24,8 +26,9 @@ SUMMARIES = {
                       r"queries and [1-9]\d* stale states, apply route "
                       r"checked on [1-9]\d* queries, [1-9]\d* with seeds "
                       r"pending and [1-9]\d* fresh with work queued, "
-                      r"[1-9]\d* stale queries restarted, "
-                      r"[1-9]\d* first reads after deletions",
+                      r"[1-9]\d* stale queries restarted, [1-9]\d* solved "
+                      r"and [1-9]\d* stale queries from outside the demand "
+                      r"set, [1-9]\d* first reads after deletions",
     "mutants.py": r"5 mutants, 5 killed, 0 survived",
 }
 

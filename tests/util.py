@@ -1,7 +1,8 @@
 """Shared generators for the test suite: random instances, random update
 scripts, the worked instances used across modules, the check of a
-``ReachIndex``'s edge tables and support masks, and slow reference
-versions of the wrap-only solver, the oracle walks and the suites."""
+``ReachIndex``'s edge tables, support masks and demand set, and slow
+reference versions of the wrap-only solver, the oracle walks and the
+suites."""
 
 import itertools
 import math
@@ -94,19 +95,21 @@ def random_script(rng: random.Random, inst: Instance, ops: int = 30,
 
 
 def reference_edge_tables(inst):
-    """The edge tables and ``closers`` masks of a ``ReachIndex``, built
-    label by label: every directed edge's slot computed from its label,
-    an opening label's edge kept as a source by target and any other as a
-    target by source, then a second pass for each pair's vertices with an
-    outgoing closing edge.  ``edges`` holds one table per label slot
-    (``2j`` for the ``j``-th opening label, counted from 0, one more for
-    its partner) and one last table for ``dot``, empty for a ``dyck``
-    alphabet."""
+    """The edge tables, ``closers`` masks and forward opening tables of a
+    ``ReachIndex``, built label by label: every directed edge's slot
+    computed from its label, an opening label's edge kept as a source by
+    target and any other as a target by source, then a second pass for
+    each pair's vertices with an outgoing closing edge.  ``edges`` holds
+    one table per label slot (``2j`` for the ``j``-th opening label,
+    counted from 0, one more for its partner) and one last table for
+    ``dot``, empty for a ``dyck`` alphabet; ``forward[j]`` holds the
+    ``j``-th opening label's edges as targets by source."""
     graph = inst.graph
     n = graph.vertex_count
     first = {"l": 1, "v": 0}
     edges = [[0] * n for _ in range(2 * graph.alphabet.size)]
     edges.append([0] * n if graph.alphabet.kind == "neardyck" else [])
+    forward = [[0] * n for _ in range(graph.alphabet.size)]
     for u, lab, v in graph.directed_edges():
         if lab == DOT:
             edges[-1][u] |= 1 << v
@@ -116,23 +119,28 @@ def reference_edge_tables(inst):
             edges[s][u] |= 1 << v
         else:
             edges[s][v] |= 1 << u
+            forward[s // 2][u] |= 1 << v
     closers = [sum(1 << w for w, targets in enumerate(closing) if targets)
                for closing in edges[1::2]]
-    return edges, closers
+    return edges, closers, forward
 
 
 def mask_faults(index, inst=None) -> list[str]:
-    """How a ``ReachIndex``'s edge tables and support masks fail their
-    invariants, read against the edges of ``inst`` (the index's own
-    instance by default) and against its rows.  ``edges`` and
-    ``closers`` must be exactly ``reference_edge_tables``'s: each table
-    holds exactly the directed edges of its label, and ``closers[k]``
+    """How a ``ReachIndex``'s edge tables, support masks and demand set
+    fail their invariants, read against the edges of ``inst`` (the index's
+    own instance by default) and against its rows.  ``edges``, ``closers``
+    and ``forward`` must be exactly ``reference_edge_tables``'s: each
+    table holds exactly the directed edges of its label, ``closers[k]``
     exactly the vertices with an outgoing closing edge of pair ``k``
-    (counted from 0); and ``wide`` must hold every vertex whose row has
-    more than its identity bit.  An index not yet read has no rows
-    (``rows`` is None), so only its tables and masks are checked.  Empty
-    when all hold."""
-    edges, support = reference_edge_tables(inst or index.inst)
+    (counted from 0), and ``forward[k]`` exactly the opening edges of
+    pair ``k``; and ``wide`` must hold every vertex whose row has more
+    than its identity bit.  Every active vertex is in the demand set, and
+    so are the bits of its row and the targets of its opening edges, bar
+    an edge whose seed is still queued; an inactive vertex's row is its
+    identity bit, and a column holds no inactive source but its own
+    vertex.  An index not yet read has no rows (``rows`` is None), so
+    only its tables and masks are checked.  Empty when all hold."""
+    edges, support, forward = reference_edge_tables(inst or index.inst)
     faults = []
     if len(index.edges) != len(edges):
         faults.append(f"edges has {len(index.edges)} tables, not "
@@ -147,9 +155,36 @@ def mask_faults(index, inst=None) -> list[str]:
         if got & ~want:
             faults.append(f"closers[{k}] holds vertices with no closing "
                           f"edge {got & ~want:#b}")
-    for x, row in enumerate(index.rows or ()):
+    if index.forward != forward:
+        faults.append(f"forward is {index.forward}, not {forward}")
+    if index.rows is None:
+        return faults
+    active, demand = index.active, index.demand
+    if active & ~demand:
+        faults.append(f"active vertices {active & ~demand:#b} are not in "
+                      f"the demand set")
+    queued = {(x, y) for s, x, y in index.seeds if s >= 0 and not s & 1}
+    for x, row in enumerate(index.rows):
         if row != 1 << x and not index.wide >> x & 1:
             faults.append(f"wide misses row {x}")
+        if not active >> x & 1:
+            if row != 1 << x:
+                faults.append(f"inactive row {x} is {row:#b}")
+            continue
+        if row & ~demand:
+            faults.append(f"row {x} holds {row & ~demand:#b} outside the "
+                          f"demand set")
+        for k, table in enumerate(forward):
+            # an opening edge (x, q, w) is the cell (w, x) of its seed
+            missed = [w for w in range(len(table)) if table[x] >> w & 1
+                      and not demand >> w & 1 and (w, x) not in queued]
+            if missed:
+                faults.append(f"opening successors {missed} of row {x} "
+                              f"(pair {k}) are not in the demand set")
+    for v, col in enumerate(index.cols):
+        if col & ~active & ~(1 << v):
+            faults.append(f"cols[{v}] holds inactive sources "
+                          f"{col & ~active & ~(1 << v):#b}")
     return faults
 
 
