@@ -45,9 +45,13 @@ identity bit.  The same script also
 drives a third index, the grammar engine's own ``GrammarIndex`` on the
 sample's bracket grammar: after every update it is asked the marked pair
 and random pairs, each answer checked against the from-scratch grammar
-engine and against the bitset index that ``resolve_after_update`` keeps,
-and while it is stale its pairs must hold every pair the from-scratch
-engine derives.
+engine and against the bitset index that ``resolve_after_update`` keeps.
+While it is stale, its pairs, once a deep copy has run the work its
+insertions queued, must hold every pair the from-scratch engine derives,
+and a stale query on a present pair other than an identity pair must
+restart its solve.  The summary also counts the grammar queries answered
+fresh with work still queued and the stale ones that restarted the
+solve; the run fails if either is 0.
 
 Usage: python3 scripts/engine_fuzz.py [--samples N] [--seed S]
                                       [--max-vertices V] [--pairs P]
@@ -91,6 +95,7 @@ def main() -> int:
 
     rng = random.Random(args.seed)
     gaps = grammar_queries = grammar_stale = 0
+    grammar_stopped = grammar_restarts = 0
     live_queries = pending_queries = stopped_queries = late_reads = 0
     restarts = outside_solved = outside_stale = 0
     oracle_checked = {"dyck": 0, "neardyck": 0}
@@ -224,10 +229,12 @@ def main() -> int:
                           f"stale rows miss a pair of the grammar engine")
                     return 1
             if gram.stale:
-                held = {(u, v) for u, targets
-                        in enumerate(gram.succ[grammar.start])
-                        for v in targets}
-                if not expected <= held:
+                # run a deep copy's worklist to its end, so that the index
+                # keeps the work its insertions queued
+                closed = copy.deepcopy(gram)
+                closed._run()
+                held = closed.succ[grammar.start]
+                if not all(v in held[u] for u, v in expected):
                     print(f"{where}stale grammar index misses a pair of the "
                           f"from-scratch engine")
                     return 1
@@ -235,6 +242,7 @@ def main() -> int:
             for u, v in [(inst.source, inst.sink)] + [
                     (rng.randrange(n), rng.randrange(n))
                     for _ in range(RANDOM_QUERIES)]:
+                stale = gram.stale and u != v
                 answer = gram.query(u, v)
                 if answer != ((u, v) in expected):
                     print(f"{where}grammar index query({u}, {v}) vs the "
@@ -244,7 +252,13 @@ def main() -> int:
                     print(f"{where}grammar index query({u}, {v}) vs the "
                           f"bitset index")
                     return 1
+                if stale and gram.stale and v in gram.succ[grammar.start][u]:
+                    print(f"{where}grammar index query({u}, {v}): a stale "
+                          f"present pair left the index stale")
+                    return 1
                 grammar_queries += 1
+                grammar_stopped += bool(not gram.stale and gram.work)
+                grammar_restarts += stale and not gram.stale
             checks = [("resolve_after_update", index)]
             if step % LIVE_CHECK_EVERY == 0 or step == SCRIPT_OPS:
                 checks.append(("apply", live))
@@ -260,7 +274,9 @@ def main() -> int:
           f"{gaps} wrap-only gaps, oracle checked "
           f"{oracle_checked['dyck']} bracket-pair and "
           f"{oracle_checked['neardyck']} near-Dyck samples, grammar "
-          f"index checked on {grammar_queries} queries and "
+          f"index checked on {grammar_queries} queries, "
+          f"{grammar_stopped} fresh with work queued and "
+          f"{grammar_restarts} stale ones restarted, and "
           f"{grammar_stale} stale states, apply route checked on "
           f"{live_queries} queries, {pending_queries} with seeds pending "
           f"and {stopped_queries} fresh with work queued, {restarts} stale "
@@ -274,6 +290,14 @@ def main() -> int:
     if args.samples and not stopped_queries:
         print("FAIL: no fresh query stopped with work still queued, so the "
               "early stop went unchecked")
+        return 1
+    if args.samples and not grammar_stopped:
+        print("FAIL: no fresh grammar query stopped with work still "
+              "queued, so its early stop went unchecked")
+        return 1
+    if args.samples and not grammar_restarts:
+        print("FAIL: no stale grammar query restarted the solve, so its "
+              "restart went unchecked")
         return 1
     if args.samples and not restarts:
         print("FAIL: no stale query restarted the solve, so the restart "

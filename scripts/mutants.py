@@ -274,15 +274,31 @@ MUTANTS = (
            "                pass\n",
            ("tests/test_saturate.py::"
             "test_a_grammar_index_reads_an_undirected_insertion_both_ways",)),
-    Mutant("grammar-lower-not-seeded-on-insertion", SATURATE,
-           "for index in (self, self.lower) if self.lower else (self,):\n"
-           "                for u, v in ends:\n"
-           "                    for a in self.by_label",
-           "for index in (self,):\n"
-           "                for u, v in ends:\n"
-           "                    for a in self.by_label",
+    Mutant("grammar-stale-yes-keeps-stale-facts", SATURATE,
+           "        if not self.stale or (u == v and start in "
+           "self.grammar.nullable):\n            return True\n",
+           "        if True:\n            return True\n",
            ("tests/test_saturate.py::"
             "test_a_stale_grammar_yes_solves_only_until_the_pair_appears",)),
+    Mutant("grammar-absent-pair-skips-queued-work", SATURATE,
+           "        if self.succ is None or v not in self.succ[start][u]:\n"
+           "            self._run(u, v)\n",
+           "        if self.succ is None or v not in self.succ[start][u]:\n"
+           "            if self.succ is None:\n"
+           "                self._run(u, v)\n",
+           ("tests/test_saturate.py::"
+            "test_a_fresh_grammar_query_stops_at_its_pair",)),
+    Mutant("grammar-first-read-solves-the-initial-instance", SATURATE,
+           "            self.by_label.setdefault(lab, []).append(a)\n",
+           "            self.by_label.setdefault(lab, []).append(a)\n"
+           "        self._start()\n",
+           ("tests/test_saturate.py::test_grammar_updates_before_the_first_"
+            "read_only_change_the_instance",)),
+    Mutant("grammar-body-symbol-unchecked", SATURATE,
+           "for a in [*nullable, *(b for rule in binary_rules for b in "
+           "rule)]:",
+           "for a, _, _ in binary_rules:",
+           ("tests/test_saturate.py::test_grammar_validation",)),
     Mutant("wrap-only-keeps-concatenation", SATURATE,
            'tuple(r for r in grammar.binary_rules if r != ("S", "S", "S"))',
            "grammar.binary_rules",

@@ -66,48 +66,50 @@ active rows gain bits, and every bit they gain joins the demand set.  The
 wrap rule joins a popped row with its active sources only, and a seed
 whose outer vertex is inactive derives nothing, since that vertex's
 activation reads today's tables.  So an inactive row stays its identity
-bit.  An index lives in three states:
+bit.
 
-* Unread (``rows`` is None): building an index builds only its tables
-  and masks, and an update only edits them.  The first read (a query, a
-  ``pairs`` read or a ``copy``) starts the from-scratch solve over the
-  tables as they are then, with identity rows and an empty demand set.
-* Solved: an insertion queues the new edge's cells ``(slot, x, y)`` as
-  seeds.  The seeds, the fixpoint and the activations run only when a
-  read needs them; a seed whose edge was deleted since is skipped.  A
-  ``pairs`` read or a ``copy`` runs them to their end.  Rows only grow
-  under insertions, so a query runs them only while its bit is absent,
-  leaving the rest queued.
-* Stale: a deletion marks a read index stale, keeping its rows, demand
-  set, seeds and work.  Every rule fires under today's edges and no row
-  shrinks, so once those have run and the demand set is closed, each
-  active row is a superset of its closure: the fixpoint is monotone in
-  the edges.  So a stale index answers "no" when the queried bit is
-  absent after that run, adding an inactive source to the demand set
-  first, and "yes" at once for an identity pair.  Any other set bit
-  drops the rows and restarts through the first read, which the query
-  stops at its pair; a ``pairs`` read restarts and runs to the end.
-  Either leaves the index solved.  After a restarted "yes", a pair the
-  restarted rows lack runs that solve to its end, where the stale rows
-  might have answered "no" at once.
+``GrammarIndex`` is an independent engine over grammars in binary normal
+form and must agree with ``solve_dyck`` on either alphabet's
+``bracket_grammar``.  It shares no code with ``ReachIndex`` but keeps the
+same contract, since grammar reachability is monotone in the edges too.
+Either index lives in three states:
+
+* Unread (``rows``, or ``succ``, is None): building an index builds only
+  its tables, and an update only edits its edges, in the edge tables or
+  in the instance.  The first read (a query, a ``pairs`` read or a
+  ``ReachIndex.copy``) starts the from-scratch solve over the edges as
+  they are then.
+* Solved: an insertion queues the new edge's facts, the cells
+  ``(slot, x, y)`` as seeds or the terminal facts on the worklist, and
+  runs nothing.  A ``pairs`` read or a ``copy`` runs the queued work to
+  its end.  Pairs only grow under insertions, so a query runs it only
+  while its pair is absent, leaving the rest queued.  A ``ReachIndex``
+  skips a seed whose edge was deleted since and runs its activations
+  the same way.
+* Stale: a deletion marks a read index stale, keeping its pairs and
+  queued work.  Every rule fires under today's edges and no pair is
+  dropped, so once that work has run, and a ``ReachIndex``'s demand set
+  is closed, the pairs are a superset of the closure: the fixpoint is
+  monotone in the edges.  So a stale index answers "no" when the queried
+  pair is absent after that run (a ``ReachIndex`` first adds an inactive
+  source to its demand set), and "yes" at once for an identity pair when
+  the empty word derives, as it does in the bracket grammar.  Any other
+  present pair drops the pairs and restarts the solve in place, through
+  the first read, which the query stops at its pair; a ``pairs`` read
+  restarts and runs to the end.  Either leaves the index solved.  After
+  a restarted "yes", a pair the restarted solve lacks runs it to its
+  end, where the stale pairs might have answered "no" at once.
+
+``solve_cfl`` runs a ``GrammarIndex`` to its end.
+``solve_dyck_wrap_only`` builds one on ``wrap_only_grammar``, the bracket
+grammar without ``S -> S S``; that under-approximates (e.g. it misses the
+chain labeled l1 l1bar l2 l2bar) and is kept so that the gap
+concatenation closes stays observable.
 
 ``resolve_after_update`` is for callers that keep the old index: it
 applies an insertion into a fresh index to a copy, and solves a deletion,
 or any update of a stale index, afresh, running none of the stale rows'
 seeds.
-
-``GrammarIndex`` is an independent engine over grammars in binary normal
-form and must agree with ``solve_dyck`` on either alphabet's
-``bracket_grammar``.  It shares no code with ``ReachIndex`` but keeps its
-contract, stale "no" included, since grammar reachability is monotone in
-the edges too.  Its ``apply`` runs the worklist at once, so a restarted
-partial solve would be finished by the next insertion; a stale "yes"
-therefore runs a separate from-scratch solve ``lower`` beside the stale
-facts.  ``solve_cfl`` is a from-scratch build of it.
-``solve_dyck_wrap_only`` builds it on ``wrap_only_grammar``, the bracket
-grammar without ``S -> S S``; that under-approximates (e.g. it misses the
-chain labeled l1 l1bar l2 l2bar) and is kept so that the gap
-concatenation closes stays observable.
 
 ``run_replay`` answers an update script's queries through the index that
 ``maintained_index`` keeps for the chosen engine.
@@ -546,7 +548,7 @@ class Grammar(_GrammarFields):
         nts = set(nonterminals)
         if start not in nts:
             raise ValueError("start symbol is not a nonterminal")
-        for a, _, _ in binary_rules:
+        for a in [*nullable, *(b for rule in binary_rules for b in rule)]:
             if a not in nts:
                 raise ValueError(f"unknown nonterminal {a!r}")
         for a, lab in terminal_rules:
@@ -600,97 +602,88 @@ class GrammarIndex:
     under ``apply``: the worklist closure of Reps ("Program analysis via
     graph reachability", 1998).  ``succ[A][u]`` holds the ``v`` with
     ``(u, v)`` derived from ``A`` and ``pred[A][v]`` the ``u``; ``work``
-    holds the facts ``(A, u, v)`` not yet joined with the rest, and is
-    empty between calls.  ``by_left[B]`` lists the ``(A, C)`` of the rules
-    A -> B C, ``by_right[C]`` the ``(A, B)``, ``by_label[a]`` the ``A`` of
-    A -> a.  A deletion sets ``stale``: the facts were closed under a
-    superset of today's edges, so they over-approximate and an absent pair
-    is an exact "no".  ``lower`` is None or an unfinished from-scratch
-    solve of a stale index's instance, which ``_settle`` resumes."""
+    holds the facts ``(A, u, v)`` not yet joined with the rest.
+    ``by_left[B]`` lists the ``(A, C)`` of the rules A -> B C,
+    ``by_right[C]`` the ``(A, B)``, ``by_label[a]`` the ``A`` of A -> a.
+    ``succ`` is None until the first read; the module docstring gives the
+    index's states and when each read runs the worklist.  ``stale`` facts
+    may hold pairs the instance no longer derives."""
 
     def __init__(self, inst: Instance, grammar: Grammar):
         if inst.graph.alphabet != grammar.alphabet:
             raise AlphabetMismatchError(
                 "grammar terminals do not match the instance")
-        self.grammar = grammar
+        self.inst, self.grammar = inst, grammar
+        self.stale, self.succ = False, None
         self.by_left, self.by_right, self.by_label = {}, {}, {}
         for a, b, c in grammar.binary_rules:
             self.by_left.setdefault(b, []).append((a, c))
             self.by_right.setdefault(c, []).append((a, b))
         for a, lab in grammar.terminal_rules:
             self.by_label.setdefault(lab, []).append(a)
-        self._start(inst)
-        self._run()
 
-    def _start(self, inst: Instance):
-        """Begin a from-scratch solve: the identity pairs of every nullable
-        nonterminal and every edge's terminal facts on the worklist,
-        nothing run."""
-        self.inst, self.stale, self.lower = inst, False, None
-        n = inst.graph.vertex_count
+    def _start(self):
+        """Begin a from-scratch solve of ``inst``: the identity pairs of
+        every nullable nonterminal and every edge's terminal facts on the
+        worklist, nothing run."""
+        n = self.inst.graph.vertex_count
         nts = self.grammar.nonterminals
+        self.stale = False
         self.succ = {a: [set() for _ in range(n)] for a in nts}
         self.pred = {a: [set() for _ in range(n)] for a in nts}
         self.work = []
         for a in self.grammar.nullable:
             for x in range(n):
                 self._add(a, x, x)
-        for u, lab, v in inst.graph.directed_edges():
+        for u, lab, v in self.inst.graph.directed_edges():
             for a in self.by_label.get(lab, ()):
                 self._add(a, u, v)
 
     def apply(self, op: UpdateOp):
         """Apply one update to the owned instance (a rejected update raises
-        and changes nothing).  An insertion adds the edge's terminal facts,
-        both ways round for an undirected edge, continues the worklist and
-        seeds ``lower`` without running it; a deletion drops ``lower`` and
-        marks the index stale."""
+        and changes nothing).  Once the index has been read, an insertion
+        queues the edge's terminal facts, both ways round for an
+        undirected edge, and a deletion marks the index stale."""
         self.inst = apply_update(self.inst, op)
+        if self.succ is None:
+            return
         if op.op == "del":
-            self.stale, self.lower = True, None
+            self.stale = True
         elif op.op == "ins":
             ends = [(op.u, op.v)]
             if not self.inst.graph.directed and op.u != op.v:
                 ends.append((op.v, op.u))
-            for index in (self, self.lower) if self.lower else (self,):
-                for u, v in ends:
-                    for a in self.by_label.get(op.label, ()):
-                        index._add(a, u, v)
-            self._run()
-
-    def _settle(self, u: int = 0, v: int | None = None):
-        """Run ``lower``, started if there is none, until it derives
-        ``(u, v)`` from the start symbol, or to its end, when this index
-        takes it over and is fresh again."""
-        lower = self.lower
-        if lower is None:
-            lower = self.lower = copy.copy(self)
-            lower._start(self.inst)
-        lower._run(u, v)
-        if not lower.work:
-            vars(self).update(vars(lower), inst=self.inst)
+            for u, v in ends:
+                for a in self.by_label.get(op.label, ()):
+                    self._add(a, u, v)
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
-        """The pairs derived from the start symbol (a stale index settles
-        first)."""
+        """The pairs derived from the start symbol, the worklist run to its
+        end (a stale index restarts its solve first)."""
         if self.stale:
-            self._settle()
+            self.succ = None
+        self._run()
         return _pair_set(self.succ[self.grammar.start])
 
     def query(self, u: int, v: int) -> bool:
-        """Whether ``(u, v)`` is derived from the start symbol.  A stale
-        index answers an absent pair "no" at once, and an identity pair
-        "yes" when the start symbol is nullable; any other present pair
-        settles ``lower`` until it derives the pair or finishes exact."""
-        start = self.grammar.start
-        rows = self.succ[start]
-        if not (0 <= u < len(rows) and v in rows[u]):
+        """Whether ``(u, v)`` is derived from the start symbol; a pair
+        outside the vertex range is not, and runs nothing.  The worklist
+        runs only until the pair appears; a stale present pair other than
+        a nullable start's identity pair restarts the solve (see the module
+        docstring)."""
+        vertices = range(self.inst.graph.vertex_count)
+        if u not in vertices or v not in vertices:
             return False
+        start = self.grammar.start
+        if self.succ is None or v not in self.succ[start][u]:
+            self._run(u, v)
+            if v not in self.succ[start][u]:
+                return False
         if not self.stale or (u == v and start in self.grammar.nullable):
             return True
-        self._settle(u, v)
-        # an unfinished lower derives the pair; a finished one is succ
+        self.succ = None
+        self._run(u, v)
         return v in self.succ[start][u]
 
     def _add(self, a: str, u: int, v: int):
@@ -704,7 +697,10 @@ class GrammarIndex:
     def _run(self, u: int = 0, v: int | None = None):
         """Close the worklist, or with a target ``v`` stop before the next
         pop once the start symbol derives ``(u, v)``, leaving the rest to
-        resume."""
+        resume.  With no facts it starts the from-scratch solve of
+        ``inst``."""
+        if self.succ is None:
+            self._start()
         succ, pred, work, add = self.succ, self.pred, self.work, self._add
         by_left, by_right = self.by_left, self.by_right
         goal = () if v is None else succ[self.grammar.start][u]
@@ -728,6 +724,7 @@ def solve_cfl(inst: Instance, grammar: Grammar) -> dict[str, frozenset[tuple[int
     """All-pairs grammar reachability: for each nonterminal A, the pairs
     (u, v) joined by a path whose label derives from A."""
     index = GrammarIndex(inst, grammar)
+    index._run()
     return {a: _pair_set(rows) for a, rows in index.succ.items()}
 
 

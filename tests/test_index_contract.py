@@ -37,13 +37,12 @@ def model_pairs(engine, inst):
 
 
 def held_pairs(index):
-    """The pairs an index holds now, read without settling a stale one; a
-    bitset index is read from a deep copy that first runs the work its
-    insertions left pending, so the index itself keeps that work queued
-    for the next rule."""
+    """The pairs an index holds now, read without restarting a stale one:
+    from a deep copy that first runs the work its insertions left pending,
+    so the index itself keeps that work queued for the next rule."""
+    index = copy.deepcopy(index)
+    index._run()
     if isinstance(index, ReachIndex):
-        index = copy.deepcopy(index)
-        index._run()
         return {(u, v) for u, row in enumerate(index.rows)
                 for v in range(row.bit_length()) if row >> v & 1}
     start = index.grammar.start

@@ -132,6 +132,12 @@ def test_grammar_validation():
     with pytest.raises(ValueError, match="unknown nonterminal 'T'"):
         Grammar(("S",), "S", frozenset(), (), (("T", "S", "S"),),
                 Alphabet("dyck", 1))
+    # a rule's body and the nullable set are checked as its head is
+    with pytest.raises(ValueError, match="unknown nonterminal 'Y'"):
+        Grammar(("S", "O"), "S", frozenset({"S"}), (("O", L1),),
+                (("S", "O", "Y"),), Alphabet("dyck", 1))
+    with pytest.raises(ValueError, match="unknown nonterminal 'Z'"):
+        Grammar(("S",), "S", frozenset({"Z"}), (), (), Alphabet("dyck", 1))
 
 
 def test_cfl_on_concatenation_chain():
@@ -1005,17 +1011,53 @@ def test_resolving_a_stale_index_runs_none_of_its_pending_seeds(
 # The grammar engine's maintained index
 
 def _count_grammar_solves(monkeypatch) -> list:
-    """Patch ``GrammarIndex._start`` to record the instance of every solve
-    it begins, the first build included; returns the record."""
+    """Patch ``GrammarIndex._start`` to record the instance of every
+    from-scratch solve begun, a first read's and a stale query's restart
+    alike; returns the record."""
     started = []
     start = GrammarIndex._start
 
-    def counted(index, inst):
-        started.append(inst)
-        return start(index, inst)
+    def counted(index):
+        started.append(index.inst)
+        return start(index)
 
     monkeypatch.setattr(GrammarIndex, "_start", counted)
     return started
+
+
+def test_grammar_updates_before_the_first_read_only_change_the_instance(
+        monkeypatch):
+    started = _count_grammar_solves(monkeypatch)
+    # the burst of test_updates_before_the_first_read_only_edit_the_tables
+    inst = chain([L1, L1BAR, L2, L2BAR])
+    gram = GrammarIndex(inst, dyck_grammar(2))
+    for op in (UpdateOp.ins(4, L1, 0), UpdateOp.delete(1, L1BAR, 2),
+               UpdateOp.ins(1, L1BAR, 3), UpdateOp.ins(3, L1BAR, 2),
+               UpdateOp.delete(4, L1, 0), UpdateOp.ins(4, L1, 0)):
+        gram.apply(op)
+        inst = apply_update(inst, op)
+        assert gram.succ is None and not gram.stale and gram.inst == inst, op
+    assert started == []
+    # the first read solves today's edges from scratch, and nothing else
+    assert gram.query(4, 2) and not gram.query(0, 2)
+    assert gram.pairs == solve_dyck(inst).pairs
+    assert started == [inst] and not gram.stale
+
+
+def test_a_fresh_grammar_query_stops_at_its_pair():
+    # 0 -l1-> 1 -l2-> 2 -l2bar-> 3 -l1bar-> 4: (1, 3) is derived before
+    # (0, 4), which only the work left queued derives
+    inst = chain([L1, L2, L2BAR, L1BAR])
+    expected = solve_dyck(inst).pairs
+    read, queried = (GrammarIndex(inst, dyck_grammar(2)) for _ in range(2))
+    for gram in (read, queried):
+        assert gram.query(1, 3) and gram.work
+        assert 4 not in gram.succ["S"][0]
+    assert read.pairs == expected and not read.work
+    # an absent pair runs the queued work, which derives it
+    assert queried.query(0, 4) and (0, 4) in expected
+    assert not queried.query(4, 0) and not queried.work
+    assert queried.pairs == expected
 
 
 def test_a_stale_grammar_yes_solves_only_until_the_pair_appears(monkeypatch):
@@ -1023,24 +1065,26 @@ def test_a_stale_grammar_yes_solves_only_until_the_pair_appears(monkeypatch):
     idx, inst = _bracket_cycle()
     gram = GrammarIndex(idx.inst, dyck_grammar(2))
     gram.apply(UpdateOp.ins(1, L1BAR, 2))
+    assert gram.query(0, 2) and len(started) == 1
     gram.apply(UpdateOp.delete(1, L1BAR, 2))
     assert gram.stale and len(started) == 1
-    # 2 -l2 l2bar l1 l1bar-> 0 still holds: found before the solve ends
+    # 2 -l2 l2bar l1 l1bar-> 0 still holds: the stale "yes" restarts the
+    # solve in place, which stops once it derives the pair
     assert gram.query(2, 0)
-    lower = gram.lower
-    assert gram.stale and lower.work and len(started) == 2
+    assert not gram.stale and gram.work and len(started) == 2
+    # the insertion queues its terminal fact on the unfinished solve
     op = UpdateOp.ins(5, L1BAR, 3)
     gram.apply(op)
     inst = apply_update(inst, op)
-    assert gram.lower is lower
+    assert ("C1", 5, 3) in gram.work
     assert gram.query(4, 3)
     # (0, 2) lost its witness: the "no" runs the solve to its end
     assert not gram.query(0, 2)
-    assert len(started) == 2 and not gram.stale and gram.lower is None
+    assert len(started) == 2 and not gram.stale and not gram.work
     assert gram.inst == inst
     assert gram.pairs == solve_dyck(inst).pairs
     # after a deletion a stale identity pair needs no solve
-    assert gram.query(2, 0) and gram.lower is None
+    assert gram.query(2, 0)
     gram.apply(UpdateOp.delete(4, L1, 5))
     assert gram.stale and all(gram.query(x, x) for x in range(6))
     assert len(started) == 2
@@ -1065,6 +1109,8 @@ def test_a_stale_identity_pair_waits_for_a_non_nullable_start():
 def test_a_grammar_index_reads_an_undirected_insertion_both_ways():
     g = LabeledGraph.build(False, 3, Alphabet("dyck", 1), [(0, L1, 1)])
     gram = GrammarIndex(Instance(g, 0, 2), dyck_grammar(1))
+    # read first, so that the insertion is queued rather than solved
+    assert not gram.query(0, 2)
     gram.apply(UpdateOp.ins(2, L1BAR, 1))  # also the edge 1 -l1bar-> 2
     assert gram.query(0, 2)
     assert gram.pairs == solve_dyck(gram.inst).pairs

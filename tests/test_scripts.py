@@ -13,7 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # what a script's summary line must show beyond its clean exit: the fuzz
 # leg's walk oracle must have checked near-Dyck samples, not skipped them,
-# its grammar-index leg must have checked queries and stale states, its
+# its grammar-index leg must have checked queries, fresh ones with work
+# queued, stale ones that restarted the solve and stale states, its
 # apply route must have answered queries with seeds pending and fresh
 # ones with work queued, a stale query must have restarted the solve,
 # queries must have met a source outside the demand set on solved rows
@@ -23,7 +24,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SUMMARIES = {
     "engine_fuzz.py": r"oracle checked [1-9]\d* bracket-pair and [1-9]\d* "
                       r"near-Dyck samples, grammar index checked on [1-9]\d* "
-                      r"queries and [1-9]\d* stale states, apply route "
+                      r"queries, [1-9]\d* fresh with work queued and "
+                      r"[1-9]\d* stale ones restarted, and [1-9]\d* stale "
+                      r"states, apply route "
                       r"checked on [1-9]\d* queries, [1-9]\d* with seeds "
                       r"pending and [1-9]\d* fresh with work queued, "
                       r"[1-9]\d* stale queries restarted, [1-9]\d* solved "
