@@ -200,14 +200,11 @@ def main() -> int:
                 (rng.randrange(n), rng.randrange(n))
                 for _ in range(RANDOM_QUERIES)]
             for u, v in asked:
-                where = (f"MISMATCH sample {i} step {step} "
-                         f"({serialize_updates([op]).strip()}): "
-                         f"query({u}, {v})")
                 stale = live.stale and u != v
                 seeded = bool(live.seeds)
                 answer = live.query(u, v)
                 if answer != ((u, v) in expected):
-                    print(f"{where} vs grammar engine")
+                    print(f"{where}query({u}, {v}) vs grammar engine")
                     return 1
                 live_queries += 1
                 pending_queries += seeded
@@ -215,7 +212,8 @@ def main() -> int:
                 # stale rows only grow, so a set bit, set before the query
                 # or by its run of the pending seeds, must restart the solve
                 if stale and live.stale and live.rows[u] >> v & 1:
-                    print(f"{where}: a stale set bit left the index stale")
+                    print(f"{where}query({u}, {v}): a stale set bit left the "
+                          f"index stale")
                     return 1
                 restarts += stale and not live.stale
             if live.stale:
