@@ -16,42 +16,48 @@ against the grammar, so that answers are checked while its insertions'
 seeds are still pending, while a fresh query has stopped at its pair
 with the rest of the work still queued, and while it is stale.  A stale
 query on a set bit other than an identity pair restarts the solve, so
-an index still stale after a query must lack the queried bit.  If it is
-still stale after its queries, its rows, once the seeds and work its
-insertions left pending have run on a deep copy with every vertex
-demanded, must hold every pair the grammar derives; the index itself
-keeps that work for its next queries.  A fourth ``ReachIndex`` is first
-read only at a random step of the script: until then each update may
-only edit its edge tables (no rows, no seed, no stale mark), and its
-first query and ``pairs`` read, which solve the tables as they are then,
-are checked against the grammar.  A fifth ``ReachIndex`` is asked one
-pair per update, with a source outside its demand set when it has one,
-and is never read whole, so that its demand set stays partial across
-deletions; once that set holds every vertex, a new index on the instance
-takes its place.  The summary counts the queries answered while the
-index held seeds not yet run, the fresh queries answered with work still
-queued, the stale queries that restarted the solve, the fifth index's
-queries whose source was outside its demand set, on solved rows and on
-stale ones, and the first reads that came after a burst of updates with
-a deletion in it; the run fails if any of these is 0.  After every
-update the bitset indexes' edge tables and support masks are checked
-too, against the current edges: each table of ``edges`` must hold
-exactly the directed edges of its label (the ``dot`` table of a ``dyck``
-alphabet none), each ``closers[k]`` must be exactly the vertices with an
-outgoing closing edge of pair ``k``, and ``wide`` must hold every row
-with more than its identity bit; the demand set must hold each active
-row's bits and opening-edge targets, and an inactive row must be its
-identity bit.  The same script also
-drives a third index, the grammar engine's own ``GrammarIndex`` on the
-sample's bracket grammar: after every update it is asked the marked pair
-and random pairs, each answer checked against the from-scratch grammar
-engine and against the bitset index that ``resolve_after_update`` keeps.
-While it is stale, its pairs, once a deep copy has run the work its
-insertions queued, must hold every pair the from-scratch engine derives,
-and a stale query on a present pair other than an identity pair must
-restart its solve.  The summary also counts the grammar queries answered
-fresh with work still queued and the stale ones that restarted the
-solve; the run fails if either is 0.
+an index still stale after a query must lack the queried bit.  A query
+``(u, v)`` with ``u != v`` and no opening or ``dot`` edge out of ``u``,
+or no closing or ``dot`` edge into ``v``, is answered by the endpoint
+counts and may leave the index unread; a deletion of an edge the solve
+never read leaves a read index fresh, and the answers after it are
+checked like any other.  If it is still stale after its queries, its
+rows, once the seeds and work its insertions left pending have run on a
+deep copy with every vertex demanded, must hold every pair the grammar
+derives; the index itself keeps that work for its next queries.  A fourth
+``ReachIndex`` is first read only at a random step of the script: until
+then each update may only edit its edge tables (no rows, no seed, no
+stale mark), and its first query and ``pairs`` read, which solve the
+tables as they are then, are checked against the grammar.  A fifth
+``ReachIndex`` is asked one pair per update, with a source outside its
+demand set when it has one, and is never read whole, so that its demand
+set stays partial across deletions; once that set holds every vertex, a
+new index on the instance takes its place.  The summary counts the
+queries answered while the index held seeds not yet run, the fresh
+queries answered with work still queued, the stale queries that
+restarted the solve, the fifth index's queries whose source was outside
+its demand set, on solved rows and on stale ones, the queries answered
+by the endpoint counts, the deletions that left a read index fresh, and
+the first reads that came after a burst of updates with a deletion in
+it; the run fails if any of these is 0.  After every update the bitset
+indexes' edge tables and support masks are checked too, against the
+current edges: each table of ``edges`` must hold exactly the directed
+edges of its label (the ``dot`` table of a ``dyck`` alphabet none), each
+``closers[k]`` must be exactly the vertices with an outgoing closing
+edge of pair ``k``, and ``wide`` must hold every row with more than its
+identity bit; the demand set must hold each active row's bits and
+opening-edge targets, an inactive row must be its identity bit, and
+``outof`` and ``into`` must equal a recount of the edges.  The same
+script also drives a third index, the grammar engine's own
+``GrammarIndex`` on the sample's bracket grammar: after every update it
+is asked the marked pair and random pairs, each answer checked against
+the from-scratch grammar engine and against the bitset index that
+``resolve_after_update`` keeps.  While it is stale, its pairs, once a
+deep copy has run the work its insertions queued, must hold every pair
+the from-scratch engine derives, and a stale query on a present pair
+other than an identity pair must restart its solve.  The summary also
+counts the grammar queries answered fresh with work still queued and the
+stale ones that restarted the solve; the run fails if either is 0.
 
 Usage: python3 scripts/engine_fuzz.py [--samples N] [--seed S]
                                       [--max-vertices V] [--pairs P]
@@ -98,6 +104,7 @@ def main() -> int:
     grammar_stopped = grammar_restarts = 0
     live_queries = pending_queries = stopped_queries = late_reads = 0
     restarts = outside_solved = outside_stale = 0
+    endpoint_queries = fresh_deletions = 0
     oracle_checked = {"dyck": 0, "neardyck": 0}
     t0 = time.monotonic()
     for i in range(args.samples):
@@ -144,7 +151,9 @@ def main() -> int:
         for step, op in enumerate(random_script(rng, inst, ops=SCRIPT_OPS,
                                                 query_rate=0.0), start=1):
             index = resolve_after_update(index, inst, op)
+            read = live.rows is not None and not live.stale
             live.apply(op)
+            fresh_deletions += read and op.op == "del" and not live.stale
             gram.apply(op)
             inst = apply_update(inst, op)
             expected = solve_cfl(inst, grammar)["S"]
@@ -169,7 +178,9 @@ def main() -> int:
                           f"updates vs grammar engine")
                     return 1
                 late_reads += late_deleted
+            read = sparse.rows is not None and not sparse.stale
             sparse.apply(op)
+            fresh_deletions += read and op.op == "del" and not sparse.stale
             # a source outside the demand set, when there is one
             undemanded = [x for x in range(n) if sparse.rows is not None
                           and not sparse.demand >> x & 1]
@@ -186,7 +197,8 @@ def main() -> int:
             if undemanded:
                 outside_stale += was_stale and u != v
                 outside_solved += not was_stale
-            if sparse.demand == (1 << n) - 1:
+            # an endpoint "no" may leave the index unread
+            if sparse.rows is not None and sparse.demand == (1 << n) - 1:
                 sparse = solve_dyck(inst)
             for route, maintained in (("resolve_after_update", index),
                                       ("apply", live)):
@@ -200,15 +212,20 @@ def main() -> int:
                 (rng.randrange(n), rng.randrange(n))
                 for _ in range(RANDOM_QUERIES)]
             for u, v in asked:
-                stale = live.stale and u != v
+                endpoint = u != v and not (live.outof[u] and live.into[v])
+                # the endpoint counts answer before the rows are read
+                stale = live.stale and u != v and not endpoint
                 seeded = bool(live.seeds)
+                endpoint_queries += endpoint
                 answer = live.query(u, v)
                 if answer != ((u, v) in expected):
                     print(f"{where}query({u}, {v}) vs grammar engine")
                     return 1
                 live_queries += 1
                 pending_queries += seeded
-                stopped_queries += bool(not live.stale and live.work)
+                # an endpoint "no" may leave the index unread
+                stopped_queries += bool(live.rows is not None
+                                        and not live.stale and live.work)
                 # stale rows only grow, so a set bit, set before the query
                 # or by its run of the pending seeds, must restart the solve
                 if stale and live.stale and live.rows[u] >> v & 1:
@@ -279,8 +296,10 @@ def main() -> int:
           f"{live_queries} queries, {pending_queries} with seeds pending "
           f"and {stopped_queries} fresh with work queued, {restarts} stale "
           f"queries restarted, {outside_solved} solved and {outside_stale} "
-          f"stale queries from outside the demand set, {late_reads} first "
-          f"reads after deletions, {dt:.1f}s")
+          f"stale queries from outside the demand set, {endpoint_queries} "
+          f"answered by the endpoint counts, {fresh_deletions} deletions "
+          f"that left a read index fresh, {late_reads} first reads after "
+          f"deletions, {dt:.1f}s")
     if args.samples and not pending_queries:
         print("FAIL: no query was answered with seeds pending, so the "
               "deferred insertions went unchecked")
@@ -304,6 +323,14 @@ def main() -> int:
     if args.samples and not (outside_solved and outside_stale):
         print("FAIL: no query from outside the demand set met solved rows "
               "and stale ones both, so activation went unchecked")
+        return 1
+    if args.samples and not endpoint_queries:
+        print("FAIL: no query was answered by the endpoint counts, so "
+              "that shortcut went unchecked")
+        return 1
+    if args.samples and not fresh_deletions:
+        print("FAIL: no deletion left a read index fresh, so the "
+              "read-set staleness rule went unchecked")
         return 1
     if args.samples and not late_reads:
         print("FAIL: no first read came after a deletion, so the updates "

@@ -96,14 +96,15 @@ MUTANTS = (
            ("tests/test_saturate.py::"
             "test_support_masks_hold_under_mixed_scripts",)),
     Mutant("edge-table-drops-reverse-cell", SATURATE,
-           "        if undirected:\n            table[y] |= 1 << x\n", "",
+           "        if undirected and u != v:\n", "        if False:\n",
            ("tests/test_saturate.py::"
             "test_edge_tables_match_the_label_by_label_build",
             "tests/test_saturate.py::"
             "test_support_masks_hold_under_mixed_scripts")),
     Mutant("dot-edge-sets-a-closer", SATURATE,
-           "        if s > 0 and s & 1:\n            closers[s >> 1] |=",
-           "        if s & 1:\n            closers[s >> 1] |=",
+           "            if s > 0:\n                closers[s >> 1] |= 1 << u\n"
+           "            else:\n",
+           "            closers[s >> 1] |= 1 << u\n            if s < 0:\n",
            ("tests/test_saturate.py::"
             "test_edge_tables_match_the_label_by_label_build",
             "tests/test_saturate.py::"
@@ -148,10 +149,8 @@ MUTANTS = (
             "tests/test_saturate.py::"
             "test_maintained_index_matches_the_grammar_engine")),
     Mutant("deletion-left-fresh", SATURATE,
-           "        if self.rows is not None:\n"
-           "            self.stale = True\n",
-           "        if self.rows is not None:\n"
-           "            pass\n",
+           "            self.stale = bool(",
+           "            self.stale = False and bool(",
            ("tests/test_saturate.py::"
             "test_a_deletion_that_fired_nothing_leaves_a_stale_index_stale",)),
     Mutant("stale-yes-keeps-stale-rows", SATURATE,
@@ -225,9 +224,13 @@ MUTANTS = (
            "        if rows is None or not rows[u] >> v & 1:\n",
            ("tests/test_saturate.py::test_a_fresh_query_stops_at_its_pair",)),
     Mutant("opening-seed-leaves-its-target-undemanded", SATURATE,
-           "            self.demand |= 1 << x\n", "",
+           "            self.demand |= 1 << x\n"
+           "            closing = self.edges[s + 1]\n",
+           "            closing = self.edges[s + 1]\n",
            ("tests/test_saturate.py::"
-            "test_the_demand_set_holds_after_every_step",)),
+            "test_the_demand_set_holds_after_every_step",
+            "tests/test_saturate.py::"
+            "test_an_opening_seed_demands_its_target")),
     Mutant("activation-skips-dot-edges", SATURATE,
            "        reach = edges[-1][a] if edges[-1] else 0\n",
            "        reach = 0\n",
@@ -265,6 +268,45 @@ MUTANTS = (
            "            self._seed(s, x, y)\n",
            ("tests/test_saturate.py::"
             "test_an_edge_deleted_before_any_read_is_never_seeded",)),
+    Mutant("closing-deletion-checks-active", SATURATE,
+           "read = self.demand if s > 0 and s & 1 else self.active",
+           "read = self.active",
+           ("tests/test_saturate.py::test_deleting_a_closing_edge_out_of_a_"
+            "demanded_vertex_marks_it_stale",)),
+    Mutant("closing-seed-leaves-its-tail-undemanded", SATURATE,
+           "            if srcs:\n                # the pairs derived below",
+           "            if False:\n                # the pairs derived below",
+           ("tests/test_saturate.py::"
+            "test_a_closing_seed_demands_the_tail_it_reads",)),
+    Mutant("endpoint-count-skips-dot", SATURATE,
+           "            else:\n                outof[u] += 1\n        else:\n",
+           "        else:\n",
+           ("tests/test_saturate.py::"
+            "test_edge_tables_match_the_label_by_label_build",
+            "tests/test_saturate.py::"
+            "test_maintained_near_dyck_index_matches_the_grammar_engine")),
+    Mutant("undirected-count-one-end", SATURATE,
+           "                into[u] += 1\n", "",
+           ("tests/test_saturate.py::"
+            "test_an_undirected_edge_counts_at_both_ends",
+            "tests/test_saturate.py::"
+            "test_edge_tables_match_the_label_by_label_build")),
+    Mutant("copy-shares-endpoint-counts", SATURATE,
+           "other.outof, other.into = list(self.outof), list(self.into)",
+           "other.outof, other.into = self.outof, self.into",
+           ("tests/test_saturate.py::"
+            "test_support_masks_hold_under_mixed_scripts",)),
+    Mutant("endpoint-check-before-range-check", SATURATE,
+           "        if not (0 <= u < n and 0 <= v < n):\n"
+           "            return False\n"
+           "        if u != v and not (self.outof[u] and self.into[v]):\n"
+           "            return False\n",
+           "        if u != v and not (self.outof[u] and self.into[v]):\n"
+           "            return False\n"
+           "        if not (0 <= u < n and 0 <= v < n):\n"
+           "            return False\n",
+           ("tests/test_saturate.py::"
+            "test_an_out_of_range_query_runs_nothing",)),
     Mutant("duplicate-insertion-accepted", SATURATE,
            '== (op.op == "del")', '>= (op.op == "del")',
            ("tests/test_saturate.py::"

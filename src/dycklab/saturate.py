@@ -68,6 +68,14 @@ whose outer vertex is inactive derives nothing, since that vertex's
 activation reads today's tables.  So an inactive row stays its identity
 bit.
 
+Two per-vertex counts answer many "no"s with no solve at all:
+``outof[u]`` counts the opening and ``dot`` edges leaving ``u``, and
+``into[v]`` the closing and ``dot`` edges entering ``v`` (an undirected
+edge counts at both ends, a self-loop once).  A non-empty balanced word
+starts with an opening or ``dot`` letter and ends with a closing or
+``dot`` one, so a query ``(u, v)`` with ``u != v`` and either count 0 is
+"no" whatever state the index is in, and leaves that state as it was.
+
 ``GrammarIndex`` is an independent engine over grammars in binary normal
 form and must agree with ``solve_dyck`` on either alphabet's
 ``bracket_grammar``.  It shares no code with ``ReachIndex`` but keeps the
@@ -86,17 +94,26 @@ Either index lives in three states:
   while its pair is absent, leaving the rest queued.  A ``ReachIndex``
   skips a seed whose edge was deleted since and runs its activations
   the same way.
-* Stale: a deletion marks a read index stale, keeping its pairs and
-  queued work.  Every rule fires under today's edges and no pair is
-  dropped, so once that work has run, and a ``ReachIndex``'s demand set
-  is closed, the pairs are a superset of the closure: the fixpoint is
-  monotone in the edges.  So a stale index answers "no" when the queried
-  pair is absent after that run (a ``ReachIndex`` first adds an inactive
-  source to its demand set), and "yes" at once for an identity pair when
-  the empty word derives, as it does in the bracket grammar.  Any other
-  present pair drops the pairs and restarts the solve in place, through
-  the first read, which the query stops at its pair; a ``pairs`` read
-  restarts and runs to the end.  Either leaves the index solved.  After
+* Stale: a deletion marks a read ``GrammarIndex`` stale.  A read
+  ``ReachIndex`` goes stale only on a deletion its solve may have read:
+  an opening or ``dot`` edge out of an active vertex, or a closing edge
+  out of a demanded one (a closing seed that derives a pair demands the
+  edge's tail).  The rules read edges nowhere else, and both sets only
+  grow until a from-scratch solve, so any other deletion removes an
+  edge no pair was derived from, and the index stays solved and exact:
+  an update costs only what it can affect (Ramalingam & Reps, "On the
+  computational complexity of dynamic graph problems", TCS 1996).  A
+  stale index keeps its pairs and queued work.  Every rule fires under
+  today's edges and no pair is dropped, so once that work has run, and
+  a ``ReachIndex``'s demand set is closed, the pairs are a superset of
+  the closure: the fixpoint is monotone in the edges.  So a stale index
+  answers "no" when the queried pair is absent after that run (a
+  ``ReachIndex`` first adds an inactive source to its demand set), and
+  "yes" at once for an identity pair when the empty word derives, as it
+  does in the bracket grammar.  Any other present pair drops the pairs
+  and restarts the solve in place, through the first read, which the
+  query stops at its pair; a ``pairs`` read restarts and runs to the
+  end.  Either leaves the index solved.  After
   a restarted "yes", a pair the restarted solve lacks runs it to its
   end, where the stale pairs might have answered "no" at once.
 
@@ -147,8 +164,10 @@ def _edge_tables(inst: Instance):
     """Per slot (``graphs.label_slots``), the edge table of the graph's
     directed view, laid out as ``ReachIndex`` keeps it; per pair, the
     ``closers`` mask and the ``forward`` table of its opening edges'
-    targets by source.  One pass over the stored edges writes both cells
-    of an undirected one."""
+    targets by source; per vertex, the ``outof`` count of its opening and
+    ``dot`` out-edges and the ``into`` count of its closing and ``dot``
+    in-edges.  One pass over the stored edges writes both cells of an
+    undirected one, and counts it at both ends (a self-loop once)."""
     graph = inst.graph
     n, size, undirected = (graph.vertex_count, graph.alphabet.size,
                            not graph.directed)
@@ -157,26 +176,38 @@ def _edge_tables(inst: Instance):
     edges.append([0] * n if graph.alphabet.kind == "neardyck" else [])
     closers = [0] * size
     forward = [[0] * n for _ in range(size)]
+    outof, into = [0] * n, [0] * n
     for u, lab, v in graph.edges:
         s = slots[lab]
-        # bit y of row x: an opening label's table (an even slot's) holds
-        # sources by target, a closing label's and dot's (-1 & 1 is 1)
-        # targets by source
-        if s & 1:
-            x, y = u, v
-        else:
-            x, y = v, u
-            targets = forward[s >> 1]
-            targets[y] |= 1 << x
-            if undirected:
-                targets[x] |= 1 << y
         table = edges[s]
-        table[x] |= 1 << y
-        if undirected:
-            table[y] |= 1 << x
-        if s > 0 and s & 1:
-            closers[s >> 1] |= 1 << x | 1 << y if undirected else 1 << x
-    return edges, closers, forward
+        # an opening label's table (an even slot's) holds sources by
+        # target, a closing label's and dot's (-1 & 1 is 1) targets by
+        # source
+        if s & 1:
+            table[u] |= 1 << v
+            into[v] += 1
+            if s > 0:
+                closers[s >> 1] |= 1 << u
+            else:
+                outof[u] += 1
+        else:
+            table[v] |= 1 << u
+            forward[s >> 1][u] |= 1 << v
+            outof[u] += 1
+        if undirected and u != v:
+            # the edge also runs from v to u
+            if s & 1:
+                table[v] |= 1 << u
+                into[u] += 1
+                if s > 0:
+                    closers[s >> 1] |= 1 << v
+                else:
+                    outof[v] += 1
+            else:
+                table[u] |= 1 << v
+                forward[s >> 1][v] |= 1 << u
+                outof[v] += 1
+    return edges, closers, forward, outof, into
 
 
 class ReachIndex:
@@ -224,7 +255,8 @@ class ReachIndex:
     def __init__(self, inst: Instance):
         self._inst, self._ops = inst, []
         self._slots = label_slots(inst.graph.alphabet)
-        self.edges, self.closers, self.forward = _edge_tables(inst)
+        (self.edges, self.closers, self.forward, self.outof,
+         self.into) = _edge_tables(inst)
         self.stale, self.rows, self.seeds = False, None, []
 
     def _start(self):
@@ -285,6 +317,7 @@ class ReachIndex:
         other.edges = [list(table) for table in self.edges]
         other.closers = list(self.closers)
         other.forward = [list(table) for table in self.forward]
+        other.outof, other.into = list(self.outof), list(self.into)
         other.pending, other.work, other.seeds = [0] * len(self.rows), [], []
         return other
 
@@ -294,7 +327,12 @@ class ReachIndex:
         insertion sets the edge's bits and, once the index has rows,
         queues its cells as seeds, stale or not, leaving the rules to a
         read.  A deletion clears them and, once the index has rows, marks
-        the index stale."""
+        the index stale if the solve may have read the edge: an opening or
+        ``dot`` edge out of an active vertex, or a closing edge out of a
+        demanded one (out of either end of an undirected edge).  The rules
+        read edges nowhere else, and both sets only grow until ``_start``,
+        so any other deletion leaves the index exact.  Either way the
+        edge's ends update ``outof`` and ``into``."""
         if op.op == "query":
             return
         u, v = op.u, op.v
@@ -311,8 +349,19 @@ class ReachIndex:
             raise AssertionError(f"the edge tables accept {op!r}")
         self._ops.append(op)
         table = self.edges[s]
-        cells = ([(x, y)] if self._inst.graph.directed or u == v
-                 else [(x, y), (y, x)])
+        directed = self._inst.graph.directed
+        cells = [(x, y)] if directed or u == v else [(x, y), (y, x)]
+        # a closing or dot edge enters v, an opening or dot one leaves u,
+        # and an undirected one also runs from v to u
+        step = 1 if op.op == "ins" else -1
+        if s & 1:
+            self.into[v] += step
+            if len(cells) == 2:
+                self.into[u] += step
+        if s < 0 or not s & 1:
+            self.outof[u] += step
+            if len(cells) == 2:
+                self.outof[v] += step
         # an opening edge is also bit x of row y of its pair's forward
         # table, and a closing one may change its pair's closers
         if op.op == "ins":
@@ -334,8 +383,12 @@ class ReachIndex:
             elif s > 0 and not table[x]:
                 # x's last closing edge of this pair is gone
                 self.closers[s >> 1] &= ~(1 << x)
-        if self.rows is not None:
-            self.stale = True
+        if self.rows is not None and not self.stale:
+            # the rules read an edge out of its source u, or out of either
+            # end of an undirected edge
+            read = self.demand if s > 0 and s & 1 else self.active
+            self.stale = bool(read >> u & 1 or not directed
+                              and read >> v & 1)
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
@@ -349,12 +402,17 @@ class ReachIndex:
 
     def query(self, u: int, v: int) -> bool:
         """Whether ``(u, v)`` is in the closed set; a pair outside the
-        vertex range is not, and runs nothing.  ``u`` joins the demand
-        set, and the pending seeds, work and activations run only until
-        the bit appears; a stale set bit other than an identity pair
-        restarts the solve (see the module docstring)."""
+        vertex range is not, and runs nothing.  Nor does a pair ``u != v``
+        with no opening or ``dot`` edge out of ``u`` or no closing or
+        ``dot`` edge into ``v``: a non-empty balanced word starts and ends
+        with such letters.  Otherwise ``u`` joins the demand set, and the
+        pending seeds, work and activations run only until the bit
+        appears; a stale set bit other than an identity pair restarts the
+        solve (see the module docstring)."""
         n = self._inst.graph.vertex_count
         if not (0 <= u < n and 0 <= v < n):
+            return False
+        if u != v and not (self.outof[u] and self.into[v]):
             return False
         rows = self.rows
         if rows is None or not rows[u] >> v & 1:
@@ -441,6 +499,11 @@ class ReachIndex:
                 ends ^= low
             # a source in cols[y] already holds y
             srcs &= active & ~self.cols[y]
+            if srcs:
+                # the pairs derived below read the edge, so its deletion
+                # must mark the index stale: x may be an opening target
+                # whose seed is still queued
+                self.demand |= 1 << x
             bit = 1 << y
             while srcs:
                 low = srcs & -srcs

@@ -78,14 +78,22 @@ class MaintainedIndexes(RuleBasedStateMachine):
             self.models[engine] = model_pairs(engine, self.inst)
         return self.models[engine]
 
+    def _apply(self, op):
+        """Apply ``op`` to every index and the instance."""
+        dyck = self.indexes["dyck"]
+        read = dyck.rows is not None and not dyck.stale
+        for index in self.indexes.values():
+            index.apply(op)
+        self.inst = apply_update(self.inst, op)
+        if read and op.op == "del" and not dyck.stale:
+            event("deletion left a read index fresh")
+
     def _update(self, op, data):
         """Apply ``op`` everywhere, then ask each stale index a pair it
         holds, so that the next update often lands on a solve the query
         restarted and stopped at its pair (an identity pair restarts
         nothing)."""
-        for index in self.indexes.values():
-            index.apply(op)
-        self.inst = apply_update(self.inst, op)
+        self._apply(op)
         self.models = {}
         self.query_a_held_pair(data)
 
@@ -140,10 +148,7 @@ class MaintainedIndexes(RuleBasedStateMachine):
         if dyck.stale and dyck.seeds:
             event("burst on stale rows with seeds pending")
         for _ in range(size):
-            op = self._insertion_or_deletion(data)
-            for index in self.indexes.values():
-                index.apply(op)
-            self.inst = apply_update(self.inst, op)
+            self._apply(self._insertion_or_deletion(data))
         self.models = {}
         self.query_a_held_pair(data)
         self.query(data)
@@ -182,6 +187,10 @@ class MaintainedIndexes(RuleBasedStateMachine):
         n = self.inst.graph.vertex_count
         u = data.draw(st.integers(min_value=-1, max_value=n))
         v = data.draw(st.integers(min_value=-1, max_value=n))
+        dyck = self.indexes["dyck"]
+        if (u != v and 0 <= u < n and 0 <= v < n
+                and not (dyck.outof[u] and dyck.into[v])):
+            event("query answered by endpoint counts")
         for engine, index in self.indexes.items():
             index.apply(UpdateOp.query())
             assert index.query(u, v) == ((u, v) in self.expected(engine)), \

@@ -23,6 +23,7 @@ from util import (fig2_source, gap_chain_instance, mask_faults,
 
 L1, L1BAR = Label("l", 1, False), Label("l", 1, True)
 L2, L2BAR = Label("l", 2, False), Label("l", 2, True)
+V0, V0BAR = Label("v", 0, False), Label("v", 0, True)
 V1, V1BAR = Label("v", 1, False), Label("v", 1, True)
 
 
@@ -418,9 +419,10 @@ def test_a_fresh_query_stops_at_its_pair():
     assert read.pairs == expected
     other = copied.copy()
     assert not copied.work and other.pairs == copied.pairs == expected
-    # an absent bit runs the queued work, which sets it
+    # an absent bit runs the queued work, which sets it; a "no" whose
+    # sink has a closing edge into it runs the work to its end
     assert queried.query(0, 4) and (0, 4) in expected
-    assert not queried.query(4, 0) and not queried.work
+    assert not queried.query(1, 4) and not queried.work
     assert queried.pairs == expected
 
 
@@ -504,11 +506,12 @@ def test_a_query_on_a_set_bit_runs_no_seed(monkeypatch):
     assert idx.stale and len(idx.seeds) == 3 and idx.rows[0] >> 2 & 1
     assert idx.query(0, 2) and (0, 2) in expected
     assert seeded == [] and not idx.stale and not idx.seeds
-    # an absent bit runs the seeds, here on stale rows again
-    expected = step(UpdateOp.delete(3, L2BAR, 4), UpdateOp.ins(3, L2BAR, 4))
+    # an absent bit runs the seeds, here on stale rows again: the
+    # restarted solve stopped at (0, 2) has read (1, l1bar, 2)
+    expected = step(UpdateOp.delete(1, L1BAR, 2), UpdateOp.ins(1, L1BAR, 2))
     assert idx.stale and idx.seeds and not idx.rows[4] >> 2 & 1
     assert not idx.query(4, 2) and (4, 2) not in expected
-    assert seeded == [(3, 3, 4)] and not idx.seeds  # l2bar is slot 3
+    assert seeded == [(1, 1, 2)] and not idx.seeds  # l1bar is slot 1
     assert idx.pairs == expected
 
 
@@ -533,9 +536,11 @@ def test_an_edge_deleted_before_any_read_is_never_seeded(monkeypatch):
 
 def test_deletions_before_a_query_cost_one_resolve(monkeypatch):
     started = _count_starts(monkeypatch)
+    # the script keeps a closing edge into the sink 4, so that its
+    # queries are not answered by the endpoint counts alone
     inst = chain([L1, L1BAR, L2, L2BAR])
     script = [UpdateOp.delete(0, L1, 1), UpdateOp.delete(2, L2, 3),
-              UpdateOp.ins(0, L1, 1), UpdateOp.delete(3, L2BAR, 4),
+              UpdateOp.ins(0, L1, 1), UpdateOp.delete(1, L1BAR, 2),
               UpdateOp.ins(2, L2, 3), UpdateOp.query(), UpdateOp.query()]
     final = inst
     for op in script[:5]:
@@ -554,7 +559,7 @@ def test_deletions_before_a_query_cost_one_resolve(monkeypatch):
     assert not idx.query(0, 4)
     assert started == [final, inst, final] and not idx.stale
     assert idx.pairs == solve_cfl(final, dyck_grammar(2))["S"]
-    assert idx.query(0, 2) and not idx.query(2, 4)
+    assert idx.query(2, 4) and not idx.query(0, 4)
     assert len(started) == 3
 
 
@@ -659,7 +664,9 @@ def test_support_masks_hold_under_mixed_scripts(seed, near, directed):
         live.apply(op)
         inst = apply_update(inst, op)
         assert mask_faults(live) == [], (step, op)
-        assert mask_faults(live.copy()) == [], (step, op)
+        other = live.copy()
+        assert mask_faults(other) == [], (step, op)
+        assert other.outof is not live.outof and other.into is not live.into
         if step % 3 == 2:
             assert live.pairs == solve_dyck(inst).pairs
             assert not live.stale
@@ -785,12 +792,16 @@ def test_a_query_closes_only_what_its_source_needs():
     # 0 needs the rows of its opening target 1 and of the bit 2 only
     assert idx.demand == 0b111 and idx.active == 0b001
     assert idx.rows[3:] == [1 << x for x in range(3, 7)]
-    op = UpdateOp.delete(3, L2, 4)
-    idx.apply(op)
-    inst = apply_update(inst, op)
+    # the solve never read (3, l2, 4), so its deletion leaves the index
+    # exact; it read (0, l1, 1), whose deletion marks the index stale
+    for op, stale in ((UpdateOp.delete(3, L2, 4), False),
+                      (UpdateOp.delete(0, L1, 1), True)):
+        idx.apply(op)
+        inst = apply_update(inst, op)
+        assert idx.stale == stale, op
     # 3's identity row lacks 5, yet 3 still reaches 5 through 6: the stale
     # query adds 3 to the demand set before it reads the bit
-    assert idx.stale and idx.query(3, 5)
+    assert idx.query(3, 5)
     assert idx.demand >> 3 & 1 and not idx.stale
     assert mask_faults(idx) == []
     _answers_exactly(idx, inst)
@@ -802,14 +813,15 @@ def test_a_stale_no_costs_no_resolve(monkeypatch):
     started = _count_starts(monkeypatch)
     idx.apply(UpdateOp.delete(1, L1BAR, 2))
     assert idx.stale
-    idx.apply(UpdateOp.ins(4, L2, 0))  # lands on the stale rows
+    # lands on the stale rows, and gives the sink 0 a closing edge
+    idx.apply(UpdateOp.ins(4, L2BAR, 0))
     # (2, 0) was never derivable: its bit is absent, so "no" is exact
     assert not idx.query(2, 0)
     assert idx.stale
     assert started == []
-    # (0, 2) was derivable before the deletion: its stale bit is set, and
+    # (0, 4) was derivable before the deletion: its stale bit is set, and
     # the answer needs the one solve, run to its end
-    assert not idx.query(0, 2)
+    assert not idx.query(0, 4)
     assert len(started) == 1
     assert not idx.stale and not idx.work
     assert idx.query(2, 4) and not idx.query(0, 4)
@@ -829,6 +841,136 @@ def _answers_exactly(idx, inst, *ops):
     assert all(idx.query(u, v) == ((u, v) in expected)
                for u in range(n) for v in range(n))
     assert idx.pairs == expected
+
+
+def test_an_endpoint_no_runs_no_solve(monkeypatch):
+    started = _count_starts(monkeypatch)
+    # 0 -l1-> 1 -l2-> 2 -l2bar-> 3: no closing edge enters 4, and no
+    # opening edge leaves 3
+    edges = [(0, L1, 1), (1, L2, 2), (2, L2BAR, 3)]
+    inst = Instance(LabeledGraph.build(True, 5, Alphabet("dyck", 2), edges),
+                    0, 4)
+    idx = solve_dyck(inst)
+    assert not idx.query(0, 4) and not idx.query(3, 2)
+    assert idx.rows is None and started == []
+    # a solve stopped at its pair keeps its work, and stale rows stay so
+    assert idx.query(1, 3) and idx.work and len(started) == 1
+    for op in (None, UpdateOp.delete(1, L2, 2), UpdateOp.ins(1, L2, 2)):
+        if op:
+            idx.apply(op)
+            inst = apply_update(inst, op)
+        state = (idx.stale, list(idx.rows), list(idx.work), list(idx.seeds))
+        assert not idx.query(0, 4) and not idx.query(3, 2)
+        assert (idx.stale, idx.rows, idx.work, idx.seeds) == state, op
+    assert idx.stale and len(started) == 1
+    # once (3, l1bar, 4) arrives, 0 reaches 4, and the index answers exactly
+    op = UpdateOp.ins(3, L1BAR, 4)
+    idx.apply(op)
+    inst = apply_update(inst, op)
+    assert idx.query(0, 4)
+    _answers_exactly(idx, inst)
+
+
+@pytest.mark.parametrize("edge", [(3, V1, 4), (3, DOT, 5), (4, V1BAR, 5)],
+                         ids=["opening", "dot", "closing"])
+def test_deleting_an_edge_the_solve_never_read_leaves_it_fresh(monkeypatch,
+                                                               edge):
+    # 0 -v0-> 1 -v0bar-> 2, beside 3 -v1-> 4 -v1bar-> 5 and 3 -dot-> 5:
+    # the query (0, 2) activates 0 alone and demands 0, 1 and 2, so its
+    # solve reads no edge out of 3 or 4
+    edges = [(0, V0, 1), (1, V0BAR, 2), (3, V1, 4), (4, V1BAR, 5),
+             (3, DOT, 5)]
+    inst = Instance(LabeledGraph.build(True, 6, Alphabet("neardyck", 6),
+                                       edges), 0, 2)
+    idx = solve_dyck(inst)
+    assert idx.query(0, 2) and idx.active == 0b1 and idx.demand == 0b111
+    started = _count_starts(monkeypatch)
+    op = UpdateOp.delete(*edge)
+    idx.apply(op)
+    inst = apply_update(inst, op)
+    assert not idx.stale and mask_faults(idx) == []
+    _answers_exactly(idx, inst)
+    assert started == []
+
+
+def test_deleting_a_closing_edge_out_of_a_demanded_vertex_marks_it_stale():
+    # 0 -l1-> 1 -l1bar-> 2 beside 3 -l1bar-> 2: the query (0, 2) activates
+    # 0 alone, and joins its opening edge with (1, l1bar, 2) out of the
+    # demanded, inactive 1; it never reads the closing edge out of 3
+    edges = [(0, L1, 1), (1, L1BAR, 2), (3, L1BAR, 2)]
+    inst = Instance(LabeledGraph.build(True, 4, Alphabet("dyck", 1), edges),
+                    0, 2)
+    idx = solve_dyck(inst)
+    assert idx.query(0, 2) and idx.active == 0b1 and idx.demand == 0b111
+    op = UpdateOp.delete(3, L1BAR, 2)
+    idx.apply(op)
+    inst = apply_update(inst, op)
+    assert not idx.stale
+    _answers_exactly(idx, inst, UpdateOp.delete(1, L1BAR, 2))
+
+
+def test_an_opening_seed_demands_its_target():
+    # 0 -l1-> 1 -l1bar-> 2, read through the query (0, 2), beside
+    # 3 -l2-> 5 -l2bar-> 6 -l1bar-> 4; then (0, l1, 3) arrives as a seed.
+    # (0, 4) needs row 3 closed, so the seed must demand 3
+    edges = [(0, L1, 1), (1, L1BAR, 2), (3, L2, 5), (5, L2BAR, 6),
+             (6, L1BAR, 4)]
+    inst = Instance(LabeledGraph.build(True, 7, Alphabet("dyck", 2), edges),
+                    0, 4)
+    idx = solve_dyck(inst)
+    assert idx.query(0, 2) and not idx.demand >> 3 & 1
+    op = UpdateOp.ins(0, L1, 3)
+    idx.apply(op)
+    inst = apply_update(inst, op)
+    assert idx.query(0, 4) and idx.demand >> 3 & 1
+    assert mask_faults(idx) == []
+    _answers_exactly(idx, inst)
+
+
+def test_a_closing_seed_demands_the_tail_it_reads():
+    # 0 -l1-> 1 -l1bar-> 2 -l1bar-> 4, read through the query (0, 2); then
+    # (0, l1, 3) and (3, l1bar, 4) arrive as seeds.  The query (0, 4)
+    # runs the closing seed first and stops at the pair it derives, with
+    # the opening seed, which would demand 3, still queued
+    edges = [(0, L1, 1), (1, L1BAR, 2), (2, L1BAR, 4)]
+    inst = Instance(LabeledGraph.build(True, 5, Alphabet("dyck", 1), edges),
+                    0, 4)
+    idx = solve_dyck(inst)
+    assert idx.query(0, 2) and not idx.demand >> 3 & 1
+    for op in (UpdateOp.ins(0, L1, 3), UpdateOp.ins(3, L1BAR, 4)):
+        idx.apply(op)
+        inst = apply_update(inst, op)
+    assert idx.query(0, 4) and idx.seeds == [(0, 3, 0)]
+    # so the deletion of (3, l1bar, 4), which the derivation read, stales
+    _answers_exactly(idx, inst, UpdateOp.delete(3, L1BAR, 4))
+
+
+def test_an_undirected_edge_counts_at_both_ends():
+    alph = Alphabet("dyck", 1)
+    # 2 -l1-> 1 -l1bar-> 0 runs both edges against the way they are
+    # stored, (1, l1, 2) and (0, l1bar, 1), so (2, 0) needs the counts at
+    # the end each edge stores second; the self-loop 2 -l1-> 2 counts once
+    edges = [(1, L1, 2), (0, L1BAR, 1), (2, L1, 2)]
+    inst = Instance(LabeledGraph.build(False, 3, alph, edges), 2, 0)
+    built = solve_dyck(inst)
+    inserted = solve_dyck(Instance(LabeledGraph.build(False, 3, alph, []),
+                                   2, 0))
+    for u, lab, v in edges:
+        inserted.apply(UpdateOp.ins(v, lab, u))
+    for idx in (built, inserted):
+        assert mask_faults(idx, inst) == []
+        assert idx.outof == [0, 1, 2] and idx.into == [1, 1, 0]
+        assert idx.query(2, 0)
+        _answers_exactly(idx, inst)
+        # each deletion takes its edge off both ends, a self-loop's once
+        after = inst
+        for u, lab, v in edges:
+            op = UpdateOp.delete(u, lab, v)
+            idx.apply(op)
+            after = apply_update(after, op)
+            assert mask_faults(idx, after) == [], op
+        assert idx.outof == idx.into == [0, 0, 0]
+        assert not idx.query(2, 0)
 
 
 def _one_pair(directed, edges):
@@ -913,8 +1055,8 @@ def test_a_partial_solve_survives_an_insertion(monkeypatch):
     expected = solve_cfl(inst, dyck_grammar(2))["S"]
     assert idx.seeds and (4, 3) in expected
     assert idx.query(4, 3)
-    # (0, 2) lost its witness: the "no" runs the solve to its end
-    assert not idx.query(0, 2)
+    # (0, 4) lost its witness: the "no" runs the solve to its end
+    assert not idx.query(0, 4)
     assert len(started) == 1 and not idx.work and not idx.seeds
     assert idx.inst == inst and mask_faults(idx) == []
     assert idx.pairs == expected

@@ -18,9 +18,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # apply route must have answered queries with seeds pending and fresh
 # ones with work queued, a stale query must have restarted the solve,
 # queries must have met a source outside the demand set on solved rows
-# and on stale ones, and an index must have been first read after a
-# deletion; the mutants run
-# must have killed all five of its mutants
+# and on stale ones, queries must have been answered by the endpoint
+# counts, deletions must have left a read index fresh, and an index
+# must have been first read after a deletion; the mutants run must have
+# killed all five of its mutants
 SUMMARIES = {
     "engine_fuzz.py": r"oracle checked [1-9]\d* bracket-pair and [1-9]\d* "
                       r"near-Dyck samples, grammar index checked on [1-9]\d* "
@@ -31,7 +32,9 @@ SUMMARIES = {
                       r"pending and [1-9]\d* fresh with work queued, "
                       r"[1-9]\d* stale queries restarted, [1-9]\d* solved "
                       r"and [1-9]\d* stale queries from outside the demand "
-                      r"set, [1-9]\d* first reads after deletions",
+                      r"set, [1-9]\d* answered by the endpoint counts, "
+                      r"[1-9]\d* deletions that left a read index fresh, "
+                      r"[1-9]\d* first reads after deletions",
     "mutants.py": r"5 mutants, 5 killed, 0 survived",
 }
 

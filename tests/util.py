@@ -95,22 +95,28 @@ def random_script(rng: random.Random, inst: Instance, ops: int = 30,
 
 
 def reference_edge_tables(inst):
-    """The edge tables, ``closers`` masks and forward opening tables of a
-    ``ReachIndex``, built label by label: every directed edge's slot
-    computed from its label, an opening label's edge kept as a source by
-    target and any other as a target by source, then a second pass for
-    each pair's vertices with an outgoing closing edge.  ``edges`` holds
-    one table per label slot (``2j`` for the ``j``-th opening label,
-    counted from 0, one more for its partner) and one last table for
-    ``dot``, empty for a ``dyck`` alphabet; ``forward[j]`` holds the
-    ``j``-th opening label's edges as targets by source."""
+    """The edge tables, ``closers`` masks, forward opening tables and
+    endpoint counts of a ``ReachIndex``, built label by label: every
+    directed edge's slot computed from its label, an opening label's edge
+    kept as a source by target and any other as a target by source, then
+    a second pass for each pair's vertices with an outgoing closing edge.
+    ``edges`` holds one table per label slot (``2j`` for the ``j``-th
+    opening label, counted from 0, one more for its partner) and one last
+    table for ``dot``, empty for a ``dyck`` alphabet; ``forward[j]`` holds
+    the ``j``-th opening label's edges as targets by source.  ``outof[u]``
+    counts the directed edges out of ``u`` with an opening or ``dot``
+    label, and ``into[v]`` those into ``v`` with a closing or ``dot`` one,
+    so an undirected edge counts at both ends and a self-loop once."""
     graph = inst.graph
     n = graph.vertex_count
     first = {"l": 1, "v": 0}
     edges = [[0] * n for _ in range(2 * graph.alphabet.size)]
     edges.append([0] * n if graph.alphabet.kind == "neardyck" else [])
     forward = [[0] * n for _ in range(graph.alphabet.size)]
+    outof, into = [0] * n, [0] * n
     for u, lab, v in graph.directed_edges():
+        outof[u] += lab == DOT or not lab.bar
+        into[v] += lab == DOT or lab.bar
         if lab == DOT:
             edges[-1][u] |= 1 << v
             continue
@@ -122,25 +128,28 @@ def reference_edge_tables(inst):
             forward[s // 2][u] |= 1 << v
     closers = [sum(1 << w for w, targets in enumerate(closing) if targets)
                for closing in edges[1::2]]
-    return edges, closers, forward
+    return edges, closers, forward, outof, into
 
 
 def mask_faults(index, inst=None) -> list[str]:
-    """How a ``ReachIndex``'s edge tables, support masks and demand set
-    fail their invariants, read against the edges of ``inst`` (the index's
-    own instance by default) and against its rows.  ``edges``, ``closers``
-    and ``forward`` must be exactly ``reference_edge_tables``'s: each
-    table holds exactly the directed edges of its label, ``closers[k]``
-    exactly the vertices with an outgoing closing edge of pair ``k``
-    (counted from 0), and ``forward[k]`` exactly the opening edges of
-    pair ``k``; and ``wide`` must hold every vertex whose row has more
+    """How a ``ReachIndex``'s edge tables, support masks, endpoint counts
+    and demand set fail their invariants, read against the edges of
+    ``inst`` (the index's own instance by default) and against its rows.
+    ``edges``, ``closers``, ``forward``, ``outof`` and ``into`` must be
+    exactly ``reference_edge_tables``'s: each table holds exactly the
+    directed edges of its label, ``closers[k]`` exactly the vertices with
+    an outgoing closing edge of pair ``k`` (counted from 0), ``forward[k]``
+    exactly the opening edges of pair ``k``, and the counts are recounted
+    from the directed edges, ``dot`` edges and both ends of undirected
+    ones included; and ``wide`` must hold every vertex whose row has more
     than its identity bit.  Every active vertex is in the demand set, and
     so are the bits of its row and the targets of its opening edges, bar
     an edge whose seed is still queued; an inactive vertex's row is its
     identity bit, and a column holds no inactive source but its own
     vertex.  An index not yet read has no rows (``rows`` is None), so
     only its tables and masks are checked.  Empty when all hold."""
-    edges, support, forward = reference_edge_tables(inst or index.inst)
+    edges, support, forward, outof, into = reference_edge_tables(
+        inst or index.inst)
     faults = []
     if len(index.edges) != len(edges):
         faults.append(f"edges has {len(index.edges)} tables, not "
@@ -157,6 +166,10 @@ def mask_faults(index, inst=None) -> list[str]:
                           f"edge {got & ~want:#b}")
     if index.forward != forward:
         faults.append(f"forward is {index.forward}, not {forward}")
+    for name, want, got in (("outof", outof, index.outof),
+                            ("into", into, index.into)):
+        if want != got:
+            faults.append(f"{name} is {got}, not {want}")
     if index.rows is None:
         return faults
     active, demand = index.active, index.demand
