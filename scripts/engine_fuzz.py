@@ -32,28 +32,35 @@ tables as they are then, are checked against the grammar.  A fifth
 ``ReachIndex`` is asked one pair per update, with a source outside its
 demand set when it has one, and is never read whole, so that its demand
 set stays partial across deletions; once that set holds every vertex, a
-new index on the instance takes its place.  The summary counts the
-queries answered while the index held seeds not yet run, the fresh
-queries answered with work still queued, the stale queries that
-restarted the solve, the fifth index's queries whose source was outside
-its demand set, on solved rows and on stale ones, the queries answered
-by the endpoint counts, the deletions that left a read index fresh, and
-the first reads that came after a burst of updates with a deletion in
-it; the run fails if any of these is 0.  After every update the bitset
-indexes' edge tables and support masks are checked too, against the
-current edges: each table of ``edges`` must hold exactly the directed
-edges of its label (the ``dot`` table of a ``dyck`` alphabet none), each
-``closers[k]`` must be exactly the vertices with an outgoing closing
-edge of pair ``k``, and ``wide`` must hold every row with more than its
-identity bit; the demand set must hold each active row's bits and
-opening-edge targets, an inactive row must be its identity bit, and
-``outof`` and ``into`` must equal a recount of the edges.  The same
-script also drives a third index, the grammar engine's own
-``GrammarIndex`` on the sample's bracket grammar: after every update it
-is asked the marked pair and random pairs, each answer checked against
-the from-scratch grammar engine and against the bitset index that
-``resolve_after_update`` keeps.  While it is stale, its pairs, once a
-deep copy has run the work its insertions queued, must hold every pair
+new index on the instance takes its place.  After each of its queries, a
+deep copy of it, read and fresh, takes the edge ``(a, q, x)`` from an
+active ``a`` to an undemanded ``x`` and then ``(x, q-bar, b)`` with
+``(a, b)`` absent, with no read between.  Seeds pop last-in first, so
+the query ``(a, b)`` runs the closing seed first and stops at the pair
+it derives, the opening seed still queued; the closing edge is then
+deleted and the copy's answers checked against the grammar.  The
+summary counts the queries answered while the index held seeds not yet
+run, the fresh queries answered with work still queued, the stale
+queries that restarted the solve, the fifth index's queries whose
+source was outside its demand set, on solved rows and on stale ones,
+the queries answered by the endpoint counts, the deletions that left a
+read index fresh, the first reads that came after a burst of updates
+with a deletion in it, and the copies whose query stopped with the
+opening seed queued; the run fails if any of these is 0.  After every
+update the bitset indexes' edge tables and support masks are checked
+too, against the current edges: each table of ``edges`` must hold
+exactly the directed edges of its label (the ``dot`` table of a ``dyck``
+alphabet none), each ``closers[k]`` must be exactly the vertices with an
+outgoing closing edge of pair ``k``, and ``wide`` must hold every row
+with more than its identity bit; the demand set must hold each active
+row's bits and opening-edge targets, an inactive row must be its
+identity bit, and ``outof`` and ``into`` must equal a recount of the
+edges.  The same script also drives a third index, the grammar engine's
+own ``GrammarIndex`` on the sample's bracket grammar: after every update
+it is asked the marked pair and random pairs, each answer checked
+against the from-scratch grammar engine and against the bitset index
+that ``resolve_after_update`` keeps.  While it is stale, its pairs, once
+a deep copy has run the work its insertions queued, must hold every pair
 the from-scratch engine derives, and a stale query on a present pair
 other than an identity pair must restart its solve.  The summary also
 counts the grammar queries answered fresh with work still queued and the
@@ -73,7 +80,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
-from dycklab import (EnumerationBudget, GrammarIndex, apply_update,
+from dycklab import (EnumerationBudget, GrammarIndex, UpdateOp, apply_update,
                      brute_dyck_reach, resolve_after_update,
                      serialize_updates, solve_cfl, solve_dyck,
                      solve_dyck_wrap_only)
@@ -87,6 +94,42 @@ RANDOM_QUERIES = 4  # random pairs asked after each update, besides the mark
 # the walk oracle's stacks range over the open labels, |V| of them on a
 # near-Dyck sample, so larger near-Dyck samples would dwarf the rest
 NEAR_ORACLE_VERTICES = 6
+
+
+def closing_tail(index, inst, expected, grammar, rng):
+    """Whether a deep copy of the read, fresh ``index`` on ``inst``
+    reached the state where a closing seed derived the queried pair with
+    the opening seed queued, and the copy's first wrong answer after the
+    closing edge's deletion, or None.  ``expected`` holds the grammar's
+    pairs on ``inst``."""
+    n = inst.graph.vertex_count
+    active = [x for x in range(n) if index.active >> x & 1]
+    undemanded = [x for x in range(n) if not index.demand >> x & 1]
+    if not (active and undemanded):
+        return False, None
+    a, x = rng.choice(active), rng.choice(undemanded)
+    q = rng.choice(list(inst.graph.alphabet.open_labels()))
+    ends = [b for b in range(n) if (a, b) not in expected
+            and not inst.graph.has_edge(x, q.matched(), b)]
+    if not ends or inst.graph.has_edge(a, q, x):
+        return False, None
+    b = rng.choice(ends)
+    opening = UpdateOp.ins(a, q, x)
+    path = f"{a} -{q.token()}-> {x} -{q.matched().token()}-> {b}"
+    probe = copy.deepcopy(index)
+    probe.apply(opening)
+    probe.apply(UpdateOp.ins(x, q.matched(), b))
+    # the path is balanced
+    if not probe.query(a, b):
+        return False, f"query({a}, {b}) after inserting {path}"
+    stopped = bool(probe.seeds)
+    probe.apply(UpdateOp.delete(x, q.matched(), b))
+    want = solve_cfl(apply_update(inst, opening), grammar)["S"]
+    if probe.query(a, b) != ((a, b) in want):
+        return stopped, f"query({a}, {b}) after {path} lost its last edge"
+    if probe.pairs != want:
+        return stopped, f"pairs after {path} lost its last edge"
+    return stopped, None
 
 
 def main() -> int:
@@ -104,7 +147,10 @@ def main() -> int:
     grammar_stopped = grammar_restarts = 0
     live_queries = pending_queries = stopped_queries = late_reads = 0
     restarts = outside_solved = outside_stale = 0
-    endpoint_queries = fresh_deletions = 0
+    endpoint_queries = fresh_deletions = tails = 0
+    # the closing-seed leg draws from its own stream, so that the other
+    # legs draw what they drew without it
+    tail_rng = random.Random(f"closing tail {args.seed}")
     oracle_checked = {"dyck": 0, "neardyck": 0}
     t0 = time.monotonic()
     for i in range(args.samples):
@@ -197,6 +243,14 @@ def main() -> int:
             if undemanded:
                 outside_stale += was_stale and u != v
                 outside_solved += not was_stale
+            if sparse.rows is not None and not sparse.stale:
+                stopped, fault = closing_tail(sparse, inst, expected, grammar,
+                                              tail_rng)
+                if fault:
+                    print(f"{where}closing-seed tail: {fault} vs grammar "
+                          f"engine")
+                    return 1
+                tails += stopped
             # an endpoint "no" may leave the index unread
             if sparse.rows is not None and sparse.demand == (1 << n) - 1:
                 sparse = solve_dyck(inst)
@@ -299,7 +353,7 @@ def main() -> int:
           f"stale queries from outside the demand set, {endpoint_queries} "
           f"answered by the endpoint counts, {fresh_deletions} deletions "
           f"that left a read index fresh, {late_reads} first reads after "
-          f"deletions, {dt:.1f}s")
+          f"deletions, {tails} closing-seed tails, {dt:.1f}s")
     if args.samples and not pending_queries:
         print("FAIL: no query was answered with seeds pending, so the "
               "deferred insertions went unchecked")
@@ -335,6 +389,11 @@ def main() -> int:
     if args.samples and not late_reads:
         print("FAIL: no first read came after a deletion, so the updates "
               "of an index not yet read went unchecked")
+        return 1
+    if args.samples and not tails:
+        print("FAIL: no query stopped at a closing seed's pair with the "
+              "opening seed queued, so the deletion of its closing edge "
+              "went unchecked")
         return 1
     return 0
 

@@ -47,8 +47,8 @@ re-solves, so ``wide`` only grows until a re-solve starts it afresh.
 
 A ``ReachIndex`` owns its instance and pays for an update only what it
 derives.  ``apply`` checks the update in O(1) against the edge tables,
-which hold the edges exactly, and sets or clears the edge's bits (both
-ways round for an undirected edge); the instance is brought up to date
+which hold the edges exactly, and flips the edge's bits (both ways
+round for an undirected edge); the instance is brought up to date
 only when ``inst`` is read.
 
 It also closes only the rows a read needs, as demand-driven analyses
@@ -160,53 +160,51 @@ def _bits(x: int) -> Iterator[int]:
         x ^= low
 
 
+def _image(table: list[int], mask: int) -> int:
+    """The union of ``table[i]`` over the set bits ``i`` of ``mask``: the
+    row-at-a-time join of the closure."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _edge_tables(inst: Instance):
     """Per slot (``graphs.label_slots``), the edge table of the graph's
     directed view, laid out as ``ReachIndex`` keeps it; per pair, the
     ``closers`` mask and the ``forward`` table of its opening edges'
     targets by source; per vertex, the ``outof`` count of its opening and
     ``dot`` out-edges and the ``into`` count of its closing and ``dot``
-    in-edges.  One pass over the stored edges writes both cells of an
-    undirected one, and counts it at both ends (a self-loop once)."""
+    in-edges.  One body writes and counts each directed edge, so an
+    undirected edge, read both ways round, counts at both ends (a
+    self-loop once)."""
     graph = inst.graph
-    n, size, undirected = (graph.vertex_count, graph.alphabet.size,
-                           not graph.directed)
+    n, size = graph.vertex_count, graph.alphabet.size
     slots = label_slots(graph.alphabet)
     edges = [[0] * n for _ in range(2 * size)]
     edges.append([0] * n if graph.alphabet.kind == "neardyck" else [])
     closers = [0] * size
     forward = [[0] * n for _ in range(size)]
     outof, into = [0] * n, [0] * n
-    for u, lab, v in graph.edges:
+    for u, lab, v in (graph.edges if graph.directed
+                      else graph.directed_edges()):
         s = slots[lab]
-        table = edges[s]
         # an opening label's table (an even slot's) holds sources by
         # target, a closing label's and dot's (-1 & 1 is 1) targets by
         # source
         if s & 1:
-            table[u] |= 1 << v
+            edges[s][u] |= 1 << v
             into[v] += 1
             if s > 0:
                 closers[s >> 1] |= 1 << u
             else:
                 outof[u] += 1
         else:
-            table[v] |= 1 << u
+            edges[s][v] |= 1 << u
             forward[s >> 1][u] |= 1 << v
             outof[u] += 1
-        if undirected and u != v:
-            # the edge also runs from v to u
-            if s & 1:
-                table[v] |= 1 << u
-                into[u] += 1
-                if s > 0:
-                    closers[s >> 1] |= 1 << v
-                else:
-                    outof[v] += 1
-            else:
-                table[u] |= 1 << v
-                forward[s >> 1][v] |= 1 << u
-                outof[v] += 1
     return edges, closers, forward, outof, into
 
 
@@ -282,19 +280,9 @@ class ReachIndex:
         for forward, closing, closers in zip(self.forward, edges[1::2],
                                              self.closers):
             targets = forward[a]
-            if not targets:
-                continue
-            demand |= targets
-            ends = 0
-            while targets:
-                low = targets & -targets
-                ends |= rows[low.bit_length() - 1]
-                targets ^= low
-            ends &= closers
-            while ends:
-                low = ends & -ends
-                reach |= closing[low.bit_length() - 1]
-                ends ^= low
+            if targets:
+                demand |= targets
+                reach |= _image(closing, _image(rows, targets) & closers)
         self.demand |= demand
         if reach:
             self._add(a, reach)
@@ -323,16 +311,18 @@ class ReachIndex:
 
     def apply(self, op: UpdateOp):
         """Apply one update, checked against the edge tables (a rejected
-        one raises the instance's own error and changes nothing).  An
-        insertion sets the edge's bits and, once the index has rows,
-        queues its cells as seeds, stale or not, leaving the rules to a
-        read.  A deletion clears them and, once the index has rows, marks
-        the index stale if the solve may have read the edge: an opening or
-        ``dot`` edge out of an active vertex, or a closing edge out of a
-        demanded one (out of either end of an undirected edge).  The rules
-        read edges nowhere else, and both sets only grow until ``_start``,
-        so any other deletion leaves the index exact.  Either way the
-        edge's ends update ``outof`` and ``into``."""
+        one raises the instance's own error and changes nothing).  The
+        check proves the edge's bit absent for an insertion and present
+        for a deletion, so one loop flips it in each cell (both ways round
+        for an undirected edge), with the cell's ``forward`` and
+        ``closers`` bits and its ends' ``outof`` and ``into`` counts.
+        Once the index has rows, an insertion queues its cells as seeds,
+        stale or not, leaving the rules to a read, and a deletion marks
+        the index stale if the solve may have read the edge: an opening
+        or ``dot`` edge out of an active vertex, or a closing edge out of
+        a demanded one (out of either end of an undirected edge).  The
+        rules read edges nowhere else, and both sets only grow until
+        ``_start``, so any other deletion leaves the index exact."""
         if op.op == "query":
             return
         u, v = op.u, op.v
@@ -350,40 +340,32 @@ class ReachIndex:
         self._ops.append(op)
         table = self.edges[s]
         directed = self._inst.graph.directed
+        # an undirected edge also runs from v to u
         cells = [(x, y)] if directed or u == v else [(x, y), (y, x)]
-        # a closing or dot edge enters v, an opening or dot one leaves u,
-        # and an undirected one also runs from v to u
         step = 1 if op.op == "ins" else -1
-        if s & 1:
-            self.into[v] += step
-            if len(cells) == 2:
-                self.into[u] += step
-        if s < 0 or not s & 1:
-            self.outof[u] += step
-            if len(cells) == 2:
-                self.outof[v] += step
-        # an opening edge is also bit x of row y of its pair's forward
-        # table, and a closing one may change its pair's closers
-        if op.op == "ins":
-            for x, y in cells:
-                table[x] |= 1 << y
-                if not s & 1:
-                    self.forward[s >> 1][y] |= 1 << x
-                elif s > 0:
-                    self.closers[s >> 1] |= 1 << x
-            # before the first read there is nothing to seed: its
-            # from-scratch solve reads today's tables
-            if self.rows is not None:
-                self.seeds += [(s, x, y) for x, y in cells]
-            return
         for x, y in cells:
-            table[x] &= ~(1 << y)
-            if not s & 1:
-                self.forward[s >> 1][y] &= ~(1 << x)
-            elif s > 0 and not table[x]:
-                # x's last closing edge of this pair is gone
-                self.closers[s >> 1] &= ~(1 << x)
-        if self.rows is not None and not self.stale:
+            # a closing or dot cell is the edge x -> y, an opening one the
+            # edge y -> x, also bit x of row y of its pair's forward table
+            table[x] ^= 1 << y
+            if s & 1:
+                self.into[y] += step
+                if s < 0:
+                    self.outof[x] += step
+                elif table[x]:
+                    self.closers[s >> 1] |= 1 << x
+                else:
+                    # x's last closing edge of this pair is gone
+                    self.closers[s >> 1] &= ~(1 << x)
+            else:
+                self.forward[s >> 1][y] ^= 1 << x
+                self.outof[y] += step
+        # before the first read there is nothing to seed or mark: its
+        # from-scratch solve reads today's tables
+        if self.rows is None:
+            return
+        if op.op == "ins":
+            self.seeds += [(s, x, y) for x, y in cells]
+        elif not self.stale:
             # the rules read an edge out of its source u, or out of either
             # end of an undirected edge
             read = self.demand if s > 0 and s & 1 else self.active
@@ -434,11 +416,7 @@ class ReachIndex:
             return
         # whatever reaches a now also reaches new and all it reaches; a row
         # outside wide is its identity bit, already in new
-        expand = new & self.wide
-        while expand:
-            low = expand & -expand
-            new |= rows[low.bit_length() - 1]
-            expand ^= low
+        new |= _image(rows, new & self.wide)
         # each source of a holds rows[a], so it gains only part of fresh
         # and afterwards holds all of it; every source is active, so
         # fresh joins the demand set
@@ -480,25 +458,13 @@ class ReachIndex:
             if not active >> y & 1:
                 return
             self.demand |= 1 << x
-            closing = self.edges[s + 1]
-            ends = self.rows[x] & self.closers[s >> 1]
-            reach = 0
-            while ends:
-                low = ends & -ends
-                reach |= closing[low.bit_length() - 1]
-                ends ^= low
-            self._add(y, reach)
+            self._add(y, _image(self.edges[s + 1],
+                                self.rows[x] & self.closers[s >> 1]))
         else:
             # edge (x, q-bar, y), (w, x) in the set and (a, q, w)  =>  (a, y)
-            opening = self.edges[s - 1]
-            ends = self.cols[x]
-            srcs = 0
-            while ends:
-                low = ends & -ends
-                srcs |= opening[low.bit_length() - 1]
-                ends ^= low
             # a source in cols[y] already holds y
-            srcs &= active & ~self.cols[y]
+            srcs = (_image(self.edges[s - 1], self.cols[x]) & active
+                    & ~self.cols[y])
             if srcs:
                 # the pairs derived below read the edge, so its deletion
                 # must mark the index stale: x may be an opening target
@@ -553,12 +519,7 @@ class ReachIndex:
                 srcs = opening[x] & active
                 if not srcs:
                     continue
-                ends = delta & closers
-                reach = 0
-                while ends:
-                    low = ends & -ends
-                    reach |= closing[low.bit_length() - 1]
-                    ends ^= low
+                reach = _image(closing, delta & closers)
                 if not reach:
                     continue
                 while srcs:

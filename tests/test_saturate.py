@@ -677,11 +677,12 @@ def test_support_masks_hold_under_mixed_scripts(seed, near, directed):
 @given(st.integers(min_value=0, max_value=10**9), st.booleans(),
        st.booleans())
 def test_edge_tables_match_the_label_by_label_build(seed, near, directed):
-    """``_edge_tables`` reads each stored edge once, by its slot, into
-    the edge tables, the ``closers`` masks and the forward opening tables,
-    against a build that walks the directed view label by label: both
-    alphabets, directed and undirected, every instance with a self-loop
-    and, on the per-vertex alphabet, a ``dot`` edge."""
+    """``_edge_tables`` reads each directed edge once, by its slot, into
+    the edge tables, the ``closers`` masks, the forward opening tables
+    and the endpoint counts, against a build that computes each slot from
+    its label and the masks in a second pass: both alphabets, directed
+    and undirected, every instance with a self-loop and, on the
+    per-vertex alphabet, a ``dot`` edge."""
     rng = random.Random(seed)
     if near:
         inst = random_neardyck_instance(rng, max_vertices=6, density=0.15,

@@ -19,9 +19,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # ones with work queued, a stale query must have restarted the solve,
 # queries must have met a source outside the demand set on solved rows
 # and on stale ones, queries must have been answered by the endpoint
-# counts, deletions must have left a read index fresh, and an index
-# must have been first read after a deletion; the mutants run must have
-# killed all five of its mutants
+# counts, deletions must have left a read index fresh, an index must
+# have been first read after a deletion, and a query must have stopped
+# at a closing seed's pair with the opening seed queued; the mutants run
+# must have killed all five of its mutants
 SUMMARIES = {
     "engine_fuzz.py": r"oracle checked [1-9]\d* bracket-pair and [1-9]\d* "
                       r"near-Dyck samples, grammar index checked on [1-9]\d* "
@@ -34,7 +35,8 @@ SUMMARIES = {
                       r"and [1-9]\d* stale queries from outside the demand "
                       r"set, [1-9]\d* answered by the endpoint counts, "
                       r"[1-9]\d* deletions that left a read index fresh, "
-                      r"[1-9]\d* first reads after deletions",
+                      r"[1-9]\d* first reads after deletions, [1-9]\d* "
+                      r"closing-seed tails",
     "mutants.py": r"5 mutants, 5 killed, 0 survived",
 }
 
