@@ -1,32 +1,38 @@
 #!/usr/bin/env python3
-"""Fuzz the saturation solver against the grammar engine on random labeled
-graphs, directed and undirected, over both alphabets: every other sample
-is a per-vertex-bracket (near-Dyck) instance, checked against the
-near-Dyck grammar; the rest use ``--pairs`` bracket pairs.  Every
-bracket-pair sample, and every near-Dyck sample of at most
-``NEAR_ORACLE_VERTICES`` vertices, is also checked against the bounded walk
-oracle, and every sample's wrap-only pairs must lie within the solver's.
+"""The bitset index's one seeded driver: fuzz the saturation solver against
+the grammar engine on random labeled graphs, directed and undirected, over
+both alphabets: every other sample is a per-vertex-bracket (near-Dyck)
+instance, checked against the near-Dyck grammar; the rest draw one or two
+bracket pairs.  Every bracket-pair sample, and every near-Dyck sample of
+at most ``NEAR_ORACLE_VERTICES`` vertices, is also checked against the
+walk oracle bounded at ``ORACLE_LEN`` edges, and every sample's wrap-only
+pairs must lie within the solver's.
+
 Each sample then replays a random mixed insert/delete script twice:
 through ``resolve_after_update``, checked against its grammar after every
 update, and through ``ReachIndex.apply`` on one index, checked after every
 third update and at the end, so that insertions also land on an index that
-a deletion has left stale.  After every update that index is first asked
+a deletion has left stale.  After every update the index passed to
+``resolve_after_update`` must still pass ``mask_faults`` against the
+instance before the update, so that the new index shares no list with it.
+After every update the index driven by ``apply`` is first asked
 ``query`` on the marked pair and on random pairs, each answer checked
 against the grammar, so that answers are checked while its insertions'
-seeds are still pending, while a fresh query has stopped at its pair
-with the rest of the work still queued, and while it is stale.  A stale
-query on a set bit other than an identity pair restarts the solve, so
-an index still stale after a query must lack the queried bit.  A query
-``(u, v)`` with ``u != v`` and no opening or ``dot`` edge out of ``u``,
-or no closing or ``dot`` edge into ``v``, is answered by the endpoint
-counts and may leave the index unread; a deletion of an edge the solve
-never read leaves a read index fresh, and the answers after it are
-checked like any other.  If it is still stale after its queries, its
-rows, once the seeds and work its insertions left pending have run on a
-deep copy with every vertex demanded, must hold every pair the grammar
-derives; the index itself keeps that work for its next queries.  A fourth
-``ReachIndex`` is first read only at a random step of the script: until
-then each update may only edit its edge tables (no rows, no seed, no
+seeds are still pending, while a fresh query has stopped at its pair with
+the rest of the work still queued, and while it is stale.  A stale query
+on a set bit other than an identity pair restarts the solve, so an index
+still stale after a query must lack the queried bit.  A query ``(u, v)``
+with ``u != v`` and no opening or ``dot`` edge out of ``u``, or no closing
+or ``dot`` edge into ``v``, is answered by the endpoint counts and may
+leave the index unread; a deletion of an edge the solve never read leaves
+a read index fresh, and the answers after it are checked like any other.
+If it is still stale after its queries, its rows, once the seeds and work
+its insertions left pending have run on a deep copy with every vertex
+demanded, must hold every pair the grammar derives; the index itself keeps
+that work for its next queries.
+
+A fourth ``ReachIndex`` is first read only at a random step of the script:
+until then each update may only edit its edge tables (no rows, no seed, no
 stale mark), and its first query and ``pairs`` read, which solve the
 tables as they are then, are checked against the grammar.  A fifth
 ``ReachIndex`` is asked one pair per update, with a source outside its
@@ -35,40 +41,47 @@ set stays partial across deletions; once that set holds every vertex, a
 new index on the instance takes its place.  After each of its queries, a
 deep copy of it, read and fresh, takes the edge ``(a, q, x)`` from an
 active ``a`` to an undemanded ``x`` and then ``(x, q-bar, b)`` with
-``(a, b)`` absent, with no read between.  Seeds pop last-in first, so
-the query ``(a, b)`` runs the closing seed first and stops at the pair
-it derives, the opening seed still queued; the closing edge is then
-deleted and the copy's answers checked against the grammar.  The
-summary counts the queries answered while the index held seeds not yet
-run, the fresh queries answered with work still queued, the stale
-queries that restarted the solve, the fifth index's queries whose
-source was outside its demand set, on solved rows and on stale ones,
-the queries answered by the endpoint counts, the deletions that left a
-read index fresh, the first reads that came after a burst of updates
-with a deletion in it, and the copies whose query stopped with the
-opening seed queued; the run fails if any of these is 0.  After every
-update the bitset indexes' edge tables and support masks are checked
-too, against the current edges: each table of ``edges`` must hold
-exactly the directed edges of its label (the ``dot`` table of a ``dyck``
-alphabet none), each ``closers[k]`` must be exactly the vertices with an
-outgoing closing edge of pair ``k``, and ``wide`` must hold every row
-with more than its identity bit; the demand set must hold each active
-row's bits and opening-edge targets, an inactive row must be its
-identity bit, and ``outof`` and ``into`` must equal a recount of the
-edges.  The same script also drives a third index, the grammar engine's
-own ``GrammarIndex`` on the sample's bracket grammar: after every update
-it is asked the marked pair and random pairs, each answer checked
-against the from-scratch grammar engine and against the bitset index
-that ``resolve_after_update`` keeps.  While it is stale, its pairs, once
-a deep copy has run the work its insertions queued, must hold every pair
-the from-scratch engine derives, and a stale query on a present pair
-other than an identity pair must restart its solve.  The summary also
-counts the grammar queries answered fresh with work still queued and the
-stale ones that restarted the solve; the run fails if either is 0.
+``(a, b)`` absent, with no read between.  Seeds pop last-in first, so the
+query ``(a, b)`` runs the closing seed first and stops at the pair it
+derives, the opening seed still queued; the closing edge is then deleted
+and the copy's answers checked against the grammar.  The summary counts
+the queries answered while the index held seeds not yet run, the fresh
+queries answered with work still queued, the stale queries that restarted
+the solve, the fifth index's queries whose source was outside its demand
+set, on solved rows and on stale ones, the queries answered by the
+endpoint counts, the deletions that left a read index fresh, the first
+reads that came after a burst of updates with a deletion in it, and the
+copies whose query stopped with the opening seed queued; the run fails if
+any of these is 0.
+
+After every update the bitset indexes' edge tables and support masks are
+checked too, against the current edges (``tests/util.mask_faults``): each
+table of ``edges`` must hold exactly the directed edges of its label (the
+``dot`` table of a ``dyck`` alphabet none), each ``closers[k]`` must be
+exactly the vertices with an outgoing closing edge of pair ``k``, and
+``wide`` must hold every row with more than its identity bit; the demand
+set must hold each active row's bits and opening-edge targets, an inactive
+row must be its identity bit, ``outof`` and ``into`` must equal a recount
+of the edges, every row must be closed and ``cols`` must be the exact
+transpose of ``rows``.  The index driven by ``apply`` is checked so after
+every one of its queries too, and both maintained indexes after every
+whole read; the summary counts the checks of that index made with seeds
+pending on stale rows, and on the rows of a solve that a stale query
+restarted, and the run fails if either is 0.
+
+The same script also drives a third index, the grammar engine's own
+``GrammarIndex`` on the sample's bracket grammar: after every update it is
+asked the marked pair and random pairs, each answer checked against the
+from-scratch grammar engine and against the bitset index that
+``resolve_after_update`` keeps.  While it is stale, its pairs, once a
+deep copy has run the work its insertions queued, must hold every pair the
+from-scratch engine derives, and a stale query on a present pair other
+than an identity pair must restart its solve.  The summary also counts
+the grammar queries answered fresh with work still queued and the stale
+ones that restarted the solve; the run fails if either is 0.
 
 Usage: python3 scripts/engine_fuzz.py [--samples N] [--seed S]
-                                      [--max-vertices V] [--pairs P]
-                                      [--oracle-len L]
+                                      [--max-vertices V]
 """
 
 import argparse
@@ -89,6 +102,7 @@ from util import (mask_faults, random_dyck_instance, random_neardyck_instance,
                   random_script)
 
 SCRIPT_OPS = 20  # updates replayed per sample through the incremental route
+ORACLE_LEN = 8  # walk-length budget of the brute-force check
 LIVE_CHECK_EVERY = 3  # updates between checks of the index driven by apply
 RANDOM_QUERIES = 4  # random pairs asked after each update, besides the mark
 # the walk oracle's stacks range over the open labels, |V| of them on a
@@ -137,9 +151,6 @@ def main() -> int:
     ap.add_argument("--samples", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--max-vertices", type=int, default=10)
-    ap.add_argument("--pairs", type=int, default=2)
-    ap.add_argument("--oracle-len", type=int, default=8,
-                    help="walk-length budget for the brute-force check")
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
@@ -148,6 +159,9 @@ def main() -> int:
     live_queries = pending_queries = stopped_queries = late_reads = 0
     restarts = outside_solved = outside_stale = 0
     endpoint_queries = fresh_deletions = tails = 0
+    # mask_faults checks of the apply route's index with seeds pending, on
+    # stale rows and on the rows of a solve a stale query restarted
+    stale_checks = restart_checks = 0
     # the closing-seed leg draws from its own stream, so that the other
     # legs draw what they drew without it
     tail_rng = random.Random(f"closing tail {args.seed}")
@@ -162,7 +176,7 @@ def main() -> int:
                                             directed=rng.random() < 0.5)
         else:
             inst = random_dyck_instance(rng, max_vertices=args.max_vertices,
-                                        pairs=args.pairs,
+                                        pairs=rng.choice((1, 2)),
                                         density=rng.uniform(0.05, 0.4),
                                         directed=rng.random() < 0.5)
         grammar = bracket_grammar(inst.graph.alphabet)
@@ -173,8 +187,7 @@ def main() -> int:
             return 1
         kind = grammar.alphabet.kind
         if kind == "dyck" or inst.graph.vertex_count <= NEAR_ORACLE_VERTICES:
-            brute, _ = brute_dyck_reach(inst,
-                                        EnumerationBudget(args.oracle_len))
+            brute, _ = brute_dyck_reach(inst, EnumerationBudget(ORACLE_LEN))
             if not brute <= full_pairs:
                 print(f"MISMATCH sample {i}: oracle found a pair the solver "
                       f"missed")
@@ -186,6 +199,9 @@ def main() -> int:
             return 1
         gaps += wrap != full_pairs
         index, live = full, solve_dyck(inst)
+        # whether live's rows are those of a solve that a stale query
+        # restarted, not yet read whole or marked stale again
+        restarted = False
         gram = GrammarIndex(inst, grammar)
         # an index first read at a random step, after a burst of updates
         late, late_deleted = solve_dyck(inst), False
@@ -196,10 +212,12 @@ def main() -> int:
         sparse = solve_dyck(inst)
         for step, op in enumerate(random_script(rng, inst, ops=SCRIPT_OPS,
                                                 query_rate=0.0), start=1):
+            passed, before = index, inst
             index = resolve_after_update(index, inst, op)
             read = live.rows is not None and not live.stale
             live.apply(op)
             fresh_deletions += read and op.op == "del" and not live.stale
+            restarted &= not live.stale
             gram.apply(op)
             inst = apply_update(inst, op)
             expected = solve_cfl(inst, grammar)["S"]
@@ -258,10 +276,10 @@ def main() -> int:
                                       ("apply", live)):
                 faults = mask_faults(maintained)
                 if faults:
-                    print(f"MISMATCH sample {i} step {step} "
-                          f"({serialize_updates([op]).strip()}): "
-                          f"index maintained by {route}: {faults[0]}")
+                    print(f"{where}index maintained by {route}: {faults[0]}")
                     return 1
+            stale_checks += bool(live.stale and live.seeds)
+            restart_checks += bool(restarted and live.seeds)
             asked = [(inst.source, inst.sink)] + [
                 (rng.randrange(n), rng.randrange(n))
                 for _ in range(RANDOM_QUERIES)]
@@ -287,6 +305,14 @@ def main() -> int:
                           f"index stale")
                     return 1
                 restarts += stale and not live.stale
+                restarted |= stale and not live.stale
+                faults = mask_faults(live)
+                if faults:
+                    print(f"{where}query({u}, {v}) of the index maintained "
+                          f"by apply: {faults[0]}")
+                    return 1
+                stale_checks += bool(live.stale and live.seeds)
+                restart_checks += bool(restarted and live.seeds)
             if live.stale:
                 # close a deep copy's rows under the pending insertions,
                 # every vertex demanded, so that the index keeps its work
@@ -331,12 +357,24 @@ def main() -> int:
             checks = [("resolve_after_update", index)]
             if step % LIVE_CHECK_EVERY == 0 or step == SCRIPT_OPS:
                 checks.append(("apply", live))
+                restarted = False
             for route, maintained in checks:
                 if maintained.pairs != expected:
-                    print(f"MISMATCH sample {i} step {step} "
-                          f"({serialize_updates([op]).strip()}): "
-                          f"index maintained by {route} vs grammar engine")
+                    print(f"{where}index maintained by {route} vs grammar "
+                          f"engine")
                     return 1
+                faults = mask_faults(maintained)
+                if faults:
+                    print(f"{where}index maintained by {route}, once read "
+                          f"whole: {faults[0]}")
+                    return 1
+            # the index passed in keeps the tables, masks and rows of the
+            # instance before the update: its copy shares no list with it
+            faults = mask_faults(passed, before)
+            if faults:
+                print(f"{where}index passed to resolve_after_update: "
+                      f"{faults[0]}")
+                return 1
     dt = time.monotonic() - t0
     print(f"{args.samples} instances ({args.samples // 2} near-Dyck) and "
           f"{args.samples * SCRIPT_OPS} updates, 0 mismatches, "
@@ -353,7 +391,9 @@ def main() -> int:
           f"stale queries from outside the demand set, {endpoint_queries} "
           f"answered by the endpoint counts, {fresh_deletions} deletions "
           f"that left a read index fresh, {late_reads} first reads after "
-          f"deletions, {tails} closing-seed tails, {dt:.1f}s")
+          f"deletions, {tails} closing-seed tails, mask checks on "
+          f"{stale_checks} stale and {restart_checks} restarted indexes "
+          f"with seeds pending, {dt:.1f}s")
     if args.samples and not pending_queries:
         print("FAIL: no query was answered with seeds pending, so the "
               "deferred insertions went unchecked")
@@ -389,6 +429,11 @@ def main() -> int:
     if args.samples and not late_reads:
         print("FAIL: no first read came after a deletion, so the updates "
               "of an index not yet read went unchecked")
+        return 1
+    if args.samples and not (stale_checks and restart_checks):
+        print("FAIL: no mask check met seeds pending on stale rows and on "
+              "a restarted solve both, so the closed rows and columns "
+              "went unchecked there")
         return 1
     if args.samples and not tails:
         print("FAIL: no query stopped at a closing seed's pair with the "

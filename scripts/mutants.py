@@ -47,6 +47,11 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest ids, at least one of which must fail
 
 
+# the two seeded fuzz cases of the bitset index, which check every answer
+# and ``mask_faults`` after every step
+ENGINE_FUZZ = ("tests/test_scripts.py::test_script_runs[engine_fuzz-seed0]",
+               "tests/test_scripts.py::test_script_runs[engine_fuzz-seed1]")
+
 MUTANTS = (
     Mutant("reader-keeps-a-comment", GRAPHS,
            'if (fields := (raw.split("#", 1)[0] if "#" in raw else raw).split())',
@@ -94,37 +99,32 @@ MUTANTS = (
     Mutant("edge-kept-on-deletion", SATURATE,
            "            table[x] ^= 1 << y\n",
            "            table[x] |= 1 << y\n",
-           ("tests/test_saturate.py::"
-            "test_support_masks_hold_under_mixed_scripts",)),
+           ENGINE_FUZZ),
     Mutant("edge-table-drops-reverse-cell", SATURATE,
            "                      else graph.directed_edges()):",
            "                      else graph.edges):",
            ("tests/test_saturate.py::"
             "test_edge_tables_match_the_label_by_label_build",
             "tests/test_saturate.py::"
-            "test_support_masks_hold_under_mixed_scripts",
-            "tests/test_saturate.py::"
-            "test_an_undirected_edge_counts_at_both_ends")),
+            "test_an_undirected_edge_counts_at_both_ends",
+            *ENGINE_FUZZ)),
     Mutant("dot-edge-sets-a-closer", SATURATE,
            "            if s > 0:\n                closers[s >> 1] |= 1 << u\n"
            "            else:\n",
            "            closers[s >> 1] |= 1 << u\n            if s < 0:\n",
            ("tests/test_saturate.py::"
             "test_edge_tables_match_the_label_by_label_build",
-            "tests/test_saturate.py::"
-            "test_support_masks_hold_under_mixed_scripts")),
+            *ENGINE_FUZZ)),
     Mutant("undirected-insertion-one-way", SATURATE,
            "        for x, y in cells:\n",
            "        for x, y in cells[:1] if op.op == \"ins\" else cells:\n",
-           ("tests/test_saturate.py::"
-            "test_support_masks_hold_under_mixed_scripts",)),
+           ENGINE_FUZZ),
     Mutant("closing-insertion-leaves-closers", SATURATE,
            "                    self.closers[s >> 1] |= 1 << x\n",
            "                    pass\n",
            ("tests/test_saturate.py::"
-            "test_support_masks_hold_under_mixed_scripts",
-            "tests/test_saturate.py::"
-            "test_closers_follow_the_last_closing_edge")),
+            "test_closers_follow_the_last_closing_edge",
+            *ENGINE_FUZZ)),
     Mutant("last-closing-deletion-keeps-closers", SATURATE,
            "                    self.closers[s >> 1] &= ~(1 << x)\n",
            "                    pass\n",
@@ -135,37 +135,29 @@ MUTANTS = (
            "                elif table[x] or op.op == \"del\":\n",
            ("tests/test_saturate.py::"
             "test_closers_follow_the_last_closing_edge",
-            "tests/test_saturate.py::"
-            "test_support_masks_hold_under_mixed_scripts")),
+            *ENGINE_FUZZ)),
     Mutant("image-keeps-only-the-last-row", SATURATE,
            "        out |= table[low.bit_length() - 1]\n",
            "        out = table[low.bit_length() - 1]\n",
-           ("tests/test_saturate.py::"
-            "test_columns_transpose_closed_rows_after_every_step",
-            "tests/test_saturate.py::"
-            "test_maintained_index_matches_the_grammar_engine")),
+           ENGINE_FUZZ),
     Mutant("column-update-dropped", SATURATE,
            "            cols[low.bit_length() - 1] |= grown\n", "",
-           ("tests/test_saturate.py::"
-            "test_columns_transpose_closed_rows_after_every_step",)),
+           ENGINE_FUZZ),
     Mutant("fresh-skips-expansion", SATURATE,
            "fresh = new & ~rows[a]", "fresh = bits & ~rows[a]",
-           ("tests/test_saturate.py::"
-            "test_columns_transpose_closed_rows_after_every_step",)),
+           ENGINE_FUZZ),
     Mutant("dot-insertion-not-seeded", SATURATE,
            "            if active >> x & 1:\n"
            "                self._add(x, 1 << y)\n",
            "            if False:\n"
            "                self._add(x, 1 << y)\n",
-           ("tests/test_saturate.py::"
-            "test_maintained_near_dyck_index_matches_the_grammar_engine",)),
+           ENGINE_FUZZ),
     Mutant("closing-seed-read-as-opening", SATURATE,
            "        elif not s & 1:\n            # edge (y, q, x)",
            "        elif s & 1:\n            # edge (y, q, x)",
            ("tests/test_saturate.py::"
             "test_reads_and_copies_run_the_pending_insertions",
-            "tests/test_saturate.py::"
-            "test_maintained_index_matches_the_grammar_engine")),
+            *ENGINE_FUZZ)),
     Mutant("deletion-left-fresh", SATURATE,
            "            self.stale = bool(",
            "            self.stale = False and bool(",
@@ -222,10 +214,7 @@ MUTANTS = (
     Mutant("activation-reads-the-last-read-tables", SATURATE,
            "        rows, edges = self.rows, self.edges\n",
            "        rows, edges = self.rows, _edge_tables(self._inst)[0]\n",
-           ("tests/test_saturate.py::"
-            "test_the_demand_set_holds_after_every_step",
-            "tests/test_saturate.py::"
-            "test_a_stale_index_answers_queries_exactly")),
+           ENGINE_FUZZ),
     Mutant("unread-deletion-keeps-the-edge", SATURATE,
            "        for x, y in cells:\n",
            "        for x, y in (cells if self.rows is not None\n"
@@ -246,40 +235,34 @@ MUTANTS = (
            "            self._add(y, _image(",
            "            self._add(y, _image(",
            ("tests/test_saturate.py::"
-            "test_the_demand_set_holds_after_every_step",
-            "tests/test_saturate.py::"
-            "test_an_opening_seed_demands_its_target")),
+            "test_an_opening_seed_demands_its_target",)),
     Mutant("activation-skips-dot-edges", SATURATE,
            "        reach = edges[-1][a] if edges[-1] else 0\n",
            "        reach = 0\n",
            ("tests/test_saturate.py::test_solver_reads_the_near_dyck_alphabet",
-            "tests/test_saturate.py::"
-            "test_maintained_near_dyck_index_matches_the_grammar_engine")),
+            *ENGINE_FUZZ)),
     Mutant("stale-query-answers-from-an-identity-row", SATURATE,
            "        else:\n            self.demand |= 1 << u\n",
            "        elif not self.stale:\n            self.demand |= 1 << u\n",
            ("tests/test_saturate.py::"
-            "test_a_query_closes_only_what_its_source_needs",
-            "tests/test_saturate.py::"
-            "test_the_demand_set_holds_after_every_step")),
+            "test_a_query_closes_only_what_its_source_needs",)),
     Mutant("pairs-demands-only-one-source", SATURATE,
            "            u, self.demand = 0, (1 << len(rows)) - 1\n",
            "            u, self.demand = 0, self.demand | 1\n",
            ("tests/test_saturate.py::"
             "test_reads_and_copies_run_the_pending_insertions",
-            "tests/test_saturate.py::test_engine_agreement_seeded_sample")),
+            "tests/test_acceptance.py::"
+            "test_saturation_agrees_with_grammar_engine_on_500_instances")),
     Mutant("wrap-reaches-inactive-sources", SATURATE,
            "                srcs = opening[x] & active\n",
            "                srcs = opening[x]\n",
-           ("tests/test_saturate.py::"
-            "test_the_demand_set_holds_after_every_step",)),
+           ENGINE_FUZZ),
     Mutant("inactive-columns-drop-their-identity", SATURATE,
            "        self.cols = list(self.rows)\n",
            "        self.cols = [0] * n\n",
            ("tests/test_saturate.py::"
             "test_a_partial_solve_survives_an_insertion",
-            "tests/test_saturate.py::"
-            "test_columns_transpose_closed_rows_after_every_step")),
+            *ENGINE_FUZZ)),
     Mutant("deleted-edge-still-seeded", SATURATE,
            "            if self.edges[s][x] >> y & 1:\n"
            "                self._seed(s, x, y)\n",
@@ -302,13 +285,11 @@ MUTANTS = (
            "        else:\n",
            ("tests/test_saturate.py::"
             "test_edge_tables_match_the_label_by_label_build",
-            "tests/test_saturate.py::"
-            "test_maintained_near_dyck_index_matches_the_grammar_engine")),
+            *ENGINE_FUZZ)),
     Mutant("copy-shares-endpoint-counts", SATURATE,
            "other.outof, other.into = list(self.outof), list(self.into)",
            "other.outof, other.into = self.outof, self.into",
-           ("tests/test_saturate.py::"
-            "test_support_masks_hold_under_mixed_scripts",)),
+           ENGINE_FUZZ),
     Mutant("endpoint-check-before-range-check", SATURATE,
            "        if not (0 <= u < n and 0 <= v < n):\n"
            "            return False\n"
@@ -363,9 +344,8 @@ MUTANTS = (
            "answers.append(solve_alternating(inst)[0] if index is None",
            "answers.append((answers or [solve_alternating(inst)[0]])[0]\n"
            "                           if index is None",
-           ("tests/test_reductions.py::test_equivalence_fuzz_alt",
-            "tests/test_reductions.py::"
-            "test_alt_lane_target_index_matches_the_independent_routes")),
+           ("tests/test_reductions.py::"
+            "test_alt_lane_target_index_matches_the_independent_routes",)),
     Mutant("lane-bounds-unchecked", REDUCTIONS,
            "if len(ops) not in bounds:", "if False:",
            ("tests/test_reductions.py::"

@@ -434,16 +434,6 @@ def test_compile_reduction_dispatch():
     assert red.kind == "dyck2_to_undirected"
 
 
-def test_equivalence_fuzz_alt():
-    rng = random.Random(2)
-    for _ in range(6):
-        inst = random_alt_instance(rng, max_vertices=5)
-        script = random_script(rng, inst, ops=12)
-        report = run_equivalence("alt_to_neardyck", inst, script)
-        assert report.ok, report.failures
-        assert all(c in (1, 2) for c in report.counts)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
 def test_alt_lane_target_index_matches_the_independent_routes(seed):
@@ -467,27 +457,6 @@ def test_alt_lane_target_index_matches_the_independent_routes(seed):
         for top in red.translate(op):
             target = apply_update(target, top)
     assert queries == len(report.target_answers) == len(report.answers)
-
-
-def test_equivalence_fuzz_neardyck():
-    rng = random.Random(3)
-    for _ in range(6):
-        inst = random_neardyck_instance(rng, max_vertices=4)
-        script = random_script(rng, inst, ops=12)
-        report = run_equivalence("neardyck_to_dyck2", inst, script)
-        assert report.ok, report.failures
-        assert all(c == 1 for c in report.counts)
-
-
-def test_equivalence_fuzz_dyck2():
-    rng = random.Random(4)
-    for _ in range(3):
-        inst = Instance(LabeledGraph.build(True, 3, Alphabet("dyck", 2), []),
-                        rng.randrange(3), rng.randrange(3))
-        script = random_script(rng, inst, ops=10)
-        report = run_equivalence("dyck2_to_undirected", inst, script)
-        assert report.ok, report.failures
-        assert all(c == 12 for c in report.counts)
 
 
 def test_a_translator_that_drops_every_op_fails_the_run(monkeypatch, capsys,

@@ -1,10 +1,9 @@
 """Pair-set saturation solvers and the grammar-driven second engine."""
 
-import copy
 import random
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dycklab.saturate as saturate
@@ -18,8 +17,7 @@ from dycklab.saturate import bracket_grammar
 
 from util import (fig2_source, gap_chain_instance, mask_faults,
                   random_dyck_instance, random_neardyck_instance,
-                  random_script, reference_edge_tables,
-                  reference_wrap_only_pairs)
+                  reference_edge_tables, reference_wrap_only_pairs)
 
 L1, L1BAR = Label("l", 1, False), Label("l", 1, True)
 L2, L2BAR = Label("l", 2, False), Label("l", 2, True)
@@ -167,31 +165,6 @@ def test_cfl_rejects_mismatched_alphabet():
         solve_cfl(inst, dyck_grammar(1))
 
 
-def test_engine_agreement_seeded_sample():
-    rng = random.Random(7)
-    for _ in range(40):
-        inst = random_dyck_instance(rng, max_vertices=7, pairs=rng.choice((1, 2)),
-                                    density=0.25, directed=rng.random() < 0.5)
-        assert solve_dyck(inst).pairs == solve_cfl(
-            inst, dyck_grammar(inst.graph.alphabet.size))["S"]
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9))
-def test_wrap_only_is_a_subset_of_the_corrected_solver(seed):
-    inst = random_dyck_instance(random.Random(seed), max_vertices=6)
-    assert solve_dyck_wrap_only(inst) <= solve_dyck(inst).pairs
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9))
-def test_brute_reach_is_a_sound_subset(seed):
-    inst = random_dyck_instance(random.Random(seed), max_vertices=6,
-                                density=0.2)
-    brute, truncated = brute_dyck_reach(inst, EnumerationBudget(8))
-    assert brute <= solve_dyck(inst).pairs and not truncated
-
-
 # ---------------------------------------------------------------------------
 # Incremental re-solve
 
@@ -222,17 +195,6 @@ def test_instance_mismatch_is_rejected():
         resolve_after_update(solve_dyck(inst), other, UpdateOp.query())
 
 
-def test_incremental_equals_scratch_on_random_scripts():
-    rng = random.Random(13)
-    for _ in range(8):
-        inst = random_dyck_instance(rng, max_vertices=6, density=0.2)
-        idx = solve_dyck(inst)
-        for op in random_script(rng, inst, ops=25, query_rate=0.0):
-            idx = resolve_after_update(idx, inst, op)
-            inst = apply_update(inst, op)
-            assert idx.pairs == solve_dyck(inst).pairs
-
-
 def test_incremental_on_undirected_insert():
     alph = Alphabet("dyck", 1)
     g = LabeledGraph.build(False, 3, alph, [(0, L1, 1)])
@@ -242,60 +204,6 @@ def test_incremental_on_undirected_insert():
     idx2 = resolve_after_update(idx, inst, op)
     assert idx2.pairs == solve_dyck(apply_update(inst, op)).pairs
     assert idx2.query(0, 2)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9), st.sampled_from((1, 2)),
-       st.booleans())
-def test_maintained_index_matches_the_grammar_engine(seed, pairs, directed):
-    rng = random.Random(seed)
-    inst = random_dyck_instance(rng, max_vertices=7, pairs=pairs,
-                                density=0.15, directed=directed)
-    grammar = dyck_grammar(pairs)
-    idx = solve_dyck(inst)
-    live = solve_dyck(inst)
-    for op in random_script(rng, inst, ops=20, query_rate=0.1):
-        before = frozenset(idx.pairs)
-        new = resolve_after_update(idx, inst, op)
-        live.apply(op)
-        inst = apply_update(inst, op)
-        expected = solve_cfl(inst, grammar)["S"]
-        assert new.pairs == expected
-        assert len(new.pairs) == len(expected)
-        assert live.pairs == expected
-        assert len(live.pairs) == len(expected)
-        # resolve_after_update works on a copy: the old index keeps its answers
-        assert idx.pairs == before
-        idx = new
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9), st.booleans())
-def test_maintained_near_dyck_index_matches_the_grammar_engine(seed,
-                                                               directed):
-    rng = random.Random(seed)
-    inst = random_neardyck_instance(rng, max_vertices=5, density=0.08,
-                                    directed=directed)
-    grammar = near_dyck_grammar(inst.graph.alphabet.size)
-    idx = solve_dyck(inst)
-    live = solve_dyck(inst)
-    # read only at the script's queries and at its end, so insertions also
-    # land on an index a deletion has left stale
-    lazy = solve_dyck(inst)
-    script = random_script(rng, inst, ops=20, query_rate=0.15)
-    for op in script:
-        new = resolve_after_update(idx, inst, op)
-        live.apply(op)
-        lazy.apply(op)
-        inst = apply_update(inst, op)
-        expected = solve_cfl(inst, grammar)["S"]
-        assert new.pairs == expected
-        assert live.pairs == expected
-        assert len(live.pairs) == len(expected)
-        if op.op == "query":
-            assert lazy.pairs == expected
-        idx = new
-    assert lazy.pairs == expected
 
 
 @pytest.mark.parametrize("op", [
@@ -563,116 +471,6 @@ def test_deletions_before_a_query_cost_one_resolve(monkeypatch):
     assert len(started) == 3
 
 
-def _churn_op(rng, inst):
-    """A deletion of a present edge or an insertion of an absent one, as
-    likely as each other, so that stale stretches are common."""
-    g = inst.graph
-    n = g.vertex_count
-    absent = [(u, lab, v) for u in range(n) for v in range(n)
-              for lab in g.alphabet.labels() if not g.has_edge(u, lab, v)]
-    if g.edges and (not absent or rng.random() < 0.5):
-        return UpdateOp.delete(*rng.choice(sorted(g.edges)))
-    return UpdateOp.ins(*rng.choice(absent))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9), st.booleans(),
-       st.booleans())
-def test_a_stale_index_answers_queries_exactly(seed, near, directed):
-    rng = random.Random(seed)
-    if near:
-        inst = random_neardyck_instance(rng, max_vertices=5, density=0.15,
-                                        directed=directed)
-        grammar = near_dyck_grammar(inst.graph.alphabet.size)
-    else:
-        inst = random_dyck_instance(rng, max_vertices=7, pairs=2,
-                                    density=0.2, directed=directed)
-        grammar = dyck_grammar(2)
-    n = inst.graph.vertex_count
-    live = solve_dyck(inst)
-    for _ in range(24):
-        op = _churn_op(rng, inst)
-        live.apply(op)
-        inst = apply_update(inst, op)
-        expected = solve_cfl(inst, grammar)["S"]
-        if live.stale:
-            # stale rows, closed by running their pending work with every
-            # vertex demanded, over-approximate: every derivable pair is
-            # present.  A deep copy runs it, so that the queries below
-            # meet stale rows with seeds, work and activations pending
-            closed = copy.deepcopy(live)
-            closed._run()
-            assert all(closed.rows[u] >> v & 1 for u, v in expected)
-        asked = [(inst.source, inst.sink)]
-        asked += [(rng.randrange(n), rng.randrange(n)) for _ in range(4)]
-        for u, v in asked:
-            assert live.query(u, v) == ((u, v) in expected), (op, u, v)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9), st.booleans(),
-       st.booleans())
-def test_the_demand_set_holds_after_every_step(seed, near, directed):
-    """On seeded scripts that mix insertions, deletions and queries of
-    random pairs, the forward tables and the demand set keep their
-    invariants (``mask_faults``) after every step, and every answer is
-    exact.  The queries' sources are drawn at random, so they land on
-    fresh, seeded and stale indexes, often outside the demand set."""
-    rng = random.Random(seed)
-    if near:
-        inst = random_neardyck_instance(rng, max_vertices=6, density=0.15,
-                                        directed=directed)
-    else:
-        inst = random_dyck_instance(rng, max_vertices=8, pairs=2,
-                                    density=0.15, directed=directed)
-    n = inst.graph.vertex_count
-    live, expected = solve_dyck(inst), None
-    for step in range(30):
-        if rng.random() < 0.4:
-            u, v = rng.randrange(n), rng.randrange(n)
-            if expected is None:
-                expected = solve_cfl(
-                    inst, bracket_grammar(inst.graph.alphabet))["S"]
-            outside = live.rows is not None and not live.demand >> u & 1
-            event("source outside the demand set" if outside
-                  else "source demanded or index unread")
-            assert live.query(u, v) == ((u, v) in expected), (step, u, v)
-        else:
-            op = _churn_op(rng, inst)
-            live.apply(op)
-            inst, expected = apply_update(inst, op), None
-        assert mask_faults(live, inst) == [], step
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9), st.booleans(),
-       st.booleans())
-def test_support_masks_hold_under_mixed_scripts(seed, near, directed):
-    rng = random.Random(seed)
-    if near:
-        # the per-vertex alphabet carries the neutral dot edges
-        inst = random_neardyck_instance(rng, max_vertices=5, density=0.15,
-                                        directed=directed)
-    else:
-        inst = random_dyck_instance(rng, max_vertices=7,
-                                    pairs=rng.choice((1, 2)), density=0.2,
-                                    directed=directed)
-    live = solve_dyck(inst)
-    assert mask_faults(live) == []
-    for step in range(24):
-        op = _churn_op(rng, inst)
-        live.apply(op)
-        inst = apply_update(inst, op)
-        assert mask_faults(live) == [], (step, op)
-        other = live.copy()
-        assert mask_faults(other) == [], (step, op)
-        assert other.outof is not live.outof and other.into is not live.into
-        if step % 3 == 2:
-            assert live.pairs == solve_dyck(inst).pairs
-            assert not live.stale
-            assert mask_faults(live) == [], (step, op)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9), st.booleans(),
        st.booleans())
@@ -700,67 +498,6 @@ def test_edge_tables_match_the_label_by_label_build(seed, near, directed):
     inst = Instance(LabeledGraph.build(directed, n, g.alphabet,
                                        [*g.edges, *extra]), 0, 0)
     assert saturate._edge_tables(inst) == reference_edge_tables(inst)
-
-
-def _closure_faults(idx) -> list[str]:
-    """How an index fails the two invariants ``_add`` relies on: ``cols``
-    is the exact transpose of ``rows``, and every row is closed
-    (``rows[b]`` is a subset of ``rows[x]`` for each ``b`` in
-    ``rows[x]``).  Empty when both hold."""
-    faults = []
-    rows = idx.rows
-    transpose = [0] * len(rows)
-    for x, row in enumerate(rows):
-        for b in saturate._bits(row):
-            transpose[b] |= 1 << x
-            if rows[b] & ~row:
-                faults.append(f"row {x} holds {b} but misses "
-                              f"{rows[b] & ~row:#b} of its row")
-    for v, (want, got) in enumerate(zip(transpose, idx.cols, strict=True)):
-        if want != got:
-            faults.append(f"cols[{v}] is {got:#b}, not {want:#b}")
-    return faults
-
-
-@pytest.mark.parametrize("near", [False, True], ids=["dyck2", "neardyck"])
-@pytest.mark.parametrize("directed", [True, False],
-                         ids=["directed", "undirected"])
-def test_columns_transpose_closed_rows_after_every_step(near, directed):
-    """On seeded scripts of insertions, deletions and queries, the index
-    keeps ``cols`` the transpose of closed rows after every ``apply``,
-    every query and every ``pairs`` read, seeds pending or not; the
-    scripts reach states where stale rows, and where the rows of a solve
-    that a stale query restarted and stopped at its pair, hold seeds not
-    yet run."""
-    pending = {"stale": 0, "restarted": 0}
-    for seed in range(25):
-        rng = random.Random(seed)
-        if near:
-            inst = random_neardyck_instance(rng, max_vertices=6,
-                                            density=0.12, directed=directed)
-        else:
-            inst = random_dyck_instance(rng, max_vertices=9, pairs=2,
-                                        density=0.1, directed=directed)
-        n = inst.graph.vertex_count
-        idx = solved(inst)
-        assert _closure_faults(idx) == [], seed
-        restarted = False
-        for step, op in enumerate(random_script(rng, inst, ops=40)):
-            if op.op == "query":
-                stale = idx.stale
-                idx.query(rng.randrange(n), rng.randrange(n))
-                restarted = stale and not idx.stale and bool(idx.work)
-            else:
-                idx.apply(op)
-                restarted &= op.op == "ins"
-            assert _closure_faults(idx) == [], (seed, step, op)
-            pending["stale"] += bool(idx.stale and idx.seeds)
-            pending["restarted"] += bool(restarted and idx.seeds)
-            if step % 10 == 9:
-                idx.pairs
-                restarted = False
-                assert _closure_faults(idx) == [], (seed, step, "pairs")
-    assert pending["stale"] and pending["restarted"], pending
 
 
 def test_closers_follow_the_last_closing_edge():

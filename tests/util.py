@@ -1,8 +1,8 @@
 """Shared generators for the test suite: random instances, random update
 scripts, the worked instances used across modules, the check of a
-``ReachIndex``'s edge tables, support masks and demand set, and slow
-reference versions of the wrap-only solver, the oracle walks and the
-suites."""
+``ReachIndex``'s edge tables, support masks, demand set and closed rows,
+and slow reference versions of the wrap-only solver, the oracle walks
+and the suites."""
 
 import itertools
 import math
@@ -146,8 +146,11 @@ def mask_faults(index, inst=None) -> list[str]:
     so are the bits of its row and the targets of its opening edges, bar
     an edge whose seed is still queued; an inactive vertex's row is its
     identity bit, and a column holds no inactive source but its own
-    vertex.  An index not yet read has no rows (``rows`` is None), so
-    only its tables and masks are checked.  Empty when all hold."""
+    vertex.  The two invariants ``_add`` relies on hold too: ``cols`` is
+    the exact transpose of ``rows``, and every row is closed (``rows[b]``
+    is a subset of ``rows[x]`` for each ``b`` in ``rows[x]``).  An index
+    not yet read has no rows (``rows`` is None), so only its tables and
+    masks are checked.  Empty when all hold."""
     edges, support, forward, outof, into = reference_edge_tables(
         inst or index.inst)
     faults = []
@@ -194,10 +197,23 @@ def mask_faults(index, inst=None) -> list[str]:
             if missed:
                 faults.append(f"opening successors {missed} of row {x} "
                               f"(pair {k}) are not in the demand set")
-    for v, col in enumerate(index.cols):
+    rows = index.rows
+    transpose = [0] * len(rows)
+    for x, row in enumerate(rows):
+        for b in range(len(rows)):
+            if row >> b & 1:
+                transpose[b] |= 1 << x
+                if rows[b] & ~row:
+                    faults.append(f"row {x} holds {b} but misses "
+                                  f"{rows[b] & ~row:#b} of its row")
+    for v, (want, col) in enumerate(zip(transpose, index.cols,
+                                        strict=True)):
         if col & ~active & ~(1 << v):
             faults.append(f"cols[{v}] holds inactive sources "
                           f"{col & ~active & ~(1 << v):#b}")
+        if col != want:
+            faults.append(f"cols[{v}] is {col:#b}, not the transpose "
+                          f"{want:#b}")
     return faults
 
 
